@@ -12,14 +12,15 @@ import (
 // geodabs-vet noalloc analyzer proves the annotated search core has no
 // escaping allocation sites at compile time, and this test pins the
 // steady-state behavior with testing.AllocsPerRun — a warm scratch pool
-// plus a recycled result buffer must search without touching the heap.
+// plus a recycled result buffer must search without touching the heap,
+// through the one-shard engine — the path a one-shard geodabs.Index takes.
 // GC is disabled for the measurement so a collection cannot empty the
 // scratch pool mid-run and charge the refill to a search.
 func TestSearchCoreZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ix := index.NewInverted(geodabEx())
+	ix := index.NewSharded(geodabEx(), 1)
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +33,17 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"AppendSearchFingerprints/wide", func() error {
-			results, _, err := ix.AppendSearchFingerprints(ctx, buf[:0], set, 1, 10)
+		{"AppendSearchSet/wide", func() error {
+			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 1, 10)
 			buf = results[:0]
 			return err
 		}},
-		{"AppendSearchFingerprints/knn", func() error {
-			results, _, err := ix.AppendSearchFingerprints(ctx, buf[:0], set, 0.5, 5)
+		{"AppendSearchSet/knn", func() error {
+			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.5, 5)
 			buf = results[:0]
 			return err
 		}},
-		{"AppendSearchSet/prepared", func() error {
+		{"AppendSearchSet/uncapped", func() error {
 			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.9, 0)
 			buf = results[:0]
 			return err

@@ -64,13 +64,22 @@ var benchLongTrajectories = sync.OnceValue(func() [][]geodabs.Point {
 	return pts
 })
 
-func builtIndex(b *testing.B, ex index.Extractor) *index.Inverted {
+func builtIndex(b *testing.B, ex index.Extractor) *index.Sharded {
 	b.Helper()
-	ix := index.NewInverted(ex)
+	ix := index.NewSharded(ex, 1)
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		b.Fatal(err)
 	}
 	return ix
+}
+
+// rank runs one uncapped, unbounded ranked query.
+func rank(b *testing.B, ix *index.Sharded, q *trajectory.Trajectory) []index.Result {
+	results, _, err := ix.Search(context.Background(), q, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return results
 }
 
 func geodabEx() index.GeodabExtractor {
@@ -92,13 +101,13 @@ func cellEx(b *testing.B) index.CellExtractor {
 func BenchmarkFig08Normalization(b *testing.B) {
 	out := benchWorkload()
 	for i := 0; i < b.N; i++ {
-		ix := index.NewInverted(geodabEx())
+		ix := index.NewSharded(geodabEx(), 1)
 		if err := ix.AddAll(context.Background(), out.Dataset, 8); err != nil {
 			b.Fatal(err)
 		}
 		runs := make([]eval.Run, 0, len(out.Queries))
 		for _, q := range out.Queries[:20] {
-			results := ix.Query(q, 1, 0)
+			results := rank(b, ix, q)
 			ranked := make([]trajectory.ID, len(results))
 			for j, r := range results {
 				ranked[j] = r.ID
@@ -190,7 +199,7 @@ func BenchmarkFig12QueryGeodab(b *testing.B) {
 	q := benchWorkload().Queries[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Query(q, 1, 0)
+		rank(b, ix, q)
 	}
 }
 
@@ -199,7 +208,7 @@ func BenchmarkFig12QueryGeohash(b *testing.B) {
 	q := benchWorkload().Queries[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Query(q, 1, 0)
+		rank(b, ix, q)
 	}
 }
 
@@ -210,7 +219,7 @@ func BenchmarkFig13ROC(b *testing.B) {
 	out := benchWorkload()
 	runs := make([]eval.Run, 0, len(out.Queries))
 	for _, q := range out.Queries[:20] {
-		results := ix.Query(q, 1, 0)
+		results := rank(b, ix, q)
 		ranked := make([]trajectory.ID, len(results))
 		for j, r := range results {
 			ranked[j] = r.ID
@@ -235,7 +244,7 @@ func BenchmarkFig14HundredQueriesGeodab(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 100; j++ {
-			ix.Query(queries[j%len(queries)], 1, 0)
+			rank(b, ix, queries[j%len(queries)])
 		}
 	}
 }
@@ -246,7 +255,7 @@ func BenchmarkFig14HundredQueriesGeohash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 100; j++ {
-			ix.Query(queries[j%len(queries)], 1, 0)
+			rank(b, ix, queries[j%len(queries)])
 		}
 	}
 }
@@ -345,7 +354,7 @@ func BenchmarkIndexBuildParallel(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(map[int]string{1: "seq", 8: "par8"}[workers], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix := index.NewInverted(geodabEx())
+				ix := index.NewSharded(geodabEx(), 1)
 				if err := ix.AddAll(context.Background(), out.Dataset, workers); err != nil {
 					b.Fatal(err)
 				}
@@ -477,12 +486,13 @@ func BenchmarkSearchBatchPrepared(b *testing.B) {
 func BenchmarkSearchCore(b *testing.B) {
 	ix := builtIndex(b, geodabEx())
 	set := geodabEx().Extract(benchWorkload().Queries[0].Points)
+	qc := set.Cardinality()
 	ctx := context.Background()
 	buf := make([]index.Result, 0, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, _, err := ix.AppendSearchFingerprints(ctx, buf[:0], set, 1, 10)
+		results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 1, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,12 +506,13 @@ func BenchmarkSearchCore(b *testing.B) {
 func BenchmarkSearchCoreKNN(b *testing.B) {
 	ix := builtIndex(b, geodabEx())
 	set := geodabEx().Extract(benchWorkload().Queries[0].Points)
+	qc := set.Cardinality()
 	ctx := context.Background()
 	buf := make([]index.Result, 0, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, _, err := ix.AppendSearchFingerprints(ctx, buf[:0], set, 0.5, 5)
+		results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.5, 5)
 		if err != nil {
 			b.Fatal(err)
 		}

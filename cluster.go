@@ -176,18 +176,6 @@ func (c *Cluster) AnalyzeQuery(q *Query) QueryStats {
 	return q.clusterPlan(c.coord, set).Stats()
 }
 
-// DiscardPoints severs the coordinator's point-ownership map: after the
-// call, WithExactRerank fails for the trajectories added so far;
-// fingerprint-ranked searches are unaffected. The shard nodes' retained
-// copies are released lazily — when a trajectory is deleted or
-// re-upserted — not eagerly broadcast.
-//
-// Deprecated: retention is now opt-in at construction — a cluster built
-// without WithPointRetention never ships or pins point memory.
-// DiscardPoints remains for retaining clusters that want to stop
-// re-ranking mid-lifetime.
-func (c *Cluster) DiscardPoints() { c.coord.DiscardPoints() }
-
 // Stats gathers per-node term and posting counts, slice index i matching
 // node i.
 func (c *Cluster) Stats() ([]NodeStats, error) {
@@ -200,24 +188,6 @@ func (c *Cluster) Stats() ([]NodeStats, error) {
 func (c *Cluster) StatsContext(ctx context.Context) ([]NodeStats, error) {
 	stats, err := c.coord.Stats(ctx)
 	return stats, translateClusterErr(err)
-}
-
-// Query returns the indexed trajectories within Jaccard distance
-// maxDistance of q, most similar first, truncated to limit (≤ 0 for no
-// limit).
-//
-// Deprecated: use Search, which takes a context, functional options, and
-// returns execution statistics. For limit ≥ 0 and maxDistance in [0, 1],
-// Query is equivalent to
-//
-//	Search(context.Background(), q, WithMaxDistance(maxDistance), WithLimit(limit))
-//
-// Query's negative-limit "no limit" form maps to WithLimit(0) or to
-// omitting WithLimit; a legacy maxDistance above 1 (a no-op filter,
-// since Jaccard distances never exceed 1) maps to WithMaxDistance(1) or
-// to omitting WithMaxDistance.
-func (c *Cluster) Query(q *Trajectory, maxDistance float64, limit int) ([]Result, error) {
-	return c.coord.Query(q, maxDistance, limit)
 }
 
 // Close tears down all node connections. It is idempotent and safe to

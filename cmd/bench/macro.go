@@ -25,8 +25,8 @@ import (
 // The macro benchmark is the scale proof the micro-benches cannot give:
 // it ingests on the order of a million synthetic trajectories (chunked
 // generation on one city graph, so memory holds the indexes rather than
-// the raw dataset) into the in-process sharded engine and the flat
-// single-lock engine, checks their rankings stay byte-identical on the
+// the raw dataset) into the in-process index at the chosen shard count and
+// at one shard (one lock), checks their rankings stay byte-identical on the
 // live corpus, measures ingest throughput, closed-loop search qps and
 // p50/p99 latency at several operating points, RSS, and a v3 snapshot
 // write — and anchors everything with a brute-force linear-scan baseline
@@ -79,7 +79,7 @@ type macroReport struct {
 	// SpeedupVsBrute is the headline: sharded single-worker qps at the
 	// widest operating point over the brute-force linear scan's qps.
 	SpeedupVsBrute float64 `json:"speedup_vs_brute"`
-	// ShardedVsSingleQPS compares sharded to the flat engine at the same
+	// ShardedVsSingleQPS compares sharded to the one-shard index at the same
 	// operating point (multi-worker where it exists): > 1 means the
 	// fan-out won, ≈ 1 is the expected single-core result.
 	ShardedVsSingleQPS float64 `json:"sharded_vs_single_qps"`
@@ -117,7 +117,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	if shards <= 0 {
 		// Default the shard count to at least 2 so the fan-out machinery is
 		// genuinely exercised even on a single-core box (where a GOMAXPROCS
-		// default would collapse to the flat engine).
+		// default would collapse to one shard).
 		shards = 2
 		for shards < gomax {
 			shards <<= 1
@@ -127,7 +127,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	cf := core.MustFingerprinter(core.DefaultConfig())
 	ex := index.GeodabExtractor{Fingerprinter: cf}
 	sharded := index.NewSharded(ex, shards)
-	single := index.NewInverted(ex)
+	single := index.NewSharded(ex, 1)
 	log.Printf("macro: target %d trajectories, %d shards, GOMAXPROCS=%d", n, sharded.NumShards(), gomax)
 
 	city, err := roadnet.GenerateCity(roadnet.CityConfig{Seed: 7})
@@ -225,11 +225,11 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 			d float64
 			k int
 		}{{1, 10}, {0.5, 10}} {
-			a, _, err := sharded.SearchFingerprints(ctx, querySets[i], op.d, op.k)
+			a, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), op.d, op.k)
 			if err != nil {
 				log.Fatal(err)
 			}
-			b, _, err := single.SearchFingerprints(ctx, querySets[i], op.d, op.k)
+			b, _, err := single.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), op.d, op.k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	var search []macroSearchResult
 	engines := []struct {
 		name string
-		eng  index.Engine
+		eng  *index.Sharded
 	}{{"sharded", sharded}, {"single", single}}
 	for _, e := range engines {
 		for _, op := range []struct {
@@ -296,7 +296,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	t0 := time.Now()
 	for i := 0; i < bruteQueries; i++ {
 		got := bruteForceScan(single, querySets[i], 1, 10)
-		want, _, err := sharded.SearchFingerprints(ctx, querySets[i], 1, 10)
+		want, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), 1, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 // runMacroSearch drives one engine closed-loop from w workers for
 // roughly dur, cycling the query pool, and reports throughput and
 // latency quantiles.
-func runMacroSearch(ctx context.Context, eng index.Engine, querySets []*bitmap.Bitmap, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
+func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets []*bitmap.Bitmap, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
 	var mu sync.Mutex
 	var lats []time.Duration
 	deadline := time.Now().Add(dur)
@@ -412,7 +412,7 @@ func runMacroSearch(ctx context.Context, eng index.Engine, querySets []*bitmap.B
 // the exact Jaccard distance from the cached cardinality and a full
 // bitmap intersection, rank through the shared contract. No postings, no
 // counting merge, no pruning — what retrieval costs without the index.
-func bruteForceScan(eng index.Engine, set *bitmap.Bitmap, maxDistance float64, limit int) []index.Result {
+func bruteForceScan(eng *index.Sharded, set *bitmap.Bitmap, maxDistance float64, limit int) []index.Result {
 	qc := set.Cardinality()
 	var results []index.Result
 	eng.ScanDocs(func(id trajectory.ID, doc *bitmap.Bitmap, card int) bool {

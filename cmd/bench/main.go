@@ -17,7 +17,7 @@
 //
 // Since issue 8 the -macro mode is the scale proof: it ingests on the
 // order of a million synthetic trajectories into the in-process sharded
-// engine and the flat single-lock engine, verifies their rankings stay
+// engine and its one-shard (single-lock) form, verifies their rankings stay
 // byte-identical, and reports ingest throughput, closed-loop search qps
 // with p50/p99 latency, RSS, and a brute-force linear-scan baseline for
 // the speedup headline (see macro.go).
@@ -272,17 +272,18 @@ func main() {
 	// The counting core alone: pre-extracted query set, recycled result
 	// buffer — the allocation-free steady state.
 	cf := core.MustFingerprinter(core.DefaultConfig())
-	inv := index.NewInverted(index.GeodabExtractor{Fingerprinter: cf})
+	inv := index.NewSharded(index.GeodabExtractor{Fingerprinter: cf}, 1)
 	if err := inv.AddAll(ctx, workload.Dataset, 8); err != nil {
 		log.Fatal(err)
 	}
 	set := cf.FingerprintSet(q.Points)
+	qc := set.Cardinality()
 	record("SearchCore", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]index.Result, 0, 4096)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, _, err := inv.AppendSearchFingerprints(ctx, buf[:0], set, 1, 10)
+			out, _, err := inv.AppendSearchSet(ctx, buf[:0], set, qc, 1, 10)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,9 +26,9 @@ func runFig14(o options) error {
 		return err
 	}
 	methods := retrievalMethods()
-	indexes := make([]*index.Inverted, len(methods))
+	indexes := make([]*index.Sharded, len(methods))
 	for i, m := range methods {
-		indexes[i] = index.NewInverted(m.ex)
+		indexes[i] = index.NewSharded(m.ex, 1)
 	}
 	queries := out.Queries
 

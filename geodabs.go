@@ -73,7 +73,6 @@ package geodabs
 import (
 	"context"
 	"io"
-	"runtime"
 
 	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
@@ -137,11 +136,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 //
 // With WithShards(n), the index is split into n in-process shards (own
 // locks, own posting lists) whose searches fan out in parallel and whose
-// mutations stop contending — rankings stay byte-identical to the
-// unsharded engine. The default WithShards(0) sizes the shard count from
-// GOMAXPROCS, so a single-core process keeps the unsharded engine.
+// mutations stop contending — rankings are byte-identical at every shard
+// count. The default WithShards(0) sizes the shard count from GOMAXPROCS,
+// so a single-core process runs one shard.
 type Index struct {
-	eng index.Engine
+	eng *index.Sharded
 }
 
 // NewIndex returns an empty geodab index.
@@ -176,16 +175,7 @@ func newIndex(ex index.Extractor, opts []Option) (*Index, error) {
 	if o.retainPoints {
 		invOpts = append(invOpts, index.RetainPoints())
 	}
-	shards := o.shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards == 1 {
-		// One shard is exactly the unsharded engine; keep it, so single-core
-		// processes also keep the v2 snapshot format.
-		return &Index{eng: index.NewInverted(ex, invOpts...)}, nil
-	}
-	return &Index{eng: index.NewSharded(ex, shards, invOpts...)}, nil
+	return &Index{eng: index.NewSharded(ex, o.shards, invOpts...)}, nil
 }
 
 // Add fingerprints and indexes a trajectory. IDs must be unique; use
@@ -207,35 +197,6 @@ func (ix *Index) AddAll(d *Dataset, workers int) error {
 func (ix *Index) AddAllContext(ctx context.Context, d *Dataset, workers int) error {
 	return ix.eng.AddAll(ctx, d, workers)
 }
-
-// Query returns the indexed trajectories within Jaccard distance
-// maxDistance of q, most similar first, truncated to limit (≤ 0 for no
-// limit).
-//
-// Deprecated: use Search, which takes a context, functional options, and
-// returns execution statistics. For limit ≥ 0 and maxDistance in [0, 1],
-// Query is equivalent to
-//
-//	Search(context.Background(), q, WithMaxDistance(maxDistance), WithLimit(limit))
-//
-// Query's negative-limit "no limit" form maps to WithLimit(0) or to
-// omitting WithLimit; a legacy maxDistance above 1 (a no-op filter,
-// since Jaccard distances never exceed 1) maps to WithMaxDistance(1) or
-// to omitting WithMaxDistance.
-func (ix *Index) Query(q *Trajectory, maxDistance float64, limit int) []Result {
-	return ix.eng.Query(q, maxDistance, limit)
-}
-
-// DiscardPoints releases the raw point sequences retained for exact
-// re-ranking, shrinking the index to its fingerprint bitmaps. After the
-// call, WithExactRerank fails for the trajectories indexed so far (as on
-// a snapshot-loaded index); fingerprint-ranked searches are unaffected.
-//
-// Deprecated: retention is now opt-in at construction — an index built
-// without WithPointRetention never pins point memory, making the
-// all-or-nothing release unnecessary. DiscardPoints remains for
-// retaining indexes that want to drop their points mid-lifetime.
-func (ix *Index) DiscardPoints() { ix.eng.DiscardPoints() }
 
 // Len returns the number of indexed trajectories.
 func (ix *Index) Len() int { return ix.eng.Len() }
@@ -319,19 +280,6 @@ func (f *Fingerprinter) Motif(a, b []Point, lengthMeters float64) (MotifMatch, e
 	return motif.FindGeodab(f.core, a, b, lengthMeters)
 }
 
-// FingerprintTrajectory runs the geodab pipeline on a point sequence.
-//
-// Deprecated: construct a Fingerprinter once with NewFingerprinter and
-// call its Fingerprint method; this wrapper rebuilds the pipeline on
-// every call.
-func FingerprintTrajectory(cfg Config, points []Point) (*Fingerprint, error) {
-	f, err := NewFingerprinter(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f.Fingerprint(points), nil
-}
-
 // Distances between trajectories (paper §VI-B). DTW and DFD are the
 // polynomial-cost measures geodabs replace; JaccardDistance is the
 // fingerprint-set distance used for ranking. LCSS and EDR are the classic
@@ -358,21 +306,6 @@ var (
 // sets.
 func JaccardDistance(a, b *Fingerprint) float64 {
 	return bitmap.JaccardDistance(a.Set, b.Set)
-}
-
-// FindMotif discovers the most similar pair of sub-trajectories of the
-// given ground length (meters) between a and b using geodab fingerprints
-// (approximate, near-linear cost).
-//
-// Deprecated: construct a Fingerprinter once with NewFingerprinter and
-// call its Motif method; this wrapper rebuilds the pipeline on every
-// call.
-func FindMotif(cfg Config, a, b []Point, lengthMeters float64) (MotifMatch, error) {
-	f, err := NewFingerprinter(cfg)
-	if err != nil {
-		return MotifMatch{}, err
-	}
-	return f.Motif(a, b, lengthMeters)
 }
 
 // FindMotifExact discovers the minimum discrete-Fréchet pair of length-l

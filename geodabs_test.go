@@ -1,6 +1,7 @@
 package geodabs_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -31,6 +32,17 @@ type genOutput struct {
 	Relevant map[geodabs.ID][]geodabs.ID
 }
 
+// hits runs one search with a distance cutoff and a result limit (0 for
+// none) and returns the ranked hits.
+func hits(t testing.TB, s geodabs.Searcher, q *geodabs.Trajectory, maxDistance float64, limit int) []geodabs.Result {
+	t.Helper()
+	res, err := s.Search(context.Background(), q, geodabs.WithMaxDistance(maxDistance), geodabs.WithLimit(limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Hits
+}
+
 func TestPublicIndexRoundTrip(t *testing.T) {
 	_, w := testWorld()
 	idx, err := geodabs.NewIndex(geodabs.DefaultConfig())
@@ -44,7 +56,7 @@ func TestPublicIndexRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", idx.Len(), w.Dataset.Len())
 	}
 	q := w.Queries[0]
-	results := idx.Query(q, 0.99, 10)
+	results := hits(t, idx, q, 0.99, 10)
 	if len(results) == 0 {
 		t.Fatal("no results")
 	}
@@ -68,7 +80,7 @@ func TestPublicGeohashBaseline(t *testing.T) {
 	if err := base.AddAll(w.Dataset, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := base.Query(w.Queries[0], 0.99, 5); len(got) == 0 {
+	if got := hits(t, base, w.Queries[0], 0.99, 5); len(got) == 0 {
 		t.Error("baseline returned nothing")
 	}
 }
@@ -80,22 +92,19 @@ func TestPublicConfigValidation(t *testing.T) {
 	if _, err := geodabs.NewGeohashIndex(geodabs.Config{}); err == nil {
 		t.Error("zero config should be rejected")
 	}
-	if _, err := geodabs.FingerprintTrajectory(geodabs.Config{}, nil); err == nil {
+	if _, err := geodabs.NewFingerprinter(geodabs.Config{}); err == nil {
 		t.Error("zero config should be rejected")
 	}
 }
 
 func TestPublicFingerprintAndJaccard(t *testing.T) {
 	_, w := testWorld()
-	cfg := geodabs.DefaultConfig()
-	a, err := geodabs.FingerprintTrajectory(cfg, w.Dataset.Trajectories[0].Points)
+	f, err := geodabs.NewFingerprinter(geodabs.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := geodabs.FingerprintTrajectory(cfg, w.Dataset.Trajectories[1].Points)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := f.Fingerprint(w.Dataset.Trajectories[0].Points)
+	b := f.Fingerprint(w.Dataset.Trajectories[1].Points)
 	if len(a.Geodabs) == 0 {
 		t.Fatal("no fingerprints")
 	}
@@ -128,7 +137,11 @@ func TestPublicMotifs(t *testing.T) {
 	// Two trajectories of the same route share (almost) everything.
 	a := w.Dataset.Trajectories[0]
 	b := w.Dataset.Trajectories[1]
-	m, err := geodabs.FindMotif(geodabs.DefaultConfig(), a.Points, b.Points, 800)
+	f, err := geodabs.NewFingerprinter(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.Motif(a.Points, b.Points, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +207,8 @@ func TestPublicCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := w.Queries[0]
-	want := local.Query(q, 0.99, 0)
-	got, err := cl.Query(q, 0.99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := hits(t, local, q, 0.99, 0)
+	got := hits(t, cl, q, 0.99, 0)
 	if len(got) != len(want) {
 		t.Fatalf("cluster %d results, local %d", len(got), len(want))
 	}

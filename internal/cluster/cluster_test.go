@@ -63,7 +63,7 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 func TestClusterMatchesLocalIndex(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.NewInverted(ex)
+	local := index.NewSharded(ex, 1)
 	for _, tr := range testWorkload.Dataset.Trajectories {
 		if err := coord.Add(context.Background(), tr); err != nil {
 			t.Fatal(err)
@@ -73,8 +73,11 @@ func TestClusterMatchesLocalIndex(t *testing.T) {
 		}
 	}
 	for _, q := range testWorkload.Queries {
-		want := local.Query(q, 0.99, 0)
-		got, err := coord.Query(q, 0.99, 0)
+		want, _, err := local.Search(context.Background(), q, 0.99, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := coord.Search(context.Background(), q, 0.99, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +99,7 @@ func TestClusterQueryLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := coord.Query(testWorkload.Queries[0], 1, 3)
+	got, _, err := coord.Search(context.Background(), testWorkload.Queries[0], 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestClusterConcurrentAddsAndQueries(t *testing.T) {
 		go func(i int) {
 			defer qg.Done()
 			q := testWorkload.Queries[i%len(testWorkload.Queries)]
-			if _, err := coord.Query(q, 1, 5); err != nil {
+			if _, _, err := coord.Search(context.Background(), q, 1, 5); err != nil {
 				t.Errorf("concurrent query: %v", err)
 			}
 		}(i)
@@ -211,7 +214,7 @@ func TestQueryAfterNodeShutdown(t *testing.T) {
 	}
 	nodes[0].Close()
 	nodes[1].Close()
-	if _, err := coord.Query(testWorkload.Queries[0], 1, 0); err == nil {
+	if _, _, err := coord.Search(context.Background(), testWorkload.Queries[0], 1, 0); err == nil {
 		t.Error("query against a dead cluster should fail")
 	}
 }
@@ -733,7 +736,7 @@ func TestPoolParallelSearches(t *testing.T) {
 func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.NewInverted(ex)
+	local := index.NewSharded(ex, 1)
 	ctx := context.Background()
 	add := func(tr *trajectory.Trajectory) {
 		t.Helper()

@@ -13,6 +13,7 @@ import (
 	"geodabs/internal/bitmap"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
+	"geodabs/internal/rerank"
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
 )
@@ -751,36 +752,6 @@ func allNodes(n int) []int {
 	return nodes
 }
 
-// DiscardPoints withdraws exact re-ranking for every trajectory added
-// so far: the coordinator forgets which node owns each trajectory's
-// points, so Rerank fails for them with a clear error. The nodes' own
-// retained copies are released lazily — the next mutation of an ID
-// replaces them, and they never burden the coordinator — rather than
-// through an extra fan-out. With retention on, trajectories added
-// afterwards rerank normally again.
-func (c *Coordinator) DiscardPoints() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, entry := range c.directory {
-		entry.owner = -1
-		c.directory[id] = entry
-	}
-}
-
-// ExactMetric names a built-in exact trajectory metric the shard nodes
-// can evaluate against their retained points. Only built-ins are
-// addressable over the wire: a custom metric is an arbitrary function
-// and cannot cross a process boundary.
-type ExactMetric uint8
-
-const (
-	// MetricDTW selects dynamic time warping; MetricDFD the discrete
-	// Fréchet distance. The node-side implementations are the same
-	// functions the local engines call, so scores are bit-identical.
-	MetricDTW ExactMetric = ExactMetric(metricDTW)
-	MetricDFD ExactMetric = ExactMetric(metricDFD)
-)
-
 // Rerank pushes the exact-refinement pass of a search down to the shard
 // nodes: each node owning points of shortlist members scores its slice
 // locally (DTW or DFD, with lower-bound pruning against limit) and
@@ -795,7 +766,7 @@ const (
 // proves outside its own (hence the global) top-limit, and the final
 // merge reuses index.SortResults. limit <= 0 scores and returns the
 // whole shortlist.
-func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query []geo.Point, metric ExactMetric, limit int) ([]index.Result, error) {
+func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query []geo.Point, metric rerank.Metric, limit int) ([]index.Result, error) {
 	if err := parent.Err(); err != nil {
 		return nil, err
 	}
@@ -831,7 +802,7 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 			resp, err := c.readCall(ctx, node, &request{
 				Op:           opRerank,
 				CompactBelow: below,
-				Rerank:       &rerankRequest{IDs: groups[node], Query: query, Metric: rerankMetric(metric), Limit: limit},
+				Rerank:       &rerankRequest{IDs: groups[node], Query: query, Metric: metric, Limit: limit},
 			})
 			if err != nil {
 				return err
@@ -865,7 +836,7 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 		}
 	}
 	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	return nil, fmt.Errorf("cluster: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): cluster built without point retention, DiscardPoints was called, a recovered directory predating the points, or a concurrent delete", len(missing), len(hits), missing)
+	return nil, fmt.Errorf("cluster: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): cluster built without point retention, a recovered directory predating the points, or a concurrent delete", len(missing), len(hits), missing)
 }
 
 // QueryStats reports the fan-out of the last analysis of a query set.
@@ -956,18 +927,9 @@ type SearchInfo struct {
 	Nodes  int
 }
 
-// Query scatter-gathers the ranked retrieval problem across the cluster,
-// equivalent to index.Inverted.Query on the same data.
-//
-// Deprecated: use Search, which takes a context and reports fan-out.
-func (c *Coordinator) Query(q *trajectory.Trajectory, maxDistance float64, limit int) ([]index.Result, error) {
-	results, _, err := c.Search(context.Background(), q, maxDistance, limit)
-	return results, err
-}
-
 // Search scatter-gathers the ranked retrieval problem across the cluster
 // and merges partial intersection counts into Jaccard-ranked results,
-// equivalent to index.Inverted.Search on the same data. Cancelling ctx
+// equivalent to index.Sharded.Search on the same data. Cancelling ctx
 // aborts the scatter-gather promptly and returns the context's error;
 // the first node failure cancels the sibling calls, so one wedged node
 // cannot hold the query past another node's error.

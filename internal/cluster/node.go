@@ -20,19 +20,19 @@
 package cluster
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"geodabs/internal/bitmap"
-	"geodabs/internal/distance"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
+	"geodabs/internal/rerank"
 	"geodabs/internal/wal"
 )
 
@@ -747,50 +747,21 @@ func cardWindow(req *queryRequest) (minCard, maxCard int) {
 	return index.CardinalityWindow(req.QueryCard, req.MaxDistance)
 }
 
-// rerankCandidate is one shortlist member snapshotted under the read
-// lock: the slice headers are safe to score outside it because applied
-// mutations replace a doc's point slice wholesale, never mutate it.
-type rerankCandidate struct {
-	id     uint32
-	points []geo.Point
-	box    geo.Box
-}
-
-// worseScore is the (score asc, ID asc) comparison rerank's pruning heap
-// shares with index.SortResults: a is worse than b when it would sort
-// after b in the final merge.
-func worseScore(aScore float64, aID uint32, bScore float64, bID uint32) bool {
-	if aScore != bScore {
-		return aScore > bScore
-	}
-	return aID > bID
-}
-
 // rerank exact-scores the node's slice of a fingerprint shortlist
 // against its retained points, returning (id, score) pairs — never
-// points. When the request carries a result cap, a candidate whose
-// cheap lower bound proves it cannot enter the node's own top-k is
-// skipped without running the O(n·m) dynamic program; everything
-// actually scored is returned, so the coordinator's merge stays
-// byte-identical to scoring the whole shortlist.
-//
-// The lower bound is metric-aware but safe for both built-ins: DTW and
-// DFD each force the (first, first) and (last, last) alignments, so the
-// larger endpoint haversine bounds both from below; the bounding-box
-// separation geo.Box.MinDistance bounds every matched pair, so it
-// bounds DFD (a max over pairs) directly and DTW (a sum over a monotone
-// path of at least max(n, m) pairs) times max(n, m).
+// points. The candidates are snapshotted under the read lock — the slice
+// headers are safe to score outside it because applied mutations replace
+// a doc's point slice wholesale, never mutate it — and scored by
+// rerank.Score, whose lower-bound gate skips what provably cannot enter
+// the node's own top-Limit; everything actually scored is returned, so
+// the coordinator's merge stays byte-identical to scoring the whole
+// shortlist.
 func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
-	var metric func(a, b []geo.Point) float64
-	switch req.Metric {
-	case metricDTW:
-		metric = distance.DTW
-	case metricDFD:
-		metric = distance.DFD
-	default:
+	metric := req.Metric.Func()
+	if metric == nil {
 		return nil, fmt.Errorf("unknown rerank metric %d", req.Metric)
 	}
-	cands := make([]rerankCandidate, 0, len(req.IDs))
+	cands := make([]rerank.Candidate, 0, len(req.IDs))
 	var missing []uint32
 	n.mu.RLock()
 	for _, id := range req.IDs {
@@ -799,171 +770,28 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 			missing = append(missing, id)
 			continue
 		}
-		cands = append(cands, rerankCandidate{id: id, points: doc.points, box: doc.box})
+		cands = append(cands, rerank.Candidate{ID: id, Points: doc.points, Box: doc.box})
 	}
 	n.mu.RUnlock()
 	if len(missing) > 0 {
 		return &rerankResponse{Missing: missing}, nil
 	}
-
-	qBox := geo.NewBox(req.Query...)
+	// A node request carries no context: the pass runs to completion.
+	if err := rerank.Score(context.TODO(), req.Query, cands, metric, req.Metric, req.Limit); err != nil {
+		return nil, err
+	}
 	resp := &rerankResponse{IDs: make([]uint32, 0, len(cands)), Scores: make([]float64, 0, len(cands))}
-	h := &keptHeap{limit: req.Limit}
-
-	// lowerBound cheaply bounds metric(req.Query, c.points) from below;
-	// callers only invoke it with a non-empty query and points.
-	lowerBound := func(c rerankCandidate) float64 {
-		lb := math.Max(
-			geo.Haversine(req.Query[0], c.points[0]),
-			geo.Haversine(req.Query[len(req.Query)-1], c.points[len(c.points)-1]),
-		)
-		boxLB := qBox.MinDistance(c.box)
-		if req.Metric == metricDTW {
-			boxLB *= float64(max(len(req.Query), len(c.points)))
+	for _, c := range cands {
+		if c.Skipped {
+			resp.Skipped++
+			continue
 		}
-		return math.Max(lb, boxLB)
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 || len(cands) < rerankParallelMin {
-		for _, c := range cands {
-			if thr, full := h.threshold(); full && len(req.Query) > 0 && len(c.points) > 0 {
-				// Strictly above the k-th best: even a tie must be
-				// scored, because the (score, ID) tiebreak could admit
-				// it.
-				if lowerBound(c) > thr {
-					resp.Skipped++
-					continue
-				}
-			}
-			score := metric(req.Query, c.points)
-			resp.IDs = append(resp.IDs, c.id)
-			resp.Scores = append(resp.Scores, score)
-			h.offer(score, c.id)
-		}
-	} else {
-		// Long shortlist: score candidates on a bounded worker pool
-		// (mirroring the coordinator-side rerankHits pool). The pruning
-		// heap is shared under a mutex; reading a stale threshold is
-		// safe because the k-th best only tightens as scores land — a
-		// looser value can admit an extra scoring, never skip a
-		// candidate that belongs in the top k. Results land in
-		// per-candidate slots and are compacted in candidate order, so
-		// the response layout is identical to the serial path.
-		scores := make([]float64, len(cands))
-		skipped := make([]bool, len(cands))
-		var heapMu sync.Mutex
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cands) {
-						return
-					}
-					c := cands[i]
-					if len(req.Query) > 0 && len(c.points) > 0 {
-						heapMu.Lock()
-						thr, full := h.threshold()
-						heapMu.Unlock()
-						if full && lowerBound(c) > thr {
-							skipped[i] = true
-							continue
-						}
-					}
-					score := metric(req.Query, c.points)
-					scores[i] = score
-					heapMu.Lock()
-					h.offer(score, c.id)
-					heapMu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		for i, c := range cands {
-			if skipped[i] {
-				resp.Skipped++
-				continue
-			}
-			resp.IDs = append(resp.IDs, c.id)
-			resp.Scores = append(resp.Scores, scores[i])
-		}
+		resp.IDs = append(resp.IDs, c.ID)
+		resp.Scores = append(resp.Scores, c.Score)
 	}
 	n.rerankScored.Add(uint64(len(resp.IDs)))
 	n.rerankSkipped.Add(uint64(resp.Skipped))
 	return resp, nil
-}
-
-// rerankParallelMin is the shortlist length below which rerank scores
-// serially; a pool is not worth its goroutine startup for a handful of
-// DTW calls.
-const rerankParallelMin = 16
-
-// kept is one retained (score, ID) pair in the pruning heap.
-type kept struct {
-	score float64
-	id    uint32
-}
-
-// keptHeap is a max-heap (by worseScore) of the limit best scores seen
-// so far; its root is the k-th best — the pruning threshold. A limit of
-// zero or less disables it.
-type keptHeap struct {
-	limit int
-	items []kept
-}
-
-// threshold returns the k-th best score so far and whether the heap is
-// full — only a full heap prunes.
-func (h *keptHeap) threshold() (float64, bool) {
-	if h.limit <= 0 || len(h.items) < h.limit {
-		return 0, false
-	}
-	return h.items[0].score, true
-}
-
-// offer records a scored candidate, evicting the current worst if the
-// newcomer beats it under the (score, ID) tiebreak.
-func (h *keptHeap) offer(score float64, id uint32) {
-	if h.limit <= 0 {
-		return
-	}
-	if len(h.items) < h.limit {
-		h.items = append(h.items, kept{score, id})
-		for i := len(h.items) - 1; i > 0; { // sift up
-			parent := (i - 1) / 2
-			if !worseScore(h.items[i].score, h.items[i].id, h.items[parent].score, h.items[parent].id) {
-				break
-			}
-			h.items[i], h.items[parent] = h.items[parent], h.items[i]
-			i = parent
-		}
-		return
-	}
-	if !worseScore(h.items[0].score, h.items[0].id, score, id) {
-		return
-	}
-	h.items[0] = kept{score, id}
-	for i := 0; ; { // sift down
-		worst := i
-		if l := 2*i + 1; l < len(h.items) && worseScore(h.items[l].score, h.items[l].id, h.items[worst].score, h.items[worst].id) {
-			worst = l
-		}
-		if r := 2*i + 2; r < len(h.items) && worseScore(h.items[r].score, h.items[r].id, h.items[worst].score, h.items[worst].id) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		h.items[i], h.items[worst] = h.items[worst], h.items[i]
-		i = worst
-	}
 }
 
 func (n *Node) stats() *statsResponse {

@@ -1,6 +1,9 @@
 package cluster
 
-import "geodabs/internal/geo"
+import (
+	"geodabs/internal/geo"
+	"geodabs/internal/rerank"
+)
 
 // Wire protocol: length-delimited gob over TCP. Each connection carries a
 // sequential stream of request/response pairs; the coordinator serializes
@@ -195,21 +198,11 @@ type replEvent struct {
 	Points []geo.Point
 }
 
-// rerankMetric names an exact trajectory metric a node can evaluate
-// locally. Only the library's built-in metrics are addressable over the
-// wire — a custom RerankMetric is an arbitrary function and cannot
-// cross a process boundary, so the public layer keeps those local.
-type rerankMetric uint8
-
-const (
-	metricDTW rerankMetric = iota + 1
-	metricDFD
-)
-
 // rerankRequest asks a node to exact-score its slice of a fingerprint
 // shortlist: IDs are shortlist members whose points the node owns (the
 // coordinator groups by pointOwner before scattering), Query is the raw
-// query trajectory, and Metric selects DTW or discrete Fréchet.
+// query trajectory, and Metric selects DTW (1) or discrete Fréchet (2) —
+// only the built-in metrics are addressable over the wire.
 //
 // Limit enables lower-bound pruning: when > 0 it is the result cap the
 // coordinator will truncate the merged scores to, and the node may skip
@@ -222,7 +215,7 @@ const (
 type rerankRequest struct {
 	IDs    []uint32
 	Query  []geo.Point
-	Metric rerankMetric
+	Metric rerank.Metric
 	Limit  int
 }
 

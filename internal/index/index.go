@@ -20,36 +20,34 @@
 //
 // # Sharding
 //
-// Two engines implement the Engine surface: Inverted, a single structure
-// behind one RWMutex, and Sharded (sharded.go), which partitions the
-// documents across a power-of-two number of independent Inverted shards
-// by a hash of the trajectory ID. Every trajectory lives wholly in one
-// shard — its postings, cached cardinality and retained points included —
-// so a mutation takes exactly one shard's write lock (mutations on
-// different shards stop contending) and stays atomic with respect to
-// searches exactly as on Inverted.
+// There is one engine, Sharded (sharded.go): it partitions the documents
+// across a power-of-two number of independent Inverted shards by a hash
+// of the trajectory ID — a single shard on a single-core process. Every
+// trajectory lives wholly in one shard — its postings, cached cardinality
+// and retained points included — so a mutation takes exactly one shard's
+// write lock (mutations on different shards stop contending) and stays
+// atomic with respect to searches.
 //
-// A Sharded search fans out across the shards in parallel: each shard
-// runs the same counting merge (or wide-query fallback) it would run
-// standalone, pre-filters its candidates with the static threshold
-// bounds (the CardinalityWindow and the shared-count bar at the query's
-// distance cutoff — the exact bounds the Ranker starts from, so nothing
-// a full search would keep is lost), and hands back (id, cardinality,
+// A search over several shards fans out in parallel: each shard runs the
+// same counting merge (or wide-query fallback) it would run standalone,
+// pre-filters its candidates with the static threshold bounds (the
+// CardinalityWindow and the shared-count bar at the query's distance
+// cutoff — the exact bounds the Ranker starts from, so nothing a full
+// search would keep is lost), and hands back (id, cardinality,
 // shared-count) partials. A coordinator-style merge then ranks all
 // partials through one Ranker — the in-process mirror of the cluster's
 // scatter-gather, with no serialization and no wire. Rankings are
-// byte-identical to Inverted's: the shards see disjoint documents with
-// their full term sets, so the merged candidate multiset equals the
-// single-structure one, and the strict (distance, ID) total order makes
-// the final top-k independent of arrival order. Differential and fuzz
-// tests (sharded_diff_test.go) pin this across shard counts and both
-// query paths.
+// byte-identical at every shard count: the shards see disjoint documents
+// with their full term sets, so the merged candidate multiset equals the
+// one-shard one, and the strict (distance, ID) total order makes the
+// final top-k independent of arrival order. Differential and fuzz tests
+// (sharded_diff_test.go) pin this across shard counts and both query
+// paths.
 package index
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"geodabs/internal/bitmap"
@@ -125,42 +123,6 @@ func hashCell(h geohash.Hash) uint32 {
 	return v
 }
 
-// Engine is the full local-index surface, implemented by both Inverted
-// (one structure, one lock) and Sharded (hash-partitioned shards with
-// parallel intra-query fan-out). The two return byte-identical rankings;
-// they differ only in concurrency behavior and snapshot format (Inverted
-// writes version 2, Sharded version 3 — both read versions 1 through 3).
-type Engine interface {
-	Add(t *trajectory.Trajectory) error
-	AddFingerprints(id trajectory.ID, set *bitmap.Bitmap) error
-	AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error
-	Delete(id trajectory.ID) bool
-	Upsert(t *trajectory.Trajectory)
-	DeleteAll(ctx context.Context, ids []trajectory.ID) (int, error)
-	Epoch() uint64
-	Extractor() Extractor
-	Len() int
-	Stats() Stats
-	Fingerprints(id trajectory.ID) *bitmap.Bitmap
-	PointsOf(id trajectory.ID) []geo.Point
-	DiscardPoints()
-	ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card int) bool)
-	Query(q *trajectory.Trajectory, maxDistance float64, limit int) []Result
-	QueryFingerprints(set *bitmap.Bitmap, maxDistance float64, limit int) []Result
-	Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error)
-	SearchFingerprints(ctx context.Context, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error)
-	AppendSearchFingerprints(ctx context.Context, dst []Result, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error)
-	AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error)
-	io.WriterTo
-	io.ReaderFrom
-}
-
-// Compile-time proof that both engines present the one surface.
-var (
-	_ Engine = (*Inverted)(nil)
-	_ Engine = (*Sharded)(nil)
-)
-
 // Result is one ranked retrieval hit.
 type Result struct {
 	ID trajectory.ID
@@ -171,13 +133,12 @@ type Result struct {
 	Shared int
 }
 
-// Inverted is an in-memory inverted index over trajectory fingerprints.
-// It is safe for concurrent use: mutations (Add, Delete, Upsert) take a
-// write lock, queries a read lock, so every search observes the index
-// at a single mutation epoch — a trajectory is either fully visible or
-// not at all.
+// Inverted is one shard of the index: an in-memory inverted structure
+// over the fingerprint sets Sharded routes to it. It is safe for
+// concurrent use: mutations take a write lock, queries a read lock, so
+// every search observes the shard at a single mutation epoch — a
+// trajectory is either fully visible or not at all.
 type Inverted struct {
-	ex Extractor
 	// retain records whether insertions keep the raw point sequences for
 	// exact re-ranking (opt-in at construction via RetainPoints).
 	retain bool
@@ -189,11 +150,10 @@ type Inverted struct {
 	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) instead
 	// of walking the document bitmap's containers per candidate.
 	cards map[trajectory.ID]int
-	// points retains the raw point sequences of trajectories added through
-	// Add/AddAll (slice headers only, sharing the caller's backing arrays),
-	// so searches can re-rank candidates with an exact distance. Entries
-	// are absent when retention is off, for fingerprint-only insertions
-	// and for snapshot loads.
+	// points retains the raw point sequences of inserted trajectories
+	// (slice headers only, sharing the caller's backing arrays), so searches
+	// can re-rank candidates with an exact distance. Entries are absent
+	// when retention is off and for snapshot loads.
 	points map[trajectory.ID][]geo.Point
 	// epoch counts mutations (inserts, deletes, upserts). It is persisted
 	// by WriteTo/ReadFrom so snapshot lineages stay ordered.
@@ -211,10 +171,9 @@ func RetainPoints() InvertedOption {
 	return func(ix *Inverted) { ix.retain = true }
 }
 
-// NewInverted returns an empty index using the given extractor.
-func NewInverted(ex Extractor, opts ...InvertedOption) *Inverted {
+// newInverted returns an empty shard.
+func newInverted(opts ...InvertedOption) *Inverted {
 	ix := &Inverted{
-		ex:       ex,
 		postings: make(map[uint32]*bitmap.Bitmap),
 		docs:     make(map[trajectory.ID]*bitmap.Bitmap),
 		cards:    make(map[trajectory.ID]int),
@@ -226,21 +185,8 @@ func NewInverted(ex Extractor, opts ...InvertedOption) *Inverted {
 	return ix
 }
 
-// Add fingerprints the trajectory and inserts it. Re-adding an ID fails;
-// use Upsert to replace an indexed trajectory in place.
-func (ix *Inverted) Add(t *trajectory.Trajectory) error {
-	set := ix.ex.Extract(t.Points)
-	return ix.insert(t.ID, set, t.Points)
-}
-
-// AddFingerprints inserts a pre-computed fingerprint set, which lets
-// callers reuse fingerprints across indexes and parallelize extraction.
-// The raw points are not available on this path, so the trajectory cannot
-// take part in exact re-ranking.
-func (ix *Inverted) AddFingerprints(id trajectory.ID, set *bitmap.Bitmap) error {
-	return ix.insert(id, set, nil)
-}
-
+// insert adds an extracted trajectory. Re-adding an ID fails; upsertSet
+// replaces an indexed trajectory in place.
 func (ix *Inverted) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -268,104 +214,6 @@ func (ix *Inverted) insertLocked(id trajectory.ID, set *bitmap.Bitmap, pts []geo
 		return true
 	})
 	ix.epoch++
-}
-
-// AddAll indexes a dataset, fingerprinting with the given number of
-// parallel workers (minimum 1). It fails fast: the first insertion error
-// (or context cancellation) stops job dispatch, and only the extractions
-// already in flight are drained before returning. AddAll is
-// all-or-nothing — on failure the trajectories it inserted are removed
-// again, so the caller can retry the same dataset after fixing the
-// cause.
-func (ix *Inverted) AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error {
-	return ingestAll(ctx, d, workers, ix.ex.Extract, ix.insert, func(inserted []trajectory.ID) {
-		// Roll back this call's insertions so a retry starts clean, under
-		// one write-lock acquisition instead of re-locking per ID.
-		ix.mu.Lock()
-		for _, id := range inserted {
-			ix.deleteLocked(id)
-		}
-		ix.mu.Unlock()
-	})
-}
-
-// ingestAll is the parallel-extraction ingest pipeline shared by
-// Inverted.AddAll and Sharded.AddAll: workers fingerprint trajectories
-// concurrently, insert applies each extraction (routing to a shard on the
-// sharded engine), and the pipeline fails fast — the first insertion
-// error or cancellation stops job dispatch, in-flight extractions are
-// drained, and rollback receives the IDs this call had inserted so the
-// whole ingest stays all-or-nothing.
-func ingestAll(ctx context.Context, d *trajectory.Dataset, workers int,
-	extract func([]geo.Point) *bitmap.Bitmap,
-	insert func(trajectory.ID, *bitmap.Bitmap, []geo.Point) error,
-	rollback func([]trajectory.ID)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type extracted struct {
-		id  trajectory.ID
-		set *bitmap.Bitmap
-		pts []geo.Point
-	}
-	jobs := make(chan *trajectory.Trajectory)
-	results := make(chan extracted)
-	go func() {
-		defer close(jobs)
-		for _, t := range d.Trajectories {
-			select {
-			case jobs <- t:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				select {
-				case results <- extracted{id: t.ID, set: extract(t.Points), pts: t.Points}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var firstErr error
-	var inserted []trajectory.ID
-	for r := range results {
-		if firstErr == nil {
-			firstErr = ctx.Err() // cancellation outranks in-flight results
-		}
-		if firstErr != nil {
-			continue // dispatch is already cancelled; drain in-flight work
-		}
-		if err := insert(r.id, r.set, r.pts); err != nil {
-			firstErr = err
-			cancel()
-		} else {
-			inserted = append(inserted, r.id)
-		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		rollback(inserted)
-	}
-	return firstErr
 }
 
 // Delete removes a trajectory and reclaims its postings: the document
@@ -402,16 +250,10 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 	return true
 }
 
-// Upsert fingerprints the trajectory and inserts it, replacing any
-// previously indexed trajectory with the same ID. The swap is atomic
-// under the write lock: a concurrent search observes either the old or
-// the new version in full, never a mixture.
-func (ix *Inverted) Upsert(t *trajectory.Trajectory) {
-	ix.upsertSet(t.ID, ix.ex.Extract(t.Points), t.Points)
-}
-
-// upsertSet applies an upsert with an already-extracted fingerprint set,
-// so the sharded engine can extract once and route to the owning shard.
+// upsertSet inserts an extracted trajectory, replacing any previously
+// indexed trajectory with the same ID. The swap is atomic under the write
+// lock: a concurrent search observes either the old or the new version in
+// full, never a mixture.
 func (ix *Inverted) upsertSet(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -450,11 +292,6 @@ func (ix *Inverted) Epoch() uint64 {
 	return ix.epoch
 }
 
-// Extractor returns the index's term extractor (immutable after
-// construction), so callers can prepare query term sets once and reuse
-// them across searches.
-func (ix *Inverted) Extractor() Extractor { return ix.ex }
-
 // Len returns the number of indexed trajectories.
 func (ix *Inverted) Len() int {
 	ix.mu.RLock()
@@ -462,30 +299,13 @@ func (ix *Inverted) Len() int {
 	return len(ix.docs)
 }
 
-// Fingerprints returns the stored fingerprint set of a trajectory, or nil.
-func (ix *Inverted) Fingerprints(id trajectory.ID) *bitmap.Bitmap {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.docs[id]
-}
-
-// PointsOf returns the raw point sequence of a trajectory added through
-// Add/AddAll, or nil when the points are unavailable (fingerprint-only
-// insertion, snapshot load, discarded, unknown ID).
+// PointsOf returns the retained raw point sequence of a trajectory, or
+// nil when the points are unavailable (retention off, snapshot load,
+// unknown ID).
 func (ix *Inverted) PointsOf(id trajectory.ID) []geo.Point {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.points[id]
-}
-
-// DiscardPoints releases every retained raw point sequence, shrinking the
-// index to its bitmaps. Exact re-ranking becomes unavailable, as on a
-// snapshot-loaded index; on an index constructed with RetainPoints,
-// trajectories added afterwards are retained again.
-func (ix *Inverted) DiscardPoints() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.points = make(map[trajectory.ID][]geo.Point)
 }
 
 // ScanDocs visits every indexed trajectory with its fingerprint set and
@@ -503,21 +323,6 @@ func (ix *Inverted) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card i
 	}
 }
 
-// Query returns the trajectories whose Jaccard distance to q is at most
-// maxDistance, ordered by increasing distance (ties by ID for
-// determinism), truncated to limit results (limit ≤ 0 means no limit).
-// This implements the paper's "finding similar trajectories" problem
-// (§II-B1).
-func (ix *Inverted) Query(q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
-	return ix.QueryFingerprints(ix.ex.Extract(q.Points), maxDistance, limit)
-}
-
-// QueryFingerprints ranks against a pre-computed fingerprint set.
-func (ix *Inverted) QueryFingerprints(set *bitmap.Bitmap, maxDistance float64, limit int) []Result {
-	results, _, _ := ix.SearchFingerprints(context.Background(), set, maxDistance, limit)
-	return results
-}
-
 // Stats summarizes the index composition.
 type Stats struct {
 	Trajectories int
@@ -527,9 +332,9 @@ type Stats struct {
 	// BitmapBytes estimates the memory held by posting and document
 	// bitmaps.
 	BitmapBytes int
-	// Shards is the number of in-process shards (1 for Inverted). On a
-	// Sharded index, Terms counts per-shard term entries, so a term whose
-	// documents span shards is counted once per shard.
+	// Shards is the number of in-process shards. Terms counts per-shard
+	// term entries, so a term whose documents span shards is counted once
+	// per shard.
 	Shards int
 }
 

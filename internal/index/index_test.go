@@ -34,9 +34,36 @@ var testWorkload = func() *gen.Output {
 	return out
 }()
 
-func newGeodabIndex(t testing.TB) *Inverted {
+// newGeodabIndex returns a one-shard geodab index; the sharded tests cover
+// the other shard counts.
+func newGeodabIndex(t testing.TB, opts ...InvertedOption) *Sharded {
 	t.Helper()
-	return NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())})
+	return NewSharded(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, 1, opts...)
+}
+
+// search is Search for tests that only look at the ranking.
+func search(t testing.TB, ix *Sharded, q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
+	t.Helper()
+	results, _, err := ix.Search(context.Background(), q, maxDistance, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// searchSet ranks against a pre-built fingerprint set.
+func searchSet(ix *Sharded, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+	return ix.AppendSearchSet(context.Background(), nil, set, set.Cardinality(), maxDistance, limit)
+}
+
+// hasDoc reports whether the index holds a document for id.
+func hasDoc(ix *Sharded, id trajectory.ID) bool {
+	found := false
+	ix.ScanDocs(func(got trajectory.ID, _ *bitmap.Bitmap, _ int) bool {
+		found = got == id
+		return !found
+	})
+	return found
 }
 
 func TestAddAndQuery(t *testing.T) {
@@ -50,7 +77,7 @@ func TestAddAndQuery(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), testWorkload.Dataset.Len())
 	}
 	q := testWorkload.Queries[0]
-	results := ix.Query(q, 0.99, 0)
+	results := search(t, ix, q, 0.99, 0)
 	if len(results) == 0 {
 		t.Fatal("query returned nothing")
 	}
@@ -87,8 +114,8 @@ func TestQueryMaxDistanceAndLimit(t *testing.T) {
 		}
 	}
 	q := testWorkload.Queries[0]
-	all := ix.Query(q, 1, 0)
-	strict := ix.Query(q, 0.5, 0)
+	all := search(t, ix, q, 1, 0)
+	strict := search(t, ix, q, 0.5, 0)
 	if len(strict) > len(all) {
 		t.Fatal("tighter Δmax returned more results")
 	}
@@ -97,7 +124,7 @@ func TestQueryMaxDistanceAndLimit(t *testing.T) {
 			t.Fatalf("result at distance %.3f exceeds Δmax", r.Distance)
 		}
 	}
-	if limited := ix.Query(q, 1, 3); len(limited) != 3 {
+	if limited := search(t, ix, q, 1, 3); len(limited) != 3 {
 		t.Errorf("limit 3 returned %d results", len(limited))
 	}
 }
@@ -128,8 +155,8 @@ func TestAddAllParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel build has %d docs, sequential %d", par.Len(), seq.Len())
 	}
 	for _, q := range testWorkload.Queries[:4] {
-		a := seq.Query(q, 1, 10)
-		b := par.Query(q, 1, 10)
+		a := search(t, seq, q, 1, 10)
+		b := search(t, par, q, 1, 10)
 		if len(a) != len(b) {
 			t.Fatalf("result count mismatch: %d vs %d", len(a), len(b))
 		}
@@ -146,7 +173,7 @@ func TestAddAllParallelMatchesSequential(t *testing.T) {
 
 func TestQueryEmptyIndex(t *testing.T) {
 	ix := newGeodabIndex(t)
-	if got := ix.Query(testWorkload.Queries[0], 1, 0); len(got) != 0 {
+	if got := search(t, ix, testWorkload.Queries[0], 1, 0); len(got) != 0 {
 		t.Errorf("empty index returned %d results", len(got))
 	}
 }
@@ -163,22 +190,8 @@ func TestQueryUnmatchableTrajectory(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		far.Points = append(far.Points, geohash.Hash{Bits: 0b101010, Depth: 6}.Center())
 	}
-	if got := ix.Query(far, 1, 0); len(got) != 0 {
+	if got := search(t, ix, far, 1, 0); len(got) != 0 {
 		t.Errorf("far trajectory matched %d results", len(got))
-	}
-}
-
-func TestFingerprintsAccessor(t *testing.T) {
-	ix := newGeodabIndex(t)
-	tr := testWorkload.Dataset.Trajectories[0]
-	if err := ix.Add(tr); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Fingerprints(tr.ID) == nil {
-		t.Error("Fingerprints returned nil for indexed trajectory")
-	}
-	if ix.Fingerprints(4242) != nil {
-		t.Error("Fingerprints for unknown ID should be nil")
 	}
 }
 
@@ -207,12 +220,12 @@ func TestCellIndexReturnsBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewInverted(ex)
+	ix := NewSharded(ex, 1)
 	if err := ix.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
 		t.Fatal(err)
 	}
 	q := testWorkload.Queries[0]
-	results := ix.Query(q, 0.95, 0)
+	results := search(t, ix, q, 0.95, 0)
 	// The cell index should return trajectories from both directions of
 	// the query's route.
 	dirs := map[trajectory.Direction]int{}
@@ -252,8 +265,8 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := testWorkload.Queries[i%len(testWorkload.Queries)]
-			if got := ix.Query(q, 1, 5); len(got) == 0 {
-				t.Errorf("concurrent query %d returned nothing", i)
+			if got, _, err := ix.Search(context.Background(), q, 1, 5); err != nil || len(got) == 0 {
+				t.Errorf("concurrent query %d returned %d results, err %v", i, len(got), err)
 			}
 		}(i)
 	}
@@ -261,14 +274,14 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func BenchmarkQuery(b *testing.B) {
-	ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())})
+	ix := newGeodabIndex(b)
 	if err := ix.AddAll(context.Background(), testWorkload.Dataset, 8); err != nil {
 		b.Fatal(err)
 	}
 	q := testWorkload.Queries[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.Query(q, 1, 10)
+		_ = search(b, ix, q, 1, 10)
 	}
 }
 
@@ -289,7 +302,7 @@ func (c *countingExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
 // fails instead of draining the whole dataset through the workers.
 func TestAddAllFailsFast(t *testing.T) {
 	ex := &countingExtractor{Extractor: GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}}
-	ix := NewInverted(ex)
+	ix := NewSharded(ex, 1)
 	src := testWorkload.Dataset.Trajectories
 	poisoned := &trajectory.Dataset{Trajectories: make([]*trajectory.Trajectory, 0, len(src)+1)}
 	poisoned.Trajectories = append(poisoned.Trajectories, src[0], src[0]) // duplicate ID
@@ -329,7 +342,7 @@ func TestSearchCancelledContext(t *testing.T) {
 }
 
 func TestPointsOf(t *testing.T) {
-	ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, RetainPoints())
+	ix := newGeodabIndex(t, RetainPoints())
 	tr := testWorkload.Dataset.Trajectories[0]
 	if err := ix.Add(tr); err != nil {
 		t.Fatal(err)
@@ -339,14 +352,6 @@ func TestPointsOf(t *testing.T) {
 	}
 	if ix.PointsOf(4242) != nil {
 		t.Error("PointsOf for unknown ID should be nil")
-	}
-	// Fingerprint-only insertion has no points.
-	other := testWorkload.Dataset.Trajectories[1]
-	if err := ix.AddFingerprints(other.ID, ix.Fingerprints(tr.ID)); err != nil {
-		t.Fatal(err)
-	}
-	if ix.PointsOf(other.ID) != nil {
-		t.Error("PointsOf after AddFingerprints should be nil")
 	}
 	// Retention is opt-in: a default index keeps no points.
 	bare := newGeodabIndex(t)
@@ -373,7 +378,7 @@ func TestAddAllRollsBackOnFailure(t *testing.T) {
 	if n := ix.Len(); n != 0 {
 		t.Fatalf("failed AddAll left %d trajectories indexed, want 0", n)
 	}
-	if got := ix.Query(testWorkload.Queries[0], 1, 0); len(got) != 0 {
+	if got := search(t, ix, testWorkload.Queries[0], 1, 0); len(got) != 0 {
 		t.Fatalf("rolled-back index still answers queries: %d hits", len(got))
 	}
 	// The retry with the clean dataset succeeds and matches a fresh build.
@@ -389,7 +394,7 @@ func TestAddAllRollsBackOnFailure(t *testing.T) {
 // promoted Delete: the trajectory's document, points and postings all
 // go, and posting lists left empty are compacted out of the term map.
 func TestDeleteReclaimsPostings(t *testing.T) {
-	ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, RetainPoints())
+	ix := newGeodabIndex(t, RetainPoints())
 	a, b := testWorkload.Dataset.Trajectories[0], testWorkload.Dataset.Trajectories[1]
 	if err := ix.Add(a); err != nil {
 		t.Fatal(err)
@@ -405,7 +410,7 @@ func TestDeleteReclaimsPostings(t *testing.T) {
 	if got != withA {
 		t.Errorf("stats after add+delete = %+v, want the pre-add %+v", got, withA)
 	}
-	if ix.Fingerprints(b.ID) != nil || ix.PointsOf(b.ID) != nil {
+	if hasDoc(ix, b.ID) || ix.PointsOf(b.ID) != nil {
 		t.Error("deleted trajectory still has fingerprints or points")
 	}
 	if ix.Delete(b.ID) {
@@ -413,7 +418,7 @@ func TestDeleteReclaimsPostings(t *testing.T) {
 	}
 	// The deleted trajectory is gone from rankings, the survivor is not.
 	hitIDs := map[trajectory.ID]bool{}
-	for _, r := range ix.Query(b, 1, 0) {
+	for _, r := range search(t, ix, b, 1, 0) {
 		hitIDs[r.ID] = true
 	}
 	if hitIDs[b.ID] {
@@ -435,7 +440,7 @@ func TestDeleteReclaimsPostings(t *testing.T) {
 // TestUpsertReplaces verifies in-place replacement: same ID, new
 // geometry, old postings reclaimed.
 func TestUpsertReplaces(t *testing.T) {
-	ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, RetainPoints())
+	ix := newGeodabIndex(t, RetainPoints())
 	old := testWorkload.Dataset.Trajectories[0]
 	if err := ix.Add(old); err != nil {
 		t.Fatal(err)
@@ -447,7 +452,7 @@ func TestUpsertReplaces(t *testing.T) {
 		t.Fatalf("Len after upsert = %d, want 1", ix.Len())
 	}
 	// A fresh index over only the replacement must look identical.
-	want := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, RetainPoints())
+	want := newGeodabIndex(t, RetainPoints())
 	if err := want.Add(replacement); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestPositionalNoisyRecall(t *testing.T) {
 		if len(px.FindSubsequence(q.Points)) > 0 {
 			positionalHits++
 		}
-		if len(ix.Query(q, 0.99, 0)) > 0 {
+		if len(search(t, ix, q, 0.99, 0)) > 0 {
 			fingerprintHits++
 		}
 	}
@@ -139,7 +139,7 @@ func TestPositionalVsFingerprintCost(t *testing.T) {
 	positional := time.Since(start)
 	start = time.Now()
 	for i := 0; i < 50; i++ {
-		ix.Query(q, 1, 0)
+		search(t, ix, q, 1, 0)
 	}
 	fingerprint := time.Since(start)
 	t.Logf("positional %v vs fingerprint %v for 50 queries", positional, fingerprint)
@@ -152,7 +152,7 @@ func BenchmarkPositionalVsFingerprint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())})
+	ix := newGeodabIndex(b)
 	for _, tr := range testWorkload.Dataset.Trajectories {
 		px.Add(tr)
 		if err := ix.Add(tr); err != nil {
@@ -167,7 +167,7 @@ func BenchmarkPositionalVsFingerprint(b *testing.B) {
 	})
 	b.Run("fingerprint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.Query(q, 1, 0)
+			search(b, ix, q, 1, 0)
 		}
 	})
 }

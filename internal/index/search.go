@@ -285,37 +285,15 @@ func (sc *searchScratch) release() {
 	searchScratchPool.Put(sc)
 }
 
-// Search is the context-aware ranked retrieval entry point. Alongside the
-// ranked results it reports search statistics: the size of the candidate
-// set (trajectories sharing at least one term with the query) and how
-// many candidates threshold pruning skipped.
-func (ix *Inverted) Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, SearchStats{}, err
-	}
-	return ix.SearchFingerprints(ctx, ix.ex.Extract(q.Points), maxDistance, limit)
-}
-
-// SearchFingerprints ranks against a pre-computed fingerprint set,
-// honoring context cancellation between the counting and ranking stages
-// and periodically inside both loops.
-func (ix *Inverted) SearchFingerprints(ctx context.Context, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	return ix.AppendSearchFingerprints(ctx, nil, set, maxDistance, limit)
-}
-
-// AppendSearchFingerprints is SearchFingerprints appending into dst,
-// which callers on the hot path recycle across queries: with a warm
-// scratch pool and a dst of sufficient capacity a search performs zero
-// heap allocations.
-//
-//geodabs:noalloc
-func (ix *Inverted) AppendSearchFingerprints(ctx context.Context, dst []Result, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	return ix.AppendSearchSet(ctx, dst, set, set.Cardinality(), maxDistance, limit)
-}
-
-// AppendSearchSet is AppendSearchFingerprints for callers that already
-// hold the set's cardinality (a prepared query caches it alongside the
-// set), skipping the per-call recount. qc must equal set.Cardinality().
+// AppendSearchSet ranks this shard's documents against a fingerprint set,
+// appending the results to dst and reporting the size of the candidate set
+// (trajectories sharing at least one term with the query) and how many
+// candidates threshold pruning skipped. Cancellation is honored between
+// the counting and ranking stages and periodically inside both loops.
+// Callers on the hot path recycle dst across queries: with a warm scratch
+// pool and a dst of sufficient capacity a search performs zero heap
+// allocations. qc must equal set.Cardinality() — a prepared query caches
+// it alongside the set, skipping the per-call recount.
 //
 //geodabs:noalloc
 func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
@@ -388,7 +366,7 @@ type shardPartial struct {
 // Only static bounds are applied here: the Ranker's rising top-k bar
 // tightens monotonically from the static bar, so every candidate pruned
 // shard-side is one the Ranker would prune anyway, and rankings stay
-// byte-identical to the single-shard engine. candidates and pruned feed
+// byte-identical to the one-shard path. candidates and pruned feed
 // the aggregated SearchStats.
 func (ix *Inverted) appendSearchPartials(ctx context.Context, dst []shardPartial, set *bitmap.Bitmap, qc int, maxDistance float64) (partials []shardPartial, candidates, pruned int, err error) {
 	ix.mu.RLock()

@@ -44,11 +44,11 @@ func randomSet(rng *rand.Rand, maxTerms int, universe uint32) *bitmap.Bitmap {
 	return set
 }
 
-// buildRandomIndex fills an index with fingerprint-only documents whose
-// IDs span multiple counter chunks.
-func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Inverted, map[trajectory.ID]*bitmap.Bitmap) {
+// buildRandomIndex fills a one-shard index with fingerprint-only documents
+// whose IDs span multiple counter chunks.
+func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Sharded, map[trajectory.ID]*bitmap.Bitmap) {
 	t.Helper()
-	ix := NewInverted(stubExtractor{})
+	ix := NewSharded(stubExtractor{}, 1)
 	reference := make(map[trajectory.ID]*bitmap.Bitmap, docs)
 	for i := 0; i < docs; i++ {
 		id := trajectory.ID(rng.Uint32() % 200000)
@@ -56,7 +56,7 @@ func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Inverted, map[tr
 			continue
 		}
 		set := randomSet(rng, 60, 500)
-		if err := ix.AddFingerprints(id, set); err != nil {
+		if err := ix.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		reference[id] = set
@@ -91,7 +91,6 @@ func equalResults(t *testing.T, label string, got, want []Result) {
 // byte-identical to the brute-force scorer.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	ctx := context.Background()
 	for trial := 0; trial < 30; trial++ {
 		ix, reference := buildRandomIndex(t, rng, 200)
 		check := func(label string) {
@@ -100,7 +99,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				set := randomSet(rng, 80, 500)
 				maxDistance := []float64{0, 0.25, 0.5, 0.8, 0.95, 1}[rng.Intn(6)]
 				limit := []int{0, 1, 3, 10, 1000}[rng.Intn(5)]
-				got, stats, err := ix.SearchFingerprints(ctx, set, maxDistance, limit)
+				got, stats, err := searchSet(ix, set, maxDistance, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +135,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				// Upsert extracted an empty set via the stub; replace with a
 				// real one to keep the workload meaningful.
 				ix.Delete(id)
-				if err := ix.AddFingerprints(id, set); err != nil {
+				if err := ix.insert(id, set, nil); err != nil {
 					t.Fatal(err)
 				}
 				reference[id] = set
@@ -154,7 +153,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 // narrow path — only the shared-count computation differs.
 func TestSearchWideQueryFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ix := NewInverted(stubExtractor{})
+	ix := NewSharded(stubExtractor{}, 1)
 	reference := make(map[trajectory.ID]*bitmap.Bitmap)
 	for i := 0; i < 60; i++ {
 		id := trajectory.ID(i * 977)
@@ -164,7 +163,7 @@ func TestSearchWideQueryFallback(t *testing.T) {
 		for n := 0; n < 10+(i%5)*200; n++ {
 			set.Add(rng.Uint32() % 100000)
 		}
-		if err := ix.AddFingerprints(id, set); err != nil {
+		if err := ix.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		reference[id] = set
@@ -179,7 +178,7 @@ func TestSearchWideQueryFallback(t *testing.T) {
 	sawPruning := false
 	for _, maxDistance := range []float64{0, 0.5, 0.9, 0.99, 1} {
 		for _, limit := range []int{0, 1, 5} {
-			got, stats, err := ix.SearchFingerprints(context.Background(), wide, maxDistance, limit)
+			got, stats, err := searchSet(ix, wide, maxDistance, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +247,7 @@ func TestAppendSearchReusesBuffer(t *testing.T) {
 	ix, reference := buildRandomIndex(t, rng, 100)
 	set := randomSet(rng, 60, 500)
 	buf := make([]Result, 0, 4096)
-	got, _, err := ix.AppendSearchFingerprints(context.Background(), buf, set, 1, 0)
+	got, _, err := ix.AppendSearchSet(context.Background(), buf, set, set.Cardinality(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestSearchConcurrentMutations(t *testing.T) {
 				case 0:
 					ix.Delete(id)
 				case 1:
-					ix.AddFingerprints(id, randomSet(mrng, 40, 500))
+					ix.insert(id, randomSet(mrng, 40, 500), nil)
 				default:
 					ix.DeleteAll(ctx, []trajectory.ID{id, id + 1, id + 2})
 				}
@@ -300,7 +299,7 @@ func TestSearchConcurrentMutations(t *testing.T) {
 				set := randomSet(srng, 60, 500)
 				maxDistance := srng.Float64()
 				limit := srng.Intn(20)
-				results, stats, err := ix.SearchFingerprints(ctx, set, maxDistance, limit)
+				results, stats, err := searchSet(ix, set, maxDistance, limit)
 				if err != nil {
 					t.Error(err)
 					return
@@ -344,7 +343,7 @@ func FuzzSearchFingerprints(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x42, 0x42, 0x17}, uint8(255), uint8(0))
 	f.Add([]byte{9}, uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, distByte, limitByte uint8) {
-		ix := NewInverted(stubExtractor{})
+		ix := NewSharded(stubExtractor{}, 1)
 		reference := make(map[trajectory.ID]*bitmap.Bitmap)
 		// Each byte contributes terms to one of 8 documents and the query:
 		// a crude but deterministic overlap generator.
@@ -367,13 +366,13 @@ func FuzzSearchFingerprints(f *testing.F) {
 		}
 		for id, set := range reference {
 			ix.Delete(id)
-			if err := ix.AddFingerprints(id, set); err != nil {
+			if err := ix.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		maxDistance := float64(distByte) / 255
 		limit := int(limitByte % 12)
-		got, _, err := ix.SearchFingerprints(context.Background(), query, maxDistance, limit)
+		got, _, err := searchSet(ix, query, maxDistance, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,146 +7,51 @@ import (
 	"io"
 
 	"geodabs/internal/bitmap"
-	"geodabs/internal/geo"
 	"geodabs/internal/trajectory"
 )
 
 // Index snapshot format (little endian):
 //
 //	magic   uint32  "GDIX" (0x58494447)
-//	version uint8   2 (Inverted) or 3 (Sharded)
-//	version ≤ 2 body:
-//	  docs    uint32
-//	  epoch   uint64  (version 2 only)
-//	  per document:
-//	    id    uint32
-//	    fingerprint set (bitmap serialization)
+//	version uint8   3 (written), 2 (still read)
 //	version 3 body:
 //	  shards  uint32
 //	  per shard:
 //	    docs  uint32
 //	    epoch uint64
-//	    per document: id uint32 + fingerprint set
+//	    per document:
+//	      id    uint32
+//	      fingerprint set (bitmap serialization)
+//	version 2 body (the former unsharded engine's format):
+//	  docs    uint32
+//	  epoch   uint64
+//	  per document: id uint32 + fingerprint set
 //
 // Posting lists are not stored: they are the exact inverse of the document
 // sets and are rebuilt on load, which halves the snapshot size and cannot
 // desynchronize. Deletions are applied eagerly (no tombstones survive in
 // memory), so a mutated index round-trips as exactly its live documents;
 // the mutation epoch is persisted so snapshot lineages of a mutated index
-// stay ordered. Version 1 snapshots (pre-mutation-API) load with epoch 0.
+// stay ordered. Version 1 (pre-mutation-API, no writer since PR 2) is
+// rejected as unsupported.
 //
-// Both engines read every version and rebalance as needed: Inverted
-// flattens a v3 snapshot into its single structure (epoch = sum of shard
-// epochs); Sharded re-places every document by its ID hash, so a v2
-// snapshot — or a v3 snapshot written with a different shard count —
-// loads into the receiver's own layout, with the total epoch carried on
-// shard 0. Placement is a pure function of (ID, shard count), so a
-// duplicated ID always collides in its target shard and is rejected
-// exactly as on the flat path.
+// Loading re-places every document by its ID hash, so a v2 snapshot — or
+// a v3 snapshot written with a different shard count — rebalances into
+// the receiver's own layout, with the total epoch carried on shard 0.
+// Placement is a pure function of (ID, shard count), so a duplicated ID
+// always collides in its target shard and is rejected.
 const (
 	indexMagic      = 0x58494447
-	indexVersion    = 2
-	indexVersionV1  = 1
+	indexVersionV2  = 2
 	indexVersionV3  = 3
 	indexHeaderSize = 9
 )
 
-// WriteTo snapshots the index. It implements io.WriterTo. The extractor is
-// not part of the snapshot: the loader must construct the index with the
-// same configuration.
-func (ix *Inverted) WriteTo(w io.Writer) (int64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var n int64
-	writeErr := func(err error) (int64, error) {
-		return n, fmt.Errorf("index: write: %w", err)
-	}
-	hdr := make([]byte, indexHeaderSize+8)
-	binary.LittleEndian.PutUint32(hdr[0:4], indexMagic)
-	hdr[4] = indexVersion
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(ix.docs)))
-	binary.LittleEndian.PutUint64(hdr[9:17], ix.epoch)
-	if _, err := bw.Write(hdr); err != nil {
-		return writeErr(err)
-	}
-	n += int64(len(hdr))
-	var idBuf [4]byte
-	for id, set := range ix.docs {
-		binary.LittleEndian.PutUint32(idBuf[:], uint32(id))
-		if _, err := bw.Write(idBuf[:]); err != nil {
-			return writeErr(err)
-		}
-		n += 4
-		m, err := set.WriteTo(bw)
-		n += m
-		if err != nil {
-			return writeErr(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return writeErr(err)
-	}
-	return n, nil
-}
-
-// ReadFrom loads a snapshot of any version into the receiver, replacing
-// its contents and rebuilding the posting lists; a v3 (sharded) snapshot
-// is flattened, its total epoch preserved. It implements io.ReaderFrom.
-func (ix *Inverted) ReadFrom(r io.Reader) (int64, error) {
-	var docs map[trajectory.ID]*bitmap.Bitmap
-	var cards map[trajectory.ID]int
-	postings := make(map[uint32]*bitmap.Bitmap)
-	epoch, n, err := readSnapshotDocs(r, func(count uint32) {
-		// v3 snapshots hint once per shard section; size on the first hint
-		// and let the maps grow through the rest.
-		if docs == nil {
-			docs = make(map[trajectory.ID]*bitmap.Bitmap, count)
-			cards = make(map[trajectory.ID]int, count)
-		}
-	}, func(id trajectory.ID, set *bitmap.Bitmap) error {
-		if _, dup := docs[id]; dup {
-			return fmt.Errorf("index: duplicate trajectory %d in snapshot", id)
-		}
-		docs[id] = set
-		cards[id] = set.Cardinality()
-		set.Iterate(func(term uint32) bool {
-			p, ok := postings[term]
-			if !ok {
-				p = bitmap.New()
-				postings[term] = p
-			}
-			p.Add(uint32(id))
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	if docs == nil { // empty snapshot: no sizeHint call reached us
-		docs = make(map[trajectory.ID]*bitmap.Bitmap)
-		cards = make(map[trajectory.ID]int)
-	}
-	ix.mu.Lock()
-	ix.docs = docs
-	ix.cards = cards
-	ix.postings = postings
-	ix.epoch = epoch
-	// Raw points are not part of the snapshot: a loaded index serves
-	// fingerprint-ranked searches but cannot exactly re-rank.
-	ix.points = make(map[trajectory.ID][]geo.Point)
-	ix.mu.Unlock()
-	return n, nil
-}
-
-// readSnapshotDocs parses a snapshot of any version, invoking sizeHint
-// with the total document count (v1/v2) or each shard section's count
-// (v3) before its documents stream, and emit once per document. It
-// returns the snapshot's total mutation epoch (summed across v3 shard
-// sections) and the bytes consumed. An error returned by emit aborts the
-// parse and is returned verbatim.
-func readSnapshotDocs(r io.Reader, sizeHint func(count uint32), emit func(id trajectory.ID, set *bitmap.Bitmap) error) (epoch uint64, n int64, err error) {
+// readSnapshotDocs parses a v2 or v3 snapshot, invoking emit once per
+// document. It returns the snapshot's total mutation epoch (summed across
+// v3 shard sections) and the bytes consumed. An error returned by emit
+// aborts the parse and is returned verbatim.
+func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, set *bitmap.Bitmap) error) (epoch uint64, n int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	readErr := func(err error) (uint64, int64, error) {
 		return 0, n, fmt.Errorf("index: read: %w", err)
@@ -161,7 +66,6 @@ func readSnapshotDocs(r io.Reader, sizeHint func(count uint32), emit func(id tra
 	}
 	version := hdr[4]
 	readDocs := func(count uint32) error {
-		sizeHint(count)
 		var idBuf [4]byte
 		for i := uint32(0); i < count; i++ {
 			if _, err := io.ReadFull(br, idBuf[:]); err != nil {
@@ -182,16 +86,14 @@ func readSnapshotDocs(r io.Reader, sizeHint func(count uint32), emit func(id tra
 		return nil
 	}
 	switch version {
-	case indexVersionV1, indexVersion:
+	case indexVersionV2:
 		count := binary.LittleEndian.Uint32(hdr[5:9])
-		if version == indexVersion {
-			var epochBuf [8]byte
-			if _, err := io.ReadFull(br, epochBuf[:]); err != nil {
-				return readErr(err)
-			}
-			n += 8
-			epoch = binary.LittleEndian.Uint64(epochBuf[:])
+		var epochBuf [8]byte
+		if _, err := io.ReadFull(br, epochBuf[:]); err != nil {
+			return readErr(err)
 		}
+		n += 8
+		epoch = binary.LittleEndian.Uint64(epochBuf[:])
 		if err := readDocs(count); err != nil {
 			return 0, n, err
 		}
@@ -218,11 +120,12 @@ func readSnapshotDocs(r io.Reader, sizeHint func(count uint32), emit func(id tra
 	return epoch, n, nil
 }
 
-// WriteTo snapshots the sharded index in format v3: one section per
-// shard, each carrying its document count, epoch and documents. All
-// shard read locks are taken up front so the snapshot is a consistent
-// cut — safe against deadlock because mutations never hold more than one
-// shard lock. It implements io.WriterTo.
+// WriteTo snapshots the index in format v3: one section per shard, each
+// carrying its document count, epoch and documents. All shard read locks
+// are taken up front so the snapshot is a consistent cut — safe against
+// deadlock because mutations never hold more than one shard lock. The
+// extractor is not part of the snapshot: the loader must construct the
+// index with the same configuration. It implements io.WriterTo.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -273,57 +176,44 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadFrom loads a snapshot of any version into the sharded index,
-// replacing its contents. Every document is re-placed by its ID hash, so
-// v1/v2 snapshots and v3 snapshots written with a different shard count
-// rebalance into the receiver's layout. The snapshot's total epoch is
-// carried on shard 0 (the sum across shards — the engine's Epoch — is
-// what is preserved, and it stays monotone). It implements io.ReaderFrom.
+// ReadFrom loads a v2 or v3 snapshot into the index, replacing its
+// contents and rebuilding the posting lists. Every document is re-placed
+// by its ID hash, so v2 snapshots and v3 snapshots written with a
+// different shard count rebalance into the receiver's layout. The
+// snapshot's total epoch is carried on shard 0 (the sum across shards —
+// the engine's Epoch — is what is preserved, and it stays monotone). The
+// swap holds every shard's write lock at once, taken in index order like
+// WriteTo's read locks (safe: mutations hold at most one), and bumps
+// reloads, so a concurrent search ranks the old corpus or the new one,
+// never a mixture. It implements io.ReaderFrom.
 func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
-	type shardState struct {
-		docs     map[trajectory.ID]*bitmap.Bitmap
-		cards    map[trajectory.ID]int
-		postings map[uint32]*bitmap.Bitmap
+	// Built in private shards first. Raw points are not in the snapshot: a
+	// loaded index serves fingerprint-ranked searches but cannot re-rank.
+	fresh := make([]*Inverted, len(s.shards))
+	for i := range fresh {
+		fresh[i] = newInverted()
 	}
-	states := make([]shardState, len(s.shards))
-	for i := range states {
-		states[i] = shardState{
-			docs:     make(map[trajectory.ID]*bitmap.Bitmap),
-			cards:    make(map[trajectory.ID]int),
-			postings: make(map[uint32]*bitmap.Bitmap),
-		}
-	}
-	epoch, n, err := readSnapshotDocs(r, func(uint32) {}, func(id trajectory.ID, set *bitmap.Bitmap) error {
-		st := &states[shardIndex(uint32(id), s.mask)]
-		if _, dup := st.docs[id]; dup {
+	epoch, n, err := readSnapshotDocs(r, func(id trajectory.ID, set *bitmap.Bitmap) error {
+		sh := fresh[shardIndex(uint32(id), s.mask)]
+		if _, dup := sh.docs[id]; dup {
 			return fmt.Errorf("index: duplicate trajectory %d in snapshot", id)
 		}
-		st.docs[id] = set
-		st.cards[id] = set.Cardinality()
-		set.Iterate(func(term uint32) bool {
-			p, ok := st.postings[term]
-			if !ok {
-				p = bitmap.New()
-				st.postings[term] = p
-			}
-			p.Add(uint32(id))
-			return true
-		})
+		sh.insertLocked(id, set, nil)
 		return nil
 	})
 	if err != nil {
 		return n, err
 	}
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.docs = states[i].docs
-		sh.cards = states[i].cards
-		sh.postings = states[i].postings
+	}
+	for i, sh := range s.shards {
+		sh.docs, sh.cards, sh.postings, sh.points = fresh[i].docs, fresh[i].cards, fresh[i].postings, fresh[i].points
 		sh.epoch = 0
-		if i == 0 {
-			sh.epoch = epoch
-		}
-		sh.points = make(map[trajectory.ID][]geo.Point)
+	}
+	s.shards[0].epoch = epoch
+	s.reloads.Add(1)
+	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
 	return n, nil

@@ -3,9 +3,11 @@ package index
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	"geodabs/internal/core"
 	"geodabs/internal/trajectory"
 )
 
@@ -31,8 +33,8 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 	// Queries must be identical on the loaded index.
 	for _, q := range testWorkload.Queries[:5] {
-		want := orig.Query(q, 1, 10)
-		got := loaded.Query(q, 1, 10)
+		want := search(t, orig, q, 1, 10)
+		got := search(t, loaded, q, 1, 10)
 		if len(got) != len(want) {
 			t.Fatalf("result count %d vs %d", len(got), len(want))
 		}
@@ -67,7 +69,7 @@ func TestIndexSnapshotReplacesContents(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("loaded index has %d docs, want 1", b.Len())
 	}
-	if b.Fingerprints(testWorkload.Dataset.Trajectories[1].ID) != nil {
+	if hasDoc(b, testWorkload.Dataset.Trajectories[1].ID) {
 		t.Error("pre-existing contents should be replaced")
 	}
 	// The loaded index accepts further additions.
@@ -88,7 +90,7 @@ func TestIndexSnapshotRejectsGarbage(t *testing.T) {
 		{"bad-magic", []byte{1, 2, 3, 4, 1, 0, 0, 0, 0}},
 		{"bad-version", []byte{0x47, 0x44, 0x49, 0x58, 9, 0, 0, 0, 0}},
 		{"truncated", func() []byte {
-			ix := NewInverted(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())})
+			ix := newGeodabIndex(t)
 			if err := ix.Add(testWorkload.Dataset.Trajectories[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +146,7 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("loaded epoch %d, want %d", loaded.Epoch(), orig.Epoch())
 	}
 	for _, id := range victims {
-		if loaded.Fingerprints(id) != nil {
+		if hasDoc(loaded, id) {
 			t.Errorf("deleted trajectory %d resurrected by the snapshot", id)
 		}
 	}
@@ -152,8 +154,8 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("stats diverge after mutated round-trip: %+v vs %+v", g, w)
 	}
 	for _, q := range testWorkload.Queries[:5] {
-		want := orig.Query(q, 1, 10)
-		got := loaded.Query(q, 1, 10)
+		want := search(t, orig, q, 1, 10)
+		got := search(t, loaded, q, 1, 10)
 		if len(got) != len(want) {
 			t.Fatalf("result count %d vs %d", len(got), len(want))
 		}
@@ -165,31 +167,44 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsV1 pins backward compatibility: a version-1 snapshot
-// (pre-mutation-API, no epoch field) still loads, with epoch 0.
-func TestSnapshotReadsV1(t *testing.T) {
-	orig := newGeodabIndex(t)
-	if err := orig.Add(testWorkload.Dataset.Trajectories[0]); err != nil {
-		t.Fatal(err)
+// TestSnapshotCompatibility pins the on-disk formats by committed bytes:
+// testdata/v2.snap was written by the unsharded engine's v2 writer at the
+// last commit that had one, testdata/v3.snap by a 4-shard index, both
+// over the first 24 workload trajectories with two deleted and one
+// upserted. Each must load at any shard count with the document count,
+// epoch and rankings recorded when they were written.
+func TestSnapshotCompatibility(t *testing.T) {
+	want := [][]Result{
+		{{1, 0.6521739130434783, 8}, {0, 0.75, 6}, {4, 0.8571428571428572, 4}, {2, 0.8928571428571429, 3}},
+		{{18, 0.6, 6}, {15, 0.6666666666666667, 5}, {16, 0.7058823529411764, 5}, {19, 0.736842105263158, 5}, {22, 0.8214285714285714, 5}},
+		{{22, 0.5714285714285714, 12}, {20, 0.6, 10}, {21, 0.7142857142857143, 8}, {23, 0.75, 7}, {15, 0.875, 3}},
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"v2.snap", "v3.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			loaded := NewSharded(newGeodabIndex(t).Extractor(), shards)
+			if _, err := loaded.ReadFrom(bytes.NewReader(data)); err != nil {
+				t.Fatalf("%s into %d shards: %v", name, shards, err)
+			}
+			if loaded.Len() != 22 || loaded.Epoch() != 28 {
+				t.Errorf("%s into %d shards: %d docs at epoch %d, want 22 at 28", name, shards, loaded.Len(), loaded.Epoch())
+			}
+			for i, q := range testWorkload.Queries[:3] {
+				equalResults(t, name, search(t, loaded, q, 1, 5), want[i])
+			}
+		}
 	}
-	// Rewrite the v2 snapshot as v1: flip the version byte and splice out
-	// the 8-byte epoch field that follows the 9-byte header.
-	v2 := buf.Bytes()
-	v1 := append([]byte{}, v2[:indexHeaderSize]...)
-	v1[4] = indexVersionV1
-	v1 = append(v1, v2[indexHeaderSize+8:]...)
-	loaded := newGeodabIndex(t)
-	if _, err := loaded.ReadFrom(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if loaded.Len() != 1 {
-		t.Fatalf("v1 snapshot loaded %d docs, want 1", loaded.Len())
-	}
-	if loaded.Epoch() != 0 {
-		t.Errorf("v1 snapshot epoch = %d, want 0", loaded.Epoch())
+}
+
+// TestSnapshotRejectsV1 pins the retirement of format v1 (no writer since
+// PR 2): a v1 header fails with the unsupported-version error.
+func TestSnapshotRejectsV1(t *testing.T) {
+	v1 := []byte{0x47, 0x44, 0x49, 0x58, 1, 0, 0, 0, 0}
+	_, err := newGeodabIndex(t).ReadFrom(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 snapshot: err = %v, want unsupported version 1", err)
 	}
 }

@@ -4,30 +4,37 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"geodabs/internal/bitmap"
 	"geodabs/internal/geo"
 	"geodabs/internal/trajectory"
 )
 
-// Sharded partitions the corpus across a power-of-two number of
-// independent Inverted shards by a hash of the trajectory ID. Every
-// trajectory lives wholly in one shard (postings, cached cardinality,
-// retained points), so a mutation takes exactly one shard's write lock
-// and mutations on different shards proceed without contending. A search
-// fans out across the shards in parallel and merges the surviving
-// partials through one Ranker, producing rankings byte-identical to
-// Inverted's (see the package doc's Sharding section for why).
+// Sharded is the local index engine. It partitions the corpus across a
+// power-of-two number of independent Inverted shards by a hash of the
+// trajectory ID. Every trajectory lives wholly in one shard (postings,
+// cached cardinality, retained points), so a mutation takes exactly one
+// shard's write lock and mutations on different shards proceed without
+// contending. A search fans out across the shards in parallel and merges
+// the surviving partials through one Ranker, producing rankings
+// byte-identical at every shard count (see the package doc's Sharding
+// section for why); with one shard it runs that shard's search directly.
 //
-// Concurrency semantics match Inverted per trajectory: a concurrent
-// search observes each trajectory either fully or not at all. What is
-// weaker is the cross-shard snapshot: a search overlapping mutations on
-// several shards may observe them at different epochs — the same
-// isolation the network cluster's scatter-gather provides.
+// A concurrent search observes each trajectory either fully or not at
+// all. What is weaker with several shards is the cross-shard snapshot: a
+// search overlapping mutations on several shards may observe them at
+// different epochs — the same isolation the network cluster's
+// scatter-gather provides.
 type Sharded struct {
 	ex     Extractor
 	shards []*Inverted
 	mask   uint32
+	// reloads counts ReadFrom swaps; it is bumped while every shard's write
+	// lock is held. The shards of a fanned-out search lock independently,
+	// so a search that sees the count move across its fan-out may have
+	// ranked some shards before the swap and some after, and runs again.
+	reloads atomic.Uint64
 }
 
 // NewSharded returns an empty sharded index with n shards, rounded up to
@@ -41,7 +48,7 @@ func NewSharded(ex Extractor, n int, opts ...InvertedOption) *Sharded {
 	n = ceilPow2(n)
 	s := &Sharded{ex: ex, shards: make([]*Inverted, n), mask: uint32(n - 1)}
 	for i := range s.shards {
-		s.shards[i] = NewInverted(ex, opts...)
+		s.shards[i] = newInverted(opts...)
 	}
 	return s
 }
@@ -85,41 +92,89 @@ func (s *Sharded) Add(t *trajectory.Trajectory) error {
 	return s.insert(t.ID, s.ex.Extract(t.Points), t.Points)
 }
 
-// AddFingerprints inserts a pre-computed fingerprint set (no raw points,
-// so no exact re-ranking for this trajectory).
-func (s *Sharded) AddFingerprints(id trajectory.ID, set *bitmap.Bitmap) error {
-	return s.insert(id, set, nil)
-}
-
 func (s *Sharded) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) error {
 	return s.shardOf(id).insert(id, set, pts)
 }
 
-// AddAll indexes a dataset through the shared parallel-extraction
-// pipeline; insertions route to the owning shards, and duplicate-ID
-// detection still works because a given ID always hashes to the same
-// shard. Like Inverted.AddAll it is all-or-nothing: on failure the
-// trajectories this call inserted are removed again, one lock
-// acquisition per touched shard.
+// AddAll indexes a dataset, fingerprinting with the given number of
+// parallel workers (minimum 1); insertions route to the owning shards,
+// and duplicate-ID detection works because a given ID always hashes to
+// the same shard. It fails fast: the first insertion error (or context
+// cancellation) stops job dispatch, and only the extractions already in
+// flight are drained before returning. AddAll is all-or-nothing — on
+// failure the trajectories it inserted are removed again, one lock
+// acquisition per touched shard, so the caller can retry the same
+// dataset after fixing the cause.
 func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error {
-	return ingestAll(ctx, d, workers, s.ex.Extract, s.insert, func(inserted []trajectory.ID) {
-		perShard := make([][]trajectory.ID, len(s.shards))
-		for _, id := range inserted {
-			si := shardIndex(uint32(id), s.mask)
-			perShard[si] = append(perShard[si], id)
-		}
-		for si, ids := range perShard {
-			if len(ids) == 0 {
-				continue
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type extracted struct {
+		id  trajectory.ID
+		set *bitmap.Bitmap
+		pts []geo.Point
+	}
+	jobs := make(chan *trajectory.Trajectory)
+	results := make(chan extracted)
+	go func() {
+		defer close(jobs)
+		for _, t := range d.Trajectories {
+			select {
+			case jobs <- t:
+			case <-ctx.Done():
+				return
 			}
-			sh := s.shards[si]
-			sh.mu.Lock()
-			for _, id := range ids {
-				sh.deleteLocked(id)
-			}
-			sh.mu.Unlock()
 		}
-	})
+	}()
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := range jobs {
+				select {
+				case results <- extracted{id: t.ID, set: s.ex.Extract(t.Points), pts: t.Points}:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	var firstErr error
+	var inserted []trajectory.ID
+	for r := range results {
+		if firstErr == nil {
+			firstErr = ctx.Err() // cancellation outranks in-flight results
+		}
+		if firstErr != nil {
+			continue // dispatch is already cancelled; drain in-flight work
+		}
+		if err := s.insert(r.id, r.set, r.pts); err != nil {
+			firstErr = err
+			cancel()
+		} else {
+			inserted = append(inserted, r.id)
+		}
+	}
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	if firstErr != nil {
+		// Roll back this call's insertions so a retry starts clean. The
+		// cancellation that may have failed the ingest must not stop it, and
+		// without one DeleteAll cannot fail.
+		_, _ = s.DeleteAll(context.WithoutCancel(ctx), inserted)
+	}
+	return firstErr
 }
 
 // Delete removes a trajectory from its owning shard, reporting whether it
@@ -137,7 +192,8 @@ func (s *Sharded) Upsert(t *trajectory.Trajectory) {
 // DeleteAll groups the IDs by owning shard and deletes each group under a
 // single acquisition of that shard's write lock, honoring ctx between
 // shards and (via Inverted.DeleteAll) inside each batch. It returns how
-// many of the IDs were actually indexed; unknown IDs are skipped.
+// many of the IDs were actually indexed; unknown IDs are skipped, so the
+// call is idempotent.
 func (s *Sharded) DeleteAll(ctx context.Context, ids []trajectory.ID) (int, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].DeleteAll(ctx, ids)
@@ -161,9 +217,10 @@ func (s *Sharded) DeleteAll(ctx context.Context, ids []trajectory.ID) (int, erro
 	return deleted, nil
 }
 
-// Epoch returns the sum of the shard epochs. Every mutation bumps exactly
-// one shard's epoch, so the sum is a monotone mutation counter exactly as
-// on Inverted.
+// Epoch returns the index's mutation epoch — the sum of the shard epochs.
+// Every insert, delete and upsert bumps exactly one shard's epoch, so the
+// sum is a monotone mutation counter; it is persisted in snapshots so
+// lineages of a mutated index stay ordered.
 func (s *Sharded) Epoch() uint64 {
 	var total uint64
 	for _, sh := range s.shards {
@@ -172,7 +229,9 @@ func (s *Sharded) Epoch() uint64 {
 	return total
 }
 
-// Extractor returns the shared term extractor.
+// Extractor returns the index's term extractor (immutable after
+// construction), so callers can prepare query term sets once and reuse
+// them across searches.
 func (s *Sharded) Extractor() Extractor { return s.ex }
 
 // Len returns the total number of indexed trajectories.
@@ -200,21 +259,9 @@ func (s *Sharded) Stats() Stats {
 	return total
 }
 
-// Fingerprints returns the stored fingerprint set of a trajectory, or nil.
-func (s *Sharded) Fingerprints(id trajectory.ID) *bitmap.Bitmap {
-	return s.shardOf(id).Fingerprints(id)
-}
-
 // PointsOf returns the retained raw points of a trajectory, or nil.
 func (s *Sharded) PointsOf(id trajectory.ID) []geo.Point {
 	return s.shardOf(id).PointsOf(id)
-}
-
-// DiscardPoints releases every shard's retained point sequences.
-func (s *Sharded) DiscardPoints() {
-	for _, sh := range s.shards {
-		sh.DiscardPoints()
-	}
 }
 
 // ScanDocs visits every indexed trajectory shard by shard until f returns
@@ -236,34 +283,18 @@ func (s *Sharded) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card int
 	}
 }
 
-// Query mirrors Inverted.Query: at most maxDistance, distance ascending,
-// ID tiebreak, truncated to limit (≤ 0 for no limit).
-func (s *Sharded) Query(q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
-	return s.QueryFingerprints(s.ex.Extract(q.Points), maxDistance, limit)
-}
-
-// QueryFingerprints ranks against a pre-computed fingerprint set.
-func (s *Sharded) QueryFingerprints(set *bitmap.Bitmap, maxDistance float64, limit int) []Result {
-	results, _, _ := s.SearchFingerprints(context.Background(), set, maxDistance, limit)
-	return results
-}
-
-// Search is the context-aware ranked retrieval entry point.
+// Search fingerprints q and returns the trajectories whose Jaccard
+// distance to it is at most maxDistance, ordered by increasing distance
+// (ties by ID for determinism), truncated to limit results (limit ≤ 0
+// means no limit) — the paper's "finding similar trajectories" problem
+// (§II-B1). It is the extract-then-rank convenience for tools; callers
+// that hold a prepared term set use AppendSearchSet.
 func (s *Sharded) Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
 	}
-	return s.SearchFingerprints(ctx, s.ex.Extract(q.Points), maxDistance, limit)
-}
-
-// SearchFingerprints ranks against a pre-computed fingerprint set.
-func (s *Sharded) SearchFingerprints(ctx context.Context, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	return s.AppendSearchFingerprints(ctx, nil, set, maxDistance, limit)
-}
-
-// AppendSearchFingerprints is SearchFingerprints appending into dst.
-func (s *Sharded) AppendSearchFingerprints(ctx context.Context, dst []Result, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	return s.AppendSearchSet(ctx, dst, set, set.Cardinality(), maxDistance, limit)
+	set := s.ex.Extract(q.Points)
+	return s.AppendSearchSet(ctx, nil, set, set.Cardinality(), maxDistance, limit)
 }
 
 // fanoutScratch is the pooled per-query state of a sharded search: one
@@ -298,16 +329,15 @@ func getFanoutScratch(n int) *fanoutScratch {
 	return fs
 }
 
-func (fs *fanoutScratch) release() { fanoutScratchPool.Put(fs) }
-
-// AppendSearchSet is the fanned-out ranked search: every shard runs its
-// counting merge (or wide-query fallback) in parallel — one goroutine per
-// extra shard, shard 0 on the calling goroutine — pre-filtering with the
-// static threshold bounds, and the surviving (id, cardinality, shared)
-// partials merge through one Ranker. Stats aggregate across shards:
-// Candidates is the total candidate count, Pruned counts both shard-side
-// static pruning and the coordinator's rising-bar pruning. qc must equal
-// set.Cardinality().
+// AppendSearchSet ranks against a pre-computed fingerprint set, appending
+// the results to dst. A one-shard index runs the shard's search directly;
+// otherwise the search fans out: every shard runs its counting merge (or
+// wide-query fallback) in parallel — one goroutine per extra shard, shard
+// 0 on the calling goroutine — pre-filtering with the static threshold
+// bounds, and the surviving (id, cardinality, shared) partials merge
+// through one Ranker. Stats aggregate across shards: Candidates is the
+// total candidate count, Pruned counts both shard-side static pruning and
+// the coordinator's rising-bar pruning. qc must equal set.Cardinality().
 func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
@@ -319,20 +349,26 @@ func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap
 		return dst, SearchStats{}, nil
 	}
 	fs := getFanoutScratch(len(s.shards))
-	defer fs.release()
+	defer fanoutScratchPool.Put(fs)
 
 	var wg sync.WaitGroup
-	for i := 1; i < len(s.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fs.partials[i], fs.candidates[i], fs.pruned[i], fs.errs[i] =
-				s.shards[i].appendSearchPartials(ctx, fs.partials[i][:0], set, qc, maxDistance)
-		}(i)
+	for {
+		reloads := s.reloads.Load()
+		for i := 1; i < len(s.shards); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fs.partials[i], fs.candidates[i], fs.pruned[i], fs.errs[i] =
+					s.shards[i].appendSearchPartials(ctx, fs.partials[i][:0], set, qc, maxDistance)
+			}(i)
+		}
+		fs.partials[0], fs.candidates[0], fs.pruned[0], fs.errs[0] =
+			s.shards[0].appendSearchPartials(ctx, fs.partials[0][:0], set, qc, maxDistance)
+		wg.Wait()
+		if s.reloads.Load() == reloads {
+			break
+		}
 	}
-	fs.partials[0], fs.candidates[0], fs.pruned[0], fs.errs[0] =
-		s.shards[0].appendSearchPartials(ctx, fs.partials[0][:0], set, qc, maxDistance)
-	wg.Wait()
 
 	var stats SearchStats
 	for i := range fs.errs {

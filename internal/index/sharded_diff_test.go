@@ -2,9 +2,10 @@ package index
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,23 +15,23 @@ import (
 )
 
 // shardCountsUnderTest covers the degenerate single-shard fast path, the
-// smallest real fan-out, a wider one, and whatever this machine's
+// smallest real fan-out, two wider ones, and whatever this machine's
 // GOMAXPROCS resolves to.
 func shardCountsUnderTest() []int {
-	counts := []int{1, 2, 4}
-	if g := ceilPow2(runtime.GOMAXPROCS(0)); g != 1 && g != 2 && g != 4 {
+	counts := []int{1, 2, 4, 8}
+	if g := ceilPow2(runtime.GOMAXPROCS(0)); g > 8 {
 		counts = append(counts, g)
 	}
 	return counts
 }
 
-// buildShardedFrom mirrors an Inverted's reference contents into a
+// buildShardedFrom mirrors a one-shard index's reference contents into a
 // Sharded index with the given shard count.
 func buildShardedFrom(t testing.TB, reference map[trajectory.ID]*bitmap.Bitmap, shards int) *Sharded {
 	t.Helper()
 	s := NewSharded(stubExtractor{}, shards)
 	for id, set := range reference {
-		if err := s.AddFingerprints(id, set); err != nil {
+		if err := s.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,10 +39,10 @@ func buildShardedFrom(t testing.TB, reference map[trajectory.ID]*bitmap.Bitmap, 
 }
 
 // TestShardedMatchesInverted is the tentpole differential: the same
-// corpus in an Inverted and in Sharded indexes of several shard counts,
-// driven with random queries across range semantics, result caps and
-// distance cutoffs — rankings must be byte-identical, and the candidate
-// count (a partition of the same multiset) must agree too.
+// corpus in one Inverted shard and in Sharded indexes of several shard
+// counts, driven with random queries across range semantics, result caps
+// and distance cutoffs — rankings must be byte-identical, and the
+// candidate count (a partition of the same multiset) must agree too.
 func TestShardedMatchesInverted(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	flat, reference := buildRandomIndex(t, rng, 3000)
@@ -49,7 +50,6 @@ func TestShardedMatchesInverted(t *testing.T) {
 	for _, n := range shardCountsUnderTest() {
 		shardeds = append(shardeds, buildShardedFrom(t, reference, n))
 	}
-	ctx := context.Background()
 	for q := 0; q < 200; q++ {
 		set := randomSet(rng, 60, 500)
 		maxDistance := rng.Float64()
@@ -57,12 +57,12 @@ func TestShardedMatchesInverted(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			limit = 1 + rng.Intn(20)
 		}
-		want, wantStats, err := flat.SearchFingerprints(ctx, set, maxDistance, limit)
+		want, wantStats, err := searchSet(flat, set, maxDistance, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range shardeds {
-			got, stats, err := s.SearchFingerprints(ctx, set, maxDistance, limit)
+			got, stats, err := searchSet(s, set, maxDistance, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestShardedMatchesInverted(t *testing.T) {
 
 // TestShardedMatchesInvertedAfterMutations runs the same differential
 // after interleaved deletes and upserts, so shard routing of mutations
-// cannot silently diverge from the flat engine.
+// cannot silently diverge from the one-shard index.
 func TestShardedMatchesInvertedAfterMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	flat, reference := buildRandomIndex(t, rng, 2000)
@@ -99,23 +99,22 @@ func TestShardedMatchesInvertedAfterMutations(t *testing.T) {
 			set := randomSet(rng, 60, 500)
 			flat.Delete(id)
 			sharded.Delete(id)
-			if err := flat.AddFingerprints(id, set); err != nil {
+			if err := flat.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := sharded.AddFingerprints(id, set); err != nil {
+			if err := sharded.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}
 			reference[id] = set
 		}
 	}
-	ctx := context.Background()
 	for q := 0; q < 100; q++ {
 		set := randomSet(rng, 60, 500)
-		want, _, err := flat.SearchFingerprints(ctx, set, 0.9, 10)
+		want, _, err := searchSet(flat, set, 0.9, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := sharded.SearchFingerprints(ctx, set, 0.9, 10)
+		got, _, err := searchSet(sharded, set, 0.9, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,10 +124,10 @@ func TestShardedMatchesInvertedAfterMutations(t *testing.T) {
 }
 
 // TestShardedWideQueryFallback pins the >65535-term union fallback on the
-// fanned-out path against both the flat engine and brute force.
+// fanned-out path against both the one-shard index and brute force.
 func TestShardedWideQueryFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	flat := NewInverted(stubExtractor{})
+	flat := NewSharded(stubExtractor{}, 1)
 	sharded := NewSharded(stubExtractor{}, 4)
 	reference := make(map[trajectory.ID]*bitmap.Bitmap)
 	// Documents drawn from a wide universe so the wide query overlaps them.
@@ -141,10 +140,10 @@ func TestShardedWideQueryFallback(t *testing.T) {
 		if set.Cardinality() == 0 {
 			set.Add(uint32(i))
 		}
-		if err := flat.AddFingerprints(id, set); err != nil {
+		if err := flat.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.AddFingerprints(id, set); err != nil {
+		if err := sharded.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		reference[id] = set
@@ -156,13 +155,12 @@ func TestShardedWideQueryFallback(t *testing.T) {
 	if query.Cardinality() <= 65535 {
 		t.Fatal("query not wide enough to exercise the fallback")
 	}
-	ctx := context.Background()
 	for _, limit := range []int{0, 5, 50} {
-		want, _, err := flat.SearchFingerprints(ctx, query, 0.999, limit)
+		want, _, err := searchSet(flat, query, 0.999, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := sharded.SearchFingerprints(ctx, query, 0.999, limit)
+		got, _, err := searchSet(sharded, query, 0.999, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +180,7 @@ func TestShardedConcurrentMutateAndSearch(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		set := randomSet(rng, 40, 300)
 		set.Add(uint32(i))
-		if err := s.AddFingerprints(trajectory.ID(i), set); err != nil {
+		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,17 +204,16 @@ func TestShardedConcurrentMutateAndSearch(t *testing.T) {
 					set := randomSet(rng, 40, 300)
 					set.Add(uint32(id))
 					s.Delete(id)
-					_ = s.AddFingerprints(id, set)
+					_ = s.insert(id, set, nil)
 				}
 			}
 		}(int64(100 + w))
 	}
-	ctx := context.Background()
 	searchRng := rand.New(rand.NewSource(35))
 	for q := 0; q < 300; q++ {
 		set := randomSet(searchRng, 40, 300)
 		const maxDistance, limit = 0.95, 10
-		results, _, err := s.SearchFingerprints(ctx, set, maxDistance, limit)
+		results, _, err := searchSet(s, set, maxDistance, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +235,7 @@ func TestShardedConcurrentMutateAndSearch(t *testing.T) {
 
 // FuzzShardedParity fuzzes corpus shape, query shape, shard count,
 // distance cutoff and limit, requiring sharded rankings byte-identical
-// to the flat engine and to brute force.
+// to the one-shard index and to brute force.
 func FuzzShardedParity(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(2), uint8(90), uint8(10))
 	f.Add(int64(2), uint8(200), uint8(4), uint8(50), uint8(0))
@@ -248,7 +245,7 @@ func FuzzShardedParity(f *testing.F) {
 		nDocs := int(docs)%256 + 1
 		nShards := int(shards)%16 + 1
 		maxDistance := float64(distPct%101) / 100
-		flat := NewInverted(stubExtractor{})
+		flat := NewSharded(stubExtractor{}, 1)
 		sharded := NewSharded(stubExtractor{}, nShards)
 		reference := make(map[trajectory.ID]*bitmap.Bitmap)
 		for i := 0; i < nDocs; i++ {
@@ -260,21 +257,20 @@ func FuzzShardedParity(f *testing.F) {
 			if set.Cardinality() == 0 {
 				set.Add(uint32(id))
 			}
-			if err := flat.AddFingerprints(id, set); err != nil {
+			if err := flat.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := sharded.AddFingerprints(id, set); err != nil {
+			if err := sharded.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}
 			reference[id] = set
 		}
 		query := randomSet(rng, 30, 200)
-		ctx := context.Background()
-		want, _, err := flat.SearchFingerprints(ctx, query, maxDistance, int(limit))
+		want, _, err := searchSet(flat, query, maxDistance, int(limit))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := sharded.SearchFingerprints(ctx, query, maxDistance, int(limit))
+		got, _, err := searchSet(sharded, query, maxDistance, int(limit))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,15 +280,16 @@ func FuzzShardedParity(f *testing.F) {
 	})
 }
 
-// FuzzShardedSnapshot fuzzes raw snapshot bytes through both loaders; they
-// must reject or accept without panicking, and an accepted load must leave
-// a consistent engine (Len equals the number of scannable docs).
+// FuzzShardedSnapshot fuzzes raw snapshot bytes through the loader at two
+// shard counts; it must reject or accept without panicking, and an
+// accepted load must leave a consistent engine (Len equals the number of
+// scannable docs). The committed v2 and v3 snapshots seed the corpus.
 func FuzzShardedSnapshot(f *testing.F) {
 	s := NewSharded(stubExtractor{}, 2)
 	set := bitmap.New()
 	set.Add(1)
 	set.Add(99)
-	if err := s.AddFingerprints(5, set); err != nil {
+	if err := s.insert(5, set, nil); err != nil {
 		f.Fatal(err)
 	}
 	var seed bytes.Buffer
@@ -305,8 +302,15 @@ func FuzzShardedSnapshot(f *testing.F) {
 	hdr[4] = indexVersionV3
 	binary.LittleEndian.PutUint32(hdr[5:9], 1000000) // absurd shard count
 	f.Add(hdr)
+	for _, name := range []string{"v2.snap", "v3.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, eng := range []Engine{NewSharded(stubExtractor{}, 4), NewInverted(stubExtractor{})} {
+		for _, eng := range []*Sharded{NewSharded(stubExtractor{}, 4), NewSharded(stubExtractor{}, 1)} {
 			if _, err := eng.ReadFrom(bytes.NewReader(data)); err != nil {
 				continue
 			}

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"geodabs/internal/bitmap"
@@ -64,7 +66,7 @@ func TestShardedMutationsRouteToOneShard(t *testing.T) {
 		id := trajectory.ID(i)
 		set := randomSet(rng, 40, 300)
 		set.Add(uint32(i)) // never empty, always unique term
-		if err := s.AddFingerprints(id, set); err != nil {
+		if err := s.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		sets[id] = set
@@ -76,15 +78,15 @@ func TestShardedMutationsRouteToOneShard(t *testing.T) {
 	for id := range sets {
 		holders := 0
 		for _, sh := range s.shards {
-			if sh.Fingerprints(id) != nil {
+			if sh.docs[id] != nil {
 				holders++
 			}
 		}
 		if holders != 1 {
 			t.Fatalf("trajectory %d held by %d shards, want exactly 1", id, holders)
 		}
-		if s.Fingerprints(id) == nil {
-			t.Fatalf("Fingerprints(%d) = nil through the sharded accessor", id)
+		if s.shardOf(id).docs[id] == nil {
+			t.Fatalf("trajectory %d is not in its placement shard", id)
 		}
 	}
 	// Shard lengths partition the corpus.
@@ -96,8 +98,8 @@ func TestShardedMutationsRouteToOneShard(t *testing.T) {
 		t.Fatalf("shard lengths sum to %d, want %d", sum, len(sets))
 	}
 	// Re-adding an ID fails — duplicates collide in their owning shard.
-	if err := s.AddFingerprints(3, bitmap.New()); err == nil {
-		t.Fatal("duplicate AddFingerprints succeeded")
+	if err := s.insert(3, bitmap.New(), nil); err == nil {
+		t.Fatal("duplicate insert succeeded")
 	}
 	// Delete removes from the owning shard only.
 	if !s.Delete(3) {
@@ -120,7 +122,7 @@ func TestShardedEpochAggregates(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		set := bitmap.New()
 		set.Add(uint32(i))
-		if err := s.AddFingerprints(trajectory.ID(i), set); err != nil {
+		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
 		if e := s.Epoch(); e <= last {
@@ -145,7 +147,7 @@ func TestShardedStatsAggregates(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		set := randomSet(rng, 30, 10000) // sparse universe: terms rarely shared
 		set.Add(uint32(1000000 + i))
-		if err := s.AddFingerprints(trajectory.ID(i), set); err != nil {
+		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
 		postings += set.Cardinality()
@@ -163,9 +165,8 @@ func TestShardedStatsAggregates(t *testing.T) {
 	if st.BitmapBytes <= 0 {
 		t.Fatalf("Stats.BitmapBytes = %d, want > 0", st.BitmapBytes)
 	}
-	// The unsharded engine reports Shards = 1.
-	if got := NewInverted(stubExtractor{}).Stats().Shards; got != 1 {
-		t.Fatalf("Inverted Stats.Shards = %d, want 1", got)
+	if got := NewSharded(stubExtractor{}, 1).Stats().Shards; got != 1 {
+		t.Fatalf("one-shard Stats.Shards = %d, want 1", got)
 	}
 }
 
@@ -198,10 +199,6 @@ func TestShardedPointRetention(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len after upsert = %d, want 1", s.Len())
 	}
-	s.DiscardPoints()
-	if got := s.PointsOf(7); got != nil {
-		t.Fatalf("PointsOf(7) after DiscardPoints = %v, want nil", got)
-	}
 }
 
 func TestShardedDeleteAll(t *testing.T) {
@@ -211,7 +208,7 @@ func TestShardedDeleteAll(t *testing.T) {
 		set := bitmap.New()
 		set.Add(uint32(i % 50))
 		id := trajectory.ID(i)
-		if err := s.AddFingerprints(id, set); err != nil {
+		if err := s.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -242,7 +239,7 @@ func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
 	// Pre-seed an ID that the dataset will collide with.
 	set := bitmap.New()
 	set.Add(1)
-	if err := s.AddFingerprints(42, set); err != nil {
+	if err := s.insert(42, set, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := &trajectory.Dataset{}
@@ -260,7 +257,7 @@ func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len after failed AddAll = %d, want 1 (rolled back)", s.Len())
 	}
-	if s.Fingerprints(42) == nil {
+	if !hasDoc(s, 42) {
 		t.Fatal("pre-existing trajectory lost in rollback")
 	}
 }
@@ -272,7 +269,7 @@ func TestShardedScanDocs(t *testing.T) {
 		set := bitmap.New()
 		set.Add(uint32(i))
 		set.Add(uint32(i + 1000))
-		if err := s.AddFingerprints(trajectory.ID(i), set); err != nil {
+		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
 		want[trajectory.ID(i)] = 2
@@ -315,7 +312,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		}
 		set := randomSet(rng, 50, 400)
 		set.Add(uint32(id))
-		if err := src.AddFingerprints(id, set); err != nil {
+		if err := src.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		reference[id] = set
@@ -332,7 +329,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	for i := range queries {
 		queries[i] = randomSet(rng, 50, 400)
 	}
-	check := func(t *testing.T, eng Engine) {
+	check := func(t *testing.T, eng *Sharded) {
 		t.Helper()
 		if eng.Len() != len(reference) {
 			t.Fatalf("loaded Len = %d, want %d", eng.Len(), len(reference))
@@ -341,7 +338,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("loaded Epoch = %d, want %d", eng.Epoch(), src.Epoch())
 		}
 		for _, q := range queries {
-			got, _, err := eng.SearchFingerprints(context.Background(), q, 0.95, 10)
+			got, _, err := searchSet(eng, q, 0.95, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,30 +361,15 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		// Rebalance is by placement hash: every doc must be in its owning
 		// shard, not wherever the snapshot section put it.
 		dst.ScanDocs(func(id trajectory.ID, _ *bitmap.Bitmap, _ int) bool {
-			if dst.shardOf(id).Fingerprints(id) == nil {
+			if dst.shardOf(id).docs[id] == nil {
 				t.Fatalf("doc %d not in its placement shard after load", id)
 			}
 			return true
 		})
 	})
-	t.Run("v3-flattens-into-inverted", func(t *testing.T) {
-		dst := NewInverted(stubExtractor{})
+	t.Run("v3-flattens-into-one-shard", func(t *testing.T) {
+		dst := NewSharded(stubExtractor{}, 1)
 		if _, err := dst.ReadFrom(bytes.NewReader(snapshot)); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dst)
-	})
-	t.Run("v2-rebalances-into-sharded", func(t *testing.T) {
-		flat := NewInverted(stubExtractor{})
-		if _, err := flat.ReadFrom(bytes.NewReader(snapshot)); err != nil {
-			t.Fatal(err)
-		}
-		var v2 bytes.Buffer
-		if _, err := flat.WriteTo(&v2); err != nil {
-			t.Fatal(err)
-		}
-		dst := NewSharded(stubExtractor{}, 8)
-		if _, err := dst.ReadFrom(bytes.NewReader(v2.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		check(t, dst)
@@ -398,7 +380,7 @@ func TestShardedSnapshotReplacesContents(t *testing.T) {
 	src := NewSharded(stubExtractor{}, 2)
 	set := bitmap.New()
 	set.Add(7)
-	if err := src.AddFingerprints(1, set); err != nil {
+	if err := src.insert(1, set, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -408,13 +390,13 @@ func TestShardedSnapshotReplacesContents(t *testing.T) {
 	dst := NewSharded(stubExtractor{}, 2)
 	other := bitmap.New()
 	other.Add(9)
-	if err := dst.AddFingerprints(2, other); err != nil {
+	if err := dst.insert(2, other, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.ReadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Len() != 1 || dst.Fingerprints(1) == nil || dst.Fingerprints(2) != nil {
+	if dst.Len() != 1 || !hasDoc(dst, 1) || hasDoc(dst, 2) {
 		t.Fatalf("load did not replace contents: len=%d", dst.Len())
 	}
 }
@@ -422,7 +404,7 @@ func TestShardedSnapshotReplacesContents(t *testing.T) {
 func TestShardedSnapshotRejectsDuplicate(t *testing.T) {
 	// Hand-build a v3 snapshot whose two shard sections both carry ID 5:
 	// rebalancing routes both copies to the same target shard, where the
-	// duplicate must be rejected — on the sharded and the flat loader.
+	// duplicate must be rejected at every shard count.
 	set := bitmap.New()
 	set.Add(1)
 	var setBytes bytes.Buffer
@@ -449,8 +431,80 @@ func TestShardedSnapshotRejectsDuplicate(t *testing.T) {
 	if _, err := dst.ReadFrom(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("duplicate ID across shard sections loaded without error")
 	}
-	dstFlat := NewInverted(stubExtractor{})
+	dstFlat := NewSharded(stubExtractor{}, 1)
 	if _, err := dstFlat.ReadFrom(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("duplicate ID across shard sections flattened without error")
 	}
+}
+
+// TestShardedReloadIsAtomic reloads two different snapshots over and over
+// while searches fan out across four shards: every ranking must be one
+// that the first or the second corpus produces in full. The shards of a
+// search lock independently, so without the all-shards swap and the
+// reload count a search could rank some shards of the old corpus with
+// some of the new. Meaningful under -race.
+func TestShardedReloadIsAtomic(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	query := randomSet(rng, 60, 200)
+	var snaps [2][]byte
+	var want [2][]Result
+	for c := range snaps {
+		src := NewSharded(stubExtractor{}, 4)
+		reference := make(map[trajectory.ID]*bitmap.Bitmap)
+		// Both corpora use the same IDs with different sets, so a mixture
+		// of their shards is a plausible-looking third ranking.
+		for id := trajectory.ID(0); id < 200; id++ {
+			set := randomSet(rng, 60, 200)
+			set.Add(uint32(id))
+			if err := src.insert(id, set, nil); err != nil {
+				t.Fatal(err)
+			}
+			reference[id] = set
+		}
+		var buf bytes.Buffer
+		if _, err := src.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snaps[c] = buf.Bytes()
+		want[c] = bruteForceSearch(reference, query, 1, 0)
+	}
+	if slices.Equal(want[0], want[1]) {
+		t.Fatal("the two corpora rank alike; the check is vacuous")
+	}
+	s := NewSharded(stubExtractor{}, 4)
+	if _, err := s.ReadFrom(bytes.NewReader(snaps[0])); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, _, err := searchSet(s, query, 1, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[0]) && !slices.Equal(got, want[1]) {
+					t.Error("a search overlapping a reload ranked a mixture of the two corpora")
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 60; i++ {
+		if _, err := s.ReadFrom(bytes.NewReader(snaps[i%2])); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

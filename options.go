@@ -101,16 +101,16 @@ func WithReadPreference(p ReadPreference) Option {
 // to the next power of two), each with its own lock and posting lists:
 // mutations on different shards stop contending, and a single search
 // fans out across the shards in parallel, merging to rankings
-// byte-identical to the unsharded index. n = 0 (the default) sizes the
+// byte-identical at every shard count. n = 0 (the default) sizes the
 // shard count automatically from GOMAXPROCS — one core, one shard; more
-// cores, a power-of-two shard count matching them. n = 1 forces the
-// unsharded engine.
+// cores, a power-of-two shard count matching them. n = 1 forces one
+// shard behind one lock.
 //
-// Snapshots interoperate across shard counts: a sharded index writes
-// format v3 (per-shard sections) and an unsharded one v2, and both load
-// either, rebalancing documents into the receiver's layout. It applies
-// only to NewIndex and NewGeohashIndex; NewCluster rejects it (cluster
-// sharding is configured by the node address list).
+// Snapshots interoperate across shard counts: every index writes format
+// v3 (per-shard sections) and loads v3 or the older unsharded v2,
+// rebalancing documents into the receiver's layout. It applies only to
+// NewIndex and NewGeohashIndex; NewCluster rejects it (cluster sharding
+// is configured by the node address list).
 func WithShards(n int) Option {
 	return func(o *engineOptions) error {
 		if n < 0 {

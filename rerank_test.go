@@ -3,47 +3,75 @@ package geodabs_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"geodabs"
+	"geodabs/internal/index"
 )
 
-// TestClusterRerankDifferential pins the pushed-down rerank to the
-// coordinator-retention contract: for both built-in metrics and every
-// option shape, a cluster scoring candidates on its shard nodes must
-// return hits byte-identical — scores, order, ID tiebreaks, Shared
-// counts — to a local index scoring its own retained points.
-func TestClusterRerankDifferential(t *testing.T) {
+// TestRerankDifferential pins both rerank paths — the local index over
+// its retained points and a 3-node cluster scoring on its shard nodes —
+// to a score-everything reference: the metric on every member of the
+// fingerprint shortlist, sorted by the ranking contract, truncated. Both
+// built-ins run gated under a result cap; the hits must still be
+// byte-identical — scores, order, ID tiebreaks, Shared counts — on one
+// worker and on a pool. A custom metric has no known bound, so it must
+// run on every shortlist member (and cannot run on a cluster at all).
+func TestRerankDifferential(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
 	cl := builtTestCluster(t, 3)
 	ctx := context.Background()
-	metrics := map[string]geodabs.RerankMetric{"dtw": geodabs.DTW, "dfd": geodabs.DFD}
-	optionSets := map[string][]geodabs.SearchOption{
-		"knn":          {geodabs.WithKNN(5)},
-		"limit":        {geodabs.WithLimit(7)},
-		"ranged knn":   {geodabs.WithMaxDistance(0.9), geodabs.WithKNN(3)},
-		"ranged limit": {geodabs.WithMaxDistance(0.95), geodabs.WithLimit(4)},
-		// No cap: every candidate is scored, no lower-bound skipping.
-		"unbounded": {geodabs.WithMaxDistance(0.99)},
+	var customCalls atomic.Int64
+	custom := func(a, b []geodabs.Point) float64 {
+		customCalls.Add(1)
+		return -geodabs.DFD(a, b) // farthest first: any lower bound would be wrong
 	}
-	for mName, metric := range metrics {
-		for oName, base := range optionSets {
-			opts := append(append([]geodabs.SearchOption(nil), base...), geodabs.WithExactRerank(metric))
-			for _, q := range w.Queries {
-				want, err := idx.Search(ctx, q, opts...)
-				if err != nil {
-					t.Fatalf("%s/%s query %d: index: %v", mName, oName, q.ID, err)
+	for _, tc := range []struct {
+		name    string
+		metric  geodabs.RerankMetric
+		cluster bool
+	}{{"dtw", geodabs.DTW, true}, {"dfd", geodabs.DFD, true}, {"custom", custom, false}} {
+		for _, limit := range []int{0, 1, 10} {
+			for _, q := range w.Queries[:2] {
+				// The shortlist a capped rerank scores is the top limit×8
+				// fingerprint hits; an uncapped one scores the whole range.
+				want := hits(t, idx, q, 0.99, limit*8)
+				for i := range want {
+					want[i].Distance = tc.metric(q.Points, w.Dataset.ByID(want[i].ID).Points)
 				}
-				got, err := cl.Search(ctx, q, opts...)
-				if err != nil {
-					t.Fatalf("%s/%s query %d: cluster: %v", mName, oName, q.ID, err)
+				shortlist := len(want)
+				index.SortResults(want)
+				if limit > 0 && len(want) > limit {
+					want = want[:limit]
 				}
-				if !reflect.DeepEqual(got.Hits, want.Hits) {
-					t.Fatalf("%s/%s query %d: cluster hits %+v, index hits %+v", mName, oName, q.ID, got.Hits, want.Hits)
+				opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithLimit(limit), geodabs.WithExactRerank(tc.metric)}
+				for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
+					customCalls.Store(0)
+					prev := runtime.GOMAXPROCS(procs)
+					got, err := idx.Search(ctx, q, opts...)
+					var remote *geodabs.SearchResult
+					if err == nil && tc.cluster {
+						remote, err = cl.Search(ctx, q, opts...)
+					}
+					runtime.GOMAXPROCS(prev)
+					if err != nil {
+						t.Fatalf("%s limit=%d procs=%d query %d: %v", tc.name, limit, procs, q.ID, err)
+					}
+					if !reflect.DeepEqual(got.Hits, want) {
+						t.Fatalf("%s limit=%d procs=%d query %d: index hits %+v, want %+v", tc.name, limit, procs, q.ID, got.Hits, want)
+					}
+					if tc.cluster && !reflect.DeepEqual(remote.Hits, want) {
+						t.Fatalf("%s limit=%d procs=%d query %d: cluster hits %+v, want %+v", tc.name, limit, procs, q.ID, remote.Hits, want)
+					}
+					if !tc.cluster && int(customCalls.Load()) != shortlist {
+						t.Fatalf("custom limit=%d procs=%d query %d: metric ran %d times for a shortlist of %d — a custom metric must run ungated", limit, procs, q.ID, customCalls.Load(), shortlist)
+					}
 				}
 			}
 		}

@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"geodabs/internal/cluster"
+	"geodabs/internal/geo"
 	"geodabs/internal/index"
+	"geodabs/internal/rerank"
 	"math"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -165,8 +164,7 @@ func WithLimit(n int) SearchOption {
 // brute-force scan it exists to avoid. Each hit's Distance is replaced
 // by the metric's value (meters for DTW/DFD). Re-ranking needs the raw
 // points of every hit, so it requires an engine constructed with
-// WithPointRetention and fails on indexes loaded from a snapshot, after
-// DiscardPoints, and on trajectories inserted as bare fingerprints.
+// WithPointRetention and fails on indexes loaded from a snapshot.
 //
 // On a *Cluster the refinement runs on the shard nodes: each
 // trajectory's raw points live on its owner node, the shortlist is
@@ -398,76 +396,59 @@ func wrapQueries(ts []*Trajectory) []*Query {
 }
 
 // rerankHits applies the exact refinement pass on the local engine:
-// score every hit with the metric, re-sort ascending (ties by ID),
-// truncate to the result limit. The shortlist is scored on bounded
-// parallel workers — the DP metrics are CPU-bound, so parallelism is
-// capped at GOMAXPROCS. A no-op when no rerank was requested.
+// score the shortlist with the metric through rerank.Score, re-sort
+// ascending (ties by ID), truncate to the result limit. A built-in metric
+// under a result cap runs gated — hits whose lower bound proves them
+// outside the top-limit are dropped unscored — and a custom metric, for
+// which no bound is known, scores every hit. A no-op when no rerank was
+// requested.
 func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Point, pointsOf func(ID) []Point) ([]Result, error) {
 	if o.rerank == nil {
 		return hits, nil
 	}
+	gate, _ := builtinMetric(o.rerank)
 	// Resolve every hit's points before scoring any, so a failure names
 	// the complete set of unavailable trajectories instead of whichever
 	// one a worker tripped over first.
-	pts := make([][]Point, len(hits))
+	cands := make([]rerank.Candidate, len(hits))
 	var missing []ID
-	for i := range hits {
-		if pts[i] = pointsOf(hits[i].ID); pts[i] == nil {
-			missing = append(missing, hits[i].ID)
+	for i, h := range hits {
+		pts := pointsOf(h.ID)
+		if pts == nil {
+			missing = append(missing, h.ID)
 		}
+		cands[i] = rerank.Candidate{ID: uint32(h.ID), Points: pts, Box: geo.NewBox(pts...)}
 	}
 	if len(missing) > 0 {
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		return nil, fmt.Errorf("geodabs: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): index built without WithPointRetention, DiscardPoints was called, snapshot-loaded index, or fingerprint-only insertion", len(missing), len(hits), missing)
+		return nil, fmt.Errorf("geodabs: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): index built without WithPointRetention, or snapshot-loaded index", len(missing), len(hits), missing)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(hits) {
-		workers = len(hits)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg      sync.WaitGroup
-		next    atomic.Int64
-		stopped atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(hits) || stopped.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					stopped.Store(true)
-					return
-				}
-				hits[i].Distance = o.rerank(query, pts[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	limit := o.resultLimit()
+	if err := rerank.Score(ctx, query, cands, o.rerank, gate, limit); err != nil {
 		return nil, err
 	}
-	index.SortResults(hits)
-	if limit := o.resultLimit(); limit > 0 && len(hits) > limit {
-		hits = hits[:limit]
+	scored := hits[:0]
+	for i, c := range cands {
+		if !c.Skipped {
+			hits[i].Distance = c.Score
+			scored = append(scored, hits[i])
+		}
 	}
-	return hits, nil
+	index.SortResults(scored)
+	if limit > 0 && len(scored) > limit {
+		scored = scored[:limit]
+	}
+	return scored, nil
 }
 
 // rerankRemote is the distributed refinement pass: instead of pulling
 // every candidate's raw points to the coordinator, the shortlist is
 // pushed down to the shard nodes that retain them. Each node scores its
-// slice with the identical metric implementation (so scores are
-// bit-identical to a local rerank), prunes candidates a cheap lower
-// bound proves cannot enter the top-limit, and ships back (ID, score)
-// pairs — raw points never cross the wire at query time. The
-// coordinator merges the scores into the final ranking.
+// slice through the same rerank.Score pass as a local rerank (so scores
+// are bit-identical), pruning candidates a cheap lower bound proves
+// cannot enter the top-limit, and ships back (ID, score) pairs — raw
+// points never cross the wire at query time. The coordinator merges the
+// scores into the final ranking.
 //
 // Only the built-in metrics (DTW, DFD) can be named over the wire; a
 // custom RerankMetric function cannot be shipped to the nodes, and the
@@ -487,17 +468,16 @@ func (c *Cluster) rerankRemote(ctx context.Context, o searchOptions, hits []Resu
 	return reranked, nil
 }
 
-// builtinMetric maps a RerankMetric to its wire tag when it is one of
-// the package's built-in metrics. Comparison is by function pointer:
-// DTW and DFD are package-level bindings of the internal
-// implementations, so any alias of them resolves to the same code
-// pointer.
-func builtinMetric(m RerankMetric) (cluster.ExactMetric, bool) {
+// builtinMetric maps a RerankMetric to its tag when it is one of the
+// package's built-in metrics. Comparison is by function pointer: DTW and
+// DFD are package-level bindings of the internal implementations, so any
+// alias of them resolves to the same code pointer.
+func builtinMetric(m RerankMetric) (rerank.Metric, bool) {
 	switch reflect.ValueOf(m).Pointer() {
 	case reflect.ValueOf(DTW).Pointer():
-		return cluster.MetricDTW, true
+		return rerank.DTW, true
 	case reflect.ValueOf(DFD).Pointer():
-		return cluster.MetricDFD, true
+		return rerank.DFD, true
 	}
 	return 0, false
 }

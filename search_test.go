@@ -65,9 +65,9 @@ func TestSearchDefaultsMatchUnboundedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := idx.Query(q, 1, 0)
+	want := hits(t, idx, q, 1, 0)
 	if !reflect.DeepEqual(res.Hits, want) {
-		t.Errorf("default Search returned %d hits, legacy unbounded Query %d", len(res.Hits), len(want))
+		t.Errorf("default Search returned %d hits, explicitly unbounded Search %d", len(res.Hits), len(want))
 	}
 	if res.Stats.Candidates < len(res.Hits) || res.Stats.Candidates == 0 {
 		t.Errorf("Candidates = %d with %d hits", res.Stats.Candidates, len(res.Hits))
@@ -103,37 +103,17 @@ func TestSearchOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSearchParityWithLegacyQuery is the acceptance gate of the redesign:
-// Search with WithMaxDistance+WithLimit returns byte-identical rankings
-// to the legacy Query signature, on both Searcher implementations.
-func TestSearchParityWithLegacyQuery(t *testing.T) {
+// TestSearchParityIndexAndCluster pins §IV's one query model: the same
+// search returns byte-identical rankings on both Searcher
+// implementations.
+func TestSearchParityIndexAndCluster(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
 	cl := builtTestCluster(t, 2)
-	ctx := context.Background()
 	for _, q := range w.Queries {
-		want := idx.Query(q, 0.99, 5)
-		res, err := idx.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Hits, want) {
-			t.Fatalf("query %d: index Search = %+v, legacy Query = %+v", q.ID, res.Hits, want)
-		}
-		clWant, err := cl.Query(q, 0.99, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clRes, err := cl.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(clRes.Hits, clWant) {
-			t.Fatalf("query %d: cluster Search = %+v, legacy Query = %+v", q.ID, clRes.Hits, clWant)
-		}
-		// And the two implementations agree with each other (§IV).
-		if !reflect.DeepEqual(res.Hits, clRes.Hits) {
-			t.Fatalf("query %d: index and cluster rankings diverge", q.ID)
+		local, remote := hits(t, idx, q, 0.99, 5), hits(t, cl, q, 0.99, 5)
+		if len(local) == 0 || !reflect.DeepEqual(local, remote) {
+			t.Fatalf("query %d: index ranks %+v, cluster %+v", q.ID, local, remote)
 		}
 	}
 }
@@ -313,42 +293,5 @@ func TestIndexSnapshotPublicRoundTrip(t *testing.T) {
 	// A bad snapshot fails cleanly.
 	if _, err := geodabs.ReadIndex(geodabs.DefaultConfig(), bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("ReadIndex accepted garbage")
-	}
-}
-
-func TestDiscardPointsDisablesRerank(t *testing.T) {
-	_, w := testWorld()
-	idx := builtTestIndex(t)
-	ctx := context.Background()
-	q := w.Queries[0]
-	if _, err := idx.Search(ctx, q, geodabs.WithKNN(3), geodabs.WithExactRerank(geodabs.DTW)); err != nil {
-		t.Fatalf("rerank before DiscardPoints: %v", err)
-	}
-	idx.DiscardPoints()
-	if _, err := idx.Search(ctx, q, geodabs.WithKNN(3), geodabs.WithExactRerank(geodabs.DTW)); err == nil || !strings.Contains(err.Error(), "rerank") {
-		t.Errorf("rerank after DiscardPoints: %v, want rerank error", err)
-	}
-	// Fingerprint-ranked searches are unaffected.
-	res, err := idx.Search(ctx, q, geodabs.WithKNN(3))
-	if err != nil || len(res.Hits) == 0 {
-		t.Errorf("plain search after DiscardPoints: %d hits, %v", len(res.Hits), err)
-	}
-}
-
-func TestClusterDiscardPointsDisablesRerank(t *testing.T) {
-	_, w := testWorld()
-	cl := builtTestCluster(t, 2)
-	ctx := context.Background()
-	q := w.Queries[0]
-	if _, err := cl.Search(ctx, q, geodabs.WithKNN(3), geodabs.WithExactRerank(geodabs.DTW)); err != nil {
-		t.Fatalf("rerank before DiscardPoints: %v", err)
-	}
-	cl.DiscardPoints()
-	if _, err := cl.Search(ctx, q, geodabs.WithKNN(3), geodabs.WithExactRerank(geodabs.DTW)); err == nil || !strings.Contains(err.Error(), "rerank") {
-		t.Errorf("rerank after DiscardPoints: %v, want rerank error", err)
-	}
-	res, err := cl.Search(ctx, q, geodabs.WithKNN(3))
-	if err != nil || len(res.Hits) == 0 {
-		t.Errorf("plain search after DiscardPoints: %d hits, %v", len(res.Hits), err)
 	}
 }

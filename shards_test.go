@@ -12,7 +12,7 @@ import (
 
 // TestWithShardsMatchesUnsharded pins the public contract: the same
 // corpus behind WithShards(1) and WithShards(4) returns byte-identical
-// rankings through Search, SearchQuery and the deprecated Query.
+// rankings through Search and SearchQuery.
 func TestWithShardsMatchesUnsharded(t *testing.T) {
 	_, w := testWorld()
 	flat, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(1))
@@ -98,7 +98,7 @@ func TestWithShardsMutations(t *testing.T) {
 }
 
 // TestWithShardsSnapshotInterop round-trips a sharded index through its
-// v3 snapshot into both a sharded and an unsharded receiver, at the
+// v3 snapshot into receivers of one and of several shards, at the
 // public API level (the geodabsd -snapshot path).
 func TestWithShardsSnapshotInterop(t *testing.T) {
 	_, w := testWorld()
@@ -113,7 +113,7 @@ func TestWithShardsSnapshotInterop(t *testing.T) {
 	if _, err := src.WriteTo(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{1, 2, 4, 8} {
 		dst, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
@@ -128,8 +128,8 @@ func TestWithShardsSnapshotInterop(t *testing.T) {
 			t.Fatalf("shards=%d: loaded Epoch = %d, want %d", shards, dst.Epoch(), src.Epoch())
 		}
 		q := w.Queries[0]
-		want := src.Query(q, 0.99, 10)
-		got := dst.Query(q, 0.99, 10)
+		want := hits(t, src, q, 0.99, 10)
+		got := hits(t, dst, q, 0.99, 10)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: loaded %d hits, want %d", shards, len(got), len(want))
 		}
