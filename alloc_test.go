@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"geodabs"
+	"geodabs/internal/distance"
 	"geodabs/internal/index"
 )
 
@@ -65,6 +67,35 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
+			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestExactDistanceZeroAlloc pins the exact-distance kernel the same way:
+// prepared points and both rows of the dynamic program come from a pooled
+// scratch, so once it is warm neither the unbounded metrics nor a call
+// under a bar — kept or abandoned — touch the heap.
+func TestExactDistanceZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	qs := benchWorkload().Queries
+	p, q := clip(qs[0].Points, 200), clip(qs[1].Points, 150)
+	exact := geodabs.DTW(p, q)
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"DTW", func() { geodabs.DTW(p, q) }},
+		{"DFD", func() { geodabs.DFD(p, q) }},
+		{"DTWWithin/kept", func() { distance.DTWWithin(p, q, exact) }},
+		{"DTWWithin/abandoned", func() { distance.DTWWithin(p, q, exact/2) }},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range cases {
+		tc.run() // the first call sizes the scratch
+		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
 		}
 	}

@@ -239,7 +239,7 @@ func run(args []string) error {
 // per-node WAL size, segment and fsync counters, last fsync latency,
 // mutation epochs, full syncs served, live stream subscribers,
 // per-replica epoch lag, and the exact-rerank pushdown state — retained
-// point footprint and lower-bound scored/skipped counters.
+// point footprint and scored/skipped counters.
 func clusterCollector(cl *geodabs.Cluster) func(w *strings.Builder) {
 	var scrapeErrs atomic.Uint64
 	return func(w *strings.Builder) {
@@ -289,11 +289,11 @@ func clusterCollector(cl *geodabs.Cluster) func(w *strings.Builder) {
 		for _, s := range stats {
 			fmt.Fprintf(w, "geodabsd_node_retained_bytes{node=\"%d\"} %d\n", s.Node, s.RetainedBytes)
 		}
-		w.WriteString("# HELP geodabsd_node_rerank_scored_total Rerank candidates the node scored with the full exact metric.\n# TYPE geodabsd_node_rerank_scored_total counter\n")
+		w.WriteString("# HELP geodabsd_node_rerank_scored_total Rerank candidates the node computed an exact score for.\n# TYPE geodabsd_node_rerank_scored_total counter\n")
 		for _, s := range stats {
 			fmt.Fprintf(w, "geodabsd_node_rerank_scored_total{node=\"%d\"} %d\n", s.Node, s.RerankScored)
 		}
-		w.WriteString("# HELP geodabsd_node_rerank_lb_skipped_total Rerank candidates the node's lower bound pruned without scoring.\n# TYPE geodabsd_node_rerank_lb_skipped_total counter\n")
+		w.WriteString("# HELP geodabsd_node_rerank_lb_skipped_total Rerank candidates the node proved outside the requested top-k without an exact score: by the lower bound, or by abandoning the dynamic program at the bar.\n# TYPE geodabsd_node_rerank_lb_skipped_total counter\n")
 		for _, s := range stats {
 			fmt.Fprintf(w, "geodabsd_node_rerank_lb_skipped_total{node=\"%d\"} %d\n", s.Node, s.RerankSkipped)
 		}

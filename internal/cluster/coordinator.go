@@ -754,7 +754,7 @@ func allNodes(n int) []int {
 
 // Rerank pushes the exact-refinement pass of a search down to the shard
 // nodes: each node owning points of shortlist members scores its slice
-// locally (DTW or DFD, with lower-bound pruning against limit) and
+// locally (DTW or DFD, against the bar of its own top-limit) and
 // ships back (id, score) pairs; the merged scores are sorted by the
 // engines' shared (distance, ID) contract and truncated to limit. Raw
 // candidate points never cross the wire — only the query does, once per
@@ -762,8 +762,8 @@ func allNodes(n int) []int {
 //
 // The result is byte-identical to fetching every candidate's points and
 // scoring them coordinator-side: nodes run the identical metric code on
-// identical float inputs, a node only skips a candidate its lower bound
-// proves outside its own (hence the global) top-limit, and the final
+// identical float inputs, a node only skips a candidate it has proved
+// strictly outside its own (hence the global) top-limit, and the final
 // merge reuses index.SortResults. limit <= 0 scores and returns the
 // whole shortlist.
 func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query []geo.Point, metric rerank.Metric, limit int) ([]index.Result, error) {
@@ -1247,7 +1247,8 @@ type NodeStats struct {
 	// Point retention and node-side rerank state: trajectories whose raw
 	// points this node owns, the points across them, their in-memory
 	// size, and how many rerank candidates the node has exact-scored vs
-	// settled by the lower bound alone.
+	// proved outside the requested top-k without an exact score (lower
+	// bound, or a dynamic program abandoned at the bar).
 	RetainedDocs   int
 	RetainedPoints int
 	RetainedBytes  int64

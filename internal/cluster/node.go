@@ -174,8 +174,10 @@ type Node struct {
 	primaryAddr string
 	stableEpoch atomic.Uint64
 
-	// Rerank counters: candidates exact-scored and candidates settled by
-	// the lower bound alone, over the node's lifetime.
+	// Rerank counters, over the node's lifetime: candidates whose exact
+	// score was computed, and candidates proved outside the top limit
+	// without it — by the lower bound, or by the bounded kernel
+	// abandoning their dynamic program part-way.
 	rerankScored  atomic.Uint64
 	rerankSkipped atomic.Uint64
 
@@ -752,15 +754,12 @@ func cardWindow(req *queryRequest) (minCard, maxCard int) {
 // points. The candidates are snapshotted under the read lock — the slice
 // headers are safe to score outside it because applied mutations replace
 // a doc's point slice wholesale, never mutate it — and scored by
-// rerank.Score, whose lower-bound gate skips what provably cannot enter
-// the node's own top-Limit; everything actually scored is returned, so
-// the coordinator's merge stays byte-identical to scoring the whole
+// rerank.Score against the bar of the node's own top-Limit: what its
+// lower bound or its abandoned dynamic program proves above the bar is
+// skipped, everything else is returned with its exact score, so the
+// coordinator's merge stays byte-identical to scoring the whole
 // shortlist.
 func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
-	metric := req.Metric.Func()
-	if metric == nil {
-		return nil, fmt.Errorf("unknown rerank metric %d", req.Metric)
-	}
 	cands := make([]rerank.Candidate, 0, len(req.IDs))
 	var missing []uint32
 	n.mu.RLock()
@@ -777,7 +776,7 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 		return &rerankResponse{Missing: missing}, nil
 	}
 	// A node request carries no context: the pass runs to completion.
-	if err := rerank.Score(context.TODO(), req.Query, cands, metric, req.Metric, req.Limit); err != nil {
+	if err := rerank.Score(context.TODO(), req.Query, cands, req.Metric, req.Limit); err != nil {
 		return nil, err
 	}
 	resp := &rerankResponse{IDs: make([]uint32, 0, len(cands)), Scores: make([]float64, 0, len(cands))}

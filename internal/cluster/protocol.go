@@ -204,14 +204,16 @@ type replEvent struct {
 // query trajectory, and Metric selects DTW (1) or discrete Fréchet (2) —
 // only the built-in metrics are addressable over the wire.
 //
-// Limit enables lower-bound pruning: when > 0 it is the result cap the
-// coordinator will truncate the merged scores to, and the node may skip
-// the full O(n·m) dynamic program for any candidate whose lower bound
-// strictly exceeds the k-th best score among candidates it has already
-// scored (k = Limit). A skipped candidate provably cannot enter the
-// node's own top-k, hence not the global top-k either, so the merged
-// results are byte-identical to scoring everything. Limit = 0 means no
-// cap downstream: every candidate is scored.
+// Limit enables scoring against a bar: when > 0 it is the result cap the
+// coordinator will truncate the merged scores to, and the node need not
+// finish — or start — the O(n·m) dynamic program of a candidate it can
+// prove strictly above both the k-th best score among candidates it has
+// already scored and the k-th smallest upper bound over its slice
+// (k = Limit; rerank.Score has the argument). A skipped candidate
+// provably cannot enter the node's own top-k, hence not the global top-k
+// either, so the merged results are byte-identical to scoring
+// everything. Limit = 0 means no cap downstream: every candidate is
+// scored.
 type rerankRequest struct {
 	IDs    []uint32
 	Query  []geo.Point
@@ -220,8 +222,9 @@ type rerankRequest struct {
 }
 
 // rerankResponse returns the node's exact scores as parallel ID/score
-// slices — scores only, never points. Candidates skipped by the lower
-// bound are absent from the slices and counted in Skipped. Missing
+// slices — scores only, never points. Candidates proved above the bar,
+// by a bound or by an abandoned dynamic program, are absent from the
+// slices and counted in Skipped. Missing
 // lists shortlist IDs the node holds no points for (retention disabled,
 // torn add, or a stale shortlist racing a delete); the coordinator
 // aggregates Missing across nodes into one error naming them all.
@@ -273,8 +276,9 @@ type statsResponse struct {
 	// trajectories whose raw points this node owns, RetainedPoints the
 	// points across them, RetainedBytes their in-memory size. Scored and
 	// skipped count rerank candidates over the node's lifetime:
-	// RerankSkipped of them were settled by the lower bound alone,
-	// without running the full dynamic program.
+	// RerankSkipped of them were proved outside the requested top-k
+	// without their exact score — by the lower bound before the dynamic
+	// program started, or by the bar part-way through it.
 	RetainedDocs   int
 	RetainedPoints int
 	RetainedBytes  int64

@@ -74,28 +74,122 @@ func dtwBrute(p, q []geo.Point) float64 {
 	return rec(len(p), len(q))
 }
 
+// pairs yields the inputs the kernel is pinned on: independent walks of
+// unequal length, a few hundred points long at the top end, and noisy
+// copies of one route — overlapping boxes, where no cheap bound separates
+// the two and the band is all that prunes.
+func pairs(rng *rand.Rand, rounds int, f func(p, q []geo.Point)) {
+	for round := 0; round < rounds; round++ {
+		size := []int{12, 60, 300}[round%3]
+		p := randomWalk(rng, 1+rng.Intn(size))
+		q := randomWalk(rng, 1+rng.Intn(size))
+		if round%2 == 1 {
+			q = noisyCopy(rng, p, 1+rng.Intn(size))
+		}
+		f(p, q)
+	}
+}
+
+// noisyCopy resamples route at n points with a few meters of jitter: the
+// same road driven again.
+func noisyCopy(rng *rand.Rand, route []geo.Point, n int) []geo.Point {
+	out := make([]geo.Point, n)
+	for i := range out {
+		at := route[i*len(route)/n]
+		out[i] = geo.Offset(at, rng.Float64()*10-5, rng.Float64()*10-5)
+	}
+	return out
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestDFDMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 50; round++ {
-		p := randomWalk(rng, 1+rng.Intn(12))
-		q := randomWalk(rng, 1+rng.Intn(12))
-		got, want := DFD(p, q), dfdBrute(p, q)
-		if math.Abs(got-want) > 1e-6 {
+	pairs(rand.New(rand.NewSource(3)), 30, func(p, q []geo.Point) {
+		if got, want := DFD(p, q), dfdBrute(p, q); !sameBits(got, want) {
 			t.Fatalf("DFD = %v, brute force = %v (|p|=%d |q|=%d)", got, want, len(p), len(q))
+		}
+	})
+}
+
+func TestDTWMatchesBruteForce(t *testing.T) {
+	pairs(rand.New(rand.NewSource(4)), 30, func(p, q []geo.Point) {
+		if got, want := DTW(p, q), dtwBrute(p, q); !sameBits(got, want) {
+			t.Fatalf("DTW = %v, brute force = %v (|p|=%d |q|=%d)", got, want, len(p), len(q))
+		}
+	})
+}
+
+// metrics pairs each bounded kernel with its upper bound and its textbook
+// reference.
+var metrics = []struct {
+	name   string
+	within func(p, q []geo.Point, bar float64) (float64, bool)
+	upper  func(p, q []geo.Point) float64
+	brute  func(p, q []geo.Point) float64
+}{
+	{"DTW", DTWWithin, DTWUpper, dtwBrute},
+	{"DFD", DFDWithin, DFDUpper, dfdBrute},
+}
+
+// checkWithin is the kernel's whole contract on one input: a kept score
+// is the textbook's float, an abandoned pair really lies strictly above
+// the bar, a bar equal to the score keeps it, and the upper bound is one.
+func checkWithin(t *testing.T, p, q []geo.Point, bars ...float64) {
+	t.Helper()
+	for _, m := range metrics {
+		want := m.brute(p, q)
+		for _, bar := range append(bars, want) {
+			got, ok := m.within(p, q, bar)
+			switch {
+			case ok && !sameBits(got, want):
+				t.Fatalf("%sWithin(bar %v) = %v, textbook %v (|p|=%d |q|=%d)", m.name, bar, got, want, len(p), len(q))
+			case ok && want > bar:
+				t.Fatalf("%sWithin(bar %v) kept a pair at %v", m.name, bar, want)
+			case !ok && !(want > bar):
+				t.Fatalf("%sWithin(bar %v) abandoned a pair at %v (|p|=%d |q|=%d)", m.name, bar, want, len(p), len(q))
+			}
+		}
+		if ub := m.upper(p, q); ub < want {
+			t.Fatalf("%sUpper = %v, below the exact score %v (|p|=%d |q|=%d)", m.name, ub, want, len(p), len(q))
 		}
 	}
 }
 
-func TestDTWMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for round := 0; round < 50; round++ {
-		p := randomWalk(rng, 1+rng.Intn(12))
-		q := randomWalk(rng, 1+rng.Intn(12))
-		got, want := DTW(p, q), dtwBrute(p, q)
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("DTW = %v, brute force = %v (|p|=%d |q|=%d)", got, want, len(p), len(q))
+// TestWithinMatchesBruteForce sweeps the bar across each pair's own score
+// range, so bands of every width — none, a sliver, everything — occur.
+func TestWithinMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pairs(rng, 24, func(p, q []geo.Point) {
+		dtw, dfd := DTW(p, q), DFD(p, q)
+		checkWithin(t, p, q, -1, 0, math.Inf(1),
+			dfd/2, math.Nextafter(dfd, 0), dfd*(1+rng.Float64()), DFDUpper(p, q),
+			dtw/2, math.Nextafter(dtw, 0), dtw*(1+rng.Float64()/10), DTWUpper(p, q))
+	})
+}
+
+// FuzzWithin drives checkWithin from fuzzed trajectory shapes — two walks
+// from one seed, or a walk and its noisy copy — under a fuzzed bar, and
+// under one a fuzzed fraction of the way up to each upper bound, where
+// the band is neither empty nor everything.
+func FuzzWithin(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(10), false, 100.0, uint8(128))
+	f.Add(int64(2), uint8(40), uint8(3), true, 0.0, uint8(255))
+	f.Add(int64(3), uint8(1), uint8(90), false, -5.0, uint8(0))
+	f.Add(int64(4), uint8(200), uint8(180), true, 2500.0, uint8(40))
+	f.Add(int64(5), uint8(7), uint8(7), true, math.Inf(1), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint8, copied bool, bar float64, frac uint8) {
+		if math.IsNaN(bar) {
+			t.Skip("a NaN bar orders nothing")
 		}
-	}
+		rng := rand.New(rand.NewSource(seed))
+		p := randomWalk(rng, 1+int(n))
+		q := randomWalk(rng, 1+int(m))
+		if copied {
+			q = noisyCopy(rng, p, 1+int(m))
+		}
+		part := float64(frac) / 255
+		checkWithin(t, p, q, bar, part*DTWUpper(p, q), part*DFDUpper(p, q))
+	})
 }
 
 func randomWalk(rng *rand.Rand, n int) []geo.Point {
@@ -240,6 +334,20 @@ func BenchmarkDTW1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = DTW(p, q)
+	}
+}
+
+// BenchmarkDTWWithin1000 is BenchmarkDTW1000 under the bar a trajectory
+// ten times closer would set: what the band leaves of the full program.
+func BenchmarkDTWWithin1000(b *testing.B) {
+	p := line(1000, 10)
+	q := shifted(p, 50)
+	bar := DTW(p, shifted(p, 5))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := DTWWithin(p, q, bar); ok {
+			b.Fatal("kept a pair ten times over the bar")
+		}
 	}
 }
 

@@ -5,16 +5,21 @@
 // node over its slice of a pushed-down shortlist — so a cheaper bound
 // added here speeds up both.
 //
-// Under a result cap, a candidate whose cheap lower bound proves it cannot
-// enter the top-limit is skipped without running the O(n·m) dynamic
-// program. Skips are strict-inequality only, so sorting what was scored
-// and truncating to the cap is byte-identical to scoring everything.
+// Under a result cap, a built-in metric runs against a bar no result can
+// lie above: a candidate a cheap lower bound puts over the bar is skipped
+// outright, and the O(n·m) dynamic program of any other is abandoned the
+// moment it proves the score over the bar. Both tests are strict
+// inequalities, and a score that is kept is the unbounded metric's float,
+// so sorting what was scored and truncating to the cap is byte-identical
+// to scoring everything.
 package rerank
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +27,11 @@ import (
 	"geodabs/internal/geo"
 )
 
-// Metric names a built-in exact metric. Only built-ins have a known lower
-// bound, so only they can be gated, and only they can be named to a shard
-// node — a custom metric is an arbitrary function and cannot cross a
-// process boundary; the zero Metric stands for one. The values go on the
-// wire between coordinator and nodes and must not be renumbered.
+// Metric names a built-in exact metric. Only built-ins have known bounds
+// and a bounded kernel, so only they can be scored against a bar, and
+// only they can be named to a shard node — a custom metric is an
+// arbitrary function and cannot cross a process boundary. The values go
+// on the wire between coordinator and nodes and must not be renumbered.
 type Metric uint8
 
 const (
@@ -35,22 +40,22 @@ const (
 	DFD Metric = 2
 )
 
-// Func returns the metric's implementation — the same function the public
-// package binds — or nil for anything but a built-in.
-func (m Metric) Func() func(a, b []geo.Point) float64 {
+// kernel returns the metric's bounded implementation and its O(n+m)
+// upper bound, or nils for anything but a built-in.
+func (m Metric) kernel() (within func(p, q []geo.Point, bar float64) (float64, bool), upper func(p, q []geo.Point) float64) {
 	switch m {
 	case DTW:
-		return distance.DTW
+		return distance.DTWWithin, distance.DTWUpper
 	case DFD:
-		return distance.DFD
+		return distance.DFDWithin, distance.DFDUpper
 	}
-	return nil
+	return nil, nil
 }
 
 // Candidate is one shortlist member. The caller fills ID and Points, and
-// Box (the bounding box of Points) when it passes Score a gate; Score
-// fills Score, or sets Skipped when the lower bound settled the candidate
-// without scoring it.
+// Box (the bounding box of Points) when it calls Score under a positive
+// limit; a scoring pass fills Score, or sets Skipped when the candidate
+// was proved outside the top limit without its exact score being known.
 type Candidate struct {
 	ID     uint32
 	Points []geo.Point
@@ -60,26 +65,44 @@ type Candidate struct {
 	Skipped bool
 }
 
-// parallelMin is the shortlist length below which Score stays on the
+// parallelMin is the shortlist length below which a pass stays on the
 // calling goroutine; a pool is not worth its goroutine startup for a
 // handful of metric calls.
 const parallelMin = 16
 
-// Score runs metric(query, c.Points) for every candidate on a bounded
-// worker pool — the metrics are CPU-bound, so GOMAXPROCS workers at most,
-// the calling goroutine among them, and it alone for a short shortlist.
+// ScoreFunc runs metric(query, c.Points) for every candidate. Nothing is
+// known about an arbitrary function, so nothing is skipped.
 //
-// When gate is a built-in and limit is positive, the limit best (score,
-// ID) pairs seen so far are kept in a heap, and a candidate whose lower
-// bound lies strictly above the heap's worst member is marked Skipped
-// instead of scored: it cannot place, not even on the ID tiebreak. The
-// bound holds for the built-ins only — DTW and DFD each force the
-// (first, first) and (last, last) alignments, so the larger endpoint
+// A cancelled ctx stops the workers between candidates; ScoreFunc returns
+// ctx.Err().
+func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric func(a, b []geo.Point) float64) error {
+	return each(ctx, len(cands), func(i int) {
+		cands[i].Score = metric(query, cands[i].Points)
+	})
+}
+
+// Score scores every candidate with the built-in metric m. With limit <=
+// 0 that is the full dynamic program on each. Under a positive limit only
+// the limit best (score, ID) pairs matter to the caller, and each
+// candidate is scored against
+//
+//	bar = min(seed, worst of the limit best scores so far)
+//
+// where seed is the limit-th smallest upper bound over the shortlist —
+// the cost of one particular alignment, O(n+m) per candidate, computed
+// before any dynamic program runs. At least limit candidates score at or
+// below either term, so a score strictly above bar cannot place, not even
+// on the ID tiebreak. A candidate is marked Skipped instead of scored
+// when its lower bound is strictly above bar, or when the bounded kernel
+// abandons it there part-way through the program; every other candidate
+// gets bit-for-bit the score m's unbounded function returns.
+//
+// The lower bound holds for the built-ins only — DTW and DFD each force
+// the (first, first) and (last, last) alignments, so the larger endpoint
 // haversine bounds both from below; the bounding-box separation bounds
 // every matched pair, so it bounds DFD (a max over pairs) directly and
 // DTW (a sum over a monotone path of at least max(n, m) pairs) times
-// max(n, m) — which is why the caller must pass the gate that matches
-// metric, or none.
+// max(n, m).
 //
 // Workers read the heap's threshold under a mutex; a stale value is safe
 // because the limit-th best only tightens as scores land — a looser one
@@ -89,42 +112,75 @@ const parallelMin = 16
 //
 // A cancelled ctx stops the workers between candidates; Score returns
 // ctx.Err().
-func Score(ctx context.Context, query []geo.Point, cands []Candidate, metric func(a, b []geo.Point) float64, gate Metric, limit int) error {
-	if gate.Func() == nil {
-		limit = 0 // no bound to gate with: the heap stays off
+func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, limit int) error {
+	within, upper := m.kernel()
+	if within == nil {
+		return fmt.Errorf("rerank: unknown metric %d", m)
+	}
+	seed := math.Inf(1)
+	if 0 < limit && limit < len(cands) {
+		bounds := make([]float64, len(cands))
+		if err := each(ctx, len(cands), func(i int) {
+			bounds[i] = upper(query, cands[i].Points)
+		}); err != nil {
+			return err
+		}
+		slices.Sort(bounds)
+		seed = bounds[limit-1]
 	}
 	var (
-		qBox   = geo.NewBox(query...)
+		qBox   geo.Box // read by the lower bound, so under a limit only
 		heapMu sync.Mutex
 		h      = keptHeap{limit: limit}
-		next   atomic.Int64
 	)
+	if limit > 0 {
+		qBox = geo.NewBox(query...)
+	}
+	return each(ctx, len(cands), func(i int) {
+		c := &cands[i]
+		bar := seed
+		if limit > 0 {
+			heapMu.Lock()
+			if thr, full := h.threshold(); full && thr < bar {
+				bar = thr
+			}
+			heapMu.Unlock()
+			if len(query) > 0 && len(c.Points) > 0 && lowerBound(m, query, qBox, c) > bar {
+				c.Skipped = true
+				return
+			}
+		}
+		score, ok := within(query, c.Points, bar)
+		if !ok {
+			c.Skipped = true
+			return
+		}
+		c.Score = score
+		if limit > 0 {
+			heapMu.Lock()
+			h.offer(c.Score, c.ID)
+			heapMu.Unlock()
+		}
+	})
+}
+
+// each runs f(i) for every i in [0, n) on a bounded worker pool — the
+// metrics are CPU-bound, so GOMAXPROCS workers at most, the calling
+// goroutine among them, and it alone below parallelMin. A cancelled ctx
+// stops the workers between calls; each then returns ctx.Err().
+func each(ctx context.Context, n int, f func(i int)) error {
+	var next atomic.Int64
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(cands) || ctx.Err() != nil {
+			if i >= n || ctx.Err() != nil {
 				return
 			}
-			c := &cands[i]
-			if limit > 0 && len(query) > 0 && len(c.Points) > 0 {
-				heapMu.Lock()
-				thr, full := h.threshold()
-				heapMu.Unlock()
-				if full && lowerBound(gate, query, qBox, c) > thr {
-					c.Skipped = true
-					continue
-				}
-			}
-			c.Score = metric(query, c.Points)
-			if limit > 0 {
-				heapMu.Lock()
-				h.offer(c.Score, c.ID)
-				heapMu.Unlock()
-			}
+			f(i)
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(cands))
-	if len(cands) < parallelMin {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if n < parallelMin {
 		workers = 1
 	}
 	var wg sync.WaitGroup
@@ -140,15 +196,15 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, metric fun
 	return ctx.Err()
 }
 
-// lowerBound cheaply bounds gate's metric between query and c from below;
-// both point sequences must be non-empty.
-func lowerBound(gate Metric, query []geo.Point, qBox geo.Box, c *Candidate) float64 {
+// lowerBound cheaply bounds metric m between query and c from below; both
+// point sequences must be non-empty.
+func lowerBound(m Metric, query []geo.Point, qBox geo.Box, c *Candidate) float64 {
 	lb := math.Max(
 		geo.Haversine(query[0], c.Points[0]),
 		geo.Haversine(query[len(query)-1], c.Points[len(c.Points)-1]),
 	)
 	boxLB := qBox.MinDistance(c.Box)
-	if gate == DTW {
+	if m == DTW {
 		boxLB *= float64(max(len(query), len(c.Points)))
 	}
 	return math.Max(lb, boxLB)

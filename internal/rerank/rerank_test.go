@@ -3,10 +3,10 @@ package rerank
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"geodabs/internal/distance"
@@ -27,6 +27,37 @@ func shortlist(count int) []Candidate {
 		cands[i] = Candidate{ID: uint32(i + 1), Points: pts, Box: geo.NewBox(pts...)}
 	}
 	return cands
+}
+
+// sameRoute builds count candidates that all drive the query's road: the
+// route resampled at varying lengths, leaving it by up to a hundred meters mid-way
+// and rejoining it. Every bounding box overlaps the query's and every
+// endpoint sits on the query's, so the lower bound settles nothing — the
+// dense-city shortlist. Candidates 2k and 2k+1 are the same points under
+// two IDs: exact score ties, which an odd limit puts right at the bar.
+func sameRoute(query []geo.Point, count int) []Candidate {
+	cands := make([]Candidate, count)
+	for i := range cands {
+		twin := i / 2
+		pts := make([]geo.Point, len(query)-twin%5)
+		for j := range pts {
+			bulge := math.Sin(math.Pi * float64(j) / float64(len(pts)-1))
+			pts[j] = geo.Offset(query[j*len(query)/len(pts)], bulge*(5+float64(twin*29%97)), 0)
+		}
+		cands[i] = Candidate{ID: uint32(count - i), Points: pts, Box: geo.NewBox(pts...)}
+	}
+	return cands
+}
+
+// road is an 80-point query with a bend in it.
+func road() []geo.Point {
+	pts := make([]geo.Point, 80)
+	at := geo.Point{Lat: 48.85, Lon: 2.35}
+	for i := range pts {
+		pts[i] = at
+		at = geo.Offset(at, 12, float64(i)/4)
+	}
+	return pts
 }
 
 // topOf reduces scored candidates to their limit best (score, ID) pairs
@@ -54,48 +85,68 @@ func topOf(cands []Candidate, limit int) []kept {
 	return pairs
 }
 
-// TestScoreMatchesScoringEverything pins the gated pass to the reference —
-// the metric on every candidate, sorted, truncated — for both built-ins
-// and an ungated custom metric, across limits, on one worker and on a
-// pool, short shortlists (below parallelMin) and long.
+// TestScoreMatchesScoringEverything pins the bounded pass to the
+// reference — the unbounded metric on every candidate, sorted, truncated —
+// for both built-ins, on a spread-out shortlist the lower bound separates
+// and a same-route one only the kernel's bar can, across limits (none,
+// odd ones that cut a score tie in two, one past the shortlist), on one
+// worker and on a pool, short shortlists (below parallelMin) and long.
 func TestScoreMatchesScoringEverything(t *testing.T) {
-	query := []geo.Point{{Lat: 0.02, Lon: 0.02}, {Lat: 0.025, Lon: 0.024}, {Lat: 0.03, Lon: 0.029}}
-	custom := func(a, b []geo.Point) float64 { return -distance.DFD(a, b) } // farthest first: any bound would be wrong
+	spread := []geo.Point{{Lat: 0.02, Lon: 0.02}, {Lat: 0.025, Lon: 0.024}, {Lat: 0.03, Lon: 0.029}}
 	for _, tc := range []struct {
-		name   string
-		metric func(a, b []geo.Point) float64
-		gate   Metric
+		name      string
+		metric    Metric
+		unbounded func(a, b []geo.Point) float64
 	}{
-		{"dtw", distance.DTW, DTW},
-		{"dfd", distance.DFD, DFD},
-		{"custom", custom, 0},
+		{"dtw", DTW, distance.DTW},
+		{"dfd", DFD, distance.DFD},
 	} {
-		for _, count := range []int{parallelMin - 2, 3 * parallelMin} {
-			var reference []Candidate
-			for _, c := range shortlist(count) {
-				c.Score = tc.metric(query, c.Points)
-				reference = append(reference, c)
-			}
-			for _, limit := range []int{0, 1, 10} {
-				for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
-					cands := shortlist(count)
-					prev := runtime.GOMAXPROCS(procs)
-					err := Score(context.Background(), query, cands, tc.metric, tc.gate, limit)
-					runtime.GOMAXPROCS(prev)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := topOf(cands, limit), topOf(reference, limit); !slices.Equal(got, want) {
-						t.Fatalf("%s count=%d limit=%d procs=%d: top = %v, want %v", tc.name, count, limit, procs, got, want)
-					}
-					skipped := 0
-					for _, c := range cands {
-						if c.Skipped {
-							skipped++
+		for _, sl := range []struct {
+			name  string
+			query []geo.Point
+			build func(count int) []Candidate
+		}{
+			{"spread", spread, shortlist},
+			{"same-route", road(), func(count int) []Candidate { return sameRoute(road(), count) }},
+		} {
+			for _, count := range []int{parallelMin - 2, 3 * parallelMin} {
+				reference := sl.build(count)
+				for i := range reference {
+					reference[i].Score = tc.unbounded(sl.query, reference[i].Points)
+				}
+				for _, limit := range []int{0, 1, 5, 10, count + 5} {
+					want := topOf(reference, limit)
+					for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
+						cands := sl.build(count)
+						prev := runtime.GOMAXPROCS(procs)
+						err := Score(context.Background(), sl.query, cands, tc.metric, limit)
+						runtime.GOMAXPROCS(prev)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if (tc.gate == 0 || limit == 0) && skipped != 0 {
-						t.Fatalf("%s count=%d limit=%d: %d candidates skipped with the gate off", tc.name, count, limit, skipped)
+						where := fmt.Sprintf("%s %s count=%d limit=%d procs=%d", tc.name, sl.name, count, limit, procs)
+						if got := topOf(cands, limit); !slices.Equal(got, want) {
+							t.Fatalf("%s: top = %v, want %v", where, got, want)
+						}
+						// A skipped candidate whose lower bound is no higher than
+						// the final limit-th score — which no bar ever goes below —
+						// was abandoned by the kernel, part-way through its program.
+						skipped, abandoned := 0, 0
+						qBox := geo.NewBox(sl.query...)
+						for i := range cands {
+							if c := &cands[i]; c.Skipped {
+								skipped++
+								if lowerBound(tc.metric, sl.query, qBox, c) <= want[len(want)-1].score {
+									abandoned++
+								}
+							}
+						}
+						switch unbounded := limit == 0 || limit >= count; {
+						case unbounded && skipped != 0:
+							t.Fatalf("%s: %d candidates skipped with no bar to skip them by", where, skipped)
+						case !unbounded && sl.name == "same-route" && abandoned == 0:
+							t.Fatalf("%s: no candidate abandoned mid-program (%d skipped)", where, skipped)
+						}
 					}
 				}
 			}
@@ -103,39 +154,61 @@ func TestScoreMatchesScoringEverything(t *testing.T) {
 	}
 }
 
-// TestScoreGateSkipsFarCandidate is the gate doing its job: once the
-// single slot of a limit-1 pass holds a near candidate, a far-away one is
-// settled by its lower bound and the metric never runs on it.
+// TestScoreFuncScoresEverything: an arbitrary function is run on every
+// candidate — here one that ranks farthest first, which any distance
+// bound would get wrong.
+func TestScoreFuncScoresEverything(t *testing.T) {
+	query := road()
+	farthest := func(a, b []geo.Point) float64 { return -distance.DFD(a, b) }
+	for _, count := range []int{parallelMin - 2, 3 * parallelMin} {
+		cands := sameRoute(query, count)
+		if err := ScoreFunc(context.Background(), query, cands, farthest); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cands {
+			if want := farthest(query, c.Points); c.Skipped || c.Score != want {
+				t.Fatalf("count=%d: candidate %d = (%v, skipped %v), want %v", count, c.ID, c.Score, c.Skipped, want)
+			}
+		}
+	}
+}
+
+func TestScoreRejectsUnknownMetric(t *testing.T) {
+	if err := Score(context.Background(), road(), shortlist(3), 0, 1); err == nil {
+		t.Fatal("metric 0 names no built-in, yet Score ran")
+	}
+}
+
+// TestScoreGateSkipsFarCandidate is the lower bound doing its job: once
+// the single slot of a limit-1 pass holds a near candidate, a far-away
+// one is settled by its lower bound. With the far candidate's box lied
+// about, the kernel still abandons it; with no limit, it is scored.
 func TestScoreGateSkipsFarCandidate(t *testing.T) {
 	near := []geo.Point{{Lat: 0, Lon: 0}, {Lat: 0.001, Lon: 0.001}}
 	far := []geo.Point{{Lat: 40, Lon: 40}, {Lat: 40.001, Lon: 40.001}}
-	cands := []Candidate{
-		{ID: 1, Points: near, Box: geo.NewBox(near...)},
-		{ID: 2, Points: far, Box: geo.NewBox(far...)},
-	}
-	var scoredFar atomic.Bool
-	metric := func(a, b []geo.Point) float64 {
-		if &b[0] == &far[0] {
-			scoredFar.Store(true)
+	build := func() []Candidate {
+		return []Candidate{
+			{ID: 1, Points: near, Box: geo.NewBox(near...)},
+			{ID: 2, Points: far, Box: geo.NewBox(far...)},
 		}
-		return distance.DTW(a, b)
 	}
-	if err := Score(context.Background(), near, cands, metric, DTW, 1); err != nil {
+	cands := build()
+	if err := Score(context.Background(), near, cands, DTW, 1); err != nil {
 		t.Fatal(err)
 	}
 	if cands[0].Skipped || cands[0].Score != 0 {
 		t.Errorf("near candidate: %+v, want scored at 0", cands[0])
 	}
-	if !cands[1].Skipped || scoredFar.Load() {
-		t.Errorf("far candidate was scored (skipped=%v); its lower bound is thousands of kilometres above the best", cands[1].Skipped)
+	if !cands[1].Skipped {
+		t.Error("far candidate was scored; its lower bound is thousands of kilometres above the best")
 	}
-	// The same shortlist with the gate off scores both.
-	cands[1].Skipped = false
-	if err := Score(context.Background(), near, cands, metric, 0, 1); err != nil {
+	// The same shortlist with no limit scores both.
+	cands = build()
+	if err := Score(context.Background(), near, cands, DTW, 0); err != nil {
 		t.Fatal(err)
 	}
-	if cands[1].Skipped || !scoredFar.Load() || math.IsInf(cands[1].Score, 0) {
-		t.Errorf("ungated pass left the far candidate unscored: %+v", cands[1])
+	if cands[1].Skipped || cands[1].Score != distance.DTW(near, far) {
+		t.Errorf("unlimited pass left the far candidate unscored: %+v", cands[1])
 	}
 }
 
@@ -149,11 +222,14 @@ func TestScoreHonoursCancellation(t *testing.T) {
 		return 0
 	}
 	cands := shortlist(parallelMin - 1) // one worker, so calls needs no lock
-	err := Score(ctx, cands[0].Points, cands, metric, 0, 0)
+	err := ScoreFunc(ctx, cands[0].Points, cands, metric)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls != 2 {
 		t.Errorf("metric ran %d times, want it to stop at the cancellation", calls)
+	}
+	if err := Score(ctx, cands[0].Points, cands, DTW, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Score on a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -396,17 +396,18 @@ func wrapQueries(ts []*Trajectory) []*Query {
 }
 
 // rerankHits applies the exact refinement pass on the local engine:
-// score the shortlist with the metric through rerank.Score, re-sort
+// score the shortlist with the metric through the rerank package, re-sort
 // ascending (ties by ID), truncate to the result limit. A built-in metric
-// under a result cap runs gated — hits whose lower bound proves them
-// outside the top-limit are dropped unscored — and a custom metric, for
-// which no bound is known, scores every hit. A no-op when no rerank was
+// under a result cap runs bounded — hits proved outside the top-limit are
+// dropped without their exact score — and a custom metric, about which
+// nothing is known, scores every hit. A no-op when no rerank was
 // requested.
 func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Point, pointsOf func(ID) []Point) ([]Result, error) {
 	if o.rerank == nil {
 		return hits, nil
 	}
-	gate, _ := builtinMetric(o.rerank)
+	metric, builtin := builtinMetric(o.rerank)
+	limit := o.resultLimit()
 	// Resolve every hit's points before scoring any, so a failure names
 	// the complete set of unavailable trajectories instead of whichever
 	// one a worker tripped over first.
@@ -417,14 +418,22 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 		if pts == nil {
 			missing = append(missing, h.ID)
 		}
-		cands[i] = rerank.Candidate{ID: uint32(h.ID), Points: pts, Box: geo.NewBox(pts...)}
+		cands[i] = rerank.Candidate{ID: uint32(h.ID), Points: pts}
+		if builtin && limit > 0 { // the only pass that reads boxes
+			cands[i].Box = geo.NewBox(pts...)
+		}
 	}
 	if len(missing) > 0 {
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
 		return nil, fmt.Errorf("geodabs: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): index built without WithPointRetention, or snapshot-loaded index", len(missing), len(hits), missing)
 	}
-	limit := o.resultLimit()
-	if err := rerank.Score(ctx, query, cands, o.rerank, gate, limit); err != nil {
+	var err error
+	if builtin {
+		err = rerank.Score(ctx, query, cands, metric, limit)
+	} else {
+		err = rerank.ScoreFunc(ctx, query, cands, o.rerank)
+	}
+	if err != nil {
 		return nil, err
 	}
 	scored := hits[:0]
@@ -445,8 +454,8 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 // every candidate's raw points to the coordinator, the shortlist is
 // pushed down to the shard nodes that retain them. Each node scores its
 // slice through the same rerank.Score pass as a local rerank (so scores
-// are bit-identical), pruning candidates a cheap lower bound proves
-// cannot enter the top-limit, and ships back (ID, score) pairs — raw
+// are bit-identical), dropping candidates it proves cannot enter the
+// top-limit, and ships back (ID, score) pairs — raw
 // points never cross the wire at query time. The coordinator merges the
 // scores into the final ranking.
 //
