@@ -1,5 +1,7 @@
 package bitmap
 
+import "math"
+
 // Counter accumulates per-value occurrence counts across a stream of
 // bitmaps — the term-at-a-time counting merge at the heart of ranked
 // retrieval: feeding every posting list of a query's terms through Add
@@ -13,10 +15,14 @@ package bitmap
 // first time are recorded in a candidate list, so enumerating the result
 // costs O(|candidates|), not a scan of the count arrays.
 //
-// Counts are 16-bit and wrap past 65535 Adds of one value; callers stream
-// at most that many bitmaps between Resets (ranked retrieval is bounded by
-// the query's term count, which the index core checks before choosing this
-// path). A Counter is not safe for concurrent use. The zero value is not
+// Counts are exact for any number of Adds and any AddN amount. The array
+// entries are 16 bits wide, and that width is this type's secret: Add
+// counts down the Adds that cannot wrap an entry, and when none are left
+// spill moves every count above half range into a side table, leaving 1
+// behind as the first-touch marker. The side table stays empty — and
+// unallocated — unless some value really is counted past 32767, which no
+// ranked retrieval does (a shared count is bounded by the query's term
+// count). A Counter is not safe for concurrent use. The zero value is not
 // usable; construct with NewCounter and reuse via Reset — a steady-state
 // Add/Reset cycle performs no allocations.
 type Counter struct {
@@ -25,11 +31,26 @@ type Counter struct {
 	chunks [][]uint16 // parallel to keys; each 65536 counts
 	free   [][]uint16 // zeroed chunk arrays recycled by Reset
 	cands  []uint32   // values with count ≥ 1, in first-touch order
+	// room is how many more Adds no array entry can wrap under: every
+	// entry is at most MaxUint16 − room.
+	room int
+	// wide holds what spilled out of the arrays: a value's count is its
+	// array entry plus wide[v]. Nil until the first spill.
+	wide map[uint32]int
 }
+
+const (
+	// spillAbove is the largest array entry a spill (or AddN) leaves
+	// behind: half the 16-bit range, so the room restored is the other
+	// half.
+	spillAbove = math.MaxUint16 / 2
+	// counterRoom is the Adds an entry at spillAbove can absorb unwrapped.
+	counterRoom = math.MaxUint16 - spillAbove
+)
 
 // NewCounter returns an empty counter ready for Add.
 func NewCounter() *Counter {
-	c := &Counter{slot: make([]int32, 1<<16)}
+	c := &Counter{slot: make([]int32, 1<<16), room: counterRoom}
 	for i := range c.slot {
 		c.slot[i] = -1
 	}
@@ -62,14 +83,41 @@ func (c *Counter) chunkFor(key uint16) []uint16 {
 //
 //geodabs:noalloc
 func (c *Counter) Add(b *Bitmap) {
+	if c.room == 0 {
+		c.spill() //geodabs:vet-ignore first-spill allocation (spill inlines here): the side table, made once when a value is first counted past spillAbove and kept across Reset
+	}
+	c.room--
 	for i, key := range b.keys {
 		c.cands = b.containers[i].countInto(uint32(key)<<16, c.chunkFor(key), c.cands)
 	}
 }
 
-// AddN bumps the count of a single value by n (no-op for n ≤ 0). The
-// cluster coordinator uses it to sum the partial counts returned by shard
-// nodes, whose term spaces are disjoint.
+// spill restores counterRoom Adds of headroom: every array entry above
+// spillAbove moves to the side table, all but the 1 that keeps marking
+// the value as touched. One pass over the candidates per counterRoom
+// Adds; values counted at most spillAbove times are left alone.
+func (c *Counter) spill() {
+	for _, v := range c.cands {
+		counts := c.chunks[c.slot[uint16(v>>16)]]
+		if n := counts[uint16(v)]; n > spillAbove {
+			c.widen(v, int(n)-1)
+			counts[uint16(v)] = 1
+		}
+	}
+	c.room = counterRoom
+}
+
+// widen adds n to v's side-table share.
+func (c *Counter) widen(v uint32, n int) {
+	if c.wide == nil {
+		c.wide = make(map[uint32]int)
+	}
+	c.wide[v] += n
+}
+
+// AddN bumps the count of a single value by n (no-op for n ≤ 0), exactly
+// for any n. The cluster coordinator uses it to sum the partial counts
+// returned by shard nodes, whose term spaces are disjoint.
 func (c *Counter) AddN(v uint32, n int) {
 	if n <= 0 {
 		return
@@ -78,15 +126,27 @@ func (c *Counter) AddN(v uint32, n int) {
 	if counts[uint16(v)] == 0 {
 		c.cands = append(c.cands, v)
 	}
-	counts[uint16(v)] += uint16(n)
+	// An entry AddN writes stays at or below spillAbove, which is what
+	// room promises of every entry whatever Adds came before.
+	if sum := int(counts[uint16(v)]) + n; sum <= spillAbove {
+		counts[uint16(v)] = uint16(sum)
+	} else {
+		c.widen(v, sum-1)
+		counts[uint16(v)] = 1
+	}
 }
 
 // Count returns the accumulated count of v, 0 when never seen.
 func (c *Counter) Count(v uint32) int {
-	if i := c.slot[uint16(v>>16)]; i >= 0 {
-		return int(c.chunks[i][uint16(v)])
+	i := c.slot[uint16(v>>16)]
+	if i < 0 {
+		return 0
 	}
-	return 0
+	n := int(c.chunks[i][uint16(v)])
+	if len(c.wide) != 0 {
+		n += c.wide[v]
+	}
+	return n
 }
 
 // Candidates returns the values counted at least once, in first-touch
@@ -115,4 +175,6 @@ func (c *Counter) Reset() {
 	c.keys = c.keys[:0]
 	c.chunks = c.chunks[:0]
 	c.cands = c.cands[:0]
+	clear(c.wide)
+	c.room = counterRoom
 }

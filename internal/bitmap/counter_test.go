@@ -174,3 +174,108 @@ func TestIteratorNextMany(t *testing.T) {
 		t.Fatal("zero iterator should be exhausted")
 	}
 }
+
+// FuzzCounter checks the counter against a map model on op streams that
+// reach past the 16-bit width of its array entries: one posting list
+// streamed tens of thousands of times, AddN amounts up to 2³¹, Reset and
+// reuse. Each op is a tag byte and its operands; see the switch.
+func FuzzCounter(f *testing.F) {
+	streams := []*Bitmap{FromSlice([]uint32{1, 9, 70000}), New(), New()}
+	for v := uint32(0); v < arrayMaxSize+4; v++ {
+		streams[1].Add(v * 3) // a bitset container, sharing 9 with the array
+	}
+	for v := uint32(5); v < 13; v++ {
+		streams[2].Add(v) // a run container over 9 as well
+	}
+	streams[2].RunOptimize()
+	values := []uint32{1, 9, 70000, 1 << 31, 12}
+
+	stream := func(which byte, k uint32) []byte {
+		return []byte{0, which, byte(k), byte(k >> 8), byte(k >> 16)}
+	}
+	for _, k := range []uint32{65535, 65536, 140000} {
+		f.Add(stream(0, k))
+		f.Add(append(append(stream(2, k), stream(1, 2)...), 2, 0, 0, 1, 0, 0)) // … then Reset and one more Add
+	}
+	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0xff, 1, 1, 0xff, 0xff, 0xff, 0xff}) // AddN(9, 2³¹) twice
+	f.Add(append(stream(0, 40000), 1, 0, 0x00, 0x80, 0, 0))                   // Adds, then AddN onto a count above half range
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := NewCounter()
+		want := make(map[uint32]int)
+		var order []uint32
+		touch := func(v uint32, n int) {
+			if want[v] == 0 {
+				order = append(order, v)
+			}
+			want[v] += n
+		}
+		check := func() {
+			t.Helper()
+			cands := c.Candidates()
+			if len(cands) != len(order) {
+				t.Fatalf("%d candidates, want %d", len(cands), len(order))
+			}
+			for i, v := range cands {
+				if v != order[i] {
+					t.Fatalf("candidate %d is %d, want %d (first-touch order, no repeats)", i, v, order[i])
+				}
+				if got := c.Count(v); got != want[v] {
+					t.Fatalf("Count(%d) = %d, want %d", v, got, want[v])
+				}
+			}
+			if got := c.Count(77); got != 0 {
+				t.Fatalf("Count of an untouched value = %d", got)
+			}
+		}
+		// budget bounds the postings one input may stream, so the fuzzer's
+		// executions stay short whatever repeat counts it invents.
+		budget := 2 << 20
+		for len(ops) > 0 {
+			tag := ops[0] % 3
+			ops = ops[1:]
+			switch {
+			case tag == 0 && len(ops) >= 4: // Add(streams[i]) k times
+				b := streams[int(ops[0])%len(streams)]
+				k := int(ops[1]) | int(ops[2])<<8 | int(ops[3])<<16
+				ops = ops[4:]
+				if k = min(k, budget/b.Cardinality()); k == 0 {
+					continue
+				}
+				budget -= k * b.Cardinality()
+				for i := 0; i < k; i++ {
+					c.Add(b)
+				}
+				b.Iterate(func(v uint32) bool {
+					touch(v, k)
+					return true
+				})
+			case tag == 1 && len(ops) >= 5: // AddN(values[i], n), n ≤ 2³¹
+				v := values[int(ops[0])%len(values)]
+				n := int(ops[1]) | int(ops[2])<<8 | int(ops[3])<<16 | int(ops[4]&0x7f)<<24
+				ops = ops[5:]
+				c.AddN(v, n+1)
+				touch(v, n+1)
+			case tag == 2:
+				check()
+				c.Reset()
+				clear(want)
+				order = order[:0]
+			default:
+				ops = nil // truncated operands
+			}
+		}
+		check()
+		// Whatever came before, a reset counter is back in its steady
+		// state: counting without a spill allocates nothing.
+		c.Reset()
+		if allocs := testing.AllocsPerRun(3, func() {
+			for _, b := range streams {
+				c.Add(b)
+			}
+			c.Reset()
+		}); allocs != 0 {
+			t.Fatalf("steady-state Add/Reset allocates %v times", allocs)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"geodabs/internal/roadnet"
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 )
 
 var testWorkload = func() *gen.Output {
@@ -230,8 +232,16 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.close()
-	if _, err := cl.call(context.Background(), &request{Op: opAdd}); err == nil {
-		t.Error("add without payload should error")
+	if _, err := cl.call(context.Background(), &request{Op: opMutate}); err == nil {
+		t.Error("mutation without payload should error")
+	}
+	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{Op: 9, ID: 1, Epoch: 1}}); err == nil {
+		t.Error("unknown mutation op should error")
+	}
+	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{
+		Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1}, Points: []geo.Point{{Lat: 1, Lon: 1}},
+	}}); err == nil {
+		t.Error("plain add carrying points should error: the log would drop them")
 	}
 	if _, err := cl.call(context.Background(), &request{Op: opQuery}); err == nil {
 		t.Error("query without payload should error")
@@ -797,10 +807,11 @@ func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestNodeCardinalityWindow pins the node's window arithmetic on both
-// query paths with hand-built documents: a node must prune a candidate
-// whose replicated |G| falls outside [(1−d)·|F|, |F|/(1−d)] and keep one
-// inside, reporting the skipped entries in Pruned.
+// TestNodeCardinalityWindow pins the node's window arithmetic with
+// hand-built documents: a node must prune a candidate whose replicated
+// |G| falls outside [(1−d)·|F|, |F|/(1−d)] and keep one inside,
+// reporting the skipped entries in Pruned — also on a query of more than
+// 65535 terms, where one document's partial count itself passes 16 bits.
 func TestNodeCardinalityWindow(t *testing.T) {
 	node, err := StartNode("127.0.0.1:0")
 	if err != nil {
@@ -815,16 +826,22 @@ func TestNodeCardinalityWindow(t *testing.T) {
 	ctx := context.Background()
 	// Document 1: one shared term, tiny total cardinality (card 10).
 	// Document 2: one shared term, total cardinality 70000.
-	for _, doc := range []addRequest{
-		{ID: 1, Terms: []uint32{5}, Epoch: 1, Card: 10},
-		{ID: 2, Terms: []uint32{6}, Epoch: 2, Card: 70000},
+	// Document 3: 66000 terms, all of them in the wide query below.
+	many := make([]uint32, 66000)
+	for i := range many {
+		many[i] = uint32(100 + i)
+	}
+	for _, doc := range []wal.Record{
+		{Op: wal.OpAdd, ID: 1, Terms: []uint32{5}, Epoch: 1, Card: 10},
+		{Op: wal.OpAdd, ID: 2, Terms: []uint32{6}, Epoch: 2, Card: 70000},
+		{Op: wal.OpAdd, ID: 3, Terms: many, Epoch: 3, Card: 66000},
 	} {
 		doc := doc
-		if _, err := cl.call(ctx, &request{Op: opAdd, Add: &doc}); err != nil {
+		if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &doc}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Narrow path: |F|=100, d=0.5 → window ≈ [49, 201]: both docs outside.
+	// |F|=100, d=0.5 → window ≈ [49, 201]: docs 1 and 2 outside.
 	resp, err := cl.call(ctx, &request{Op: opQuery, Query: &queryRequest{
 		Terms: []uint32{5, 6}, QueryCard: 100, MaxDistance: 0.5,
 	}})
@@ -832,10 +849,11 @@ func TestNodeCardinalityWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(resp.Query.IDs) != 0 || resp.Query.Pruned != 2 {
-		t.Errorf("narrow path: IDs=%v Pruned=%d, want both docs pruned", resp.Query.IDs, resp.Query.Pruned)
+		t.Errorf("narrow query: IDs=%v Pruned=%d, want both docs pruned", resp.Query.IDs, resp.Query.Pruned)
 	}
-	// Wide path (>65535 terms): |F|=70000, d=0.5 → window ≈ [34999, 140001]:
-	// doc 1 pruned, doc 2 kept with its partial count of 1.
+	// More than 65535 terms: |F|=70000, d=0.5 → window ≈ [34999, 140001]:
+	// doc 1 pruned, doc 2 kept with its partial count of 1, doc 3 kept
+	// with a partial count no 16-bit entry can hold.
 	wide := make([]uint32, 70001)
 	for i := range wide {
 		wide[i] = uint32(i)
@@ -846,8 +864,8 @@ func TestNodeCardinalityWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Query.IDs) != 1 || resp.Query.IDs[0] != 2 || resp.Query.Counts[0] != 1 || resp.Query.Pruned != 1 {
-		t.Errorf("wide path: IDs=%v Counts=%v Pruned=%d, want doc 2 kept and doc 1 pruned",
+	if !reflect.DeepEqual(resp.Query.IDs, []uint32{2, 3}) || !reflect.DeepEqual(resp.Query.Counts, []uint32{1, 66000}) || resp.Query.Pruned != 1 {
+		t.Errorf("wide query: IDs=%v Counts=%v Pruned=%d, want docs 2 and 3 kept with counts 1 and 66000, doc 1 pruned",
 			resp.Query.IDs, resp.Query.Counts, resp.Query.Pruned)
 	}
 	// QueryCard 0 disables the window: both docs ship.
@@ -959,7 +977,7 @@ func TestClusterSameIDHammer(t *testing.T) {
 }
 
 // TestNodeRejectsMalformedDelete extends the malformed-request coverage
-// to the new op.
+// to delete records.
 func TestNodeRejectsMalformedDelete(t *testing.T) {
 	node, err := StartNode("127.0.0.1:0")
 	if err != nil {
@@ -971,11 +989,42 @@ func TestNodeRejectsMalformedDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.close()
-	if _, err := cl.call(context.Background(), &request{Op: opDelete}); err == nil {
-		t.Error("delete without payload should error")
+	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, ID: 1, Epoch: 1, Terms: []uint32{1}}}); err == nil {
+		t.Error("delete carrying terms should error")
 	}
 	// The connection survives the protocol error.
 	if _, err := cl.call(context.Background(), &request{Op: opStats}); err != nil {
 		t.Errorf("stats after malformed delete: %v", err)
+	}
+}
+
+// TestNodeRejectsTermlessAdd: an add without terms would be stored as a
+// doc whose nil terms read as a tombstone the node never counted, and
+// the next compaction sweep would drive the tombstone count negative.
+// The node must refuse it at the door.
+func TestNodeRejectsTermlessAdd(t *testing.T) {
+	node, err := StartNode("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	cl, err := dial(node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.close()
+	ctx := context.Background()
+	if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 5}}); err == nil {
+		t.Error("add without terms should error")
+	}
+	if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, ID: 2, Epoch: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := cl.call(ctx, &request{Op: opStats, CompactBelow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.Docs != 0 || resp.Stats.Tombstones != 0 {
+		t.Errorf("after the sweep: Docs=%d Tombstones=%d, want 0 and 0", resp.Stats.Docs, resp.Stats.Tombstones)
 	}
 }

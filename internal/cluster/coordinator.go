@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +15,7 @@ import (
 	"geodabs/internal/rerank"
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 )
 
 // ErrNotFound reports a mutation aimed at a trajectory the cluster does
@@ -450,17 +450,11 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 		owner = pointOwner(uint32(t.ID), nodes)
 	}
 	err := fanOut(parent, nodes, func(ctx context.Context, node int) error {
-		// Card replicates the trajectory's total cardinality |G| so
-		// the node can threshold-prune query candidates locally.
-		add := &addRequest{ID: uint32(t.ID), Terms: groups[node], Epoch: e, Card: card}
-		if node == owner {
-			add.Points = t.Points
+		rec := &wal.Record{Op: wal.OpAdd, Epoch: e, ID: uint32(t.ID), Card: uint32(card), Terms: groups[node]}
+		if node == owner && len(t.Points) > 0 {
+			rec.Op, rec.Points = wal.OpAddPoints, t.Points
 		}
-		_, err := c.clients[node].call(ctx, &request{
-			Op:           opAdd,
-			CompactBelow: below,
-			Add:          add,
-		})
+		_, err := c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec})
 		return err
 	})
 	if err != nil {
@@ -533,9 +527,9 @@ func (c *Coordinator) fanDeletes(ctx context.Context, id trajectory.ID, epoch, b
 		go func(node int) {
 			defer wg.Done()
 			_, err := c.clients[node].call(ctx, &request{
-				Op:           opDelete,
+				Op:           opMutate,
 				CompactBelow: below,
-				Delete:       &deleteRequest{ID: uint32(id), Epoch: epoch},
+				Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: epoch, ID: uint32(id)},
 			})
 			if err != nil {
 				mu.Lock()
@@ -640,9 +634,9 @@ func (c *Coordinator) deleteID(parent context.Context, id trajectory.ID) error {
 	// and deleting an absent ID is a cheap no-op.
 	err := fanOut(parent, allNodes(len(c.clients)), func(ctx context.Context, node int) error {
 		_, err := c.clients[node].call(ctx, &request{
-			Op:           opDelete,
+			Op:           opMutate,
 			CompactBelow: below,
-			Delete:       &deleteRequest{ID: uint32(id), Epoch: e},
+			Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)},
 		})
 		return err
 	})
@@ -967,22 +961,13 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 		Nodes:  len(groups),
 	}
 	qCard := plan.card
-	var acc partialAccumulator
-	if qCard <= math.MaxUint16 {
-		// The same pool feeds the shard nodes' query handlers; a
-		// coordinator embedded in a node process shares it.
-		counter := counterPool.Get().(*bitmap.Counter)
-		defer func() {
-			counter.Reset()
-			counterPool.Put(counter)
-		}()
-		acc = (*counterAccumulator)(counter)
-	} else {
-		// Degenerate term count: partial sums could wrap the counter's
-		// 16-bit counts, so merge into a map instead (mirrors the shard
-		// nodes' own wide fallback).
-		acc = mapAccumulator{}
-	}
+	// The same pool feeds the shard nodes' query handlers; a coordinator
+	// embedded in a node process shares it.
+	counter := counterPool.Get().(*bitmap.Counter)
+	defer func() {
+		counter.Reset()
+		counterPool.Put(counter)
+	}()
 	var sharedMu sync.Mutex
 	err := fanOut(parent, plan.nodes, func(ctx context.Context, node int) error {
 		resp, err := c.readCall(ctx, node, &request{
@@ -998,7 +983,9 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 		// Node term spaces are disjoint, so summing partial counts yields
 		// the exact |F ∩ G| — the distributed half of the counting merge.
 		sharedMu.Lock()
-		acc.addPartial(resp.Query.IDs, resp.Query.Counts)
+		for i, id := range resp.Query.IDs {
+			counter.AddN(id, int(resp.Query.Counts[i]))
+		}
 		info.NodePruned += resp.Query.Pruned
 		info.WirePartials += len(resp.Query.IDs)
 		sharedMu.Unlock()
@@ -1007,7 +994,8 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	if err != nil {
 		return nil, info, err
 	}
-	info.Candidates = acc.candidates()
+	cands := counter.Candidates()
+	info.Candidates = len(cands)
 
 	// Snapshot the directory columns ranking needs — cardinality,
 	// liveness, epoch — under the read lock, then rank outside it. The
@@ -1016,13 +1004,13 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	// candidate set's floating-point ranking.
 	ranked := make([]rankedCandidate, 0, info.Candidates)
 	c.mu.RLock()
-	acc.forEach(func(id uint32, shared int) {
+	for _, id := range cands {
 		entry, ok := c.directory[trajectory.ID(id)]
 		if !ok || entry.state != stateLive || entry.epoch > snap {
-			return // unknown, mid-mutation, or newer than the snapshot
+			continue // unknown, mid-mutation, or newer than the snapshot
 		}
-		ranked = append(ranked, rankedCandidate{id: id, card: entry.card, shared: shared})
-	})
+		ranked = append(ranked, rankedCandidate{id: id, card: entry.card, shared: counter.Count(id)})
+	}
 	c.mu.RUnlock()
 
 	// Rank through the same threshold-pruning core as the local index, so
@@ -1095,51 +1083,6 @@ type rankedCandidate struct {
 	shared int
 }
 
-// partialAccumulator is the merge target of a scatter-gather: it sums the
-// nodes' partial intersection counts and enumerates the result. The two
-// implementations differ only in count width.
-type partialAccumulator interface {
-	addPartial(ids []uint32, counts []uint32)
-	candidates() int
-	forEach(f func(id uint32, shared int))
-}
-
-// counterAccumulator adapts the pooled bitmap.Counter — the fast path.
-type counterAccumulator bitmap.Counter
-
-func (a *counterAccumulator) addPartial(ids []uint32, counts []uint32) {
-	c := (*bitmap.Counter)(a)
-	for i, id := range ids {
-		c.AddN(id, int(counts[i]))
-	}
-}
-
-func (a *counterAccumulator) candidates() int { return len((*bitmap.Counter)(a).Candidates()) }
-
-func (a *counterAccumulator) forEach(f func(id uint32, shared int)) {
-	c := (*bitmap.Counter)(a)
-	for _, v := range c.Candidates() {
-		f(v, c.Count(v))
-	}
-}
-
-// mapAccumulator is the wide fallback, immune to 16-bit count wrap.
-type mapAccumulator map[uint32]int
-
-func (a mapAccumulator) addPartial(ids []uint32, counts []uint32) {
-	for i, id := range ids {
-		a[id] += int(counts[i])
-	}
-}
-
-func (a mapAccumulator) candidates() int { return len(a) }
-
-func (a mapAccumulator) forEach(f func(id uint32, shared int)) {
-	for id, shared := range a {
-		f(id, shared)
-	}
-}
-
 // limitCap sizes the result allocation: the cap when one applies, the
 // candidate count otherwise.
 func limitCap(limit, candidates int) int {
@@ -1168,28 +1111,8 @@ func (c *Coordinator) Stats(parent context.Context) ([]NodeStats, error) {
 		if err != nil {
 			return err
 		}
-		s := resp.Stats
-		out[i] = NodeStats{
-			Node:           i,
-			Terms:          s.Terms,
-			Postings:       s.Postings,
-			Docs:           s.Docs,
-			Tombstones:     s.Tombstones,
-			Epoch:          s.Epoch,
-			StableEpoch:    s.StableEpoch,
-			WALBytes:       s.WALBytes,
-			WALSegments:    s.WALSegments,
-			WALRecords:     s.WALRecords,
-			WALSyncs:       s.WALSyncs,
-			WALLastSync:    time.Duration(s.WALLastSyncNS),
-			FullSyncs:      s.FullSyncs,
-			Subscribers:    s.Subscribers,
-			RetainedDocs:   s.RetainedDocs,
-			RetainedPoints: s.RetainedPoints,
-			RetainedBytes:  s.RetainedBytes,
-			RerankScored:   s.RerankScored,
-			RerankSkipped:  s.RerankSkipped,
-		}
+		out[i] = *resp.Stats
+		out[i].Node = i
 		if c.replicas == nil || len(c.replicas[i]) == 0 {
 			return nil
 		}
@@ -1219,7 +1142,9 @@ func (c *Coordinator) Stats(parent context.Context) ([]NodeStats, error) {
 }
 
 // NodeStats is one node's shard statistics, including its durability and
-// replication state.
+// replication state. It is also what a node answers opStats with: the
+// node fills everything but Node and Replicas, which the coordinator
+// adds from its own view of the cluster.
 type NodeStats struct {
 	Node     int
 	Terms    int

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -12,9 +15,11 @@ import (
 
 	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
+	"geodabs/internal/geo"
 	"geodabs/internal/index"
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 )
 
 // startDurableCluster spins up n WAL-backed nodes and a coordinator,
@@ -183,22 +188,22 @@ func TestNodeCrashRecoveryProperty(t *testing.T) {
 			epoch++
 			id := uint32(rng.Intn(12))
 			if rng.Intn(3) == 0 {
-				req := &deleteRequest{ID: id, Epoch: epoch}
-				if err := node.delete(req); err != nil {
+				rec := &wal.Record{Op: wal.OpDelete, ID: id, Epoch: epoch}
+				if err := node.mutate(rec); err != nil {
 					t.Fatalf("seed %d op %d delete: %v", seed, i, err)
 				}
-				ref.applyDelete(req)
+				ref.apply(rec)
 				continue
 			}
 			terms := make([]uint32, 1+rng.Intn(20))
 			for j := range terms {
 				terms[j] = uint32(rng.Intn(200))
 			}
-			req := &addRequest{ID: id, Terms: terms, Epoch: epoch, Card: len(terms) + rng.Intn(50)}
-			if err := node.add(req); err != nil {
+			rec := &wal.Record{Op: wal.OpAdd, ID: id, Terms: terms, Epoch: epoch, Card: uint32(len(terms) + rng.Intn(50))}
+			if err := node.mutate(rec); err != nil {
 				t.Fatalf("seed %d op %d add: %v", seed, i, err)
 			}
-			ref.applyAdd(req)
+			ref.apply(rec)
 			if rng.Intn(25) == 0 {
 				if err := node.Snapshot(); err != nil {
 					t.Fatalf("seed %d op %d snapshot: %v", seed, i, err)
@@ -349,11 +354,11 @@ func TestReplicaStaleGate(t *testing.T) {
 	}
 	defer rcl.close()
 
-	if _, err := pcl.call(ctx, &request{Op: opAdd, Add: &addRequest{ID: 1, Terms: []uint32{7, 8, 9}, Epoch: 5, Card: 3}}); err != nil {
+	if _, err := pcl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Terms: []uint32{7, 8, 9}, Epoch: 5, Card: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutations must be refused by the replica outright.
-	if _, err := rcl.call(ctx, &request{Op: opAdd, Add: &addRequest{ID: 2, Terms: []uint32{1}, Epoch: 6, Card: 1}}); err == nil {
+	if _, err := rcl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 2, Terms: []uint32{1}, Epoch: 6, Card: 1}}); err == nil {
 		t.Fatal("replica accepted a mutation")
 	}
 	// Wait for the add to stream over.
@@ -584,5 +589,105 @@ func TestCoordinatorDirectoryRecovery(t *testing.T) {
 	// re-addable.
 	if err := recovered.Add(ctx, trajs[0]); err != nil {
 		t.Fatalf("re-add of pre-restart-deleted trajectory: %v", err)
+	}
+}
+
+// writeParentWALFixture drives the mutation sequence that produced
+// testdata/parent-wal against a durable node in dir and hard-kills it:
+// adds with and without points, an upsert (delete + add) and a delete,
+// a snapshot, then two more mutations — so the directory holds a
+// node.snap and a tail segment of two records.
+func writeParentWALFixture(t *testing.T, dir string) {
+	t.Helper()
+	node, err := StartNode("127.0.0.1:0", WithWALDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Kill()
+	pts := func(n int, lat float64) []geo.Point {
+		out := make([]geo.Point, n)
+		for i := range out {
+			out[i] = geo.Point{Lat: lat + float64(i)*0.001, Lon: 7.25 - float64(i)*0.002}
+		}
+		return out
+	}
+	mutate := func(rec wal.Record) {
+		t.Helper()
+		if err := node.mutate(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(wal.Record{Op: wal.OpAdd, ID: 1, Terms: []uint32{5, 6, 7}, Epoch: 1, Card: 3})
+	mutate(wal.Record{Op: wal.OpAddPoints, ID: 2, Terms: []uint32{6, 9}, Epoch: 2, Card: 5, Points: pts(3, 48.5)})
+	mutate(wal.Record{Op: wal.OpAdd, ID: 3, Terms: []uint32{7}, Epoch: 3, Card: 1})
+	mutate(wal.Record{Op: wal.OpDelete, ID: 1, Epoch: 4}) // upsert of 1: delete, then add
+	mutate(wal.Record{Op: wal.OpAddPoints, ID: 1, Terms: []uint32{5, 8}, Epoch: 5, Card: 2, Points: pts(4, 48.6)})
+	mutate(wal.Record{Op: wal.OpDelete, ID: 3, Epoch: 6})
+	if err := node.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	mutate(wal.Record{Op: wal.OpAddPoints, ID: 4, Terms: []uint32{5, 9, 70000}, Epoch: 7, Card: 4, Points: pts(2, 48.7)})
+	mutate(wal.Record{Op: wal.OpDelete, ID: 2, Epoch: 8})
+}
+
+// TestParentWALCompatibility pins the node's two on-disk formats by
+// bytes. testdata/parent-wal was written at the commit before the
+// mutation types were unified (PR 16's tree, through its opAdd/opDelete
+// requests, by the sequence writeParentWALFixture repeats): its
+// node.snap and tail segment must recover to the literal state below,
+// and the same sequence run today must write the same segment bytes.
+func TestParentWALCompatibility(t *testing.T) {
+	const fixture = "testdata/parent-wal"
+	dir := t.TempDir()
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node, err := StartNode("127.0.0.1:0", WithWALDir(dir))
+	if err != nil {
+		t.Fatalf("recover the parent's directory: %v", err)
+	}
+	defer node.Kill()
+	// Live: 1 (upserted at epoch 5, 4 points) and 4 (epoch 7, 2 points).
+	// Fences: 3 (epoch 6, from the snapshot) and 2 (epoch 8, from the tail).
+	st := node.stats()
+	if st.Docs != 2 || st.Tombstones != 2 || st.Epoch != 8 || st.RetainedPoints != 6 {
+		t.Errorf("recovered Docs=%d Tombstones=%d Epoch=%d RetainedPoints=%d, want 2, 2, 8, 6",
+			st.Docs, st.Tombstones, st.Epoch, st.RetainedPoints)
+	}
+	got := node.query(&queryRequest{Terms: []uint32{5, 9}})
+	if want := (&queryResponse{IDs: []uint32{1, 4}, Counts: []uint32{1, 2}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("query {5, 9} = %+v, want %+v", got, want)
+	}
+
+	fresh := t.TempDir()
+	writeParentWALFixture(t, fresh)
+	if today, err := os.ReadDir(fresh); err != nil || len(today) != len(entries) {
+		t.Fatalf("today's directory holds %d files (%v), the parent's %d", len(today), err, len(entries))
+	}
+	for _, e := range entries {
+		if e.Name() == snapshotName {
+			continue // gob writes the docs in map order; the state check above covers it
+		}
+		want, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(fresh, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: today's bytes differ from the parent's\ngot  %x\nwant %x", e.Name(), got, want)
+		}
 	}
 }

@@ -22,8 +22,8 @@ package cluster
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -44,6 +44,7 @@ import (
 // card reset to 0, and the entry lingers only to fence stale adds until
 // the coordinator's compaction watermark passes the epoch; a tombstone
 // has no postings, so it can never surface as a query candidate.
+// checkRecord keeps termless adds out, so nil terms mean nothing else.
 //
 // When this node is the trajectory's point owner under point retention,
 // points holds the raw trajectory and box its precomputed bounding box
@@ -251,14 +252,7 @@ func (n *Node) recover(dir string, opts wal.Options) error {
 		return err
 	}
 	if err := l.Replay(func(r *wal.Record) error {
-		switch r.Op {
-		case wal.OpAdd:
-			n.applyAdd(&addRequest{ID: r.ID, Terms: r.Terms, Epoch: r.Epoch, Card: int(r.Card)})
-		case wal.OpAddPoints:
-			n.applyAdd(&addRequest{ID: r.ID, Terms: r.Terms, Epoch: r.Epoch, Card: int(r.Card), Points: r.Points})
-		case wal.OpDelete:
-			n.applyDelete(&deleteRequest{ID: r.ID, Epoch: r.Epoch})
-		}
+		n.apply(r)
 		return nil
 	}); err != nil {
 		l.Close()
@@ -396,25 +390,17 @@ func (n *Node) handle(req *request) *response {
 		n.compact(req.CompactBelow)
 	}
 	switch req.Op {
-	case opAdd:
-		if req.Add == nil {
-			return &response{Err: "add request missing payload"}
+	case opMutate:
+		if req.Mutate == nil {
+			return &response{Err: "mutate request missing payload"}
 		}
 		if n.primaryAddr != "" {
 			return &response{Err: "node is a read-only replica"}
 		}
-		if err := n.add(req.Add); err != nil {
+		if err := checkRecord(req.Mutate); err != nil {
 			return &response{Err: err.Error()}
 		}
-		return &response{}
-	case opDelete:
-		if req.Delete == nil {
-			return &response{Err: "delete request missing payload"}
-		}
-		if n.primaryAddr != "" {
-			return &response{Err: "node is a read-only replica"}
-		}
-		if err := n.delete(req.Delete); err != nil {
+		if err := n.mutate(req.Mutate); err != nil {
 			return &response{Err: err.Error()}
 		}
 		return &response{}
@@ -448,94 +434,93 @@ func (n *Node) handle(req *request) *response {
 	}
 }
 
-// add logs and applies a trajectory's postings. The write-ahead append
-// happens before the in-memory apply and the coordinator's ack, under
-// the shared apply lock, so a crash never acknowledges a mutation the
-// log does not hold.
-func (n *Node) add(req *addRequest) error {
+// checkRecord rejects, before it is logged, a mutation record the
+// coordinator never builds — the node reads them off a socket. An add
+// needs at least one term: nil terms are how a nodeDoc marks a
+// tombstone, and gob decodes an empty slice as nil, so a termless add
+// would be swept by compact as a tombstone the node never counted.
+// Points must match the op, because the log encodes them for
+// OpAddPoints only: anything else would recover to a different state
+// than it applied.
+func checkRecord(rec *wal.Record) error {
+	switch rec.Op {
+	case wal.OpAdd, wal.OpAddPoints:
+		if len(rec.Terms) == 0 {
+			return errors.New("add record carries no terms")
+		}
+		if (rec.Op == wal.OpAddPoints) != (len(rec.Points) > 0) {
+			return errors.New("add record's points do not match its op")
+		}
+	case wal.OpDelete:
+		if len(rec.Terms) > 0 || len(rec.Points) > 0 {
+			return errors.New("delete record carries terms or points")
+		}
+	default:
+		return fmt.Errorf("unknown mutation op %d", rec.Op)
+	}
+	return nil
+}
+
+// mutate logs and applies one mutation. The write-ahead append happens
+// before the in-memory apply and the coordinator's ack, under the shared
+// apply lock, so a crash never acknowledges a mutation the log does not
+// hold.
+func (n *Node) mutate(rec *wal.Record) error {
 	n.applyMu.RLock()
 	defer n.applyMu.RUnlock()
 	if n.wal != nil {
-		rec := wal.Record{Op: wal.OpAdd, Epoch: req.Epoch, ID: req.ID, Card: uint32(req.Card), Terms: req.Terms}
-		if req.Points != nil {
-			rec.Op = wal.OpAddPoints
-			rec.Points = req.Points
-		}
 		//geodabs:vet-ignore durability contract: append-then-apply must hold the shared apply lock so a crash never acks an unlogged mutation (docs/durability.md)
-		if err := n.wal.Append(rec); err != nil {
+		if err := n.wal.Append(*rec); err != nil {
 			return err
 		}
 	}
-	n.applyAdd(req)
+	n.apply(rec)
 	n.maybeSnapshot()
 	return nil
 }
 
-// delete logs and applies a posting withdrawal (see add for the
-// durability contract).
-func (n *Node) delete(req *deleteRequest) error {
-	n.applyMu.RLock()
-	defer n.applyMu.RUnlock()
-	if n.wal != nil {
-		//geodabs:vet-ignore durability contract: append-then-apply must hold the shared apply lock so a crash never acks an unlogged mutation (docs/durability.md)
-		if err := n.wal.Append(wal.Record{Op: wal.OpDelete, Epoch: req.Epoch, ID: req.ID}); err != nil {
-			return err
-		}
-	}
-	n.applyDelete(req)
-	n.maybeSnapshot()
-	return nil
-}
-
-// applyAdd applies a trajectory's terms, replacing whatever the node held
-// for the ID. An add at or below the ID's last applied epoch is stale —
-// an abandoned call that lost to its own cleanup delete, or a duplicate
-// retry (or a WAL replay over a snapshot that already covers it) — and
-// is ignored, so cleanup deletes cannot be undone by the failed add
-// racing them onto the node.
-func (n *Node) applyAdd(req *addRequest) {
+// apply is the one place a mutation record meets the node's state: the
+// request path (mutate), WAL replay (recover) and the replica stream
+// (applyEvent) all come through it, so a primary, its recovered self and
+// its replicas cannot drift.
+//
+// An add replaces whatever the node held for the ID. An add at or below
+// the ID's last applied epoch is stale — an abandoned call that lost to
+// its own cleanup delete, or a duplicate retry (or a WAL replay over a
+// snapshot that already covers it) — and is ignored, so cleanup deletes
+// cannot be undone by the failed add racing them onto the node. A
+// delete withdraws the trajectory's postings and leaves a tombstone at
+// its epoch to fence stale adds; only a strictly newer mutation
+// supersedes it. Deleting an unknown ID still plants the fence: the
+// cleanup of a failed add may reach the node before the add itself does.
+func (n *Node) apply(rec *wal.Record) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if req.Epoch > n.maxEpoch {
-		n.maxEpoch = req.Epoch
+	if rec.Epoch > n.maxEpoch {
+		n.maxEpoch = rec.Epoch
 	}
-	defer n.publishLocked(replEvent{Op: replAdd, ID: req.ID, Terms: req.Terms, Card: req.Card, Epoch: req.Epoch, Watermark: n.compactedBelow.Load(), Points: req.Points})
-	if doc, ok := n.docs[req.ID]; ok {
-		if doc.epoch >= req.Epoch {
+	defer n.publishLocked(replEvent{Record: *rec, Watermark: n.compactedBelow.Load()})
+	del := rec.Op == wal.OpDelete
+	if doc, ok := n.docs[rec.ID]; ok {
+		if doc.epoch > rec.Epoch || (!del && doc.epoch == rec.Epoch) {
 			return // stale or duplicate mutation
 		}
-		n.stripLocked(req.ID, doc)
+		n.stripLocked(rec.ID, doc)
 	}
-	for _, term := range req.Terms {
+	if del {
+		n.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
+		n.tombstones++
+		return
+	}
+	for _, term := range rec.Terms {
 		p, ok := n.postings[term]
 		if !ok {
 			p = bitmap.New()
 			n.postings[term] = p
 		}
-		p.Add(req.ID)
+		p.Add(rec.ID)
 	}
-	n.docs[req.ID] = nodeDoc{terms: req.Terms, card: req.Card, epoch: req.Epoch, points: req.Points, box: geo.NewBox(req.Points...)}
-}
-
-// applyDelete withdraws a trajectory's postings and leaves a tombstone at
-// the delete's epoch to fence stale adds. Deleting an unknown ID still
-// plants the fence: the cleanup of a failed add may reach the node
-// before the add itself does.
-func (n *Node) applyDelete(req *deleteRequest) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if req.Epoch > n.maxEpoch {
-		n.maxEpoch = req.Epoch
-	}
-	defer n.publishLocked(replEvent{Op: replDelete, ID: req.ID, Epoch: req.Epoch, Watermark: n.compactedBelow.Load()})
-	if doc, ok := n.docs[req.ID]; ok {
-		if doc.epoch > req.Epoch {
-			return // a newer mutation already superseded this delete
-		}
-		n.stripLocked(req.ID, doc)
-	}
-	n.docs[req.ID] = nodeDoc{epoch: req.Epoch}
-	n.tombstones++
+	n.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points, box: geo.NewBox(rec.Points...)}
 }
 
 // stripLocked removes the doc's postings from the term bitmaps,
@@ -626,7 +611,7 @@ func (n *Node) serveSync(enc *gob.Encoder) {
 				return
 			}
 		case <-heartbeat.C:
-			hb := replEvent{Op: replHeartbeat, Watermark: n.compactedBelow.Load()}
+			hb := replEvent{Watermark: n.compactedBelow.Load()}
 			if err := enc.Encode(&hb); err != nil {
 				return
 			}
@@ -654,7 +639,7 @@ func (n *Node) compact(below uint64) {
 		return // another request swept past this watermark meanwhile
 	}
 	n.compactedBelow.Store(below)
-	n.publishLocked(replEvent{Op: replHeartbeat, Watermark: below})
+	n.publishLocked(replEvent{Watermark: below})
 	if n.tombstones == 0 {
 		return
 	}
@@ -677,16 +662,10 @@ var counterPool = sync.Pool{New: func() any { return bitmap.NewCounter() }}
 // candidate union, no per-candidate intersection. Before serializing,
 // the node applies the threshold-pruning cardinality window against the
 // replicated document cardinalities (see cardWindow), so non-qualifying
-// candidates never hit gob or the wire. Queries with more terms than the
-// counter's 16-bit counts can hold fall back to map-based counting (no
-// real fingerprint set is that large, but the node must not wrap counts
-// on a malformed request).
+// candidates never hit gob or the wire.
 func (n *Node) query(req *queryRequest) *queryResponse {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if len(req.Terms) > math.MaxUint16 {
-		return n.queryWide(req)
-	}
 	c := counterPool.Get().(*bitmap.Counter)
 	defer func() {
 		c.Reset()
@@ -707,31 +686,6 @@ func (n *Node) query(req *queryRequest) *queryResponse {
 		}
 		resp.IDs = append(resp.IDs, v)
 		resp.Counts = append(resp.Counts, uint32(c.Count(v)))
-	}
-	return resp
-}
-
-// queryWide is the uncapped fallback for degenerate term counts. It
-// applies the same node-side cardinality window as the narrow path.
-func (n *Node) queryWide(req *queryRequest) *queryResponse {
-	partial := make(map[uint32]int)
-	for _, term := range req.Terms {
-		if p, ok := n.postings[term]; ok {
-			p.Iterate(func(id uint32) bool {
-				partial[id]++
-				return true
-			})
-		}
-	}
-	minCard, maxCard := cardWindow(req)
-	resp := &queryResponse{IDs: make([]uint32, 0, len(partial)), Counts: make([]uint32, 0, len(partial))}
-	for id, count := range partial {
-		if !index.InWindow(n.docs[id].card, minCard, maxCard) {
-			resp.Pruned++
-			continue
-		}
-		resp.IDs = append(resp.IDs, id)
-		resp.Counts = append(resp.Counts, uint32(count))
 	}
 	return resp
 }
@@ -793,9 +747,14 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 	return resp, nil
 }
 
-func (n *Node) stats() *statsResponse {
+// stats summarizes the node's shard contents, durability and replication
+// state; the coordinator fills in Node and Replicas. StableEpoch is the
+// epoch through which the state is proven complete: the compaction
+// watermark for a primary, the highest stream watermark for a replica —
+// the coordinator derives replica lag from it.
+func (n *Node) stats() *NodeStats {
 	n.mu.RLock()
-	s := &statsResponse{
+	s := &NodeStats{
 		Terms:         len(n.postings),
 		Docs:          len(n.docs) - n.tombstones,
 		Tombstones:    n.tombstones,
@@ -817,7 +776,6 @@ func (n *Node) stats() *statsResponse {
 	s.RetainedBytes = int64(s.RetainedPoints) * 16 // two float64s per point
 	n.mu.RUnlock()
 	if n.primaryAddr != "" {
-		s.Role = roleReplica
 		s.StableEpoch = n.stableEpoch.Load()
 	}
 	n.subMu.Lock()
@@ -829,7 +787,7 @@ func (n *Node) stats() *statsResponse {
 		s.WALSegments = ws.Segments
 		s.WALRecords = ws.Records
 		s.WALSyncs = ws.Syncs
-		s.WALLastSyncNS = int64(ws.LastSync)
+		s.WALLastSync = ws.LastSync
 	}
 	return s
 }

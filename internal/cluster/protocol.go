@@ -3,17 +3,19 @@ package cluster
 import (
 	"geodabs/internal/geo"
 	"geodabs/internal/rerank"
+	"geodabs/internal/wal"
 )
 
 // Wire protocol: length-delimited gob over TCP. Each connection carries a
 // sequential stream of request/response pairs; the coordinator serializes
 // requests per connection and fans out across connections (and across the
-// per-node connection pool). The ops in service: opAdd routes a
-// trajectory's postings (with its replicated cardinality, and — to the
-// point owner only — its raw points), opQuery scatters a search,
-// opStats collects shard summaries, opDelete withdraws postings behind
-// an epoch fence, opSync serves replication, and opRerank exact-scores
-// a shortlist slice against the node's retained points.
+// per-node connection pool). The ops in service: opMutate carries one
+// mutation record — an add routing a trajectory's postings (with its
+// replicated cardinality, and — to the point owner only — its raw
+// points) or a delete withdrawing them behind an epoch fence — opQuery
+// scatters a search, opStats collects shard summaries, opSync serves
+// replication, and opRerank exact-scores a shortlist slice against the
+// node's retained points.
 //
 // Searches are plan-path only: the coordinator shards a query's term set
 // into per-node groups once, in a QueryPlan (built by Plan, cached by the
@@ -23,10 +25,12 @@ import (
 // the plan was freshly built or reused — so plan caching is invisible to
 // this protocol and needs no version negotiation.
 //
-// Mutations carry a per-mutation epoch assigned by the coordinator.
-// Nodes use it to fence stale writes: a delete leaves a tombstone at its
-// epoch, and an add whose epoch is not newer than the trajectory's last
-// applied mutation is ignored. That makes the coordinator's failed-add
+// A mutation is one wal.Record all the way: the coordinator builds it,
+// the owning node logs and applies it, its replicas tail it. It carries
+// a per-mutation epoch assigned by the coordinator, which nodes use to
+// fence stale writes: a delete leaves a tombstone at its epoch, and an
+// add whose epoch is not newer than the trajectory's last applied
+// mutation is ignored. That makes the coordinator's failed-add
 // cleanup safe against the abandoned add racing it onto the node, and
 // makes retries idempotent. Every request also piggybacks the
 // coordinator's compaction watermark — the epoch below which no mutation
@@ -56,13 +60,13 @@ import (
 // full-sync snapshot of its shard state (every doc with its terms,
 // replicated cardinality, epoch, and tombstone flag, plus the highest
 // compaction watermark the primary has proven complete), then keeps the
-// connection as a one-way push stream of replEvent values — every
-// mutation the primary applies after the snapshot cut, in apply order,
-// interleaved with heartbeats that carry the advancing watermark. Epoch
-// fencing makes the stream idempotent and order-insensitive per ID, so
-// a replica that reconnects and full-syncs again always converges. A
-// replica that falls behind the primary's event backlog is disconnected
-// and full-syncs afresh (the Redis replication shape).
+// connection as a one-way push stream of replEvent values — the record
+// of every mutation the primary applies after the snapshot cut, in apply
+// order, interleaved with heartbeats that carry the advancing watermark.
+// Epoch fencing makes the stream idempotent and order-insensitive per
+// ID, so a replica that reconnects and full-syncs again always
+// converges. A replica that falls behind the primary's event backlog is
+// disconnected and full-syncs afresh (the Redis replication shape).
 //
 // Replica reads stay consistent with the coordinator's snapshot
 // isolation through the watermark: a replica's state provably covers
@@ -79,42 +83,12 @@ import (
 type op uint8
 
 const (
-	opAdd op = iota + 1
+	opMutate op = iota + 1
 	opQuery
 	opStats
-	opDelete
 	opSync
 	opRerank
 )
-
-// addRequest routes the terms a node owns for one trajectory. Epoch is
-// the mutation's coordinator-assigned epoch; a node ignores the add if it
-// already applied a mutation for the ID at an equal or newer epoch, and
-// otherwise replaces whatever it held for the ID. Card is the
-// trajectory's total fingerprint cardinality |G| — across all nodes, not
-// just the terms routed here — replicated so the node can threshold-prune
-// query candidates without a round trip to the coordinator's directory.
-// Points is non-nil only on the request sent to the trajectory's point
-// owner (see pointOwner) when the cluster retains points: that one node
-// stores the raw trajectory beside its postings so exact rerank can run
-// node-side. Every other node's request leaves Points nil, so raw
-// points cross the wire exactly once per mutation.
-type addRequest struct {
-	ID     uint32
-	Terms  []uint32
-	Epoch  uint64
-	Card   int
-	Points []geo.Point
-}
-
-// deleteRequest withdraws a trajectory's postings from the node. The node
-// does not need the term list — it tracks the terms it owns per ID — and
-// it leaves a tombstone at Epoch to fence stale adds until the
-// coordinator's compaction watermark passes it.
-type deleteRequest struct {
-	ID    uint32
-	Epoch uint64
-}
 
 // queryRequest carries the query terms owned by the node — one group of
 // the QueryPlan's term sharding — plus the inputs of the node-side
@@ -143,10 +117,6 @@ type queryResponse struct {
 	Pruned int
 }
 
-// syncRequest asks a primary for a full sync. The empty struct is a
-// placeholder for future options (e.g. incremental resume offsets).
-type syncRequest struct{}
-
 // syncDoc is one trajectory's shard state in a full-sync snapshot:
 // everything a replica needs to reconstruct the primary's docs and
 // postings for this node. Tombstones ship too — they fence stale
@@ -172,30 +142,14 @@ type syncResponse struct {
 	Watermark uint64
 }
 
-// replOp discriminates replication stream events.
-type replOp uint8
-
-const (
-	replAdd replOp = iota + 1
-	replDelete
-	replHeartbeat
-)
-
-// replEvent is one replication stream message: a mutation the primary
-// applied (replAdd/replDelete, carrying the same fields as the original
-// request), or a heartbeat. Watermark piggybacks the primary's highest
-// known compaction watermark: the replica's state provably covers every
-// mutation at or below it, so it gates replica reads.
+// replEvent is one replication stream message: the record of a mutation
+// the primary applied, or — with a zero Op — a heartbeat. Watermark
+// piggybacks the primary's highest known compaction watermark: the
+// replica's state provably covers every mutation at or below it, so it
+// gates replica reads.
 type replEvent struct {
-	Op        replOp
-	ID        uint32
-	Terms     []uint32
-	Card      int
-	Epoch     uint64
+	wal.Record
 	Watermark uint64
-	// Points mirrors addRequest.Points: set on replAdd when the primary
-	// retained the trajectory's raw points, so replicas hold them too.
-	Points []geo.Point
 }
 
 // rerankRequest asks a node to exact-score its slice of a fingerprint
@@ -235,57 +189,6 @@ type rerankResponse struct {
 	Missing []uint32
 }
 
-// nodeRole distinguishes primaries from read replicas in stats.
-type nodeRole uint8
-
-const (
-	rolePrimary nodeRole = iota
-	roleReplica
-)
-
-// statsResponse summarizes a node's shard contents, durability, and
-// replication state.
-type statsResponse struct {
-	Terms    int
-	Postings int
-	// Docs is the number of live trajectories with postings on the node;
-	// Tombstones counts delete fences not yet reclaimed by compaction.
-	Docs       int
-	Tombstones int
-	// Role reports whether the node is a primary or a read replica.
-	// Epoch is the highest mutation epoch the node has applied;
-	// StableEpoch is the epoch through which its state is proven
-	// complete (the compaction watermark for a primary, the highest
-	// stream watermark for a replica) — the coordinator derives replica
-	// lag from it.
-	Role        nodeRole
-	Epoch       uint64
-	StableEpoch uint64
-	// WAL state (zero when the node runs without a write-ahead log).
-	WALBytes      int64
-	WALSegments   int
-	WALRecords    uint64
-	WALSyncs      uint64
-	WALLastSyncNS int64
-	// FullSyncs counts full syncs served (primary) or performed
-	// (replica); Subscribers is the number of replicas currently
-	// tailing this primary's stream.
-	FullSyncs   uint64
-	Subscribers int
-	// Point retention and node-side rerank state. RetainedDocs counts
-	// trajectories whose raw points this node owns, RetainedPoints the
-	// points across them, RetainedBytes their in-memory size. Scored and
-	// skipped count rerank candidates over the node's lifetime:
-	// RerankSkipped of them were proved outside the requested top-k
-	// without their exact score — by the lower bound before the dynamic
-	// program started, or by the bar part-way through it.
-	RetainedDocs   int
-	RetainedPoints int
-	RetainedBytes  int64
-	RerankScored   uint64
-	RerankSkipped  uint64
-}
-
 // request is the envelope sent from coordinator to node. CompactBelow is
 // the coordinator's compaction watermark: no mutation at or below it is
 // still tracked as in flight by the coordinator, so the node reclaims
@@ -300,10 +203,8 @@ type statsResponse struct {
 type request struct {
 	Op           op
 	CompactBelow uint64
-	Add          *addRequest
-	Delete       *deleteRequest
+	Mutate       *wal.Record
 	Query        *queryRequest
-	Sync         *syncRequest
 	Rerank       *rerankRequest
 }
 
@@ -315,7 +216,7 @@ type response struct {
 	Err    string
 	Stale  bool
 	Query  *queryResponse
-	Stats  *statsResponse
+	Stats  *NodeStats
 	Sync   *syncResponse
 	Rerank *rerankResponse
 }

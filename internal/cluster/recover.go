@@ -107,7 +107,7 @@ func fetchNodeState(addr string) (*syncResponse, error) {
 		return nil, err
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(&request{Op: opSync, Sync: &syncRequest{}}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(&request{Op: opSync}); err != nil {
 		return nil, err
 	}
 	var resp response

@@ -3,7 +3,7 @@ package cluster
 // Replica side of log shipping: a read replica dials its primary,
 // performs a full sync (a snapshot of the shard state plus the primary's
 // compaction watermark), then tails the live mutation stream, applying
-// each event through the same epoch-fenced paths the primary used. The
+// each event through the same epoch-fenced apply the primary used. The
 // replica's state therefore tracks the primary's exactly, stream
 // position by stream position — including tombstone fences, which is
 // what makes replaying a stale mutation produce the same (non-)effect on
@@ -69,7 +69,7 @@ func (n *Node) syncOnce() bool {
 	}()
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&request{Op: opSync, Sync: &syncRequest{}}); err != nil {
+	if err := enc.Encode(&request{Op: opSync}); err != nil {
 		return false
 	}
 	var resp response
@@ -98,19 +98,16 @@ func (n *Node) installSync(sync *syncResponse) {
 	n.advanceStable(sync.Watermark)
 }
 
-// applyEvent applies one replication stream event. Mutations run through
-// the identical epoch-fenced apply paths as on the primary; heartbeats
+// applyEvent applies one replication stream event. A mutation runs
+// through the identical epoch-fenced apply as on the primary; heartbeats
 // (and the watermark piggybacked on every event) advance the replica's
 // stable epoch and drive tombstone compaction at exactly the stream
 // position where the primary compacted.
 func (n *Node) applyEvent(ev *replEvent) {
-	switch ev.Op {
-	case replAdd:
-		n.applyAdd(&addRequest{ID: ev.ID, Terms: ev.Terms, Epoch: ev.Epoch, Card: ev.Card, Points: ev.Points})
-	case replDelete:
-		n.applyDelete(&deleteRequest{ID: ev.ID, Epoch: ev.Epoch})
-	case replHeartbeat:
+	if ev.Op == 0 {
 		n.compact(ev.Watermark)
+	} else {
+		n.apply(&ev.Record)
 	}
 	n.advanceStable(ev.Watermark)
 }

@@ -29,12 +29,13 @@
 // atomic with respect to searches.
 //
 // A search over several shards fans out in parallel: each shard runs the
-// same counting merge (or wide-query fallback) it would run standalone,
-// pre-filters its candidates with the static threshold bounds (the
-// CardinalityWindow and the shared-count bar at the query's distance
-// cutoff — the exact bounds the Ranker starts from, so nothing a full
-// search would keep is lost), and hands back (id, cardinality,
-// shared-count) partials. A coordinator-style merge then ranks all
+// same counting merge it would run standalone (there is one, for a query
+// of any size: how wide a count can get is bitmap.Counter's business,
+// not this package's), pre-filters its candidates with the static
+// threshold bounds (the CardinalityWindow and the shared-count bar at
+// the query's distance cutoff — the exact bounds the Ranker starts from,
+// so nothing a full search would keep is lost), and hands back (id,
+// cardinality, shared-count) partials. A coordinator-style merge then ranks all
 // partials through one Ranker — the in-process mirror of the cluster's
 // scatter-gather, with no serialization and no wire. Rankings are
 // byte-identical at every shard count: the shards see disjoint documents

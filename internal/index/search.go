@@ -22,6 +22,8 @@ import (
 // after one O(Σ|postings|) pass the counter holds |F ∩ G| for every
 // candidate G, and the union follows from cached cardinalities as
 // |F| + |G| − |F ∩ G| in O(1). Total: O(Σ|postings| + |candidates|).
+// The counter is exact for any number of posting lists, so this is the
+// only search path: no query is too wide for it.
 //
 // Threshold pruning (in the spirit of exact trajectory indexes such as
 // N-tree, arXiv:2408.07650) skips candidates before the floating-point
@@ -285,6 +287,30 @@ func (sc *searchScratch) release() {
 	searchScratchPool.Put(sc)
 }
 
+// countShared is stage 1 of every search — the counting merge: it streams
+// the posting list of each query term into the scratch counter, so that
+// |F ∩ G| accumulates per candidate as the lists go by, checking ctx once
+// per term batch. The caller holds the read lock.
+//
+//geodabs:noalloc
+func (ix *Inverted) countShared(ctx context.Context, sc *searchScratch, set *bitmap.Bitmap) error {
+	it := set.Iterator()
+	for {
+		n := it.NextMany(sc.terms)
+		if n == 0 {
+			return nil
+		}
+		for _, term := range sc.terms[:n] {
+			if p, ok := ix.postings[term]; ok {
+				sc.counter.Add(p)
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+}
+
 // AppendSearchSet ranks this shard's documents against a fingerprint set,
 // appending the results to dst and reporting the size of the candidate set
 // (trajectories sharing at least one term with the query) and how many
@@ -305,30 +331,11 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 	if qc == 0 {
 		return dst, SearchStats{}, nil
 	}
-	if qc > math.MaxUint16 {
-		// The counter's 16-bit counts could wrap; such queries are beyond
-		// any real fingerprint set, but stay correct on the legacy path.
-		return ix.searchUnionLocked(ctx, dst, set, qc, maxDistance, limit)
-	}
 	sc := getSearchScratch()
 	defer sc.release()
 
-	// Stage 1 — counting merge: stream each term's posting list into the
-	// counter; |F ∩ G| accumulates per candidate as the lists go by.
-	it := set.Iterator()
-	for {
-		n := it.NextMany(sc.terms)
-		if n == 0 {
-			break
-		}
-		for _, term := range sc.terms[:n] {
-			if p, ok := ix.postings[term]; ok {
-				sc.counter.Add(p)
-			}
-		}
-		if ctx.Err() != nil {
-			return nil, SearchStats{}, ctx.Err()
-		}
+	if err := ix.countShared(ctx, sc, set); err != nil {
+		return nil, SearchStats{}, err
 	}
 	cands := sc.counter.Candidates()
 	stats := SearchStats{Candidates: len(cands)}
@@ -357,17 +364,19 @@ type shardPartial struct {
 }
 
 // appendSearchPartials runs the shard-local half of a fanned-out search:
-// the counting merge (or the wide-query union fallback) over this shard's
-// postings, followed by the *static* threshold bounds — the cardinality
-// window [minCard, maxCard] and the shared-count bar at similarity
-// 1 − maxDistance, both with one count of slack. Survivors are appended
-// to dst as (id, card, shared) triples for the coordinating Ranker.
+// the counting merge over this shard's postings, followed by the *static*
+// threshold bounds — the cardinality window [minCard, maxCard] and the
+// shared-count bar at similarity 1 − maxDistance, both with one count of
+// slack. Survivors are appended to dst as (id, card, shared) triples for
+// the coordinating Ranker.
 //
 // Only static bounds are applied here: the Ranker's rising top-k bar
 // tightens monotonically from the static bar, so every candidate pruned
 // shard-side is one the Ranker would prune anyway, and rankings stay
 // byte-identical to the one-shard path. candidates and pruned feed
 // the aggregated SearchStats.
+//
+//geodabs:noalloc
 func (ix *Inverted) appendSearchPartials(ctx context.Context, dst []shardPartial, set *bitmap.Bitmap, qc int, maxDistance float64) (partials []shardPartial, candidates, pruned int, err error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -379,66 +388,11 @@ func (ix *Inverted) appendSearchPartials(ctx context.Context, dst []shardPartial
 		sim = 0
 	}
 	minCard, maxCard := cardinalityWindow(sim, qc)
-	consider := func(id trajectory.ID, card, shared int) {
-		if !InWindow(card, minCard, maxCard) {
-			pruned++
-			return
-		}
-		if sim > 0 && float64(shared+1)*(1+sim) < sim*float64(qc+card) {
-			pruned++
-			return
-		}
-		dst = append(dst, shardPartial{id: id, card: card, shared: shared})
-	}
-
-	if qc > math.MaxUint16 {
-		// Wide-query fallback, mirroring searchUnionLocked: the counter's
-		// 16-bit counts could wrap, so materialize the union and intersect
-		// per candidate.
-		union := bitmap.New()
-		set.Iterate(func(term uint32) bool {
-			if p, ok := ix.postings[term]; ok {
-				union.OrInPlace(p)
-			}
-			return true
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		candidates = union.Cardinality()
-		ranked := 0
-		cancelled := false
-		union.Iterate(func(idBits uint32) bool {
-			if ranked++; ranked%1024 == 0 && ctx.Err() != nil {
-				cancelled = true
-				return false
-			}
-			id := trajectory.ID(idBits)
-			consider(id, ix.cards[id], bitmap.AndCardinality(set, ix.docs[id]))
-			return true
-		})
-		if cancelled {
-			return nil, candidates, pruned, ctx.Err()
-		}
-		return dst, candidates, pruned, nil
-	}
 
 	sc := getSearchScratch()
 	defer sc.release()
-	it := set.Iterator()
-	for {
-		n := it.NextMany(sc.terms)
-		if n == 0 {
-			break
-		}
-		for _, term := range sc.terms[:n] {
-			if p, ok := ix.postings[term]; ok {
-				sc.counter.Add(p)
-			}
-		}
-		if ctx.Err() != nil {
-			return nil, 0, 0, ctx.Err()
-		}
+	if err := ix.countShared(ctx, sc, set); err != nil {
+		return nil, 0, 0, err
 	}
 	cands := sc.counter.Candidates()
 	candidates = len(cands)
@@ -447,52 +401,12 @@ func (ix *Inverted) appendSearchPartials(ctx context.Context, dst []shardPartial
 			return nil, candidates, pruned, ctx.Err()
 		}
 		id := trajectory.ID(v)
-		consider(id, ix.cards[id], sc.counter.Count(v))
+		card, shared := ix.cards[id], sc.counter.Count(v)
+		if !InWindow(card, minCard, maxCard) || (sim > 0 && float64(shared+1)*(1+sim) < sim*float64(qc+card)) {
+			pruned++
+			continue
+		}
+		dst = append(dst, shardPartial{id: id, card: card, shared: shared})
 	}
 	return dst, candidates, pruned, nil
-}
-
-// searchUnionLocked is the pre-counting document-at-a-time path, kept as
-// the fallback for queries whose term count exceeds the counter's 16-bit
-// range: materialize the candidate union, intersect per candidate. It
-// ranks through the same Ranker as the counting path, so threshold
-// pruning, the top-k heap, the Pruned stat and the byte-identical
-// (distance, ID) contract are uniform across narrow and wide queries.
-// The caller must hold the read lock.
-func (ix *Inverted) searchUnionLocked(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	candidates := bitmap.New()
-	set.Iterate(func(term uint32) bool {
-		if p, ok := ix.postings[term]; ok {
-			candidates.OrInPlace(p)
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, SearchStats{}, err
-	}
-	stats := SearchStats{Candidates: candidates.Cardinality()}
-	var ranker Ranker
-	ranker.Init(qc, maxDistance, limit)
-	ranked := 0
-	cancelled := false
-	candidates.Iterate(func(idBits uint32) bool {
-		if ranked++; ranked%1024 == 0 && ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		id := trajectory.ID(idBits)
-		// The intersection is computed before the ranker's cardinality
-		// check, so the wide path cannot skip the AndCardinality cost for
-		// pruned candidates — but pruning still skips the scoring step and
-		// keeps the Pruned stat meaningful.
-		shared := bitmap.AndCardinality(set, ix.docs[id])
-		ranker.Consider(id, ix.cards[id], shared)
-		return true
-	})
-	if cancelled {
-		return nil, stats, ctx.Err()
-	}
-	dst = ranker.Finish(dst)
-	stats.Pruned = ranker.Pruned()
-	return dst, stats, nil
 }

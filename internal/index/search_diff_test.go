@@ -146,12 +146,12 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSearchWideQueryFallback pins the >65535-term fallback path to the
-// same brute-force contract as the counting core, across distance
-// cutoffs and result caps. The fallback ranks through the shared Ranker,
-// so it reports Pruned and applies the top-k heap exactly like the
-// narrow path — only the shared-count computation differs.
-func TestSearchWideQueryFallback(t *testing.T) {
+// TestSearchWideQuery pins queries of more than 65535 terms to the same
+// brute-force contract as any other, across distance cutoffs and result
+// caps. The counter's array entries are 16 bits wide; one document here
+// shares 67000 terms with the query, so its count only comes out right
+// if the counter really is exact past that width.
+func TestSearchWideQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ix := NewSharded(stubExtractor{}, 1)
 	reference := make(map[trajectory.ID]*bitmap.Bitmap)
@@ -168,12 +168,20 @@ func TestSearchWideQueryFallback(t *testing.T) {
 		}
 		reference[id] = set
 	}
+	huge := bitmap.New()
+	for v := uint32(0); v < 67000; v++ {
+		huge.Add(v)
+	}
+	if err := ix.insert(1, huge, nil); err != nil {
+		t.Fatal(err)
+	}
+	reference[1] = huge
 	wide := bitmap.New()
 	for v := uint32(0); v < 70000; v++ {
 		wide.Add(v)
 	}
-	if wide.Cardinality() <= math.MaxUint16 {
-		t.Fatal("query not wide enough to exercise the fallback")
+	if shared := bitmap.AndCardinality(wide, huge); shared <= math.MaxUint16 {
+		t.Fatalf("largest shared count %d fits 16 bits", shared)
 	}
 	sawPruning := false
 	for _, maxDistance := range []float64{0, 0.5, 0.9, 0.99, 1} {
@@ -191,7 +199,7 @@ func TestSearchWideQueryFallback(t *testing.T) {
 		}
 	}
 	if !sawPruning {
-		t.Error("no combination exercised the fallback's threshold pruning")
+		t.Error("no combination exercised threshold pruning")
 	}
 }
 

@@ -331,9 +331,9 @@ func getFanoutScratch(n int) *fanoutScratch {
 
 // AppendSearchSet ranks against a pre-computed fingerprint set, appending
 // the results to dst. A one-shard index runs the shard's search directly;
-// otherwise the search fans out: every shard runs its counting merge (or
-// wide-query fallback) in parallel — one goroutine per extra shard, shard
-// 0 on the calling goroutine — pre-filtering with the static threshold
+// otherwise the search fans out: every shard runs its counting merge in
+// parallel — one goroutine per extra shard, shard 0 on the calling
+// goroutine — pre-filtering with the static threshold
 // bounds, and the surviving (id, cardinality, shared) partials merge
 // through one Ranker. Stats aggregate across shards: Candidates is the
 // total candidate count, Pruned counts both shard-side static pruning and

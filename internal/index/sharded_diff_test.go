@@ -123,9 +123,10 @@ func TestShardedMatchesInvertedAfterMutations(t *testing.T) {
 	}
 }
 
-// TestShardedWideQueryFallback pins the >65535-term union fallback on the
-// fanned-out path against both the one-shard index and brute force.
-func TestShardedWideQueryFallback(t *testing.T) {
+// TestShardedWideQuery pins a query of more than 65535 terms on the
+// fanned-out path against both the one-shard index and brute force,
+// with one document whose shared count passes 16 bits inside its shard.
+func TestShardedWideQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	flat := NewSharded(stubExtractor{}, 1)
 	sharded := NewSharded(stubExtractor{}, 4)
@@ -148,13 +149,19 @@ func TestShardedWideQueryFallback(t *testing.T) {
 		}
 		reference[id] = set
 	}
-	query := bitmap.New()
+	query, huge := bitmap.New(), bitmap.New()
 	for term := uint32(0); term < 70000; term++ {
 		query.Add(term)
+		if term < 66000 {
+			huge.Add(term)
+		}
 	}
-	if query.Cardinality() <= 65535 {
-		t.Fatal("query not wide enough to exercise the fallback")
+	for _, ix := range []*Sharded{flat, sharded} {
+		if err := ix.insert(1000, huge, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
+	reference[1000] = huge
 	for _, limit := range []int{0, 5, 50} {
 		want, _, err := searchSet(flat, query, 0.999, limit)
 		if err != nil {

@@ -67,10 +67,24 @@ const (
 	OpAddPoints Op = 3
 )
 
-// Record is one logged mutation — exactly the information the node needs
-// to re-apply it: the op, the coordinator-assigned epoch (the fencing
-// key), the trajectory ID, and, for adds, the replicated total
-// cardinality and the terms the node owns for the trajectory.
+// Record is one mutation of one node's shard — exactly the information
+// the node needs to apply it, which makes it the one shape a mutation
+// travels in: the coordinator builds it, the node logs it and applies
+// it, and the node's replicas receive it. Epoch is the
+// coordinator-assigned fencing key: a node ignores a record at or below
+// the epoch of the last mutation it applied for the ID. An add replaces
+// whatever the node held for the ID; a delete needs no term list — the
+// node tracks the terms it owns per ID — and leaves a tombstone at Epoch
+// to fence stale adds until the coordinator's compaction watermark
+// passes it.
+//
+// Card is the trajectory's total fingerprint cardinality |G| — across all
+// nodes, not just the terms routed here — replicated so the node can
+// threshold-prune query candidates without a round trip to the
+// coordinator's directory. Points travel only in the record sent to the
+// trajectory's point owner when the cluster retains points: that one
+// node stores the raw trajectory beside its postings so exact rerank can
+// run node-side, and raw points cross the wire once per mutation.
 type Record struct {
 	Op     Op
 	Epoch  uint64

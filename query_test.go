@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"geodabs"
-
-	"geodabs/internal/bitmap"
 )
 
 // preparedVariants builds every way of preparing one trajectory as a
@@ -182,11 +180,13 @@ func TestQueryFromFingerprintRejectsRerank(t *testing.T) {
 	}
 }
 
-// TestWideQueryPreparedParity drives the >65535-term wide path on both
-// engines through a fingerprint-only prepared query: the local index
-// falls back to the document-at-a-time union scan and the coordinator to
-// map-based accumulation, and the two must stay byte-identical (and
-// stable across cache-warm repeats).
+// TestWideQueryPreparedParity drives a query of more than 65535 terms
+// through both engines as a fingerprint-only prepared query: the local
+// index and the cluster must stay byte-identical (and stable across
+// cache-warm repeats). One indexed trajectory — a raster over a block of
+// geohash prefixes that all shard to one node — shares more than 65535
+// terms with the query, so both the shard's and that node's count for
+// it pass the 16 bits of a counter array entry.
 func TestWideQueryPreparedParity(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
@@ -196,14 +196,43 @@ func TestWideQueryPreparedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real terms (so the wide query has candidates) plus filler terms
-	// pushing the cardinality past the 16-bit counter range.
-	set := bitmap.New()
+	const rows, cols = 140, 7800
+	raster := &geodabs.Trajectory{ID: 900001, Points: make([]geodabs.Point, 0, rows*cols)}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			east := c
+			if r%2 == 1 {
+				east = cols - 1 - c // boustrophedon: no jump between rows
+			}
+			raster.Points = append(raster.Points, geodabs.Point{Lat: 45.1 + float64(r)*1.3/rows, Lon: 0.1 + float64(east)*0.0007})
+		}
+	}
+	huge := fp.Fingerprint(raster.Points).Set
+	if huge.Cardinality() <= 1<<16 {
+		t.Fatalf("raster yields %d terms, want more than 65536", huge.Cardinality())
+	}
+	before, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Add(raster); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Add(raster); err != nil {
+		t.Fatal(err)
+	}
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after[0].Postings - before[0].Postings; got != huge.Cardinality() {
+		t.Fatalf("node 0 took %d of the raster's %d terms, want all of them", got, huge.Cardinality())
+	}
+	// Real terms (so the wide query has other candidates) plus the
+	// raster's, every one of which it shares with the query.
+	set := huge.Clone()
 	for _, tr := range w.Dataset.Trajectories[:8] {
 		set.OrInPlace(fp.Fingerprint(tr.Points).Set)
-	}
-	for v := uint32(0); set.Cardinality() <= 1<<16; v += 17 {
-		set.Add(v)
 	}
 	q := geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set})
 	for _, opts := range [][]geodabs.SearchOption{
@@ -226,8 +255,8 @@ func TestWideQueryPreparedParity(t *testing.T) {
 			}
 			if pass == 0 {
 				prev = got.Hits
-				if len(prev) == 0 {
-					t.Fatal("wide query found no candidates; test workload broken")
+				if len(prev) == 0 || prev[0].ID != raster.ID || prev[0].Shared != huge.Cardinality() {
+					t.Fatalf("wide query's best hit = %+v, want the raster sharing all %d terms", prev[:min(1, len(prev))], huge.Cardinality())
 				}
 			} else if !reflect.DeepEqual(got.Hits, prev) {
 				t.Fatalf("wide query unstable across cache-warm repeat")
