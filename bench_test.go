@@ -346,293 +346,3 @@ func BenchmarkAblationWindow(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkIndexBuildParallel compares sequential and parallel index
-// construction.
-func BenchmarkIndexBuildParallel(b *testing.B) {
-	out := benchWorkload()
-	for _, workers := range []int{1, 8} {
-		b.Run(map[int]string{1: "seq", 8: "par8"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ix := index.NewSharded(geodabEx(), 1)
-				if err := ix.AddAll(context.Background(), out.Dataset, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Public Searcher API ---
-
-// builtPublicIndex builds a public geodab index over the bench workload.
-func builtPublicIndex(b *testing.B) *geodabs.Index {
-	b.Helper()
-	// Retention keeps the exact-rerank benchmark runnable.
-	idx, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithPointRetention())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := idx.AddAll(benchWorkload().Dataset, 8); err != nil {
-		b.Fatal(err)
-	}
-	return idx
-}
-
-// BenchmarkSearch measures one ranked search through the public Searcher
-// surface (option resolution + stats included), the counterpart of
-// BenchmarkFig12QueryGeodab's internal path.
-func BenchmarkSearch(b *testing.B) {
-	idx := builtPublicIndex(b)
-	q := benchWorkload().Queries[0]
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.Search(ctx, q, geodabs.WithMaxDistance(1), geodabs.WithLimit(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchSharded measures the ranked search through the
-// in-process sharded engine (4 shards): the same counting merge per
-// shard, fanned out in parallel and merged through one Ranker. On a
-// single core the fan-out adds goroutine overhead over BenchmarkSearch;
-// on multi-core machines the per-shard merges overlap. Rankings are
-// byte-identical either way (TestShardedMatchesInverted).
-func BenchmarkSearchSharded(b *testing.B) {
-	idx, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := idx.AddAll(benchWorkload().Dataset, 8); err != nil {
-		b.Fatal(err)
-	}
-	q := benchWorkload().Queries[0]
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.Search(ctx, q, geodabs.WithMaxDistance(1), geodabs.WithLimit(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchPrepared measures the same ranked search over a
-// prepared *Query: extraction is cached inside the value, so an
-// iteration pays only the counting-merge core plus option resolution.
-// The gap to BenchmarkSearch is the per-call preparation cost the Query
-// API converts to per-query-lifetime.
-func BenchmarkSearchPrepared(b *testing.B) {
-	idx := builtPublicIndex(b)
-	q := geodabs.NewQuery(benchWorkload().Queries[0].Points)
-	ctx := context.Background()
-	if _, err := idx.SearchQuery(ctx, q); err != nil { // warm the extraction cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.SearchQuery(ctx, q, geodabs.WithMaxDistance(1), geodabs.WithLimit(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchBatch measures the throughput surface: the full query
-// set fanned out over a worker pool.
-func BenchmarkSearchBatch(b *testing.B) {
-	idx := builtPublicIndex(b)
-	queries := benchWorkload().Queries
-	ctx := context.Background()
-	for _, workers := range []int{1, 8} {
-		b.Run(map[int]string{1: "w1", 8: "w8"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.SearchBatch(ctx, queries, workers, geodabs.WithLimit(10)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSearchBatchPrepared is BenchmarkSearchBatch over prepared
-// queries: the batch reuses every query's cached extraction across
-// iterations, so it measures the steady state of a recurring query set.
-func BenchmarkSearchBatchPrepared(b *testing.B) {
-	idx := builtPublicIndex(b)
-	ctx := context.Background()
-	prepared := make([]*geodabs.Query, len(benchWorkload().Queries))
-	for i, tr := range benchWorkload().Queries {
-		prepared[i] = geodabs.NewQuery(tr.Points)
-	}
-	if _, err := idx.SearchQueryBatch(ctx, prepared, 8, geodabs.WithLimit(10)); err != nil {
-		b.Fatal(err) // warm every extraction cache
-	}
-	for _, workers := range []int{1, 8} {
-		b.Run(map[int]string{1: "w1", 8: "w8"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.SearchQueryBatch(ctx, prepared, workers, geodabs.WithLimit(10)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSearchCore measures the ranked-retrieval core alone: the
-// term-at-a-time counting merge over a pre-extracted query fingerprint
-// set, appending into a recycled result buffer. In steady state this path
-// performs zero heap allocations (report: allocs/op).
-func BenchmarkSearchCore(b *testing.B) {
-	ix := builtIndex(b, geodabEx())
-	set := geodabEx().Extract(benchWorkload().Queries[0].Points)
-	qc := set.Cardinality()
-	ctx := context.Background()
-	buf := make([]index.Result, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 1, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = results[:0]
-	}
-}
-
-// BenchmarkSearchCoreKNN is the core under a tight distance cutoff and a
-// top-k cap, where threshold pruning and the rising heap bar do real
-// work.
-func BenchmarkSearchCoreKNN(b *testing.B) {
-	ix := builtIndex(b, geodabEx())
-	set := geodabEx().Extract(benchWorkload().Queries[0].Points)
-	qc := set.Cardinality()
-	ctx := context.Background()
-	buf := make([]index.Result, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.5, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = results[:0]
-	}
-}
-
-// BenchmarkClusterSearch measures one scatter-gather against a live
-// three-node loopback cluster, at the open distance bound (d=1: the
-// node-side cardinality window is unbounded, every candidate partial
-// crosses the wire) and at a tight bound (d=0.5: shard nodes prune
-// non-qualifying candidates before gob serialization).
-func BenchmarkClusterSearch(b *testing.B) {
-	cfg := geodabs.DefaultConfig()
-	const nodeCount = 3
-	strategy := geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: nodeCount}
-	addrs := make([]string, nodeCount)
-	for i := range addrs {
-		n, err := geodabs.StartShardNode("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		addrs[i] = n.Addr()
-	}
-	cl, err := geodabs.NewCluster(cfg, strategy, addrs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	for _, t := range benchWorkload().Dataset.Trajectories {
-		if err := cl.Add(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := benchWorkload().Queries[0]
-	ctx := context.Background()
-	for _, bc := range []struct {
-		name        string
-		maxDistance float64
-	}{{"d1", 1}, {"d05", 0.5}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cl.Search(ctx, q, geodabs.WithMaxDistance(bc.maxDistance), geodabs.WithLimit(10)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// The prepared counterpart: the *Query's cached extraction and shard
-	// partition take both the fingerprint pipeline and the per-node
-	// grouping off the scatter path.
-	b.Run("prepared", func(b *testing.B) {
-		pq := geodabs.NewQuery(q.Points)
-		if _, err := cl.SearchQuery(ctx, pq, geodabs.WithMaxDistance(1), geodabs.WithLimit(10)); err != nil {
-			b.Fatal(err) // warm the extraction and partition caches
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.SearchQuery(ctx, pq, geodabs.WithMaxDistance(1), geodabs.WithLimit(10)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkClusterRerank measures the pushed-down §VI-C refinement on a
-// live cluster: the fingerprint shortlist ships to the shard nodes that
-// retain the raw points, DTW runs node-side behind the lower-bound
-// gate, and only (ID, score) pairs cross the wire back to the merging
-// coordinator.
-func BenchmarkClusterRerank(b *testing.B) {
-	cfg := geodabs.DefaultConfig()
-	const nodeCount = 3
-	strategy := geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: nodeCount}
-	addrs := make([]string, nodeCount)
-	for i := range addrs {
-		n, err := geodabs.StartShardNode("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		addrs[i] = n.Addr()
-	}
-	cl, err := geodabs.NewCluster(cfg, strategy, addrs, geodabs.WithPointRetention())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	for _, t := range benchWorkload().Dataset.Trajectories {
-		if err := cl.Add(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := benchWorkload().Queries[0]
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Search(ctx, q, geodabs.WithKNN(5), geodabs.WithExactRerank(geodabs.DTW)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchExactRerank measures the §VI-C refinement: fingerprint
-// pruning plus a DTW pass over the shortlist.
-func BenchmarkSearchExactRerank(b *testing.B) {
-	idx := builtPublicIndex(b)
-	q := benchWorkload().Queries[0]
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.Search(ctx, q,
-			geodabs.WithMaxDistance(0.9),
-			geodabs.WithKNN(5),
-			geodabs.WithExactRerank(geodabs.DTW)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -494,7 +494,7 @@ func (c *Client) Search(ctx context.Context, points []geodabs.Point, opts ...Sea
 	if req.Metric != 0 {
 		req.Op = wire.OpSearchRerank
 	}
-	req.Points = toWirePoints(points)
+	req.Points = points
 	resp, err := c.do(ctx, req, true)
 	if err != nil {
 		return nil, err
@@ -510,7 +510,7 @@ func (c *Client) Upsert(ctx context.Context, t *geodabs.Trajectory) error {
 	if t == nil {
 		return errors.New("client: nil trajectory")
 	}
-	req := &wire.Request{Op: wire.OpUpsert, TrajID: uint32(t.ID), Points: toWirePoints(t.Points)}
+	req := &wire.Request{Op: wire.OpUpsert, TrajID: uint32(t.ID), Points: t.Points}
 	_, err := c.do(ctx, req, false)
 	return err
 }
@@ -520,12 +520,4 @@ func (c *Client) Upsert(ctx context.Context, t *geodabs.Trajectory) error {
 func (c *Client) Delete(ctx context.Context, id geodabs.ID) error {
 	_, err := c.do(ctx, &wire.Request{Op: wire.OpDelete, TrajID: uint32(id)}, false)
 	return err
-}
-
-func toWirePoints(points []geodabs.Point) []wire.Point {
-	out := make([]wire.Point, len(points))
-	for i, p := range points {
-		out[i] = wire.Point{Lat: p.Lat, Lon: p.Lon}
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -255,36 +253,11 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// startStallingNode listens and accepts connections but never replies,
-// simulating a wedged shard node: requests vanish into it until the
-// connection is torn down.
-func startStallingNode(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(io.Discard, c)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // startStalledCoordinator fronts two stalling nodes, so every
 // scatter-gather hangs until its context is cancelled.
 func startStalledCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
-	addrs := []string{startStallingNode(t), startStallingNode(t)}
+	addrs := []string{startFakeNode(t, swallow).Addr().String(), startFakeNode(t, swallow).Addr().String()}
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}, addrs)
 	if err != nil {

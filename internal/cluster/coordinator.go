@@ -805,6 +805,9 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 			if rr == nil {
 				return errors.New("cluster: node returned no rerank payload")
 			}
+			if len(rr.Scores) != len(rr.IDs) {
+				return fmt.Errorf("cluster: node %d returned %d rerank scores for %d ids", node, len(rr.Scores), len(rr.IDs))
+			}
 			mu.Lock()
 			if len(rr.Missing) > 0 {
 				// A shortlist member raced a delete/upsert between the
@@ -980,14 +983,21 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 		if err != nil {
 			return err
 		}
+		qr := resp.Query
+		if qr == nil {
+			return errors.New("cluster: node returned no query payload")
+		}
+		if len(qr.Counts) != len(qr.IDs) {
+			return fmt.Errorf("cluster: node %d returned %d partial counts for %d ids", node, len(qr.Counts), len(qr.IDs))
+		}
 		// Node term spaces are disjoint, so summing partial counts yields
 		// the exact |F ∩ G| — the distributed half of the counting merge.
 		sharedMu.Lock()
-		for i, id := range resp.Query.IDs {
-			counter.AddN(id, int(resp.Query.Counts[i]))
+		for i, id := range qr.IDs {
+			counter.AddN(id, int(qr.Counts[i]))
 		}
-		info.NodePruned += resp.Query.Pruned
-		info.WirePartials += len(resp.Query.IDs)
+		info.NodePruned += qr.Pruned
+		info.WirePartials += len(qr.IDs)
 		sharedMu.Unlock()
 		return nil
 	})

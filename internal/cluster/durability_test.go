@@ -3,9 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -415,23 +413,7 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 	// A wedged "node" that accepts and swallows traffic without ever
 	// answering — closable, so the test can later start a real node on
 	// its address to heal the cluster.
-	stallLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { stallLn.Close() })
-	go func() {
-		for {
-			conn, err := stallLn.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(io.Discard, c)
-			}(conn)
-		}
-	}()
+	stallLn := startFakeNode(t, swallow)
 	wedged := stallLn.Addr().String()
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	// A fine-grained sharding (one shard per 31-bit curve prefix, node =

@@ -7,9 +7,9 @@ package cluster
 // replica's state therefore tracks the primary's exactly, stream
 // position by stream position — including tombstone fences, which is
 // what makes replaying a stale mutation produce the same (non-)effect on
-// both sides. Any stream failure — connection loss, falling behind the
-// primary's backlog — tears the tap down and the loop reconnects with a
-// fresh full sync after a backoff.
+// both sides. Any stream failure — connection loss, a primary gone
+// silent, falling behind the primary's backlog — tears the tap down and
+// the loop reconnects with a fresh full sync after a backoff.
 
 import (
 	"encoding/gob"
@@ -21,6 +21,12 @@ const (
 	replDialTimeout  = 2 * time.Second
 	replReconnectMin = 50 * time.Millisecond
 	replReconnectMax = 2 * time.Second
+	// replStreamTimeout is how long the stream may stay silent before the
+	// replica gives the primary up for dead. The primary promises a
+	// heartbeat every replHeartbeatInterval, so a few missed in a row mean
+	// a half-open connection — a primary that vanished without a RST —
+	// which no read would otherwise ever notice.
+	replStreamTimeout = 4 * replHeartbeatInterval
 )
 
 // replicationLoop keeps the replica synced to its primary until the node
@@ -80,8 +86,11 @@ func (n *Node) syncOnce() bool {
 	n.fullSyncs.Add(1)
 	for {
 		var ev replEvent
+		if err := conn.SetReadDeadline(time.Now().Add(replStreamTimeout)); err != nil {
+			return true
+		}
 		if err := dec.Decode(&ev); err != nil {
-			return true // stream over; reconnect with a fresh full sync
+			return true // stream over or silent; reconnect with a fresh full sync
 		}
 		n.applyEvent(&ev)
 	}

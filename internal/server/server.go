@@ -461,15 +461,15 @@ func (s *Server) handle(ctx context.Context, req *wire.Request) *wire.Response {
 		set := bitmap.FromSlice(req.Terms)
 		return s.search(ctx, req, geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set}))
 	case wire.OpSearch:
-		return s.search(ctx, req, geodabs.NewQuery(toGeoPoints(req.Points)))
+		return s.search(ctx, req, geodabs.NewQuery(req.Points))
 	case wire.OpSearchRerank:
 		metric := rerankMetricOf(req.Metric)
 		if metric == nil {
 			return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("unknown rerank metric %d", req.Metric)}
 		}
-		return s.search(ctx, req, geodabs.NewQuery(toGeoPoints(req.Points)), geodabs.WithExactRerank(metric))
+		return s.search(ctx, req, geodabs.NewQuery(req.Points), geodabs.WithExactRerank(metric))
 	case wire.OpUpsert:
-		t := &geodabs.Trajectory{ID: geodabs.ID(req.TrajID), Points: toGeoPoints(req.Points)}
+		t := &geodabs.Trajectory{ID: geodabs.ID(req.TrajID), Points: req.Points}
 		if err := s.engine.Upsert(ctx, t); err != nil {
 			return errResponse(err)
 		}
@@ -567,15 +567,6 @@ func errResponse(err error) *wire.Response {
 	default:
 		return &wire.Response{Status: wire.StatusError, Message: err.Error()}
 	}
-}
-
-// toGeoPoints converts wire points to the engine's point type.
-func toGeoPoints(pts []wire.Point) []geodabs.Point {
-	out := make([]geodabs.Point, len(pts))
-	for i, p := range pts {
-		out[i] = geodabs.Point{Lat: p.Lat, Lon: p.Lon}
-	}
-	return out
 }
 
 // Shutdown drains the server gracefully: it stops accepting connections,

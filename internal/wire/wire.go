@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"geodabs/internal/geo"
 )
 
 // Version is the protocol version this package speaks, carried as the
@@ -160,12 +162,10 @@ var (
 	ErrTruncated = errors.New("wire: truncated payload")
 )
 
-// Point is one latitude/longitude position in degrees, mirroring
-// geo.Point without importing the geometry package — wire stays a leaf
-// both the server and the public client can depend on.
-type Point struct {
-	Lat, Lon float64
-}
+// Point is one latitude/longitude position in degrees: the engine's own
+// point type, so a decoded trajectory is handed over without a copy
+// (geo imports only fmt and math, wire stays near-leaf).
+type Point = geo.Point
 
 // Request is the decoded form of one client request. Fields beyond the
 // header are op-specific; unused ones are zero.
@@ -329,6 +329,19 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// uint32 reads a varint that must fit 32 bits: narrowing it unchecked
+// would alias an out-of-range id onto a real one.
+func (d *decoder) uint32(what string) (uint32, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("wire: %s %d overflows uint32", what, v)
+	}
+	return uint32(v), nil
+}
+
 func (d *decoder) byte() (byte, error) {
 	if len(d.buf) < 1 {
 		return 0, ErrTruncated
@@ -417,20 +430,16 @@ func DecodeRequest(payload []byte) (*Request, error) {
 			return nil, err
 		}
 	case OpUpsert:
-		id, err := d.uvarint()
-		if err != nil {
+		if req.TrajID, err = d.uint32("trajectory id"); err != nil {
 			return nil, err
 		}
-		req.TrajID = uint32(id)
 		if req.Points, err = decodePoints(&d); err != nil {
 			return nil, err
 		}
 	case OpDelete:
-		id, err := d.uvarint()
-		if err != nil {
+		if req.TrajID, err = d.uint32("trajectory id"); err != nil {
 			return nil, err
 		}
-		req.TrajID = uint32(id)
 	default:
 		return nil, fmt.Errorf("wire: unknown op %d", opb)
 	}
@@ -476,15 +485,13 @@ func decodeTerms(d *decoder) ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 {
-			if v == 0 {
-				return nil, fmt.Errorf("wire: zero term delta (set not strictly ascending)")
-			}
-			v += prev
+		if i > 0 && v == 0 {
+			return nil, fmt.Errorf("wire: zero term delta (set not strictly ascending)")
 		}
-		if v > math.MaxUint32 {
+		if v > math.MaxUint32-prev { // before the add: a huge delta must not wrap uint64
 			return nil, fmt.Errorf("wire: term overflows uint32")
 		}
+		v += prev
 		terms[i] = uint32(v)
 		prev = v
 	}
@@ -565,19 +572,15 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		}
 		resp.Hits = make([]Hit, n)
 		for i := range resp.Hits {
-			id, err := d.uvarint()
-			if err != nil {
+			if resp.Hits[i].ID, err = d.uint32("hit id"); err != nil {
 				return nil, err
 			}
-			resp.Hits[i].ID = uint32(id)
 			if resp.Hits[i].Distance, err = d.float64(); err != nil {
 				return nil, err
 			}
-			sh, err := d.uvarint()
-			if err != nil {
+			if resp.Hits[i].Shared, err = d.uint32("hit shared count"); err != nil {
 				return nil, err
 			}
-			resp.Hits[i].Shared = uint32(sh)
 		}
 		s := &resp.Stats
 		for _, p := range [...]*uint64{&s.Candidates, &s.Pruned, &s.NodePruned, &s.WirePartials, &s.Shards, &s.Nodes, &s.ElapsedUS} {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -21,19 +22,24 @@ func roundTripRequest(t *testing.T, req *Request) *Request {
 	return got
 }
 
-func TestRequestRoundTrip(t *testing.T) {
-	reqs := []*Request{
+// sampleRequests is one request of every op and shape: the round-trip
+// table, and the seed corpus of FuzzDecodeRequest.
+func sampleRequests() []*Request {
+	return []*Request{
 		{ID: 1, Op: OpPing},
 		{ID: 7, Op: OpPing, DeadlineMS: 1500},
 		{ID: 2, Op: OpSearchFP, DeadlineMS: 250, MaxDistance: 0.5, Limit: 10, Terms: []uint32{3, 9, 10, 1 << 30}},
 		{ID: 3, Op: OpSearchFP, MaxDistance: 1, KNN: 5, Terms: []uint32{}},
-		{ID: 4, Op: OpSearch, MaxDistance: 0.9, Limit: 3, Points: []Point{{51.5, -0.1}, {51.6, -0.2}}},
-		{ID: 5, Op: OpUpsert, TrajID: 42, Points: []Point{{1, 2}, {3, 4}, {5, 6}}},
+		{ID: 4, Op: OpSearch, MaxDistance: 0.9, Limit: 3, Points: []Point{{Lat: 51.5, Lon: -0.1}, {Lat: 51.6, Lon: -0.2}}},
+		{ID: 5, Op: OpUpsert, TrajID: 42, Points: []Point{{Lat: 1, Lon: 2}, {Lat: 3, Lon: 4}, {Lat: 5, Lon: 6}}},
 		{ID: 6, Op: OpDelete, TrajID: 4242},
-		{ID: 8, Op: OpSearchRerank, MaxDistance: 0.99, KNN: 5, Metric: MetricDTW, Points: []Point{{51.5, -0.1}, {51.6, -0.2}}},
-		{ID: 9, Op: OpSearchRerank, MaxDistance: 1, Limit: 10, Metric: MetricDFD, Points: []Point{{1, 2}}},
+		{ID: 8, Op: OpSearchRerank, MaxDistance: 0.99, KNN: 5, Metric: MetricDTW, Points: []Point{{Lat: 51.5, Lon: -0.1}, {Lat: 51.6, Lon: -0.2}}},
+		{ID: 9, Op: OpSearchRerank, MaxDistance: 1, Limit: 10, Metric: MetricDFD, Points: []Point{{Lat: 1, Lon: 2}}},
 	}
-	for _, req := range reqs {
+}
+
+func TestRequestRoundTrip(t *testing.T) {
+	for _, req := range sampleRequests() {
 		got := roundTripRequest(t, req)
 		// Canonicalize empty slices: the codec may decode nil for empty.
 		if len(req.Terms) == 0 {
@@ -70,8 +76,10 @@ func TestRequestRoundTripFuzzTerms(t *testing.T) {
 	}
 }
 
-func TestResponseRoundTrip(t *testing.T) {
-	resps := []*Response{
+// sampleResponses is one response of every status: the round-trip
+// table, and the seed corpus of FuzzDecodeResponse.
+func sampleResponses() []*Response {
+	return []*Response{
 		{ID: 1, Status: StatusOK, Hits: []Hit{{ID: 9, Distance: 0.25, Shared: 12}, {ID: 10, Distance: 1, Shared: 1}},
 			Stats: Stats{Candidates: 31, Pruned: 4, NodePruned: 6, WirePartials: 25, Shards: 5, Nodes: 3, ElapsedUS: 1234}},
 		{ID: 2, Status: StatusOK},
@@ -82,7 +90,10 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 7, Status: StatusShuttingDown},
 		{ID: 8, Status: StatusBadRequest, Message: "trailing bytes"},
 	}
-	for _, resp := range resps {
+}
+
+func TestResponseRoundTrip(t *testing.T) {
+	for _, resp := range sampleResponses() {
 		payload := AppendResponse(nil, resp)
 		got, err := DecodeResponse(payload)
 		if err != nil {
@@ -140,6 +151,16 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 
 func TestDecodeRequestMalformed(t *testing.T) {
 	valid := AppendRequest(nil, &Request{ID: 1, Op: OpSearchFP, MaxDistance: 1, Terms: []uint32{1, 2, 3}})
+	// An id one past uint32 plus 5: narrowed unchecked it would name
+	// trajectory 5.
+	wideID := binary.AppendUvarint(nil, 1<<32+5)
+	header := func(op Op) []byte { return []byte{Version, byte(op), 1, 0} }
+	searchFP := append(header(OpSearchFP), valid[4:4+8+2]...) // maxDistance, limit, knn
+	for _, ok := range [][]byte{append(header(OpDelete), 5), append(header(OpUpsert), 5, 0), append(searchFP, 2, 5, 1)} {
+		if _, err := DecodeRequest(ok); err != nil {
+			t.Fatalf("hand-encoded baseline % x: %v", ok, err)
+		}
+	}
 	cases := []struct {
 		name    string
 		payload []byte
@@ -150,6 +171,10 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		{"truncated mid-terms", valid[:len(valid)-1]},
 		{"trailing garbage", append(append([]byte{}, valid...), 0xFF)},
 		{"hostile term count", append([]byte{Version, byte(OpSearchFP), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)},
+		{"delete id past uint32", append(header(OpDelete), wideID...)},
+		{"upsert id past uint32", append(append(header(OpUpsert), wideID...), 0)},
+		// Two terms, 5 then a delta of 2⁶⁴−1: the sum wraps to 4.
+		{"term delta wraps uint64", append(append(searchFP, 2, 5), binary.AppendUvarint(nil, math.MaxUint64)...)},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeRequest(tc.payload); err == nil {
@@ -159,7 +184,7 @@ func TestDecodeRequestMalformed(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsUnknownRerankMetric(t *testing.T) {
-	payload := AppendRequest(nil, &Request{ID: 1, Op: OpSearchRerank, MaxDistance: 1, KNN: 3, Metric: 99, Points: []Point{{1, 2}}})
+	payload := AppendRequest(nil, &Request{ID: 1, Op: OpSearchRerank, MaxDistance: 1, KNN: 3, Metric: 99, Points: []Point{{Lat: 1, Lon: 2}}})
 	if _, err := DecodeRequest(payload); err == nil {
 		t.Fatal("unknown rerank metric decoded without error")
 	}
@@ -192,12 +217,27 @@ func TestDecodeResponseMalformed(t *testing.T) {
 		{"bad version", append([]byte{99}, valid[1:]...)},
 		{"truncated", valid[:len(valid)-3]},
 		{"trailing garbage", append(append([]byte{}, valid...), 1)},
+		{"hit id past uint32", okResponse(1<<32+5, 2)},
+		{"hit shared count past uint32", okResponse(1, 1<<32+2)},
+	}
+	if _, err := DecodeResponse(okResponse(1, 2)); err != nil {
+		t.Fatalf("hand-encoded baseline: %v", err)
 	}
 	for _, tc := range cases {
 		if _, err := DecodeResponse(tc.payload); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
+}
+
+// okResponse hand-encodes an OK response with one hit, so the id and
+// shared count can be wider than AppendResponse's uint32 fields.
+func okResponse(hitID, shared uint64) []byte {
+	b := []byte{Version, byte(StatusOK), 1, 1}
+	b = binary.AppendUvarint(b, hitID)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(0.5))
+	b = binary.AppendUvarint(b, shared)
+	return append(b, 0, 0, 0, 0, 0, 0, 0) // the seven stats
 }
 
 func TestTermDeltaEncodingIsCompact(t *testing.T) {
