@@ -39,7 +39,7 @@ func main() {
 	log.SetFlags(0)
 
 	// Start 4 shard nodes on the loopback interface. In production these
-	// would be separate machines; the protocol is plain TCP + gob either
+	// would be separate machines; the protocol is plain TCP + binary frames either
 	// way.
 	const numNodes = 4
 	var addrs []string

@@ -5,7 +5,9 @@
 // A fixture lives under the calling test's testdata directory as a
 // small self-contained module (its own go.mod, module name "fixtures"),
 // which the go tool happily builds because testdata trees are invisible
-// to package patterns of the enclosing module. Expectations are written
+// to package patterns of the enclosing module. A fixture that must stand
+// in for a geodabs package the analyzer names by import path — lockhold's
+// cluster frame helpers — names its module "geodabs" instead. Expectations are written
 // on the offending line:
 //
 //	mu.Lock()

@@ -1,8 +1,8 @@
 // Package lockhold flags blocking operations reached while a
 // sync.Mutex or sync.RWMutex is held.
 //
-// This is the bug class PR 4 fixed in the coordinator ranking loop
-// (gob encode under the directory lock) and PR 6 fixed in Shutdown
+// This is the bug class once fixed in the coordinator ranking loop (an
+// RPC encode under the directory lock) and in the server's Shutdown
 // (channel wait under the drain lock): a blocking call under a lock
 // turns one slow peer into a stalled shard. The analyzer tracks lock
 // acquisitions through each function body with a simple forward walk —
@@ -11,11 +11,12 @@
 // blocking calls under it deserve a look), and goroutine and closure
 // bodies are analyzed separately with an empty held set.
 //
-// Blocking operations: net dials/reads/writes/accepts, gob and wire
-// decoding, channel sends/receives (including select without default
-// and range over a channel), file fsync, WAL appends, time.Sleep, and
-// WaitGroup/Cond waits. Deliberate holds — e.g. the WAL's single-writer
-// group commit — are annotated //geodabs:vet-ignore with a reason.
+// Blocking operations: net dials/reads/writes/accepts, wire frame reads
+// and the cluster's frame reads and writes, channel sends/receives
+// (including select without default and range over a channel), file
+// fsync, WAL appends, time.Sleep, and WaitGroup/Cond waits. Deliberate
+// holds — e.g. the WAL's single-writer group commit — are annotated
+// //geodabs:vet-ignore with a reason.
 package lockhold
 
 import (
@@ -51,8 +52,6 @@ var blocking = map[string]string{
 	"(*sync.WaitGroup).Wait":                      "WaitGroup.Wait",
 	"(*sync.Cond).Wait":                           "Cond.Wait",
 	"(*os.File).Sync":                             "file fsync",
-	"(*encoding/gob.Encoder).Encode":              "gob encode",
-	"(*encoding/gob.Decoder).Decode":              "gob decode",
 	"net.Dial":                                    "net dial",
 	"net.DialTimeout":                             "net dial",
 	"(*net.Dialer).Dial":                          "net dial",
@@ -64,6 +63,10 @@ var blocking = map[string]string{
 	"(net.Listener).Accept":                       "net accept",
 	"(*net.TCPListener).Accept":                   "net accept",
 	"geodabs/internal/wire.ReadFrame":             "wire read",
+	"geodabs/internal/wire.ReadFrameInto":         "wire read",
+	"(*geodabs/internal/cluster.frames).read":     "frame read",
+	"(*geodabs/internal/cluster.frames).send":     "frame send",
+	"(*geodabs/internal/cluster.frames).write":    "frame write",
 	"(*geodabs/internal/wal.Log).Append":          "WAL append (group commit fsync)",
 	"(*geodabs/internal/wal.Log).Sync":            "WAL fsync",
 	"(*geodabs/internal/wal.Log).Seal":            "WAL seal (fsync)",

@@ -2,7 +2,6 @@
 package a
 
 import (
-	"encoding/gob"
 	"net"
 	"os"
 	"sync"
@@ -34,12 +33,6 @@ func (s *S) badSleepUnderRLock() {
 	s.rw.RLock()
 	time.Sleep(time.Millisecond) // want `time.Sleep .* while "s.rw" is held`
 	s.rw.RUnlock()
-}
-
-func (s *S) badGobEncodeUnderLock(enc *gob.Encoder, v map[string]int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return enc.Encode(v) // want `gob encode .* while "s.mu" is held`
 }
 
 func (s *S) badFsyncUnderLock() error {

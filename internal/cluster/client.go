@@ -1,24 +1,79 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"geodabs/internal/wire"
 )
 
-// nodeConn is one gob-framed TCP connection to a shard node. The encoder
-// and decoder are bound to the connection for its lifetime: a call
-// abandoned mid-flight desynchronizes the stream, so the connection is
-// discarded rather than reused.
-type nodeConn struct {
+// frameReadBuffer sizes a connection's read buffer: a query's partial
+// counts — a few thousand 8-byte pairs — arrive in one read.
+const frameReadBuffer = 32 << 10
+
+// frames is one end of a framed coordinator↔node connection. Frames are
+// read through a buffered reader into one reused buffer and built in
+// another, so a connection exchanges frame after frame without
+// allocating once its buffers have grown to its largest frame.
+type frames struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	r    *bufio.Reader
+	in   []byte // the last frame read, valid until the next read
+	out  []byte // storage the next frames are built in
+}
+
+func newFrames(conn net.Conn) *frames {
+	return &frames{conn: conn, r: bufio.NewReaderSize(conn, frameReadBuffer)}
+}
+
+// read returns the next frame's payload, valid until the next read.
+func (f *frames) read() ([]byte, error) {
+	p, err := wire.ReadFrameInto(f.r, f.in, maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	f.in = p
+	return p, nil
+}
+
+// begin opens a frame in the write buffer: append one payload to the
+// returned slice and hand it to send.
+func (f *frames) begin() []byte { return wire.BeginFrame(f.out[:0]) }
+
+// send seals the frame begin opened and writes it.
+func (f *frames) send(b []byte) error {
+	b, err := wire.EndFrame(b, 0, maxFrame)
+	if err != nil {
+		return err
+	}
+	return f.write(b)
+}
+
+// write writes b, whole frames the caller sealed — a batch of them, as a
+// full sync sends — and keeps its storage for the next frames.
+func (f *frames) write(b []byte) error {
+	f.out = b[:0]
+	_, err := f.conn.Write(b)
+	return err
+}
+
+// errStale is a replica's refusal of a read whose snapshot epoch its
+// state does not yet cover; readCall falls back to the primary.
+var errStale = errors.New("cluster: replica state does not cover the search snapshot")
+
+// nodeConn is one framed TCP connection to a shard node, with the reply
+// it decodes into, reused call after call. A call abandoned mid-flight
+// leaves the stream out of step, so that connection is discarded rather
+// than reused.
+type nodeConn struct {
+	*frames
+	resp response
 }
 
 // client is the coordinator's connection pool to one node. In-flight
@@ -76,7 +131,7 @@ func (c *client) connect(ctx context.Context) (*nodeConn, error) {
 		}
 		return nil, fmt.Errorf("cluster: dial %s: %w", c.addr, err)
 	}
-	return &nodeConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &nodeConn{frames: newFrames(conn)}, nil
 }
 
 // checkout hands the caller a live connection: an idle one when
@@ -124,8 +179,8 @@ func (c *client) checkin(nc *nodeConn) {
 	c.mu.Unlock()
 }
 
-// discard drops a connection whose gob stream may be desynchronized; the
-// next call will dial afresh.
+// discard drops a connection whose stream may be out of step or whose
+// deadline a cancellation may have poked; the next call dials afresh.
 func (c *client) discard(nc *nodeConn) {
 	nc.conn.Close()
 	c.mu.Lock()
@@ -133,63 +188,76 @@ func (c *client) discard(nc *nodeConn) {
 	c.mu.Unlock()
 }
 
-// call performs one request/response round trip. Cancelling ctx aborts
-// the in-flight I/O promptly (by poking the connection deadline) and
-// returns the context's error.
-func (c *client) call(ctx context.Context, req *request) (*response, error) {
+// call performs one request/response round trip. A reply of the
+// request's own kind is handed to use (which may be nil) before call
+// returns — it is valid only until then, since a query reply's partial
+// counts alias the connection's read buffer. An opError or opStale
+// reply, a reply of another kind and an undecodable one are errors.
+// Cancelling ctx aborts the in-flight I/O promptly (by poking the
+// connection deadline) and returns the context's error.
+func (c *client) call(ctx context.Context, req *request, use func(*response)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	defer func() { <-c.sem }()
 	nc, err := c.checkout(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nc.conn.SetDeadline(time.Time{}) // clear a deadline poked by an earlier cancellation
-	watchDone := make(chan struct{})
-	watchExited := make(chan struct{})
-	go func() {
-		defer close(watchExited)
-		select {
-		case <-ctx.Done():
-			nc.conn.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-	// Wait for the watcher to exit before returning: a stale watcher
-	// racing a cancellation could otherwise poke a deadline onto the
-	// connection after the next call has cleared it.
-	defer func() {
-		close(watchDone)
-		<-watchExited
-	}()
-	fail := func(err error) (*response, error) {
+	stop := context.AfterFunc(ctx, func() { nc.conn.SetDeadline(time.Now()) })
+	err = nc.roundTrip(req)
+	// A stop that finds the poke started cannot tell whether it has landed
+	// yet: such a connection never goes back to the pool, so a stale
+	// deadline can never fail a later call.
+	poked := !stop()
+	if err != nil {
 		c.discard(nc)
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return ctxErr
 		}
-		return nil, err
+		return err
 	}
-	if err := nc.enc.Encode(req); err != nil {
-		return fail(fmt.Errorf("cluster: send: %w", err))
+	switch resp := &nc.resp; resp.Kind {
+	case req.Op:
+		if use != nil {
+			use(resp)
+		}
+	case opError:
+		err = fmt.Errorf("cluster: node error: %s", resp.Err)
+	case opStale:
+		err = errStale
+	default:
+		err = fmt.Errorf("cluster: node answered a %s request with a %s frame", req.Op, resp.Kind)
 	}
-	var resp response
-	if err := nc.dec.Decode(&resp); err != nil {
+	if poked {
+		c.discard(nc)
+	} else {
+		c.checkin(nc)
+	}
+	return err
+}
+
+// roundTrip sends req and decodes the reply into nc.resp.
+func (nc *nodeConn) roundTrip(req *request) error {
+	if err := nc.send(appendRequest(nc.begin(), req)); err != nil {
+		return fmt.Errorf("cluster: send: %w", err)
+	}
+	p, err := nc.read()
+	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return fail(fmt.Errorf("cluster: node closed connection"))
+			return errors.New("cluster: node closed connection")
 		}
-		return fail(fmt.Errorf("cluster: receive: %w", err))
+		return fmt.Errorf("cluster: receive: %w", err)
 	}
-	c.checkin(nc)
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: node error: %s", resp.Err)
+	if err := nc.resp.decode(p); err != nil {
+		return fmt.Errorf("cluster: malformed reply to a %s request: %w", req.Op, err)
 	}
-	return &resp, nil
+	return nil
 }
 
 // close tears down every pooled connection, including those serving

@@ -230,25 +230,35 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.close()
-	if _, err := cl.call(context.Background(), &request{Op: opMutate}); err == nil {
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opMutate}); err == nil {
 		t.Error("mutation without payload should error")
 	}
-	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{Op: 9, ID: 1, Epoch: 1}}); err == nil {
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opMutate, Mutate: &wal.Record{Op: 9, ID: 1, Epoch: 1}}); err == nil {
 		t.Error("unknown mutation op should error")
 	}
-	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{
-		Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1}, Points: []geo.Point{{Lat: 1, Lon: 1}},
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opMutate, Mutate: &wal.Record{
+		Op: wal.OpAddPoints, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1},
 	}}); err == nil {
-		t.Error("plain add carrying points should error: the log would drop them")
+		t.Error("point-owner add without points should error")
 	}
-	if _, err := cl.call(context.Background(), &request{Op: opQuery}); err == nil {
+	// A plain add cannot carry points: its record ends at the terms, so
+	// points after them are trailing bytes the node refuses.
+	f := dialFrames(t, node.Addr())
+	add := wal.AppendRecord([]byte{byte(opMutate), 0}, &wal.Record{Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1}})
+	if resp := exchange(t, f, appendPoints(add, []geo.Point{{Lat: 1, Lon: 1}})); resp.Kind != opError {
+		t.Errorf("plain add carrying points answered with a %s frame, want an error", resp.Kind)
+	}
+	if resp := exchange(t, f, appendRequest(nil, &request{Op: opStats})); resp.Kind != opStats {
+		t.Errorf("stats after a malformed frame answered with a %s frame", resp.Kind)
+	}
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opQuery}); err == nil {
 		t.Error("query without payload should error")
 	}
-	if _, err := cl.call(context.Background(), &request{Op: 99}); err == nil {
+	if _, err := roundTrip(context.Background(), cl, &request{Op: 99}); err == nil {
 		t.Error("unknown op should error")
 	}
 	// The connection survives protocol errors.
-	if _, err := cl.call(context.Background(), &request{Op: opStats}); err != nil {
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opStats}); err != nil {
 		t.Errorf("stats after errors: %v", err)
 	}
 }
@@ -323,7 +333,7 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 }
 
 // TestClientRecoversAfterCancelledCall exercises the redial path: a call
-// abandoned mid-flight poisons the gob stream, and the next call on the
+// abandoned mid-flight leaves its stream out of step, and the next call on the
 // same client must transparently reconnect.
 func TestClientRecoversAfterCancelledCall(t *testing.T) {
 	coord, _ := startCluster(t, 1)
@@ -555,7 +565,7 @@ func TestFailedAddLeavesNoOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.close()
-	resp, err := cl.call(ctx, &request{Op: opStats})
+	resp, err := roundTrip(ctx, cl, &request{Op: opStats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +725,7 @@ func TestPoolParallelSearches(t *testing.T) {
 // with document cardinalities replicated to the shard nodes and the
 // query's window pushed down, distributed results must stay byte-identical
 // to a local index while a pruning-eligible workload shows a non-zero
-// NodePruned — candidates skipped before they ever hit gob or the wire.
+// NodePruned — candidates skipped before they are ever encoded for the wire.
 func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
@@ -810,19 +820,19 @@ func TestNodeCardinalityWindow(t *testing.T) {
 		{Op: wal.OpAdd, ID: 3, Terms: many, Epoch: 3, Card: 66000},
 	} {
 		doc := doc
-		if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &doc}); err != nil {
+		if _, err := roundTrip(ctx, cl, &request{Op: opMutate, Mutate: &doc}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// |F|=100, d=0.5 → window ≈ [49, 201]: docs 1 and 2 outside.
-	resp, err := cl.call(ctx, &request{Op: opQuery, Query: &queryRequest{
+	resp, err := roundTrip(ctx, cl, &request{Op: opQuery, Query: &queryRequest{
 		Terms: []uint32{5, 6}, QueryCard: 100, MaxDistance: 0.5,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Query.IDs) != 0 || resp.Query.Pruned != 2 {
-		t.Errorf("narrow query: IDs=%v Pruned=%d, want both docs pruned", resp.Query.IDs, resp.Query.Pruned)
+	if ids, _ := pairsOf(resp.Query); len(ids) != 0 || resp.Query.pruned != 2 {
+		t.Errorf("narrow query: IDs=%v Pruned=%d, want both docs pruned", ids, resp.Query.pruned)
 	}
 	// More than 65535 terms: |F|=70000, d=0.5 → window ≈ [34999, 140001]:
 	// doc 1 pruned, doc 2 kept with its partial count of 1, doc 3 kept
@@ -831,25 +841,38 @@ func TestNodeCardinalityWindow(t *testing.T) {
 	for i := range wide {
 		wide[i] = uint32(i)
 	}
-	resp, err = cl.call(ctx, &request{Op: opQuery, Query: &queryRequest{
+	resp, err = roundTrip(ctx, cl, &request{Op: opQuery, Query: &queryRequest{
 		Terms: wide, QueryCard: 70000, MaxDistance: 0.5,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Query.IDs, []uint32{2, 3}) || !reflect.DeepEqual(resp.Query.Counts, []uint32{1, 66000}) || resp.Query.Pruned != 1 {
+	if ids, counts := pairsOf(resp.Query); !reflect.DeepEqual(ids, []uint32{2, 3}) || !reflect.DeepEqual(counts, []uint32{1, 66000}) || resp.Query.pruned != 1 {
 		t.Errorf("wide query: IDs=%v Counts=%v Pruned=%d, want docs 2 and 3 kept with counts 1 and 66000, doc 1 pruned",
-			resp.Query.IDs, resp.Query.Counts, resp.Query.Pruned)
+			ids, counts, resp.Query.pruned)
 	}
 	// QueryCard 0 disables the window: both docs ship.
-	resp, err = cl.call(ctx, &request{Op: opQuery, Query: &queryRequest{
+	resp, err = roundTrip(ctx, cl, &request{Op: opQuery, Query: &queryRequest{
 		Terms: []uint32{5, 6}, MaxDistance: 0.5,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Query.IDs) != 2 || resp.Query.Pruned != 0 {
-		t.Errorf("QueryCard 0: IDs=%v Pruned=%d, want pruning disabled", resp.Query.IDs, resp.Query.Pruned)
+	if ids, _ := pairsOf(resp.Query); len(ids) != 2 || resp.Query.pruned != 0 {
+		t.Errorf("QueryCard 0: IDs=%v Pruned=%d, want pruning disabled", ids, resp.Query.pruned)
+	}
+	// No distance bound, as on every kNN search: the window is open and
+	// ships every candidate, doc 2's |G| of 70000 against an |F| of 100
+	// included, without looking a cardinality up.
+	resp, err = roundTrip(ctx, cl, &request{Op: opQuery, Query: &queryRequest{
+		Terms: []uint32{5, 6}, QueryCard: 100, MaxDistance: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, counts := pairsOf(resp.Query); !reflect.DeepEqual(ids, []uint32{1, 2}) || !reflect.DeepEqual(counts, []uint32{1, 1}) || resp.Query.pruned != 0 {
+		t.Errorf("open window: IDs=%v Counts=%v Pruned=%d, want docs 1 and 2 with count 1 each, none pruned",
+			ids, counts, resp.Query.pruned)
 	}
 }
 
@@ -962,12 +985,16 @@ func TestNodeRejectsMalformedDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.close()
-	if _, err := cl.call(context.Background(), &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, ID: 1, Epoch: 1, Terms: []uint32{1}}}); err == nil {
-		t.Error("delete carrying terms should error")
+	// A delete record ends at its ID, so terms after it are trailing
+	// bytes the node refuses.
+	f := dialFrames(t, node.Addr())
+	del := wal.AppendRecord([]byte{byte(opMutate), 0}, &wal.Record{Op: wal.OpDelete, ID: 1, Epoch: 1})
+	if resp := exchange(t, f, appendU32s(del, []uint32{1})); resp.Kind != opError {
+		t.Errorf("delete carrying terms answered with a %s frame, want an error", resp.Kind)
 	}
 	// The connection survives the protocol error.
-	if _, err := cl.call(context.Background(), &request{Op: opStats}); err != nil {
-		t.Errorf("stats after malformed delete: %v", err)
+	if resp := exchange(t, f, appendRequest(nil, &request{Op: opStats})); resp.Kind != opStats {
+		t.Errorf("stats after malformed delete answered with a %s frame", resp.Kind)
 	}
 }
 
@@ -987,13 +1014,13 @@ func TestNodeRejectsTermlessAdd(t *testing.T) {
 	}
 	defer cl.close()
 	ctx := context.Background()
-	if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 5}}); err == nil {
+	if _, err := roundTrip(ctx, cl, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 5}}); err == nil {
 		t.Error("add without terms should error")
 	}
-	if _, err := cl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, ID: 2, Epoch: 2}}); err != nil {
+	if _, err := roundTrip(ctx, cl, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, ID: 2, Epoch: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.call(ctx, &request{Op: opStats, CompactBelow: 2})
+	resp, err := roundTrip(ctx, cl, &request{Op: opStats, CompactBelow: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,20 @@ func (c *Coordinator) watermark() uint64 {
 // unwinds promptly), and the parent context's own error takes precedence
 // in the return so cancelled callers see context.Canceled, not a
 // secondary node error.
+//
+// A single item has no siblings to cancel: it runs on the caller's
+// goroutine under parent, with no goroutine, channel or child context —
+// the common one-node scatter pays none of them.
 func fanOut[T any](parent context.Context, items []T, task func(ctx context.Context, item T) error) error {
+	if len(items) == 1 {
+		if err := task(parent, items[0]); err != nil {
+			if perr := parent.Err(); perr != nil {
+				return perr
+			}
+			return err
+		}
+		return nil
+	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	errs := make(chan error, len(items))
@@ -454,8 +467,7 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 		if node == owner && len(t.Points) > 0 {
 			rec.Op, rec.Points = wal.OpAddPoints, t.Points
 		}
-		_, err := c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec})
-		return err
+		return c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil)
 	})
 	if err != nil {
 		c.cleanupFailedAdd(t.ID, nodes)
@@ -526,11 +538,11 @@ func (c *Coordinator) fanDeletes(ctx context.Context, id trajectory.ID, epoch, b
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			_, err := c.clients[node].call(ctx, &request{
+			err := c.clients[node].call(ctx, &request{
 				Op:           opMutate,
 				CompactBelow: below,
 				Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: epoch, ID: uint32(id)},
-			})
+			}, nil)
 			if err != nil {
 				mu.Lock()
 				failed = append(failed, node)
@@ -633,12 +645,11 @@ func (c *Coordinator) deleteID(parent context.Context, id trajectory.ID) error {
 	// trajectory's terms, but each node knows the terms it holds per ID,
 	// and deleting an absent ID is a cheap no-op.
 	err := fanOut(parent, allNodes(len(c.clients)), func(ctx context.Context, node int) error {
-		_, err := c.clients[node].call(ctx, &request{
+		return c.clients[node].call(ctx, &request{
 			Op:           opMutate,
 			CompactBelow: below,
 			Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)},
-		})
-		return err
+		}, nil)
 	})
 	c.mu.Lock()
 	if err == nil {
@@ -793,33 +804,22 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 		merged := make([]index.Result, 0, len(hits))
 		var mu sync.Mutex
 		err := fanOut(parent, nodesOf(groups), func(ctx context.Context, node int) error {
-			resp, err := c.readCall(ctx, node, &request{
+			return c.readCall(ctx, node, &request{
 				Op:           opRerank,
 				CompactBelow: below,
 				Rerank:       &rerankRequest{IDs: groups[node], Query: query, Metric: metric, Limit: limit},
+			}, func(r *response) {
+				mu.Lock()
+				// A shortlist member that raced a delete/upsert between the
+				// directory check and the node call is Missing. Collect
+				// rather than fail fast, so the error names every
+				// unavailable ID.
+				missing = append(missing, r.Rerank.Missing...)
+				for _, s := range r.Rerank.Scored {
+					merged = append(merged, index.Result{ID: trajectory.ID(s.ID), Distance: s.Score, Shared: shared[s.ID]})
+				}
+				mu.Unlock()
 			})
-			if err != nil {
-				return err
-			}
-			rr := resp.Rerank
-			if rr == nil {
-				return errors.New("cluster: node returned no rerank payload")
-			}
-			if len(rr.Scores) != len(rr.IDs) {
-				return fmt.Errorf("cluster: node %d returned %d rerank scores for %d ids", node, len(rr.Scores), len(rr.IDs))
-			}
-			mu.Lock()
-			if len(rr.Missing) > 0 {
-				// A shortlist member raced a delete/upsert between the
-				// directory check and the node call. Collect rather than
-				// fail fast, so the error names every unavailable ID.
-				missing = append(missing, rr.Missing...)
-			}
-			for i, id := range rr.IDs {
-				merged = append(merged, index.Result{ID: trajectory.ID(id), Distance: rr.Scores[i], Shared: shared[id]})
-			}
-			mu.Unlock()
-			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -964,42 +964,30 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 		Nodes:  len(groups),
 	}
 	qCard := plan.card
-	// The same pool feeds the shard nodes' query handlers; a coordinator
-	// embedded in a node process shares it.
-	counter := counterPool.Get().(*bitmap.Counter)
+	s := scratchPool.Get().(*scratch)
 	defer func() {
-		counter.Reset()
-		counterPool.Put(counter)
+		s.counter.Reset()
+		scratchPool.Put(s)
 	}()
+	counter := s.counter
 	var sharedMu sync.Mutex
 	err := fanOut(parent, plan.nodes, func(ctx context.Context, node int) error {
-		resp, err := c.readCall(ctx, node, &request{
+		return c.readCall(ctx, node, &request{
 			Op:           opQuery,
 			CompactBelow: snap,
 			// QueryCard and MaxDistance let the node apply the
-			// cardinality window before serializing its partials.
+			// cardinality window before encoding its partials.
 			Query: &queryRequest{Terms: groups[node], QueryCard: qCard, MaxDistance: maxDistance},
+		}, func(r *response) {
+			// Node term spaces are disjoint, so summing partial counts
+			// yields the exact |F ∩ G| — the distributed half of the
+			// counting merge — straight from the reply's bytes.
+			sharedMu.Lock()
+			r.Query.addTo(counter)
+			info.NodePruned += r.Query.pruned
+			info.WirePartials += r.Query.len()
+			sharedMu.Unlock()
 		})
-		if err != nil {
-			return err
-		}
-		qr := resp.Query
-		if qr == nil {
-			return errors.New("cluster: node returned no query payload")
-		}
-		if len(qr.Counts) != len(qr.IDs) {
-			return fmt.Errorf("cluster: node %d returned %d partial counts for %d ids", node, len(qr.Counts), len(qr.IDs))
-		}
-		// Node term spaces are disjoint, so summing partial counts yields
-		// the exact |F ∩ G| — the distributed half of the counting merge.
-		sharedMu.Lock()
-		for i, id := range qr.IDs {
-			counter.AddN(id, int(qr.Counts[i]))
-		}
-		info.NodePruned += qr.Pruned
-		info.WirePartials += len(qr.IDs)
-		sharedMu.Unlock()
-		return nil
 	})
 	if err != nil {
 		return nil, info, err
@@ -1012,7 +1000,7 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	// lock covers only the map lookups; holding it across the whole
 	// scoring pass would block every mutation for the duration of a large
 	// candidate set's floating-point ranking.
-	ranked := make([]rankedCandidate, 0, info.Candidates)
+	ranked := s.ranked[:0]
 	c.mu.RLock()
 	for _, id := range cands {
 		entry, ok := c.directory[trajectory.ID(id)]
@@ -1022,6 +1010,7 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 		ranked = append(ranked, rankedCandidate{id: id, card: entry.card, shared: counter.Count(id)})
 	}
 	c.mu.RUnlock()
+	s.ranked = ranked
 
 	// Rank through the same threshold-pruning core as the local index, so
 	// the cluster inherits its bounds, its top-k heap, and its
@@ -1042,46 +1031,44 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 }
 
 // readCall routes one read request across a shard's primary and replica
-// set per the coordinator's read preference. Under ReadReplicas, reads
-// round-robin the replicas; a replica that errors or refuses the request
-// as stale falls through to the next, and ultimately the primary. Under
-// ReadPrimary, the primary answers and replicas are failover only. The
-// snapshot watermark the request carries makes either route exact: a
-// replica only answers a snapshot its replicated state provably covers.
-func (c *Coordinator) readCall(ctx context.Context, node int, req *request) (*response, error) {
+// set per the coordinator's read preference, handing the reply to use
+// as client.call does — once, from whichever node answered. Under
+// ReadReplicas, reads round-robin the replicas; a replica that errors or
+// refuses the request as stale falls through to the next, and ultimately
+// the primary. Under ReadPrimary, the primary answers and replicas are
+// failover only. The snapshot watermark the request carries makes either
+// route exact: a replica only answers a snapshot its replicated state
+// provably covers.
+func (c *Coordinator) readCall(ctx context.Context, node int, req *request, use func(*response)) error {
 	var reps []*client
 	if c.replicas != nil {
 		reps = c.replicas[node]
 	}
 	if len(reps) == 0 {
-		return c.clients[node].call(ctx, req)
+		return c.clients[node].call(ctx, req, use)
 	}
 	if c.readPref == ReadReplicas {
 		start := int(c.rr[node].Add(1))
 		for i := 0; i < len(reps); i++ {
-			resp, err := reps[(start+i)%len(reps)].call(ctx, req)
-			if err == nil && !resp.Stale {
-				return resp, nil
+			if reps[(start+i)%len(reps)].call(ctx, req, use) == nil {
+				return nil
 			}
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
 		}
-		return c.clients[node].call(ctx, req)
+		return c.clients[node].call(ctx, req, use)
 	}
-	resp, err := c.clients[node].call(ctx, req)
-	if err == nil {
-		return resp, nil
-	}
-	if ctx.Err() != nil {
-		return nil, err
+	err := c.clients[node].call(ctx, req, use)
+	if err == nil || ctx.Err() != nil {
+		return err
 	}
 	for _, rep := range reps {
-		if resp, rerr := rep.call(ctx, req); rerr == nil && !resp.Stale {
-			return resp, nil
+		if rep.call(ctx, req, use) == nil {
+			return nil
 		}
 	}
-	return nil, err
+	return err
 }
 
 // rankedCandidate is one merged candidate with its directory snapshot:
@@ -1117,11 +1104,9 @@ func (c *Coordinator) Stats(parent context.Context) ([]NodeStats, error) {
 	below := c.watermark()
 	out := make([]NodeStats, len(c.clients))
 	err := fanOut(parent, allNodes(len(c.clients)), func(ctx context.Context, i int) error {
-		resp, err := c.clients[i].call(ctx, &request{Op: opStats, CompactBelow: below})
-		if err != nil {
+		if err := c.clients[i].call(ctx, &request{Op: opStats, CompactBelow: below}, func(r *response) { out[i] = r.Stats }); err != nil {
 			return err
 		}
-		out[i] = *resp.Stats
 		out[i].Node = i
 		if c.replicas == nil || len(c.replicas[i]) == 0 {
 			return nil
@@ -1130,16 +1115,13 @@ func (c *Coordinator) Stats(parent context.Context) ([]NodeStats, error) {
 		// epoch at the time of this gather; a momentarily larger stable
 		// epoch (the stream ran ahead of our primary read) clamps to 0.
 		for _, rep := range c.replicas[i] {
-			rresp, rerr := rep.call(ctx, &request{Op: opStats})
 			rs := ReplicaStats{Addr: rep.addr}
-			if rerr != nil {
+			if rerr := rep.call(ctx, &request{Op: opStats}, func(r *response) {
+				rs.StableEpoch, rs.FullSyncs = r.Stats.StableEpoch, r.Stats.FullSyncs
+			}); rerr != nil {
 				rs.Err = rerr.Error()
-			} else {
-				rs.StableEpoch = rresp.Stats.StableEpoch
-				rs.FullSyncs = rresp.Stats.FullSyncs
-				if out[i].Epoch > rs.StableEpoch {
-					rs.EpochLag = out[i].Epoch - rs.StableEpoch
-				}
+			} else if out[i].Epoch > rs.StableEpoch {
+				rs.EpochLag = out[i].Epoch - rs.StableEpoch
 			}
 			out[i].Replicas = append(out[i].Replicas, rs)
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
@@ -161,7 +161,7 @@ func dumpState(n *Node) nodeState {
 // memNode returns a bare in-memory node for direct apply calls — the
 // property tests' reference, never listening or logging.
 func memNode() *Node {
-	return &Node{postings: make(map[uint32]*bitmap.Bitmap), docs: make(map[uint32]nodeDoc)}
+	return &Node{shardState: newShardState()}
 }
 
 // TestNodeCrashRecoveryProperty hard-kills a WAL-backed node at a random
@@ -352,43 +352,39 @@ func TestReplicaStaleGate(t *testing.T) {
 	}
 	defer rcl.close()
 
-	if _, err := pcl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Terms: []uint32{7, 8, 9}, Epoch: 5, Card: 3}}); err != nil {
+	if _, err := roundTrip(ctx, pcl, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 1, Terms: []uint32{7, 8, 9}, Epoch: 5, Card: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutations must be refused by the replica outright.
-	if _, err := rcl.call(ctx, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 2, Terms: []uint32{1}, Epoch: 6, Card: 1}}); err == nil {
+	if _, err := roundTrip(ctx, rcl, &request{Op: opMutate, Mutate: &wal.Record{Op: wal.OpAdd, ID: 2, Terms: []uint32{1}, Epoch: 6, Card: 1}}); err == nil {
 		t.Fatal("replica accepted a mutation")
 	}
 	// Wait for the add to stream over.
 	pollUntil(t, 5*time.Second, func() bool {
-		resp, err := rcl.call(ctx, &request{Op: opStats})
+		resp, err := roundTrip(ctx, rcl, &request{Op: opStats})
 		return err == nil && resp.Stats.Docs == 1
 	}, "replica never received the streamed add")
 
 	// Snapshot epoch 5 is not yet proven complete on the replica: stale.
-	resp, err := rcl.call(ctx, &request{Op: opQuery, CompactBelow: 5, Query: &queryRequest{Terms: []uint32{7, 8, 9}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Stale {
-		t.Fatal("replica answered a snapshot it cannot prove complete")
+	if _, err := roundTrip(ctx, rcl, &request{Op: opQuery, CompactBelow: 5, Query: &queryRequest{Terms: []uint32{7, 8, 9}}}); !errors.Is(err, errStale) {
+		t.Fatalf("replica query at snapshot 5 = %v, want a stale refusal: it cannot prove that snapshot complete", err)
 	}
 	// Snapshot epoch 0 needs no proof: served.
-	resp, err = rcl.call(ctx, &request{Op: opQuery, Query: &queryRequest{Terms: []uint32{7, 8, 9}}})
+	resp, err := roundTrip(ctx, rcl, &request{Op: opQuery, Query: &queryRequest{Terms: []uint32{7, 8, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stale || len(resp.Query.IDs) != 1 || resp.Query.IDs[0] != 1 {
-		t.Fatalf("replica snapshot-0 query = %+v", resp)
+	if ids, _ := pairsOf(resp.Query); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("replica snapshot-0 query answered IDs %v, want [1]", ids)
 	}
 	// Advancing the primary's watermark past the epoch un-stales the
 	// replica via the stream.
-	if _, err := pcl.call(ctx, &request{Op: opStats, CompactBelow: 5}); err != nil {
+	if _, err := roundTrip(ctx, pcl, &request{Op: opStats, CompactBelow: 5}); err != nil {
 		t.Fatal(err)
 	}
 	pollUntil(t, 5*time.Second, func() bool {
-		resp, err := rcl.call(ctx, &request{Op: opQuery, CompactBelow: 5, Query: &queryRequest{Terms: []uint32{7, 8, 9}}})
-		return err == nil && !resp.Stale && len(resp.Query.IDs) == 1
+		resp, err := roundTrip(ctx, rcl, &request{Op: opQuery, CompactBelow: 5, Query: &queryRequest{Terms: []uint32{7, 8, 9}}})
+		return err == nil && resp.Query.len() == 1
 	}, "replica never caught up to watermark 5")
 }
 
@@ -476,7 +472,7 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 	}
 	defer cl.close()
 	pollUntil(t, 10*time.Second, func() bool {
-		resp, err := cl.call(context.Background(), &request{Op: opStats})
+		resp, err := roundTrip(context.Background(), cl, &request{Op: opStats})
 		return err == nil && resp.Stats.Postings == 0 && resp.Stats.Docs == 0
 	}, "orphaned postings survived reconciliation")
 
@@ -505,7 +501,7 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 		t.Fatalf("Add after heal: %v", err)
 	}
 	pollUntil(t, 10*time.Second, func() bool {
-		resp, err := cl.call(context.Background(), &request{Op: opStats, CompactBelow: coord.watermark()})
+		resp, err := roundTrip(context.Background(), cl, &request{Op: opStats, CompactBelow: coord.watermark()})
 		return err == nil && resp.Stats.Tombstones == 0
 	}, "fence tombstone survived compaction")
 	restarted.mu.RLock()
@@ -646,9 +642,12 @@ func TestParentWALCompatibility(t *testing.T) {
 		t.Errorf("recovered Docs=%d Tombstones=%d Epoch=%d RetainedPoints=%d, want 2, 2, 8, 6",
 			st.Docs, st.Tombstones, st.Epoch, st.RetainedPoints)
 	}
-	got := node.query(&queryRequest{Terms: []uint32{5, 9}})
-	if want := (&queryResponse{IDs: []uint32{1, 4}, Counts: []uint32{1, 2}}); !reflect.DeepEqual(got, want) {
-		t.Errorf("query {5, 9} = %+v, want %+v", got, want)
+	var reply response
+	if err := reply.decode(node.query(nil, &queryRequest{Terms: []uint32{5, 9}})); err != nil {
+		t.Fatal(err)
+	}
+	if ids, counts := pairsOf(reply.Query); !reflect.DeepEqual(ids, []uint32{1, 4}) || !reflect.DeepEqual(counts, []uint32{1, 2}) || reply.Query.pruned != 0 {
+		t.Errorf("query {5, 9} = IDs %v counts %v pruned %d, want [1 4] [1 2] 0", ids, counts, reply.Query.pruned)
 	}
 
 	fresh := t.TempDir()
@@ -658,7 +657,7 @@ func TestParentWALCompatibility(t *testing.T) {
 	}
 	for _, e := range entries {
 		if e.Name() == snapshotName {
-			continue // gob writes the docs in map order; the state check above covers it
+			continue // the parent wrote a version 1 snapshot, today's is version 2 (TestSnapshotV2Fixture); the state check above covers it
 		}
 		want, err := os.ReadFile(filepath.Join(fixture, e.Name()))
 		if err != nil {

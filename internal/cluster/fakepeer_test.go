@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"io"
 	"net"
 	"strings"
@@ -45,43 +46,137 @@ func startFakeNode(t *testing.T, serve func(net.Conn)) net.Listener {
 // until the connection is torn down.
 func swallow(c net.Conn) { io.Copy(io.Discard, c) }
 
-// TestMismatchedNodeReplyIsAnError: a node answering a query or a rerank
-// with parallel slices of different lengths gets an error back, not an
-// index-out-of-range panic in the coordinator's merge.
-func TestMismatchedNodeReplyIsAnError(t *testing.T) {
-	tr, q := testWorkload.Dataset.Trajectories[0], testWorkload.Queries[0]
-	fake := startFakeNode(t, func(conn net.Conn) {
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		for {
-			var req request
-			if dec.Decode(&req) != nil {
-				return
-			}
-			resp := response{ // a mutation is acked; the other two ops read their own field
-				Query:  &queryResponse{IDs: []uint32{uint32(tr.ID), 9}, Counts: []uint32{3}},
-				Rerank: &rerankResponse{IDs: []uint32{uint32(tr.ID), 9}, Scores: []float64{1}},
-			}
-			if enc.Encode(&resp) != nil {
-				return
-			}
-		}
+// roundTrip is client.call for tests: the reply of the request's kind,
+// copied out of the connection's buffers.
+func roundTrip(ctx context.Context, cl *client, req *request) (*response, error) {
+	var out *response
+	err := cl.call(ctx, req, func(r *response) {
+		cp := *r
+		cp.Query.pairs = bytes.Clone(r.Query.pairs)
+		out = &cp
 	})
-	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()}, WithRetainPoints())
+	return out, err
+}
+
+// pairsOf lists a query reply's partial counts.
+func pairsOf(p partials) (ids, counts []uint32) {
+	for b := p.pairs; len(b) >= partialSize; b = b[partialSize:] {
+		ids = append(ids, binary.LittleEndian.Uint32(b))
+		counts = append(counts, binary.LittleEndian.Uint32(b[4:]))
+	}
+	return ids, counts
+}
+
+// dialFrames opens a raw framed connection to a node, for requests no
+// coordinator would send.
+func dialFrames(t *testing.T, addr string) *frames {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	ctx := context.Background()
-	if err := coord.Add(ctx, tr); err != nil { // tr is now live, its points owned by node 0
+	t.Cleanup(func() { conn.Close() })
+	return newFrames(conn)
+}
+
+// exchange sends one request payload on f and decodes the reply.
+func exchange(t *testing.T, f *frames, payload []byte) response {
+	t.Helper()
+	if err := f.send(append(f.begin(), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := coord.Search(ctx, q, 1, 10); err == nil || !strings.Contains(err.Error(), "partial counts") {
-		t.Errorf("Search over a mismatched query reply = %v, want a partial counts error", err)
+	p, err := f.read()
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits := []index.Result{{ID: tr.ID, Shared: 1}}
-	if _, err := coord.Rerank(ctx, hits, q.Points, rerank.DTW, 1); err == nil || !strings.Contains(err.Error(), "rerank scores") {
-		t.Errorf("Rerank over a mismatched rerank reply = %v, want a rerank scores error", err)
+	var resp response
+	if err := resp.decode(p); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// serveFrames is a fake node's serve loop: it acknowledges every
+// mutation and answers every other request with reply(op).
+func serveFrames(reply func(op) []byte) func(net.Conn) {
+	return func(conn net.Conn) {
+		f := newFrames(conn)
+		for {
+			p, err := f.read()
+			if err != nil {
+				return
+			}
+			var req request
+			if req.decode(p) != nil {
+				return
+			}
+			out := []byte{byte(opMutate)}
+			if req.Op != opMutate {
+				out = reply(req.Op)
+			}
+			if f.send(append(f.begin(), out...)) != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestMismatchedNodeReplyIsAnError: a node answering a query, a rerank or
+// a stats request with a reply that is not of the request's kind, or
+// whose body is cut short, gets a cluster error back — not a panic in the
+// coordinator. A stats answer without its body used to be a nil
+// dereference.
+func TestMismatchedNodeReplyIsAnError(t *testing.T) {
+	tr, q := testWorkload.Dataset.Trajectories[0], testWorkload.Queries[0]
+	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
+	for _, tc := range []struct {
+		name  string
+		reply func(op) []byte
+	}{
+		{"an acknowledgement without a body", func(op) []byte { return []byte{byte(opMutate)} }},
+		{"a heartbeat", func(op) []byte { return []byte{byte(opHeartbeat), 0} }},
+		{"its own kind, cut short", func(o op) []byte { return []byte{byte(o)} }},
+	} {
+		fake := startFakeNode(t, serveFrames(tc.reply))
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()}, WithRetainPoints())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := coord.Add(ctx, tr); err != nil { // tr is now live, its points owned by node 0
+			t.Fatal(err)
+		}
+		checkErr := func(call string, err error) {
+			t.Helper()
+			if err == nil || !strings.HasPrefix(err.Error(), "cluster: ") {
+				t.Errorf("%s answered with %s = %v, want a cluster error", call, tc.name, err)
+			}
+		}
+		_, _, err = coord.Search(ctx, q, 1, 10)
+		checkErr("Search", err)
+		_, err = coord.Rerank(ctx, []index.Result{{ID: tr.ID, Shared: 1}}, q.Points, rerank.DTW, 1)
+		checkErr("Rerank", err)
+		_, err = coord.Stats(ctx)
+		checkErr("Stats", err)
+		coord.Close()
+	}
+}
+
+// syncThenSwallow is a primary that answers a replication request with
+// an empty full sync and then goes silent without closing; each full
+// sync served is signalled on syncs.
+func syncThenSwallow(syncs chan<- struct{}) func(net.Conn) {
+	return func(conn net.Conn) {
+		f := newFrames(conn)
+		p, err := f.read()
+		var req request
+		if err != nil || req.decode(p) != nil || req.Op != opSync {
+			return
+		}
+		if f.send((&syncHeader{}).append(f.begin())) == nil {
+			syncs <- struct{}{}
+			swallow(conn) // silent, open, until the peer hangs up
+		}
 	}
 }
 
@@ -91,16 +186,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 // must dial again rather than serve an ever-staler state for ever.
 func TestReplicaRedialsSilentPrimary(t *testing.T) {
 	syncs := make(chan struct{}, 16) // never blocks the fake: more than the dials one test sees
-	primary := startFakeNode(t, func(conn net.Conn) {
-		var req request
-		if gob.NewDecoder(conn).Decode(&req) != nil || req.Op != opSync {
-			return
-		}
-		if gob.NewEncoder(conn).Encode(&response{Sync: &syncResponse{}}) == nil {
-			syncs <- struct{}{}
-			swallow(conn) // silent, open, until the replica hangs up
-		}
-	})
+	primary := startFakeNode(t, syncThenSwallow(syncs))
 	replica, err := StartNode("127.0.0.1:0", WithReplicaOf(primary.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
@@ -112,5 +198,30 @@ func TestReplicaRedialsSilentPrimary(t *testing.T) {
 		case <-time.After(10 * time.Second): // several heartbeat intervals plus the longest backoff
 			t.Fatalf("full sync %d never requested: the replica is still reading the silent stream", i)
 		}
+	}
+}
+
+// TestDirectoryRecoveryGivesUpOnSilentNode: a node that accepts the
+// recovery connection and never sends its full sync must fail the
+// coordinator's construction within the per-frame read bound, not hang
+// it.
+func TestDirectoryRecoveryGivesUpOnSilentNode(t *testing.T) {
+	silent := startFakeNode(t, swallow)
+	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
+	done := make(chan error, 1)
+	go func() {
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{silent.Addr().String()}, WithDirectoryRecovery())
+		if err == nil {
+			coord.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("directory recovery from a node that never answered succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewCoordinator with directory recovery still waiting on a silent node")
 	}
 }

@@ -4,8 +4,8 @@
 // routes additions and deletions and scatter-gathers queries, merging
 // partial intersection counts into Jaccard-ranked results. Document
 // cardinalities are replicated to the owning nodes, so each node applies
-// the threshold-pruning cardinality window before serializing its
-// partial counts — non-qualifying candidates never cross the wire.
+// the threshold-pruning cardinality window before encoding its partial
+// counts — non-qualifying candidates never cross the wire.
 //
 // Shard nodes are durable when started with a write-ahead log: every
 // applied mutation is appended (group-committed fsync) before it touches
@@ -15,16 +15,17 @@
 // read replicas of a primary (full sync + live mutation stream), and the
 // coordinator can fan reads out across a shard's replica set.
 //
-// Everything speaks length-delimited gob — no dependencies beyond the
-// standard library.
+// Everything speaks length-prefixed binary frames (protocol.go): the
+// RPCs, the replication stream, and the node snapshot's body — no
+// dependencies beyond the standard library.
 package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +35,7 @@ import (
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
 	"geodabs/internal/wal"
+	"geodabs/internal/wire"
 )
 
 // nodeDoc is a node's per-trajectory bookkeeping: the terms it owns for
@@ -145,14 +147,8 @@ type Node struct {
 	snapWG        sync.WaitGroup
 	snapshotting  atomic.Bool
 
-	mu       sync.RWMutex
-	postings map[uint32]*bitmap.Bitmap
-	docs     map[uint32]nodeDoc
-	// tombstones counts docs entries with nil terms, so compaction sweeps
-	// can be skipped when there is nothing to reclaim.
-	tombstones int
-	// maxEpoch is the highest mutation epoch applied to this node.
-	maxEpoch uint64
+	mu sync.RWMutex
+	shardState
 	// compactedBelow is the highest compaction watermark seen, so a sweep
 	// runs only when the watermark advances. Atomic so the per-request
 	// fast path stays off the write lock — pooled queries must not
@@ -189,6 +185,76 @@ type Node struct {
 	killed    atomic.Bool
 }
 
+// shardState is what a node's shard holds — docs, postings, and two
+// counters derived from them — and what a full sync or a snapshot
+// carries. A replica or a recovering node builds one doc by doc, as the
+// frames are read, and installs it whole.
+type shardState struct {
+	postings map[uint32]*bitmap.Bitmap
+	docs     map[uint32]nodeDoc
+	// tombstones counts docs entries with nil terms, so compaction sweeps
+	// can be skipped when there is nothing to reclaim.
+	tombstones int
+	// maxEpoch is the highest mutation epoch applied to this node.
+	maxEpoch uint64
+}
+
+func newShardState() shardState {
+	return shardState{postings: make(map[uint32]*bitmap.Bitmap), docs: make(map[uint32]nodeDoc)}
+}
+
+// install adds one doc of a full sync or a snapshot: the record that
+// recreates it (see syncDocs). The state must be exclusively the
+// caller's, and doc IDs unique: a sync or snapshot that repeats one, or
+// that holds a record checkRecord refuses, is not one a node wrote.
+func (s *shardState) install(rec *wal.Record) error {
+	if _, dup := s.docs[rec.ID]; dup {
+		return fmt.Errorf("cluster: doc %d appears twice", rec.ID)
+	}
+	if err := checkRecord(rec); err != nil {
+		return fmt.Errorf("cluster: doc %d: %w", rec.ID, err)
+	}
+	if rec.Epoch > s.maxEpoch {
+		s.maxEpoch = rec.Epoch
+	}
+	if rec.Op == wal.OpDelete {
+		s.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
+		s.tombstones++
+		return nil
+	}
+	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points, box: geo.NewBox(rec.Points...)}
+	for _, term := range rec.Terms {
+		p, ok := s.postings[term]
+		if !ok {
+			p = bitmap.New()
+			s.postings[term] = p
+		}
+		p.Add(rec.ID)
+	}
+	return nil
+}
+
+// syncDocs lists the state's docs, as a full sync sends them and a
+// snapshot stores them: each as the mutation record that recreates it —
+// an OpDelete at a tombstone's epoch, an OpAddPoints for a doc with
+// retained points, an OpAdd otherwise. The slices are shared, not
+// copied: applied mutations replace a doc's slices wholesale, never
+// mutate them. The caller holds the node's lock.
+func (s *shardState) syncDocs() []wal.Record {
+	docs := make([]wal.Record, 0, len(s.docs))
+	for id, d := range s.docs {
+		rec := wal.Record{Op: wal.OpAdd, Epoch: d.epoch, ID: id, Card: uint32(d.card), Terms: d.terms, Points: d.points}
+		switch {
+		case d.terms == nil:
+			rec = wal.Record{Op: wal.OpDelete, Epoch: d.epoch, ID: id}
+		case d.points != nil:
+			rec.Op = wal.OpAddPoints
+		}
+		docs = append(docs, rec)
+	}
+	return docs
+}
+
 // subscriber is one replica's tap on the primary's mutation stream.
 type subscriber struct {
 	ch chan replEvent
@@ -207,8 +273,7 @@ func StartNode(addr string, opts ...NodeOption) (*Node, error) {
 		return nil, fmt.Errorf("cluster: a replica recovers by re-syncing from its primary; WithReplicaOf and WithWALDir are mutually exclusive")
 	}
 	n := &Node{
-		postings:    make(map[uint32]*bitmap.Bitmap),
-		docs:        make(map[uint32]nodeDoc),
+		shardState:  newShardState(),
 		closing:     make(chan struct{}),
 		primaryAddr: o.replicaOf,
 	}
@@ -347,11 +412,13 @@ func (n *Node) acceptLoop() {
 
 // serve handles one coordinator connection until EOF or node shutdown.
 // An opSync request hijacks the connection into a one-way replication
-// push stream for its remaining lifetime.
+// push stream for its remaining lifetime. A request that does not decode
+// is answered with an error; its frame is whole, so the stream stays in
+// step and the connection serves on.
 func (n *Node) serve(conn net.Conn) {
 	defer n.connWG.Done()
 	defer conn.Close()
-	// Unblock the decoder when the node shuts down.
+	// Unblock the read when the node shuts down.
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -361,25 +428,30 @@ func (n *Node) serve(conn net.Conn) {
 		case <-stop:
 		}
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	f := newFrames(conn)
+	var req request
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		p, err := f.read()
+		if err != nil {
 			return // EOF or connection torn down
 		}
-		if req.Op == opSync {
-			n.serveSync(enc)
+		reply := f.begin()
+		if err := req.decode(p); err != nil {
+			reply = appendError(reply, err.Error())
+		} else if req.Op == opSync {
+			n.serveSync(f)
 			return
+		} else {
+			reply = n.handle(reply, &req)
 		}
-		resp := n.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		if err := f.send(reply); err != nil {
 			return
 		}
 	}
 }
 
-func (n *Node) handle(req *request) *response {
+// handle answers one decoded request, appending the reply payload to dst.
+func (n *Node) handle(dst []byte, req *request) []byte {
 	// A replica compacts only at watermark events in the replication
 	// stream — the position where its primary compacted — never from a
 	// request's piggybacked watermark. A request can race ahead of the
@@ -389,74 +461,60 @@ func (n *Node) handle(req *request) *response {
 	if n.primaryAddr == "" {
 		n.compact(req.CompactBelow)
 	}
+	// The replica's state may not yet cover a read's snapshot epoch: it
+	// refuses rather than answer from missing mutations, and the
+	// coordinator reads the primary instead.
+	stale := n.primaryAddr != "" && req.CompactBelow > n.stableEpoch.Load()
 	switch req.Op {
 	case opMutate:
-		if req.Mutate == nil {
-			return &response{Err: "mutate request missing payload"}
-		}
 		if n.primaryAddr != "" {
-			return &response{Err: "node is a read-only replica"}
+			return appendError(dst, "node is a read-only replica")
 		}
 		if err := checkRecord(req.Mutate); err != nil {
-			return &response{Err: err.Error()}
+			return appendError(dst, err.Error())
 		}
 		if err := n.mutate(req.Mutate); err != nil {
-			return &response{Err: err.Error()}
+			return appendError(dst, err.Error())
 		}
-		return &response{}
+		return append(dst, byte(opMutate))
 	case opQuery:
-		if req.Query == nil {
-			return &response{Err: "query request missing payload"}
+		if stale {
+			return append(dst, byte(opStale))
 		}
-		if n.primaryAddr != "" && req.CompactBelow > n.stableEpoch.Load() {
-			// The replica's state does not yet cover the search's
-			// snapshot epoch: refuse rather than rank on missing
-			// mutations. The coordinator reads the primary instead.
-			return &response{Stale: true}
-		}
-		return &response{Query: n.query(req.Query)}
+		return n.query(dst, req.Query)
 	case opRerank:
-		if req.Rerank == nil {
-			return &response{Err: "rerank request missing payload"}
-		}
-		if n.primaryAddr != "" && req.CompactBelow > n.stableEpoch.Load() {
-			return &response{Stale: true}
+		if stale {
+			return append(dst, byte(opStale))
 		}
 		rr, err := n.rerank(req.Rerank)
 		if err != nil {
-			return &response{Err: err.Error()}
+			return appendError(dst, err.Error())
 		}
-		return &response{Rerank: rr}
+		return rr.append(dst)
 	case opStats:
-		return &response{Stats: n.stats()}
+		return n.stats().append(dst)
 	default:
-		return &response{Err: fmt.Sprintf("unknown op %d", req.Op)}
+		return appendError(dst, fmt.Sprintf("unknown op %d", req.Op))
 	}
 }
 
 // checkRecord rejects, before it is logged, a mutation record the
-// coordinator never builds — the node reads them off a socket. An add
-// needs at least one term: nil terms are how a nodeDoc marks a
-// tombstone, and gob decodes an empty slice as nil, so a termless add
-// would be swept by compact as a tombstone the node never counted.
-// Points must match the op, because the log encodes them for
-// OpAddPoints only: anything else would recover to a different state
-// than it applied.
+// coordinator never builds — the node reads them off a socket. The
+// record codec already refuses a delete with terms and a plain add with
+// points. An add needs at least one term: nil terms are how a nodeDoc
+// marks a tombstone, so a termless add would be swept by compact as a
+// tombstone the node never counted. And an OpAddPoints record must carry
+// points: the node would otherwise log a point-owner add it cannot serve
+// a rerank from.
 func checkRecord(rec *wal.Record) error {
-	switch rec.Op {
-	case wal.OpAdd, wal.OpAddPoints:
-		if len(rec.Terms) == 0 {
-			return errors.New("add record carries no terms")
-		}
-		if (rec.Op == wal.OpAddPoints) != (len(rec.Points) > 0) {
-			return errors.New("add record's points do not match its op")
-		}
-	case wal.OpDelete:
-		if len(rec.Terms) > 0 || len(rec.Points) > 0 {
-			return errors.New("delete record carries terms or points")
-		}
-	default:
-		return fmt.Errorf("unknown mutation op %d", rec.Op)
+	if rec.Op == wal.OpDelete {
+		return nil
+	}
+	if len(rec.Terms) == 0 {
+		return errors.New("add record carries no terms")
+	}
+	if rec.Op == wal.OpAddPoints && len(rec.Points) == 0 {
+		return errors.New("add record's points do not match its op")
 	}
 	return nil
 }
@@ -573,21 +631,22 @@ func (n *Node) unsubscribe(sub *subscriber) {
 	}
 }
 
+// syncBatchBytes is about how many bytes of doc frames a full sync
+// builds before each write.
+const syncBatchBytes = 64 << 10
+
 // serveSync answers a replica's full-sync request and then pushes the
 // live mutation stream until the connection dies, the replica falls
 // behind, or the node shuts down. The state snapshot and the stream
 // subscription are taken under one read-lock acquisition, so the stream
 // carries exactly the mutations applied after the snapshot cut.
-func (n *Node) serveSync(enc *gob.Encoder) {
+func (n *Node) serveSync(f *frames) {
 	if n.primaryAddr != "" {
-		enc.Encode(&response{Err: "node is a replica; sync from the primary"})
+		f.send(appendError(f.begin(), "node is a replica; sync from the primary"))
 		return
 	}
 	n.mu.RLock()
-	docs := make([]syncDoc, 0, len(n.docs))
-	for id, d := range n.docs {
-		docs = append(docs, syncDoc{ID: id, Terms: d.terms, Card: d.card, Epoch: d.epoch, Tombstone: d.terms == nil, Points: d.points})
-	}
+	docs := n.syncDocs()
 	watermark := n.compactedBelow.Load()
 	sub := &subscriber{ch: make(chan replEvent, replBacklog)}
 	n.subMu.Lock()
@@ -596,26 +655,33 @@ func (n *Node) serveSync(enc *gob.Encoder) {
 	n.mu.RUnlock()
 	defer n.unsubscribe(sub)
 	n.fullSyncs.Add(1)
-	if err := enc.Encode(&response{Sync: &syncResponse{Docs: docs, Watermark: watermark}}); err != nil {
+	hdr := syncHeader{Watermark: watermark, Docs: len(docs)}
+	buf, err := wire.EndFrame(hdr.append(f.begin()), 0, maxFrame)
+	for i := 0; err == nil && i < len(docs); i++ {
+		if buf, err = appendDocFrame(buf, &docs[i]); err == nil && len(buf) >= syncBatchBytes {
+			err = f.write(buf)
+			buf = buf[:0]
+		}
+	}
+	if err != nil || f.write(buf) != nil {
 		return
 	}
 	heartbeat := time.NewTicker(replHeartbeatInterval)
 	defer heartbeat.Stop()
 	for {
+		var ev replEvent
 		select {
-		case ev, ok := <-sub.ch:
+		case e, ok := <-sub.ch:
 			if !ok {
 				return // overflowed: the replica must full-sync afresh
 			}
-			if err := enc.Encode(&ev); err != nil {
-				return
-			}
+			ev = e
 		case <-heartbeat.C:
-			hb := replEvent{Watermark: n.compactedBelow.Load()}
-			if err := enc.Encode(&hb); err != nil {
-				return
-			}
+			ev = replEvent{Watermark: n.compactedBelow.Load()}
 		case <-n.closing:
+			return
+		}
+		if err := f.send(ev.append(f.begin())); err != nil {
 			return
 		}
 	}
@@ -651,26 +717,39 @@ func (n *Node) compact(below uint64) {
 	}
 }
 
-// counterPool recycles the per-query counting-merge state across query
-// requests, keeping the node's hot path free of per-query count-array
-// allocations.
-var counterPool = sync.Pool{New: func() any { return bitmap.NewCounter() }}
+// scratch is the per-search state reused across searches: the
+// counting-merge counter, and — on the coordinator — the ranking
+// snapshot of the merged candidates.
+type scratch struct {
+	counter *bitmap.Counter
+	ranked  []rankedCandidate
+}
+
+// scratchPool feeds both the node's query handler and the
+// coordinator's merge, keeping either hot path free of per-query
+// count-array allocations; a coordinator embedded in a node process
+// shares it.
+var scratchPool = sync.Pool{New: func() any { return &scratch{counter: bitmap.NewCounter()} }}
 
 // query runs the same term-at-a-time counting merge as the local index's
 // search core: each owned posting list streams once into a pooled
 // counter, leaving the node's partial |F ∩ G| per candidate — no
-// candidate union, no per-candidate intersection. Before serializing,
-// the node applies the threshold-pruning cardinality window against the
-// replicated document cardinalities (see cardWindow), so non-qualifying
-// candidates never hit gob or the wire.
-func (n *Node) query(req *queryRequest) *queryResponse {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c := counterPool.Get().(*bitmap.Counter)
+// candidate union, no per-candidate intersection. The partials are
+// appended to dst as a query reply straight from the counter. Before
+// appending one, the node applies the threshold-pruning cardinality
+// window against the replicated document cardinalities (see cardWindow),
+// so non-qualifying candidates never reach the wire; an open window —
+// every search without a distance bound — prunes nothing, and skips the
+// per-candidate cardinality lookup.
+func (n *Node) query(dst []byte, req *queryRequest) []byte {
+	s := scratchPool.Get().(*scratch)
+	c := s.counter
 	defer func() {
 		c.Reset()
-		counterPool.Put(c)
+		scratchPool.Put(s)
 	}()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	for _, term := range req.Terms {
 		if p, ok := n.postings[term]; ok {
 			c.Add(p)
@@ -678,16 +757,17 @@ func (n *Node) query(req *queryRequest) *queryResponse {
 	}
 	cands := c.Candidates()
 	minCard, maxCard := cardWindow(req)
-	resp := &queryResponse{IDs: make([]uint32, 0, len(cands)), Counts: make([]uint32, 0, len(cands))}
+	open := index.WindowOpen(minCard, maxCard)
+	start, pruned := len(dst), 0
+	dst = slices.Grow(beginPartials(dst), partialSize*len(cands))
 	for _, v := range cands {
-		if !index.InWindow(n.docs[v].card, minCard, maxCard) {
-			resp.Pruned++
+		if !open && !index.InWindow(n.docs[v].card, minCard, maxCard) {
+			pruned++
 			continue
 		}
-		resp.IDs = append(resp.IDs, v)
-		resp.Counts = append(resp.Counts, uint32(c.Count(v)))
+		dst = appendPartial(dst, v, uint32(c.Count(v)))
 	}
-	return resp
+	return endPartials(dst, start, pruned)
 }
 
 // cardWindow resolves a query's node-side cardinality window: the shared
@@ -733,16 +813,15 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 	if err := rerank.Score(context.TODO(), req.Query, cands, req.Metric, req.Limit); err != nil {
 		return nil, err
 	}
-	resp := &rerankResponse{IDs: make([]uint32, 0, len(cands)), Scores: make([]float64, 0, len(cands))}
+	resp := &rerankResponse{Scored: make([]scored, 0, len(cands))}
 	for _, c := range cands {
 		if c.Skipped {
 			resp.Skipped++
 			continue
 		}
-		resp.IDs = append(resp.IDs, c.ID)
-		resp.Scores = append(resp.Scores, c.Score)
+		resp.Scored = append(resp.Scored, scored{ID: c.ID, Score: c.Score})
 	}
-	n.rerankScored.Add(uint64(len(resp.IDs)))
+	n.rerankScored.Add(uint64(len(resp.Scored)))
 	n.rerankSkipped.Add(uint64(resp.Skipped))
 	return resp, nil
 }

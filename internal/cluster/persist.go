@@ -10,15 +10,18 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"geodabs/internal/bitmap"
-	"geodabs/internal/geo"
+	"geodabs/internal/wal"
+	"geodabs/internal/wire"
 )
 
 const (
@@ -26,17 +29,17 @@ const (
 	snapshotName = "node.snap"
 	// snapshotMagic ("GDNS" little-endian) and snapshotVersion frame the
 	// file so recovery rejects foreign or future formats outright.
+	// Version 2's body is the full sync's doc frames — each doc the
+	// mutation record that recreates it; version 1's, a gob dump of the
+	// same docs, is still read (snapshot_v1.go) so a node
+	// whose directory predates version 2 recovers, and is never written.
 	snapshotMagic   uint32 = 0x534e4447
-	snapshotVersion        = 1
+	snapshotVersion        = 2
+	// snapshotHeaderSize is magic, version, body length and body CRC-32C.
+	snapshotHeaderSize = 13
 )
 
-// nodeSnapshot is the gob payload of a snapshot file. It reuses the
-// replication full-sync doc shape — a snapshot and a full sync answer
-// the same question (the node's complete shard state) and are rebuilt by
-// the same installDocs.
-type nodeSnapshot struct {
-	Docs []syncDoc
-}
+var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot persists the node's current state and truncates the log
 // segments it covers. The seal and the state copy happen under the
@@ -58,13 +61,16 @@ func (n *Node) Snapshot() error {
 		return err
 	}
 	n.mu.RLock()
-	snap := nodeSnapshot{Docs: make([]syncDoc, 0, len(n.docs))}
-	for id, d := range n.docs {
-		snap.Docs = append(snap.Docs, syncDoc{ID: id, Terms: d.terms, Card: d.card, Epoch: d.epoch, Tombstone: d.terms == nil, Points: d.points})
-	}
+	docs := n.syncDocs()
 	n.mu.RUnlock()
 	n.applyMu.Unlock()
-	if err := writeSnapshot(filepath.Join(n.walDir, snapshotName), &snap); err != nil {
+	// ID order makes a snapshot's bytes a function of the state alone.
+	slices.SortFunc(docs, func(a, b wal.Record) int { return cmp.Compare(a.ID, b.ID) })
+	raw, err := encodeSnapshot(docs)
+	if err != nil {
+		return err
+	}
+	if err := writeSnapshot(filepath.Join(n.walDir, snapshotName), raw); err != nil {
 		return err
 	}
 	return n.wal.DropBefore(boundary)
@@ -93,28 +99,38 @@ func (n *Node) maybeSnapshot() {
 	}()
 }
 
-// writeSnapshot atomically replaces path with the encoded snapshot:
-// temp file in the same directory, fsync, rename, directory fsync. A
-// crash at any point leaves either the old snapshot or the new one,
-// never a torn mix.
-func writeSnapshot(path string, snap *nodeSnapshot) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return fmt.Errorf("cluster: encode snapshot: %w", err)
+// encodeSnapshot renders a version 2 snapshot file: the 13-byte header
+// (magic, version, body length, body CRC-32C, little-endian), then one
+// doc frame per doc — the bytes a full sync sends after its header.
+func encodeSnapshot(docs []wal.Record) ([]byte, error) {
+	raw := make([]byte, snapshotHeaderSize, 4096)
+	var err error
+	for i := range docs {
+		if raw, err = appendDocFrame(raw, &docs[i]); err != nil {
+			return nil, fmt.Errorf("cluster: encode snapshot: %w", err)
+		}
 	}
-	var hdr [13]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
-	hdr[4] = snapshotVersion
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	body := raw[snapshotHeaderSize:]
+	if uint64(len(body)) > 1<<32-1 {
+		return nil, errors.New("cluster: encode snapshot: body exceeds 4 GiB")
+	}
+	binary.LittleEndian.PutUint32(raw[0:4], snapshotMagic)
+	raw[4] = snapshotVersion
+	binary.LittleEndian.PutUint32(raw[5:9], uint32(len(body)))
+	binary.LittleEndian.PutUint32(raw[9:13], crc32.Checksum(body, snapshotCRC))
+	return raw, nil
+}
+
+// writeSnapshot atomically replaces path with raw: temp file in the same
+// directory, fsync, rename, directory fsync. A crash at any point leaves
+// either the old snapshot or the new one, never a torn mix.
+func writeSnapshot(path string, raw []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot temp: %w", err)
 	}
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload.Bytes())
-	}
+	_, err = f.Write(raw)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -158,57 +174,55 @@ func (n *Node) loadSnapshot(dir string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: read snapshot: %w", err)
 	}
-	if len(raw) < 13 {
+	return decodeSnapshot(raw, n.shardState.install)
+}
+
+// decodeSnapshot checks a snapshot file's header and CRC and hands each
+// doc of its body to fn, stopping at fn's first error.
+func decodeSnapshot(raw []byte, fn func(*wal.Record) error) error {
+	if len(raw) < snapshotHeaderSize {
 		return fmt.Errorf("cluster: snapshot truncated (%d bytes)", len(raw))
 	}
 	if m := binary.LittleEndian.Uint32(raw[0:4]); m != snapshotMagic {
 		return fmt.Errorf("cluster: snapshot bad magic %#x", m)
 	}
-	if v := raw[4]; v != snapshotVersion {
-		return fmt.Errorf("cluster: snapshot version %d unsupported", v)
-	}
+	version := raw[4]
 	size := binary.LittleEndian.Uint32(raw[5:9])
 	sum := binary.LittleEndian.Uint32(raw[9:13])
-	payload := raw[13:]
-	if uint32(len(payload)) != size {
-		return fmt.Errorf("cluster: snapshot payload %d bytes, header says %d", len(payload), size)
+	body := raw[snapshotHeaderSize:]
+	if uint64(len(body)) != uint64(size) {
+		return fmt.Errorf("cluster: snapshot body %d bytes, header says %d", len(body), size)
 	}
-	if got := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)); got != sum {
+	if got := crc32.Checksum(body, snapshotCRC); got != sum {
 		return fmt.Errorf("cluster: snapshot CRC mismatch")
 	}
-	var snap nodeSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return fmt.Errorf("cluster: decode snapshot: %w", err)
+	switch version {
+	case 1:
+		return decodeSnapshotV1(body, fn)
+	case snapshotVersion:
+	default:
+		return fmt.Errorf("cluster: snapshot version %d unsupported", version)
 	}
-	n.installDocs(snap.Docs)
-	return nil
-}
-
-// installDocs rebuilds docs, postings, tombstone count, and max epoch
-// from a flat doc dump — shared by snapshot recovery and replica full
-// sync. The caller guarantees exclusive access to the node state.
-func (n *Node) installDocs(docs []syncDoc) {
-	n.postings = make(map[uint32]*bitmap.Bitmap)
-	n.docs = make(map[uint32]nodeDoc, len(docs))
-	n.tombstones = 0
-	n.maxEpoch = 0
-	for _, d := range docs {
-		if d.Epoch > n.maxEpoch {
-			n.maxEpoch = d.Epoch
+	r := bytes.NewReader(body)
+	var frame []byte
+	var resp response
+	for {
+		p, err := wire.ReadFrameInto(r, frame, maxFrame)
+		if err == io.EOF {
+			return nil
 		}
-		if d.Tombstone {
-			n.docs[d.ID] = nodeDoc{epoch: d.Epoch}
-			n.tombstones++
-			continue
+		if err != nil {
+			return fmt.Errorf("cluster: snapshot frame: %w", err)
 		}
-		n.docs[d.ID] = nodeDoc{terms: d.Terms, card: d.Card, epoch: d.Epoch, points: d.Points, box: geo.NewBox(d.Points...)}
-		for _, term := range d.Terms {
-			p, ok := n.postings[term]
-			if !ok {
-				p = bitmap.New()
-				n.postings[term] = p
-			}
-			p.Add(d.ID)
+		frame = p
+		if err := resp.decode(p); err != nil {
+			return fmt.Errorf("cluster: snapshot doc: %w", err)
+		}
+		if resp.Kind != opSyncDoc {
+			return fmt.Errorf("cluster: snapshot holds a %s frame", resp.Kind)
+		}
+		if err := fn(resp.Doc); err != nil {
+			return err
 		}
 	}
 }

@@ -24,12 +24,11 @@ package cluster
 // restart — provided the owner's record won the per-ID epoch merge.
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 
 	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 )
 
 // WithDirectoryRecovery makes NewCoordinator rebuild the ranking
@@ -45,7 +44,9 @@ func WithDirectoryRecovery() Option {
 // coordinator is published, so no locking is needed.
 func (c *Coordinator) recoverDirectory(addrs []string) error {
 	type recovered struct {
-		doc syncDoc
+		card      int
+		epoch     uint64
+		tombstone bool
 		// owner is the node whose record for the doc's winning epoch
 		// carried retained points, -1 if none did. A points record from a
 		// losing (older) epoch is a stale copy a later mutation replaced
@@ -56,40 +57,36 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 	winners := make(map[trajectory.ID]recovered)
 	var maxEpoch uint64
 	for node, addr := range addrs {
-		sync, err := fetchNodeState(addr)
-		if err != nil {
-			return fmt.Errorf("cluster: recover directory from %s: %w", addr, err)
-		}
-		if sync.Watermark > maxEpoch {
-			maxEpoch = sync.Watermark
-		}
-		for _, d := range sync.Docs {
-			if d.Epoch > maxEpoch {
-				maxEpoch = d.Epoch
-			}
+		watermark, err := fetchNodeState(addr, func(d *wal.Record) error {
+			maxEpoch = max(maxEpoch, d.Epoch)
 			id := trajectory.ID(d.ID)
 			w, ok := winners[id]
 			if !ok {
 				w = recovered{owner: -1}
 			}
-			if !ok || d.Epoch > w.doc.Epoch {
-				w.doc = d
+			if !ok || d.Epoch > w.epoch {
+				w.card, w.epoch, w.tombstone = int(d.Card), d.Epoch, d.Op == wal.OpDelete
 			}
 			if len(d.Points) > 0 && d.Epoch >= w.ownerEpoch {
 				w.owner, w.ownerEpoch = node, d.Epoch
 			}
 			winners[id] = w
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("cluster: recover directory from %s: %w", addr, err)
 		}
+		maxEpoch = max(maxEpoch, watermark)
 	}
 	for id, w := range winners {
-		if w.doc.Tombstone {
+		if w.tombstone {
 			continue
 		}
 		owner := -1
-		if w.owner >= 0 && w.ownerEpoch == w.doc.Epoch {
+		if w.owner >= 0 && w.ownerEpoch == w.epoch {
 			owner = w.owner
 		}
-		c.directory[id] = docEntry{card: w.doc.Card, state: stateLive, epoch: w.doc.Epoch, owner: owner}
+		c.directory[id] = docEntry{card: w.card, state: stateLive, epoch: w.epoch, owner: owner}
 	}
 	if maxEpoch > c.epoch {
 		c.epoch = maxEpoch
@@ -97,28 +94,21 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 	return nil
 }
 
-// fetchNodeState opens a one-shot connection to a node and returns its
-// full-sync snapshot. The connection is closed without tailing the
-// mutation stream that follows; the node notices on its next push and
-// drops the subscription.
-func fetchNodeState(addr string) (*syncResponse, error) {
+// fetchNodeState opens a one-shot connection to a node and reads its
+// full sync, handing each doc to fn, and returns the sync's watermark.
+// Every frame read is bounded (readSync), so a node that accepts the
+// connection and never answers fails recovery instead of hanging it. The
+// connection is closed without tailing the mutation stream that follows;
+// the node notices on its next push and drops the subscription.
+func fetchNodeState(addr string, fn func(*wal.Record) error) (uint64, error) {
 	conn, err := net.DialTimeout("tcp", addr, replDialTimeout)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(&request{Op: opSync}); err != nil {
-		return nil, err
+	f := newFrames(conn)
+	if err := f.send(appendRequest(f.begin(), &request{Op: opSync})); err != nil {
+		return 0, err
 	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	if resp.Sync == nil {
-		return nil, errors.New("node did not return a sync snapshot")
-	}
-	return resp.Sync, nil
+	return readSync(f, fn)
 }

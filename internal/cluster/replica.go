@@ -12,20 +12,24 @@ package cluster
 // the loop reconnects with a fresh full sync after a backoff.
 
 import (
-	"encoding/gob"
+	"fmt"
 	"net"
 	"time"
+
+	"geodabs/internal/wal"
 )
 
 const (
 	replDialTimeout  = 2 * time.Second
 	replReconnectMin = 50 * time.Millisecond
 	replReconnectMax = 2 * time.Second
-	// replStreamTimeout is how long the stream may stay silent before the
-	// replica gives the primary up for dead. The primary promises a
-	// heartbeat every replHeartbeatInterval, so a few missed in a row mean
-	// a half-open connection — a primary that vanished without a RST —
-	// which no read would otherwise ever notice.
+	// replStreamTimeout is how long a replication connection may stay
+	// silent — mid-stream, or mid-full-sync — before the reader gives its
+	// peer up for dead. The primary promises a heartbeat every
+	// replHeartbeatInterval, so a few missed in a row mean a half-open
+	// connection — a primary that vanished without a RST — which no read
+	// would otherwise ever notice. Directory recovery's full syncs are
+	// bounded by it too.
 	replStreamTimeout = 4 * replHeartbeatInterval
 )
 
@@ -73,38 +77,79 @@ func (n *Node) syncOnce() bool {
 		case <-stop:
 		}
 	}()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&request{Op: opSync}); err != nil {
+	f := newFrames(conn)
+	if f.send(appendRequest(f.begin(), &request{Op: opSync})) != nil {
 		return false
 	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil || resp.Err != "" || resp.Sync == nil {
+	st := newShardState()
+	watermark, err := readSync(f, st.install)
+	if err != nil {
 		return false
 	}
-	n.installSync(resp.Sync)
+	n.installSync(st, watermark)
 	n.fullSyncs.Add(1)
+	var resp response
 	for {
-		var ev replEvent
-		if err := conn.SetReadDeadline(time.Now().Add(replStreamTimeout)); err != nil {
-			return true
+		if nextFrame(f, &resp) != nil || (resp.Kind != opEvent && resp.Kind != opHeartbeat) {
+			return true // stream over, silent or garbled; reconnect with a fresh full sync
 		}
-		if err := dec.Decode(&ev); err != nil {
-			return true // stream over or silent; reconnect with a fresh full sync
-		}
-		n.applyEvent(&ev)
+		n.applyEvent(&resp.Event)
 	}
 }
 
-// installSync atomically replaces the replica's state with a full-sync
-// snapshot. Queries racing the swap see either the old or the new state,
-// never a mix.
-func (n *Node) installSync(sync *syncResponse) {
+// readSync reads a full sync off f — the header, then the doc frames it
+// announces — handing each doc to fn, and returns the sync's watermark.
+func readSync(f *frames, fn func(*wal.Record) error) (uint64, error) {
+	var resp response
+	if err := nextFrame(f, &resp); err != nil {
+		return 0, err
+	}
+	switch resp.Kind {
+	case opSync:
+	case opError:
+		return 0, fmt.Errorf("cluster: node error: %s", resp.Err)
+	default:
+		return 0, fmt.Errorf("cluster: node answered a sync request with a %s frame", resp.Kind)
+	}
+	hdr := resp.Sync
+	for i := 0; i < hdr.Docs; i++ {
+		if err := nextFrame(f, &resp); err != nil {
+			return 0, err
+		}
+		if resp.Kind != opSyncDoc {
+			return 0, fmt.Errorf("cluster: sync doc %d of %d is a %s frame", i+1, hdr.Docs, resp.Kind)
+		}
+		if err := fn(resp.Doc); err != nil {
+			return 0, err
+		}
+	}
+	return hdr.Watermark, nil
+}
+
+// nextFrame reads the next frame of a replication connection into resp.
+// Every read gets replStreamTimeout: a primary promises a heartbeat well
+// within it, and a peer that stops sending mid-sync is as dead as one
+// gone silent mid-stream.
+func nextFrame(f *frames, resp *response) error {
+	if err := f.conn.SetReadDeadline(time.Now().Add(replStreamTimeout)); err != nil {
+		return err
+	}
+	p, err := f.read()
+	if err != nil {
+		return err
+	}
+	return resp.decode(p)
+}
+
+// installSync atomically replaces the replica's state with a full sync's.
+// Queries racing the swap see either the old or the new state, never a
+// mix.
+func (n *Node) installSync(st shardState, watermark uint64) {
 	n.mu.Lock()
-	n.installDocs(sync.Docs)
-	n.compactedBelow.Store(sync.Watermark)
+	n.shardState = st
+	n.compactedBelow.Store(watermark)
 	n.mu.Unlock()
-	n.advanceStable(sync.Watermark)
+	n.advanceStable(watermark)
 }
 
 // applyEvent applies one replication stream event. A mutation runs

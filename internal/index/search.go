@@ -156,10 +156,17 @@ func CardinalityWindow(qc int, maxDistance float64) (minCard, maxCard int) {
 
 // InWindow reports whether a candidate of the given cardinality falls
 // inside a window produced by CardinalityWindow. Every pruning site —
-// the Ranker and the shard nodes — must test through it, so the
-// maxCard-0-means-unbounded convention cannot drift between them.
+// the Ranker and the shard nodes — must test through it (and WindowOpen),
+// so the maxCard-0-means-unbounded convention cannot drift between them.
 func InWindow(card, minCard, maxCard int) bool {
 	return card >= minCard && (maxCard == 0 || card <= maxCard)
+}
+
+// WindowOpen reports whether a window produced by CardinalityWindow
+// admits every cardinality — InWindow holds for any card ≥ 0 — so a
+// pruning site may skip looking candidates' cardinalities up at all.
+func WindowOpen(minCard, maxCard int) bool {
+	return minCard <= 0 && maxCard == 0
 }
 
 // raiseBar lifts the effective similarity bar to the top-k heap's current
@@ -357,7 +364,7 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 // shardPartial is one surviving candidate from a shard-local counting
 // merge: enough for the coordinating Ranker to score it without touching
 // the shard again. It is the in-process analogue of the wire partials the
-// cluster's shard nodes ship, minus gob and the network.
+// cluster's shard nodes ship, minus the frame encoding and the network.
 type shardPartial struct {
 	id           trajectory.ID
 	card, shared int

@@ -62,7 +62,7 @@ const (
 	// written when the node is the trajectory's point owner under
 	// WithPointRetention. A separate op (rather than optional trailing
 	// bytes on OpAdd) keeps logs written before point retention strictly
-	// decodable: decodeRecord rejects trailing bytes, and an OpAdd record
+	// decodable: DecodeRecord rejects trailing bytes, and an OpAdd record
 	// never carries points.
 	OpAddPoints Op = 3
 )
@@ -404,7 +404,7 @@ func scanRecords(r io.Reader) (good int64, records uint64, err error) {
 		if crc32.Checksum(payload, crcTable) != crc {
 			return good, records, fmt.Errorf("record CRC mismatch")
 		}
-		if _, err := decodeRecord(payload); err != nil {
+		if _, err := DecodeRecord(payload); err != nil {
 			return good, records, fmt.Errorf("undecodable record: %w", err)
 		}
 		records++
@@ -428,14 +428,16 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeRecord renders a record payload (no framing): op, epoch, id,
-// then for adds the card, term count, and zigzag-delta-encoded terms —
-// ascending term slices (the common case: they come from bitmap
+// AppendRecord renders a record payload (no framing) onto buf: op,
+// epoch, id, then for adds the card, term count, and zigzag-delta-encoded
+// terms — ascending term slices (the common case: they come from bitmap
 // iteration) cost one or two bytes per term. OpAddPoints appends the
 // point count and each point's lat/lon as raw float64 bits, so replayed
-// coordinates are bit-identical to what the coordinator shipped.
-func encodeRecord(r *Record) []byte {
-	buf := make([]byte, 0, 16+5*len(r.Terms)+16*len(r.Points))
+// coordinates are bit-identical to what the coordinator shipped. The
+// cluster's mutate requests and replication events carry these same
+// bytes, so a mutation has one byte form from coordinator to log to
+// replica.
+func AppendRecord(buf []byte, r *Record) []byte {
 	buf = append(buf, byte(r.Op))
 	buf = binary.AppendUvarint(buf, r.Epoch)
 	buf = binary.AppendUvarint(buf, uint64(r.ID))
@@ -459,8 +461,10 @@ func encodeRecord(r *Record) []byte {
 	return buf
 }
 
-// decodeRecord inverts encodeRecord.
-func decodeRecord(p []byte) (*Record, error) {
+// DecodeRecord inverts AppendRecord. It accepts exactly the canonical
+// forms: a delete carries no terms and an OpAdd no points, so neither
+// can be smuggled past the log.
+func DecodeRecord(p []byte) (*Record, error) {
 	if len(p) < 1 {
 		return nil, errors.New("empty payload")
 	}
@@ -585,7 +589,7 @@ func (l *Log) replaySegment(seg segmentInfo, fn func(*Record) error) error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -605,7 +609,7 @@ func (l *Log) Append(recs ...Record) error {
 	}
 	payloads := make([][]byte, len(recs))
 	for i := range recs {
-		payloads[i] = encodeRecord(&recs[i])
+		payloads[i] = AppendRecord(make([]byte, 0, 16+5*len(recs[i].Terms)+16*len(recs[i].Points)), &recs[i])
 	}
 	req := appendReq{payloads: payloads, done: make(chan error, 1)}
 	select {

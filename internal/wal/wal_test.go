@@ -547,12 +547,12 @@ func TestSyncErrorLatchesFailure(t *testing.T) {
 // enormous term count must be rejected by bounds-checking against the
 // payload size, not by attempting a giant allocation during scan.
 func TestCorruptTermCountRejectedCheaply(t *testing.T) {
-	payload := encodeRecord(&Record{Op: OpAdd, Epoch: 1, ID: 1, Card: 1, Terms: []uint32{1}})
+	payload := AppendRecord(nil, &Record{Op: OpAdd, Epoch: 1, ID: 1, Card: 1, Terms: []uint32{1}})
 	// Rewrite the term-count varint (last two fields are count=1, delta).
 	payload = payload[:len(payload)-2]
 	payload = binary.AppendUvarint(payload, maxRecordBytes-1)
-	if _, err := decodeRecord(payload); err == nil {
-		t.Fatal("decodeRecord accepted a term count far beyond the payload size")
+	if _, err := DecodeRecord(payload); err == nil {
+		t.Fatal("DecodeRecord accepted a term count far beyond the payload size")
 	}
 }
 

@@ -152,8 +152,9 @@ func (s Status) String() string {
 
 // Errors shared by both codec directions.
 var (
-	// ErrFrameTooLarge reports a length prefix above MaxFrame. The
-	// connection must be dropped: the stream cannot be resynchronized.
+	// ErrFrameTooLarge reports a length prefix above the frame cap
+	// (MaxFrame here). The connection must be dropped: the stream cannot
+	// be resynchronized.
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 	// ErrBadVersion reports an unknown protocol version byte.
 	ErrBadVersion = errors.New("wire: unsupported protocol version")
@@ -233,22 +234,51 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...), nil
+	return EndFrame(append(BeginFrame(dst), payload...), len(dst), MaxFrame)
+}
+
+// BeginFrame reserves a frame's length prefix at the end of dst. Append
+// the payload after it and seal the frame with EndFrame: the payload is
+// then encoded in place rather than copied into its frame.
+func BeginFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// EndFrame fills in the length prefix of the frame that BeginFrame opened
+// at offset start of dst. A payload over limit — MaxFrame on this
+// protocol; the cluster's internal frames carry a larger cap — is
+// ErrFrameTooLarge, with dst cut back to start.
+func EndFrame(dst []byte, start, limit int) ([]byte, error) {
+	n := len(dst) - start - 4
+	if n > limit {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
 }
 
 // ReadFrame reads one length-prefixed payload. It enforces MaxFrame
 // before allocating, so a hostile length prefix costs nothing.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil, MaxFrame) }
+
+// ReadFrameInto is ReadFrame with the payload capped at limit, and read
+// into buf's storage when it fits and into a fresh slice otherwise, so a
+// connection reading frame after frame allocates only when a frame
+// outgrows every earlier one. The payload aliases that storage.
+func ReadFrameInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	n := binary.BigEndian.Uint32(hdr)
+	if uint64(n) > uint64(limit) {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
