@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,10 +85,10 @@ type Coordinator struct {
 
 	// cleanups queues the per-node delete retries a failed Add's cleanup
 	// could not land (node unreachable); the background reconciler drains
-	// it, so stranded postings are reclaimed as soon as the node is back
-	// instead of waiting for a lucky re-Add.
+	// it, so stranded postings are reclaimed as soon as the node is back,
+	// and a re-Add of the ID drains its own entries first.
 	cleanupMu     sync.Mutex
-	cleanups      []pendingCleanup
+	cleanups      map[trajectory.ID][]pendingCleanup
 	stopReconcile chan struct{}
 	reconcileWG   sync.WaitGroup
 
@@ -226,6 +227,7 @@ func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string,
 		poolSize:  1,
 		directory: make(map[trajectory.ID]docEntry),
 		inFlight:  make(map[uint64]struct{}),
+		cleanups:  make(map[trajectory.ID][]pendingCleanup),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -390,24 +392,6 @@ func fanOut[T any](parent context.Context, items []T, task func(ctx context.Cont
 	return nil
 }
 
-// groupByNode splits a term set by owning node; only nodes owning at
-// least one term appear in the groups. A non-nil shardSet additionally
-// collects the distinct shards touched (the Search path's fan-out stat)
-// in the same pass; the Add path passes nil and skips that cost.
-func (c *Coordinator) groupByNode(set *bitmap.Bitmap, shardSet map[int]struct{}) map[int][]uint32 {
-	groups := make(map[int][]uint32)
-	set.Iterate(func(term uint32) bool {
-		sh := c.strategy.ShardOf(term)
-		if shardSet != nil {
-			shardSet[sh] = struct{}{}
-		}
-		n := c.strategy.NodeOf(sh)
-		groups[n] = append(groups[n], term)
-		return true
-	})
-	return groups
-}
-
 // Add fingerprints the trajectory and routes its postings to the cluster,
 // honoring ctx cancellation while waiting on the shard nodes. The first
 // node failure cancels the sibling calls, so one wedged node cannot hold
@@ -422,8 +406,9 @@ func (c *Coordinator) groupByNode(set *bitmap.Bitmap, shardSet map[int]struct{})
 // touched (epoch fencing makes the cleanup safe against the abandoned add
 // racing it onto a node), withdraws the reservation, and is retryable.
 // Cleanup is best-effort under its own timeout: if a node is unreachable,
-// its stranded postings stay hidden behind the directory check until an
-// Upsert or re-Add of the ID replaces them.
+// its stranded postings stay hidden behind the directory check until the
+// background reconciler fences them, and a re-Add of the ID lands that
+// fence first — failing while it cannot.
 func (c *Coordinator) Add(parent context.Context, t *trajectory.Trajectory) error {
 	lock := c.idLock(t.ID)
 	lock.Lock()
@@ -439,8 +424,11 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 	if err := c.checkClosed(); err != nil {
 		return err
 	}
-	set := c.ex.Extract(t.Points)
-	card := set.Cardinality()
+	if err := c.settleCleanups(parent, t.ID); err != nil {
+		return err
+	}
+	plan := c.Plan(c.ex.Extract(t.Points))
+	card := plan.card
 	c.mu.Lock()
 	if _, dup := c.directory[t.ID]; dup {
 		c.mu.Unlock()
@@ -451,25 +439,28 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 	below := c.watermarkLocked()
 	c.mu.Unlock()
 
-	groups := c.groupByNode(set, nil)
-	nodes := nodesOf(groups)
 	// Under point retention the trajectory's raw points spill to exactly
-	// one deterministic owner among the nodes holding its terms; that node
-	// stores (and logs, and replicates) them so exact rerank can run
-	// node-side. A termless trajectory has no owner — it can never appear
-	// in a fingerprint shortlist, so it never needs reranking either.
+	// one deterministic owner among the nodes holding its terms, spread by
+	// ID so retention memory balances across the cluster; that node stores
+	// (and logs, and replicates) them so exact rerank can run node-side. A
+	// termless trajectory has no owner — it can never appear in a
+	// fingerprint shortlist, so it never needs reranking either.
 	owner := -1
-	if c.retain && len(nodes) > 0 {
-		owner = pointOwner(uint32(t.ID), nodes)
+	if c.retain && len(plan.routes) > 0 {
+		owner = plan.routes[int(t.ID)%len(plan.routes)].node
 	}
-	err := fanOut(parent, nodes, func(ctx context.Context, node int) error {
-		rec := &wal.Record{Op: wal.OpAdd, Epoch: e, ID: uint32(t.ID), Card: uint32(card), Terms: groups[node]}
-		if node == owner && len(t.Points) > 0 {
+	err := fanOut(parent, plan.routes, func(ctx context.Context, r route) error {
+		rec := &wal.Record{Op: wal.OpAdd, Epoch: e, ID: uint32(t.ID), Card: uint32(card), Terms: r.terms}
+		if r.node == owner && len(t.Points) > 0 {
 			rec.Op, rec.Points = wal.OpAddPoints, t.Points
 		}
-		return c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil)
+		return c.clients[r.node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil)
 	})
 	if err != nil {
+		nodes := make([]int, len(plan.routes))
+		for i, r := range plan.routes {
+			nodes[i] = r.node
+		}
 		c.cleanupFailedAdd(t.ID, nodes)
 		c.mu.Lock()
 		delete(c.directory, t.ID) // withdraw the reservation; retryable
@@ -484,16 +475,6 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 	return nil
 }
 
-// pointOwner picks the shard node that stores a trajectory's raw points:
-// a deterministic choice among the nodes owning its terms, spread by ID
-// so retention memory balances across the cluster. nodes must be
-// non-empty; it is sorted in place so the choice does not depend on map
-// iteration order.
-func pointOwner(id uint32, nodes []int) int {
-	sort.Ints(nodes)
-	return nodes[int(id)%len(nodes)]
-}
-
 // cleanupFailedAdd reclaims the postings a failed Add already applied by
 // fanning a delete to the nodes it touched. The delete's fresh epoch
 // fences the failed add: even if an abandoned add call lands on a node
@@ -501,7 +482,8 @@ func pointOwner(id uint32, nodes []int) int {
 // already hides the ID from searches, so a node the cleanup cannot reach
 // costs memory, not correctness — its deletes are queued for the
 // background reconciler, which retries them (same fencing epoch) until
-// the node is reachable again, e.g. after it restarts from its WAL.
+// the node is reachable again, e.g. after it restarts from its WAL, and a
+// re-Add of the ID settles them before it reserves the ID again.
 func (c *Coordinator) cleanupFailedAdd(id trajectory.ID, nodes []int) {
 	c.mu.Lock()
 	e := c.beginMutationLocked()
@@ -511,10 +493,15 @@ func (c *Coordinator) cleanupFailedAdd(id trajectory.ID, nodes []int) {
 	ctx, cancel := context.WithTimeout(context.Background(), addCleanupTimeout)
 	defer cancel()
 	if failed := c.fanDeletes(ctx, id, e, below, nodes); len(failed) > 0 {
-		c.cleanupMu.Lock()
-		c.cleanups = append(c.cleanups, pendingCleanup{id: id, epoch: e, nodes: failed})
-		c.cleanupMu.Unlock()
+		c.queueCleanup(id, pendingCleanup{epoch: e, nodes: failed})
 	}
+}
+
+// queueCleanup hands a fence that has not landed to the reconciler.
+func (c *Coordinator) queueCleanup(id trajectory.ID, p pendingCleanup) {
+	c.cleanupMu.Lock()
+	c.cleanups[id] = append(c.cleanups[id], p)
+	c.cleanupMu.Unlock()
 }
 
 // pendingCleanup is one failed Add's unfinished posting reclaim: the
@@ -523,7 +510,6 @@ func (c *Coordinator) cleanupFailedAdd(id trajectory.ID, nodes []int) {
 // abandoned add (fencing it) and predates any later mutation of the ID
 // (so a retry can never undo a re-Add).
 type pendingCleanup struct {
-	id    trajectory.ID
 	epoch uint64
 	nodes []int
 }
@@ -571,28 +557,51 @@ func (c *Coordinator) reconcileLoop() {
 }
 
 // reconcileOnce retries every queued cleanup delete, re-queueing the
-// nodes that still cannot be reached.
+// nodes that still cannot be reached. Each ID settles under its mutation
+// stripe; a stripe some mutation holds is left for the next round.
 func (c *Coordinator) reconcileOnce() {
 	c.cleanupMu.Lock()
-	pending := c.cleanups
-	c.cleanups = nil
+	ids := make([]trajectory.ID, 0, len(c.cleanups))
+	for id := range c.cleanups {
+		ids = append(ids, id)
+	}
 	c.cleanupMu.Unlock()
-	for _, p := range pending {
-		below := c.watermark()
-		ctx, cancel := context.WithTimeout(context.Background(), addCleanupTimeout)
-		failed := c.fanDeletes(ctx, p.id, p.epoch, below, p.nodes)
-		cancel()
-		if len(failed) > 0 {
-			c.cleanupMu.Lock()
-			c.cleanups = append(c.cleanups, pendingCleanup{id: p.id, epoch: p.epoch, nodes: failed})
-			c.cleanupMu.Unlock()
+	for _, id := range ids {
+		if lock := c.idLock(id); lock.TryLock() {
+			_ = c.settleCleanups(context.Background(), id) // what failed stays queued
+			lock.Unlock()
 		}
 	}
 }
 
-// PendingCleanups reports how many failed-Add cleanups are still waiting
-// on unreachable nodes — zero once every stranded posting has been
-// fenced and reclaimed.
+// settleCleanups lands the fences still queued for id, re-queueing and
+// failing on the nodes it cannot reach within addCleanupTimeout. An Add
+// settles before re-adding the ID: stranded postings on a node the new
+// version does not touch would inflate its shared counts. Callers hold
+// id's mutation stripe.
+func (c *Coordinator) settleCleanups(ctx context.Context, id trajectory.ID) error {
+	c.cleanupMu.Lock()
+	pending := c.cleanups[id]
+	delete(c.cleanups, id)
+	c.cleanupMu.Unlock()
+	if len(pending) == 0 {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, addCleanupTimeout)
+	defer cancel()
+	var err error
+	for _, p := range pending {
+		if p.nodes = c.fanDeletes(ctx, id, p.epoch, c.watermark(), p.nodes); len(p.nodes) > 0 {
+			c.queueCleanup(id, p)
+			err = fmt.Errorf("cluster: trajectory %d: the fence of an earlier failed add has not reached nodes %v", id, p.nodes)
+		}
+	}
+	return err
+}
+
+// PendingCleanups reports how many trajectories still have failed-Add
+// cleanups waiting on unreachable nodes — zero once every stranded
+// posting has been fenced and reclaimed.
 func (c *Coordinator) PendingCleanups() int {
 	c.cleanupMu.Lock()
 	defer c.cleanupMu.Unlock()
@@ -739,15 +748,6 @@ dispatch:
 	return int(deleted.Load()), parent.Err()
 }
 
-// nodesOf returns the keys of a node→terms grouping.
-func nodesOf(groups map[int][]uint32) []int {
-	nodes := make([]int, 0, len(groups))
-	for n := range groups {
-		nodes = append(nodes, n)
-	}
-	return nodes
-}
-
 // allNodes returns the node indices 0..n-1.
 func allNodes(n int) []int {
 	nodes := make([]int, n)
@@ -803,7 +803,7 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 	if len(missing) == 0 {
 		merged := make([]index.Result, 0, len(hits))
 		var mu sync.Mutex
-		err := fanOut(parent, nodesOf(groups), func(ctx context.Context, node int) error {
+		err := fanOut(parent, slices.Collect(maps.Keys(groups)), func(ctx context.Context, node int) error {
 			return c.readCall(ctx, node, &request{
 				Op:           opRerank,
 				CompactBelow: below,
@@ -832,7 +832,7 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 			return merged, nil
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+	slices.Sort(missing)
 	return nil, fmt.Errorf("cluster: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): cluster built without point retention, a recovered directory predating the points, or a concurrent delete", len(missing), len(hits), missing)
 }
 
@@ -860,21 +860,26 @@ func (c *Coordinator) Extractor() index.Extractor { return c.ex }
 func (c *Coordinator) Strategy() shard.Strategy { return c.strategy }
 
 // QueryPlan is one term set's routing across a shard strategy: the
-// per-node term slices exactly as they go on the wire (queryRequest.Terms),
-// the owning-node list, and the distinct-shard count. Building the plan is
-// the per-query sharding cost — one pass over the set through ShardOf and
-// NodeOf — so preparing it once and reusing it across repeated or batched
-// searches removes that cost from the scatter hot path. A plan is
-// immutable after construction and safe for concurrent use; it is valid
-// for any coordinator whose Strategy equals the one that built it.
+// per-node term slices exactly as they go on the wire (queryRequest.Terms)
+// and the distinct-shard count. Building the plan is the per-query
+// sharding cost — two passes over the set through ShardOf and NodeOf — so
+// preparing it once and reusing it across repeated or batched searches
+// removes that cost from the scatter hot path. A plan is immutable after
+// construction and safe for concurrent use; it is valid for any
+// coordinator whose Strategy equals the one that built it.
 type QueryPlan struct {
 	set *bitmap.Bitmap
 	// card is the set's cardinality — the query's global |F|, carried on
 	// the wire so nodes can threshold-prune — counted once at planning.
 	card   int
-	groups map[int][]uint32
-	nodes  []int
+	routes []route
 	shards int
+}
+
+// route is one owning node's share of a planned term set, ascending.
+type route struct {
+	node  int
+	terms []uint32
 }
 
 // Set returns the term set the plan was built from. Callers use it to
@@ -883,21 +888,36 @@ func (p *QueryPlan) Set() *bitmap.Bitmap { return p.set }
 
 // Stats returns the fan-out the planned query incurs.
 func (p *QueryPlan) Stats() QueryStats {
-	return QueryStats{Shards: p.shards, Nodes: len(p.groups)}
+	return QueryStats{Shards: p.shards, Nodes: len(p.routes)}
 }
 
 // Plan partitions a query term set by owning node under the coordinator's
-// strategy, returning the reusable routing.
+// strategy, returning the reusable routing, in ascending node order. The
+// terms come out ascending and ShardOf is monotone, so the distinct shards
+// are its runs; a counting pass sizes each node's stretch of one array.
 func (c *Coordinator) Plan(set *bitmap.Bitmap) *QueryPlan {
-	shardSet := make(map[int]struct{}, 8)
-	groups := c.groupByNode(set, shardSet)
-	return &QueryPlan{
-		set:    set,
-		card:   set.Cardinality(),
-		groups: groups,
-		nodes:  nodesOf(groups),
-		shards: len(shardSet),
+	terms := set.ToSlice()
+	p := &QueryPlan{set: set, card: len(terms)}
+	perNode := make([]int, c.strategy.Nodes)
+	last := -1
+	for _, term := range terms {
+		if sh := c.strategy.ShardOf(term); sh != last {
+			p.shards, last = p.shards+1, sh
+		}
+		perNode[c.strategy.NodeOf(last)]++
 	}
+	grouped, off := make([]uint32, len(terms)), 0
+	for node, n := range perNode {
+		if n > 0 {
+			p.routes = append(p.routes, route{node: node, terms: grouped[off : off : off+n]})
+			perNode[node], off = len(p.routes)-1, off+n
+		}
+	}
+	for _, term := range terms {
+		r := &p.routes[perNode[c.strategy.NodeOfGeodab(term)]]
+		r.terms = append(r.terms, term)
+	}
+	return p
 }
 
 // SearchInfo reports what one distributed search touched.
@@ -907,7 +927,8 @@ type SearchInfo struct {
 	// filtering. Candidates the shard nodes pruned are not included.
 	Candidates int
 	// Pruned is how many candidates the coordinator's threshold bounds
-	// skipped before scoring, after the merge.
+	// skipped before scoring, after the merge, counting every candidate
+	// past the count-order walk's stop — visible to the snapshot or not.
 	Pruned int
 	// NodePruned is how many candidate partials the shard nodes'
 	// cardinality window skipped before serialization — entries that,
@@ -957,33 +978,27 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	if err := c.checkClosed(); err != nil {
 		return nil, SearchInfo{}, err
 	}
-	groups := plan.groups
 	snap := c.watermark()
-	info := SearchInfo{
-		Shards: plan.shards,
-		Nodes:  len(groups),
-	}
-	qCard := plan.card
+	info := SearchInfo{Shards: plan.shards, Nodes: len(plan.routes)}
 	s := scratchPool.Get().(*scratch)
 	defer func() {
 		s.counter.Reset()
 		scratchPool.Put(s)
 	}()
-	counter := s.counter
 	var sharedMu sync.Mutex
-	err := fanOut(parent, plan.nodes, func(ctx context.Context, node int) error {
-		return c.readCall(ctx, node, &request{
+	err := fanOut(parent, plan.routes, func(ctx context.Context, r route) error {
+		return c.readCall(ctx, r.node, &request{
 			Op:           opQuery,
 			CompactBelow: snap,
 			// QueryCard and MaxDistance let the node apply the
 			// cardinality window before encoding its partials.
-			Query: &queryRequest{Terms: groups[node], QueryCard: qCard, MaxDistance: maxDistance},
+			Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance},
 		}, func(r *response) {
 			// Node term spaces are disjoint, so summing partial counts
 			// yields the exact |F ∩ G| — the distributed half of the
 			// counting merge — straight from the reply's bytes.
 			sharedMu.Lock()
-			r.Query.addTo(counter)
+			r.Query.addTo(s.counter)
 			info.NodePruned += r.Query.pruned
 			info.WirePartials += r.Query.len()
 			sharedMu.Unlock()
@@ -992,41 +1007,28 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	if err != nil {
 		return nil, info, err
 	}
-	cands := counter.Candidates()
-	info.Candidates = len(cands)
+	info.Candidates = len(s.counter.Candidates())
 
-	// Snapshot the directory columns ranking needs — cardinality,
-	// liveness, epoch — under the read lock, then rank outside it. The
-	// lock covers only the map lookups; holding it across the whole
-	// scoring pass would block every mutation for the duration of a large
-	// candidate set's floating-point ranking.
-	ranked := s.ranked[:0]
+	// Rank through the local index's core. The walk probes the directory
+	// under the read lock, only above its stop; a candidate ranks only if
+	// its mutation committed at or below the snapshot.
+	s.ranker.Init(plan.card, maxDistance, limit)
 	c.mu.RLock()
-	for _, id := range cands {
+	err = s.ranker.RankByCount(parent, s.counter, func(id uint32) (int, bool) {
 		entry, ok := c.directory[trajectory.ID(id)]
-		if !ok || entry.state != stateLive || entry.epoch > snap {
-			continue // unknown, mid-mutation, or newer than the snapshot
-		}
-		ranked = append(ranked, rankedCandidate{id: id, card: entry.card, shared: counter.Count(id)})
-	}
+		return entry.card, ok && entry.state == stateLive && entry.epoch <= snap
+	})
 	c.mu.RUnlock()
-	s.ranked = ranked
-
-	// Rank through the same threshold-pruning core as the local index, so
-	// the cluster inherits its bounds, its top-k heap, and its
-	// byte-identical (distance, ID) contract.
-	var ranker index.Ranker
-	ranker.Init(qCard, maxDistance, limit)
-	for _, cand := range ranked {
-		ranker.Consider(trajectory.ID(cand.id), cand.card, cand.shared)
+	if errors.Is(err, index.ErrCountAboveQuery) {
+		return nil, info, fmt.Errorf("cluster: node partial counts exceed the query's %d terms: %w", plan.card, err)
 	}
-	results := ranker.Finish(make([]index.Result, 0, limitCap(limit, info.Candidates)))
-	if len(results) == 0 {
-		// Match the local engine's no-hits contract (a nil slice): callers
-		// compare the two engines' rankings with reflect.DeepEqual.
-		results = nil
+	if err != nil {
+		return nil, info, err
 	}
-	info.Pruned = ranker.Pruned()
+	// No hits is a nil slice, as on the local engine: callers compare the
+	// two engines' rankings with reflect.DeepEqual.
+	results := s.ranker.Finish(nil)
+	info.Pruned = s.ranker.Pruned()
 	return results, info, nil
 }
 
@@ -1069,24 +1071,6 @@ func (c *Coordinator) readCall(ctx context.Context, node int, req *request, use 
 		}
 	}
 	return err
-}
-
-// rankedCandidate is one merged candidate with its directory snapshot:
-// the columns the ranking loop needs, copied out so the loop runs
-// without holding the coordinator's lock.
-type rankedCandidate struct {
-	id     uint32
-	card   int
-	shared int
-}
-
-// limitCap sizes the result allocation: the cap when one applies, the
-// candidate count otherwise.
-func limitCap(limit, candidates int) int {
-	if limit > 0 && limit < candidates {
-		return limit
-	}
-	return candidates
 }
 
 // Stats gathers per-node term and posting counts in parallel, slice

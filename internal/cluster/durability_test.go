@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
@@ -509,6 +510,150 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 	restarted.mu.RUnlock()
 	if orphaned {
 		t.Fatal("victim trajectory still present on the recovered node")
+	}
+}
+
+// latExtractor reads a trajectory's terms straight off its points'
+// latitudes, so a test can put every term on the node it wants: under
+// Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2} term g lives on
+// node (g >> 1) & 1.
+type latExtractor struct{}
+
+func (latExtractor) Extract(pts []geo.Point) *bitmap.Bitmap {
+	set := bitmap.New()
+	for _, p := range pts {
+		set.Add(uint32(p.Lat))
+	}
+	return set
+}
+
+// termTrajectory builds a trajectory whose latExtractor terms are terms.
+func termTrajectory(id trajectory.ID, terms ...uint32) *trajectory.Trajectory {
+	tr := &trajectory.Trajectory{ID: id}
+	for _, g := range terms {
+		tr.Points = append(tr.Points, geo.Point{Lat: float64(g)})
+	}
+	return tr
+}
+
+// TestStrandedPostingsThenReAdd pins the premise the coordinator's
+// ranking rests on: a visible trajectory's merged shared count never
+// exceeds its directory cardinality. It starts from
+// TestStrandedPostingsReconciled's failure — a failed Add whose postings
+// are stranded on a node its cleanup could not reach — and then re-adds
+// the ID with terms that all live on the other node, so the re-add itself
+// never touches the stranded copy. The re-add must first land the fence
+// still pending for the ID: while the stranded node is down it fails, and
+// once the node is back it succeeds, after which the cluster ranks exactly
+// like a local index holding the re-added version. The recovered variant
+// restarts the coordinator in between, losing its queue of pending fences:
+// directory recovery must queue the fence again from the nodes' state.
+func TestStrandedPostingsThenReAdd(t *testing.T) {
+	t.Run("same coordinator", func(t *testing.T) { strandThenReAdd(t, false) })
+	t.Run("recovered coordinator", func(t *testing.T) { strandThenReAdd(t, true) })
+}
+
+func strandThenReAdd(t *testing.T, restart bool) {
+	oldInterval, oldTimeout := reconcileInterval, addCleanupTimeout
+	// The background reconciler stays out of the way: only the re-add may
+	// land the fence. Restored last, once every coordinator is closed.
+	reconcileInterval, addCleanupTimeout = time.Hour, 300*time.Millisecond
+	t.Cleanup(func() { reconcileInterval, addCleanupTimeout = oldInterval, oldTimeout })
+
+	dir := t.TempDir()
+	durable, err := StartNode("127.0.0.1:0", WithWALDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	durableAddr := durable.Addr()
+	stallLn := startFakeNode(t, swallow)
+	wedged := stallLn.Addr().String()
+	addrs := []string{durableAddr, wedged}
+	strategy := shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}
+	coord, err := NewCoordinator(latExtractor{}, strategy, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+
+	// Terms 0, 1, 4, 5, 8 and 9 live on the durable node, 2, 3 and 6 on
+	// the wedged one.
+	first := termTrajectory(7, 0, 1, 2, 3, 4, 5, 8, 9)
+	second := termTrajectory(7, 2, 3, 6)
+	if a, b := coord.Analyze(first).Nodes, coord.Analyze(second).Nodes; a != 2 || b != 1 {
+		t.Fatalf("fixture spans %d and %d nodes, want 2 and 1", a, b)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	addErr := make(chan error, 1)
+	go func() { addErr <- coord.Add(ctx, first) }()
+	pollUntil(t, 5*time.Second, func() bool {
+		durable.mu.RLock()
+		defer durable.mu.RUnlock()
+		return len(durable.docs) == 1
+	}, "durable node never applied its half of the Add")
+	durable.Kill()
+	cancel()
+	if err := <-addErr; err == nil {
+		t.Fatal("Add against a half-dead cluster should fail")
+	}
+	pollUntil(t, 5*time.Second, func() bool { return coord.PendingCleanups() > 0 }, "failed cleanup was not queued for reconciliation")
+
+	stallLn.Close()
+	healed, err := StartNode(wedged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { healed.Close() })
+	// The fence lands on the healed node, not on the stranded one.
+	readded := coord.Add(context.Background(), second) == nil
+	if readded {
+		t.Error("re-add committed while the fence of the failed Add could not reach the stranded node")
+	}
+	if restart {
+		coord.Close()
+	}
+
+	restarted, err := StartNode(durableAddr, WithWALDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+	restarted.mu.RLock()
+	docs := len(restarted.docs)
+	restarted.mu.RUnlock()
+	if docs != 1 {
+		t.Fatalf("restarted node recovered %d docs, want the 1 stranded add", docs)
+	}
+	if restart {
+		if coord, err = NewCoordinator(latExtractor{}, strategy, addrs, WithDirectoryRecovery()); err != nil {
+			t.Fatal(err)
+		}
+		if n := coord.PendingCleanups(); n != 1 {
+			t.Errorf("recovery queued %d fences, want the stranded node's 1", n)
+		}
+	}
+	if !readded {
+		// The first call may meet the connection the restart left dead.
+		pollUntil(t, 5*time.Second, func() bool { return coord.Add(context.Background(), second) == nil },
+			"re-add never succeeded with the stranded node back")
+	}
+
+	ref := index.NewSharded(latExtractor{}, 1)
+	ref.Upsert(second)
+	query := latExtractor{}.Extract(termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 8, 9).Points)
+	for _, limit := range []int{0, 1} {
+		want, _, err := ref.AppendSearchSet(context.Background(), nil, query, query.Cardinality(), 1, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := coord.SearchPlan(context.Background(), coord.Plan(query), 1, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("limit %d: cluster ranks %+v, local index %+v", limit, got, want)
+		}
 	}
 }
 

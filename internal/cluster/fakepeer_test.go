@@ -125,7 +125,7 @@ func serveFrames(reply func(op) []byte) func(net.Conn) {
 // a stats request with a reply that is not of the request's kind, or
 // whose body is cut short, gets a cluster error back — not a panic in the
 // coordinator. A stats answer without its body used to be a nil
-// dereference.
+// dereference. So does a query reply whose count exceeds the query.
 func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 	tr, q := testWorkload.Dataset.Trajectories[0], testWorkload.Queries[0]
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
@@ -158,6 +158,28 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 		checkErr("Rerank", err)
 		_, err = coord.Stats(ctx)
 		checkErr("Stats", err)
+		coord.Close()
+	}
+
+	// A well-formed query reply claiming more shared terms than the query
+	// has: the ranking walk sizes its count buckets by |F|, never by a
+	// count off the wire.
+	card := uint32(ex.Extract(q.Points).Cardinality())
+	for _, count := range []uint32{card + 1, 1<<32 - 1} {
+		fake := startFakeNode(t, serveFrames(func(op) []byte {
+			return endPartials(appendPartial(beginPartials(nil), uint32(tr.ID), count), 0, 0)
+		}))
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := coord.Add(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := coord.Search(ctx, q, 1, 10); err == nil || !strings.HasPrefix(err.Error(), "cluster: ") {
+			t.Errorf("Search answered with count %d against |F| = %d: %v, want a cluster error", count, card, err)
+		}
 		coord.Close()
 	}
 }

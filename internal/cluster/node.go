@@ -718,11 +718,11 @@ func (n *Node) compact(below uint64) {
 }
 
 // scratch is the per-search state reused across searches: the
-// counting-merge counter, and — on the coordinator — the ranking
-// snapshot of the merged candidates.
+// counting-merge counter, and — on the coordinator — the ranker with its
+// top-k heap and count-order buffers.
 type scratch struct {
 	counter *bitmap.Counter
-	ranked  []rankedCandidate
+	ranker  index.Ranker
 }
 
 // scratchPool feeds both the node's query handler and the

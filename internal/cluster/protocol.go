@@ -324,7 +324,7 @@ func (p *partials) addTo(c *bitmap.Counter) {
 
 // rerankRequest asks a node to exact-score its slice of a fingerprint
 // shortlist: IDs are shortlist members whose points the node owns (the
-// coordinator groups by pointOwner before scattering), Query is the raw
+// coordinator groups by point owner before scattering), Query is the raw
 // query trajectory, and Metric selects DTW (1) or discrete Fréchet (2) —
 // only the built-in metrics are addressable over the wire.
 //

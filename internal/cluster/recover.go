@@ -55,6 +55,12 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 		ownerEpoch uint64
 	}
 	winners := make(map[trajectory.ID]recovered)
+	type liveAdd struct {
+		id    trajectory.ID
+		node  int
+		epoch uint64
+	}
+	var adds []liveAdd
 	var maxEpoch uint64
 	for node, addr := range addrs {
 		watermark, err := fetchNodeState(addr, func(d *wal.Record) error {
@@ -66,6 +72,9 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 			}
 			if !ok || d.Epoch > w.epoch {
 				w.card, w.epoch, w.tombstone = int(d.Card), d.Epoch, d.Op == wal.OpDelete
+			}
+			if d.Op != wal.OpDelete {
+				adds = append(adds, liveAdd{id, node, d.Epoch})
 			}
 			if len(d.Points) > 0 && d.Epoch >= w.ownerEpoch {
 				w.owner, w.ownerEpoch = node, d.Epoch
@@ -87,6 +96,14 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 			owner = w.owner
 		}
 		c.directory[id] = docEntry{card: w.card, state: stateLive, epoch: w.epoch, owner: owner}
+	}
+	// An add older than its ID's winner is a failed Add's stranded postings:
+	// fence it at the winner's epoch, which postdates it and predates every
+	// epoch this coordinator will assign.
+	for _, a := range adds {
+		if w := winners[a.id]; a.epoch < w.epoch {
+			c.queueCleanup(a.id, pendingCleanup{epoch: w.epoch, nodes: []int{a.node}})
+		}
 	}
 	if maxEpoch > c.epoch {
 		c.epoch = maxEpoch

@@ -12,7 +12,9 @@
 // time O(Σ|postings| + |candidates|·(|F|+|G|)). Threshold pruning (a
 // cardinality window and a shared-count bar derived from the distance
 // cutoff, tightened by the rising top-k heap bar under a result cap)
-// skips candidates that provably cannot qualify, while conservative
+// skips candidates that provably cannot qualify; candidates are walked
+// highest shared count first, and the walk stops at the first count that
+// cannot place, never reading the rest's cardinalities. Conservative
 // slack plus an exact final comparison keep rankings byte-identical to
 // the full-sort contract: distance ascending, ID tiebreak. The same
 // Ranker drives the cluster coordinator, so local and distributed
@@ -28,20 +30,16 @@
 // write lock (mutations on different shards stop contending) and stays
 // atomic with respect to searches.
 //
-// A search over several shards fans out in parallel: each shard runs the
-// same counting merge it would run standalone (there is one, for a query
-// of any size: how wide a count can get is bitmap.Counter's business,
-// not this package's), pre-filters its candidates with the static
-// threshold bounds (the CardinalityWindow and the shared-count bar at
-// the query's distance cutoff — the exact bounds the Ranker starts from,
-// so nothing a full search would keep is lost), and hands back (id,
-// cardinality, shared-count) partials. A coordinator-style merge then ranks all
-// partials through one Ranker — the in-process mirror of the cluster's
-// scatter-gather, with no serialization and no wire. Rankings are
-// byte-identical at every shard count: the shards see disjoint documents
-// with their full term sets, so the merged candidate multiset equals the
-// one-shard one, and the strict (distance, ID) total order makes the
-// final top-k independent of arrival order. Differential and fuzz tests
+// A search over several shards fans out in parallel, and each shard runs
+// exactly the search it would run standalone — the counting merge (there
+// is one, for a query of any size: how wide a count can get is
+// bitmap.Counter's business, not this package's) and the count-order
+// ranking — with the caller's limit. A shard holds whole documents, so
+// its shared counts are final and its own top-k holds every hit of the
+// global top-k that it owns; the merge sorts the at most shards × k hits
+// and truncates them. Rankings are byte-identical at every shard count:
+// the strict (distance, ID) total order makes the top-k independent of
+// how the candidates were split. Differential and fuzz tests
 // (sharded_diff_test.go) pin this across shard counts and both query
 // paths.
 package index

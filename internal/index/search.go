@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -46,9 +47,14 @@ type SearchStats struct {
 	// fingerprint with the query, before distance filtering.
 	Candidates int
 	// Pruned is how many of those candidates the threshold bounds skipped
-	// before the scoring step.
+	// before the scoring step, counting those after the count-order
+	// walk's stop, whose cardinality was never read.
 	Pruned int
 }
+
+// ErrCountAboveQuery reports a candidate counted as sharing more
+// fingerprints than the query has: the counts came from broken input.
+var ErrCountAboveQuery = errors.New("index: a candidate's shared count exceeds the query's cardinality")
 
 // resultLess is the ranking contract: distance ascending, ID tiebreak.
 func resultLess(a, b Result) bool {
@@ -100,6 +106,11 @@ type Ranker struct {
 
 	heap    []Result // max-heap by (distance, ID) when limit > 0
 	results []Result // flat accumulation when limit ≤ 0
+
+	// RankByCount's counting sort: one bucket offset per count 0..|F|, and
+	// the candidates highest count first.
+	buckets []int32
+	order   []uint32
 }
 
 // Init readies the ranker for one search: a query of cardinality qc,
@@ -185,11 +196,7 @@ func (r *Ranker) raiseBar() {
 //
 //geodabs:noalloc
 func (r *Ranker) Consider(id trajectory.ID, card, shared int) {
-	if !InWindow(card, r.minCard, r.maxCard) {
-		r.pruned++
-		return
-	}
-	if s := r.effSim; s > 0 && float64(shared+1)*(1+s) < s*float64(r.qc+card) {
+	if !InWindow(card, r.minCard, r.maxCard) || r.belowBar(shared, card) {
 		r.pruned++
 		return
 	}
@@ -222,6 +229,66 @@ func (r *Ranker) Consider(id trajectory.ID, card, shared int) {
 		r.siftDown(0)
 		r.raiseBar()
 	}
+}
+
+// belowBar reports whether a candidate fails the shared-count bar at the
+// effective similarity, with one count of slack.
+func (r *Ranker) belowBar(shared, card int) bool {
+	s := r.effSim
+	return s > 0 && float64(shared+1)*(1+s) < s*float64(r.qc+card)
+}
+
+// RankByCount considers a counter's candidates highest shared count first
+// (one counting sort: a count never exceeds |F|) and stops at the first
+// count c at which the bar fails even at |G| = c. A candidate sharing c
+// fingerprints has |G| ≥ c, and the bar only tightens with |G| and with
+// falling c, so every candidate from there on is one Consider would prune
+// right now: it counts as pruned, and card — which resolves a
+// cardinality, false for a candidate not to be ranked at all — is never
+// called for it. The results equal considering every candidate in any
+// order (docs/invariants.md, "Ranking in count order"). A count above |F|
+// (a node's reply can claim one) is ErrCountAboveQuery, before any
+// ranking. ctx is checked every 1024 candidates walked.
+//
+//geodabs:noalloc
+func (r *Ranker) RankByCount(ctx context.Context, c *bitmap.Counter, card func(id uint32) (int, bool)) error {
+	cands := c.Candidates()
+	r.buckets = r.buckets[:0]
+	for range r.qc + 1 {
+		r.buckets = append(r.buckets, 0)
+	}
+	for _, v := range cands {
+		n := c.Count(v)
+		if n > r.qc {
+			return ErrCountAboveQuery
+		}
+		r.buckets[n]++
+	}
+	var next int32
+	for n := len(r.buckets) - 1; n >= 0; n-- {
+		next, r.buckets[n] = next+r.buckets[n], next
+	}
+	// Sized by copying the candidates, then overwritten in count order.
+	r.order = append(r.order[:0], cands...)
+	for _, v := range cands {
+		n := c.Count(v)
+		r.order[r.buckets[n]] = v
+		r.buckets[n]++
+	}
+	for i, v := range r.order {
+		shared := c.Count(v)
+		if r.belowBar(shared, shared) {
+			r.pruned += len(r.order) - i
+			return nil
+		}
+		if i%1024 == 1023 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if g, ok := card(v); ok {
+			r.Consider(trajectory.ID(v), g, shared)
+		}
+	}
+	return nil
 }
 
 // Pruned returns how many candidates the threshold bounds skipped.
@@ -344,76 +411,19 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 	if err := ix.countShared(ctx, sc, set); err != nil {
 		return nil, SearchStats{}, err
 	}
-	cands := sc.counter.Candidates()
-	stats := SearchStats{Candidates: len(cands)}
+	stats := SearchStats{Candidates: len(sc.counter.Candidates())}
 
-	// Stage 2 — threshold-pruned scoring over the candidates only.
+	// Stage 2 — threshold-pruned scoring, highest shared count first, up to
+	// the first count that cannot place.
 	sc.ranker.Init(qc, maxDistance, limit)
-	for i, v := range cands {
-		if i%1024 == 1023 && ctx.Err() != nil {
-			return nil, stats, ctx.Err()
-		}
-		id := trajectory.ID(v)
-		sc.ranker.Consider(id, ix.cards[id], sc.counter.Count(v))
+	if err := sc.ranker.RankByCount(ctx, sc.counter, ix.cardOf); err != nil {
+		return nil, stats, err
 	}
 	dst = sc.ranker.Finish(dst)
 	stats.Pruned = sc.ranker.Pruned()
 	return dst, stats, nil
 }
 
-// shardPartial is one surviving candidate from a shard-local counting
-// merge: enough for the coordinating Ranker to score it without touching
-// the shard again. It is the in-process analogue of the wire partials the
-// cluster's shard nodes ship, minus the frame encoding and the network.
-type shardPartial struct {
-	id           trajectory.ID
-	card, shared int
-}
-
-// appendSearchPartials runs the shard-local half of a fanned-out search:
-// the counting merge over this shard's postings, followed by the *static*
-// threshold bounds — the cardinality window [minCard, maxCard] and the
-// shared-count bar at similarity 1 − maxDistance, both with one count of
-// slack. Survivors are appended to dst as (id, card, shared) triples for
-// the coordinating Ranker.
-//
-// Only static bounds are applied here: the Ranker's rising top-k bar
-// tightens monotonically from the static bar, so every candidate pruned
-// shard-side is one the Ranker would prune anyway, and rankings stay
-// byte-identical to the one-shard path. candidates and pruned feed
-// the aggregated SearchStats.
-//
-//geodabs:noalloc
-func (ix *Inverted) appendSearchPartials(ctx context.Context, dst []shardPartial, set *bitmap.Bitmap, qc int, maxDistance float64) (partials []shardPartial, candidates, pruned int, err error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if qc == 0 {
-		return dst, 0, 0, nil
-	}
-	sim := 1 - maxDistance
-	if sim < 0 {
-		sim = 0
-	}
-	minCard, maxCard := cardinalityWindow(sim, qc)
-
-	sc := getSearchScratch()
-	defer sc.release()
-	if err := ix.countShared(ctx, sc, set); err != nil {
-		return nil, 0, 0, err
-	}
-	cands := sc.counter.Candidates()
-	candidates = len(cands)
-	for i, v := range cands {
-		if i%1024 == 1023 && ctx.Err() != nil {
-			return nil, candidates, pruned, ctx.Err()
-		}
-		id := trajectory.ID(v)
-		card, shared := ix.cards[id], sc.counter.Count(v)
-		if !InWindow(card, minCard, maxCard) || (sim > 0 && float64(shared+1)*(1+sim) < sim*float64(qc+card)) {
-			pruned++
-			continue
-		}
-		dst = append(dst, shardPartial{id: id, card: card, shared: shared})
-	}
-	return dst, candidates, pruned, nil
-}
+// cardOf is a shard's cardinality lookup for RankByCount: every candidate
+// of its counting merge is one of its documents.
+func (ix *Inverted) cardOf(id uint32) (int, bool) { return ix.cards[trajectory.ID(id)], true }

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,10 +17,10 @@ import (
 // trajectory ID. Every trajectory lives wholly in one shard (postings,
 // cached cardinality, retained points), so a mutation takes exactly one
 // shard's write lock and mutations on different shards proceed without
-// contending. A search fans out across the shards in parallel and merges
-// the surviving partials through one Ranker, producing rankings
-// byte-identical at every shard count (see the package doc's Sharding
-// section for why); with one shard it runs that shard's search directly.
+// contending. A search runs every shard's own search in parallel and
+// merges their top-k lists, producing rankings byte-identical at every
+// shard count (see the package doc's Sharding section for why); with one
+// shard it runs that shard's search directly.
 //
 // A concurrent search observes each trajectory either fully or not at
 // all. What is weaker with several shards is the cross-shard snapshot: a
@@ -297,47 +298,35 @@ func (s *Sharded) Search(ctx context.Context, q *trajectory.Trajectory, maxDista
 	return s.AppendSearchSet(ctx, nil, set, set.Cardinality(), maxDistance, limit)
 }
 
-// fanoutScratch is the pooled per-query state of a sharded search: one
-// partial buffer per shard (each written by exactly one goroutine), the
-// per-shard stat and error slots, and the coordinating ranker. Pooling it
-// makes a steady-state fanned-out search allocation-free once the
-// buffers have grown to the workload.
+// fanoutScratch is the pooled per-query state of a sharded search: each
+// shard's hits, stats and error (each written by exactly one goroutine)
+// and the buffer their merge is sorted in. Pooling it makes a steady-state
+// fanned-out search allocation-free once the buffers have grown to the
+// workload, bar the goroutines.
 type fanoutScratch struct {
-	partials   [][]shardPartial
-	candidates []int
-	pruned     []int
-	errs       []error
-	ranker     Ranker
+	shards []shardSearch
+	merged []Result
+}
+
+// shardSearch is one shard's answer within a fanned-out search.
+type shardSearch struct {
+	hits  []Result
+	stats SearchStats
+	err   error
 }
 
 var fanoutScratchPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 
-// getFanoutScratch returns a scratch sized for n shards, reusing the
-// per-shard partial buffers' capacity across queries.
-func getFanoutScratch(n int) *fanoutScratch {
-	fs := fanoutScratchPool.Get().(*fanoutScratch)
-	if cap(fs.partials) < n {
-		fs.partials = make([][]shardPartial, n)
-		fs.candidates = make([]int, n)
-		fs.pruned = make([]int, n)
-		fs.errs = make([]error, n)
-	}
-	fs.partials = fs.partials[:n]
-	fs.candidates = fs.candidates[:n]
-	fs.pruned = fs.pruned[:n]
-	fs.errs = fs.errs[:n]
-	return fs
-}
-
 // AppendSearchSet ranks against a pre-computed fingerprint set, appending
 // the results to dst. A one-shard index runs the shard's search directly;
-// otherwise the search fans out: every shard runs its counting merge in
+// otherwise every shard runs that same search with the caller's limit in
 // parallel — one goroutine per extra shard, shard 0 on the calling
-// goroutine — pre-filtering with the static threshold
-// bounds, and the surviving (id, cardinality, shared) partials merge
-// through one Ranker. Stats aggregate across shards: Candidates is the
-// total candidate count, Pruned counts both shard-side static pruning and
-// the coordinator's rising-bar pruning. qc must equal set.Cardinality().
+// goroutine — into its pooled hit buffer. A shard holds whole documents,
+// so its shared counts are final and its own top-limit under the
+// (distance, ID) order holds every hit of the global top-limit that it
+// owns: sorting the at most shards × limit hits and truncating them is
+// the one-shard ranking. Stats add up across shards. qc must equal
+// set.Cardinality().
 func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
@@ -348,22 +337,22 @@ func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap
 	if qc == 0 {
 		return dst, SearchStats{}, nil
 	}
-	fs := getFanoutScratch(len(s.shards))
+	fs := fanoutScratchPool.Get().(*fanoutScratch)
 	defer fanoutScratchPool.Put(fs)
+	fs.shards = slices.Grow(fs.shards[:0], len(s.shards))[:len(s.shards)]
 
 	var wg sync.WaitGroup
 	for {
 		reloads := s.reloads.Load()
 		for i := 1; i < len(s.shards); i++ {
 			wg.Add(1)
-			go func(i int) {
+			go func(sh *Inverted, out *shardSearch) {
 				defer wg.Done()
-				fs.partials[i], fs.candidates[i], fs.pruned[i], fs.errs[i] =
-					s.shards[i].appendSearchPartials(ctx, fs.partials[i][:0], set, qc, maxDistance)
-			}(i)
+				out.hits, out.stats, out.err = sh.AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
+			}(s.shards[i], &fs.shards[i])
 		}
-		fs.partials[0], fs.candidates[0], fs.pruned[0], fs.errs[0] =
-			s.shards[0].appendSearchPartials(ctx, fs.partials[0][:0], set, qc, maxDistance)
+		out := &fs.shards[0]
+		out.hits, out.stats, out.err = s.shards[0].AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
 		wg.Wait()
 		if s.reloads.Load() == reloads {
 			break
@@ -371,21 +360,20 @@ func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap
 	}
 
 	var stats SearchStats
-	for i := range fs.errs {
-		if err := fs.errs[i]; err != nil {
-			return nil, stats, err
+	merged := fs.merged[:0]
+	for _, out := range fs.shards {
+		if out.err != nil {
+			return nil, stats, out.err
 		}
-		stats.Candidates += fs.candidates[i]
-		stats.Pruned += fs.pruned[i]
+		stats.Candidates += out.stats.Candidates
+		stats.Pruned += out.stats.Pruned
+		merged = append(merged, out.hits...)
 	}
-
-	fs.ranker.Init(qc, maxDistance, limit)
-	for _, partials := range fs.partials {
-		for _, p := range partials {
-			fs.ranker.Consider(p.id, p.card, p.shared)
-		}
+	SortResults(merged)
+	if limit > 0 && len(merged) > limit {
+		merged = merged[:limit]
 	}
-	dst = fs.ranker.Finish(dst)
-	stats.Pruned += fs.ranker.Pruned()
+	dst = append(dst, merged...)
+	fs.merged = merged
 	return dst, stats, nil
 }

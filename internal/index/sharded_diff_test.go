@@ -75,6 +75,55 @@ func TestShardedMatchesInverted(t *testing.T) {
 	}
 }
 
+// TestShardedTiesAcrossTheCut pins the merge of per-shard top-k lists
+// where it is easiest to get wrong: hits at one distance, in different
+// shards, on both sides of position k. Each shard ranks its own top-k, so
+// the ID tiebreak across shards is decided only by the merge.
+func TestShardedTiesAcrossTheCut(t *testing.T) {
+	span := func(lo, hi uint32) []uint32 {
+		var terms []uint32
+		for v := lo; v <= hi; v++ {
+			terms = append(terms, v)
+		}
+		return terms
+	}
+	// Against the query 0..9: ID 12 at distance 0.2; IDs 4, 5, 6 and 7
+	// all at 2/3 from shared counts 5, 4, 6 and 5; ID 3 at 0.8.
+	reference := map[trajectory.ID]*bitmap.Bitmap{
+		12: bitmap.FromSlice(span(0, 7)),
+		4:  bitmap.FromSlice(append(span(0, 4), span(100, 104)...)),
+		5:  bitmap.FromSlice(append(span(0, 3), 110, 111)),
+		6:  bitmap.FromSlice(append(span(0, 5), span(120, 127)...)),
+		7:  bitmap.FromSlice(append(span(5, 9), span(130, 134)...)),
+		3:  bitmap.FromSlice([]uint32{8, 9}),
+	}
+	query := bitmap.FromSlice(span(0, 9))
+	flat := buildShardedFrom(t, reference, 1)
+	for _, n := range []int{2, 4} {
+		sharded := buildShardedFrom(t, reference, n)
+		for id := trajectory.ID(4); id < 7; id++ {
+			if shardIndex(uint32(id), sharded.mask) == shardIndex(uint32(id+1), sharded.mask) {
+				t.Fatalf("shards=%d: tied IDs %d and %d share a shard", n, id, id+1)
+			}
+		}
+		for limit := 0; limit <= 6; limit++ {
+			for _, maxDistance := range []float64{0.7, 1} {
+				want := bruteForceSearch(reference, query, maxDistance, limit)
+				got, _, err := searchSet(sharded, query, maxDistance, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalResults(t, "ties across the cut vs brute", got, want)
+				got, _, err = searchSet(flat, query, maxDistance, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalResults(t, "ties across the cut, one shard vs brute", got, want)
+			}
+		}
+	}
+}
+
 // TestShardedMatchesInvertedAfterMutations runs the same differential
 // after interleaved deletes and upserts, so shard routing of mutations
 // cannot silently diverge from the one-shard index.

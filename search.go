@@ -203,6 +203,8 @@ type SearchStats struct {
 	// before scoring: trajectories whose fingerprint cardinality or
 	// shared-term count proves they cannot satisfy WithMaxDistance (or
 	// beat the current kth-best candidate under WithKNN/WithLimit).
+	// Candidates are ranked highest shared count first, so once a count
+	// cannot place, every candidate below it counts here.
 	Pruned int
 	// NodePruned is how many candidate partials the shard nodes skipped
 	// before serializing their responses: the query's cardinality window
