@@ -71,6 +71,9 @@ const (
 // ShardStrategy maps geodabs to shards along the Z-order space-filling
 // curve (locality-preserving) and shards to nodes modulo the cluster size
 // (locality-breaking, for balance) — the paper's two-step distribution.
+// A Cluster has at most 64 nodes: the coordinator records the nodes
+// holding each trajectory in a 64-bit mask, so that a write reaches those
+// nodes only.
 type ShardStrategy = shard.Strategy
 
 // QueryStats reports the fan-out a query would incur (see Cluster.Analyze).

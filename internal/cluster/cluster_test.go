@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/gen"
 	"geodabs/internal/geo"
@@ -35,9 +39,9 @@ var testWorkload = func() *gen.Output {
 	return out
 }()
 
-// startCluster spins up n nodes and a coordinator on the loopback
-// interface, tearing everything down with the test.
-func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
+// startNodes spins up n memory-only nodes on the loopback interface,
+// closing them with the test.
+func startNodes(t *testing.T, n int) ([]*Node, []string) {
 	t.Helper()
 	nodes := make([]*Node, n)
 	addrs := make([]string, n)
@@ -50,6 +54,14 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 		addrs[i] = node.Addr()
 		t.Cleanup(func() { node.Close() })
 	}
+	return nodes, addrs
+}
+
+// startCluster spins up n nodes and a coordinator on the loopback
+// interface, tearing everything down with the test.
+func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
+	t.Helper()
+	nodes, addrs := startNodes(t, n)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: n}
 	coord, err := NewCoordinator(ex, strategy, addrs)
@@ -202,6 +214,18 @@ func TestCoordinatorValidation(t *testing.T) {
 	dead := shard.Strategy{PrefixBits: 16, Shards: 100, Nodes: 1}
 	if _, err := NewCoordinator(ex, dead, []string{"127.0.0.1:1"}); err == nil {
 		t.Error("dead node should fail to dial")
+	}
+	// A directory entry records its trajectory's nodes in a 64-bit mask.
+	addrs := make([]string, 65)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:1"
+	}
+	wide := shard.Strategy{PrefixBits: 16, Shards: 100, Nodes: len(addrs)}
+	if _, err := NewCoordinator(ex, wide, addrs); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("65 nodes: %v, want the 64-node bound", err)
+	}
+	if size := unsafe.Sizeof(docEntry{}); size != 32 {
+		t.Errorf("a directory entry takes %d bytes, want 32", size)
 	}
 }
 
@@ -655,17 +679,7 @@ func TestClusterSnapshotIsolationUnderChurn(t *testing.T) {
 // size 4, concurrent searches genuinely overlap per node and all return
 // the same ranking as a sequential pass.
 func TestPoolParallelSearches(t *testing.T) {
-	nodes := make([]*Node, 2)
-	addrs := make([]string, 2)
-	for i := range nodes {
-		node, err := StartNode("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-		t.Cleanup(func() { node.Close() })
-	}
+	_, addrs := startNodes(t, 2)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}
 	coord, err := NewCoordinator(ex, strategy, addrs, WithPoolSize(4))
@@ -877,9 +891,9 @@ func TestNodeCardinalityWindow(t *testing.T) {
 }
 
 // TestClusterSameIDHammer races Upserts, Deletes and Searches of the
-// same trajectory ID: the per-ID mutation stripe must serialize the
-// upserts' delete+add legs, so no well-formed call ever fails on its own
-// sibling ("already indexed"), and searches stay snapshot-consistent.
+// same trajectory ID: the per-ID mutation stripe must serialize them, so
+// no well-formed call ever fails on its own sibling, and searches stay
+// snapshot-consistent.
 // Run with -race for the memory-model half.
 func TestClusterSameIDHammer(t *testing.T) {
 	coord, _ := startCluster(t, 3)
@@ -1026,5 +1040,171 @@ func TestNodeRejectsTermlessAdd(t *testing.T) {
 	}
 	if resp.Stats.Docs != 0 || resp.Stats.Tombstones != 0 {
 		t.Errorf("after the sweep: Docs=%d Tombstones=%d, want 0 and 0", resp.Stats.Docs, resp.Stats.Tombstones)
+	}
+}
+
+// nodeMask is the set of nodes a strategy routes a term set to, bit i for
+// node i, worked out from the strategy alone rather than through Plan.
+func nodeMask(st shard.Strategy, set *bitmap.Bitmap) (mask uint64) {
+	set.Iterate(func(g uint32) bool {
+		mask |= 1 << st.NodeOfGeodab(g)
+		return true
+	})
+	return mask
+}
+
+// TestClusterMutationsMoveBetweenNodes runs a seeded mix of Add, Upsert,
+// Delete and DeleteAll over a corpus that 26-bit prefixes, one shard each,
+// spread over three nodes, so upserts move trajectories between node sets
+// — disjoint ones included. After every step the cluster must rank like a
+// local index and hold exactly its postings, and a node outside the step's
+// old ∪ new node sets must have heard nothing of it: no epoch advance, no
+// tombstone.
+func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.PrefixBits = 26
+	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(cfg)}
+	strategy := shard.Strategy{PrefixBits: 26, Shards: 1 << 26, Nodes: 3}
+	nodes, addrs := startNodes(t, 3)
+	coord, err := NewCoordinator(ex, strategy, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	local := index.NewSharded(ex, 1)
+	ctx := context.Background()
+	stats := func() []NodeStats {
+		t.Helper()
+		st, err := coord.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	geoms := testWorkload.Dataset.Trajectories
+	masks := make([]uint64, len(geoms))
+	for i, tr := range geoms {
+		masks[i] = nodeMask(strategy, ex.Extract(tr.Points))
+	}
+	const firstID, ids = 1000, 12
+	held := make(map[trajectory.ID]uint64) // each live ID's nodes
+	for i := 0; i < ids; i++ {
+		g := i * 5 % len(geoms)
+		tr := &trajectory.Trajectory{ID: firstID + trajectory.ID(i), Points: geoms[g].Points}
+		if err := coord.Add(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+		local.Upsert(tr)
+		held[tr.ID] = masks[g]
+	}
+	before := stats()
+	spread := 0
+	for _, s := range before {
+		if s.Docs > 0 {
+			spread++
+		}
+	}
+	if spread < 2 {
+		t.Fatalf("the corpus sits on %d of 3 nodes, want at least 2", spread)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	moves := 0
+	for step := 0; step < 80; step++ {
+		id := firstID + trajectory.ID(rng.Intn(ids))
+		g := rng.Intn(len(geoms))
+		tr := &trajectory.Trajectory{ID: id, Points: geoms[g].Points}
+		var touched uint64 // old ∪ new: the only nodes the step may reach
+		var op string
+		switch r := rng.Intn(10); {
+		case r < 5:
+			op = "upsert"
+			if old, ok := held[id]; ok && rng.Intn(2) == 0 {
+				for i := 0; i < len(geoms) && masks[g]&old != 0; i++ {
+					g = (g + 1) % len(geoms)
+				}
+				if masks[g]&old == 0 {
+					op, moves = "disjoint upsert", moves+1
+				}
+				tr.Points = geoms[g].Points
+			}
+			if err := coord.Upsert(ctx, tr); err != nil {
+				t.Fatalf("step %d: %s %d: %v", step, op, id, err)
+			}
+			local.Upsert(tr)
+			touched, held[id] = held[id]|masks[g], masks[g]
+		case r < 7:
+			op = "add"
+			_, dup := held[id]
+			if err := coord.Add(ctx, tr); (err != nil) != dup {
+				t.Fatalf("step %d: add %d (indexed: %v): %v", step, id, dup, err)
+			}
+			if !dup {
+				local.Upsert(tr)
+				touched, held[id] = masks[g], masks[g]
+			}
+		case r < 9:
+			op = "delete"
+			err := coord.Delete(ctx, id)
+			if found := local.Delete(id); (found && err != nil) || (!found && !errors.Is(err, ErrNotFound)) {
+				t.Fatalf("step %d: delete %d (indexed: %v): %v", step, id, found, err)
+			}
+			touched = held[id]
+			delete(held, id)
+		default:
+			op = "delete all"
+			batch := []trajectory.ID{id, id + 1, id + 2}
+			n, err := coord.DeleteAll(ctx, batch, 2)
+			if want, _ := local.DeleteAll(ctx, batch); err != nil || n != want {
+				t.Fatalf("step %d: delete all %v = %d, %v; want %d", step, batch, n, err, want)
+			}
+			for _, id := range batch {
+				touched |= held[id]
+				delete(held, id)
+			}
+		}
+
+		// Read the outside nodes' tombstones before Stats, whose piggybacked
+		// watermark compacts them; the last step's Stats left none.
+		for i, n := range nodes {
+			n.mu.RLock()
+			tombs := len(n.tombstones)
+			n.mu.RUnlock()
+			if touched&(1<<i) == 0 && tombs != 0 {
+				t.Errorf("step %d (%s %d): node %d holds neither version yet has %d tombstones", step, op, id, i, tombs)
+			}
+		}
+		after := stats()
+		postings := 0
+		for i, s := range after {
+			postings += s.Postings
+			if advanced, in := s.Epoch != before[i].Epoch, touched&(1<<i) != 0; advanced != in {
+				t.Errorf("step %d (%s %d): node %d epoch %d → %d, holds the old or new version: %v", step, op, id, i, before[i].Epoch, s.Epoch, in)
+			}
+		}
+		if want := local.Stats().Postings; postings != want {
+			t.Fatalf("step %d (%s %d): the cluster holds %d postings, the local index %d", step, op, id, postings, want)
+		}
+		for _, q := range testWorkload.Queries {
+			for _, limit := range []int{0, 3} {
+				want, _, err := local.Search(ctx, q, 1, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := coord.Search(ctx, q, 1, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (%s %d): query %d limit %d: cluster %+v, local %+v", step, op, id, q.ID, limit, got, want)
+				}
+			}
+		}
+		before = after
+	}
+	t.Logf("%d upserts moved a trajectory to a disjoint node set", moves)
+	if moves == 0 {
+		t.Error("no upsert moved a trajectory to a disjoint node set")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -95,9 +96,9 @@ type Coordinator struct {
 	// idMu stripes a per-trajectory mutation lock: Add, Delete and Upsert
 	// acquire the ID's stripe for their full node fan-out, so same-ID
 	// mutations are serialized end to end. Without it two concurrent
-	// Upserts of one ID race: both run the Delete leg (one swallowing
-	// ErrNotFound), then both run the Add leg, and the loser fails with a
-	// spurious "already indexed" even though each call was well formed.
+	// Upserts of one ID would both aim their deletes at the node set the
+	// directory recorded before either ran, and the postings of the one
+	// that committed first would stay on nodes the other never reaches.
 	// Distinct IDs sharing a stripe merely serialize — never deadlock —
 	// and the stripe is always acquired before (never while holding) mu.
 	idMu [idStripes]sync.Mutex
@@ -144,18 +145,22 @@ const (
 
 // docEntry is the coordinator's per-trajectory bookkeeping: the
 // fingerprint cardinality (for Jaccard ranking), the lifecycle state,
-// the epoch of the trajectory's last mutation, and — under point
+// the epoch of the trajectory's last mutation, the nodes holding its
+// terms (the nodes its next mutation must reach), and — under point
 // retention — the index of the shard node that stores the trajectory's
 // raw points (its point owner), or -1 when no node does. The points
 // themselves never live in the coordinator: Add spills them to the
 // owner and exact rerank is pushed down to the owning nodes, so the
-// directory stays a few dozen bytes per trajectory regardless of
-// trajectory length.
+// directory stays 32 bytes per trajectory regardless of trajectory
+// length.
 type docEntry struct {
-	card  int
-	owner int
-	state entryState
+	card  uint32
+	owner int32
 	epoch uint64
+	// nodes has bit i set when node i holds terms of the trajectory: a
+	// coordinator fronts at most 64 nodes.
+	nodes uint64
+	state entryState
 }
 
 // Option configures a Coordinator at construction.
@@ -213,10 +218,13 @@ func WithReadPreference(p ReadPreference) Option {
 }
 
 // NewCoordinator connects to the given node addresses. The strategy's
-// Nodes must equal len(addrs).
+// Nodes must equal len(addrs) and be at most 64.
 func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string, opts ...Option) (*Coordinator, error) {
 	if err := strategy.Validate(); err != nil {
 		return nil, err
+	}
+	if strategy.Nodes > 64 { // the width of a directory entry's node mask
+		return nil, fmt.Errorf("cluster: strategy has %d nodes, a coordinator fronts at most 64", strategy.Nodes)
 	}
 	if strategy.Nodes != len(addrs) {
 		return nil, fmt.Errorf("cluster: strategy has %d nodes, got %d addresses", strategy.Nodes, len(addrs))
@@ -410,32 +418,55 @@ func fanOut[T any](parent context.Context, items []T, task func(ctx context.Cont
 // background reconciler fences them, and a re-Add of the ID lands that
 // fence first — failing while it cannot.
 func (c *Coordinator) Add(parent context.Context, t *trajectory.Trajectory) error {
-	lock := c.idLock(t.ID)
-	lock.Lock()
-	defer lock.Unlock()
-	return c.addID(parent, t)
+	return c.mutateID(parent, t.ID, t, false)
 }
 
-// addID is Add under an already-held ID stripe.
-func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) error {
+// mutateID is Add (replace false), Upsert, and Delete (t nil): one round
+// at a fresh epoch e under the ID's mutation stripe. Each node of the new
+// version's plan gets its add at e, which replaces whatever the node held
+// for the ID; each node of the old version that the plan leaves gets a
+// delete at e; no other node hears of the ID. The three differ only in
+// their directory precondition and in what a failure leaves (see their
+// doc comments).
+func (c *Coordinator) mutateID(parent context.Context, id trajectory.ID, t *trajectory.Trajectory, replace bool) error {
+	lock := c.idLock(id)
+	lock.Lock()
+	defer lock.Unlock()
 	if err := parent.Err(); err != nil {
 		return err
 	}
 	if err := c.checkClosed(); err != nil {
 		return err
 	}
-	if err := c.settleCleanups(parent, t.ID); err != nil {
+	plan := &QueryPlan{}
+	if t != nil {
+		if err := c.settleCleanups(parent, id); err != nil {
+			return err
+		}
+		plan = c.Plan(c.ex.Extract(t.Points))
+	}
+	c.mu.Lock()
+	entry, indexed := c.directory[id]
+	var err error
+	switch {
+	case !indexed && t == nil:
+		err = ErrNotFound
+	case indexed && entry.state == statePending:
+		err = fmt.Errorf("cluster: trajectory %d has an add in flight", id)
+	case indexed && !replace:
+		err = fmt.Errorf("cluster: trajectory %d already indexed", id)
+	}
+	if err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	plan := c.Plan(c.ex.Extract(t.Points))
-	card := plan.card
-	c.mu.Lock()
-	if _, dup := c.directory[t.ID]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: trajectory %d already indexed", t.ID)
+	if indexed {
+		entry.state = stateDeleting
+	} else {
+		entry = docEntry{state: statePending, owner: -1}
 	}
+	c.directory[id] = entry
 	e := c.beginMutationLocked()
-	c.directory[t.ID] = docEntry{state: statePending, epoch: e, owner: -1}
 	below := c.watermarkLocked()
 	c.mu.Unlock()
 
@@ -447,32 +478,40 @@ func (c *Coordinator) addID(parent context.Context, t *trajectory.Trajectory) er
 	// fingerprint shortlist, so it never needs reranking either.
 	owner := -1
 	if c.retain && len(plan.routes) > 0 {
-		owner = plan.routes[int(t.ID)%len(plan.routes)].node
+		owner = plan.routes[int(id)%len(plan.routes)].node
 	}
-	err := fanOut(parent, plan.routes, func(ctx context.Context, r route) error {
-		rec := &wal.Record{Op: wal.OpAdd, Epoch: e, ID: uint32(t.ID), Card: uint32(card), Terms: r.terms}
-		if r.node == owner && len(t.Points) > 0 {
-			rec.Op, rec.Points = wal.OpAddPoints, t.Points
+	// A route without terms is a delete. The plan is this call's own, so
+	// the deletes may share its routes' storage.
+	nodes, routes := plan.nodes(), plan.routes
+	for _, node := range nodesOf(entry.nodes &^ nodes) {
+		routes = append(routes, route{node: node})
+	}
+	err = fanOut(parent, routes, func(ctx context.Context, r route) error {
+		rec := &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)}
+		if r.terms != nil {
+			rec.Op, rec.Card, rec.Terms = wal.OpAdd, uint32(plan.card), r.terms
+			if r.node == owner && len(t.Points) > 0 {
+				rec.Op, rec.Points = wal.OpAddPoints, t.Points
+			}
 		}
 		return c.clients[r.node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil)
 	})
-	if err != nil {
-		nodes := make([]int, len(plan.routes))
-		for i, r := range plan.routes {
-			nodes[i] = r.node
-		}
-		c.cleanupFailedAdd(t.ID, nodes)
-		c.mu.Lock()
-		delete(c.directory, t.ID) // withdraw the reservation; retryable
-		delete(c.inFlight, e)
-		c.mu.Unlock()
-		return err
+	if err != nil && !indexed {
+		c.cleanupFailedAdd(id, nodesOf(nodes))
 	}
 	c.mu.Lock()
-	c.directory[t.ID] = docEntry{card: card, state: stateLive, epoch: e, owner: owner}
+	switch {
+	case err == nil && t != nil:
+		c.directory[id] = docEntry{card: uint32(plan.card), owner: int32(owner), state: stateLive, epoch: e, nodes: nodes}
+	case err == nil || !indexed:
+		delete(c.directory, id) // deleted, or a failed add's reservation withdrawn: retryable
+	default:
+		entry.nodes |= nodes
+		c.directory[id] = entry
+	}
 	delete(c.inFlight, e)
 	c.mu.Unlock()
-	return nil
+	return err
 }
 
 // cleanupFailedAdd reclaims the postings a failed Add already applied by
@@ -515,28 +554,19 @@ type pendingCleanup struct {
 }
 
 // fanDeletes sends a fencing delete to each node and returns the nodes
-// whose delete did not land.
-func (c *Coordinator) fanDeletes(ctx context.Context, id trajectory.ID, epoch, below uint64, nodes []int) []int {
+// whose delete did not land. Its tasks never fail the fan-out, so one
+// unreachable node does not cancel the fences bound for the others.
+func (c *Coordinator) fanDeletes(ctx context.Context, id trajectory.ID, epoch, below uint64, nodes []int) (failed []int) {
 	var mu sync.Mutex
-	var failed []int
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			err := c.clients[node].call(ctx, &request{
-				Op:           opMutate,
-				CompactBelow: below,
-				Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: epoch, ID: uint32(id)},
-			}, nil)
-			if err != nil {
-				mu.Lock()
-				failed = append(failed, node)
-				mu.Unlock()
-			}
-		}(node)
-	}
-	wg.Wait()
+	_ = fanOut(ctx, nodes, func(ctx context.Context, node int) error {
+		rec := &wal.Record{Op: wal.OpDelete, Epoch: epoch, ID: uint32(id)}
+		if c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil) != nil {
+			mu.Lock()
+			failed = append(failed, node)
+			mu.Unlock()
+		}
+		return nil
+	})
 	return failed
 }
 
@@ -576,9 +606,9 @@ func (c *Coordinator) reconcileOnce() {
 
 // settleCleanups lands the fences still queued for id, re-queueing and
 // failing on the nodes it cannot reach within addCleanupTimeout. An Add
-// settles before re-adding the ID: stranded postings on a node the new
-// version does not touch would inflate its shared counts. Callers hold
-// id's mutation stripe.
+// or Upsert settles before it adds the ID: stranded postings on a node
+// the new version does not touch would inflate its shared counts. Callers
+// hold id's mutation stripe.
 func (c *Coordinator) settleCleanups(ctx context.Context, id trajectory.ID) error {
 	c.cleanupMu.Lock()
 	pending := c.cleanups[id]
@@ -609,8 +639,9 @@ func (c *Coordinator) PendingCleanups() int {
 }
 
 // Delete withdraws a trajectory from the cluster and reclaims its
-// postings on every node, honoring ctx cancellation while waiting on the
-// shard nodes. It returns ErrNotFound when the ID is not indexed.
+// postings on the nodes that hold them — the directory records which —
+// honoring ctx cancellation while waiting on the shard nodes. It returns
+// ErrNotFound when the ID is not indexed.
 //
 // The directory entry flips to a deleting state up front, so the
 // trajectory vanishes from ranking atomically — concurrent searches see
@@ -620,70 +651,23 @@ func (c *Coordinator) PendingCleanups() int {
 // and retrying the Delete reclaims whatever postings remain (node-side
 // deletion is idempotent).
 func (c *Coordinator) Delete(parent context.Context, id trajectory.ID) error {
-	lock := c.idLock(id)
-	lock.Lock()
-	defer lock.Unlock()
-	return c.deleteID(parent, id)
+	return c.mutateID(parent, id, nil, true)
 }
 
-// deleteID is Delete under an already-held ID stripe.
-func (c *Coordinator) deleteID(parent context.Context, id trajectory.ID) error {
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	if err := c.checkClosed(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	entry, ok := c.directory[id]
-	if !ok {
-		c.mu.Unlock()
-		return ErrNotFound
-	}
-	if entry.state == statePending {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: trajectory %d has an add in flight", id)
-	}
-	entry.state = stateDeleting
-	c.directory[id] = entry
-	e := c.beginMutationLocked()
-	below := c.watermarkLocked()
-	c.mu.Unlock()
-
-	// Broadcast: the coordinator does not track which nodes own the
-	// trajectory's terms, but each node knows the terms it holds per ID,
-	// and deleting an absent ID is a cheap no-op.
-	err := fanOut(parent, allNodes(len(c.clients)), func(ctx context.Context, node int) error {
-		return c.clients[node].call(ctx, &request{
-			Op:           opMutate,
-			CompactBelow: below,
-			Mutate:       &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)},
-		}, nil)
-	})
-	c.mu.Lock()
-	if err == nil {
-		delete(c.directory, id)
-	}
-	delete(c.inFlight, e)
-	c.mu.Unlock()
-	return err
-}
-
-// Upsert replaces a trajectory: an indexed ID is deleted first, then the
-// new version is added under a fresh epoch. During the swap the ID is
-// absent from results — searches observe the old version, nothing, or
-// the new version, never a mixture. The delete and add legs run as one
-// critical section under the ID's mutation stripe, so concurrent
-// same-ID upserts serialize instead of interleaving their legs (which
-// would fail the loser's add on its own sibling's re-insert).
+// Upsert replaces a trajectory in one round under one fresh epoch: the
+// nodes of the new version receive its postings, which replace whatever
+// they held for the ID, and the nodes that held only the old version
+// receive a delete. During the round the ID is withdrawn from results —
+// searches observe the old version, nothing, or the new version, never a
+// mixture. An Upsert of an ID that is not indexed is an Add, failure
+// semantics included.
+//
+// A failed Upsert of an indexed ID leaves it deleting, as a failed Delete
+// does: withdrawn from results, refused by Add, and recorded as held by
+// the nodes of both versions. Retrying the Upsert, or a Delete, reaches
+// every node either version may have landed on, and converges.
 func (c *Coordinator) Upsert(ctx context.Context, t *trajectory.Trajectory) error {
-	lock := c.idLock(t.ID)
-	lock.Lock()
-	defer lock.Unlock()
-	if err := c.deleteID(ctx, t.ID); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	return c.addID(ctx, t)
+	return c.mutateID(ctx, t.ID, t, true)
 }
 
 // DeleteAll deletes a batch of IDs on the given number of parallel
@@ -757,6 +741,15 @@ func allNodes(n int) []int {
 	return nodes
 }
 
+// nodesOf lists the nodes of a node mask (bit i for node i), ascending.
+func nodesOf(mask uint64) []int {
+	var nodes []int
+	for ; mask != 0; mask &= mask - 1 {
+		nodes = append(nodes, bits.TrailingZeros64(mask))
+	}
+	return nodes
+}
+
 // Rerank pushes the exact-refinement pass of a search down to the shard
 // nodes: each node owning points of shortlist members scores its slice
 // locally (DTW or DFD, against the bar of its own top-limit) and
@@ -795,7 +788,7 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 			missing = append(missing, uint32(h.ID))
 			continue
 		}
-		groups[entry.owner] = append(groups[entry.owner], uint32(h.ID))
+		groups[int(entry.owner)] = append(groups[int(entry.owner)], uint32(h.ID))
 		shared[uint32(h.ID)] = h.Shared
 	}
 	below := c.watermarkLocked()
@@ -889,6 +882,14 @@ func (p *QueryPlan) Set() *bitmap.Bitmap { return p.set }
 // Stats returns the fan-out the planned query incurs.
 func (p *QueryPlan) Stats() QueryStats {
 	return QueryStats{Shards: p.shards, Nodes: len(p.routes)}
+}
+
+// nodes returns the plan's nodes as a node mask, bit i for node i.
+func (p *QueryPlan) nodes() (mask uint64) {
+	for _, r := range p.routes {
+		mask |= 1 << r.node
+	}
+	return mask
 }
 
 // Plan partitions a query term set by owning node under the coordinator's
@@ -1016,7 +1017,7 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	c.mu.RLock()
 	err = s.ranker.RankByCount(parent, s.counter, func(id uint32) (int, bool) {
 		entry, ok := c.directory[trajectory.ID(id)]
-		return entry.card, ok && entry.state == stateLive && entry.epoch <= snap
+		return int(entry.card), ok && entry.state == stateLive && entry.epoch <= snap
 	})
 	c.mu.RUnlock()
 	if errors.Is(err, index.ErrCountAboveQuery) {

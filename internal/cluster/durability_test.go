@@ -817,3 +817,162 @@ func TestParentWALCompatibility(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredDirectoryTargetsHoldingNodes: directory recovery rebuilds
+// each trajectory's node set from the adds at its winning epoch, so after
+// a kill, a restart and a coordinator recovery a Delete reaches only the
+// nodes that hold the trajectory. One trajectory moves from node 0 to
+// node 1 by an Upsert before the kill, leaving node 0 a tombstone at the
+// very epoch of node 1's add: the add must win the merge, or recovery
+// loses a live trajectory.
+func TestRecoveredDirectoryTargetsHoldingNodes(t *testing.T) {
+	// Term g lives on node (g >> 1) % 3.
+	strategy := shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 3}
+	dirs, addrs, nodes := make([]string, 3), make([]string, 3), make([]*Node, 3)
+	for i := range nodes {
+		dirs[i] = t.TempDir()
+		node, err := StartNode("127.0.0.1:0", WithWALDir(dirs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], addrs[i] = node, node.Addr()
+	}
+	t.Cleanup(func() {
+		for _, node := range nodes {
+			node.Close() // the restarted ones; Close is idempotent
+		}
+	})
+	coord, err := NewCoordinator(latExtractor{}, strategy, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ctx := context.Background()
+	for _, tr := range []*trajectory.Trajectory{termTrajectory(1, 0, 1), termTrajectory(2, 2, 3, 4), termTrajectory(3, 4, 5)} {
+		if err := coord.Add(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Upsert(ctx, termTrajectory(1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	query := termTrajectory(0, 0, 1, 2, 3, 4, 5)
+	want, _, err := coord.Search(ctx, query, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	for i, node := range nodes {
+		node.Kill()
+		if nodes[i], err = StartNode(addrs[i], WithWALDir(dirs[i])); err != nil {
+			t.Fatalf("restart node %d: %v", i, err)
+		}
+	}
+
+	recovered, err := NewCoordinator(latExtractor{}, strategy, addrs, WithDirectoryRecovery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { recovered.Close() })
+	if got, _, err := recovered.Search(ctx, query, 1, 0); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered coordinator ranks %+v (%v), want %+v", got, err, want)
+	}
+	before, err := recovered.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id      trajectory.ID
+		holders uint64
+	}{{1, 0b010}, {2, 0b110}, {3, 0b100}} {
+		if err := recovered.Delete(ctx, tc.id); err != nil {
+			t.Fatalf("delete %d: %v", tc.id, err)
+		}
+		after, err := recovered.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range after {
+			if advanced, holds := s.Epoch != before[i].Epoch, tc.holders&(1<<i) != 0; advanced != holds {
+				t.Errorf("delete %d: node %d epoch %d → %d, holds the trajectory: %v", tc.id, i, before[i].Epoch, s.Epoch, holds)
+			}
+		}
+		before = after
+	}
+	if total := totalPostings(t, recovered); total != 0 {
+		t.Errorf("%d postings left after deleting every trajectory", total)
+	}
+}
+
+// TestNodeTombstoneAccounting: a node's tombstone set is exactly its docs
+// with nil terms, and NodeStats.Docs and Tombstones count from it, through
+// apply (a delete of a live doc and of an unknown ID, an add over a fence,
+// an add at a fence's own epoch), compaction (exactly the fences at or
+// below the watermark go), a replica's install of a full sync, and a
+// snapshot load.
+func TestNodeTombstoneAccounting(t *testing.T) {
+	n := memNode()
+	for id := uint32(1); id <= 6; id++ {
+		n.apply(&wal.Record{Op: wal.OpAdd, ID: id, Epoch: uint64(id), Card: 2, Terms: []uint32{id, 100 + id}})
+	}
+	for _, rec := range []wal.Record{
+		{Op: wal.OpDelete, ID: 2, Epoch: 10},
+		{Op: wal.OpDelete, ID: 50, Epoch: 20},
+		{Op: wal.OpDelete, ID: 51, Epoch: 40},
+		{Op: wal.OpDelete, ID: 4, Epoch: 30},
+		{Op: wal.OpDelete, ID: 52, Epoch: 50},
+		{Op: wal.OpAdd, ID: 51, Epoch: 45, Card: 1, Terms: []uint32{7}},
+		{Op: wal.OpAdd, ID: 52, Epoch: 50, Card: 1, Terms: []uint32{7}}, // stale: the fence holds
+	} {
+		n.apply(&rec)
+	}
+	check := func(what string, n *Node, docs int, fences map[uint32]uint64) {
+		t.Helper()
+		st := n.stats()
+		n.mu.RLock()
+		got := make(map[uint32]uint64)
+		for id, d := range n.docs {
+			if d.terms == nil {
+				got[id] = d.epoch
+			}
+		}
+		set := make(map[uint32]uint64, len(n.tombstones))
+		for id := range n.tombstones {
+			set[id] = n.docs[id].epoch
+		}
+		n.mu.RUnlock()
+		if !reflect.DeepEqual(got, fences) || !reflect.DeepEqual(set, fences) || st.Docs != docs || st.Tombstones != len(fences) {
+			t.Errorf("%s: fences %v, tombstone set %v, Docs=%d Tombstones=%d; want fences %v, Docs=%d", what, got, set, st.Docs, st.Tombstones, fences, docs)
+		}
+	}
+	// Live: 1, 3, 5, 6 and 51.
+	check("after apply", n, 5, map[uint32]uint64{2: 10, 50: 20, 4: 30, 52: 50})
+	n.compact(30)
+	fences := map[uint32]uint64{52: 50}
+	check("after compaction at 30", n, 5, fences)
+
+	st := newShardState()
+	for _, rec := range n.syncDocs() {
+		if err := st.install(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("installed from a full sync", &Node{shardState: st}, 5, fences)
+
+	raw, err := encodeSnapshot(n.syncDocs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := writeSnapshot(filepath.Join(dir, snapshotName), raw); err != nil {
+		t.Fatal(err)
+	}
+	loaded := memNode()
+	if err := loaded.loadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("loaded from a snapshot", loaded, 5, fences)
+
+	n.compact(50)
+	check("after compaction at 50", n, 5, map[uint32]uint64{})
+}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,4 +249,149 @@ func TestDirectoryRecoveryGivesUpOnSilentNode(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("NewCoordinator with directory recovery still waiting on a silent node")
 	}
+}
+
+// loseMutationAcks fronts the real node at upstream and relays every
+// request, but while fail is set it answers each mutation with an error
+// once the node has applied it: a node whose acknowledgements are lost.
+func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.Listener {
+	return startFakeNode(t, func(conn net.Conn) {
+		up, err := net.Dial("tcp", upstream)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		down, upf := newFrames(conn), newFrames(up)
+		var req request
+		for {
+			p, err := down.read()
+			if err != nil {
+				return
+			}
+			lose := req.decode(p) == nil && req.Op == opMutate && fail.Load()
+			if upf.send(append(upf.begin(), p...)) != nil {
+				return
+			}
+			r, err := upf.read()
+			if err != nil {
+				return
+			}
+			reply := down.begin()
+			if lose {
+				reply = appendError(reply, "acknowledgement lost")
+			} else {
+				reply = append(reply, r...)
+			}
+			if down.send(reply) != nil {
+				return
+			}
+		}
+	})
+}
+
+// TestFailedUpsertLeavesIDDeleting pins what a failed Upsert leaves. Of an
+// indexed ID: the ID deleting — withdrawn from results, refused by Add —
+// and recorded as held by the nodes of both versions, so that a retried
+// Upsert or Delete reaches the node the new version landed on as well as
+// the one the old version held, and strands no posting. The old version
+// lives on node 0; the new one on node 1, which applies it and loses the
+// acknowledgement. Of an ID that was not indexed: Add's semantics — the
+// reservation is withdrawn, and the ID is free once the failed add's
+// fences land.
+func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
+	// Under latExtractor's strategy, terms 0, 1, 4 and 5 live on node 0,
+	// terms 2, 3, 6 and 7 on node 1.
+	start := func(t *testing.T) (*Coordinator, *atomic.Bool, *index.Sharded) {
+		nodes, _ := startNodes(t, 2)
+		fail := new(atomic.Bool)
+		addrs := []string{nodes[0].Addr(), loseMutationAcks(t, nodes[1].Addr(), fail).Addr().String()}
+		coord, err := NewCoordinator(latExtractor{}, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		return coord, fail, index.NewSharded(latExtractor{}, 1)
+	}
+	ctx := context.Background()
+	query := termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 7)
+	// converged checks the cluster against the local index: the same
+	// ranking, and not one posting more.
+	converged := func(t *testing.T, coord *Coordinator, local *index.Sharded) {
+		t.Helper()
+		for _, limit := range []int{0, 1} {
+			want, _, err := local.Search(ctx, query, 1, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := coord.Search(ctx, query, 1, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("limit %d: cluster ranks %+v, local index %+v", limit, got, want)
+			}
+		}
+		if got, want := totalPostings(t, coord), local.Stats().Postings; got != want {
+			t.Errorf("the cluster holds %d postings, the local index %d", got, want)
+		}
+	}
+	old, moved := termTrajectory(7, 0, 1, 4), termTrajectory(7, 2, 3, 6)
+	failUpsert := func(t *testing.T) (*Coordinator, *index.Sharded) {
+		coord, fail, local := start(t)
+		if err := coord.Add(ctx, old); err != nil {
+			t.Fatal(err)
+		}
+		fail.Store(true)
+		if err := coord.Upsert(ctx, moved); err == nil {
+			t.Fatal("Upsert succeeded though node 1 lost its acknowledgement")
+		}
+		fail.Store(false)
+		if hits, _, err := coord.Search(ctx, query, 1, 0); err != nil || len(hits) != 0 {
+			t.Errorf("after the failed Upsert: %+v, %v; want the ID withdrawn", hits, err)
+		}
+		if err := coord.Add(ctx, old); err == nil {
+			t.Error("Add of the failed Upsert's ID succeeded")
+		}
+		coord.mu.RLock()
+		entry := coord.directory[moved.ID]
+		coord.mu.RUnlock()
+		if entry.state != stateDeleting || entry.nodes != 0b11 {
+			t.Errorf("directory entry state %d nodes %b, want deleting on both nodes", entry.state, entry.nodes)
+		}
+		return coord, local
+	}
+
+	t.Run("retried Upsert", func(t *testing.T) {
+		coord, local := failUpsert(t)
+		again := termTrajectory(7, 0, 5) // node 0 only: node 1's copy goes by the retry's delete
+		if err := coord.Upsert(ctx, again); err != nil {
+			t.Fatal(err)
+		}
+		local.Upsert(again)
+		converged(t, coord, local)
+	})
+	t.Run("retried Delete", func(t *testing.T) {
+		coord, local := failUpsert(t)
+		if err := coord.Delete(ctx, moved.ID); err != nil {
+			t.Fatal(err)
+		}
+		converged(t, coord, local)
+	})
+	t.Run("absent ID", func(t *testing.T) {
+		coord, fail, local := start(t)
+		fail.Store(true)
+		both := termTrajectory(9, 0, 2)
+		if err := coord.Upsert(ctx, both); err == nil {
+			t.Fatal("Upsert succeeded though node 1 lost its acknowledgement")
+		}
+		fail.Store(false)
+		if err := coord.Delete(ctx, both.ID); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Delete after the failed insert-Upsert: %v, want ErrNotFound", err)
+		}
+		if err := coord.Add(ctx, both); err != nil {
+			t.Fatalf("Add after the failed insert-Upsert: %v", err)
+		}
+		local.Upsert(both)
+		converged(t, coord, local)
+	})
 }

@@ -192,15 +192,15 @@ type Node struct {
 type shardState struct {
 	postings map[uint32]*bitmap.Bitmap
 	docs     map[uint32]nodeDoc
-	// tombstones counts docs entries with nil terms, so compaction sweeps
-	// can be skipped when there is nothing to reclaim.
-	tombstones int
+	// tombstones holds the IDs of the docs entries with nil terms, so a
+	// compaction sweep visits the fences and never the live docs.
+	tombstones map[uint32]struct{}
 	// maxEpoch is the highest mutation epoch applied to this node.
 	maxEpoch uint64
 }
 
 func newShardState() shardState {
-	return shardState{postings: make(map[uint32]*bitmap.Bitmap), docs: make(map[uint32]nodeDoc)}
+	return shardState{postings: make(map[uint32]*bitmap.Bitmap), docs: make(map[uint32]nodeDoc), tombstones: make(map[uint32]struct{})}
 }
 
 // install adds one doc of a full sync or a snapshot: the record that
@@ -219,7 +219,7 @@ func (s *shardState) install(rec *wal.Record) error {
 	}
 	if rec.Op == wal.OpDelete {
 		s.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
-		s.tombstones++
+		s.tombstones[rec.ID] = struct{}{}
 		return nil
 	}
 	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points, box: geo.NewBox(rec.Points...)}
@@ -567,7 +567,7 @@ func (n *Node) apply(rec *wal.Record) {
 	}
 	if del {
 		n.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
-		n.tombstones++
+		n.tombstones[rec.ID] = struct{}{}
 		return
 	}
 	for _, term := range rec.Terms {
@@ -595,7 +595,7 @@ func (n *Node) stripLocked(id uint32, doc nodeDoc) {
 		}
 	}
 	if doc.terms == nil {
-		n.tombstones--
+		delete(n.tombstones, id)
 	}
 }
 
@@ -706,13 +706,10 @@ func (n *Node) compact(below uint64) {
 	}
 	n.compactedBelow.Store(below)
 	n.publishLocked(replEvent{Watermark: below})
-	if n.tombstones == 0 {
-		return
-	}
-	for id, doc := range n.docs {
-		if doc.terms == nil && doc.epoch <= below {
+	for id := range n.tombstones {
+		if n.docs[id].epoch <= below {
 			delete(n.docs, id)
-			n.tombstones--
+			delete(n.tombstones, id)
 		}
 	}
 }
@@ -835,8 +832,8 @@ func (n *Node) stats() *NodeStats {
 	n.mu.RLock()
 	s := &NodeStats{
 		Terms:         len(n.postings),
-		Docs:          len(n.docs) - n.tombstones,
-		Tombstones:    n.tombstones,
+		Docs:          len(n.docs) - len(n.tombstones),
+		Tombstones:    len(n.tombstones),
 		Epoch:         n.maxEpoch,
 		StableEpoch:   n.compactedBelow.Load(),
 		FullSyncs:     n.fullSyncs.Load(),

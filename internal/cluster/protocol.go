@@ -169,8 +169,8 @@ func (o op) String() string {
 // advance can in principle apply a stale add after its fence was pruned.
 // The stranded postings that result are invisible to searches (the
 // coordinator's directory check drops them) and are replaced by any later
-// add/upsert of the ID; see the ROADMAP anti-entropy item for full
-// reclaim.
+// mutation of the ID that reaches that node; see the ROADMAP anti-entropy
+// item for full reclaim.
 type request struct {
 	Op           op
 	CompactBelow uint64

@@ -8,7 +8,9 @@ package cluster
 // restart, and WithDirectoryRecovery rebuilds the directory from it: the
 // coordinator pulls the same full-sync snapshot a read replica would,
 // from every node, and merges the per-ID records by epoch — the highest
-// epoch wins, and a winning tombstone means deleted. The epoch counter
+// epoch wins, an add beats a tombstone at the same epoch, and a winning
+// tombstone means deleted. The nodes whose adds carry the winning epoch
+// are the doc's node set, which later mutations target. The epoch counter
 // resumes past the highest epoch seen, so post-recovery mutations fence
 // correctly against pre-crash ones.
 //
@@ -44,9 +46,12 @@ func WithDirectoryRecovery() Option {
 // coordinator is published, so no locking is needed.
 func (c *Coordinator) recoverDirectory(addrs []string) error {
 	type recovered struct {
-		card      int
+		card      uint32
 		epoch     uint64
 		tombstone bool
+		// nodes are the nodes whose record at the winning epoch is an add:
+		// the nodes holding the doc's terms.
+		nodes uint64
 		// owner is the node whose record for the doc's winning epoch
 		// carried retained points, -1 if none did. A points record from a
 		// losing (older) epoch is a stale copy a later mutation replaced
@@ -70,10 +75,17 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 			if !ok {
 				w = recovered{owner: -1}
 			}
+			del := d.Op == wal.OpDelete
 			if !ok || d.Epoch > w.epoch {
-				w.card, w.epoch, w.tombstone = int(d.Card), d.Epoch, d.Op == wal.OpDelete
+				w.card, w.epoch, w.tombstone, w.nodes = d.Card, d.Epoch, del, 0
 			}
-			if d.Op != wal.OpDelete {
+			// One mutation's adds and deletes share its epoch — an Upsert
+			// deletes on the nodes its new version left — so at the winning
+			// epoch an add decides.
+			if !del && d.Epoch == w.epoch {
+				w.card, w.tombstone, w.nodes = d.Card, false, w.nodes|1<<node
+			}
+			if !del {
 				adds = append(adds, liveAdd{id, node, d.Epoch})
 			}
 			if len(d.Points) > 0 && d.Epoch >= w.ownerEpoch {
@@ -95,7 +107,7 @@ func (c *Coordinator) recoverDirectory(addrs []string) error {
 		if w.owner >= 0 && w.ownerEpoch == w.epoch {
 			owner = w.owner
 		}
-		c.directory[id] = docEntry{card: w.card, state: stateLive, epoch: w.epoch, owner: owner}
+		c.directory[id] = docEntry{card: w.card, owner: int32(owner), state: stateLive, epoch: w.epoch, nodes: w.nodes}
 	}
 	// An add older than its ID's winner is a failed Add's stranded postings:
 	// fence it at the winner's epoch, which postdates it and predates every

@@ -20,8 +20,8 @@ var ErrNotFound = errors.New("geodabs: trajectory not found")
 // reads are snapshot-isolated by mutation epochs). Delete reclaims the
 // trajectory's postings on both engines. Failure atomicity differs: a
 // local Upsert cannot fail partway, while a cluster Upsert that errors
-// between its delete and add legs leaves the ID unindexed until retried
-// (see Cluster.Upsert).
+// part-way leaves the ID withdrawn from results until retried (see
+// Cluster.Upsert).
 type Mutator interface {
 	// Upsert indexes the trajectory, replacing any previously indexed
 	// trajectory with the same ID.
@@ -83,25 +83,26 @@ func (ix *Index) DeleteAll(ctx context.Context, ids []ID, workers int) (int, err
 func (ix *Index) Epoch() uint64 { return ix.eng.Epoch() }
 
 // Delete withdraws a trajectory from the cluster and reclaims its
-// postings on every shard node, honoring ctx cancellation while waiting
-// on them. The trajectory vanishes from ranking atomically; node-side
-// deletion is idempotent, so a Delete that failed against a wedged node
-// can be retried until the postings are reclaimed. Returns ErrNotFound
-// for an unknown ID.
+// postings on the shard nodes that hold them, honoring ctx cancellation
+// while waiting on them. The trajectory vanishes from ranking atomically;
+// node-side deletion is idempotent, so a Delete that failed against a
+// wedged node can be retried until the postings are reclaimed. Returns
+// ErrNotFound for an unknown ID.
 func (c *Cluster) Delete(ctx context.Context, id ID) error {
 	return translateClusterErr(c.coord.Delete(ctx, id))
 }
 
-// Upsert replaces a trajectory across the cluster: an indexed ID is
-// deleted first, then the new version is added under a fresh mutation
-// epoch. Concurrent searches observe the old version, nothing, or the
-// new version — never a mixture of the two.
+// Upsert replaces a trajectory across the cluster in one round under a
+// fresh mutation epoch: the nodes of the new version receive it, and the
+// nodes that held only the old version delete it. Concurrent searches
+// observe the old version, nothing, or the new version — never a mixture
+// of the two. An Upsert of an unknown ID is an Add.
 //
-// Unlike Index.Upsert, the two legs are separate distributed mutations:
-// if the add leg fails after the delete committed, Upsert returns the
-// error with the ID unindexed (the old version is already gone). The
-// failed add is cleaned up and the ID is free, so retrying the same
-// Upsert completes the replacement.
+// Unlike Index.Upsert, the replacement is a distributed mutation that can
+// fail part-way: Upsert then returns the error with the ID withdrawn from
+// results and still reserved (Add refuses it), whichever version each node
+// holds. Retrying the Upsert completes the replacement; a Delete removes
+// both versions.
 func (c *Cluster) Upsert(ctx context.Context, t *Trajectory) error {
 	return translateClusterErr(c.coord.Upsert(ctx, t))
 }
