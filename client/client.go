@@ -99,16 +99,11 @@ type Client struct {
 	maxRetries  int
 
 	mu     sync.Mutex
-	idle   []*conn
-	active map[*conn]struct{}
+	idle   []*wire.Conn
+	active map[*wire.Conn]struct{}
 	closed bool
 
 	nextID uint64 // request IDs, informational (one request per conn)
-}
-
-// conn is one pooled connection with its read buffer.
-type conn struct {
-	nc net.Conn
 }
 
 // Dial connects to a geodabsd at addr. The returned client pools
@@ -122,7 +117,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		poolSize:    4,
 		dialTimeout: 5 * time.Second,
 		maxRetries:  2,
-		active:      make(map[*conn]struct{}),
+		active:      make(map[*wire.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -139,7 +134,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conns := append([]*conn(nil), c.idle...)
+	conns := append([]*wire.Conn(nil), c.idle...)
 	for nc := range c.active {
 		conns = append(conns, nc)
 	}
@@ -147,7 +142,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	var firstErr error
 	for _, nc := range conns {
-		if err := nc.nc.Close(); err != nil && firstErr == nil {
+		if err := nc.NetConn().Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -156,7 +151,7 @@ func (c *Client) Close() error {
 
 // checkout hands the caller a connection: an idle one when available, a
 // fresh dial otherwise.
-func (c *Client) checkout(ctx context.Context) (*conn, error) {
+func (c *Client) checkout(ctx context.Context) (*wire.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -182,7 +177,7 @@ func (c *Client) checkout(ctx context.Context) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
-	nc := &conn{nc: raw}
+	nc := wire.NewConn(raw, wire.MaxFrame)
 	c.mu.Lock()
 	if c.closed { // closed while dialing
 		c.mu.Unlock()
@@ -196,12 +191,12 @@ func (c *Client) checkout(ctx context.Context) (*conn, error) {
 
 // checkin returns a healthy connection to the idle pool, closing it when
 // the pool is full or the client closed.
-func (c *Client) checkin(nc *conn) {
+func (c *Client) checkin(nc *wire.Conn) {
 	c.mu.Lock()
 	delete(c.active, nc)
 	if c.closed || len(c.idle) >= c.poolSize {
 		c.mu.Unlock()
-		nc.nc.Close()
+		nc.NetConn().Close()
 		return
 	}
 	c.idle = append(c.idle, nc)
@@ -210,8 +205,8 @@ func (c *Client) checkin(nc *conn) {
 
 // discard drops a connection whose stream may be desynchronized; the
 // next call dials afresh.
-func (c *Client) discard(nc *conn) {
-	nc.nc.Close()
+func (c *Client) discard(nc *wire.Conn) {
+	nc.NetConn().Close()
 	c.mu.Lock()
 	delete(c.active, nc)
 	c.mu.Unlock()
@@ -237,60 +232,43 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	if err != nil {
 		return nil, err
 	}
-	payload := wire.AppendRequest(nil, req)
-	frame, err := wire.AppendFrame(nil, payload)
+	frame, err := wire.EndFrame(wire.AppendRequest(nc.BeginFrame(), req), 0, wire.MaxFrame)
 	if err != nil {
 		c.checkin(nc)
 		return nil, err
 	}
 
 	if dl, ok := ctx.Deadline(); ok {
-		// Slack past the ctx deadline: expiry is delivered by the
-		// watcher's poke below, which is ordered after ctx.Done — so the
-		// failed read reports the context error, not a bare transport
-		// timeout. The connection deadline is only a backstop against a
-		// missed poke and must not fire first.
-		nc.nc.SetDeadline(dl.Add(250 * time.Millisecond))
+		// Slack past the ctx deadline: expiry is delivered by the poke
+		// below, which runs after ctx.Done — so the failed read reports
+		// the context error, not a bare transport timeout. The connection
+		// deadline is only a backstop against a missed poke and must not
+		// fire first.
+		nc.NetConn().SetDeadline(dl.Add(250 * time.Millisecond))
 	} else {
-		nc.nc.SetDeadline(time.Time{})
+		nc.NetConn().SetDeadline(time.Time{})
 	}
-	// Watch for cancellation: poking the deadline into the past unblocks
-	// the pending read/write with a timeout error. The watcher must be
-	// fully quiesced before the connection goes back to the pool —
-	// callers routinely cancel the ctx the moment their call returns,
-	// and a stale watcher poking a recycled connection would time out
-	// whatever request holds it next.
-	watchDone := make(chan struct{})
-	watchExited := make(chan struct{})
-	go func() {
-		defer close(watchExited)
-		select {
-		case <-ctx.Done():
-			nc.nc.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-	stopWatch := func() {
-		close(watchDone)
-		<-watchExited
+	// Cancellation pokes the deadline into the past, unblocking the
+	// pending write or read with a timeout error.
+	stop := context.AfterFunc(ctx, func() { nc.NetConn().SetDeadline(time.Now()) })
+	err = nc.WriteFrames(frame)
+	var payload []byte
+	if err == nil {
+		payload, err = nc.ReadFrame()
 	}
-	transportErr := func(err error) (*wire.Response, error) {
-		stopWatch()
+	// A stop that finds the poke started cannot tell whether it has landed
+	// yet: such a connection never goes back to the pool, so a stale
+	// deadline can never fail a later call — callers routinely cancel the
+	// ctx the moment their call returns.
+	poked := !stop()
+	if err != nil {
 		c.discard(nc)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, &transportError{err: fmt.Errorf("client: %s: %w", c.addr, err)}
 	}
-	if _, err := nc.nc.Write(frame); err != nil {
-		return transportErr(err)
-	}
-	respPayload, err := wire.ReadFrame(nc.nc)
-	if err != nil {
-		return transportErr(err)
-	}
-	stopWatch()
-	resp, err := wire.DecodeResponse(respPayload)
+	resp, err := wire.DecodeResponse(payload)
 	if err != nil {
 		c.discard(nc)
 		return nil, fmt.Errorf("client: %s: %w", c.addr, err)
@@ -299,7 +277,11 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 		c.discard(nc)
 		return nil, fmt.Errorf("client: %s: response id %d for request %d", c.addr, resp.ID, req.ID)
 	}
-	c.checkin(nc)
+	if poked {
+		c.discard(nc)
+	} else {
+		c.checkin(nc)
+	}
 	return resp, nil
 }
 

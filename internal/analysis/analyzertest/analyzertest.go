@@ -7,8 +7,8 @@
 // which the go tool happily builds because testdata trees are invisible
 // to package patterns of the enclosing module. A fixture that must stand
 // in for a geodabs package the analyzer names by import path — lockhold's
-// cluster frame helpers — names its module "geodabs" instead. Expectations are written
-// on the offending line:
+// framed connection, wire.Conn — names its module "geodabs" instead.
+// Expectations are written on the offending line:
 //
 //	mu.Lock()
 //	conn.Write(b) // want `may block`

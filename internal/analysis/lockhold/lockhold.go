@@ -12,11 +12,11 @@
 // bodies are analyzed separately with an empty held set.
 //
 // Blocking operations: net dials/reads/writes/accepts, wire frame reads
-// and the cluster's frame reads and writes, channel sends/receives
-// (including select without default and range over a channel), file
-// fsync, WAL appends, time.Sleep, and WaitGroup/Cond waits. Deliberate
-// holds — e.g. the WAL's single-writer group commit — are annotated
-// //geodabs:vet-ignore with a reason.
+// and the reads and writes of the framed connection (wire.Conn), channel
+// sends/receives (including select without default and range over a
+// channel), file fsync, WAL appends, time.Sleep, and WaitGroup/Cond
+// waits. Deliberate holds — e.g. the WAL's single-writer group commit —
+// are annotated //geodabs:vet-ignore with a reason.
 package lockhold
 
 import (
@@ -64,9 +64,9 @@ var blocking = map[string]string{
 	"(*net.TCPListener).Accept":                   "net accept",
 	"geodabs/internal/wire.ReadFrame":             "wire read",
 	"geodabs/internal/wire.ReadFrameInto":         "wire read",
-	"(*geodabs/internal/cluster.frames).read":     "frame read",
-	"(*geodabs/internal/cluster.frames).send":     "frame send",
-	"(*geodabs/internal/cluster.frames).write":    "frame write",
+	"(*geodabs/internal/wire.Conn).ReadFrame":     "frame read",
+	"(*geodabs/internal/wire.Conn).SendFrame":     "frame send",
+	"(*geodabs/internal/wire.Conn).WriteFrames":   "frame write",
 	"(*geodabs/internal/wal.Log).Append":          "WAL append (group commit fsync)",
 	"(*geodabs/internal/wal.Log).Sync":            "WAL fsync",
 	"(*geodabs/internal/wal.Log).Seal":            "WAL seal (fsync)",

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -13,56 +12,6 @@ import (
 	"geodabs/internal/wire"
 )
 
-// frameReadBuffer sizes a connection's read buffer: a query's partial
-// counts — a few thousand 8-byte pairs — arrive in one read.
-const frameReadBuffer = 32 << 10
-
-// frames is one end of a framed coordinator↔node connection. Frames are
-// read through a buffered reader into one reused buffer and built in
-// another, so a connection exchanges frame after frame without
-// allocating once its buffers have grown to its largest frame.
-type frames struct {
-	conn net.Conn
-	r    *bufio.Reader
-	in   []byte // the last frame read, valid until the next read
-	out  []byte // storage the next frames are built in
-}
-
-func newFrames(conn net.Conn) *frames {
-	return &frames{conn: conn, r: bufio.NewReaderSize(conn, frameReadBuffer)}
-}
-
-// read returns the next frame's payload, valid until the next read.
-func (f *frames) read() ([]byte, error) {
-	p, err := wire.ReadFrameInto(f.r, f.in, maxFrame)
-	if err != nil {
-		return nil, err
-	}
-	f.in = p
-	return p, nil
-}
-
-// begin opens a frame in the write buffer: append one payload to the
-// returned slice and hand it to send.
-func (f *frames) begin() []byte { return wire.BeginFrame(f.out[:0]) }
-
-// send seals the frame begin opened and writes it.
-func (f *frames) send(b []byte) error {
-	b, err := wire.EndFrame(b, 0, maxFrame)
-	if err != nil {
-		return err
-	}
-	return f.write(b)
-}
-
-// write writes b, whole frames the caller sealed — a batch of them, as a
-// full sync sends — and keeps its storage for the next frames.
-func (f *frames) write(b []byte) error {
-	f.out = b[:0]
-	_, err := f.conn.Write(b)
-	return err
-}
-
 // errStale is a replica's refusal of a read whose snapshot epoch its
 // state does not yet cover; readCall falls back to the primary.
 var errStale = errors.New("cluster: replica state does not cover the search snapshot")
@@ -72,7 +21,7 @@ var errStale = errors.New("cluster: replica state does not cover the search snap
 // leaves the stream out of step, so that connection is discarded rather
 // than reused.
 type nodeConn struct {
-	*frames
+	*wire.Conn
 	resp response
 }
 
@@ -131,7 +80,7 @@ func (c *client) connect(ctx context.Context) (*nodeConn, error) {
 		}
 		return nil, fmt.Errorf("cluster: dial %s: %w", c.addr, err)
 	}
-	return &nodeConn{frames: newFrames(conn)}, nil
+	return &nodeConn{Conn: wire.NewConn(conn, maxFrame)}, nil
 }
 
 // checkout hands the caller a live connection: an idle one when
@@ -158,7 +107,7 @@ func (c *client) checkout(ctx context.Context) (*nodeConn, error) {
 	c.mu.Lock()
 	if c.closed { // closed while we were dialing
 		c.mu.Unlock()
-		nc.conn.Close()
+		nc.NetConn().Close()
 		return nil, fmt.Errorf("cluster: client to %s: %w", c.addr, ErrClosed)
 	}
 	c.active[nc] = struct{}{}
@@ -172,7 +121,7 @@ func (c *client) checkin(nc *nodeConn) {
 	delete(c.active, nc)
 	if c.closed {
 		c.mu.Unlock()
-		nc.conn.Close()
+		nc.NetConn().Close()
 		return
 	}
 	c.idle = append(c.idle, nc)
@@ -182,7 +131,7 @@ func (c *client) checkin(nc *nodeConn) {
 // discard drops a connection whose stream may be out of step or whose
 // deadline a cancellation may have poked; the next call dials afresh.
 func (c *client) discard(nc *nodeConn) {
-	nc.conn.Close()
+	nc.NetConn().Close()
 	c.mu.Lock()
 	delete(c.active, nc)
 	c.mu.Unlock()
@@ -209,7 +158,7 @@ func (c *client) call(ctx context.Context, req *request, use func(*response)) er
 	if err != nil {
 		return err
 	}
-	stop := context.AfterFunc(ctx, func() { nc.conn.SetDeadline(time.Now()) })
+	stop := context.AfterFunc(ctx, func() { nc.NetConn().SetDeadline(time.Now()) })
 	err = nc.roundTrip(req)
 	// A stop that finds the poke started cannot tell whether it has landed
 	// yet: such a connection never goes back to the pool, so a stale
@@ -244,10 +193,10 @@ func (c *client) call(ctx context.Context, req *request, use func(*response)) er
 
 // roundTrip sends req and decodes the reply into nc.resp.
 func (nc *nodeConn) roundTrip(req *request) error {
-	if err := nc.send(appendRequest(nc.begin(), req)); err != nil {
+	if err := nc.SendFrame(appendRequest(nc.BeginFrame(), req)); err != nil {
 		return fmt.Errorf("cluster: send: %w", err)
 	}
-	p, err := nc.read()
+	p, err := nc.ReadFrame()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return errors.New("cluster: node closed connection")
@@ -274,7 +223,7 @@ func (c *client) close() error {
 	c.mu.Unlock()
 	var firstErr error
 	for _, nc := range conns {
-		if err := nc.conn.Close(); err != nil && firstErr == nil {
+		if err := nc.NetConn().Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

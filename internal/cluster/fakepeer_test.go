@@ -17,6 +17,7 @@ import (
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
 	"geodabs/internal/shard"
+	"geodabs/internal/wire"
 )
 
 // startFakeNode listens like a shard node and runs serve on every
@@ -72,23 +73,23 @@ func pairsOf(p partials) (ids, counts []uint32) {
 
 // dialFrames opens a raw framed connection to a node, for requests no
 // coordinator would send.
-func dialFrames(t *testing.T, addr string) *frames {
+func dialFrames(t *testing.T, addr string) *wire.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return newFrames(conn)
+	return wire.NewConn(conn, maxFrame)
 }
 
 // exchange sends one request payload on f and decodes the reply.
-func exchange(t *testing.T, f *frames, payload []byte) response {
+func exchange(t *testing.T, f *wire.Conn, payload []byte) response {
 	t.Helper()
-	if err := f.send(append(f.begin(), payload...)); err != nil {
+	if err := f.SendFrame(append(f.BeginFrame(), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.read()
+	p, err := f.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +104,9 @@ func exchange(t *testing.T, f *frames, payload []byte) response {
 // mutation and answers every other request with reply(op).
 func serveFrames(reply func(op) []byte) func(net.Conn) {
 	return func(conn net.Conn) {
-		f := newFrames(conn)
+		f := wire.NewConn(conn, maxFrame)
 		for {
-			p, err := f.read()
+			p, err := f.ReadFrame()
 			if err != nil {
 				return
 			}
@@ -117,7 +118,7 @@ func serveFrames(reply func(op) []byte) func(net.Conn) {
 			if req.Op != opMutate {
 				out = reply(req.Op)
 			}
-			if f.send(append(f.begin(), out...)) != nil {
+			if f.SendFrame(append(f.BeginFrame(), out...)) != nil {
 				return
 			}
 		}
@@ -192,13 +193,13 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 // sync served is signalled on syncs.
 func syncThenSwallow(syncs chan<- struct{}) func(net.Conn) {
 	return func(conn net.Conn) {
-		f := newFrames(conn)
-		p, err := f.read()
+		f := wire.NewConn(conn, maxFrame)
+		p, err := f.ReadFrame()
 		var req request
 		if err != nil || req.decode(p) != nil || req.Op != opSync {
 			return
 		}
-		if f.send((&syncHeader{}).append(f.begin())) == nil {
+		if f.SendFrame((&syncHeader{}).append(f.BeginFrame())) == nil {
 			syncs <- struct{}{}
 			swallow(conn) // silent, open, until the peer hangs up
 		}
@@ -261,28 +262,28 @@ func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.List
 			return
 		}
 		defer up.Close()
-		down, upf := newFrames(conn), newFrames(up)
+		down, upf := wire.NewConn(conn, maxFrame), wire.NewConn(up, maxFrame)
 		var req request
 		for {
-			p, err := down.read()
+			p, err := down.ReadFrame()
 			if err != nil {
 				return
 			}
 			lose := req.decode(p) == nil && req.Op == opMutate && fail.Load()
-			if upf.send(append(upf.begin(), p...)) != nil {
+			if upf.SendFrame(append(upf.BeginFrame(), p...)) != nil {
 				return
 			}
-			r, err := upf.read()
+			r, err := upf.ReadFrame()
 			if err != nil {
 				return
 			}
-			reply := down.begin()
+			reply := down.BeginFrame()
 			if lose {
 				reply = appendError(reply, "acknowledgement lost")
 			} else {
 				reply = append(reply, r...)
 			}
-			if down.send(reply) != nil {
+			if down.SendFrame(reply) != nil {
 				return
 			}
 		}

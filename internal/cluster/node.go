@@ -428,14 +428,14 @@ func (n *Node) serve(conn net.Conn) {
 		case <-stop:
 		}
 	}()
-	f := newFrames(conn)
+	f := wire.NewConn(conn, maxFrame)
 	var req request
 	for {
-		p, err := f.read()
+		p, err := f.ReadFrame()
 		if err != nil {
 			return // EOF or connection torn down
 		}
-		reply := f.begin()
+		reply := f.BeginFrame()
 		if err := req.decode(p); err != nil {
 			reply = appendError(reply, err.Error())
 		} else if req.Op == opSync {
@@ -444,7 +444,7 @@ func (n *Node) serve(conn net.Conn) {
 		} else {
 			reply = n.handle(reply, &req)
 		}
-		if err := f.send(reply); err != nil {
+		if err := f.SendFrame(reply); err != nil {
 			return
 		}
 	}
@@ -640,9 +640,9 @@ const syncBatchBytes = 64 << 10
 // behind, or the node shuts down. The state snapshot and the stream
 // subscription are taken under one read-lock acquisition, so the stream
 // carries exactly the mutations applied after the snapshot cut.
-func (n *Node) serveSync(f *frames) {
+func (n *Node) serveSync(f *wire.Conn) {
 	if n.primaryAddr != "" {
-		f.send(appendError(f.begin(), "node is a replica; sync from the primary"))
+		f.SendFrame(appendError(f.BeginFrame(), "node is a replica; sync from the primary"))
 		return
 	}
 	n.mu.RLock()
@@ -656,14 +656,14 @@ func (n *Node) serveSync(f *frames) {
 	defer n.unsubscribe(sub)
 	n.fullSyncs.Add(1)
 	hdr := syncHeader{Watermark: watermark, Docs: len(docs)}
-	buf, err := wire.EndFrame(hdr.append(f.begin()), 0, maxFrame)
+	buf, err := wire.EndFrame(hdr.append(f.BeginFrame()), 0, maxFrame)
 	for i := 0; err == nil && i < len(docs); i++ {
 		if buf, err = appendDocFrame(buf, &docs[i]); err == nil && len(buf) >= syncBatchBytes {
-			err = f.write(buf)
+			err = f.WriteFrames(buf)
 			buf = buf[:0]
 		}
 	}
-	if err != nil || f.write(buf) != nil {
+	if err != nil || f.WriteFrames(buf) != nil {
 		return
 	}
 	heartbeat := time.NewTicker(replHeartbeatInterval)
@@ -681,7 +681,7 @@ func (n *Node) serveSync(f *frames) {
 		case <-n.closing:
 			return
 		}
-		if err := f.send(ev.append(f.begin())); err != nil {
+		if err := f.SendFrame(ev.append(f.BeginFrame())); err != nil {
 			return
 		}
 	}

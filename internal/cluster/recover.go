@@ -31,6 +31,7 @@ import (
 
 	"geodabs/internal/trajectory"
 	"geodabs/internal/wal"
+	"geodabs/internal/wire"
 )
 
 // WithDirectoryRecovery makes NewCoordinator rebuild the ranking
@@ -135,8 +136,8 @@ func fetchNodeState(addr string, fn func(*wal.Record) error) (uint64, error) {
 		return 0, err
 	}
 	defer conn.Close()
-	f := newFrames(conn)
-	if err := f.send(appendRequest(f.begin(), &request{Op: opSync})); err != nil {
+	f := wire.NewConn(conn, maxFrame)
+	if err := f.SendFrame(appendRequest(f.BeginFrame(), &request{Op: opSync})); err != nil {
 		return 0, err
 	}
 	return readSync(f, fn)

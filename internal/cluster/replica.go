@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"geodabs/internal/wal"
+	"geodabs/internal/wire"
 )
 
 const (
@@ -77,8 +78,8 @@ func (n *Node) syncOnce() bool {
 		case <-stop:
 		}
 	}()
-	f := newFrames(conn)
-	if f.send(appendRequest(f.begin(), &request{Op: opSync})) != nil {
+	f := wire.NewConn(conn, maxFrame)
+	if f.SendFrame(appendRequest(f.BeginFrame(), &request{Op: opSync})) != nil {
 		return false
 	}
 	st := newShardState()
@@ -99,7 +100,7 @@ func (n *Node) syncOnce() bool {
 
 // readSync reads a full sync off f — the header, then the doc frames it
 // announces — handing each doc to fn, and returns the sync's watermark.
-func readSync(f *frames, fn func(*wal.Record) error) (uint64, error) {
+func readSync(f *wire.Conn, fn func(*wal.Record) error) (uint64, error) {
 	var resp response
 	if err := nextFrame(f, &resp); err != nil {
 		return 0, err
@@ -130,11 +131,11 @@ func readSync(f *frames, fn func(*wal.Record) error) (uint64, error) {
 // Every read gets replStreamTimeout: a primary promises a heartbeat well
 // within it, and a peer that stops sending mid-sync is as dead as one
 // gone silent mid-stream.
-func nextFrame(f *frames, resp *response) error {
-	if err := f.conn.SetReadDeadline(time.Now().Add(replStreamTimeout)); err != nil {
+func nextFrame(f *wire.Conn, resp *response) error {
+	if err := f.NetConn().SetReadDeadline(time.Now().Add(replStreamTimeout)); err != nil {
 		return err
 	}
-	p, err := f.read()
+	p, err := f.ReadFrame()
 	if err != nil {
 		return err
 	}

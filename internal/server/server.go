@@ -5,17 +5,25 @@
 //
 // The layer is production-shaped:
 //
-//   - Per-connection read and write loops with bounded request
-//     pipelining: a connection may have at most Config.MaxPipeline
-//     requests outstanding; beyond that the server stops reading the
-//     socket, pushing backpressure into the client's TCP window instead
-//     of buffering unboundedly.
+//   - One read loop per connection, with bounded request pipelining: a
+//     connection may have at most Config.MaxPipeline requests whose
+//     replies are not yet written; beyond that the server stops reading
+//     the socket, pushing backpressure into the client's TCP window
+//     instead of buffering unboundedly. A request alone on its
+//     connection executes on the read loop's goroutine; one pipelined
+//     behind others executes on its own. Replies are encoded into the
+//     connection's pending buffer, and whichever goroutine finds no
+//     write in progress writes everything queued in one write — there is
+//     no writer goroutine.
 //   - Admission control: at most Config.MaxInFlight requests execute at
 //     once, with a bounded wait queue of Config.MaxQueue behind them.
 //     A request arriving with the queue full is refused immediately with
 //     an explicit OVERLOADED reply — the request is never executed and
-//     no goroutine outlives the reply, so sustained overload sheds load
-//     at wire speed instead of growing goroutines without bound.
+//     no goroutine is started for it, so sustained overload sheds load
+//     at wire speed instead of growing goroutines without bound. An
+//     executed request gives its slot back before its reply is queued,
+//     so a client that stops reading holds only its own pipeline, never
+//     a slot other clients need.
 //   - Per-request deadlines: the client's remaining budget rides the
 //     request header and becomes the context deadline of the engine
 //     call, so a deadline reaches all the way into a cluster
@@ -39,6 +47,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"geodabs"
@@ -66,7 +75,7 @@ type Config struct {
 	MaxQueue int
 	// MaxPipeline bounds a single connection's outstanding requests
 	// (default 32). When reached, the server stops reading that
-	// connection until a response is enqueued.
+	// connection until a reply has been written.
 	MaxPipeline int
 	// MaxConns bounds open client connections (default 1024). A
 	// connection beyond the limit receives one OVERLOADED reply and is
@@ -245,85 +254,74 @@ func (s *Server) refuseConn(conn net.Conn) {
 	conn.Close()
 }
 
-// serveConn runs one connection's read loop and writer goroutine until
-// EOF, a protocol violation, or server close.
-func (s *Server) serveConn(conn net.Conn) {
+// conn is one client connection: the framed socket its read loop reads
+// requests from, and the reply frames queued for it.
+type conn struct {
+	s *Server
+	f *wire.Conn
+	// pipeline holds a token per request read whose reply has not yet
+	// been written: at MaxPipeline of them the read loop stops reading.
+	pipeline chan struct{}
+	// running counts this connection's requests executing on their own
+	// goroutines, and reqs waits for those goroutines.
+	running atomic.Int32
+	reqs    sync.WaitGroup
+
+	mu      sync.Mutex
+	pending []byte // reply frames queued since the last write began
+	replies int    // frames in pending, each holding a pipeline token
+	writing bool   // a writer is flushing; replies queued meanwhile ride its next write
+}
+
+// serveConn runs one connection's read loop until EOF, a protocol
+// violation, or server close, then waits for its requests' replies.
+func (s *Server) serveConn(nc net.Conn) {
 	defer s.connWG.Done()
 	defer s.metrics.connsActive.Add(-1)
-	defer s.unregister(conn)
-	defer conn.Close()
-
-	// out carries encoded response frames to the single writer
-	// goroutine, which serializes them onto the socket. Capacity covers
-	// the pipeline bound plus refusal replies, so an executing request's
-	// send only blocks when the client itself stops reading — TCP
-	// backpressure, bounded by the pipeline limit.
-	out := make(chan []byte, s.cfg.MaxPipeline+8)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		dead := false
-		for frame := range out {
-			if dead {
-				continue // drain remaining frames after a write error
-			}
-			if _, err := conn.Write(frame); err != nil {
-				dead = true
-			}
-		}
-	}()
-	// connReqs tracks this connection's executing requests, so the
-	// response channel is closed only after the last response is in it.
-	var connReqs sync.WaitGroup
-
-	pipeline := make(chan struct{}, s.cfg.MaxPipeline)
+	defer s.unregister(nc)
+	defer nc.Close()
+	c := &conn{s: s, f: wire.NewConn(nc, wire.MaxFrame), pipeline: make(chan struct{}, s.cfg.MaxPipeline)}
+	defer c.reqs.Wait()
 	for {
-		payload, err := wire.ReadFrame(conn)
+		payload, err := c.f.ReadFrame()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
 				s.metrics.badFrame.Add(1)
-				s.logf("server: %s: read: %v", conn.RemoteAddr(), err)
+				s.logf("server: %s: read: %v", nc.RemoteAddr(), err)
 			}
-			break
+			return
 		}
+		// Bounded pipelining: block the read loop until the connection has
+		// a free slot. A reply releases its slot once it is written, so a
+		// client that stops reading stops the server reading it.
+		c.pipeline <- struct{}{}
 		req, err := wire.DecodeRequest(payload)
 		if err != nil {
 			// The frame parsed but the payload didn't: answer, then drop
 			// the connection — a client this confused cannot be trusted
 			// to stay in sync.
 			s.metrics.badFrame.Add(1)
-			s.enqueue(out, &wire.Response{Status: wire.StatusBadRequest, Message: err.Error()})
-			break
+			c.reply(&wire.Response{Status: wire.StatusBadRequest, Message: err.Error()})
+			return
 		}
-		// Bounded pipelining: block the read loop until the connection
-		// has a free slot. Released by handle/refusals when the response
-		// is enqueued.
-		pipeline <- struct{}{}
-		if !s.admit(req, out, pipeline, &connReqs) {
-			continue
-		}
+		c.admit(req)
 	}
-	connReqs.Wait()
-	close(out)
-	writerWG.Wait()
 }
 
 // admit runs admission control for one decoded request: execute, queue
-// within bounds, or refuse with an explicit status. It always eventually
-// releases the pipeline slot (directly on refusal, via the execute
-// goroutine otherwise). The return value is informational.
-func (s *Server) admit(req *wire.Request, out chan<- []byte, pipeline <-chan struct{}, connReqs *sync.WaitGroup) bool {
+// within bounds, or refuse with an explicit status. Either way exactly
+// one reply is queued for it.
+func (c *conn) admit(req *wire.Request) {
+	s := c.s
 	refuse := func(status wire.Status) {
 		s.metrics.observe(req.Op, status, 0)
-		s.enqueue(out, &wire.Response{ID: req.ID, Status: status})
-		<-pipeline
+		c.reply(&wire.Response{ID: req.ID, Status: status})
 	}
 	select {
 	case <-s.draining:
 		s.metrics.draining.Add(1)
 		refuse(wire.StatusShuttingDown)
-		return false
+		return
 	default:
 	}
 	select {
@@ -341,39 +339,100 @@ func (s *Server) admit(req *wire.Request, out chan<- []byte, pipeline <-chan str
 					s.metrics.draining.Add(1)
 				}
 				refuse(admitted)
-				return false
+				return
 			}
 		default:
 			s.metrics.shed.Add(1)
 			refuse(wire.StatusOverloaded)
-			return false
+			return
 		}
 	}
-	// Admitted: execute on its own goroutine so the read loop keeps
-	// decoding (pipelining). Goroutine growth is bounded by
-	// MaxInFlight — the slot was acquired above. Registration can still
-	// lose the race with a drain that began after the check above; the
-	// slot is handed back and the request refused like any other
-	// drain-time arrival.
+	// Admitted. Registration can still lose the race with a drain that
+	// began after the check above; the slot is handed back and the
+	// request refused like any other drain-time arrival.
 	if !s.beginRequest() {
 		<-s.inFlight
 		s.metrics.draining.Add(1)
 		refuse(wire.StatusShuttingDown)
-		return false
+		return
 	}
-	connReqs.Add(1)
 	s.metrics.inFlight.Add(1)
+	// A request alone on its connection runs on the read goroutine: there
+	// is nothing to read until its reply is out. When another request of
+	// the connection is executing, or the client has already sent more,
+	// it runs on its own goroutine so the read loop keeps decoding
+	// (pipelining). Goroutines are bounded by MaxInFlight — the slot was
+	// acquired above.
+	if c.running.Load() == 0 && c.f.Buffered() == 0 {
+		c.run(req)
+		return
+	}
+	c.running.Add(1)
+	c.reqs.Add(1)
 	go func() {
-		defer func() {
-			s.metrics.inFlight.Add(-1)
-			<-s.inFlight
-			connReqs.Done()
-			s.reqWG.Done()
-			<-pipeline
-		}()
-		s.execute(req, out)
+		defer c.reqs.Done()
+		defer c.running.Add(-1)
+		c.run(req)
 	}()
-	return true
+}
+
+// run executes one admitted request, releases its execution slot, and
+// queues its reply: a reply the client is slow to read holds only the
+// connection's pipeline slot, never an execution slot other clients
+// need.
+func (c *conn) run(req *wire.Request) {
+	s := c.s
+	resp := s.execute(req)
+	s.metrics.inFlight.Add(-1)
+	<-s.inFlight
+	s.reqWG.Done()
+	c.reply(resp)
+}
+
+// reply queues resp's frame, encoded in place behind the frames already
+// pending. Unless a write is in progress, the caller then becomes the
+// writer: it writes everything queued in one write, without holding the
+// lock, and again for whatever was queued meanwhile, releasing each
+// written frame's pipeline slot.
+func (c *conn) reply(resp *wire.Response) {
+	c.mu.Lock()
+	c.pending = appendReply(c.pending, resp)
+	c.replies++
+	if c.writing {
+		c.mu.Unlock()
+		return
+	}
+	c.writing = true
+	for len(c.pending) > 0 {
+		// The connection's write buffer holds the storage of the last
+		// write, idle until now: the next replies queue into it.
+		buf, n := c.pending, c.replies
+		c.pending, c.replies = c.f.Buffer(), 0
+		c.mu.Unlock()
+		// A failed write drops the batch: the connection is dead, and its
+		// read loop sees the same failure and unwinds.
+		_ = c.f.WriteFrames(buf)
+		for ; n > 0; n-- {
+			<-c.pipeline
+		}
+		c.mu.Lock()
+	}
+	c.writing = false
+	c.mu.Unlock()
+}
+
+// appendReply frames and encodes resp onto dst.
+func appendReply(dst []byte, resp *wire.Response) []byte {
+	start := len(dst)
+	b, err := wire.EndFrame(wire.AppendResponse(wire.BeginFrame(dst), resp), start, wire.MaxFrame)
+	if err != nil {
+		// A response can only exceed MaxFrame on a pathological hit
+		// count; truncate to an error reply rather than desync.
+		b, _ = wire.EndFrame(wire.AppendResponse(wire.BeginFrame(b), &wire.Response{
+			ID: resp.ID, Status: wire.StatusError, Message: "response exceeds frame limit",
+		}), start, wire.MaxFrame)
+	}
+	return b
 }
 
 // beginRequest registers one request with the drain waiter, failing when
@@ -420,24 +479,8 @@ func (s *Server) deadlineOf(req *wire.Request) time.Duration {
 	return d
 }
 
-// enqueue encodes and frames a response onto the connection's writer
-// channel.
-func (s *Server) enqueue(out chan<- []byte, resp *wire.Response) {
-	payload := wire.AppendResponse(nil, resp)
-	frame, err := wire.AppendFrame(nil, payload)
-	if err != nil {
-		// A response can only exceed MaxFrame on a pathological hit
-		// count; truncate to an error reply rather than desync.
-		frame, _ = wire.AppendFrame(nil, wire.AppendResponse(nil, &wire.Response{
-			ID: resp.ID, Status: wire.StatusError, Message: "response exceeds frame limit",
-		}))
-	}
-	out <- frame
-}
-
-// execute runs one admitted request against the engine and enqueues its
-// response.
-func (s *Server) execute(req *wire.Request, out chan<- []byte) {
+// execute runs one admitted request against the engine.
+func (s *Server) execute(req *wire.Request) *wire.Response {
 	start := time.Now()
 	ctx := context.Background()
 	if d := s.deadlineOf(req); d > 0 {
@@ -448,7 +491,7 @@ func (s *Server) execute(req *wire.Request, out chan<- []byte) {
 	resp := s.handle(ctx, req)
 	resp.ID = req.ID
 	s.metrics.observe(req.Op, resp.Status, time.Since(start))
-	s.enqueue(out, resp)
+	return resp
 }
 
 // handle dispatches one request to the engine, mapping errors onto wire

@@ -647,3 +647,135 @@ func TestServeExactRerank(t *testing.T) {
 		t.Fatal("fingerprint search accepted WithExactRerank")
 	}
 }
+
+// wideEngine answers every search with hits enough that a few replies
+// fill a connection's socket buffers.
+type wideEngine struct {
+	stubEngine
+	res *geodabs.SearchResult
+}
+
+func (e *wideEngine) SearchQuery(ctx context.Context, q *geodabs.Query, opts ...geodabs.SearchOption) (*geodabs.SearchResult, error) {
+	return e.res, nil
+}
+
+// TestNonReadingClientHoldsOnlyItsPipeline: a client that pipelines
+// requests and never reads their replies wedges its own connection and
+// nothing else. Its replies hold its pipeline slots, not execution
+// slots — not even the one whose reply is stuck mid-write — so with
+// MaxInFlight = MaxPipeline and as many such clients as slots, another
+// client is still answered.
+func TestNonReadingClientHoldsOnlyItsPipeline(t *testing.T) {
+	hits := make([]geodabs.Result, 1<<17) // ~1.5 MB per reply
+	for i := range hits {
+		hits[i] = geodabs.Result{ID: geodabs.ID(i), Distance: 0.5, Shared: 3}
+	}
+	srv := startServer(t, &wideEngine{res: &geodabs.SearchResult{Hits: hits}}, server.Config{MaxInFlight: 2, MaxPipeline: 2})
+
+	// Two connections pipeline searches and never read a reply: as many
+	// as there are execution slots, and each wedges one writer.
+	var flood []byte
+	for i := 1; i <= 64; i++ {
+		payload := wire.AppendRequest(nil, &wire.Request{ID: uint64(i), Op: wire.OpSearchFP, MaxDistance: 1, Terms: []uint32{1}})
+		var err error
+		if flood, err = wire.AppendFrame(flood, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		a, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		a.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		if _, err := a.Write(flood); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait for the connections to wedge: the server stops executing
+	// their searches once the replies it cannot write fill the socket
+	// buffers.
+	searched := func() uint64 { return srv.Metrics().Requests(wire.OpSearchFP, wire.StatusOK) }
+	deadline := time.Now().Add(10 * time.Second)
+	for last := ^uint64(0); searched() != last; {
+		if time.Now().After(deadline) {
+			t.Fatal("the non-reading connections never stopped being served")
+		}
+		last = searched()
+		time.Sleep(250 * time.Millisecond)
+	}
+	if n := searched(); n >= 2*64 {
+		t.Fatalf("all %d searches were answered: the replies never filled the socket buffers", n)
+	}
+
+	b, err := client.Dial(srv.Addr(), client.WithMaxRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := b.Ping(ctx); err != nil {
+		t.Fatalf("ping beside non-reading clients: %v", err)
+	}
+}
+
+// barrierEngine holds every search until want searches have started.
+type barrierEngine struct {
+	stubEngine
+	want    int32
+	started atomic.Int32
+	all     chan struct{}
+}
+
+func (e *barrierEngine) SearchQuery(ctx context.Context, q *geodabs.Query, opts ...geodabs.SearchOption) (*geodabs.SearchResult, error) {
+	if e.started.Add(1) == e.want {
+		close(e.all)
+	}
+	select {
+	case <-e.all:
+		return e.result(), nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestPipelinedRequestsRunConcurrently: two requests arriving in one
+// write both execute at once, so a buffered second request is never
+// serialized behind the first. Each search waits for the other to start;
+// run one after the other, both would miss their deadlines.
+func TestPipelinedRequestsRunConcurrently(t *testing.T) {
+	srv := startServer(t, &barrierEngine{want: 2, all: make(chan struct{})}, server.Config{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var frames []byte
+	for id := uint64(1); id <= 2; id++ {
+		payload := wire.AppendRequest(nil, &wire.Request{ID: id, Op: wire.OpSearchFP, DeadlineMS: 2000, MaxDistance: 1, Terms: []uint32{1}})
+		if frames, err = wire.AppendFrame(frames, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint64]wire.Status{}
+	for i := 0; i < 2; i++ {
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[resp.ID] = resp.Status
+	}
+	if got[1] != wire.StatusOK || got[2] != wire.StatusOK {
+		t.Fatalf("replies by request id: %v, want both OK", got)
+	}
+}

@@ -3,7 +3,9 @@
 // and the Go client (geodabs/client). The full specification — framing,
 // op codes, status codes, field layouts, and versioning rules — lives in
 // docs/protocol.md; this package is its single Go implementation, so the
-// two sides can never disagree on the bytes.
+// two sides can never disagree on the bytes. Its Conn is the one framed
+// connection that the client, the server and the cluster's internal
+// coordinator↔node protocol all read and write through.
 //
 // # Framing
 //
