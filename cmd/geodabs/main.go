@@ -177,7 +177,7 @@ func cmdStats(args []string) error {
 	snapshot := fs.String("snapshot", "", "write the built index to this file (load with query -snapshot)")
 	in := fs.String("in", "", "start from this index snapshot instead of an empty index")
 	upsert := fs.Bool("upsert", false, "replace already-indexed IDs instead of failing on duplicates")
-	shards := fs.Int("shards", 0, "in-process shard count, rounded up to a power of two (0 = auto from GOMAXPROCS, 1 = one shard behind one lock)")
+	shards := fs.Int("shards", 0, "in-process shard count, rounded up to a power of two (0 or 1 = one shard behind one lock)")
 	nodes := fs.String("nodes", "", "comma-separated shard node addresses: print cluster stats instead of indexing")
 	replicas := fs.String("replicas", "", "per-node read replica addresses, groups comma-separated matching -nodes, members |-separated")
 	if err := fs.Parse(args); err != nil {

@@ -135,10 +135,10 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // workloads no longer pay the pinned point memory.
 //
 // With WithShards(n), the index is split into n in-process shards (own
-// locks, own posting lists) whose searches fan out in parallel and whose
-// mutations stop contending — rankings are byte-identical at every shard
-// count. The default WithShards(0) sizes the shard count from GOMAXPROCS,
-// so a single-core process runs one shard.
+// locks, own posting lists) whose searches fan out onto idle cores and
+// whose mutations stop contending — rankings are byte-identical at every
+// shard count. Without it (or with WithShards(0)) the index is one shard,
+// at any GOMAXPROCS.
 type Index struct {
 	eng *index.Sharded
 }

@@ -1,0 +1,157 @@
+package fanout
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// withProcs runs the test at GOMAXPROCS procs, so the budget is
+// procs − 1 tokens whatever the machine, and leaves no helper of its own
+// running: the hook is set and cleared only while no helper can read it.
+func withProcs(t *testing.T, procs int, hook func()) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	quiesce()
+	testHookHelperStart = hook
+	t.Cleanup(func() {
+		quiesce()
+		testHookHelperStart = nil
+		runtime.GOMAXPROCS(prev)
+	})
+}
+
+// quiesce waits until every helper has given its token back, which a
+// helper does after its last read of the call and the hook.
+func quiesce() {
+	for inUse.Load() > 0 {
+		runtime.Gosched()
+	}
+}
+
+// TestEachRunsOnCallerWhenBudgetTaken: with every token held elsewhere, a
+// call starts no helper and its caller runs every item. Once the tokens
+// are back, the same call starts one helper per token it may use.
+func TestEachRunsOnCallerWhenBudgetTaken(t *testing.T) {
+	var started atomic.Int64
+	withProcs(t, 4, func() { started.Add(1) })
+	held := acquire(1 << 20)
+	if held != 3 {
+		t.Fatalf("acquired %d tokens at GOMAXPROCS=4, want 3", held)
+	}
+	const n = 64
+	ran := make([]int, n) // written by the caller alone, so no lock
+	if err := Each(context.Background(), n, n-1, func(i int) { ran[i]++ }); err != nil {
+		t.Fatal(err)
+	}
+	inUse.Add(-int64(held))
+	if got := started.Load(); got != 0 {
+		t.Fatalf("%d helpers started with every token held, want 0", got)
+	}
+	for i, c := range ran {
+		if c != 1 {
+			t.Fatalf("item %d ran %d times, want 1", i, c)
+		}
+	}
+
+	if err := Each(context.Background(), n, 2, func(int) {}); err != nil {
+		t.Fatal(err)
+	}
+	quiesce()
+	if got := started.Load(); got != 2 {
+		t.Fatalf("%d helpers started with the budget free and 2 wanted, want 2", got)
+	}
+}
+
+// TestLateHelperCallsNothing holds a helper at its start until the call
+// has returned: it finds every item claimed and must not call f — by then
+// f's state may belong to the caller's next use of it.
+func TestLateHelperCallsNothing(t *testing.T) {
+	gate := make(chan struct{})
+	withProcs(t, 2, func() { <-gate })
+	var calls atomic.Int64
+	if err := Each(context.Background(), 8, 7, func(int) { calls.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	before := calls.Load()
+	close(gate)
+	quiesce()
+	if before != 8 {
+		t.Fatalf("f ran %d times before the call returned, want 8", before)
+	}
+	if got := calls.Load() - before; got != 0 {
+		t.Fatalf("a helper started after the call returned ran f %d times, want 0", got)
+	}
+}
+
+// TestEachRunsEveryItemOnce drives 8 concurrent callers through one budget:
+// every item of every call runs exactly once, and has run by the time its
+// call returns.
+func TestEachRunsEveryItemOnce(t *testing.T) {
+	withProcs(t, max(4, runtime.GOMAXPROCS(0)), nil)
+	const callers, calls, n = 8, 50, 257
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				counts := make([]atomic.Int32, n)
+				err := Each(context.Background(), n, n-1, func(i int) {
+					spin(i)
+					counts[i].Add(1)
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range counts {
+					if got := counts[i].Load(); got != 1 {
+						t.Errorf("item %d ran %d times by the time its call returned, want 1", i, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEachHonoursCancellation cancels mid-call: once cancel has returned,
+// no claimer starts an item it had not already checked ctx for, and Each
+// returns ctx.Err().
+func TestEachHonoursCancellation(t *testing.T) {
+	withProcs(t, 4, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	const n = 10000
+	var calls, atCancel atomic.Int64
+	err := Each(ctx, n, n-1, func(int) {
+		if calls.Add(1) == 100 {
+			cancel()
+			atCancel.Store(calls.Load())
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Each of the other (at most 3) claimers may have passed its check of
+	// ctx before cancel returned, and starts nothing after that item.
+	if got, cut := calls.Load(), atCancel.Load(); got > cut+3 {
+		t.Fatalf("f ran %d times, %d of them after the cancellation returned; want at most 3", got, got-cut)
+	}
+}
+
+// spinSink keeps spin's loop from being optimised away.
+var spinSink atomic.Int64
+
+// spin burns a little CPU, more for some items, so claimers interleave.
+func spin(i int) {
+	x := int64(i)
+	for k := 0; k < 200*(1+i%4); k++ {
+		x = x*6364136223846793005 + 1
+	}
+	spinSink.Add(x & 1)
+}

@@ -24,13 +24,16 @@
 //
 // There is one engine, Sharded (sharded.go): it partitions the documents
 // across a power-of-two number of independent Inverted shards by a hash
-// of the trajectory ID — a single shard on a single-core process. Every
-// trajectory lives wholly in one shard — its postings, cached cardinality
-// and retained points included — so a mutation takes exactly one shard's
-// write lock (mutations on different shards stop contending) and stays
-// atomic with respect to searches.
+// of the trajectory ID — one shard unless the caller asks for more, since
+// one shard counts each query term in one posting map and pays for no
+// fan-out. Every trajectory lives wholly in one shard — its postings,
+// cached cardinality and retained points included — so a mutation takes
+// exactly one shard's write lock (mutations on different shards stop
+// contending) and stays atomic with respect to searches.
 //
-// A search over several shards fans out in parallel, and each shard runs
+// A search over several shards fans out through internal/fanout: the
+// calling goroutine ranks every shard no helper claims, and with the
+// process's helper tokens all taken it ranks them all. Each shard runs
 // exactly the search it would run standalone — the counting merge (there
 // is one, for a query of any size: how wide a count can get is
 // bitmap.Counter's business, not this package's) and the count-order

@@ -2,12 +2,12 @@ package index
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"geodabs/internal/bitmap"
+	"geodabs/internal/fanout"
 	"geodabs/internal/geo"
 	"geodabs/internal/trajectory"
 )
@@ -17,10 +17,11 @@ import (
 // trajectory ID. Every trajectory lives wholly in one shard (postings,
 // cached cardinality, retained points), so a mutation takes exactly one
 // shard's write lock and mutations on different shards proceed without
-// contending. A search runs every shard's own search in parallel and
-// merges their top-k lists, producing rankings byte-identical at every
-// shard count (see the package doc's Sharding section for why); with one
-// shard it runs that shard's search directly.
+// contending. A search runs every shard's own search, spread over the
+// calling goroutine and whatever helpers idle cores allow, and merges
+// their top-k lists, producing rankings byte-identical at every shard
+// count (see the package doc's Sharding section for why); with one shard
+// it runs that shard's search directly.
 //
 // A concurrent search observes each trajectory either fully or not at
 // all. What is weaker with several shards is the cross-shard snapshot: a
@@ -39,13 +40,12 @@ type Sharded struct {
 }
 
 // NewSharded returns an empty sharded index with n shards, rounded up to
-// the next power of two. n ≤ 0 selects GOMAXPROCS (again rounded up), so
-// the default fan-out matches the cores available to the process.
+// the next power of two; n ≤ 0 builds one shard. One shard is the cheaper
+// search unless a query is large and a core is idle: it pays for no
+// fan-out and counts each term in one posting map. Ask for more to get
+// mutations that stop contending, or fan-out over a large corpus.
 // Options apply to every shard.
 func NewSharded(ex Extractor, n int, opts ...InvertedOption) *Sharded {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	n = ceilPow2(n)
 	s := &Sharded{ex: ex, shards: make([]*Inverted, n), mask: uint32(n - 1)}
 	for i := range s.shards {
@@ -302,7 +302,7 @@ func (s *Sharded) Search(ctx context.Context, q *trajectory.Trajectory, maxDista
 // shard's hits, stats and error (each written by exactly one goroutine)
 // and the buffer their merge is sorted in. Pooling it makes a steady-state
 // fanned-out search allocation-free once the buffers have grown to the
-// workload, bar the goroutines.
+// workload, bar fanout.Each's per-call state.
 type fanoutScratch struct {
 	shards []shardSearch
 	merged []Result
@@ -319,13 +319,14 @@ var fanoutScratchPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 
 // AppendSearchSet ranks against a pre-computed fingerprint set, appending
 // the results to dst. A one-shard index runs the shard's search directly;
-// otherwise every shard runs that same search with the caller's limit in
-// parallel — one goroutine per extra shard, shard 0 on the calling
-// goroutine — into its pooled hit buffer. A shard holds whole documents,
-// so its shared counts are final and its own top-limit under the
-// (distance, ID) order holds every hit of the global top-limit that it
-// owns: sorting the at most shards × limit hits and truncating them is
-// the one-shard ranking. Stats add up across shards. qc must equal
+// otherwise every shard runs that same search with the caller's limit into
+// its pooled hit buffer, each on whichever goroutine claims it first: the
+// caller or one of the helpers fanout.Each can spare (none when every core
+// is busy). A shard holds whole documents, so its shared counts are final
+// and its own top-limit under the (distance, ID) order holds every hit of
+// the global top-limit that it owns: sorting the at most shards × limit
+// hits and truncating them is the one-shard ranking, whichever goroutine
+// ranked each shard. Stats add up across shards. qc must equal
 // set.Cardinality().
 func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
@@ -341,19 +342,14 @@ func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap
 	defer fanoutScratchPool.Put(fs)
 	fs.shards = slices.Grow(fs.shards[:0], len(s.shards))[:len(s.shards)]
 
-	var wg sync.WaitGroup
 	for {
 		reloads := s.reloads.Load()
-		for i := 1; i < len(s.shards); i++ {
-			wg.Add(1)
-			go func(sh *Inverted, out *shardSearch) {
-				defer wg.Done()
-				out.hits, out.stats, out.err = sh.AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
-			}(s.shards[i], &fs.shards[i])
+		if err := fanout.Each(ctx, len(s.shards), len(s.shards)-1, func(i int) {
+			out := &fs.shards[i]
+			out.hits, out.stats, out.err = s.shards[i].AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
+		}); err != nil {
+			return nil, SearchStats{}, err
 		}
-		out := &fs.shards[0]
-		out.hits, out.stats, out.err = s.shards[0].AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
-		wg.Wait()
 		if s.reloads.Load() == reloads {
 			break
 		}

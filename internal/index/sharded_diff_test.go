@@ -14,9 +14,9 @@ import (
 	"geodabs/internal/trajectory"
 )
 
-// shardCountsUnderTest covers the degenerate single-shard fast path, the
-// smallest real fan-out, two wider ones, and whatever this machine's
-// GOMAXPROCS resolves to.
+// shardCountsUnderTest covers the single-shard fast path, the smallest
+// real fan-out, two wider ones, and — on a machine with more than eight
+// cores — one wide enough to use every helper token the process holds.
 func shardCountsUnderTest() []int {
 	counts := []int{1, 2, 4, 8}
 	if g := ceilPow2(runtime.GOMAXPROCS(0)); g > 8 {

@@ -23,11 +23,20 @@ func TestNewShardedRoundsUpToPowerOfTwo(t *testing.T) {
 			t.Errorf("NewSharded(%d).NumShards() = %d, want %d", tc.n, got, tc.want)
 		}
 	}
-	// n ≤ 0 selects GOMAXPROCS, rounded up.
-	auto := NewSharded(stubExtractor{}, 0).NumShards()
-	if want := ceilPow2(runtime.GOMAXPROCS(0)); auto != want {
-		t.Errorf("NewSharded(0).NumShards() = %d, want %d", auto, want)
+	// n ≤ 0 is one shard, whatever GOMAXPROCS says.
+	for _, n := range []int{0, -1} {
+		if got := NewSharded(stubExtractor{}, n).NumShards(); got != 1 {
+			t.Errorf("NewSharded(%d).NumShards() = %d, want 1", n, got)
+		}
 	}
+}
+
+// TestShardedMatchesInvertedWithoutHelpers runs the tentpole differential
+// with no helper budget (GOMAXPROCS=1): every shard of every search is
+// ranked on the calling goroutine, and rankings must not move.
+func TestShardedMatchesInvertedWithoutHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	TestShardedMatchesInverted(t)
 }
 
 func TestShardIndexPlacement(t *testing.T) {

@@ -18,12 +18,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"geodabs/internal/distance"
+	"geodabs/internal/fanout"
 	"geodabs/internal/geo"
 )
 
@@ -164,36 +163,17 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, 
 	})
 }
 
-// each runs f(i) for every i in [0, n) on a bounded worker pool — the
-// metrics are CPU-bound, so GOMAXPROCS workers at most, the calling
-// goroutine among them, and it alone below parallelMin. A cancelled ctx
-// stops the workers between calls; each then returns ctx.Err().
+// each runs f(i) for every i in [0, n) through fanout.Each — the metrics
+// are CPU-bound, so on the calling goroutine plus the helpers the
+// process's idle cores allow, and on it alone below parallelMin. A
+// cancelled ctx stops the claimers between calls; each then returns
+// ctx.Err().
 func each(ctx context.Context, n int, f func(i int)) error {
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || ctx.Err() != nil {
-				return
-			}
-			f(i)
-		}
+	helpers := 0
+	if n >= parallelMin {
+		helpers = n - 1
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if n < parallelMin {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return ctx.Err()
+	return fanout.Each(ctx, n, helpers, f)
 }
 
 // lowerBound cheaply bounds metric m between query and c from below; both

@@ -551,19 +551,18 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestClientCancelAfterReturnDoesNotPoisonPool pins down a pool-recycling
-// race: callers routinely cancel a request's context the moment the call
-// returns, and the client's cancellation watcher used to be able to poke
-// SetDeadline(now) into the connection *after* it was checked back in —
-// timing out whichever request next held it. The bad interleaving needs
-// a watcher goroutine whose select first runs after both the round
-// trip's end and the caller's cancel — rare in-process (the in-process
-// server keeps the scheduler parking watchers early), but reproduced
-// within a few hundred requests against a separate-process server,
-// which scripts/server_smoke.sh's upsert churn covers. This test is the
-// in-process guard: with the watcher quiesced synchronously a late poke
-// is impossible, so heavy cancel-after-return churn over a tiny pool
-// must stay error-free.
+// TestClientCancelAfterReturnDoesNotPoisonPool guards the client's
+// discard rule for its cancellation poke. A call registers
+// context.AfterFunc to poke SetDeadline(now) into its connection, and
+// callers routinely cancel the context the moment the call returns. When
+// the call's stop finds that poke already started, it cannot tell
+// whether the poke has landed, so the connection must be discarded, not
+// checked back in: kept, a deadline landing late would time out whichever
+// request next held it. The bad interleaving is a cancel racing the end
+// of the round trip — rare in-process, and also exercised against a
+// separate-process server by scripts/server_smoke.sh's upsert churn.
+// Here heavy cancel-after-return churn over a tiny pool must stay
+// error-free.
 func TestClientCancelAfterReturnDoesNotPoisonPool(t *testing.T) {
 	srv := startServer(t, &stubEngine{}, server.Config{})
 	cl, err := client.Dial(srv.Addr(), client.WithPoolSize(2), client.WithMaxRetries(0))

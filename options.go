@@ -100,11 +100,12 @@ func WithReadPreference(p ReadPreference) Option {
 // WithShards splits a local Index into n in-process shards (rounded up
 // to the next power of two), each with its own lock and posting lists:
 // mutations on different shards stop contending, and a single search
-// fans out across the shards in parallel, merging to rankings
-// byte-identical at every shard count. n = 0 (the default) sizes the
-// shard count automatically from GOMAXPROCS — one core, one shard; more
-// cores, a power-of-two shard count matching them. n = 1 forces one
-// shard behind one lock.
+// spreads the shards over the calling goroutine and whatever idle cores
+// the process has, merging to rankings byte-identical at every shard
+// count. n = 0 (the default) and n = 1 both build one shard behind one
+// lock, the cheaper search unless a query is large and a core is idle;
+// ask for more shards for concurrent writers or fan-out over a large
+// corpus.
 //
 // Snapshots interoperate across shard counts: every index writes format
 // v3 (per-shard sections) and loads v3 or the older unsharded v2,
@@ -114,7 +115,7 @@ func WithReadPreference(p ReadPreference) Option {
 func WithShards(n int) Option {
 	return func(o *engineOptions) error {
 		if n < 0 {
-			return fmt.Errorf("geodabs: WithShards(%d) must not be negative (0 means auto)", n)
+			return fmt.Errorf("geodabs: WithShards(%d) must not be negative (0 means one shard)", n)
 		}
 		o.shards = n
 		o.shardsSet = true

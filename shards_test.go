@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,6 +147,46 @@ func TestWithShardsSnapshotInterop(t *testing.T) {
 	}
 	if loaded.Len() != src.Len() {
 		t.Fatalf("ReadIndex Len = %d, want %d", loaded.Len(), src.Len())
+	}
+}
+
+// TestDefaultIsOneShard pins the default: an index is one shard unless
+// the caller asks for more, at any GOMAXPROCS — NewIndex without the
+// option, WithShards(0), and ReadIndex (the geodabsd -snapshot loader)
+// even of a snapshot written by four shards.
+func TestDefaultIsOneShard(t *testing.T) {
+	_, w := testWorld()
+	src, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AddAll(w.Dataset, 4); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := src.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		plain, err := geodabs.NewIndex(geodabs.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := geodabs.ReadIndex(geodabs.DefaultConfig(), bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ix := range map[string]*geodabs.Index{"NewIndex": plain, "WithShards(0)": zero, "ReadIndex": loaded} {
+			if got := ix.Stats().Shards; got != 1 {
+				t.Errorf("GOMAXPROCS=%d: %s Stats.Shards = %d, want 1", procs, name, got)
+			}
+		}
 	}
 }
 
