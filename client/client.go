@@ -30,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"geodabs"
@@ -98,12 +98,8 @@ type Client struct {
 	dialTimeout time.Duration
 	maxRetries  int
 
-	mu     sync.Mutex
-	idle   []*wire.Conn
-	active map[*wire.Conn]struct{}
-	closed bool
-
-	nextID uint64 // request IDs, informational (one request per conn)
+	pool   *wire.Pool[struct{}]
+	nextID atomic.Uint64 // request IDs, informational (one request per conn)
 }
 
 // Dial connects to a geodabsd at addr. The returned client pools
@@ -117,170 +113,76 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		poolSize:    4,
 		dialTimeout: 5 * time.Second,
 		maxRetries:  2,
-		active:      make(map[*wire.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.pool = wire.NewPool[struct{}](c.poolSize, wire.MaxFrame, ErrClosed, func(ctx context.Context) (net.Conn, error) {
+		if _, ok := ctx.Deadline(); !ok {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.dialTimeout)
+			defer cancel()
+		}
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+		}
+		return conn, nil
+	})
 	return c, nil
 }
 
 // Close closes every pooled connection. In-flight calls fail with their
 // connections; Close is idempotent.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conns := append([]*wire.Conn(nil), c.idle...)
-	for nc := range c.active {
-		conns = append(conns, nc)
-	}
-	c.idle = nil
-	c.mu.Unlock()
-	var firstErr error
-	for _, nc := range conns {
-		if err := nc.NetConn().Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (c *Client) Close() error { return c.pool.Close() }
 
-// checkout hands the caller a connection: an idle one when available, a
-// fresh dial otherwise.
-func (c *Client) checkout(ctx context.Context) (*wire.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if n := len(c.idle); n > 0 {
-		nc := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.active[nc] = struct{}{}
-		c.mu.Unlock()
-		return nc, nil
-	}
-	c.mu.Unlock()
-
-	dctx := ctx
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, c.dialTimeout)
-		defer cancel()
-	}
-	var d net.Dialer
-	raw, err := d.DialContext(dctx, "tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
-	}
-	nc := wire.NewConn(raw, wire.MaxFrame)
-	c.mu.Lock()
-	if c.closed { // closed while dialing
-		c.mu.Unlock()
-		raw.Close()
-		return nil, ErrClosed
-	}
-	c.active[nc] = struct{}{}
-	c.mu.Unlock()
-	return nc, nil
-}
-
-// checkin returns a healthy connection to the idle pool, closing it when
-// the pool is full or the client closed.
-func (c *Client) checkin(nc *wire.Conn) {
-	c.mu.Lock()
-	delete(c.active, nc)
-	if c.closed || len(c.idle) >= c.poolSize {
-		c.mu.Unlock()
-		nc.NetConn().Close()
-		return
-	}
-	c.idle = append(c.idle, nc)
-	c.mu.Unlock()
-}
-
-// discard drops a connection whose stream may be desynchronized; the
-// next call dials afresh.
-func (c *Client) discard(nc *wire.Conn) {
-	nc.NetConn().Close()
-	c.mu.Lock()
-	delete(c.active, nc)
-	c.mu.Unlock()
-}
-
-// roundTrip performs one request/response exchange on a checked-out
-// connection. A cancelled ctx pokes the connection deadline so blocked
-// I/O aborts promptly; transport failures poison the connection.
+// roundTrip performs one request/response exchange on a pooled
+// connection. Transport failures are transportErrors, and like any
+// failure they discard the connection; a cancelled ctx aborts the
+// exchange promptly (wire.Pool.Call).
 func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	// The remaining deadline budget rides the request so the server's
 	// engine call is cancelled in step with the caller.
-	if dl, ok := ctx.Deadline(); ok {
+	dl, ok := ctx.Deadline()
+	if ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms <= 0 {
 			return nil, context.DeadlineExceeded
 		}
 		req.DeadlineMS = uint64(ms)
-	}
-	nc, err := c.checkout(ctx)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := wire.EndFrame(wire.AppendRequest(nc.BeginFrame(), req), 0, wire.MaxFrame)
-	if err != nil {
-		c.checkin(nc)
-		return nil, err
-	}
-
-	if dl, ok := ctx.Deadline(); ok {
-		// Slack past the ctx deadline: expiry is delivered by the poke
-		// below, which runs after ctx.Done — so the failed read reports
-		// the context error, not a bare transport timeout. The connection
+		// Slack past the ctx deadline: expiry is delivered by the pool's
+		// poke, which runs after ctx.Done — so the failed read reports the
+		// context error, not a bare transport timeout. The connection
 		// deadline is only a backstop against a missed poke and must not
 		// fire first.
-		nc.NetConn().SetDeadline(dl.Add(250 * time.Millisecond))
-	} else {
-		nc.NetConn().SetDeadline(time.Time{})
+		dl = dl.Add(250 * time.Millisecond)
 	}
-	// Cancellation pokes the deadline into the past, unblocking the
-	// pending write or read with a timeout error.
-	stop := context.AfterFunc(ctx, func() { nc.NetConn().SetDeadline(time.Now()) })
-	err = nc.WriteFrames(frame)
-	var payload []byte
-	if err == nil {
-		payload, err = nc.ReadFrame()
-	}
-	// A stop that finds the poke started cannot tell whether it has landed
-	// yet: such a connection never goes back to the pool, so a stale
-	// deadline can never fail a later call — callers routinely cancel the
-	// ctx the moment their call returns.
-	poked := !stop()
-	if err != nil {
-		c.discard(nc)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+	var resp *wire.Response
+	err := c.pool.Call(ctx, func(nc *wire.PoolConn[struct{}]) error {
+		frame, err := wire.EndFrame(wire.AppendRequest(nc.BeginFrame(), req), 0, wire.MaxFrame)
+		if err != nil {
+			return err
 		}
-		return nil, &transportError{err: fmt.Errorf("client: %s: %w", c.addr, err)}
-	}
-	resp, err := wire.DecodeResponse(payload)
+		nc.NetConn().SetDeadline(dl)
+		err = nc.WriteFrames(frame)
+		var payload []byte
+		if err == nil {
+			payload, err = nc.ReadFrame()
+		}
+		if err != nil {
+			return &transportError{err: fmt.Errorf("client: %s: %w", c.addr, err)}
+		}
+		if resp, err = wire.DecodeResponse(payload); err != nil {
+			return fmt.Errorf("client: %s: %w", c.addr, err)
+		}
+		if resp.ID != req.ID {
+			return fmt.Errorf("client: %s: response id %d for request %d", c.addr, resp.ID, req.ID)
+		}
+		return nil
+	})
 	if err != nil {
-		c.discard(nc)
-		return nil, fmt.Errorf("client: %s: %w", c.addr, err)
-	}
-	if resp.ID != req.ID {
-		c.discard(nc)
-		return nil, fmt.Errorf("client: %s: response id %d for request %d", c.addr, resp.ID, req.ID)
-	}
-	if poked {
-		c.discard(nc)
-	} else {
-		c.checkin(nc)
+		return nil, err
 	}
 	return resp, nil
 }
@@ -306,10 +208,7 @@ const retryBaseDelay = 25 * time.Millisecond
 // do runs one exchange, retrying idempotent reads on retryable errors
 // while ctx allows.
 func (c *Client) do(ctx context.Context, req *wire.Request, idempotent bool) (*wire.Response, error) {
-	c.mu.Lock()
-	c.nextID++
-	req.ID = c.nextID
-	c.mu.Unlock()
+	req.ID = c.nextID.Add(1)
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {

@@ -202,9 +202,10 @@ func HasNoallocDirective(fd *ast.FuncDecl) bool {
 // CalleeFullName resolves the fully qualified name of a call's static
 // callee, in the form produced by (*types.Func).FullName — e.g.
 // "(*sync.Mutex).Lock", "net.Dial", or
-// "(geodabs/internal/wal.segmentFile).Sync" for interface methods. It
-// returns "" for dynamic calls (function values), conversions, and
-// builtins.
+// "(geodabs/internal/wal.segmentFile).Sync" for interface methods. A
+// method of a generic type is named by its declaration, whatever the
+// instantiation: "(*geodabs/internal/wire.Pool[S]).Call". It returns ""
+// for dynamic calls (function values), conversions, and builtins.
 func CalleeFullName(info *types.Info, call *ast.CallExpr) string {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -221,5 +222,5 @@ func CalleeFullName(info *types.Info, call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	return fn.FullName()
+	return fn.Origin().FullName()
 }

@@ -11,8 +11,9 @@
 // blocking calls under it deserve a look), and goroutine and closure
 // bodies are analyzed separately with an empty held set.
 //
-// Blocking operations: net dials/reads/writes/accepts, wire frame reads
-// and the reads and writes of the framed connection (wire.Conn), channel
+// Blocking operations: net dials/reads/writes/accepts, wire frame reads,
+// the reads and writes of the framed connection (wire.Conn) and the
+// pooled call that dials, writes and reads one (wire.Pool.Call), channel
 // sends/receives (including select without default and range over a
 // channel), file fsync, WAL appends, time.Sleep, and WaitGroup/Cond
 // waits. Deliberate holds — e.g. the WAL's single-writer group commit —
@@ -67,6 +68,7 @@ var blocking = map[string]string{
 	"(*geodabs/internal/wire.Conn).ReadFrame":     "frame read",
 	"(*geodabs/internal/wire.Conn).SendFrame":     "frame send",
 	"(*geodabs/internal/wire.Conn).WriteFrames":   "frame write",
+	"(*geodabs/internal/wire.Pool[S]).Call":       "pooled call",
 	"(*geodabs/internal/wal.Log).Append":          "WAL append (group commit fsync)",
 	"(*geodabs/internal/wal.Log).Sync":            "WAL fsync",
 	"(*geodabs/internal/wal.Log).Seal":            "WAL seal (fsync)",

@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"sync"
 )
@@ -18,7 +19,7 @@ func (c *Conn) WriteFrames(b []byte) error { return nil }
 func (c *Conn) Buffer() []byte             { return nil }
 func (c *Conn) BeginFrame() []byte         { return nil }
 
-// nodeConn embeds Conn as the coordinator's pooled connections do.
+// nodeConn embeds Conn as pooled connections (PoolConn) do.
 type nodeConn struct{ *Conn }
 
 type Node struct {
@@ -79,4 +80,34 @@ func (s *serverConn) goodFlushAfterUnlock() {
 	s.pending = s.f.Buffer()
 	s.mu.Unlock()
 	s.f.WriteFrames(buf)
+}
+
+// Pool stands in for the pooled call both clients make: it may dial,
+// and it writes a frame and reads one.
+type Pool[S any] struct{}
+
+type PoolConn[S any] struct{ *Conn }
+
+func (p *Pool[S]) Call(ctx context.Context, exchange func(*PoolConn[S]) error) error { return nil }
+
+// client holds a pool whose call bookkeeping sits under its own lock.
+type client struct {
+	mu    sync.Mutex
+	pool  *Pool[struct{}]
+	calls int
+}
+
+func (c *client) badCallUnderLock(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pool.Call(ctx, func(*PoolConn[struct{}]) error { return nil }) // want `pooled call .* while "c.mu" is held`
+}
+
+// goodCountThenCall updates the bookkeeping under the lock and calls
+// after releasing it.
+func (c *client) goodCountThenCall(ctx context.Context) error {
+	c.mu.Lock()
+	c.calls++
+	c.mu.Unlock()
+	return c.pool.Call(ctx, func(*PoolConn[struct{}]) error { return nil })
 }

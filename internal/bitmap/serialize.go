@@ -124,6 +124,11 @@ func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &chunks); err != nil {
 		return readErr(err)
 	}
+	// Keys are strictly increasing uint16s: a larger count is corrupt, and
+	// must be refused before the slices below are sized by it.
+	if chunks > 1<<16 {
+		return cr.n, fmt.Errorf("bitmap: %d chunks exceed the 16-bit key space", chunks)
+	}
 	b.Clear()
 	b.keys = make([]uint16, 0, chunks)
 	b.containers = make([]container, 0, chunks)

@@ -73,6 +73,10 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 			}
 			return buf.Bytes()[:buf.Len()-2]
 		}()},
+		// More chunks than there are 16-bit keys: refused before any
+		// allocation is sized by the count (0xbebebebe once ran the
+		// process out of memory).
+		{"chunk-count-past-key-space", []byte{0x47, 0x44, 0x42, 0x4d, formatVersion, 0xbe, 0xbe, 0xbe, 0xbe}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

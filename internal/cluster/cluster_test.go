@@ -21,6 +21,7 @@ import (
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
 	"geodabs/internal/wal"
+	"geodabs/internal/wire"
 )
 
 var testWorkload = func() *gen.Output {
@@ -269,7 +270,7 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 	// points after them are trailing bytes the node refuses.
 	f := dialFrames(t, node.Addr())
 	add := wal.AppendRecord([]byte{byte(opMutate), 0}, &wal.Record{Op: wal.OpAdd, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1}})
-	if resp := exchange(t, f, appendPoints(add, []geo.Point{{Lat: 1, Lon: 1}})); resp.Kind != opError {
+	if resp := exchange(t, f, wire.AppendPoints(add, []geo.Point{{Lat: 1, Lon: 1}})); resp.Kind != opError {
 		t.Errorf("plain add carrying points answered with a %s frame, want an error", resp.Kind)
 	}
 	if resp := exchange(t, f, appendRequest(nil, &request{Op: opStats})); resp.Kind != opStats {
@@ -1003,7 +1004,7 @@ func TestNodeRejectsMalformedDelete(t *testing.T) {
 	// bytes the node refuses.
 	f := dialFrames(t, node.Addr())
 	del := wal.AppendRecord([]byte{byte(opMutate), 0}, &wal.Record{Op: wal.OpDelete, ID: 1, Epoch: 1})
-	if resp := exchange(t, f, appendU32s(del, []uint32{1})); resp.Kind != opError {
+	if resp := exchange(t, f, wire.AppendU32s(del, []uint32{1})); resp.Kind != opError {
 		t.Errorf("delete carrying terms answered with a %s frame, want an error", resp.Kind)
 	}
 	// The connection survives the protocol error.

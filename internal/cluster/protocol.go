@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -17,7 +16,7 @@ import (
 // Wire protocol: length-prefixed binary frames over TCP, in
 // internal/wire's framing (a 4-byte big-endian payload length, capped at
 // maxFrame). Each message below has one append-style encoder and
-// one bounds-checked decoder, kept next to its type; docs/protocol.md
+// one decoder, kept next to its type; docs/protocol.md
 // ("Internal coordinator↔node frames") gives every byte layout. Both ends
 // ship in one binary, so the layouts carry no version and promise nothing
 // across versions; only the node snapshot (persist.go) is versioned.
@@ -100,7 +99,10 @@ import (
 //
 // Integers are unsigned varints unless noted; u32 and f64 are 4- and
 // 8-byte little-endian, the float as its IEEE 754 bits, so scores and
-// points cross bit for bit.
+// points cross bit for bit. Every message is read through internal/wire's
+// one bounds-checked Decoder, and counted u32 and point lists are its
+// AppendU32s and AppendPoints forms, the point form shared with the
+// write-ahead log's records.
 
 // maxFrame caps a coordinator↔node frame at the write-ahead log's bound
 // on one record, not at the client protocol's wire.MaxFrame: a mutation
@@ -200,36 +202,26 @@ func appendRequest(dst []byte, req *request) []byte {
 // connection decodes request after request without allocating; a
 // mutation record is always fresh, because the node keeps its slices.
 func (req *request) decode(p []byte) error {
-	d := decoder{buf: p}
-	k, err := d.byte()
-	if err != nil {
-		return err
-	}
-	req.Op = op(k)
-	if req.CompactBelow, err = d.uvarint(); err != nil {
-		return err
-	}
+	d := wire.NewDecoder(p)
+	req.Op, req.CompactBelow = op(d.Byte()), d.Uvarint()
 	switch req.Op {
 	case opMutate:
-		req.Mutate, err = decodeRecord(&d)
+		req.Mutate = decodeRecord(&d)
 	case opQuery:
 		if req.Query == nil {
 			req.Query = new(queryRequest)
 		}
-		err = req.Query.decode(&d)
+		req.Query.decode(&d)
 	case opRerank:
 		if req.Rerank == nil {
 			req.Rerank = new(rerankRequest)
 		}
-		err = req.Rerank.decode(&d)
+		req.Rerank.decode(&d)
 	case opStats, opSync:
 	default:
-		return fmt.Errorf("cluster: unknown request op %d", k)
+		d.Fail(fmt.Errorf("cluster: unknown request op %d", req.Op))
 	}
-	if err != nil {
-		return err
-	}
-	return d.done(req.Op)
+	return d.Done(req.Op)
 }
 
 // queryRequest carries the query terms owned by the node — one group of
@@ -250,20 +242,11 @@ type queryRequest struct {
 func (q *queryRequest) append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(q.QueryCard))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.MaxDistance))
-	return appendU32s(dst, q.Terms)
+	return wire.AppendU32s(dst, q.Terms)
 }
 
-func (q *queryRequest) decode(d *decoder) error {
-	card, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	q.QueryCard = int(card)
-	if q.MaxDistance, err = d.f64(); err != nil {
-		return err
-	}
-	q.Terms, err = d.u32s(q.Terms)
-	return err
+func (q *queryRequest) decode(d *wire.Decoder) {
+	q.QueryCard, q.MaxDistance, q.Terms = d.Int("query card"), d.F64(), d.U32s(q.Terms)
 }
 
 // partials is a node's query reply: how many candidates its cardinality
@@ -300,16 +283,11 @@ func endPartials(dst []byte, start, pruned int) []byte {
 	return dst
 }
 
-func (p *partials) decode(d *decoder) error {
-	pruned, err := d.u32()
-	if err != nil {
-		return err
+func (p *partials) decode(d *wire.Decoder) {
+	p.pruned, p.pairs = int(d.U32()), d.Rest()
+	if len(p.pairs)%partialSize != 0 {
+		d.Fail(fmt.Errorf("cluster: %d partial-count bytes are not whole (id, count) pairs", len(p.pairs)))
 	}
-	if len(d.buf)%partialSize != 0 {
-		return fmt.Errorf("cluster: %d partial-count bytes are not whole (id, count) pairs", len(d.buf))
-	}
-	p.pruned, p.pairs = int(pruned), d.rest()
-	return nil
 }
 
 // len is the number of (id, count) pairs.
@@ -351,26 +329,13 @@ type rerankRequest struct {
 func (r *rerankRequest) append(dst []byte) []byte {
 	dst = append(dst, byte(r.Metric))
 	dst = binary.AppendUvarint(dst, uint64(r.Limit))
-	dst = appendU32s(dst, r.IDs)
-	return appendPoints(dst, r.Query)
+	dst = wire.AppendU32s(dst, r.IDs)
+	return wire.AppendPoints(dst, r.Query)
 }
 
-func (r *rerankRequest) decode(d *decoder) error {
-	m, err := d.byte()
-	if err != nil {
-		return err
-	}
-	r.Metric = rerank.Metric(m)
-	limit, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	r.Limit = int(limit)
-	if r.IDs, err = d.u32s(r.IDs); err != nil {
-		return err
-	}
-	r.Query, err = d.points(r.Query)
-	return err
+func (r *rerankRequest) decode(d *wire.Decoder) {
+	r.Metric, r.Limit = rerank.Metric(d.Byte()), d.Int("rerank limit")
+	r.IDs, r.Query = d.U32s(r.IDs), d.Points(r.Query)
 }
 
 // scored is one exact score a node computed.
@@ -403,29 +368,16 @@ func (r *rerankResponse) append(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, s.ID)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Score))
 	}
-	return appendU32s(dst, r.Missing)
+	return wire.AppendU32s(dst, r.Missing)
 }
 
-func (r *rerankResponse) decode(d *decoder) error {
-	skipped, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := d.count(12)
-	if err != nil {
-		return err
-	}
-	*r = rerankResponse{Skipped: int(skipped), Scored: make([]scored, n)}
+func (r *rerankResponse) decode(d *wire.Decoder) {
+	r.Skipped = d.Int("rerank skipped count")
+	r.Scored = make([]scored, d.Count(12))
 	for i := range r.Scored {
-		if r.Scored[i].ID, err = d.u32(); err != nil {
-			return err
-		}
-		if r.Scored[i].Score, err = d.f64(); err != nil {
-			return err
-		}
+		r.Scored[i] = scored{ID: d.U32(), Score: d.F64()}
 	}
-	r.Missing, err = d.u32s(nil)
-	return err
+	r.Missing = d.U32s(nil)
 }
 
 // append encodes the node's answer to opStats: every field but Node and
@@ -445,20 +397,15 @@ func (s *NodeStats) wireFields() [18]uint64 {
 		uint64(s.RetainedPoints), uint64(s.RetainedBytes), s.RerankScored, s.RerankSkipped}
 }
 
-func (s *NodeStats) decode(d *decoder) error {
-	var v [18]uint64
-	for i := range v {
-		var err error
-		if v[i], err = d.uvarint(); err != nil {
-			return err
-		}
-	}
-	*s = NodeStats{Terms: int(v[0]), Postings: int(v[1]), Docs: int(v[2]), Tombstones: int(v[3]),
-		Epoch: v[4], StableEpoch: v[5], WALBytes: int64(v[6]), WALSegments: int(v[7]), WALRecords: v[8],
-		WALSyncs: v[9], WALLastSync: time.Duration(v[10]), FullSyncs: v[11], Subscribers: int(v[12]),
-		RetainedDocs: int(v[13]), RetainedPoints: int(v[14]), RetainedBytes: int64(v[15]),
-		RerankScored: v[16], RerankSkipped: v[17]}
-	return nil
+// decode reads the fields in wireFields' order: the calls of a composite
+// literal run left to right.
+func (s *NodeStats) decode(d *wire.Decoder) {
+	const n = "stats value"
+	*s = NodeStats{Terms: d.Int(n), Postings: d.Int(n), Docs: d.Int(n), Tombstones: d.Int(n),
+		Epoch: d.Uvarint(), StableEpoch: d.Uvarint(), WALBytes: int64(d.Int(n)), WALSegments: d.Int(n),
+		WALRecords: d.Uvarint(), WALSyncs: d.Uvarint(), WALLastSync: time.Duration(d.Int(n)),
+		FullSyncs: d.Uvarint(), Subscribers: d.Int(n), RetainedDocs: d.Int(n), RetainedPoints: d.Int(n),
+		RetainedBytes: int64(d.Int(n)), RerankScored: d.Uvarint(), RerankSkipped: d.Uvarint()}
 }
 
 // syncHeader opens a full sync: the primary's highest compaction
@@ -478,14 +425,8 @@ func (h *syncHeader) append(dst []byte) []byte {
 	return binary.AppendUvarint(dst, uint64(h.Docs))
 }
 
-func (h *syncHeader) decode(d *decoder) error {
-	var err error
-	if h.Watermark, err = d.uvarint(); err != nil {
-		return err
-	}
-	docs, err := d.uvarint()
-	h.Docs = int(docs)
-	return err
+func (h *syncHeader) decode(d *wire.Decoder) {
+	h.Watermark, h.Docs = d.Uvarint(), d.Int("sync doc count")
 }
 
 // A sync doc is one trajectory's shard state in a full sync or a
@@ -508,13 +449,13 @@ func appendDocFrame(dst []byte, rec *wal.Record) ([]byte, error) {
 }
 
 // decodeRecord parses the rest of d as one mutation record, into fresh
-// slices: the node keeps them.
-func decodeRecord(d *decoder) (*wal.Record, error) {
-	rec, err := wal.DecodeRecord(d.rest())
+// slices: the node keeps them. It is nil when d fails.
+func decodeRecord(d *wire.Decoder) *wal.Record {
+	rec, err := wal.DecodeRecord(d.Rest())
 	if err != nil {
-		return nil, fmt.Errorf("cluster: mutation record: %w", err)
+		d.Fail(fmt.Errorf("cluster: mutation record: %w", err))
 	}
-	return rec, nil
+	return rec
 }
 
 // replEvent is one replication stream message: the record of a mutation
@@ -538,18 +479,13 @@ func (e *replEvent) append(dst []byte) []byte {
 	return wal.AppendRecord(dst, &e.Record)
 }
 
-func (e *replEvent) decode(d *decoder, kind op) error {
-	*e = replEvent{}
-	var err error
-	if e.Watermark, err = d.uvarint(); err != nil || kind == opHeartbeat {
-		return err
+func (e *replEvent) decode(d *wire.Decoder, kind op) {
+	*e = replEvent{Watermark: d.Uvarint()}
+	if kind == opEvent {
+		if rec := decodeRecord(d); rec != nil {
+			e.Record = *rec
+		}
 	}
-	rec, err := decodeRecord(d)
-	if err != nil {
-		return err
-	}
-	e.Record = *rec
-	return nil
 }
 
 // appendError appends an opError reply carrying msg.
@@ -573,163 +509,25 @@ type response struct {
 
 // decode parses a reply payload into r. A query reply's pairs alias p.
 func (r *response) decode(p []byte) error {
-	d := decoder{buf: p}
-	k, err := d.byte()
-	if err != nil {
-		return err
-	}
-	r.Kind = op(k)
-	switch r.Kind {
+	d := wire.NewDecoder(p)
+	switch r.Kind = op(d.Byte()); r.Kind {
 	case opMutate, opStale:
 	case opError:
-		r.Err = string(d.rest())
+		r.Err = string(d.Rest())
 	case opQuery:
-		err = r.Query.decode(&d)
+		r.Query.decode(&d)
 	case opStats:
-		err = r.Stats.decode(&d)
+		r.Stats.decode(&d)
 	case opRerank:
-		err = r.Rerank.decode(&d)
+		r.Rerank.decode(&d)
 	case opSync:
-		err = r.Sync.decode(&d)
+		r.Sync.decode(&d)
 	case opSyncDoc:
-		r.Doc, err = decodeRecord(&d)
+		r.Doc = decodeRecord(&d)
 	case opEvent, opHeartbeat:
-		err = r.Event.decode(&d, r.Kind)
+		r.Event.decode(&d, r.Kind)
 	default:
-		return fmt.Errorf("cluster: unknown reply kind %d", k)
+		d.Fail(fmt.Errorf("cluster: unknown reply kind %d", r.Kind))
 	}
-	if err != nil {
-		return err
-	}
-	return d.done(r.Kind)
-}
-
-// errTruncated reports a payload shorter than its own encoding claims.
-var errTruncated = errors.New("cluster: truncated frame")
-
-// decoder walks a frame payload with bounds checking. Element counts are
-// checked against the bytes left before anything is allocated from them,
-// so a hostile count costs nothing.
-type decoder struct {
-	buf []byte
-}
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, errTruncated
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if len(d.buf) < 4 {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v, nil
-}
-
-func (d *decoder) f64() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, errTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-// count reads an element count whose elements take size bytes apiece
-// and checks they fit in what is left.
-func (d *decoder) count(size int) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.buf)/size) {
-		return 0, errTruncated
-	}
-	return int(v), nil
-}
-
-// u32s reads a counted u32 list into into's storage when it fits.
-func (d *decoder) u32s(into []uint32) ([]uint32, error) {
-	n, err := d.count(4)
-	if err != nil {
-		return nil, err
-	}
-	if cap(into) < n {
-		into = make([]uint32, n)
-	}
-	into = into[:n]
-	for i := range into {
-		into[i] = binary.LittleEndian.Uint32(d.buf[4*i:])
-	}
-	d.buf = d.buf[4*n:]
-	return into, nil
-}
-
-// points reads a counted point list into into's storage when it fits.
-func (d *decoder) points(into []geo.Point) ([]geo.Point, error) {
-	n, err := d.count(16)
-	if err != nil {
-		return nil, err
-	}
-	if cap(into) < n {
-		into = make([]geo.Point, n)
-	}
-	into = into[:n]
-	for i := range into {
-		b := d.buf[16*i:]
-		into[i] = geo.Point{
-			Lat: math.Float64frombits(binary.LittleEndian.Uint64(b)),
-			Lon: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-		}
-	}
-	d.buf = d.buf[16*n:]
-	return into, nil
-}
-
-// rest consumes and returns everything left.
-func (d *decoder) rest() []byte {
-	b := d.buf
-	d.buf = d.buf[len(d.buf):]
-	return b
-}
-
-// done rejects trailing bytes: a frame whose body outlasts its encoding
-// is not one this binary wrote.
-func (d *decoder) done(kind op) error {
-	if len(d.buf) != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes after a %s frame", len(d.buf), kind)
-	}
-	return nil
-}
-
-func appendU32s(dst []byte, vs []uint32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	return dst
-}
-
-func appendPoints(dst []byte, pts []geo.Point) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(pts)))
-	for _, p := range pts {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Lat))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Lon))
-	}
-	return dst
+	return d.Done(r.Kind)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -347,5 +348,47 @@ func TestSnapshotV2Fixture(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("today's snapshot of the parent's state differs from %s\ngot  %x\nwant %x", fixture, got, want)
+	}
+}
+
+// TestDecodeRejectsIntOverflow: a count or a cap past the int range is an
+// error, never narrowed to a negative int. Round-trip fuzzing cannot see
+// such a narrowing — the value re-encodes to the same bytes — and a sync
+// header claiming 2⁶³ docs once decoded as −2⁶³ of them: the replica read
+// none and installed an empty state at the primary's watermark.
+func TestDecodeRejectsIntOverflow(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<63)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		request bool
+	}{
+		{"sync header docs", cat([]byte{byte(opSync), 6}, huge), false},
+		{"query card", cat([]byte{byte(opQuery), 0}, huge, half, []byte{0}), true},
+		{"rerank limit", cat([]byte{byte(opRerank), 0, byte(rerank.DTW)}, huge, []byte{0, 0}), true},
+		{"rerank skipped", cat([]byte{byte(opRerank)}, huge, []byte{0, 0}), false},
+		{"stats docs", cat([]byte{byte(opStats), 1, 2}, huge, bytes.Repeat([]byte{0}, 15)), false},
+	} {
+		var err error
+		if tc.request {
+			_, err = decodeRequest(tc.payload)
+		} else {
+			_, err = decodeResponse(tc.payload)
+		}
+		if err == nil {
+			t.Errorf("%s of 2⁶³ decoded without error", tc.name)
+		}
+		// The same frame with a small value in its place decodes.
+		ok := bytes.Replace(tc.payload, huge, binary.AppendUvarint(nil, 5), 1)
+		if tc.request {
+			_, err = decodeRequest(ok)
+		} else {
+			_, err = decodeResponse(ok)
+		}
+		if err != nil {
+			t.Errorf("%s of 5: %v", tc.name, err)
+		}
 	}
 }

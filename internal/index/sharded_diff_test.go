@@ -353,6 +353,19 @@ func FuzzShardedSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
+	// The doc's bitmap claiming 0xbebebebe chunks: sized from that count
+	// unchecked, its load once ran the process out of memory.
+	one := NewSharded(stubExtractor{}, 1)
+	if err := one.insert(5, set, nil); err != nil {
+		f.Fatal(err)
+	}
+	var huge bytes.Buffer
+	if _, err := one.WriteTo(&huge); err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(huge.Bytes(), []byte("GDBM")) + 5 // past the bitmap's magic and version
+	copy(huge.Bytes()[at:], []byte{0xbe, 0xbe, 0xbe, 0xbe})
+	f.Add(huge.Bytes())
 	hdr := make([]byte, 9)
 	binary.LittleEndian.PutUint32(hdr[0:4], indexMagic)
 	hdr[4] = indexVersionV3

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"geodabs/internal/geo"
+	"geodabs/internal/wire"
 )
 
 // Op discriminates mutation records.
@@ -432,11 +433,11 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 // epoch, id, then for adds the card, term count, and zigzag-delta-encoded
 // terms — ascending term slices (the common case: they come from bitmap
 // iteration) cost one or two bytes per term. OpAddPoints appends the
-// point count and each point's lat/lon as raw float64 bits, so replayed
-// coordinates are bit-identical to what the coordinator shipped. The
-// cluster's mutate requests and replication events carry these same
-// bytes, so a mutation has one byte form from coordinator to log to
-// replica.
+// points in internal/wire's little-endian point form (count, then each
+// point's lat/lon as raw float64 bits), so replayed coordinates are
+// bit-identical to what the coordinator shipped. The cluster's mutate
+// requests and replication events carry these same bytes, so a mutation
+// has one byte form from coordinator to log to replica.
 func AppendRecord(buf []byte, r *Record) []byte {
 	buf = append(buf, byte(r.Op))
 	buf = binary.AppendUvarint(buf, r.Epoch)
@@ -452,95 +453,41 @@ func AppendRecord(buf []byte, r *Record) []byte {
 		}
 	}
 	if r.Op == OpAddPoints {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Points)))
-		for _, pt := range r.Points {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Lat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Lon))
-		}
+		buf = wire.AppendPoints(buf, r.Points)
 	}
 	return buf
 }
 
-// DecodeRecord inverts AppendRecord. It accepts exactly the canonical
-// forms: a delete carries no terms and an OpAdd no points, so neither
-// can be smuggled past the log.
+// DecodeRecord inverts AppendRecord, reading through internal/wire's
+// bounds-checked decoder. It accepts exactly the canonical forms: a
+// delete carries no terms and an OpAdd no points, so neither can be
+// smuggled past the log.
 func DecodeRecord(p []byte) (*Record, error) {
-	if len(p) < 1 {
-		return nil, errors.New("empty payload")
-	}
-	r := &Record{Op: Op(p[0])}
-	p = p[1:]
-	var n int
-	var v uint64
-	if v, n = binary.Uvarint(p); n <= 0 {
-		return nil, errors.New("bad epoch")
-	}
-	r.Epoch = v
-	p = p[n:]
-	if v, n = binary.Uvarint(p); n <= 0 || v > 1<<32-1 {
-		return nil, errors.New("bad id")
-	}
-	r.ID = uint32(v)
-	p = p[n:]
+	d := wire.NewDecoder(p)
+	r := &Record{Op: Op(d.Byte()), Epoch: d.Uvarint(), ID: d.Uint32("record id")}
 	switch r.Op {
 	case OpDelete:
-		if len(p) != 0 {
-			return nil, errors.New("trailing bytes in delete record")
-		}
-		return r, nil
 	case OpAdd, OpAddPoints:
+		r.Card = d.Uint32("record card")
+		// A term delta costs at least one byte: a count beyond the bytes
+		// remaining is rejected before anything is allocated from it.
+		r.Terms = make([]uint32, d.Count(1))
+		prev := int64(0)
+		for i := range r.Terms {
+			if prev += d.Varint(); prev < 0 || prev > math.MaxUint32 {
+				d.Fail(errors.New("wal: term out of range"))
+				break
+			}
+			r.Terms[i] = uint32(prev)
+		}
+		if r.Op == OpAddPoints {
+			r.Points = d.Points(nil)
+		}
 	default:
-		return nil, fmt.Errorf("unknown record op %d", r.Op)
+		d.Fail(fmt.Errorf("wal: unknown record op %d", r.Op))
 	}
-	if v, n = binary.Uvarint(p); n <= 0 || v > 1<<32-1 {
-		return nil, errors.New("bad card")
-	}
-	r.Card = uint32(v)
-	p = p[n:]
-	if v, n = binary.Uvarint(p); n <= 0 {
-		return nil, errors.New("bad term count")
-	}
-	count := v
-	p = p[n:]
-	// A term delta costs at least one byte, so a count beyond the bytes
-	// remaining is corrupt — reject before allocating from it.
-	if count > uint64(len(p)) {
-		return nil, errors.New("implausible term count")
-	}
-	r.Terms = make([]uint32, 0, count)
-	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		d, n := binary.Varint(p)
-		if n <= 0 {
-			return nil, errors.New("bad term delta")
-		}
-		p = p[n:]
-		prev += d
-		if prev < 0 || prev > 1<<32-1 {
-			return nil, errors.New("term out of range")
-		}
-		r.Terms = append(r.Terms, uint32(prev))
-	}
-	if r.Op == OpAddPoints {
-		if v, n = binary.Uvarint(p); n <= 0 {
-			return nil, errors.New("bad point count")
-		}
-		p = p[n:]
-		// Each point is exactly 16 bytes, so the remaining length pins the
-		// count — reject before allocating from a corrupt prefix.
-		if v != uint64(len(p))/16 || uint64(len(p))%16 != 0 {
-			return nil, errors.New("implausible point count")
-		}
-		r.Points = make([]geo.Point, 0, v)
-		for i := uint64(0); i < v; i++ {
-			lat := math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
-			lon := math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
-			p = p[16:]
-			r.Points = append(r.Points, geo.Point{Lat: lat, Lon: lon})
-		}
-	}
-	if len(p) != 0 {
-		return nil, errors.New("trailing bytes in add record")
+	if err := d.Done("record"); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -5,7 +5,10 @@
 // docs/protocol.md; this package is its single Go implementation, so the
 // two sides can never disagree on the bytes. Its Conn is the one framed
 // connection that the client, the server and the cluster's internal
-// coordinator↔node protocol all read and write through.
+// coordinator↔node protocol all read and write through; its Decoder the
+// one bounds-checked reader of their payloads and of the write-ahead
+// log's records; its Pool the one pooled request/reply call of the client
+// and of the coordinator.
 //
 // # Framing
 //
@@ -302,14 +305,14 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		dst = appendTerms(dst, req.Terms)
 	case OpSearch:
 		dst = appendSearchParams(dst, req)
-		dst = appendPoints(dst, req.Points)
+		dst = appendPointsBE(dst, req.Points)
 	case OpSearchRerank:
 		dst = appendSearchParams(dst, req)
 		dst = append(dst, req.Metric)
-		dst = appendPoints(dst, req.Points)
+		dst = appendPointsBE(dst, req.Points)
 	case OpUpsert:
 		dst = binary.AppendUvarint(dst, uint64(req.TrajID))
-		dst = appendPoints(dst, req.Points)
+		dst = appendPointsBE(dst, req.Points)
 	case OpDelete:
 		dst = binary.AppendUvarint(dst, uint64(req.TrajID))
 	}
@@ -338,7 +341,7 @@ func appendTerms(dst []byte, terms []uint32) []byte {
 	return dst
 }
 
-func appendPoints(dst []byte, pts []Point) []byte {
+func appendPointsBE(dst []byte, pts []Point) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	for _, p := range pts {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Lat))
@@ -347,208 +350,80 @@ func appendPoints(dst []byte, pts []Point) []byte {
 	return dst
 }
 
-// decoder walks a payload with bounds checking.
-type decoder struct {
-	buf []byte
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-// uint32 reads a varint that must fit 32 bits: narrowing it unchecked
-// would alias an out-of-range id onto a real one.
-func (d *decoder) uint32(what string) (uint32, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("wire: %s %d overflows uint32", what, v)
-	}
-	return uint32(v), nil
-}
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, ErrTruncated
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *decoder) float64() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || len(d.buf) < n {
-		return nil, ErrTruncated
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b, nil
-}
-
-// maxCount bounds decoded element counts by what the remaining payload
-// could possibly hold, so a hostile count cannot force a huge allocation
-// before the truncation is noticed.
-func (d *decoder) maxCount(claimed uint64, minElemBytes int) (int, error) {
-	if claimed > uint64(len(d.buf)/minElemBytes)+1 {
-		return 0, ErrTruncated
-	}
-	return int(claimed), nil
-}
-
 // DecodeRequest parses a request payload produced by AppendRequest.
 func DecodeRequest(payload []byte) (*Request, error) {
-	d := decoder{buf: payload}
-	v, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if v != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, Version)
-	}
-	opb, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{Op: Op(opb)}
-	if req.ID, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if req.DeadlineMS, err = d.uvarint(); err != nil {
-		return nil, err
-	}
+	d := NewDecoder(payload)
+	decodeVersion(&d)
+	req := &Request{Op: Op(d.Byte()), ID: d.Uvarint(), DeadlineMS: d.Uvarint()}
 	switch req.Op {
 	case OpPing:
 	case OpSearchFP:
-		if err := decodeSearchParams(&d, req); err != nil {
-			return nil, err
-		}
-		if req.Terms, err = decodeTerms(&d); err != nil {
-			return nil, err
-		}
+		decodeSearchParams(&d, req)
+		req.Terms = decodeTerms(&d)
 	case OpSearch:
-		if err := decodeSearchParams(&d, req); err != nil {
-			return nil, err
-		}
-		if req.Points, err = decodePoints(&d); err != nil {
-			return nil, err
-		}
+		decodeSearchParams(&d, req)
+		req.Points = decodePointsBE(&d)
 	case OpSearchRerank:
-		if err := decodeSearchParams(&d, req); err != nil {
-			return nil, err
+		decodeSearchParams(&d, req)
+		if req.Metric = d.Byte(); req.Metric != MetricDTW && req.Metric != MetricDFD {
+			d.Fail(fmt.Errorf("wire: unknown rerank metric %d", req.Metric))
 		}
-		if req.Metric, err = d.byte(); err != nil {
-			return nil, err
-		}
-		if req.Metric != MetricDTW && req.Metric != MetricDFD {
-			return nil, fmt.Errorf("wire: unknown rerank metric %d", req.Metric)
-		}
-		if req.Points, err = decodePoints(&d); err != nil {
-			return nil, err
-		}
+		req.Points = decodePointsBE(&d)
 	case OpUpsert:
-		if req.TrajID, err = d.uint32("trajectory id"); err != nil {
-			return nil, err
-		}
-		if req.Points, err = decodePoints(&d); err != nil {
-			return nil, err
-		}
+		req.TrajID = d.Uint32("trajectory id")
+		req.Points = decodePointsBE(&d)
 	case OpDelete:
-		if req.TrajID, err = d.uint32("trajectory id"); err != nil {
-			return nil, err
-		}
+		req.TrajID = d.Uint32("trajectory id")
 	default:
-		return nil, fmt.Errorf("wire: unknown op %d", opb)
+		d.Fail(fmt.Errorf("wire: unknown op %d", req.Op))
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s request", len(d.buf), req.Op)
+	if err := d.Done(req.Op); err != nil {
+		return nil, err
 	}
 	return req, nil
 }
 
-func decodeSearchParams(d *decoder, req *Request) error {
-	var err error
-	if req.MaxDistance, err = d.float64(); err != nil {
-		return err
+// decodeVersion reads the version byte every payload opens with.
+func decodeVersion(d *Decoder) {
+	if v := d.Byte(); v != Version {
+		d.Fail(fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, Version))
 	}
-	limit, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	knn, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+}
+
+func decodeSearchParams(d *Decoder, req *Request) {
+	req.MaxDistance = d.F64BE()
+	limit, knn := d.Uvarint(), d.Uvarint()
 	if limit > math.MaxInt32 || knn > math.MaxInt32 {
-		return fmt.Errorf("wire: limit/knn out of range")
+		d.Fail(errors.New("wire: limit/knn out of range"))
 	}
 	req.Limit, req.KNN = int(limit), int(knn)
-	return nil
 }
 
-func decodeTerms(d *decoder) ([]uint32, error) {
-	claimed, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.maxCount(claimed, 1)
-	if err != nil {
-		return nil, err
-	}
-	terms := make([]uint32, n)
+func decodeTerms(d *Decoder) []uint32 {
+	terms := make([]uint32, d.Count(1))
 	prev := uint64(0)
 	for i := range terms {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		v := d.Uvarint()
 		if i > 0 && v == 0 {
-			return nil, fmt.Errorf("wire: zero term delta (set not strictly ascending)")
+			d.Fail(errors.New("wire: zero term delta (set not strictly ascending)"))
+			break
 		}
 		if v > math.MaxUint32-prev { // before the add: a huge delta must not wrap uint64
-			return nil, fmt.Errorf("wire: term overflows uint32")
+			d.Fail(errors.New("wire: term overflows uint32"))
+			break
 		}
-		v += prev
-		terms[i] = uint32(v)
-		prev = v
+		prev += v
+		terms[i] = uint32(prev)
 	}
-	return terms, nil
+	return terms
 }
 
-func decodePoints(d *decoder) ([]Point, error) {
-	claimed, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.maxCount(claimed, 16)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Point, n)
+func decodePointsBE(d *Decoder) []Point {
+	pts := make([]Point, d.Count(16))
 	for i := range pts {
-		if pts[i].Lat, err = d.float64(); err != nil {
-			return nil, err
-		}
-		if pts[i].Lon, err = d.float64(); err != nil {
-			return nil, err
-		}
+		pts[i] = Point{Lat: d.F64BE(), Lon: d.F64BE()}
 	}
-	return pts, nil
+	return pts
 }
 
 // AppendResponse encodes a response payload (without framing) onto dst.
@@ -576,63 +451,24 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 
 // DecodeResponse parses a response payload produced by AppendResponse.
 func DecodeResponse(payload []byte) (*Response, error) {
-	d := decoder{buf: payload}
-	v, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if v != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, v, Version)
-	}
-	st, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{Status: Status(st)}
-	if resp.ID, err = d.uvarint(); err != nil {
-		return nil, err
-	}
+	d := NewDecoder(payload)
+	decodeVersion(&d)
+	resp := &Response{Status: Status(d.Byte()), ID: d.Uvarint()}
 	switch resp.Status {
 	case StatusOK:
-		claimed, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := d.maxCount(claimed, 10)
-		if err != nil {
-			return nil, err
-		}
-		resp.Hits = make([]Hit, n)
+		resp.Hits = make([]Hit, d.Count(10))
 		for i := range resp.Hits {
-			if resp.Hits[i].ID, err = d.uint32("hit id"); err != nil {
-				return nil, err
-			}
-			if resp.Hits[i].Distance, err = d.float64(); err != nil {
-				return nil, err
-			}
-			if resp.Hits[i].Shared, err = d.uint32("hit shared count"); err != nil {
-				return nil, err
-			}
+			resp.Hits[i] = Hit{ID: d.Uint32("hit id"), Distance: d.F64BE(), Shared: d.Uint32("hit shared count")}
 		}
 		s := &resp.Stats
 		for _, p := range [...]*uint64{&s.Candidates, &s.Pruned, &s.NodePruned, &s.WirePartials, &s.Shards, &s.Nodes, &s.ElapsedUS} {
-			if *p, err = d.uvarint(); err != nil {
-				return nil, err
-			}
+			*p = d.Uvarint()
 		}
 	default:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		msg, err := d.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		resp.Message = string(msg)
+		resp.Message = string(d.Bytes())
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after response", len(d.buf))
+	if err := d.Done("response"); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
