@@ -73,16 +73,17 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 }
 
 // TestExactDistanceZeroAlloc pins the exact-distance kernel the same way:
-// prepared points and both rows of the dynamic program come from a pooled
-// scratch, so once it is warm neither the unbounded metrics nor a call
-// under a bar — kept or abandoned — touch the heap.
+// prepared points, both rows of the dynamic program and a guided call's
+// completion table come from a pooled scratch, so once it is warm neither
+// the unbounded metrics nor a call under a bar — kept or abandoned —
+// touch the heap.
 func TestExactDistanceZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	qs := benchWorkload().Queries
 	p, q := clip(qs[0].Points, 200), clip(qs[1].Points, 150)
-	exact := geodabs.DTW(p, q)
+	exact, leash := geodabs.DTW(p, q), geodabs.DFD(p, q)
 	cases := []struct {
 		name string
 		run  func()
@@ -91,6 +92,7 @@ func TestExactDistanceZeroAlloc(t *testing.T) {
 		{"DFD", func() { geodabs.DFD(p, q) }},
 		{"DTWWithin/kept", func() { distance.DTWWithin(p, q, exact) }},
 		{"DTWWithin/abandoned", func() { distance.DTWWithin(p, q, exact/2) }},
+		{"DFDWithin/kept", func() { distance.DFDWithin(p, q, leash) }},
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range cases {

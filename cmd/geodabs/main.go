@@ -296,7 +296,7 @@ func clusterStats(nodeSpec, replicaSpec string) error {
 		if s.RetainedDocs > 0 || s.RerankScored > 0 || s.RerankSkipped > 0 {
 			fmt.Printf("  retained points: %d trajectories, %d points (%d bytes)\n",
 				s.RetainedDocs, s.RetainedPoints, s.RetainedBytes)
-			fmt.Printf("  rerank: %d candidates scored, %d proved out of the top-k unscored (lower bound or abandoned at the bar)\n",
+			fmt.Printf("  rerank: %d candidates scored, %d proved out of the top-k unscored (chord-cost bound or abandoned at the bar)\n",
 				s.RerankScored, s.RerankSkipped)
 		}
 		for _, r := range s.Replicas {

@@ -293,7 +293,7 @@ func clusterCollector(cl *geodabs.Cluster) func(w *strings.Builder) {
 		for _, s := range stats {
 			fmt.Fprintf(w, "geodabsd_node_rerank_scored_total{node=\"%d\"} %d\n", s.Node, s.RerankScored)
 		}
-		w.WriteString("# HELP geodabsd_node_rerank_lb_skipped_total Rerank candidates the node proved outside the requested top-k without an exact score: by the lower bound, or by abandoning the dynamic program at the bar.\n# TYPE geodabsd_node_rerank_lb_skipped_total counter\n")
+		w.WriteString("# HELP geodabsd_node_rerank_lb_skipped_total Rerank candidates the node proved outside the requested top-k without an exact score: by the chord-cost bound on every alignment, before any exact cell, or part-way through the dynamic program at the bar.\n# TYPE geodabsd_node_rerank_lb_skipped_total counter\n")
 		for _, s := range stats {
 			fmt.Fprintf(w, "geodabsd_node_rerank_lb_skipped_total{node=\"%d\"} %d\n", s.Node, s.RerankSkipped)
 		}

@@ -49,17 +49,14 @@ import (
 // checkRecord keeps termless adds out, so nil terms mean nothing else.
 //
 // When this node is the trajectory's point owner under point retention,
-// points holds the raw trajectory and box its precomputed bounding box
-// (the O(1) input of the rerank lower bound). Both are replaced
-// wholesale by a newer mutation and never mutated in place, so a rerank
-// can snapshot the slice headers under the read lock and score outside
-// it.
+// points holds the raw trajectory. It is replaced wholesale by a newer
+// mutation and never mutated in place, so a rerank can snapshot the slice
+// header under the read lock and score outside it.
 type nodeDoc struct {
 	terms  []uint32
 	card   int
 	epoch  uint64
 	points []geo.Point
-	box    geo.Box
 }
 
 // nodeOptions is the resolved StartNode option set.
@@ -173,8 +170,8 @@ type Node struct {
 
 	// Rerank counters, over the node's lifetime: candidates whose exact
 	// score was computed, and candidates proved outside the top limit
-	// without it — by the lower bound, or by the bounded kernel
-	// abandoning their dynamic program part-way.
+	// without it — by the bounded kernel's chord-cost pass, or by its
+	// dynamic program abandoned part-way.
 	rerankScored  atomic.Uint64
 	rerankSkipped atomic.Uint64
 
@@ -222,7 +219,7 @@ func (s *shardState) install(rec *wal.Record) error {
 		s.tombstones[rec.ID] = struct{}{}
 		return nil
 	}
-	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points, box: geo.NewBox(rec.Points...)}
+	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points}
 	for _, term := range rec.Terms {
 		p, ok := s.postings[term]
 		if !ok {
@@ -578,7 +575,7 @@ func (n *Node) apply(rec *wal.Record) {
 		}
 		p.Add(rec.ID)
 	}
-	n.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points, box: geo.NewBox(rec.Points...)}
+	n.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points}
 }
 
 // stripLocked removes the doc's postings from the term bitmaps,
@@ -786,10 +783,9 @@ func cardWindow(req *queryRequest) (minCard, maxCard int) {
 // headers are safe to score outside it because applied mutations replace
 // a doc's point slice wholesale, never mutate it — and scored by
 // rerank.Score against the bar of the node's own top-Limit: what its
-// lower bound or its abandoned dynamic program proves above the bar is
-// skipped, everything else is returned with its exact score, so the
-// coordinator's merge stays byte-identical to scoring the whole
-// shortlist.
+// bounded dynamic program proves above the bar is skipped, everything
+// else is returned with its exact score, so the coordinator's merge
+// stays byte-identical to scoring the whole shortlist.
 func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 	cands := make([]rerank.Candidate, 0, len(req.IDs))
 	var missing []uint32
@@ -800,7 +796,7 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 			missing = append(missing, id)
 			continue
 		}
-		cands = append(cands, rerank.Candidate{ID: id, Points: doc.points, Box: doc.box})
+		cands = append(cands, rerank.Candidate{ID: id, Points: doc.points})
 	}
 	n.mu.RUnlock()
 	if len(missing) > 0 {

@@ -45,7 +45,7 @@ func dfdBrute(p, q []geo.Point) float64 {
 		case j == 0:
 			v = math.Max(rec(i-1, 0), d)
 		default:
-			v = math.Max(min3(rec(i-1, j), rec(i, j-1), rec(i-1, j-1)), d)
+			v = math.Max(math.Min(rec(i-1, j), math.Min(rec(i, j-1), rec(i-1, j-1))), d)
 		}
 		memo[[2]int{i, j}] = v
 		return v
@@ -67,7 +67,7 @@ func dtwBrute(p, q []geo.Point) float64 {
 		if v, ok := memo[[2]int{i, j}]; ok {
 			return v
 		}
-		v := geo.Haversine(p[i-1], q[j-1]) + min3(rec(i-1, j), rec(i, j-1), rec(i-1, j-1))
+		v := geo.Haversine(p[i-1], q[j-1]) + math.Min(rec(i-1, j), math.Min(rec(i, j-1), rec(i-1, j-1)))
 		memo[[2]int{i, j}] = v
 		return v
 	}
@@ -84,21 +84,32 @@ func pairs(rng *rand.Rand, rounds int, f func(p, q []geo.Point)) {
 		p := randomWalk(rng, 1+rng.Intn(size))
 		q := randomWalk(rng, 1+rng.Intn(size))
 		if round%2 == 1 {
-			q = noisyCopy(rng, p, 1+rng.Intn(size))
+			q = noisyCopy(rng, p, 1+rng.Intn(size), 5)
 		}
 		f(p, q)
 	}
 }
 
-// noisyCopy resamples route at n points with a few meters of jitter: the
-// same road driven again.
-func noisyCopy(rng *rand.Rand, route []geo.Point, n int) []geo.Point {
+// noisyCopy resamples route at n points, each moved up to noise meters
+// north and east: the same road driven again.
+func noisyCopy(rng *rand.Rand, route []geo.Point, n int, noise float64) []geo.Point {
 	out := make([]geo.Point, n)
 	for i := range out {
 		at := route[i*len(route)/n]
-		out[i] = geo.Offset(at, rng.Float64()*10-5, rng.Float64()*10-5)
+		out[i] = geo.Offset(at, (rng.Float64()*2-1)*noise, (rng.Float64()*2-1)*noise)
 	}
 	return out
+}
+
+// crossesAntimeridian reports whether some step of pts jumps between the
+// eastern and western ends of the longitude range.
+func crossesAntimeridian(pts []geo.Point) bool {
+	for i := 1; i < len(pts); i++ {
+		if math.Abs(pts[i].Lon-pts[i-1].Lon) > 180 {
+			return true
+		}
+	}
+	return false
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -134,11 +145,13 @@ var metrics = []struct {
 // checkWithin is the kernel's whole contract on one input: a kept score
 // is the textbook's float, an abandoned pair really lies strictly above
 // the bar, a bar equal to the score keeps it, and the upper bound is one.
+// A bar 1% above the score is always tried too: the guided program's
+// tightest case, where most cells are proved dead before being computed.
 func checkWithin(t *testing.T, p, q []geo.Point, bars ...float64) {
 	t.Helper()
 	for _, m := range metrics {
 		want := m.brute(p, q)
-		for _, bar := range append(bars, want) {
+		for _, bar := range append(bars, want, want*1.01) {
 			got, ok := m.within(p, q, bar)
 			switch {
 			case ok && !sameBits(got, want):
@@ -156,36 +169,60 @@ func checkWithin(t *testing.T, p, q []geo.Point, bars ...float64) {
 }
 
 // TestWithinMatchesBruteForce sweeps the bar across each pair's own score
-// range, so bands of every width — none, a sliver, everything — occur.
+// range, so bands of every width — none, a sliver, everything — occur. Two
+// pairs are added by hand: a 150-point walk against its 20 m noisy copy —
+// the shape of a reranked shortlist's winners — and a walk across the
+// antimeridian, where longitudes jump by 360° between neighbours.
 func TestWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	pairs(rng, 24, func(p, q []geo.Point) {
+	check := func(p, q []geo.Point) {
 		dtw, dfd := DTW(p, q), DFD(p, q)
 		checkWithin(t, p, q, -1, 0, math.Inf(1),
 			dfd/2, math.Nextafter(dfd, 0), dfd*(1+rng.Float64()), DFDUpper(p, q),
 			dtw/2, math.Nextafter(dtw, 0), dtw*(1+rng.Float64()/10), DTWUpper(p, q))
-	})
+	}
+	pairs(rng, 24, check)
+	walk := randomWalk(rng, 150)
+	check(walk, noisyCopy(rng, walk, 150, 20))
+	east := make([]geo.Point, 120)
+	for i, at := 0, (geo.Point{Lat: -16.8, Lon: 179.995}); i < len(east); i++ {
+		at = geo.Offset(at, rng.Float64()*40-20, rng.Float64()*30)
+		east[i] = at
+	}
+	if !crossesAntimeridian(east) {
+		t.Fatal("the antimeridian walk stays on one side")
+	}
+	check(east, noisyCopy(rng, east, 90, 5))
 }
 
 // FuzzWithin drives checkWithin from fuzzed trajectory shapes — two walks
-// from one seed, or a walk and its noisy copy — under a fuzzed bar, and
-// under one a fuzzed fraction of the way up to each upper bound, where
-// the band is neither empty nor everything.
+// from one seed, or a walk and its noisy copy, starting at a fuzzed point
+// with fuzzed noise — under a fuzzed bar, and under one a fuzzed fraction
+// of the way up to each upper bound, where the band is neither empty nor
+// everything.
 func FuzzWithin(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(10), false, 100.0, uint8(128))
-	f.Add(int64(2), uint8(40), uint8(3), true, 0.0, uint8(255))
-	f.Add(int64(3), uint8(1), uint8(90), false, -5.0, uint8(0))
-	f.Add(int64(4), uint8(200), uint8(180), true, 2500.0, uint8(40))
-	f.Add(int64(5), uint8(7), uint8(7), true, math.Inf(1), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, n, m uint8, copied bool, bar float64, frac uint8) {
+	f.Add(int64(1), uint8(10), uint8(10), false, 100.0, uint8(128), 51.5, -0.12, 5.0)
+	f.Add(int64(2), uint8(40), uint8(3), true, 0.0, uint8(255), 51.5, -0.12, 5.0)
+	f.Add(int64(3), uint8(1), uint8(90), false, -5.0, uint8(0), 51.5, -0.12, 5.0)
+	f.Add(int64(4), uint8(200), uint8(180), true, 2500.0, uint8(40), 51.5, -0.12, 5.0)
+	f.Add(int64(5), uint8(7), uint8(7), true, math.Inf(1), uint8(200), 51.5, -0.12, 5.0)
+	// A reranked winner: 150 points against their 20 m noisy copy, with
+	// checkWithin's bar 1% above the score.
+	f.Add(int64(6), uint8(149), uint8(149), true, 0.0, uint8(0), 51.5, -0.12, 20.0)
+	// A walk across the antimeridian.
+	f.Add(int64(7), uint8(120), uint8(90), true, 1e5, uint8(100), -16.8, 179.9999, 5.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint8, copied bool, bar float64, frac uint8, lat, lon, noise float64) {
 		if math.IsNaN(bar) {
 			t.Skip("a NaN bar orders nothing")
 		}
+		if !(math.Abs(lat) <= 90 && math.Abs(lon) <= 180 && math.Abs(noise) <= 1000) {
+			t.Skip("not a start point on the globe, or noise beyond a kilometre")
+		}
 		rng := rand.New(rand.NewSource(seed))
-		p := randomWalk(rng, 1+int(n))
-		q := randomWalk(rng, 1+int(m))
+		p := walkFrom(rng, geo.Point{Lat: lat, Lon: lon}, 1+int(n))
+		q := walkFrom(rng, geo.Point{Lat: lat, Lon: lon}, 1+int(m))
 		if copied {
-			q = noisyCopy(rng, p, 1+int(m))
+			q = noisyCopy(rng, p, 1+int(m), noise)
 		}
 		part := float64(frac) / 255
 		checkWithin(t, p, q, bar, part*DTWUpper(p, q), part*DFDUpper(p, q))
@@ -193,13 +230,131 @@ func FuzzWithin(f *testing.F) {
 }
 
 func randomWalk(rng *rand.Rand, n int) []geo.Point {
-	p := geo.Point{Lat: 51.5, Lon: -0.12}
+	return walkFrom(rng, geo.Point{Lat: 51.5, Lon: -0.12}, n)
+}
+
+// walkFrom returns n points, the first within 50 m of start, each next
+// within 50 m of the last, north and east.
+func walkFrom(rng *rand.Rand, p geo.Point, n int) []geo.Point {
 	out := make([]geo.Point, n)
 	for i := range out {
 		p = geo.Offset(p, rng.Float64()*100-50, rng.Float64()*100-50)
 		out[i] = p
 	}
 	return out
+}
+
+// TestCompletionsMatchBruteForce pins the guide table to its definition:
+// under any bar, an entry whose cheapest chord-cost completion is at or
+// under the bar holds that completion's float, computed by the textbook
+// recursion, and every other entry lies above the bar.
+func TestCompletionsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	pairs(rng, 18, func(p, q []geo.Point) {
+		if len(q) > len(p) {
+			p, q = q, p
+		}
+		for _, leash := range []bool{false, true} {
+			want := completionsBrute(p, q, leash)
+			n, m := len(p), len(q)
+			for _, bar := range []float64{math.Inf(1), want[0][0], want[0][0] * 2, want[0][0] / 2, want[n/2][m/2]} {
+				s := &scratch{p: appendRad(nil, p), q: appendRad(nil, q)}
+				if ok := s.completions(bar, leash); ok != !(want[0][0] > bar) {
+					t.Fatalf("leash %v bar %v: completions = %v, G(0, 0) = %v", leash, bar, ok, want[0][0])
+				}
+				if want[0][0] > bar {
+					continue // the table may be part-written
+				}
+				for i := range n {
+					for j := range m {
+						got, w := s.g[i*(m+1)+j], want[i][j]
+						if w <= bar && !sameBits(got, w) || w > bar && !(got > bar) {
+							t.Fatalf("leash %v bar %v: G(%d, %d) = %v, textbook %v (|p|=%d |q|=%d)", leash, bar, i, j, got, w, n, m)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// completionsBrute is the textbook recursion for the guide table: the
+// cheapest chord cost from (i, j) through (n−1, m−1), the cell's own pair
+// included.
+func completionsBrute(p, q []geo.Point, leash bool) [][]float64 {
+	n, m := len(p), len(q)
+	g := make([][]float64, n+1)
+	for i := range g {
+		g[i] = make([]float64, m+1)
+		for j := range g[i] {
+			g[i][j] = math.Inf(1)
+		}
+	}
+	g[n][m] = 0
+	for i := n - 1; i >= 0; i-- {
+		for j := m - 1; j >= 0; j-- {
+			d := chord(toUnit(toRad(p[i])), toUnit(toRad(q[j])))
+			g[i][j] = step(math.Min(g[i+1][j], math.Min(g[i][j+1], g[i+1][j+1])), d, leash)
+		}
+	}
+	return g
+}
+
+// TestWithinOverTheCellCap: a pair whose completion table would exceed
+// maxGuidedCells runs unguided, and still keeps exactly the unbounded
+// metric's float and abandons a pair over its bar.
+func TestWithinOverTheCellCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := randomWalk(rng, 1100)
+	q := noisyCopy(rng, p, 1000, 20)
+	if (len(p)+1)*(len(q)+1) <= maxGuidedCells {
+		t.Fatal("the pair fits the cell cap")
+	}
+	for _, m := range []struct {
+		name      string
+		within    func(p, q []geo.Point, bar float64) (float64, bool)
+		unbounded func(p, q []geo.Point) float64
+	}{{"DTW", DTWWithin, DTW}, {"DFD", DFDWithin, DFD}} {
+		want := m.unbounded(p, q)
+		if got, ok := m.within(p, q, want*1.01); !ok || !sameBits(got, want) {
+			t.Errorf("%sWithin = (%v, %v), %s = %v", m.name, got, ok, m.name, want)
+		}
+		if _, ok := m.within(p, q, want/2); ok {
+			t.Errorf("%sWithin kept a pair at twice its bar", m.name)
+		}
+	}
+}
+
+// FuzzChordBound checks that the guide's cost never exceeds the ground
+// distance it stands in for, in float64, for any pair of points.
+func FuzzChordBound(f *testing.F) {
+	london := geo.Point{Lat: 51.5, Lon: -0.12}
+	for _, pair := range [][2]geo.Point{
+		{london, london},                      // a duplicate point
+		{london, geo.Offset(london, 1e-6, 0)}, // a micrometre north
+		{london, geo.Offset(london, 0, 1e-6)}, // a micrometre east
+		{{Lat: 10, Lon: 179.9999}, {Lat: 10, Lon: -179.9999}},
+		{{Lat: 0, Lon: 180}, geo.Offset(geo.Point{Lat: 0, Lon: 180}, 0, 1e-6)},
+		{{Lat: 89.9999, Lon: 0}, {Lat: 89.9999, Lon: 180}},
+		{{Lat: 90, Lon: 0}, {Lat: 90, Lon: 135}},
+		{{Lat: -89.999999, Lon: 10}, geo.Offset(geo.Point{Lat: -89.999999, Lon: 10}, 1e-6, 0)},
+		{{Lat: 0, Lon: 0}, {Lat: 0, Lon: 180}}, // antipodes
+		{{Lat: 45, Lon: 10}, {Lat: -45, Lon: -170}},
+		{{Lat: 90, Lon: 0}, {Lat: -90, Lon: 0}},
+	} {
+		f.Add(pair[0].Lat, pair[0].Lon, pair[1].Lat, pair[1].Lon)
+	}
+	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
+		for _, v := range [][2]float64{{lat1, 90}, {lon1, 180}, {lat2, 90}, {lon2, 180}} {
+			if !(math.Abs(v[0]) <= v[1]) {
+				t.Skip("not a point on the globe")
+			}
+		}
+		a, b := toRad(geo.Point{Lat: lat1, Lon: lon1}), toRad(geo.Point{Lat: lat2, Lon: lon2})
+		if c, g := chord(toUnit(a), toUnit(b)), ground(a, b); !(c <= g) {
+			t.Fatalf("chord %v above ground %v for (%v, %v)–(%v, %v)", c, g, lat1, lon1, lat2, lon2)
+		}
+	})
 }
 
 func TestIdenticalTrajectoriesAreAtZero(t *testing.T) {
@@ -285,6 +440,22 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestNaNPointPoisonsTheScore: a NaN coordinate makes every alignment's
+// cost NaN, and the guided pass, whose comparisons all fail on NaN, must
+// neither panic nor invent a finite score.
+func TestNaNPointPoisonsTheScore(t *testing.T) {
+	p := line(20, 10)
+	q := shifted(p, 30)
+	p[7].Lat = math.NaN()
+	for _, m := range metrics {
+		for _, bar := range []float64{0, 1e4, math.Inf(1)} {
+			if got, ok := m.within(p, q, bar); ok && !math.IsNaN(got) {
+				t.Errorf("%sWithin(bar %v) = %v, want NaN or abandoned", m.name, bar, got)
+			}
+		}
+	}
+}
+
 func TestMismatchedLengths(t *testing.T) {
 	// A single point against a line: DFD is the max distance to the point,
 	// DTW the sum.
@@ -347,6 +518,22 @@ func BenchmarkDTWWithin1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := DTWWithin(p, q, bar); ok {
 			b.Fatal("kept a pair ten times over the bar")
+		}
+	}
+}
+
+// BenchmarkDTWWithinNoisyCopy is a reranked winner: a 150-point walk
+// against its 20 m noisy copy under a bar 1% above their score, where the
+// score must be computed exactly and only the guide can skip cells.
+func BenchmarkDTWWithinNoisyCopy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p := randomWalk(rng, 150)
+	q := noisyCopy(rng, p, 150, 20)
+	bar := 1.01 * DTW(p, q)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := DTWWithin(p, q, bar); !ok {
+			b.Fatal("abandoned a pair under its bar")
 		}
 	}
 }

@@ -187,56 +187,6 @@ func (b Box) Intersects(o Box) bool {
 		b.MinLon <= o.MaxLon && o.MinLon <= b.MaxLon
 }
 
-// MinDistance returns a lower bound, in meters, on the ground distance
-// between any point of b and any point of o. It returns 0 when the boxes
-// intersect. It is used to prune motif candidates (BTM baseline), so it
-// must never exceed the true minimum distance.
-//
-// The bound follows from the haversine identity
-//
-//	hav(σ) = hav(Δφ) + cos(φ1)·cos(φ2)·hav(Δλ)
-//
-// with Δφ replaced by the latitude gap between the boxes, Δλ by the
-// longitude gap, and cos(φ1)·cos(φ2) by cos²(φm), where φm is the largest
-// absolute latitude reachable in either box (cos is minimized there).
-func (b Box) MinDistance(o Box) float64 {
-	if b.Empty() || o.Empty() {
-		return math.Inf(1)
-	}
-	latGap := gap(b.MinLat, b.MaxLat, o.MinLat, o.MaxLat)
-	lonGap := gap(b.MinLon, b.MaxLon, o.MinLon, o.MaxLon)
-	// The boxes may also be adjacent across the antimeridian.
-	if wrap := 360 - (math.Max(b.MaxLon, o.MaxLon) - math.Min(b.MinLon, o.MinLon)); wrap > 0 && wrap < lonGap {
-		lonGap = wrap
-	}
-	if latGap == 0 && lonGap == 0 {
-		return 0
-	}
-	maxAbsLat := math.Max(
-		math.Max(math.Abs(b.MinLat), math.Abs(b.MaxLat)),
-		math.Max(math.Abs(o.MinLat), math.Abs(o.MaxLat)),
-	)
-	sinLat := math.Sin(latGap / 2 * math.Pi / 180)
-	sinLon := math.Sin(lonGap/2*math.Pi/180) * math.Cos(maxAbsLat*math.Pi/180)
-	h := sinLat*sinLat + sinLon*sinLon
-	if h > 1 {
-		h = 1
-	}
-	return 2 * EarthRadius * math.Asin(math.Sqrt(h))
-}
-
-// gap returns the separation between the intervals [aLo, aHi] and
-// [bLo, bHi], or 0 when they overlap.
-func gap(aLo, aHi, bLo, bHi float64) float64 {
-	if g := bLo - aHi; g > 0 {
-		return g
-	}
-	if g := aLo - bHi; g > 0 {
-		return g
-	}
-	return 0
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

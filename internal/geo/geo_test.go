@@ -220,56 +220,8 @@ func TestBoxIntersects(t *testing.T) {
 	}
 }
 
-func TestBoxMinDistance(t *testing.T) {
-	a := NewBox(Point{0, 0}, Point{1, 1})
-	if d := a.MinDistance(NewBox(Point{0.5, 0.5})); d != 0 {
-		t.Errorf("intersecting boxes should have distance 0, got %v", d)
-	}
-	// Box one degree of longitude east of a, on the equator. The true
-	// minimum is one degree along the parallel at latitude 1° (the bound
-	// may be smaller, never larger).
-	b := NewBox(Point{0, 2}, Point{1, 3})
-	want := Haversine(Point{1, 1}, Point{1, 2})
-	d := a.MinDistance(b)
-	if d > want+1e-6 {
-		t.Errorf("MinDistance = %.1f exceeds true minimum %.1f", d, want)
-	}
-	if d < want*0.99 {
-		t.Errorf("MinDistance = %.1f is needlessly loose (true minimum %.1f)", d, want)
-	}
-	if d := (Box{}).MinDistance(a); !math.IsInf(d, 1) {
-		t.Errorf("empty box MinDistance = %v, want +Inf", d)
-	}
-}
-
-// TestBoxMinDistanceIsLowerBound checks the pruning property used by the
-// motif baseline: the box distance never exceeds the true distance between
-// points contained in the boxes.
-func TestBoxMinDistanceIsLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 300; i++ {
-		p1, p2 := randNearPoint(rng), randNearPoint(rng)
-		q1, q2 := randNearPoint(rng), randNearPoint(rng)
-		a, b := NewBox(p1, p2), NewBox(q1, q2)
-		bound := a.MinDistance(b)
-		for _, p := range []Point{p1, p2} {
-			for _, q := range []Point{q1, q2} {
-				if d := Haversine(p, q); d < bound-1e-6 {
-					t.Fatalf("bound %.3f exceeds true distance %.3f", bound, d)
-				}
-			}
-		}
-	}
-}
-
 func randPoint(rng *rand.Rand) Point {
 	return Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
-}
-
-// randNearPoint samples points in a mid-latitude band where equirectangular
-// box bounds behave well (the generator and datasets live there too).
-func randNearPoint(rng *rand.Rand) Point {
-	return Point{Lat: rng.Float64()*20 + 40, Lon: rng.Float64()*20 - 10}
 }
 
 func randomPointPair(values []reflect.Value, rng *rand.Rand) {

@@ -6,12 +6,14 @@
 // added here speeds up both.
 //
 // Under a result cap, a built-in metric runs against a bar no result can
-// lie above: a candidate a cheap lower bound puts over the bar is skipped
-// outright, and the O(n·m) dynamic program of any other is abandoned the
-// moment it proves the score over the bar. Both tests are strict
-// inequalities, and a score that is kept is the unbounded metric's float,
-// so sorting what was scored and truncating to the cap is byte-identical
-// to scoring everything.
+// lie above, and the bounded kernel does the rest: a cheap chord-cost
+// pass bounds what every cell of the O(n·m) dynamic program can still
+// cost to finish, so a far candidate is dropped after that pass and a
+// near one computes the exact cost of little more than the cells its
+// best alignment runs through. Every test is a strict inequality, and a
+// score that is kept is the unbounded metric's float, so sorting what was
+// scored and truncating to the cap is byte-identical to scoring
+// everything.
 package rerank
 
 import (
@@ -51,14 +53,12 @@ func (m Metric) kernel() (within func(p, q []geo.Point, bar float64) (float64, b
 	return nil, nil
 }
 
-// Candidate is one shortlist member. The caller fills ID and Points, and
-// Box (the bounding box of Points) when it calls Score under a positive
-// limit; a scoring pass fills Score, or sets Skipped when the candidate
-// was proved outside the top limit without its exact score being known.
+// Candidate is one shortlist member. The caller fills ID and Points; a
+// scoring pass fills Score, or sets Skipped when the candidate was proved
+// outside the top limit without its exact score being known.
 type Candidate struct {
 	ID     uint32
 	Points []geo.Point
-	Box    geo.Box
 
 	Score   float64
 	Skipped bool
@@ -92,16 +92,10 @@ func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric
 // before any dynamic program runs. At least limit candidates score at or
 // below either term, so a score strictly above bar cannot place, not even
 // on the ID tiebreak. A candidate is marked Skipped instead of scored
-// when its lower bound is strictly above bar, or when the bounded kernel
-// abandons it there part-way through the program; every other candidate
-// gets bit-for-bit the score m's unbounded function returns.
-//
-// The lower bound holds for the built-ins only — DTW and DFD each force
-// the (first, first) and (last, last) alignments, so the larger endpoint
-// haversine bounds both from below; the bounding-box separation bounds
-// every matched pair, so it bounds DFD (a max over pairs) directly and
-// DTW (a sum over a monotone path of at least max(n, m) pairs) times
-// max(n, m).
+// when the bounded kernel proves its score strictly above bar — by its
+// chord-cost bound before any exact cell, or part-way through the
+// program; every other candidate gets bit-for-bit the score m's
+// unbounded function returns.
 //
 // Workers read the heap's threshold under a mutex; a stale value is safe
 // because the limit-th best only tightens as scores land — a looser one
@@ -128,13 +122,9 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, 
 		seed = bounds[limit-1]
 	}
 	var (
-		qBox   geo.Box // read by the lower bound, so under a limit only
 		heapMu sync.Mutex
 		h      = keptHeap{limit: limit}
 	)
-	if limit > 0 {
-		qBox = geo.NewBox(query...)
-	}
 	return each(ctx, len(cands), func(i int) {
 		c := &cands[i]
 		bar := seed
@@ -144,10 +134,6 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, 
 				bar = thr
 			}
 			heapMu.Unlock()
-			if len(query) > 0 && len(c.Points) > 0 && lowerBound(m, query, qBox, c) > bar {
-				c.Skipped = true
-				return
-			}
 		}
 		score, ok := within(query, c.Points, bar)
 		if !ok {
@@ -174,20 +160,6 @@ func each(ctx context.Context, n int, f func(i int)) error {
 		helpers = n - 1
 	}
 	return fanout.Each(ctx, n, helpers, f)
-}
-
-// lowerBound cheaply bounds metric m between query and c from below; both
-// point sequences must be non-empty.
-func lowerBound(m Metric, query []geo.Point, qBox geo.Box, c *Candidate) float64 {
-	lb := math.Max(
-		geo.Haversine(query[0], c.Points[0]),
-		geo.Haversine(query[len(query)-1], c.Points[len(c.Points)-1]),
-	)
-	boxLB := qBox.MinDistance(c.Box)
-	if m == DTW {
-		boxLB *= float64(max(len(query), len(c.Points)))
-	}
-	return math.Max(lb, boxLB)
 }
 
 // kept is one retained (score, ID) pair in the pruning heap.

@@ -14,7 +14,7 @@ import (
 )
 
 // shortlist builds count synthetic candidates: short diagonals marching
-// away from the origin, so lower bounds genuinely separate them.
+// away from the origin, so the kernel's bound genuinely separates them.
 func shortlist(count int) []Candidate {
 	cands := make([]Candidate, count)
 	for i := range cands {
@@ -24,7 +24,7 @@ func shortlist(count int) []Candidate {
 			{Lat: base + 0.005, Lon: base + 0.004},
 			{Lat: base + 0.010, Lon: base + 0.009},
 		}
-		cands[i] = Candidate{ID: uint32(i + 1), Points: pts, Box: geo.NewBox(pts...)}
+		cands[i] = Candidate{ID: uint32(i + 1), Points: pts}
 	}
 	return cands
 }
@@ -32,8 +32,8 @@ func shortlist(count int) []Candidate {
 // sameRoute builds count candidates that all drive the query's road: the
 // route resampled at varying lengths, leaving it by up to a hundred meters mid-way
 // and rejoining it. Every bounding box overlaps the query's and every
-// endpoint sits on the query's, so the lower bound settles nothing — the
-// dense-city shortlist. Candidates 2k and 2k+1 are the same points under
+// endpoint sits on the query's, so only the dynamic program can tell them
+// apart — the dense-city shortlist. Candidates 2k and 2k+1 are the same points under
 // two IDs: exact score ties, which an odd limit puts right at the bar.
 func sameRoute(query []geo.Point, count int) []Candidate {
 	cands := make([]Candidate, count)
@@ -44,7 +44,7 @@ func sameRoute(query []geo.Point, count int) []Candidate {
 			bulge := math.Sin(math.Pi * float64(j) / float64(len(pts)-1))
 			pts[j] = geo.Offset(query[j*len(query)/len(pts)], bulge*(5+float64(twin*29%97)), 0)
 		}
-		cands[i] = Candidate{ID: uint32(count - i), Points: pts, Box: geo.NewBox(pts...)}
+		cands[i] = Candidate{ID: uint32(count - i), Points: pts}
 	}
 	return cands
 }
@@ -87,8 +87,8 @@ func topOf(cands []Candidate, limit int) []kept {
 
 // TestScoreMatchesScoringEverything pins the bounded pass to the
 // reference — the unbounded metric on every candidate, sorted, truncated —
-// for both built-ins, on a spread-out shortlist the lower bound separates
-// and a same-route one only the kernel's bar can, across limits (none,
+// for both built-ins, on a spread-out shortlist and a same-route one,
+// across limits (none,
 // odd ones that cut a score tie in two, one past the shortlist), on one
 // worker and on a pool, short shortlists (below parallelMin) and long.
 func TestScoreMatchesScoringEverything(t *testing.T) {
@@ -128,24 +128,17 @@ func TestScoreMatchesScoringEverything(t *testing.T) {
 						if got := topOf(cands, limit); !slices.Equal(got, want) {
 							t.Fatalf("%s: top = %v, want %v", where, got, want)
 						}
-						// A skipped candidate whose lower bound is no higher than
-						// the final limit-th score — which no bar ever goes below —
-						// was abandoned by the kernel, part-way through its program.
-						skipped, abandoned := 0, 0
-						qBox := geo.NewBox(sl.query...)
-						for i := range cands {
-							if c := &cands[i]; c.Skipped {
+						skipped := 0
+						for _, c := range cands {
+							if c.Skipped {
 								skipped++
-								if lowerBound(tc.metric, sl.query, qBox, c) <= want[len(want)-1].score {
-									abandoned++
-								}
 							}
 						}
 						switch unbounded := limit == 0 || limit >= count; {
 						case unbounded && skipped != 0:
 							t.Fatalf("%s: %d candidates skipped with no bar to skip them by", where, skipped)
-						case !unbounded && sl.name == "same-route" && abandoned == 0:
-							t.Fatalf("%s: no candidate abandoned mid-program (%d skipped)", where, skipped)
+						case !unbounded && skipped == 0:
+							t.Fatalf("%s: the bar skipped no candidate", where)
 						}
 					}
 				}
@@ -179,18 +172,16 @@ func TestScoreRejectsUnknownMetric(t *testing.T) {
 	}
 }
 
-// TestScoreGateSkipsFarCandidate is the lower bound doing its job: once
-// the single slot of a limit-1 pass holds a near candidate, a far-away
-// one is settled by its lower bound. With the far candidate's box lied
-// about, the kernel still abandons it; with no limit, it is scored.
+// TestScoreGateSkipsFarCandidate is the kernel's chord-cost gate doing
+// its job: once the single slot of a limit-1 pass holds a near candidate,
+// a far-away one is proved over the bar — before any exact cell, since
+// the chord pass already puts the far corner thousands of kilometres
+// above it. With no limit, it is scored.
 func TestScoreGateSkipsFarCandidate(t *testing.T) {
 	near := []geo.Point{{Lat: 0, Lon: 0}, {Lat: 0.001, Lon: 0.001}}
 	far := []geo.Point{{Lat: 40, Lon: 40}, {Lat: 40.001, Lon: 40.001}}
 	build := func() []Candidate {
-		return []Candidate{
-			{ID: 1, Points: near, Box: geo.NewBox(near...)},
-			{ID: 2, Points: far, Box: geo.NewBox(far...)},
-		}
+		return []Candidate{{ID: 1, Points: near}, {ID: 2, Points: far}}
 	}
 	cands := build()
 	if err := Score(context.Background(), near, cands, DTW, 1); err != nil {
@@ -200,7 +191,7 @@ func TestScoreGateSkipsFarCandidate(t *testing.T) {
 		t.Errorf("near candidate: %+v, want scored at 0", cands[0])
 	}
 	if !cands[1].Skipped {
-		t.Error("far candidate was scored; its lower bound is thousands of kilometres above the best")
+		t.Error("far candidate was scored; its chord cost is thousands of kilometres above the best")
 	}
 	// The same shortlist with no limit scores both.
 	cands = build()

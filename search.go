@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"geodabs/internal/geo"
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
 	"math"
@@ -421,9 +420,6 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 			missing = append(missing, h.ID)
 		}
 		cands[i] = rerank.Candidate{ID: uint32(h.ID), Points: pts}
-		if builtin && limit > 0 { // the only pass that reads boxes
-			cands[i].Box = geo.NewBox(pts...)
-		}
 	}
 	if len(missing) > 0 {
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
