@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"geodabs"
+	"geodabs/internal/bitmap"
+	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/index"
 )
@@ -68,6 +70,39 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestFingerprintSetAllocs pins query extraction to its documented cost:
+// smoothing, normalization, geodabs and winnowing run in pooled scratch,
+// so once the pool is warm FingerprintSet allocates exactly what building
+// its result bitmap from the same values does. GC is off so a collection
+// cannot empty the pool mid-run.
+func TestFingerprintSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	centroid := core.DefaultConfig()
+	centroid.Strategy = core.PrefixCentroid
+	pts := benchWorkload().Queries[0].Points
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, cfg := range map[string]core.Config{"cover": core.DefaultConfig(), "centroid": centroid} {
+		f := core.MustFingerprinter(cfg)
+		values := f.Fingerprint(pts).Geodabs
+		if len(values) == 0 {
+			t.Fatalf("%s: query has no fingerprint", name)
+		}
+		var set *bitmap.Bitmap // both results escape, as a returned set does
+		got := testing.AllocsPerRun(100, func() { set = f.FingerprintSet(pts) })
+		want := testing.AllocsPerRun(100, func() {
+			set = bitmap.New()
+			for _, v := range values {
+				set.Add(v)
+			}
+		})
+		if got != want {
+			t.Errorf("%s: FingerprintSet %.2f allocs/op, building its bitmap alone %.2f", name, got, want)
 		}
 	}
 }

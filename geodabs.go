@@ -89,7 +89,11 @@ import (
 // Core model types, aliased from the internal packages so their methods
 // are available on the public names.
 type (
-	// Point is a latitude/longitude position in degrees.
+	// Point is a latitude/longitude position in degrees. Callers must pass
+	// finite coordinates: nothing in the library checks them, and a NaN
+	// or infinite one makes every exact distance against its trajectory
+	// NaN, which no ranking can order. The geodabsd front door refuses
+	// such points with BAD_REQUEST.
 	Point = geo.Point
 	// Trajectory is a sequence of points with its identifiers.
 	Trajectory = trajectory.Trajectory

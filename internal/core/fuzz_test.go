@@ -1,0 +1,105 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"geodabs/internal/geo"
+)
+
+// fuzzConfig decodes a configuration selector: two bits of debounce,
+// three of smoothing window, then KeepShort, PrefixCentroid and the
+// 50-bit grid that takes fnvCell's full byte fold.
+func fuzzConfig(sel uint8) Config {
+	c := DefaultConfig()
+	c.MinCellPoints = int(sel & 3)
+	c.SmoothWindow = int(sel >> 2 & 7)
+	c.KeepShort = sel&32 != 0
+	if sel&64 != 0 {
+		c.Strategy = PrefixCentroid
+	}
+	if sel&128 != 0 {
+		c.NormDepth = 50
+	}
+	return c
+}
+
+// fuzzSpecials are the coordinates a front door might let through:
+// non-finite values and values outside the valid ranges.
+var fuzzSpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308, 90, -90, 180, -180, 400, -400, 0}
+
+// fuzzPoints turns bytes into a trajectory, three bytes a point: an
+// opcode and two signed steps. Most opcodes walk a few metres from the
+// previous point, so the grid sees runs, revisits and jitter; the rest
+// jump far or emit a special coordinate.
+func fuzzPoints(data []byte) []geo.Point {
+	pts := make([]geo.Point, 0, len(data)/3)
+	lat, lon := 51.5, -0.1
+	for i := 0; i+3 <= len(data); i += 3 {
+		op, dlat, dlon := data[i], float64(int8(data[i+1])), float64(int8(data[i+2]))
+		switch op % 16 {
+		case 0:
+			n := len(fuzzSpecials)
+			pts = append(pts, geo.Point{Lat: fuzzSpecials[int(data[i+1])%n], Lon: fuzzSpecials[int(data[i+2])%n]})
+			continue
+		case 1:
+			lat, lon = lat+dlat, lon+dlon
+		default:
+			lat, lon = lat+dlat*1e-5, lon+dlon*1e-5
+		}
+		pts = append(pts, geo.Point{Lat: lat, Lon: lon})
+	}
+	return pts
+}
+
+// FuzzFingerprint checks the extraction pipeline's structural invariants
+// on arbitrary input: cells tile the raw points, winnowed positions index
+// the geodab sequence in order, and the set-only path agrees with the
+// full fingerprint.
+func FuzzFingerprint(f *testing.F) {
+	walk := make([]byte, 0, 600)
+	for i := 0; i < 200; i++ {
+		walk = append(walk, byte(2+i%14), byte(i%7), byte(i%5-1))
+	}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), walk)
+	f.Add(uint8(0b1010_0110), walk)
+	f.Add(uint8(0b0111_1101), walk)
+	f.Add(uint8(1), append([]byte{0, 0, 1, 0, 2, 0, 16, 3, 4}, walk...))
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		fpr := MustFingerprinter(fuzzConfig(sel))
+		pts := fuzzPoints(data)
+		fp := fpr.Fingerprint(pts)
+
+		next := 0
+		for i, c := range fp.Cells {
+			if c.First != next || c.Last < c.First {
+				t.Fatalf("cell %d spans [%d, %d], want a start at %d", i, c.First, c.Last, next)
+			}
+			if i > 0 && c.Hash == fp.Cells[i-1].Hash {
+				t.Fatalf("cell %d repeats its neighbour", i)
+			}
+			next = c.Last + 1
+		}
+		if next != len(pts) {
+			t.Fatalf("cells cover [0, %d), want [0, %d)", next, len(pts))
+		}
+
+		seq := fpr.GeodabSequence(fp.Cells)
+		if len(fp.Geodabs) != len(fp.Positions) {
+			t.Fatalf("%d geodabs for %d positions", len(fp.Geodabs), len(fp.Positions))
+		}
+		for i, p := range fp.Positions {
+			if p < 0 || p >= len(seq) || (i > 0 && p <= fp.Positions[i-1]) {
+				t.Fatalf("position %d = %d: out of range [0, %d) or not increasing", i, p, len(seq))
+			}
+			if fp.Geodabs[i] != seq[p] {
+				t.Fatalf("geodab %d = %#x, want the sequence's %#x", i, fp.Geodabs[i], seq[p])
+			}
+		}
+
+		if set := fpr.FingerprintSet(pts); !set.Equals(fp.Set) {
+			t.Fatalf("FingerprintSet has %d terms, Fingerprint().Set %d", set.Cardinality(), fp.Set.Cardinality())
+		}
+	})
+}

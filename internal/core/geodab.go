@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"geodabs/internal/bitmap"
@@ -70,8 +71,9 @@ type Config struct {
 	MinCellPoints int
 	// SmoothWindow applies a centered moving average of this many raw
 	// points before grid snapping, attenuating GPS noise (a window of w
-	// divides the noise standard deviation by ≈√w). 0 and 1 disable
-	// smoothing. Smoothing and debouncing together form the concrete
+	// divides the noise standard deviation by ≈√w). The average spans
+	// SmoothWindow/2 points on either side, so an even window behaves as
+	// the next odd one. 0 and 1 disable smoothing. Smoothing and debouncing together form the concrete
 	// normalization function N(S) of the paper's §V.
 	SmoothWindow int
 }
@@ -135,22 +137,22 @@ type Fingerprint struct {
 }
 
 // Fingerprinter turns trajectories into geodab fingerprints. Its
-// configuration is immutable and it is safe for concurrent use (the
-// FingerprintSet hot path draws per-call scratch from an internal pool).
+// configuration is immutable and it is safe for concurrent use (every
+// extraction draws per-call scratch from an internal pool).
 type Fingerprinter struct {
 	cfg        Config
 	suffixMask uint32
 	scratch    sync.Pool // *fpScratch
 }
 
-// fpScratch is the pooled working state of the set-only fingerprint path:
-// the smoothed point buffer, the normalized cell-hash sequence, the
-// unwinnowed geodab candidates, and the winnowed positions. Pooling them
-// keeps steady-state query fingerprinting free of the per-call slice
-// allocations the full Fingerprint pipeline pays.
+// fpScratch is the pooled working state of one extraction: the smoothed
+// points, the cells (each one's hash and the index of its first raw
+// point), the unwinnowed geodab candidates and the winnowed positions.
+// Results that outlive a call are copied out.
 type fpScratch struct {
 	smooth     []geo.Point
 	hashes     []geohash.Hash
+	firsts     []int
 	candidates []uint32
 	positions  []int
 }
@@ -187,106 +189,180 @@ func (f *Fingerprinter) Config() Config { return f.cfg }
 // cell is only committed once that many consecutive points land in it, and
 // shorter excursions are folded into the current cell.
 func (f *Fingerprinter) Normalize(points []geo.Point) []Cell {
-	points = Smooth(points, f.cfg.SmoothWindow)
-	cells := make([]Cell, 0, len(points))
-	commit := func(h geohash.Hash, first, last int) {
-		if n := len(cells); n > 0 && cells[n-1].Hash == h {
-			cells[n-1].Last = last
-			return
-		}
-		cells = append(cells, Cell{Hash: h, Center: h.Center(), First: first, Last: last})
+	sc := f.scratch.Get().(*fpScratch)
+	defer f.scratch.Put(sc)
+	f.normalize(sc, points)
+	return sc.cells(len(points))
+}
+
+// GeodabSequence computes the unwinnowed geodab of every k-gram of the
+// cell sequence, the candidate list C of Algorithm 1.
+func (f *Fingerprinter) GeodabSequence(cells []Cell) []uint32 {
+	if len(cells) < f.cfg.K {
+		return nil
 	}
+	sc := f.scratch.Get().(*fpScratch)
+	defer f.scratch.Put(sc)
+	sc.hashes = sc.hashes[:0]
+	for _, c := range cells {
+		sc.hashes = append(sc.hashes, c.Hash)
+	}
+	return f.geodabsInto(make([]uint32, 0, len(cells)-f.cfg.K+1), sc.hashes)
+}
+
+// Fingerprint runs the full pipeline on a raw point sequence.
+// Trajectories that normalize to fewer than T cells return a fingerprint
+// with an empty (but non-nil) set unless KeepShort is configured.
+func (f *Fingerprinter) Fingerprint(points []geo.Point) *Fingerprint {
+	sc := f.scratch.Get().(*fpScratch)
+	defer f.scratch.Put(sc)
+	f.extract(sc, points)
+	fp := &Fingerprint{
+		Geodabs:   make([]uint32, len(sc.positions)),
+		Positions: slices.Clone(sc.positions),
+		Cells:     sc.cells(len(points)),
+		Set:       bitmap.New(),
+	}
+	for i, p := range sc.positions {
+		fp.Geodabs[i] = sc.candidates[p]
+	}
+	fp.Set.AddMany(fp.Geodabs)
+	return fp
+}
+
+// FingerprintSet computes only the deduplicated fingerprint set of a
+// trajectory — the ranked-retrieval hot path, where the positional
+// metadata of the full Fingerprint (Geodabs, Positions, Cells) is dead
+// weight. It runs the same extraction as Fingerprint, so the set equals
+// Fingerprint(points).Set, and allocates only the returned bitmap.
+//
+//geodabs:noalloc
+func (f *Fingerprinter) FingerprintSet(points []geo.Point) *bitmap.Bitmap {
+	sc := f.scratch.Get().(*fpScratch)
+	defer f.scratch.Put(sc)
+	f.extract(sc, points)
+	set := bitmap.New() //geodabs:vet-ignore the documented result allocation: FingerprintSet allocates only the returned bitmap
+	for _, p := range sc.positions {
+		set.Add(sc.candidates[p])
+	}
+	return set
+}
+
+// extract runs the whole pipeline into sc: normalization into sc.hashes
+// and sc.firsts, the geodab of every k-gram into sc.candidates, and the
+// winnowed positions into sc.positions.
+//
+//geodabs:noalloc
+func (f *Fingerprinter) extract(sc *fpScratch, points []geo.Point) {
+	f.normalize(sc, points)
+	sc.candidates = f.geodabsInto(sc.candidates[:0], sc.hashes)
+	if f.cfg.KeepShort {
+		sc.positions = winnow.SelectShortInto(sc.positions[:0], sc.candidates, f.cfg.Window())
+	} else {
+		sc.positions = winnow.SelectInto(sc.positions[:0], sc.candidates, f.cfg.Window())
+	}
+}
+
+// normalize smooths the points and snaps them to the grid, replacing
+// sc.hashes with the debounced cell sequence and sc.firsts with the index
+// of each cell's first raw point. Cells tile the raw points, so a cell
+// ends where the next begins and the last one at the final point.
+//
+//geodabs:noalloc
+func (f *Fingerprinter) normalize(sc *fpScratch, points []geo.Point) {
+	if f.cfg.SmoothWindow > 1 && len(points) > 0 {
+		// The smoothed buffer is the scratch's, never the caller's.
+		sc.smooth = smoothInto(sc.smooth[:0], points, f.cfg.SmoothWindow)
+		points = sc.smooth
+	}
+	sc.hashes, sc.firsts = sc.hashes[:0], sc.firsts[:0]
 	debounce := max(f.cfg.MinCellPoints, 1)
-	// pending tracks a candidate run of consecutive points in one cell
-	// that has not yet reached the debounce length.
-	var pending struct {
-		hash  geohash.Hash
-		first int
-		count int
-	}
-	flush := func(last int) {
-		if pending.count > 0 {
-			// The run never reached the debounce length: fold it into the
-			// previous cell, or commit it as-is when there is none (the
-			// trajectory has to start somewhere).
-			if len(cells) > 0 {
-				cells[len(cells)-1].Last = last
-			} else {
-				commit(pending.hash, pending.first, last)
-			}
-			pending.count = 0
-		}
-	}
+	// pending is the cell of the candidate run: the last count points, all
+	// in one cell other than the committed one, short of the debounce
+	// length so far. A run that never reaches it is folded into the
+	// committed cell. The first run commits at once: the trajectory has
+	// to start somewhere.
+	var pending geohash.Hash
+	count := 0
 	enc := geohash.NewEncoder(f.cfg.NormDepth)
 	for i, p := range points {
 		h := enc.Encode(p)
-		if n := len(cells); n > 0 && cells[n-1].Hash == h {
+		if n := len(sc.hashes); n > 0 && sc.hashes[n-1] == h {
 			// Returned to the committed cell: the excursion was jitter.
-			flush(i - 1)
-			cells[n-1].Last = i
+			count = 0
 			continue
 		}
-		if pending.count > 0 && pending.hash == h {
-			pending.count++
+		if count > 0 && pending == h {
+			count++
 		} else {
-			flush(i - 1)
-			pending.hash, pending.first, pending.count = h, i, 1
+			pending, count = h, 1
 		}
-		if pending.count >= debounce || (len(cells) == 0 && debounce == 1) {
-			commit(pending.hash, pending.first, i)
-			pending.count = 0
+		if count >= debounce || len(sc.hashes) == 0 {
+			sc.hashes, sc.firsts = append(sc.hashes, h), append(sc.firsts, i-count+1)
+			count = 0
 		}
 	}
-	flush(len(points) - 1)
+}
+
+// cells materializes the normalized sequence in sc over n raw points.
+func (sc *fpScratch) cells(n int) []Cell {
+	cells := make([]Cell, len(sc.hashes))
+	for i, h := range sc.hashes {
+		last := n - 1
+		if i+1 < len(sc.firsts) {
+			last = sc.firsts[i+1] - 1
+		}
+		cells[i] = Cell{Hash: h, Center: h.Center(), First: sc.firsts[i], Last: last}
+	}
 	return cells
 }
 
-// Geodab computes the geodab of one k-gram of cells, combining the geohash
-// prefix and the order-sensitive hash suffix (paper Fig 3). The caller
-// must pass exactly K cells; shorter slices are allowed for testing but
-// produce geodabs outside the winnowing guarantees.
-func (f *Fingerprinter) Geodab(kgram []Cell) uint32 {
-	return f.prefix(kgram)<<(GeodabBits-f.cfg.PrefixBits) | f.suffix(kgram)
-}
-
-// prefix derives the PrefixBits-wide spatial prefix.
-func (f *Fingerprinter) prefix(kgram []Cell) uint32 {
-	p := f.cfg.PrefixBits
-	switch f.cfg.Strategy {
-	case PrefixCentroid:
-		var lat, lon float64
-		for _, c := range kgram {
-			lat += c.Center.Lat
-			lon += c.Center.Lon
-		}
-		n := float64(len(kgram))
-		return uint32(geohash.Encode(geo.Point{Lat: lat / n, Lon: lon / n}, p).Bits)
-	default: // PrefixCover
-		cover := kgram[0].Hash
-		for _, c := range kgram[1:] {
-			if cover.Depth < p {
-				break
+// geodabsInto appends the geodab of every k-gram of the cell sequence:
+// the geohash prefix of the k-gram (paper Fig 3) over its order-sensitive
+// hash suffix.
+//
+//geodabs:noalloc
+func (f *Fingerprinter) geodabsInto(dst []uint32, hashes []geohash.Hash) []uint32 {
+	k, p := f.cfg.K, f.cfg.PrefixBits
+	shift := GeodabBits - p
+	centroid := f.cfg.Strategy == PrefixCentroid
+	for i := 0; i+k <= len(hashes); i++ {
+		kgram := hashes[i : i+k]
+		var prefix geohash.Hash
+		if centroid {
+			var lat, lon float64
+			for _, h := range kgram {
+				c := h.Center()
+				lat += c.Lat
+				lon += c.Lon
 			}
-			cover = geohash.CommonPrefix(cover, c.Hash)
+			prefix = geohash.Encode(geo.Point{Lat: lat / float64(k), Lon: lon / float64(k)}, p)
+		} else {
+			prefix = kgram[0]
+			for _, h := range kgram[1:] {
+				if prefix.Depth < p {
+					break
+				}
+				prefix = geohash.CommonPrefix(prefix, h)
+			}
+			if prefix.Depth < p {
+				// The k-gram straddles a coarse bisection boundary; anchor
+				// the prefix on the first cell to keep the geodab local.
+				prefix = kgram[0]
+			}
+			prefix = prefix.Prefix(p)
 		}
-		if cover.Depth < p {
-			// The k-gram straddles a coarse bisection boundary; anchor the
-			// prefix on the first cell to keep the geodab local.
-			cover = kgram[0].Hash
+		// The suffix hashes the ordered cell ids with FNV-1a so that
+		// reversing or permuting a k-gram changes the geodab: this is what
+		// lets geodabs discriminate the direction of travel, unlike bare
+		// geohashes.
+		s := uint32(fnvOffset32)
+		for _, h := range kgram {
+			s = fnvCell(s, h.Bits)
 		}
-		return uint32(cover.Prefix(p).Bits)
+		dst = append(dst, uint32(prefix.Bits)<<shift|s&f.suffixMask)
 	}
-}
-
-// suffix hashes the ordered cell ids with FNV-1a so that reversing or
-// permuting a k-gram changes the geodab: this is what lets geodabs
-// discriminate the direction of travel, unlike bare geohashes.
-func (f *Fingerprinter) suffix(kgram []Cell) uint32 {
-	h := uint32(fnvOffset32)
-	for _, c := range kgram {
-		h = fnvCell(h, c.Hash.Bits)
-	}
-	return h & f.suffixMask
+	return dst
 }
 
 const (
@@ -319,161 +395,14 @@ func fnvCell(h uint32, bits uint64) uint32 {
 	return h
 }
 
-// GeodabSequence computes the unwinnowed geodab of every k-gram of the
-// cell sequence, the candidate list C of Algorithm 1.
-func (f *Fingerprinter) GeodabSequence(cells []Cell) []uint32 {
-	k := f.cfg.K
-	if len(cells) < k {
-		return nil
-	}
-	out := make([]uint32, 0, len(cells)-k+1)
-	for i := 0; i+k <= len(cells); i++ {
-		out = append(out, f.Geodab(cells[i:i+k]))
-	}
-	return out
-}
-
-// Fingerprint runs the full pipeline on a raw point sequence.
-// Trajectories that normalize to fewer than T cells return a fingerprint
-// with an empty (but non-nil) set unless KeepShort is configured.
-func (f *Fingerprinter) Fingerprint(points []geo.Point) *Fingerprint {
-	cells := f.Normalize(points)
-	candidates := f.GeodabSequence(cells)
-	var positions []int
-	if f.cfg.KeepShort {
-		positions = winnow.SelectShort(candidates, f.cfg.Window())
-	} else {
-		positions = winnow.Select(candidates, f.cfg.Window())
-	}
-	fp := &Fingerprint{
-		Geodabs:   winnow.Values(candidates, positions),
-		Positions: positions,
-		Cells:     cells,
-		Set:       bitmap.New(),
-	}
-	fp.Set.AddMany(fp.Geodabs)
-	return fp
-}
-
-// FingerprintSet computes only the deduplicated fingerprint set of a
-// trajectory — the ranked-retrieval hot path, where the positional
-// metadata of the full Fingerprint (Geodabs, Positions, Cells) is dead
-// weight. It runs the same normalize → k-gram → winnow pipeline and
-// returns a set identical to Fingerprint(points).Set, but works in pooled
-// scratch buffers, skips the per-cell center decode the PrefixCover
-// strategy never reads, and allocates only the returned bitmap.
-// PrefixCentroid configurations (an ablation) fall back to the full
-// pipeline, which has the cell centers at hand.
+// smoothInto appends to dst the trajectory filtered with a centered
+// moving average of the given window (in points): each point averages
+// window/2 neighbours on either side, so an even window w averages w+1
+// points. Edges use the available shorter windows, so the first and last
+// points stay anchored near their raw positions. Windows of 0 or 1
+// return the input slice unchanged.
 //
 //geodabs:noalloc
-func (f *Fingerprinter) FingerprintSet(points []geo.Point) *bitmap.Bitmap {
-	if f.cfg.Strategy != PrefixCover {
-		return f.Fingerprint(points).Set
-	}
-	sc := f.scratch.Get().(*fpScratch)
-	defer f.scratch.Put(sc)
-	pts := points
-	if f.cfg.SmoothWindow > 1 && len(points) > 0 {
-		// Smoothing is active: the buffer is the scratch's, not the
-		// caller's (smoothInto returns its input untouched otherwise).
-		sc.smooth = smoothInto(sc.smooth[:0], points, f.cfg.SmoothWindow)
-		pts = sc.smooth
-	}
-	sc.hashes = f.normalizeHashesInto(sc.hashes[:0], pts)
-	sc.candidates = f.geodabsInto(sc.candidates[:0], sc.hashes)
-	if f.cfg.KeepShort {
-		sc.positions = winnow.SelectShortInto(sc.positions[:0], sc.candidates, f.cfg.Window())
-	} else {
-		sc.positions = winnow.SelectInto(sc.positions[:0], sc.candidates, f.cfg.Window())
-	}
-	set := bitmap.New() //geodabs:vet-ignore the documented result allocation: FingerprintSet allocates only the returned bitmap
-	for _, p := range sc.positions {
-		set.Add(sc.candidates[p])
-	}
-	return set
-}
-
-// normalizeHashesInto is Normalize reduced to the cell-hash sequence: the
-// same smoothing-free debounce state machine, with no cell centers and no
-// raw-point ranges. It must stay in lockstep with Normalize — the
-// equivalence is pinned by TestFingerprintSetMatchesFingerprint.
-func (f *Fingerprinter) normalizeHashesInto(hashes []geohash.Hash, points []geo.Point) []geohash.Hash {
-	commit := func(h geohash.Hash) {
-		if n := len(hashes); n == 0 || hashes[n-1] != h {
-			hashes = append(hashes, h)
-		}
-	}
-	debounce := max(f.cfg.MinCellPoints, 1)
-	var pending struct {
-		hash  geohash.Hash
-		count int
-	}
-	flush := func() {
-		if pending.count > 0 {
-			if len(hashes) == 0 {
-				commit(pending.hash)
-			}
-			pending.count = 0
-		}
-	}
-	enc := geohash.NewEncoder(f.cfg.NormDepth)
-	for _, p := range points {
-		h := enc.Encode(p)
-		if n := len(hashes); n > 0 && hashes[n-1] == h {
-			// Returned to the committed cell: the excursion was jitter.
-			flush()
-			continue
-		}
-		if pending.count > 0 && pending.hash == h {
-			pending.count++
-		} else {
-			flush()
-			pending.hash, pending.count = h, 1
-		}
-		if pending.count >= debounce || (len(hashes) == 0 && debounce == 1) {
-			commit(pending.hash)
-			pending.count = 0
-		}
-	}
-	flush()
-	return hashes
-}
-
-// geodabsInto appends the geodab of every k-gram of the hash sequence —
-// GeodabSequence on the hash-only representation, PrefixCover strategy.
-func (f *Fingerprinter) geodabsInto(dst []uint32, hashes []geohash.Hash) []uint32 {
-	k := f.cfg.K
-	if len(hashes) < k {
-		return dst
-	}
-	p := f.cfg.PrefixBits
-	shift := GeodabBits - p
-	for i := 0; i+k <= len(hashes); i++ {
-		kgram := hashes[i : i+k]
-		// Covering prefix, as in prefix().
-		cover := kgram[0]
-		for _, h := range kgram[1:] {
-			if cover.Depth < p {
-				break
-			}
-			cover = geohash.CommonPrefix(cover, h)
-		}
-		if cover.Depth < p {
-			cover = kgram[0]
-		}
-		// Order-sensitive suffix, as in suffix().
-		s := uint32(fnvOffset32)
-		for _, h := range kgram {
-			s = fnvCell(s, h.Bits)
-		}
-		dst = append(dst, uint32(cover.Prefix(p).Bits)<<shift|s&f.suffixMask)
-	}
-	return dst
-}
-
-// smoothInto is Smooth appending into dst (same arithmetic, same float
-// rounding), so the hot path can recycle the smoothed-point buffer.
-// Windows of 0 or 1 return the input slice unchanged.
 func smoothInto(dst []geo.Point, points []geo.Point, window int) []geo.Point {
 	if window <= 1 || len(points) == 0 {
 		return points
@@ -490,29 +419,6 @@ func smoothInto(dst []geo.Point, points []geo.Point, window int) []geo.Point {
 		dst = append(dst, geo.Point{Lat: lat / n, Lon: lon / n})
 	}
 	return dst
-}
-
-// Smooth returns the trajectory filtered with a centered moving average of
-// the given window (in points). Windows of 0 or 1 return the input slice
-// unchanged. Edges use the available shorter windows, so the first and
-// last points stay anchored near their raw positions.
-func Smooth(points []geo.Point, window int) []geo.Point {
-	if window <= 1 || len(points) == 0 {
-		return points
-	}
-	out := make([]geo.Point, len(points))
-	half := window / 2
-	for i := range points {
-		lo, hi := max(0, i-half), min(len(points), i+half+1)
-		var lat, lon float64
-		for _, p := range points[lo:hi] {
-			lat += p.Lat
-			lon += p.Lon
-		}
-		n := float64(hi - lo)
-		out[i] = geo.Point{Lat: lat / n, Lon: lon / n}
-	}
-	return out
 }
 
 // PrefixOf extracts the geohash prefix of a geodab as a geohash.Hash of

@@ -134,8 +134,8 @@ func TestGeodabDeterministic(t *testing.T) {
 	f := MustFingerprinter(DefaultConfig())
 	cells := f.Normalize(walk(60, 0, nil))
 	k := f.Config().K
-	g1 := f.Geodab(cells[:k])
-	g2 := f.Geodab(cells[:k])
+	g1 := f.GeodabSequence(cells[:k])[0]
+	g2 := f.GeodabSequence(cells[:k])[0]
 	if g1 != g2 {
 		t.Error("geodab of identical k-grams differs")
 	}
@@ -145,7 +145,7 @@ func TestGeodabPrefixIsLocal(t *testing.T) {
 	f := MustFingerprinter(DefaultConfig())
 	cells := f.Normalize(walk(60, 0, nil))
 	k := f.Config().K
-	g := f.Geodab(cells[:k])
+	g := f.GeodabSequence(cells[:k])[0]
 	prefix := PrefixOf(g, f.Config().PrefixBits)
 	// The prefix cell must contain the k-gram's first cell center.
 	if !prefix.Contains(cells[0].Center) {
@@ -167,7 +167,7 @@ func TestGeodabDiscriminatesDirection(t *testing.T) {
 	for i := range kgram {
 		reversed[i] = kgram[k-1-i]
 	}
-	g, rg := f.Geodab(kgram), f.Geodab(reversed)
+	g, rg := f.GeodabSequence(kgram)[0], f.GeodabSequence(reversed)[0]
 	if g == rg {
 		t.Error("geodab does not discriminate direction")
 	}
@@ -183,7 +183,7 @@ func TestCentroidStrategy(t *testing.T) {
 	cfg.Strategy = PrefixCentroid
 	f := MustFingerprinter(cfg)
 	cells := f.Normalize(walk(60, 0, nil))
-	g := f.Geodab(cells[:cfg.K])
+	g := f.GeodabSequence(cells[:cfg.K])[0]
 	prefix := PrefixOf(g, cfg.PrefixBits)
 	if !prefix.Contains(london) {
 		t.Errorf("centroid prefix %s is not local", prefix)
@@ -214,7 +214,7 @@ func TestFingerprintPipeline(t *testing.T) {
 			t.Fatalf("positions not increasing at %d", i)
 		}
 		// Recomputing the geodab at the position must reproduce it.
-		if g := f.Geodab(fp.Cells[p : p+f.Config().K]); g != fp.Geodabs[i] {
+		if g := f.GeodabSequence(fp.Cells[p : p+f.Config().K])[0]; g != fp.Geodabs[i] {
 			t.Fatalf("geodab at position %d does not match", p)
 		}
 	}
@@ -313,5 +313,15 @@ func BenchmarkFingerprint1000Points(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Fingerprint(pts)
+	}
+}
+
+func BenchmarkFingerprintSet1000Points(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	f := MustFingerprinter(DefaultConfig())
+	pts := walk(1000, 15, rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = f.FingerprintSet(pts)
 	}
 }

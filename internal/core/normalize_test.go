@@ -43,9 +43,9 @@ func TestSmooth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	noisy := walk(200, 20, rng)
 	clean := walk(200, 0, nil)
-	smoothed := Smooth(noisy, 5)
+	smoothed := smoothInto(nil, noisy, 5)
 	if len(smoothed) != len(noisy) {
-		t.Fatalf("Smooth changed length: %d → %d", len(noisy), len(smoothed))
+		t.Fatalf("smoothing changed length: %d → %d", len(noisy), len(smoothed))
 	}
 	// Smoothing reduces RMS error against the clean path.
 	rms := func(pts []geo.Point) float64 {
@@ -60,11 +60,11 @@ func TestSmooth(t *testing.T) {
 		t.Errorf("smoothing did not reduce noise: %.1f vs %.1f", rms(smoothed), rms(noisy))
 	}
 	// Window ≤ 1 is the identity.
-	if got := Smooth(noisy, 1); &got[0] != &noisy[0] {
+	if got := smoothInto(nil, noisy, 1); &got[0] != &noisy[0] {
 		t.Error("window 1 should return the input slice")
 	}
-	if got := Smooth(nil, 5); len(got) != 0 {
-		t.Errorf("Smooth(nil) = %v", got)
+	if got := smoothInto(nil, nil, 5); len(got) != 0 {
+		t.Errorf("smoothInto(nil) = %v", got)
 	}
 }
 

@@ -497,6 +497,15 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 // handle dispatches one request to the engine, mapping errors onto wire
 // statuses.
 func (s *Server) handle(ctx context.Context, req *wire.Request) *wire.Response {
+	// Points travel on OpSearch, OpSearchRerank and OpUpsert. A NaN or
+	// infinite coordinate would reach the engine unchecked and make every
+	// exact distance against it NaN, which breaks the distance-then-ID
+	// order of a reranked result, now or after an upsert stores it.
+	for i, p := range req.Points {
+		if math.IsNaN(p.Lat) || math.IsNaN(p.Lon) || math.IsInf(p.Lat, 0) || math.IsInf(p.Lon, 0) {
+			return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("point %d (%v, %v) is not finite", i, p.Lat, p.Lon)}
+		}
+	}
 	switch req.Op {
 	case wire.OpPing:
 		return &wire.Response{Status: wire.StatusOK}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"runtime"
@@ -509,6 +510,75 @@ func TestBadFrameDropsConnection(t *testing.T) {
 	}
 	if _, err := wire.ReadFrame(conn); err == nil {
 		t.Error("connection stayed open after a bad frame")
+	}
+}
+
+// TestNonFinitePointsRejected: a NaN or infinite coordinate on any op
+// that carries points gets BAD_REQUEST before the engine sees it, and the
+// connection stays usable.
+func TestNonFinitePointsRejected(t *testing.T) {
+	engine := &stubEngine{}
+	srv := startServer(t, engine, server.Config{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var id uint64
+	roundTrip := func(req *wire.Request) *wire.Response {
+		t.Helper()
+		id++
+		req.ID = id
+		frame, err := wire.AppendFrame(nil, wire.AppendRequest(nil, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	good := testWorld().queries[0].Points
+	ops := []wire.Request{
+		{Op: wire.OpSearch, MaxDistance: 1},
+		{Op: wire.OpSearchRerank, MaxDistance: 1, KNN: 5, Metric: wire.MetricDTW},
+		{Op: wire.OpUpsert, TrajID: 9},
+	}
+	for _, bad := range []geodabs.Point{
+		{Lat: math.NaN(), Lon: good[0].Lon},
+		{Lat: good[0].Lat, Lon: math.NaN()},
+		{Lat: math.Inf(1), Lon: good[0].Lon},
+		{Lat: good[0].Lat, Lon: math.Inf(-1)},
+	} {
+		pts := append([]geodabs.Point{}, good...)
+		pts[len(pts)/2] = bad
+		for _, op := range ops {
+			req := op
+			req.Points = pts
+			if resp := roundTrip(&req); resp.Status != wire.StatusBadRequest {
+				t.Errorf("op %v with point %v: got %v, want BAD_REQUEST", op.Op, bad, resp.Status)
+			}
+		}
+	}
+	if n, m := engine.searches.Load(), engine.upserts.Load(); n != 0 || m != 0 {
+		t.Fatalf("engine saw %d searches and %d upserts of rejected requests", n, m)
+	}
+	for _, op := range ops {
+		req := op
+		req.Points = good
+		if resp := roundTrip(&req); resp.Status != wire.StatusOK {
+			t.Errorf("op %v with finite points: got %v (%s), want OK", op.Op, resp.Status, resp.Message)
+		}
 	}
 }
 

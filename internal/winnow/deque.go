@@ -8,8 +8,8 @@ package winnow
 // when the minimum expires — so the claim can be benchmarked:
 // BenchmarkSelectVsDeque in this package measures both.
 
-// SelectDeque returns exactly the same positions as Select, computed with
-// a monotone circular-buffer deque.
+// SelectDeque returns exactly the same positions as SelectInto, computed
+// with a monotone circular-buffer deque.
 func SelectDeque(hashes []uint32, w int) []int {
 	if w < 1 {
 		panic("winnow: window size must be at least 1")

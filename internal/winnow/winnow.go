@@ -15,30 +15,17 @@
 //     inside the shared window.
 package winnow
 
-// Select returns the positions of the hashes selected by winnowing with a
-// window of size w, in increasing order and without duplicates. When the
-// sequence is shorter than the window no position is selected, matching
-// Algorithm 1 of the paper: such sequences are below the noise threshold.
+// SelectInto appends to dst the positions of the hashes selected by
+// winnowing with a window of size w, in increasing order and without
+// duplicates, and returns the extended slice; hot paths recycle the
+// position buffer across calls. When the sequence is shorter than the
+// window no position is selected, matching Algorithm 1 of the paper: such
+// sequences are below the noise threshold.
 //
-// Select panics if w < 1.
-func Select(hashes []uint32, w int) []int {
-	if w < 1 {
-		panic("winnow: window size must be at least 1")
-	}
-	if len(hashes) < w {
-		return nil
-	}
-	return SelectInto(make([]int, 0, len(hashes)/max(w/2, 1)+1), hashes, w)
-}
-
-// SelectInto is Select appending the positions to dst, for hot paths that
-// recycle the position buffer across calls.
+// SelectInto panics if w < 1.
 func SelectInto(dst []int, hashes []uint32, w int) []int {
 	if w < 1 {
 		panic("winnow: window size must be at least 1")
-	}
-	if len(hashes) < w {
-		return dst
 	}
 	// m is the position of the right-most minimum of the current window;
 	// -1 forces a full scan of the first window.
@@ -63,33 +50,14 @@ func SelectInto(dst []int, hashes []uint32, w int) []int {
 	return dst
 }
 
-// SelectShort behaves like Select but additionally handles sequences
-// shorter than the window by selecting the right-most minimum of the whole
-// sequence. Indexing pipelines use it when losing short trajectories
-// entirely (the paper's strict behaviour) is not acceptable.
-func SelectShort(hashes []uint32, w int) []int {
-	if w < 1 {
-		panic("winnow: window size must be at least 1")
-	}
-	if len(hashes) == 0 {
-		return nil
-	}
-	if len(hashes) >= w {
-		return Select(hashes, w)
-	}
-	return SelectShortInto(nil, hashes, w)
-}
-
-// SelectShortInto is SelectShort appending the positions to dst.
+// SelectShortInto behaves like SelectInto but additionally handles
+// sequences shorter than the window by selecting the right-most minimum
+// of the whole sequence. Indexing pipelines use it when losing short
+// trajectories entirely (the paper's strict behaviour) is not acceptable.
 func SelectShortInto(dst []int, hashes []uint32, w int) []int {
-	if len(hashes) >= w {
+	if len(hashes) >= w || len(hashes) == 0 {
+		// Every length reaches here when w < 1: SelectInto panics on it.
 		return SelectInto(dst, hashes, w)
-	}
-	if w < 1 {
-		panic("winnow: window size must be at least 1")
-	}
-	if len(hashes) == 0 {
-		return dst
 	}
 	m := 0
 	for j := 1; j < len(hashes); j++ {
@@ -98,14 +66,4 @@ func SelectShortInto(dst []int, hashes []uint32, w int) []int {
 		}
 	}
 	return append(dst, m)
-}
-
-// Values maps the selected positions back to their hash values, preserving
-// order.
-func Values(hashes []uint32, positions []int) []uint32 {
-	out := make([]uint32, len(positions))
-	for i, p := range positions {
-		out[i] = hashes[p]
-	}
-	return out
 }

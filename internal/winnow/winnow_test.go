@@ -2,6 +2,7 @@ package winnow
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -38,7 +39,7 @@ func TestSelectMatchesAlgorithm1(t *testing.T) {
 			// Small value range provokes ties, the tricky case.
 			hashes[i] = uint32(rng.Intn(8))
 		}
-		got := Select(hashes, w)
+		got := SelectInto(nil, hashes, w)
 		want := selectBrute(hashes, w)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d w=%d: got %v, want %v (hashes %v)", n, w, got, want, hashes)
@@ -53,37 +54,44 @@ func TestSelectMatchesAlgorithm1(t *testing.T) {
 
 func TestSelectWindowOne(t *testing.T) {
 	hashes := []uint32{5, 3, 9}
-	got := Select(hashes, 1)
+	got := SelectInto(nil, hashes, 1)
 	if len(got) != 3 {
 		t.Fatalf("w=1 should select every position, got %v", got)
 	}
 }
 
 func TestSelectShortSequence(t *testing.T) {
-	if got := Select([]uint32{1, 2}, 4); got != nil {
+	if got := SelectInto(nil, []uint32{1, 2}, 4); got != nil {
 		t.Errorf("short sequence should select nothing, got %v", got)
 	}
-	if got := SelectShort([]uint32{7, 3, 3}, 4); len(got) != 1 || got[0] != 2 {
-		t.Errorf("SelectShort should pick right-most minimum, got %v", got)
+	if got := SelectShortInto(nil, []uint32{7, 3, 3}, 4); len(got) != 1 || got[0] != 2 {
+		t.Errorf("SelectShortInto should pick right-most minimum, got %v", got)
 	}
-	if got := SelectShort(nil, 4); got != nil {
-		t.Errorf("SelectShort(nil) = %v", got)
+	if got := SelectShortInto(nil, nil, 4); got != nil {
+		t.Errorf("SelectShortInto(nil) = %v", got)
 	}
 	long := []uint32{5, 1, 5, 5}
-	if got, want := SelectShort(long, 2), Select(long, 2); len(got) != len(want) {
-		t.Errorf("SelectShort on long input should match Select: %v vs %v", got, want)
+	if got, want := SelectShortInto(nil, long, 2), SelectInto(nil, long, 2); !slices.Equal(got, want) {
+		t.Errorf("SelectShortInto on long input should match SelectInto: %v vs %v", got, want)
+	}
+	// Both append after what dst already holds.
+	if got := SelectShortInto([]int{-1}, []uint32{7, 3, 3}, 4); !slices.Equal(got, []int{-1, 2}) {
+		t.Errorf("SelectShortInto into a non-empty dst = %v", got)
+	}
+	if got := SelectInto([]int{-1}, long, 2); !slices.Equal(got, []int{-1, 1, 3}) {
+		t.Errorf("SelectInto into a non-empty dst = %v", got)
 	}
 }
 
 func TestSelectPanicsOnBadWindow(t *testing.T) {
-	for name, f := range map[string]func([]uint32, int) []int{"Select": Select, "SelectShort": SelectShort} {
+	for name, f := range map[string]func([]int, []uint32, int) []int{"Select": SelectInto, "SelectShort": SelectShortInto} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("want panic for w=0")
 				}
 			}()
-			f([]uint32{1}, 0)
+			f(nil, []uint32{1}, 0)
 		})
 	}
 }
@@ -99,7 +107,7 @@ func TestCoverageGuarantee(t *testing.T) {
 		for i := range hashes {
 			hashes[i] = rng.Uint32()
 		}
-		selected := Select(hashes, w)
+		selected := SelectInto(nil, hashes, w)
 		isSel := map[int]bool{}
 		for _, p := range selected {
 			isSel[p] = true
@@ -135,10 +143,10 @@ func TestMatchGuarantee(t *testing.T) {
 		b := append(randomHashes(rng, rng.Intn(30)), shared...)
 		b = append(b, randomHashes(rng, rng.Intn(30))...)
 
-		selA := valueSet(a, Select(a, w))
+		selA := valueSet(a, SelectInto(nil, a, w))
 		common := false
-		for _, v := range Values(b, Select(b, w)) {
-			if selA[v] {
+		for _, p := range SelectInto(nil, b, w) {
+			if selA[b[p]] {
 				common = true
 				break
 			}
@@ -157,7 +165,7 @@ func TestPositionsStrictlyIncreasing(t *testing.T) {
 		hashes := randomHashes(rng, rng.Intn(300))
 		w := 1 + rng.Intn(12)
 		prev := -1
-		for _, p := range Select(hashes, w) {
+		for _, p := range SelectInto(nil, hashes, w) {
 			if p <= prev {
 				t.Fatalf("positions not strictly increasing: %d after %d", p, prev)
 			}
@@ -166,14 +174,6 @@ func TestPositionsStrictlyIncreasing(t *testing.T) {
 			}
 			prev = p
 		}
-	}
-}
-
-func TestValues(t *testing.T) {
-	hashes := []uint32{9, 1, 7, 1}
-	got := Values(hashes, []int{1, 3})
-	if len(got) != 2 || got[0] != 1 || got[1] != 1 {
-		t.Errorf("Values = %v", got)
 	}
 }
 
@@ -187,8 +187,8 @@ func randomHashes(rng *rand.Rand, n int) []uint32 {
 
 func valueSet(hashes []uint32, positions []int) map[uint32]bool {
 	set := make(map[uint32]bool, len(positions))
-	for _, v := range Values(hashes, positions) {
-		set[v] = true
+	for _, p := range positions {
+		set[hashes[p]] = true
 	}
 	return set
 }
@@ -206,14 +206,14 @@ func TestSelectDequeEquivalence(t *testing.T) {
 		for i := range hashes {
 			hashes[i] = rng.Uint32() % valueRange
 		}
-		a := Select(hashes, w)
+		a := SelectInto(nil, hashes, w)
 		b := SelectDeque(hashes, w)
 		if len(a) != len(b) {
-			t.Fatalf("n=%d w=%d: Select %v vs SelectDeque %v (hashes %v)", n, w, a, b, hashes)
+			t.Fatalf("n=%d w=%d: SelectInto %v vs SelectDeque %v (hashes %v)", n, w, a, b, hashes)
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("n=%d w=%d: Select %v vs SelectDeque %v (hashes %v)", n, w, a, b, hashes)
+				t.Fatalf("n=%d w=%d: SelectInto %v vs SelectDeque %v (hashes %v)", n, w, a, b, hashes)
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkSelect1000(b *testing.B) {
 	hashes := randomHashes(rng, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Select(hashes, 7)
+		_ = SelectInto(nil, hashes, 7)
 	}
 }
 
@@ -244,7 +244,8 @@ func BenchmarkSelectVsDeque(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	short := randomHashes(rng, 120) // a normalized city trajectory
 	long := randomHashes(rng, 5000) // a document-sized input
-	for name, f := range map[string]func([]uint32, int) []int{"rescan": Select, "deque": SelectDeque} {
+	rescan := func(hashes []uint32, w int) []int { return SelectInto(nil, hashes, w) }
+	for name, f := range map[string]func([]uint32, int) []int{"rescan": rescan, "deque": SelectDeque} {
 		b.Run(name+"/short", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f(short, 7)
