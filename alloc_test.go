@@ -3,6 +3,7 @@ package geodabs_test
 import (
 	"context"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"geodabs"
@@ -75,10 +76,10 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 }
 
 // TestFingerprintSetAllocs pins query extraction to its documented cost:
-// smoothing, normalization, geodabs and winnowing run in pooled scratch,
-// so once the pool is warm FingerprintSet allocates exactly what building
-// its result bitmap from the same values does. GC is off so a collection
-// cannot empty the pool mid-run.
+// smoothing, normalization, geodabs, winnowing and sorting the values run
+// in pooled scratch, so once the pool is warm FingerprintSet allocates
+// exactly what building its result bitmap from the same sorted values
+// does. GC is off so a collection cannot empty the pool mid-run.
 func TestFingerprintSetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -95,14 +96,17 @@ func TestFingerprintSetAllocs(t *testing.T) {
 		}
 		var set *bitmap.Bitmap // both results escape, as a returned set does
 		got := testing.AllocsPerRun(100, func() { set = f.FingerprintSet(pts) })
+		sorted := make([]uint32, 0, len(values))
 		want := testing.AllocsPerRun(100, func() {
-			set = bitmap.New()
-			for _, v := range values {
-				set.Add(v)
-			}
+			sorted = append(sorted[:0], values...)
+			slices.Sort(sorted)
+			set = bitmap.FromSorted(slices.Compact(sorted))
 		})
 		if got != want {
 			t.Errorf("%s: FingerprintSet %.2f allocs/op, building its bitmap alone %.2f", name, got, want)
+		}
+		if !set.Equals(f.FingerprintSet(pts)) {
+			t.Errorf("%s: the reference bitmap differs from FingerprintSet's", name)
 		}
 	}
 }

@@ -38,6 +38,52 @@ func FromSlice(values []uint32) *Bitmap {
 	return b
 }
 
+// FromSorted returns a bitmap containing values, which must be strictly
+// increasing. It builds the containers Add would — an array container
+// for a chunk of up to arrayMaxSize values, a bitmap container past it —
+// sized up front: the array chunks and their values, each at exact size,
+// come out of one allocation apiece.
+func FromSorted(values []uint32) *Bitmap {
+	chunks, arrays, lows := 0, 0, 0
+	for i, j := 0, 0; i < len(values); i = j {
+		j = chunkEnd(values, i)
+		if chunks++; j-i <= arrayMaxSize {
+			arrays, lows = arrays+1, lows+j-i
+		}
+	}
+	b := &Bitmap{keys: make([]uint16, 0, chunks), containers: make([]container, 0, chunks)}
+	ac, low := make([]arrayContainer, arrays), make([]uint16, lows)
+	for i, j := 0, 0; i < len(values); i = j {
+		j = chunkEnd(values, i)
+		b.keys = append(b.keys, uint16(values[i]>>16))
+		if j-i > arrayMaxSize {
+			c := newBitmapContainer()
+			for _, v := range values[i:j] {
+				c.set(uint16(v))
+			}
+			b.containers = append(b.containers, c)
+			continue
+		}
+		a := &ac[0]
+		ac, a.values, low = ac[1:], low[:j-i:j-i], low[j-i:]
+		for k, v := range values[i:j] {
+			a.values[k] = uint16(v)
+		}
+		b.containers = append(b.containers, a)
+	}
+	return b
+}
+
+// chunkEnd returns the end of the run of sorted values from i that share
+// values[i]'s chunk key.
+func chunkEnd(values []uint32, i int) int {
+	j := i + 1
+	for j < len(values) && values[j]>>16 == values[i]>>16 {
+		j++
+	}
+	return j
+}
+
 func highLow(v uint32) (uint16, uint16) { return uint16(v >> 16), uint16(v) }
 
 // chunkIndex returns the position of key among the bitmap's chunks and

@@ -1,8 +1,11 @@
 package bitmap
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -384,5 +387,81 @@ func TestBitmapEdgeValues(t *testing.T) {
 	got := b.ToSlice()
 	if len(got) != len(edges) {
 		t.Fatalf("ToSlice length %d, want %d", len(got), len(edges))
+	}
+}
+
+// sortedChunks returns strictly increasing values: for each given size, a
+// chunk of that many distinct values under a fresh random key.
+func sortedChunks(rng *rand.Rand, sizes ...int) []uint32 {
+	var out []uint32
+	key := uint32(rng.Intn(16))
+	for _, n := range sizes {
+		lows := rng.Perm(1 << 16)[:n]
+		sort.Ints(lows)
+		for _, low := range lows {
+			out = append(out, key<<16|uint32(low))
+		}
+		key += 1 + uint32(rng.Intn(300))
+	}
+	return out
+}
+
+// TestFromSortedMatchesAdd pins FromSorted to the bitmap AddMany builds
+// from the same values in shuffled order: equal sets, the same container
+// kind per chunk, identical serialized bytes, and array chunks at exact
+// size.
+func TestFromSortedMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := map[string][]int{
+		"empty":           nil,
+		"one value":       {1},
+		"full array":      {arrayMaxSize},
+		"first bitmap":    {arrayMaxSize + 1},
+		"several chunks":  {1, arrayMaxSize, arrayMaxSize + 1, 3, 200},
+		"bitmaps between": {arrayMaxSize + 1, 1, 9000, 1},
+	}
+	for name, sizes := range cases {
+		values := sortedChunks(rng, sizes...)
+		got := FromSorted(values)
+		shuffled := slices.Clone(values)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		want := New()
+		want.AddMany(shuffled)
+		if !got.Equals(want) {
+			t.Fatalf("%s: FromSorted has %d values, Add %d", name, got.Cardinality(), want.Cardinality())
+		}
+		var gotBytes, wantBytes bytes.Buffer
+		if _, err := got.WriteTo(&gotBytes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.WriteTo(&wantBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+			t.Fatalf("%s: serialized bytes differ", name)
+		}
+		for i, c := range got.containers {
+			if reflect.TypeOf(c) != reflect.TypeOf(want.containers[i]) {
+				t.Fatalf("%s: chunk %d is %T, Add built %T", name, i, c, want.containers[i])
+			}
+			if a, ok := c.(*arrayContainer); ok && cap(a.values) != len(a.values) {
+				t.Fatalf("%s: chunk %d holds %d values in capacity %d", name, i, len(a.values), cap(a.values))
+			}
+		}
+	}
+}
+
+// TestFromSortedChunksGrowApart guards the shared allocations behind
+// FromSorted's array chunks: growing or shrinking one chunk must not
+// write into its neighbours.
+func TestFromSortedChunksGrowApart(t *testing.T) {
+	b := FromSorted([]uint32{1, 5, 1<<16 | 2, 1<<16 | 3, 2<<16 | 7})
+	b.Add(9)
+	b.Add(3)
+	b.Remove(1<<16 | 2)
+	b.Add(1<<16 | 4)
+	want := []uint32{1, 3, 5, 9, 1<<16 | 3, 1<<16 | 4, 2<<16 | 7}
+	if got := b.ToSlice(); !slices.Equal(got, want) {
+		t.Fatalf("after growing and shrinking chunks: %v, want %v", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"geodabs/internal/geo"
+	"geodabs/internal/geohash"
 )
 
 // fuzzConfig decodes a configuration selector: two bits of debounce,
@@ -54,8 +55,8 @@ func fuzzPoints(data []byte) []geo.Point {
 
 // FuzzFingerprint checks the extraction pipeline's structural invariants
 // on arbitrary input: cells tile the raw points, winnowed positions index
-// the geodab sequence in order, and the set-only path agrees with the
-// full fingerprint.
+// the geodab sequence in order, the k-gram loop matches its reference,
+// and the set-only path agrees with the full fingerprint.
 func FuzzFingerprint(f *testing.F) {
 	walk := make([]byte, 0, 600)
 	for i := 0; i < 200; i++ {
@@ -97,6 +98,12 @@ func FuzzFingerprint(f *testing.F) {
 				t.Fatalf("geodab %d = %#x, want the sequence's %#x", i, fp.Geodabs[i], seq[p])
 			}
 		}
+
+		hashes := make([]geohash.Hash, len(fp.Cells))
+		for i, c := range fp.Cells {
+			hashes[i] = c.Hash
+		}
+		checkGeodabs(t, fpr, hashes)
 
 		if set := fpr.FingerprintSet(pts); !set.Equals(fp.Set) {
 			t.Fatalf("FingerprintSet has %d terms, Fingerprint().Set %d", set.Cardinality(), fp.Set.Cardinality())

@@ -30,11 +30,12 @@ const GeodabBits = 32
 type PrefixStrategy uint8
 
 const (
-	// PrefixCover uses the covering geohash of the k-gram — "the highest
-	// precision geohash that overlaps with the whole set" (paper Fig 3a) —
-	// truncated to PrefixBits. K-grams whose cover is shorter than
-	// PrefixBits (they straddle a major bisection boundary) fall back to
-	// the first cell's prefix to preserve locality.
+	// PrefixCover yields the PrefixBits prefix of the k-gram's first cell.
+	// That equals the k-gram's covering geohash — "the highest precision
+	// geohash that overlaps with the whole set" (paper Fig 3a) — truncated
+	// to PrefixBits whenever the cover is that deep; a k-gram whose cover
+	// is shallower straddles a major bisection boundary and keeps its
+	// first cell's prefix to preserve locality.
 	PrefixCover PrefixStrategy = iota
 	// PrefixCentroid uses the depth-PrefixBits geohash of the k-gram's
 	// cell-center centroid. Provided as an ablation of the cover strategy.
@@ -102,6 +103,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NormDepth = %d out of range [1, %d]", c.NormDepth, geohash.MaxDepth)
 	case c.PrefixBits < 1 || c.PrefixBits >= GeodabBits:
 		return fmt.Errorf("core: PrefixBits = %d out of range [1, %d]", c.PrefixBits, GeodabBits-1)
+	case c.PrefixBits > c.NormDepth:
+		return fmt.Errorf("core: PrefixBits = %d exceeds NormDepth = %d", c.PrefixBits, c.NormDepth)
 	case c.Strategy != PrefixCover && c.Strategy != PrefixCentroid:
 		return fmt.Errorf("core: unknown prefix strategy %d", c.Strategy)
 	default:
@@ -147,14 +150,15 @@ type Fingerprinter struct {
 
 // fpScratch is the pooled working state of one extraction: the smoothed
 // points, the cells (each one's hash and the index of its first raw
-// point), the unwinnowed geodab candidates and the winnowed positions.
-// Results that outlive a call are copied out.
+// point), the unwinnowed geodab candidates, the winnowed positions and
+// their values. Results that outlive a call are copied out.
 type fpScratch struct {
 	smooth     []geo.Point
 	hashes     []geohash.Hash
 	firsts     []int
 	candidates []uint32
 	positions  []int
+	values     []uint32
 }
 
 // NewFingerprinter validates cfg and returns a Fingerprinter.
@@ -221,12 +225,11 @@ func (f *Fingerprinter) Fingerprint(points []geo.Point) *Fingerprint {
 		Geodabs:   make([]uint32, len(sc.positions)),
 		Positions: slices.Clone(sc.positions),
 		Cells:     sc.cells(len(points)),
-		Set:       bitmap.New(),
+		Set:       sc.set(),
 	}
 	for i, p := range sc.positions {
 		fp.Geodabs[i] = sc.candidates[p]
 	}
-	fp.Set.AddMany(fp.Geodabs)
 	return fp
 }
 
@@ -241,11 +244,20 @@ func (f *Fingerprinter) FingerprintSet(points []geo.Point) *bitmap.Bitmap {
 	sc := f.scratch.Get().(*fpScratch)
 	defer f.scratch.Put(sc)
 	f.extract(sc, points)
-	set := bitmap.New() //geodabs:vet-ignore the documented result allocation: FingerprintSet allocates only the returned bitmap
+	return sc.set()
+}
+
+// set returns the deduplicated set of the winnowed geodabs in sc, built in
+// one pass from their sorted values.
+//
+//geodabs:noalloc
+func (sc *fpScratch) set() *bitmap.Bitmap {
+	sc.values = sc.values[:0]
 	for _, p := range sc.positions {
-		set.Add(sc.candidates[p])
+		sc.values = append(sc.values, sc.candidates[p])
 	}
-	return set
+	slices.Sort(sc.values)
+	return bitmap.FromSorted(slices.Compact(sc.values))
 }
 
 // extract runs the whole pipeline into sc: normalization into sc.hashes
@@ -319,50 +331,62 @@ func (sc *fpScratch) cells(n int) []Cell {
 
 // geodabsInto appends the geodab of every k-gram of the cell sequence:
 // the geohash prefix of the k-gram (paper Fig 3) over its order-sensitive
-// hash suffix.
+// hash suffix. The suffix hashes the ordered cell ids with FNV-1a so that
+// reversing or permuting a k-gram changes the geodab: this is what lets
+// geodabs discriminate the direction of travel, unlike bare geohashes.
 //
 //geodabs:noalloc
 func (f *Fingerprinter) geodabsInto(dst []uint32, hashes []geohash.Hash) []uint32 {
-	k, p := f.cfg.K, f.cfg.PrefixBits
-	shift := GeodabBits - p
-	centroid := f.cfg.Strategy == PrefixCentroid
-	for i := 0; i+k <= len(hashes); i++ {
-		kgram := hashes[i : i+k]
-		var prefix geohash.Hash
-		if centroid {
-			var lat, lon float64
-			for _, h := range kgram {
-				c := h.Center()
-				lat += c.Lat
-				lon += c.Lon
+	k, n := f.cfg.K, len(hashes)-f.cfg.K+1
+	i := 0
+	if f.cfg.NormDepth <= 40 {
+		// A suffix is a chain of dependent multiplies, so four k-grams'
+		// chains run side by side. Below 2⁴⁰ a cell id folds three zero
+		// bytes, p³, which joins the previous byte's multiply (or the
+		// offset basis, for the first cell).
+		for ; i+4 <= n; i += 4 {
+			s0, s1, s2, s3 := fnvOffsetCubed, fnvOffsetCubed, fnvOffsetCubed, fnvOffsetCubed
+			for j := i; j < i+k-1; j++ {
+				s0 = fnvLow5(s0, hashes[j].Bits) * fnvPrime32Fourth
+				s1 = fnvLow5(s1, hashes[j+1].Bits) * fnvPrime32Fourth
+				s2 = fnvLow5(s2, hashes[j+2].Bits) * fnvPrime32Fourth
+				s3 = fnvLow5(s3, hashes[j+3].Bits) * fnvPrime32Fourth
 			}
-			prefix = geohash.Encode(geo.Point{Lat: lat / float64(k), Lon: lon / float64(k)}, p)
-		} else {
-			prefix = kgram[0]
-			for _, h := range kgram[1:] {
-				if prefix.Depth < p {
-					break
-				}
-				prefix = geohash.CommonPrefix(prefix, h)
-			}
-			if prefix.Depth < p {
-				// The k-gram straddles a coarse bisection boundary; anchor
-				// the prefix on the first cell to keep the geodab local.
-				prefix = kgram[0]
-			}
-			prefix = prefix.Prefix(p)
+			last := i + k - 1
+			dst = append(dst,
+				f.geodab(hashes[i:i+k], fnvLow5(s0, hashes[last].Bits)*fnvPrime32),
+				f.geodab(hashes[i+1:i+1+k], fnvLow5(s1, hashes[last+1].Bits)*fnvPrime32),
+				f.geodab(hashes[i+2:i+2+k], fnvLow5(s2, hashes[last+2].Bits)*fnvPrime32),
+				f.geodab(hashes[i+3:i+3+k], fnvLow5(s3, hashes[last+3].Bits)*fnvPrime32))
 		}
-		// The suffix hashes the ordered cell ids with FNV-1a so that
-		// reversing or permuting a k-gram changes the geodab: this is what
-		// lets geodabs discriminate the direction of travel, unlike bare
-		// geohashes.
+	}
+	for ; i < n; i++ {
 		s := uint32(fnvOffset32)
-		for _, h := range kgram {
+		for _, h := range hashes[i : i+k] {
 			s = fnvCell(s, h.Bits)
 		}
-		dst = append(dst, uint32(prefix.Bits)<<shift|s&f.suffixMask)
+		dst = append(dst, f.geodab(hashes[i:i+k], s))
 	}
 	return dst
+}
+
+// geodab joins the geohash prefix of a k-gram to its hash suffix s.
+func (f *Fingerprinter) geodab(kgram []geohash.Hash, s uint32) uint32 {
+	p := f.cfg.PrefixBits
+	var prefix uint64
+	if f.cfg.Strategy == PrefixCentroid {
+		var lat, lon float64
+		for _, h := range kgram {
+			c := h.Center()
+			lat += c.Lat
+			lon += c.Lon
+		}
+		k := float64(len(kgram))
+		prefix = geohash.Encode(geo.Point{Lat: lat / k, Lon: lon / k}, p).Bits
+	} else {
+		prefix = kgram[0].Bits >> (kgram[0].Depth - p)
+	}
+	return uint32(prefix)<<(GeodabBits-p) | s&f.suffixMask
 }
 
 const (
@@ -372,13 +396,18 @@ const (
 
 // fnvPrime32Cubed is fnvPrime32³ mod 2³²: folding a zero byte is
 // h = (h^0)·p = h·p, so three leading zero bytes collapse to one multiply.
-const fnvPrime32Cubed uint32 = (fnvPrime32 * fnvPrime32 % (1 << 32)) * fnvPrime32 % (1 << 32)
+// fnvPrime32Fourth and fnvOffsetCubed merge that multiply into the one
+// before it.
+const (
+	fnvPrime32Cubed  uint32 = fnvPrime32 * fnvPrime32 * fnvPrime32 % (1 << 32)
+	fnvPrime32Fourth uint32 = fnvPrime32 * fnvPrime32 * fnvPrime32 * fnvPrime32 % (1 << 32)
+	fnvOffsetCubed   uint32 = fnvOffset32 * fnvPrime32 * fnvPrime32 * fnvPrime32 % (1 << 32)
+)
 
 // fnvCell folds one cell id (big-endian bytes, matching the historical
-// byte loop) into a running FNV-1a state. Hand-unrolled: this fold runs
-// K times per k-gram and dominates geodab derivation. Cell ids are
-// NormDepth ≤ 60 bits; the ≤ 40-bit grids the paper evaluates leave the
-// top three bytes zero, which fold to a single multiply.
+// byte loop) into a running FNV-1a state. Cell ids are NormDepth ≤ 60
+// bits; the ≤ 40-bit grids the paper evaluates leave the top three bytes
+// zero, which fold to a single multiply.
 func fnvCell(h uint32, bits uint64) uint32 {
 	if bits < 1<<40 {
 		h *= fnvPrime32Cubed
@@ -387,12 +416,18 @@ func fnvCell(h uint32, bits uint64) uint32 {
 		h = (h ^ uint32(bits>>48&0xff)) * fnvPrime32
 		h = (h ^ uint32(bits>>40&0xff)) * fnvPrime32
 	}
+	return fnvLow5(h, bits) * fnvPrime32
+}
+
+// fnvLow5 folds the low five bytes of a cell id into an FNV-1a state,
+// leaving out the last byte's multiply so a caller can merge it with the
+// next cell's zero bytes.
+func fnvLow5(h uint32, bits uint64) uint32 {
 	h = (h ^ uint32(bits>>32&0xff)) * fnvPrime32
 	h = (h ^ uint32(bits>>24&0xff)) * fnvPrime32
 	h = (h ^ uint32(bits>>16&0xff)) * fnvPrime32
 	h = (h ^ uint32(bits>>8&0xff)) * fnvPrime32
-	h = (h ^ uint32(bits&0xff)) * fnvPrime32
-	return h
+	return h ^ uint32(bits&0xff)
 }
 
 // smoothInto appends to dst the trajectory filtered with a centered
@@ -409,16 +444,28 @@ func smoothInto(dst []geo.Point, points []geo.Point, window int) []geo.Point {
 	}
 	half := window / 2
 	for i := range points {
-		lo, hi := max(0, i-half), min(len(points), i+half+1)
-		var lat, lon float64
-		for _, p := range points[lo:hi] {
-			lat += p.Lat
-			lon += p.Lon
+		w := points[max(0, i-half):min(len(points), i+half+1)]
+		if len(w) != 5 {
+			dst = append(dst, mean(w))
+			continue
 		}
-		n := float64(hi - lo)
-		dst = append(dst, geo.Point{Lat: lat / n, Lon: lon / n})
+		// The default window, unrolled: mean's additions in mean's order.
+		lat := 0 + w[0].Lat + w[1].Lat + w[2].Lat + w[3].Lat + w[4].Lat
+		lon := 0 + w[0].Lon + w[1].Lon + w[2].Lon + w[3].Lon + w[4].Lon
+		dst = append(dst, geo.Point{Lat: lat / 5, Lon: lon / 5})
 	}
 	return dst
+}
+
+// mean averages the points, summing from zero in order.
+func mean(points []geo.Point) geo.Point {
+	var lat, lon float64
+	for _, p := range points {
+		lat += p.Lat
+		lon += p.Lon
+	}
+	n := float64(len(points))
+	return geo.Point{Lat: lat / n, Lon: lon / n}
 }
 
 // PrefixOf extracts the geohash prefix of a geodab as a geohash.Hash of

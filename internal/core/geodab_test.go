@@ -41,6 +41,8 @@ func TestConfigValidate(t *testing.T) {
 		{"depth-too-big", func(c *Config) { c.NormDepth = 61 }, true},
 		{"prefix-zero", func(c *Config) { c.PrefixBits = 0 }, true},
 		{"prefix-32", func(c *Config) { c.PrefixBits = 32 }, true},
+		{"prefix-deeper-than-grid", func(c *Config) { c.NormDepth, c.PrefixBits = 10, 16 }, true},
+		{"prefix-as-deep-as-grid", func(c *Config) { c.NormDepth, c.PrefixBits = 16, 16 }, false},
 		{"bad-strategy", func(c *Config) { c.Strategy = 99 }, true},
 		{"centroid", func(c *Config) { c.Strategy = PrefixCentroid }, false},
 	}
@@ -52,8 +54,18 @@ func TestConfigValidate(t *testing.T) {
 			if (err != nil) != tt.wantErr {
 				t.Errorf("Validate() error = %v, wantErr %v", err, tt.wantErr)
 			}
-			if _, err2 := NewFingerprinter(cfg); (err2 != nil) != tt.wantErr {
+			f, err2 := NewFingerprinter(cfg)
+			if (err2 != nil) != tt.wantErr {
 				t.Errorf("NewFingerprinter error = %v, wantErr %v", err2, tt.wantErr)
+			}
+			if err2 == nil {
+				// Every accepted configuration must fingerprint, even a line
+				// that crosses the coarsest grid's cells.
+				line := make([]geo.Point, 200)
+				for i := range line {
+					line[i] = geo.Point{Lat: -80 + float64(i)*0.8, Lon: -179 + float64(i)*1.79}
+				}
+				f.Fingerprint(line)
 			}
 		})
 	}
@@ -323,5 +335,31 @@ func BenchmarkFingerprintSet1000Points(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.FingerprintSet(pts)
+	}
+}
+
+// BenchmarkNormalize1000Points times the first stage of FingerprintSet
+// on its input: smoothing, grid snapping and debouncing into scratch.
+func BenchmarkNormalize1000Points(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	f := MustFingerprinter(DefaultConfig())
+	pts := walk(1000, 15, rng)
+	sc := &fpScratch{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.normalize(sc, pts)
+	}
+}
+
+// BenchmarkGeodabs1000Points times the second stage of FingerprintSet on
+// the same input: the geodab of every k-gram of the normalized cells.
+func BenchmarkGeodabs1000Points(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	f := MustFingerprinter(DefaultConfig())
+	sc := &fpScratch{}
+	f.normalize(sc, walk(1000, 15, rng))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.candidates = f.geodabsInto(sc.candidates[:0], sc.hashes)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 
 	"geodabs/internal/geo"
@@ -190,62 +189,6 @@ func (h Hash) Prefix(depth uint8) Hash {
 // bisection tree, i.e. whether h's cell contains o's cell.
 func (h Hash) IsPrefixOf(o Hash) bool {
 	return h.Depth <= o.Depth && o.Prefix(h.Depth) == h
-}
-
-// leftAligned returns the hash bits shifted to start at bit 63.
-func (h Hash) leftAligned() uint64 {
-	if h.Depth == 0 {
-		return 0
-	}
-	return h.Bits << (64 - h.Depth)
-}
-
-// CommonPrefix returns the deepest hash that is a prefix of both a and b:
-// the smallest bisection cell containing both cells.
-func CommonPrefix(a, b Hash) Hash {
-	depth := min(a.Depth, b.Depth)
-	if lz := uint8(bits.LeadingZeros64(a.leftAligned() ^ b.leftAligned())); lz < depth {
-		depth = lz
-	}
-	if depth == 0 {
-		return Hash{}
-	}
-	return a.Prefix(depth)
-}
-
-// Cover returns the deepest geohash (up to maxDepth bits) whose cell
-// contains every given point: the "highest precision geohash that overlaps
-// with the whole set" of the paper (§III-C). Covering an empty set returns
-// the whole-earth cell.
-func Cover(points []geo.Point, maxDepth uint8) Hash {
-	if len(points) == 0 {
-		return Hash{}
-	}
-	h := Encode(points[0], maxDepth)
-	for _, p := range points[1:] {
-		if h.Depth == 0 {
-			break
-		}
-		h = CommonPrefix(h, Encode(p, maxDepth))
-	}
-	return h
-}
-
-// CoverHashes returns the deepest common prefix of the given hashes,
-// the cell-id analogue of Cover. Covering an empty set returns the
-// whole-earth cell.
-func CoverHashes(hashes []Hash) Hash {
-	if len(hashes) == 0 {
-		return Hash{}
-	}
-	h := hashes[0]
-	for _, o := range hashes[1:] {
-		if h.Depth == 0 {
-			break
-		}
-		h = CommonPrefix(h, o)
-	}
-	return h
 }
 
 // String returns the hash as a binary string, e.g. "110101", matching the

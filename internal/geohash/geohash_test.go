@@ -87,7 +87,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPrefixAndCommonPrefix(t *testing.T) {
+func TestPrefix(t *testing.T) {
 	h := Encode(london, 40)
 	for d := uint8(0); d <= 40; d++ {
 		pre := h.Prefix(d)
@@ -100,71 +100,6 @@ func TestPrefixAndCommonPrefix(t *testing.T) {
 		if !pre.Contains(london) {
 			t.Fatalf("Prefix(%d) cell does not contain the encoded point", d)
 		}
-	}
-	if got := CommonPrefix(h, h); got != h {
-		t.Errorf("CommonPrefix(h, h) = %v, want %v", got, h)
-	}
-	// Two nearby points share a long prefix; distant points share few bits.
-	near := Encode(geo.Point{Lat: 51.5075, Lon: -0.1279}, 40)
-	far := Encode(geo.Point{Lat: -33.9, Lon: 151.2}, 40)
-	if cp := CommonPrefix(h, near); cp.Depth < 20 {
-		t.Errorf("nearby points share only %d bits", cp.Depth)
-	}
-	if cp := CommonPrefix(h, far); cp.Depth > 2 {
-		t.Errorf("antipodal-ish points share %d bits", cp.Depth)
-	}
-}
-
-func TestCommonPrefixMismatchedDepths(t *testing.T) {
-	a := Encode(london, 40)
-	b := Encode(london, 25)
-	if got := CommonPrefix(a, b); got != b {
-		t.Errorf("CommonPrefix across depths = %v, want %v", got, b)
-	}
-}
-
-func TestCover(t *testing.T) {
-	if got := Cover(nil, 40); got.Depth != 0 {
-		t.Errorf("Cover(nil) = %v, want whole earth", got)
-	}
-	pts := []geo.Point{
-		london,
-		{Lat: 51.5080, Lon: -0.1270},
-		{Lat: 51.5068, Lon: -0.1290},
-	}
-	h := Cover(pts, 40)
-	if h.Depth == 0 {
-		t.Fatal("Cover of nearby points should share bits")
-	}
-	bounds := h.Bounds()
-	for _, p := range pts {
-		if !bounds.Contains(p) {
-			t.Errorf("cover cell %s does not contain %v", h, p)
-		}
-	}
-	// The next-deeper prefix of the first point must exclude some point.
-	if h.Depth < 40 {
-		deeper := Encode(pts[0], h.Depth+1)
-		all := true
-		for _, p := range pts {
-			if !deeper.Contains(p) {
-				all = false
-			}
-		}
-		if all {
-			t.Errorf("cover %s is not maximal: depth %d still contains all", h, h.Depth+1)
-		}
-	}
-}
-
-func TestCoverHashes(t *testing.T) {
-	hs := []Hash{Encode(london, 36), Encode(geo.Point{Lat: 51.51, Lon: -0.12}, 36)}
-	want := CommonPrefix(hs[0], hs[1])
-	if got := CoverHashes(hs); got != want {
-		t.Errorf("CoverHashes = %v, want %v", got, want)
-	}
-	if got := CoverHashes(nil); got.Depth != 0 {
-		t.Errorf("CoverHashes(nil) = %v, want whole earth", got)
 	}
 }
 
@@ -287,17 +222,6 @@ func TestEncodePanicsOnDepth(t *testing.T) {
 func BenchmarkEncode36(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Encode(london, 36)
-	}
-}
-
-func BenchmarkCover6Points(b *testing.B) {
-	pts := make([]geo.Point, 6)
-	for i := range pts {
-		pts[i] = geo.Offset(london, float64(i)*80, float64(i)*30)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Cover(pts, 36)
 	}
 }
 

@@ -285,35 +285,52 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// countingExtractor counts Extract calls, to observe how much work AddAll
-// dispatches before failing.
-type countingExtractor struct {
+// gatedExtractor counts Extract calls and holds every one on a gate
+// except those of the free trajectory's points, so a test can bound how
+// far workers run past a failure however they are scheduled.
+type gatedExtractor struct {
 	Extractor
-	n atomic.Int64
+	free []geo.Point
+	gate chan struct{}
+	n    atomic.Int64
 }
 
-func (c *countingExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
-	c.n.Add(1)
-	return c.Extractor.Extract(points)
+func (g *gatedExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
+	g.n.Add(1)
+	if len(points) == 0 || &points[0] != &g.free[0] {
+		<-g.gate
+	}
+	return g.Extractor.Extract(points)
 }
 
-// TestAddAllFailsFast plants a duplicate ID near the front of a dataset:
-// AddAll must stop dispatching fingerprint jobs shortly after the insert
-// fails instead of draining the whole dataset through the workers.
+// TestAddAllFailsFast plants a duplicate ID at the front of a dataset:
+// AddAll must stop dispatching fingerprint jobs once the insert fails
+// instead of draining the whole dataset through the workers. Only the two
+// copies of the duplicate extract freely; every other extraction waits
+// until AddAll has returned, so each worker can have started at most one.
 func TestAddAllFailsFast(t *testing.T) {
-	ex := &countingExtractor{Extractor: GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}}
-	ix := NewSharded(ex, 1)
 	src := testWorkload.Dataset.Trajectories
+	ex := &gatedExtractor{
+		Extractor: GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())},
+		free:      src[0].Points,
+		gate:      make(chan struct{}),
+	}
+	ix := NewSharded(ex, 1)
 	poisoned := &trajectory.Dataset{Trajectories: make([]*trajectory.Trajectory, 0, len(src)+1)}
 	poisoned.Trajectories = append(poisoned.Trajectories, src[0], src[0]) // duplicate ID
 	poisoned.Trajectories = append(poisoned.Trajectories, src[1:]...)
-	err := ix.AddAll(context.Background(), poisoned, 2)
+	const workers = 2
+	err := ix.AddAll(context.Background(), poisoned, workers)
+	extracted := int(ex.n.Load())
+	close(ex.gate)
 	if err == nil {
 		t.Fatal("duplicate ID should fail AddAll")
 	}
-	extracted := int(ex.n.Load())
-	if total := len(poisoned.Trajectories); extracted > total/2 {
-		t.Errorf("AddAll extracted %d of %d trajectories after the failure, want fail-fast", extracted, total)
+	if extracted < 2 || extracted > 2+workers {
+		t.Errorf("AddAll started %d extractions of %d trajectories, want 2 to %d", extracted, len(poisoned.Trajectories), 2+workers)
+	}
+	if ix.Len() != 0 {
+		t.Errorf("failed AddAll left %d trajectories indexed", ix.Len())
 	}
 }
 

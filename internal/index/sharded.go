@@ -101,11 +101,12 @@ func (s *Sharded) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) 
 // parallel workers (minimum 1); insertions route to the owning shards,
 // and duplicate-ID detection works because a given ID always hashes to
 // the same shard. It fails fast: the first insertion error (or context
-// cancellation) stops job dispatch, and only the extractions already in
-// flight are drained before returning. AddAll is all-or-nothing — on
-// failure the trajectories it inserted are removed again, one lock
-// acquisition per touched shard, so the caller can retry the same
-// dataset after fixing the cause.
+// cancellation) stops job dispatch, and AddAll returns once it sees the
+// failure, without draining the extractions still in flight; their
+// results are dropped. AddAll is all-or-nothing — on failure the
+// trajectories it inserted are removed again, one lock acquisition per
+// touched shard, so the caller can retry the same dataset after fixing
+// the cause.
 func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -153,26 +154,23 @@ func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int
 	var firstErr error
 	var inserted []trajectory.ID
 	for r := range results {
-		if firstErr == nil {
-			firstErr = ctx.Err() // cancellation outranks in-flight results
+		if firstErr = ctx.Err(); firstErr != nil {
+			break // cancellation outranks in-flight results
 		}
-		if firstErr != nil {
-			continue // dispatch is already cancelled; drain in-flight work
+		if firstErr = s.insert(r.id, r.set, r.pts); firstErr != nil {
+			break
 		}
-		if err := s.insert(r.id, r.set, r.pts); err != nil {
-			firstErr = err
-			cancel()
-		} else {
-			inserted = append(inserted, r.id)
-		}
+		inserted = append(inserted, r.id)
 	}
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}
 	if firstErr != nil {
-		// Roll back this call's insertions so a retry starts clean. The
+		// Stop dispatch; workers drop what they still extract. Then roll
+		// back this call's insertions so a retry starts clean. The
 		// cancellation that may have failed the ingest must not stop it, and
 		// without one DeleteAll cannot fail.
+		cancel()
 		_, _ = s.DeleteAll(context.WithoutCancel(ctx), inserted)
 	}
 	return firstErr

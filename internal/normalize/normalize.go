@@ -45,6 +45,9 @@ func (g Grid) Normalize(points []geo.Point) ([]geo.Point, error) {
 	if g.Depth != 0 {
 		cfg.NormDepth = g.Depth
 	}
+	// The grid never derives geodabs, so a grid shallower than the prefix
+	// only needs the prefix to fit.
+	cfg.PrefixBits = min(cfg.PrefixBits, cfg.NormDepth)
 	switch {
 	case g.SmoothWindow < 0:
 		cfg.SmoothWindow = 0

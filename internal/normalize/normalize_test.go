@@ -69,6 +69,20 @@ func TestGridNormalizeRejectsBadDepth(t *testing.T) {
 	}
 }
 
+// TestGridNormalizeShallowGrid covers grids shallower than the
+// fingerprinter's default 16-bit prefix, which the grid never uses.
+func TestGridNormalizeShallowGrid(t *testing.T) {
+	for _, depth := range []uint8{1, 10, 15} {
+		out, err := Grid{Depth: depth}.Normalize(noisyLine(50, 10, 4))
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if len(out) == 0 {
+			t.Errorf("depth %d: no points", depth)
+		}
+	}
+}
+
 func TestGridNormalizeEmpty(t *testing.T) {
 	out, err := Grid{}.Normalize(nil)
 	if err != nil {
