@@ -200,16 +200,8 @@ func cmdStats(args []string) error {
 		return err
 	}
 	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
+		if err := loadSnapshot(idx, *in); err != nil {
 			return err
-		}
-		_, rerr := idx.ReadFrom(f)
-		if cerr := f.Close(); rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return rerr
 		}
 	}
 	start := time.Now()
@@ -232,21 +224,54 @@ func cmdStats(args []string) error {
 	fmt.Printf("shards:       %d\n", s.Shards)
 	fmt.Printf("build time:   %v (%d workers)\n", elapsed.Round(time.Millisecond), *workers)
 	if *snapshot != "" {
-		f, err := os.Create(*snapshot)
+		n, err := writeSnapshot(idx, *snapshot)
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		n, err := idx.WriteTo(f)
-		if err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("snapshot:     %s (%d bytes)\n", *snapshot, n)
 	}
 	return nil
+}
+
+// loadSnapshot replaces idx's contents with the index snapshot at path.
+func loadSnapshot(idx *geodabs.Index, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	_, err = idx.ReadFrom(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeSnapshot writes idx to path through a sibling temp file that is
+// synced, closed and then renamed over path, so a failed or interrupted
+// write never truncates the snapshot already there.
+func writeSnapshot(idx *geodabs.Index, path string) (int64, error) {
+	w, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, err
+	}
+	n, err := idx.WriteTo(w)
+	if err == nil {
+		err = w.Chmod(0o644) // CreateTemp's 0600 would hide the snapshot from other readers
+	}
+	if err == nil {
+		err = w.Sync()
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(w.Name(), path)
+	}
+	if err != nil {
+		os.Remove(w.Name())
+		return 0, err
+	}
+	return n, nil
 }
 
 // clusterStats dials the given shard nodes (and, optionally, their read
@@ -396,29 +421,24 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	var idx *geodabs.Index
+	// Exact re-ranking needs the raw points, which retention keeps;
+	// plain fingerprint queries skip that memory cost. A snapshot holds
+	// no points, so a loaded index cannot re-rank either way.
+	var iopts []geodabs.Option
+	if *rerank != "" && *snapshot == "" {
+		iopts = append(iopts, geodabs.WithPointRetention())
+	}
+	idx, err := geodabs.NewIndex(geodabs.DefaultConfig(), iopts...)
+	if err != nil {
+		return err
+	}
 	if *snapshot != "" {
-		f, err := os.Open(*snapshot)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if idx, err = geodabs.ReadIndex(geodabs.DefaultConfig(), f); err != nil {
-			return err
-		}
+		err = loadSnapshot(idx, *snapshot)
 	} else {
-		// Exact re-ranking needs the raw points, which retention keeps;
-		// plain fingerprint queries skip that memory cost.
-		var iopts []geodabs.Option
-		if *rerank != "" {
-			iopts = append(iopts, geodabs.WithPointRetention())
-		}
-		if idx, err = geodabs.NewIndex(geodabs.DefaultConfig(), iopts...); err != nil {
-			return err
-		}
-		if err := idx.AddAllContext(ctx, d, *workers); err != nil {
-			return err
-		}
+		err = idx.AddAllContext(ctx, d, *workers)
+	}
+	if err != nil {
+		return err
 	}
 	if *all {
 		// Prepare the whole batch up front: extraction runs once per query
@@ -512,15 +532,11 @@ func cmdDelete(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	f, err := os.Open(*snapshot)
+	idx, err := geodabs.NewIndex(geodabs.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	idx, err := geodabs.ReadIndex(geodabs.DefaultConfig(), f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := loadSnapshot(idx, *snapshot); err != nil {
 		return err
 	}
 	before := idx.Stats()
@@ -532,24 +548,7 @@ func cmdDelete(args []string) error {
 	if *out == "" {
 		*out = *snapshot
 	}
-	// Write to a sibling temp file and rename over the target, so a
-	// failed write never truncates the only copy of the snapshot.
-	w, err := os.CreateTemp(filepath.Dir(*out), filepath.Base(*out)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := w.Name()
-	if _, err := idx.WriteTo(w); err != nil {
-		_ = w.Close() // the write error is the one worth reporting
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, *out); err != nil {
-		os.Remove(tmp)
+	if _, err := writeSnapshot(idx, *out); err != nil {
 		return err
 	}
 	fmt.Printf("deleted %d of %d trajectories (%d unknown), postings %d → %d, wrote %s\n",

@@ -286,19 +286,12 @@ func (f *Fingerprinter) Motif(a, b []Point, lengthMeters float64) (MotifMatch, e
 
 // Distances between trajectories (paper §VI-B). DTW and DFD are the
 // polynomial-cost measures geodabs replace; JaccardDistance is the
-// fingerprint-set distance used for ranking. LCSS and EDR are the classic
-// edit-style measures, provided for completeness.
+// fingerprint-set distance used for ranking.
 var (
 	// DTW is the dynamic time-warping distance in meters.
 	DTW = distance.DTW
 	// DFD is the discrete Fréchet distance in meters.
 	DFD = distance.DFD
-	// LCSSDistance is the normalized longest-common-subsequence distance
-	// with a matching radius in meters.
-	LCSSDistance = distance.LCSSDistance
-	// EDR is the edit distance on real sequences with a matching radius
-	// in meters.
-	EDR = distance.EDR
 	// Haversine is the great-circle ground distance in meters.
 	Haversine = geo.Haversine
 	// Simplify reduces a polyline with Douglas-Peucker at a tolerance in

@@ -1,18 +1,17 @@
 // Package bitmap implements roaring bitmaps (Lemire et al.,
 // arXiv:1709.07821): compressed sets of uint32 values partitioned into
 // 64 Ki-value chunks by their high 16 bits, with each chunk stored as a
-// sorted array, a bitset, or run-length intervals depending on density.
+// sorted array or a bitset depending on density.
 //
 // The paper stores every trajectory's fingerprint set as a roaring bitmap
 // so that the Jaccard coefficient between a query and a candidate reduces
 // to cheap bitwise intersections (§IV-A). JaccardDistance below is exactly
 // the δ used to rank retrieval results.
 //
-// Beyond the classic set algebra (And, Or, AndCardinality, …) the package
-// provides the primitives of the index's term-at-a-time counting merge:
-// Counter accumulates per-value occurrence counts across a stream of
-// bitmaps in one container pass each (counter.go), OrInPlace unions
-// without materializing a third bitmap, and Iterator.NextMany decodes
+// Beyond building, membership and AndCardinality, the package provides
+// the primitives of the index's term-at-a-time counting merge: Counter
+// accumulates per-value occurrence counts across a stream of bitmaps in
+// one container pass each (counter.go), and Iterator.NextMany decodes
 // values in caller-buffered batches with no per-value callback. Together
 // they let a ranked search touch each posting list exactly once and run
 // allocation-free in steady state.
@@ -34,7 +33,9 @@ func New() *Bitmap { return &Bitmap{} }
 // FromSlice returns a bitmap containing the given values.
 func FromSlice(values []uint32) *Bitmap {
 	b := New()
-	b.AddMany(values)
+	for _, v := range values {
+		b.Add(v)
+	}
 	return b
 }
 
@@ -109,13 +110,6 @@ func (b *Bitmap) Add(v uint32) {
 	b.containers[i] = &arrayContainer{values: []uint16{low}}
 }
 
-// AddMany inserts all values; it is equivalent to calling Add repeatedly.
-func (b *Bitmap) AddMany(values []uint32) {
-	for _, v := range values {
-		b.Add(v)
-	}
-}
-
 // Remove deletes v from the set if present.
 func (b *Bitmap) Remove(v uint32) {
 	key, low := highLow(v)
@@ -157,18 +151,6 @@ func (b *Bitmap) IsEmpty() bool { return len(b.keys) == 0 }
 func (b *Bitmap) Clear() {
 	b.keys = nil
 	b.containers = nil
-}
-
-// Clone returns a deep copy of the bitmap.
-func (b *Bitmap) Clone() *Bitmap {
-	out := &Bitmap{
-		keys:       append([]uint16(nil), b.keys...),
-		containers: make([]container, len(b.containers)),
-	}
-	for i, c := range b.containers {
-		out.containers[i] = c.clone()
-	}
-	return out
 }
 
 // Iterate calls f on each value in ascending order until f returns false.
@@ -262,134 +244,6 @@ func (b *Bitmap) Equals(o *Bitmap) bool {
 	return true
 }
 
-// binaryOp merges two bitmaps chunk-by-chunk. onlyA/onlyB control whether
-// chunks present in a single operand survive (clone) or are dropped; both
-// combines chunks present in both operands.
-func binaryOp(a, b *Bitmap, onlyA, onlyB bool, both func(container, container) container) *Bitmap {
-	out := New()
-	i, j := 0, 0
-	appendChunk := func(key uint16, c container) {
-		if c != nil && c.cardinality() > 0 {
-			out.keys = append(out.keys, key)
-			out.containers = append(out.containers, c)
-		}
-	}
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			if onlyA {
-				appendChunk(a.keys[i], a.containers[i].clone())
-			}
-			i++
-		case a.keys[i] > b.keys[j]:
-			if onlyB {
-				appendChunk(b.keys[j], b.containers[j].clone())
-			}
-			j++
-		default:
-			appendChunk(a.keys[i], both(a.containers[i], b.containers[j]))
-			i++
-			j++
-		}
-	}
-	if onlyA {
-		for ; i < len(a.keys); i++ {
-			appendChunk(a.keys[i], a.containers[i].clone())
-		}
-	}
-	if onlyB {
-		for ; j < len(b.keys); j++ {
-			appendChunk(b.keys[j], b.containers[j].clone())
-		}
-	}
-	return out
-}
-
-// OrInPlace adds every value of o to b without materializing a third
-// bitmap: chunks present in both operands are merged with the receiver's
-// container replaced, chunks only in o are cloned in, chunks only in b are
-// kept as-is. o is not modified. This is the allocation-lean union for
-// accumulation loops, which would otherwise clone every surviving chunk of
-// the accumulator per operand (the cost of the binary Or).
-func (b *Bitmap) OrInPlace(o *Bitmap) {
-	if o.IsEmpty() {
-		return
-	}
-	// Fast path: every chunk of o already exists in b — merge in place with
-	// no slice reshuffling at all.
-	fresh := 0
-	i, j := 0, 0
-	for j < len(o.keys) {
-		switch {
-		case i < len(b.keys) && b.keys[i] < o.keys[j]:
-			i++
-		case i < len(b.keys) && b.keys[i] == o.keys[j]:
-			i++
-			j++
-		default:
-			fresh++
-			j++
-		}
-	}
-	if fresh == 0 {
-		i = 0
-		for j = 0; j < len(o.keys); j++ {
-			for b.keys[i] != o.keys[j] {
-				i++
-			}
-			b.containers[i] = b.containers[i].or(o.containers[j])
-		}
-		return
-	}
-	keys := make([]uint16, 0, len(b.keys)+fresh)
-	containers := make([]container, 0, len(b.keys)+fresh)
-	i, j = 0, 0
-	for i < len(b.keys) && j < len(o.keys) {
-		switch {
-		case b.keys[i] < o.keys[j]:
-			keys = append(keys, b.keys[i])
-			containers = append(containers, b.containers[i])
-			i++
-		case b.keys[i] > o.keys[j]:
-			keys = append(keys, o.keys[j])
-			containers = append(containers, o.containers[j].clone())
-			j++
-		default:
-			keys = append(keys, b.keys[i])
-			containers = append(containers, b.containers[i].or(o.containers[j]))
-			i++
-			j++
-		}
-	}
-	keys = append(keys, b.keys[i:]...)
-	containers = append(containers, b.containers[i:]...)
-	for ; j < len(o.keys); j++ {
-		keys = append(keys, o.keys[j])
-		containers = append(containers, o.containers[j].clone())
-	}
-	b.keys, b.containers = keys, containers
-}
-
-// And returns the intersection of a and b as a new bitmap.
-func And(a, b *Bitmap) *Bitmap {
-	return binaryOp(a, b, false, false, container.and)
-}
-
-// Or returns the union of a and b as a new bitmap.
-func Or(a, b *Bitmap) *Bitmap {
-	return binaryOp(a, b, true, true, container.or)
-}
-
-// AndNot returns the difference a − b as a new bitmap.
-func AndNot(a, b *Bitmap) *Bitmap {
-	return binaryOp(a, b, true, false, container.andNot)
-}
-
-// Xor returns the symmetric difference of a and b as a new bitmap.
-func Xor(a, b *Bitmap) *Bitmap {
-	return binaryOp(a, b, true, true, container.xor)
-}
-
 // AndCardinality returns |a ∩ b| without materializing the intersection.
 // This is the hot operation when ranking retrieval candidates.
 func AndCardinality(a, b *Bitmap) int {
@@ -409,12 +263,6 @@ func AndCardinality(a, b *Bitmap) int {
 	return n
 }
 
-// OrCardinality returns |a ∪ b| without materializing the union, via
-// the inclusion-exclusion identity.
-func OrCardinality(a, b *Bitmap) int {
-	return a.Cardinality() + b.Cardinality() - AndCardinality(a, b)
-}
-
 // Jaccard returns the Jaccard coefficient J(a, b) = |a∩b| / |a∪b|.
 // The coefficient of two empty sets is defined as 1 (identical sets).
 func Jaccard(a, b *Bitmap) float64 {
@@ -432,14 +280,6 @@ func JaccardDistance(a, b *Bitmap) float64 {
 	return 1 - Jaccard(a, b)
 }
 
-// RunOptimize converts chunks to their most compact representation. Call it
-// after a bitmap stops being modified (e.g. when a posting list is sealed).
-func (b *Bitmap) RunOptimize() {
-	for i, c := range b.containers {
-		b.containers[i] = c.runOptimize()
-	}
-}
-
 // SizeInBytes returns an estimate of the in-memory footprint of the bitmap
 // payload, used by index statistics.
 func (b *Bitmap) SizeInBytes() int {
@@ -450,8 +290,6 @@ func (b *Bitmap) SizeInBytes() int {
 			n += 2 * len(c.values)
 		case *bitmapContainer:
 			n += 8 * bitmapWords
-		case *runContainer:
-			n += c.sizeInBytes()
 		}
 	}
 	return n

@@ -1,10 +1,10 @@
 package bitmap
 
 // container is a set of uint16 values, one per high-16-bit key of the
-// bitmap. Implementations convert between one another as their cardinality
-// crosses arrayMaxSize, mirroring the design of Lemire et al.'s roaring
-// bitmaps: sorted arrays for sparse chunks, 64-kilobit bitsets for dense
-// chunks, and run-length encoding for contiguous chunks.
+// bitmap. There are two kinds, converted into one another as their
+// cardinality crosses arrayMaxSize, mirroring Lemire et al.'s roaring
+// bitmaps: sorted arrays for sparse chunks and 64-kilobit bitsets for
+// dense ones.
 //
 // Mutating methods return the container to use afterwards, which may be a
 // converted copy of the receiver.
@@ -13,11 +13,6 @@ type container interface {
 	remove(v uint16) container
 	contains(v uint16) bool
 	cardinality() int
-
-	and(o container) container
-	or(o container) container
-	andNot(o container) container
-	xor(o container) container
 	andCardinality(o container) int
 
 	// iterate calls f for each value in ascending order until f returns
@@ -38,11 +33,6 @@ type container interface {
 	// container is exhausted. It backs the bitmap's buffered many-at-a-time
 	// iterator.
 	fillMany(base uint32, state uint32, buf []uint32) (n int, next uint32, done bool)
-
-	// runOptimize returns the most compact representation of the container.
-	runOptimize() container
-
-	clone() container
 }
 
 // arrayMaxSize is the cardinality above which an array container is
@@ -50,41 +40,3 @@ type container interface {
 // converted back). 4096 uint16s occupy 8 KiB, the size of a bitmap
 // container, so this is the break-even point.
 const arrayMaxSize = 4096
-
-// asBitmap converts any container into a bitmap container.
-func asBitmap(c container) *bitmapContainer {
-	if b, ok := c.(*bitmapContainer); ok {
-		return b
-	}
-	b := newBitmapContainer()
-	c.iterate(func(v uint16) bool {
-		b.set(v)
-		return true
-	})
-	return b
-}
-
-// asArray converts any container into an array container. The caller must
-// ensure the cardinality fits.
-func asArray(c container) *arrayContainer {
-	if a, ok := c.(*arrayContainer); ok {
-		return a
-	}
-	a := &arrayContainer{values: make([]uint16, 0, c.cardinality())}
-	c.iterate(func(v uint16) bool {
-		a.values = append(a.values, v)
-		return true
-	})
-	return a
-}
-
-// shrink converts c to an array container when it is small enough for one.
-func shrink(c container) container {
-	if _, ok := c.(*arrayContainer); ok {
-		return c
-	}
-	if c.cardinality() <= arrayMaxSize {
-		return asArray(c)
-	}
-	return c
-}

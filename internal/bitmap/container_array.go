@@ -29,7 +29,10 @@ func (a *arrayContainer) add(v uint16) container {
 		return a
 	}
 	if len(a.values) >= arrayMaxSize {
-		b := asBitmap(a)
+		b := newBitmapContainer()
+		for _, w := range a.values {
+			b.set(w)
+		}
 		b.set(v)
 		return b
 	}
@@ -77,108 +80,17 @@ func (a *arrayContainer) fillMany(base uint32, state uint32, buf []uint32) (int,
 	return n, uint32(i), i >= len(a.values)
 }
 
-func (a *arrayContainer) clone() container {
-	return &arrayContainer{values: append([]uint16(nil), a.values...)}
-}
-
-func (a *arrayContainer) and(o container) container {
-	switch other := o.(type) {
-	case *arrayContainer:
-		return &arrayContainer{values: intersectSorted(a.values, other.values)}
-	default:
-		out := &arrayContainer{values: make([]uint16, 0, min(len(a.values), o.cardinality()))}
-		for _, v := range a.values {
-			if o.contains(v) {
-				out.values = append(out.values, v)
-			}
-		}
-		return out
-	}
-}
-
 func (a *arrayContainer) andCardinality(o container) int {
-	switch other := o.(type) {
-	case *arrayContainer:
-		return countIntersectSorted(a.values, other.values)
-	default:
-		n := 0
-		for _, v := range a.values {
-			if o.contains(v) {
-				n++
-			}
-		}
-		return n
+	if o, ok := o.(*arrayContainer); ok {
+		return countIntersectSorted(a.values, o.values)
 	}
-}
-
-func (a *arrayContainer) or(o container) container {
-	switch other := o.(type) {
-	case *arrayContainer:
-		merged := unionSorted(a.values, other.values)
-		if len(merged) > arrayMaxSize {
-			return asBitmap(&arrayContainer{values: merged})
-		}
-		return &arrayContainer{values: merged}
-	default:
-		b := asBitmap(o).clone().(*bitmapContainer)
-		for _, v := range a.values {
-			b.set(v)
-		}
-		return shrink(b)
-	}
-}
-
-func (a *arrayContainer) andNot(o container) container {
-	out := &arrayContainer{values: make([]uint16, 0, len(a.values))}
+	n := 0
 	for _, v := range a.values {
-		if !o.contains(v) {
-			out.values = append(out.values, v)
+		if o.contains(v) {
+			n++
 		}
 	}
-	return out
-}
-
-func (a *arrayContainer) xor(o container) container {
-	switch other := o.(type) {
-	case *arrayContainer:
-		sym := symmetricDiffSorted(a.values, other.values)
-		if len(sym) > arrayMaxSize {
-			return asBitmap(&arrayContainer{values: sym})
-		}
-		return &arrayContainer{values: sym}
-	default:
-		b := asBitmap(o).clone().(*bitmapContainer)
-		for _, v := range a.values {
-			b.flip(v)
-		}
-		return shrink(b)
-	}
-}
-
-func (a *arrayContainer) runOptimize() container {
-	if r, ok := runsFromSorted(a.values); ok && r.sizeInBytes() < 2*len(a.values) {
-		return r
-	}
-	return a
-}
-
-// intersectSorted returns the intersection of two sorted uint16 slices.
-func intersectSorted(a, b []uint16) []uint16 {
-	out := make([]uint16, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return n
 }
 
 // countIntersectSorted returns the size of the intersection without
@@ -198,50 +110,4 @@ func countIntersectSorted(a, b []uint16) int {
 		}
 	}
 	return n
-}
-
-// unionSorted returns the union of two sorted uint16 slices.
-func unionSorted(a, b []uint16) []uint16 {
-	out := make([]uint16, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// symmetricDiffSorted returns the symmetric difference of two sorted
-// slices.
-func symmetricDiffSorted(a, b []uint16) []uint16 {
-	out := make([]uint16, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

@@ -34,16 +34,6 @@ func (b *bitmapContainer) unset(v uint16) {
 	}
 }
 
-func (b *bitmapContainer) flip(v uint16) {
-	w, bit := v>>6, uint64(1)<<(v&63)
-	if b.words[w]&bit != 0 {
-		b.card--
-	} else {
-		b.card++
-	}
-	b.words[w] ^= bit
-}
-
 func (b *bitmapContainer) contains(v uint16) bool {
 	return b.words[v>>6]&(uint64(1)<<(v&63)) != 0
 }
@@ -58,7 +48,12 @@ func (b *bitmapContainer) add(v uint16) container {
 func (b *bitmapContainer) remove(v uint16) container {
 	b.unset(v)
 	if b.card <= arrayMaxSize {
-		return asArray(b)
+		a := &arrayContainer{values: make([]uint16, 0, b.card)}
+		b.iterate(func(v uint16) bool {
+			a.values = append(a.values, v)
+			return true
+		})
+		return a
 	}
 	return b
 }
@@ -74,11 +69,6 @@ func (b *bitmapContainer) iterate(f func(uint16) bool) bool {
 		}
 	}
 	return true
-}
-
-func (b *bitmapContainer) clone() container {
-	out := *b
-	return &out
 }
 
 //geodabs:noalloc
@@ -121,116 +111,14 @@ func (b *bitmapContainer) fillMany(base uint32, state uint32, buf []uint32) (int
 	}
 }
 
-func (b *bitmapContainer) and(o container) container {
-	switch other := o.(type) {
-	case *bitmapContainer:
-		out := newBitmapContainer()
-		for i := range out.words {
-			out.words[i] = b.words[i] & other.words[i]
-			out.card += bits.OnesCount64(out.words[i])
-		}
-		return shrink(out)
-	case *arrayContainer:
-		return other.and(b)
-	default:
-		return b.and(asBitmap(o))
-	}
-}
-
 func (b *bitmapContainer) andCardinality(o container) int {
-	switch other := o.(type) {
-	case *bitmapContainer:
-		n := 0
-		for i := range b.words {
-			n += bits.OnesCount64(b.words[i] & other.words[i])
-		}
-		return n
-	case *arrayContainer:
-		return other.andCardinality(b)
-	default:
-		return b.andCardinality(asBitmap(o))
+	other, ok := o.(*bitmapContainer)
+	if !ok {
+		return o.andCardinality(b) // an array probes the bitset
 	}
-}
-
-func (b *bitmapContainer) or(o container) container {
-	switch other := o.(type) {
-	case *bitmapContainer:
-		out := newBitmapContainer()
-		for i := range out.words {
-			out.words[i] = b.words[i] | other.words[i]
-			out.card += bits.OnesCount64(out.words[i])
-		}
-		return out
-	case *arrayContainer:
-		return other.or(b)
-	default:
-		return b.or(asBitmap(o))
-	}
-}
-
-func (b *bitmapContainer) andNot(o container) container {
-	switch other := o.(type) {
-	case *bitmapContainer:
-		out := newBitmapContainer()
-		for i := range out.words {
-			out.words[i] = b.words[i] &^ other.words[i]
-			out.card += bits.OnesCount64(out.words[i])
-		}
-		return shrink(out)
-	case *arrayContainer:
-		out := b.clone().(*bitmapContainer)
-		for _, v := range other.values {
-			out.unset(v)
-		}
-		return shrink(out)
-	default:
-		return b.andNot(asBitmap(o))
-	}
-}
-
-func (b *bitmapContainer) xor(o container) container {
-	switch other := o.(type) {
-	case *bitmapContainer:
-		out := newBitmapContainer()
-		for i := range out.words {
-			out.words[i] = b.words[i] ^ other.words[i]
-			out.card += bits.OnesCount64(out.words[i])
-		}
-		return shrink(out)
-	case *arrayContainer:
-		out := b.clone().(*bitmapContainer)
-		for _, v := range other.values {
-			out.flip(v)
-		}
-		return shrink(out)
-	default:
-		return b.xor(asBitmap(o))
-	}
-}
-
-func (b *bitmapContainer) runOptimize() container {
-	runs := b.countRuns()
-	// A run container costs 4 bytes per run + 2; a bitmap container costs
-	// 8 KiB. Prefer runs only when clearly smaller.
-	if 4*runs+2 < 8*bitmapWords {
-		return runsFromContainer(b, runs)
-	}
-	return b
-}
-
-// countRuns returns the number of maximal runs of consecutive set bits.
-func (b *bitmapContainer) countRuns() int {
 	n := 0
-	var prevEndsHigh bool
-	for _, word := range b.words {
-		// Runs starting within this word: bits set whose previous bit is
-		// clear; account for a run continuing from the previous word.
-		starts := word &^ (word << 1)
-		if prevEndsHigh && word&1 == 1 {
-			starts &^= 1
-		}
-		n += bits.OnesCount64(starts)
-		prevEndsHigh = word>>63 == 1
+	for i := range b.words {
+		n += bits.OnesCount64(b.words[i] & other.words[i])
 	}
 	return n
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// randomBitmap builds a bitmap whose representation exercises all three
-// container types: sparse arrays, dense bitsets, and (after RunOptimize)
-// run containers.
+// randomBitmap builds a bitmap whose representation exercises both
+// container kinds: sparse arrays, dense bitsets, and contiguous runs
+// (which stay arrays).
 func randomBitmap(rng *rand.Rand) *Bitmap {
 	b := New()
 	switch rng.Intn(3) {
@@ -29,7 +29,6 @@ func randomBitmap(rng *rand.Rand) *Bitmap {
 		for v := start; v < start+uint32(rng.Intn(500))+1; v++ {
 			b.Add(base | v)
 		}
-		b.RunOptimize()
 	}
 	return b
 }
@@ -99,48 +98,6 @@ func TestCounterAddN(t *testing.T) {
 	}
 }
 
-func TestOrInPlaceMatchesOr(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		a, b := randomBitmap(rng), randomBitmap(rng)
-		want := Or(a, b)
-		bBefore := b.ToSlice()
-		a.OrInPlace(b)
-		if !a.Equals(want) {
-			t.Fatalf("trial %d: OrInPlace differs from Or", trial)
-		}
-		got := b.ToSlice()
-		if len(got) != len(bBefore) {
-			t.Fatalf("trial %d: OrInPlace mutated its operand", trial)
-		}
-		for i := range got {
-			if got[i] != bBefore[i] {
-				t.Fatalf("trial %d: OrInPlace mutated its operand", trial)
-			}
-		}
-		// The receiver must stay independently mutable.
-		a.Add(12345)
-		if !a.Contains(12345) {
-			t.Fatalf("trial %d: receiver not mutable after OrInPlace", trial)
-		}
-	}
-	// Empty-operand edges.
-	e := New()
-	e.OrInPlace(New())
-	if !e.IsEmpty() {
-		t.Fatal("empty OrInPlace empty should stay empty")
-	}
-	f := FromSlice([]uint32{1, 2, 3})
-	e.OrInPlace(f)
-	if !e.Equals(f) {
-		t.Fatal("empty receiver should copy the operand")
-	}
-	f.OrInPlace(New())
-	if f.Cardinality() != 3 {
-		t.Fatal("empty operand should be a no-op")
-	}
-}
-
 func TestIteratorNextMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
@@ -185,9 +142,8 @@ func FuzzCounter(f *testing.F) {
 		streams[1].Add(v * 3) // a bitset container, sharing 9 with the array
 	}
 	for v := uint32(5); v < 13; v++ {
-		streams[2].Add(v) // a run container over 9 as well
+		streams[2].Add(v) // a contiguous run over 9 as well
 	}
-	streams[2].RunOptimize()
 	values := []uint32{1, 9, 70000, 1 << 31, 12}
 
 	stream := func(which byte, k uint32) []byte {

@@ -15,10 +15,11 @@ import (
 //	chunks  uint32
 //	per chunk:
 //	  key   uint16
-//	  kind  uint8   1=array 2=bitmap 3=run
+//	  kind  uint8   1=array 2=bitmap
 //	  array:  count uint32, count × uint16
 //	  bitmap: card  uint32, 1024 × uint64
-//	  run:    runs  uint32, runs × (start uint16, length uint16)
+//
+// ReadFrom refuses any other kind.
 const (
 	magic         = 0x4d424447
 	formatVersion = 1
@@ -27,7 +28,6 @@ const (
 const (
 	kindArray  = 1
 	kindBitmap = 2
-	kindRun    = 3
 )
 
 // WriteTo serializes the bitmap. It implements io.WriterTo.
@@ -78,22 +78,6 @@ func writeContainer(w io.Writer, c container) error {
 			return err
 		}
 		return binary.Write(w, binary.LittleEndian, c.words[:])
-	case *runContainer:
-		if err := binary.Write(w, binary.LittleEndian, uint8(kindRun)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(c.runs))); err != nil {
-			return err
-		}
-		for _, iv := range c.runs {
-			if err := binary.Write(w, binary.LittleEndian, iv.start); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian, iv.length); err != nil {
-				return err
-			}
-		}
-		return nil
 	default:
 		return fmt.Errorf("unknown container type %T", c)
 	}
@@ -186,23 +170,6 @@ func readContainer(r io.Reader) (container, error) {
 			return nil, fmt.Errorf("bitmap container cardinality mismatch: header %d, actual %d", bc.card, got)
 		}
 		return bc, nil
-	case kindRun:
-		if n > 1<<15 {
-			return nil, fmt.Errorf("run container too large: %d runs", n)
-		}
-		rc := &runContainer{runs: make([]interval, n)}
-		for i := range rc.runs {
-			if err := binary.Read(r, binary.LittleEndian, &rc.runs[i].start); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(r, binary.LittleEndian, &rc.runs[i].length); err != nil {
-				return nil, err
-			}
-			if i > 0 && rc.runs[i].start <= rc.runs[i-1].last() {
-				return nil, fmt.Errorf("run container intervals overlap")
-			}
-		}
-		return rc, nil
 	default:
 		return nil, fmt.Errorf("unknown container kind %d", kind)
 	}

@@ -27,12 +27,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 			for i := 0; i < 9000; i++ {
 				b.Add(uint32(i))
 			}
-			b.RunOptimize()
 			return b
 		}},
 		{"mixed-random", func() *Bitmap {
 			b, _ := randomSets(rng, 20000)
-			b.RunOptimize()
 			return b
 		}},
 	}
@@ -77,6 +75,12 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 		// allocation is sized by the count (0xbebebebe once ran the
 		// process out of memory).
 		{"chunk-count-past-key-space", []byte{0x47, 0x44, 0x42, 0x4d, formatVersion, 0xbe, 0xbe, 0xbe, 0xbe}},
+		// Chunk kinds other than array (1) and bitmap (2). Kind 3 is
+		// the run container the format once had, spelled out as one
+		// run over 5 through 8; nothing ever wrote one.
+		{"kind-0", chunkOfKind(0)},
+		{"kind-3", chunkOfKind(3)},
+		{"kind-4", chunkOfKind(4)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -86,6 +90,14 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chunkOfKind returns a one-chunk bitmap whose chunk has the given kind
+// byte and a one-run run-container payload.
+func chunkOfKind(kind byte) []byte {
+	return []byte{0x47, 0x44, 0x42, 0x4d, formatVersion, 1, 0, 0, 0, // magic, version, one chunk
+		0, 0, kind, // key 0, kind
+		1, 0, 0, 0, 5, 0, 3, 0} // one run: start 5, length 3
 }
 
 func TestReadFromRejectsBadVersion(t *testing.T) {
@@ -159,7 +171,6 @@ func BenchmarkAdd(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bm := New()
-		bm.AddMany(values)
+		FromSlice(values)
 	}
 }

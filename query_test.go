@@ -230,9 +230,14 @@ func TestWideQueryPreparedParity(t *testing.T) {
 	}
 	// Real terms (so the wide query has other candidates) plus the
 	// raster's, every one of which it shares with the query.
-	set := huge.Clone()
-	for _, tr := range w.Dataset.Trajectories[:8] {
-		set.OrInPlace(fp.Fingerprint(tr.Points).Set)
+	set := fp.Fingerprint(w.Dataset.Trajectories[0].Points).Set
+	add := func(v uint32) bool {
+		set.Add(v)
+		return true
+	}
+	huge.Iterate(add)
+	for _, tr := range w.Dataset.Trajectories[1:8] {
+		fp.Fingerprint(tr.Points).Set.Iterate(add)
 	}
 	q := geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set})
 	for _, opts := range [][]geodabs.SearchOption{
