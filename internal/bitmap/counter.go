@@ -22,9 +22,16 @@ import "math"
 // behind as the first-touch marker. The side table stays empty — and
 // unallocated — unless some value really is counted past 32767, which no
 // ranked retrieval does (a shared count is bounded by the query's term
-// count). A Counter is not safe for concurrent use. The zero value is not
-// usable; construct with NewCounter and reuse via Reset — a steady-state
-// Add/Reset cycle performs no allocations.
+// count).
+//
+// Drain reads the result out: one pass over the candidates, in
+// first-touch order, appending each count and zeroing its entry, which
+// leaves Reset nothing to zero. It ends the accumulation — Candidates
+// stays valid, parallel to the drained counts, but the counter must be
+// Reset before the next Add or AddN. A Counter is not safe for
+// concurrent use. The zero value is not usable; construct with
+// NewCounter and reuse via Reset — a steady-state Add/Drain/Reset cycle
+// performs no allocations.
 type Counter struct {
 	slot   []int32 // 65536 entries: chunk key → index into chunks, -1 absent
 	keys   []uint16
@@ -37,6 +44,9 @@ type Counter struct {
 	// wide holds what spilled out of the arrays: a value's count is its
 	// array entry plus wide[v]. Nil until the first spill.
 	wide map[uint32]int
+	// drained records that Drain has zeroed every entry since the last
+	// Reset.
+	drained bool
 }
 
 const (
@@ -136,33 +146,63 @@ func (c *Counter) AddN(v uint32, n int) {
 	}
 }
 
-// Count returns the accumulated count of v, 0 when never seen.
-func (c *Counter) Count(v uint32) int {
-	i := c.slot[uint16(v>>16)]
-	if i < 0 {
-		return 0
-	}
-	n := int(c.chunks[i][uint16(v)])
-	if len(c.wide) != 0 {
-		n += c.wide[v]
-	}
-	return n
-}
-
 // Candidates returns the values counted at least once, in first-touch
 // order. The slice is owned by the counter and valid until Reset.
 func (c *Counter) Candidates() []uint32 { return c.cands }
 
+// Drain appends the count of every candidate to dst, in the order
+// Candidates lists them, and zeroes the counter's entries as it goes —
+// the one pass that reads an accumulation out. Counts are exact, the
+// spilled side-table share included, and saturate at math.MaxUint32.
+// Afterwards Candidates is unchanged and every count reads 0; the counter
+// takes no more Adds until Reset, which then has no entries left to zero.
+//
+//geodabs:noalloc
+func (c *Counter) Drain(dst []uint32) []uint32 {
+	start := len(dst)
+	if cap(dst)-start < len(c.cands) {
+		dst = append(dst, c.cands...) // grows dst in one allocation
+	}
+	dst = dst[:start+len(c.cands)]
+	out := dst[start:]
+	if len(c.chunks) == 1 && len(c.wide) == 0 {
+		// One chunk and nothing spilled, the common shape of a search: the
+		// low 16 bits of a candidate index its count directly.
+		counts := c.chunks[0]
+		for i, v := range c.cands {
+			out[i] = uint32(counts[uint16(v)])
+			counts[uint16(v)] = 0
+		}
+	} else {
+		for i, v := range c.cands {
+			counts := c.chunks[c.slot[uint16(v>>16)]]
+			n := uint64(counts[uint16(v)])
+			counts[uint16(v)] = 0
+			if len(c.wide) != 0 {
+				n += uint64(c.wide[v])
+			}
+			out[i] = uint32(min(n, math.MaxUint32))
+		}
+		clear(c.wide)
+	}
+	c.drained = true
+	return dst
+}
+
 // Reset clears the counter for reuse, keeping the touched chunk arrays
-// for recycling. Sparse accumulations (the common retrieval case) zero
-// exactly the slots the candidate list names; dense ones fall back to
-// clearing whole chunks, which is cheaper past a few thousand touches.
+// for recycling. After a Drain every entry is already zero and only the
+// bookkeeping is reset. Otherwise sparse accumulations (the common
+// retrieval case) zero exactly the slots the candidate list names, and
+// dense ones fall back to clearing whole chunks, which is cheaper past a
+// few thousand touches.
 func (c *Counter) Reset() {
-	if len(c.cands) < 4096*len(c.chunks) {
+	switch {
+	case c.drained:
+	case len(c.cands) < 4096*len(c.chunks):
 		for _, v := range c.cands {
 			c.chunks[c.slot[uint16(v>>16)]][uint16(v)] = 0
 		}
-	} else {
+	default:
 		for i := range c.chunks {
 			clear(c.chunks[i])
 		}
@@ -177,4 +217,5 @@ func (c *Counter) Reset() {
 	c.cands = c.cands[:0]
 	clear(c.wide)
 	c.room = counterRoom
+	c.drained = false
 }

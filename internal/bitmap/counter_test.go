@@ -1,10 +1,27 @@
 package bitmap
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
+
+// Count returns the accumulated count of v, 0 when never seen or
+// drained. The search paths read counts only through Drain; tests check
+// single values with this.
+func (c *Counter) Count(v uint32) int {
+	i := c.slot[uint16(v>>16)]
+	if i < 0 {
+		return 0
+	}
+	n := int(c.chunks[i][uint16(v)])
+	if len(c.wide) != 0 {
+		n += c.wide[v]
+	}
+	return n
+}
 
 // randomBitmap builds a bitmap whose representation exercises both
 // container kinds: sparse arrays, dense bitsets, and contiguous runs
@@ -134,8 +151,9 @@ func TestIteratorNextMany(t *testing.T) {
 
 // FuzzCounter checks the counter against a map model on op streams that
 // reach past the 16-bit width of its array entries: one posting list
-// streamed tens of thousands of times, AddN amounts up to 2³¹, Reset and
-// reuse. Each op is a tag byte and its operands; see the switch.
+// streamed tens of thousands of times, AddN amounts up to 2³¹, Drain,
+// Reset and reuse. Each op is a tag byte and its operands; see the
+// switch.
 func FuzzCounter(f *testing.F) {
 	streams := []*Bitmap{FromSlice([]uint32{1, 9, 70000}), New(), New()}
 	for v := uint32(0); v < arrayMaxSize+4; v++ {
@@ -155,6 +173,12 @@ func FuzzCounter(f *testing.F) {
 	}
 	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0xff, 1, 1, 0xff, 0xff, 0xff, 0xff}) // AddN(9, 2³¹) twice
 	f.Add(append(stream(0, 40000), 1, 0, 0x00, 0x80, 0, 0))                   // Adds, then AddN onto a count above half range
+	// Drains: of counts spilled past 16 bits and of AddNs into other chunks
+	// (70000, 2³¹) past MaxUint32, each followed by reuse; and of a bitset's
+	// worth of candidates in one chunk, where Reset would clear whole chunks.
+	f.Add(append(append(stream(0, 70000), 3), stream(0, 2)...))
+	f.Add([]byte{1, 2, 0x70, 0x11, 0x01, 0, 1, 3, 0xff, 0xff, 0xff, 0x7f, 1, 3, 0xff, 0xff, 0xff, 0x7f, 1, 3, 0, 0, 0, 0x40, 3, 1, 2, 5, 0, 0, 0})
+	f.Add(append(append(stream(1, 1), 3), stream(2, 3)...))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := NewCounter()
@@ -188,7 +212,7 @@ func FuzzCounter(f *testing.F) {
 		// executions stay short whatever repeat counts it invents.
 		budget := 2 << 20
 		for len(ops) > 0 {
-			tag := ops[0] % 3
+			tag := ops[0] % 4
 			ops = ops[1:]
 			switch {
 			case tag == 0 && len(ops) >= 4: // Add(streams[i]) k times
@@ -217,21 +241,48 @@ func FuzzCounter(f *testing.F) {
 				c.Reset()
 				clear(want)
 				order = order[:0]
+			case tag == 3: // Drain, then Reset
+				cands := slices.Clone(c.Candidates())
+				counts := c.Drain(nil)
+				if len(counts) != len(order) || !slices.Equal(cands, order) {
+					t.Fatalf("drained %d counts of %v, want the %d of %v", len(counts), cands, len(order), order)
+				}
+				for i, v := range order {
+					if want := uint32(min(want[v], math.MaxUint32)); counts[i] != want {
+						t.Fatalf("drained count %d (value %d) = %d, want %d", i, v, counts[i], want)
+					}
+					if got := c.Count(v); got != 0 {
+						t.Fatalf("Count(%d) = %d after Drain", v, got)
+					}
+				}
+				if !slices.Equal(c.Candidates(), order) {
+					t.Fatalf("Drain changed the candidates")
+				}
+				c.Reset()
+				clear(want)
+				order = order[:0]
 			default:
 				ops = nil // truncated operands
 			}
 		}
 		check()
 		// Whatever came before, a reset counter is back in its steady
-		// state: counting without a spill allocates nothing.
+		// state: counting without a spill, and draining into a buffer
+		// that has grown to size, allocates nothing.
 		c.Reset()
+		var buf []uint32
 		if allocs := testing.AllocsPerRun(3, func() {
 			for _, b := range streams {
 				c.Add(b)
 			}
 			c.Reset()
+			for _, b := range streams {
+				c.Add(b)
+			}
+			buf = c.Drain(buf[:0])
+			c.Reset()
 		}); allocs != 0 {
-			t.Fatalf("steady-state Add/Reset allocates %v times", allocs)
+			t.Fatalf("steady-state Add/Reset and Add/Drain/Reset allocate %v times", allocs)
 		}
 	})
 }

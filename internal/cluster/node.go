@@ -712,10 +712,12 @@ func (n *Node) compact(below uint64) {
 }
 
 // scratch is the per-search state reused across searches: the
-// counting-merge counter, and — on the coordinator — the ranker with its
-// top-k heap and count-order buffers.
+// counting-merge counter, and — on the node — the buffer its counts
+// drain into, or — on the coordinator — the ranker with its top-k heap
+// and count-order buffers.
 type scratch struct {
 	counter *bitmap.Counter
+	counts  []uint32
 	ranker  index.Ranker
 }
 
@@ -729,7 +731,7 @@ var scratchPool = sync.Pool{New: func() any { return &scratch{counter: bitmap.Ne
 // search core: each owned posting list streams once into a pooled
 // counter, leaving the node's partial |F ∩ G| per candidate — no
 // candidate union, no per-candidate intersection. The partials are
-// appended to dst as a query reply straight from the counter. Before
+// appended to dst as a query reply from one drain of the counter. Before
 // appending one, the node applies the threshold-pruning cardinality
 // window against the replicated document cardinalities (see cardWindow),
 // so non-qualifying candidates never reach the wire; an open window —
@@ -750,16 +752,17 @@ func (n *Node) query(dst []byte, req *queryRequest) []byte {
 		}
 	}
 	cands := c.Candidates()
+	s.counts = c.Drain(s.counts[:0])
 	minCard, maxCard := cardWindow(req)
 	open := index.WindowOpen(minCard, maxCard)
 	start, pruned := len(dst), 0
 	dst = slices.Grow(beginPartials(dst), partialSize*len(cands))
-	for _, v := range cands {
+	for i, v := range cands {
 		if !open && !index.InWindow(n.docs[v].card, minCard, maxCard) {
 			pruned++
 			continue
 		}
-		dst = appendPartial(dst, v, uint32(c.Count(v)))
+		dst = appendPartial(dst, v, s.counts[i])
 	}
 	return endPartials(dst, start, pruned)
 }

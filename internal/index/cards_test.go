@@ -1,0 +1,174 @@
+package index
+
+import (
+	"bytes"
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+
+	"geodabs/internal/bitmap"
+	"geodabs/internal/trajectory"
+)
+
+// checkCardTable requires t to hold exactly the entries of model, and
+// that probe clusters carry no stale entry an absent ID could match.
+func checkCardTable(tb testing.TB, label string, t *cardTable, model map[uint32]int, absent []uint32) {
+	tb.Helper()
+	if t.n != len(model) {
+		tb.Fatalf("%s: %d entries, want %d", label, t.n, len(model))
+	}
+	for id, want := range model {
+		if got, ok := t.get(id); !ok || got != want {
+			tb.Fatalf("%s: get(%d) = %d, %v; want %d, true", label, id, got, ok, want)
+		}
+	}
+	for _, id := range absent {
+		if _, in := model[id]; in {
+			continue
+		}
+		if got, ok := t.get(id); ok {
+			tb.Fatalf("%s: get(%d) = %d for an absent ID", label, id, got)
+		}
+	}
+	if len(t.slots) != 0 && t.n*4 > len(t.slots)*3 {
+		tb.Fatalf("%s: %d entries in %d slots", label, t.n, len(t.slots))
+	}
+}
+
+// TestCardTableMatchesMap runs random set, delete and re-set streams
+// against a map model. The IDs come from a small pool, the two extreme
+// IDs included, so sets overwrite, deletes hit, and deletes land in the
+// middle of the probe clusters the pool's collisions build; the stream
+// grows the table through several doublings.
+func TestCardTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		pool := []uint32{0, math.MaxUint32, 1, math.MaxUint32 - 1}
+		for n := 4 + rng.Intn(600); len(pool) < n; {
+			pool = append(pool, rng.Uint32())
+		}
+		var tab cardTable
+		model := make(map[uint32]int)
+		for op := 0; op < 3000; op++ {
+			id := pool[rng.Intn(len(pool))]
+			switch rng.Intn(3) {
+			case 0, 1:
+				card := rng.Intn(1 << 20)
+				if rng.Intn(8) == 0 {
+					card = []int{0, math.MaxUint32 - 1}[rng.Intn(2)]
+				}
+				tab.set(id, card)
+				model[id] = card
+			default:
+				_, want := model[id]
+				if got := tab.delete(id); got != want {
+					t.Fatalf("trial %d op %d: delete(%d) = %v, want %v", trial, op, id, got, want)
+				}
+				delete(model, id)
+			}
+			if op%97 == 0 {
+				checkCardTable(t, "stream", &tab, model, pool)
+			}
+		}
+		checkCardTable(t, "stream end", &tab, model, pool)
+		for id := range model {
+			tab.delete(id)
+			delete(model, id)
+			if len(model)%13 == 0 {
+				checkCardTable(t, "drain", &tab, model, pool)
+			}
+		}
+		checkCardTable(t, "empty", &tab, model, pool)
+	}
+}
+
+// TestCardTableClusterDeletes builds one probe cluster that wraps past
+// the end of the slots, out of IDs hashing to three nearby homes, then
+// deletes from it in random order: every survivor must stay reachable,
+// which holds only if backward shifting moves an entry into the gap
+// whenever it may and never before its home.
+func TestCardTableClusterDeletes(t *testing.T) {
+	var tab cardTable
+	for len(tab.slots) < 64 {
+		tab.grow()
+	}
+	mask := len(tab.slots) - 1
+	model := make(map[uint32]int)
+	var ids []uint32
+	for _, c := range []struct{ home, n int }{{mask - 2, 6}, {mask - 1, 3}, {0, 3}} {
+		for id, n := uint32(0), 0; n < c.n; id++ {
+			if tab.home(id) == c.home {
+				if _, dup := model[id]; !dup {
+					tab.set(id, len(ids))
+					model[id] = len(ids)
+					ids = append(ids, id)
+					n++
+				}
+			}
+		}
+	}
+	if len(tab.slots) != mask+1 {
+		t.Fatalf("the cluster grew the table to %d slots", len(tab.slots))
+	}
+	checkCardTable(t, "cluster", &tab, model, ids)
+	rng := rand.New(rand.NewSource(5))
+	for _, i := range rng.Perm(len(ids)) {
+		id := ids[i]
+		if !tab.delete(id) {
+			t.Fatalf("delete(%d) missed", id)
+		}
+		delete(model, id)
+		checkCardTable(t, "cluster delete", &tab, model, ids)
+		if tab.delete(id) {
+			t.Fatalf("delete(%d) hit twice", id)
+		}
+	}
+}
+
+// TestSnapshotSwapsCardTable checks ScanDocs cards after ReadFrom swaps
+// freshly built tables into a populated index: every loaded document
+// reads its own set's cardinality, and no document of the replaced
+// corpus survives in a table.
+func TestSnapshotSwapsCardTable(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		orig := newGeodabIndex(t)
+		if err := orig.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
+			t.Fatal(err)
+		}
+		orig.Delete(testWorkload.Dataset.Trajectories[2].ID)
+		var buf bytes.Buffer
+		if _, err := orig.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewSharded(orig.Extractor(), shards)
+		stale := trajectory.ID(1 << 30)
+		if err := loaded.insert(stale, bitmap.FromSlice([]uint32{1, 2, 3}), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loaded.ReadFrom(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[trajectory.ID]int)
+		orig.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
+			want[id] = set.Cardinality()
+			return true
+		})
+		seen := 0
+		loaded.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
+			seen++
+			if card != set.Cardinality() || card != want[id] {
+				t.Errorf("%d shards: doc %d card %d, set %d, written %d", shards, id, card, set.Cardinality(), want[id])
+			}
+			return true
+		})
+		if seen != len(want) {
+			t.Errorf("%d shards: scanned %d docs, want %d", shards, seen, len(want))
+		}
+		for _, sh := range loaded.shards {
+			if _, ok := sh.cards.get(uint32(stale)); ok {
+				t.Errorf("%d shards: the replaced corpus's card survived the swap", shards)
+			}
+		}
+	}
+}

@@ -151,7 +151,7 @@ type Inverted struct {
 	// cards caches each document's fingerprint cardinality |G| beside docs,
 	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) instead
 	// of walking the document bitmap's containers per candidate.
-	cards map[trajectory.ID]int
+	cards cardTable
 	// points retains the raw point sequences of inserted trajectories
 	// (slice headers only, sharing the caller's backing arrays), so searches
 	// can re-rank candidates with an exact distance. Entries are absent
@@ -178,7 +178,6 @@ func newInverted(opts ...InvertedOption) *Inverted {
 	ix := &Inverted{
 		postings: make(map[uint32]*bitmap.Bitmap),
 		docs:     make(map[trajectory.ID]*bitmap.Bitmap),
-		cards:    make(map[trajectory.ID]int),
 		points:   make(map[trajectory.ID][]geo.Point),
 	}
 	for _, opt := range opts {
@@ -202,7 +201,7 @@ func (ix *Inverted) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point
 // insertLocked applies an insertion under an already-held write lock.
 func (ix *Inverted) insertLocked(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) {
 	ix.docs[id] = set
-	ix.cards[id] = set.Cardinality()
+	ix.cards.set(uint32(id), set.Cardinality())
 	if ix.retain && pts != nil {
 		ix.points[id] = pts
 	}
@@ -237,7 +236,7 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 		return false
 	}
 	delete(ix.docs, id)
-	delete(ix.cards, id)
+	ix.cards.delete(uint32(id))
 	delete(ix.points, id)
 	set.Iterate(func(term uint32) bool {
 		if p, ok := ix.postings[term]; ok {
@@ -319,7 +318,8 @@ func (ix *Inverted) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card i
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for id, set := range ix.docs {
-		if !f(id, set, ix.cards[id]) {
+		card, _ := ix.cards.get(uint32(id))
+		if !f(id, set, card) {
 			return
 		}
 	}

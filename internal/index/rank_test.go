@@ -2,7 +2,9 @@ package index
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geodabs/internal/bitmap"
@@ -26,11 +28,13 @@ func rankByCountAgainstConsiderAll(t *testing.T, label string, qc int, maxDistan
 	t.Helper()
 	counter := bitmap.NewCounter()
 	cards := make(map[uint32]int, len(cands))
+	shared := make(map[uint32]int, len(cands))
 	var all Ranker
 	all.Init(qc, maxDistance, limit)
 	for _, c := range cands {
 		counter.AddN(c.id, c.shared)
 		cards[c.id] = c.card
+		shared[c.id] = c.shared
 		all.Consider(trajectory.ID(c.id), c.card, c.shared)
 	}
 	want := all.Finish(nil)
@@ -42,8 +46,9 @@ func rankByCountAgainstConsiderAll(t *testing.T, label string, qc int, maxDistan
 	err := walk.RankByCount(context.Background(), counter, func(id uint32) (int, bool) {
 		looked[id] = true
 		// Replaying the walk's own sequence separates what Consider pruned
-		// from what it scored.
-		replay.Consider(trajectory.ID(id), cards[id], counter.Count(id))
+		// from what it scored. The walk has drained the counter, so the
+		// shared count comes from the case table.
+		replay.Consider(trajectory.ID(id), cards[id], shared[id])
 		return cards[id], true
 	})
 	if err != nil {
@@ -177,4 +182,123 @@ func TestRankByCountMatchesConsiderAll(t *testing.T) {
 			rankByCountAgainstConsiderAll(t, "random", qc, maxDistance, limit, cands)
 		}
 	})
+}
+
+// countSortOrder is the order a walk over cands must visit them in: one
+// stable counting sort, highest shared count first and first-touch order
+// within a count.
+func countSortOrder(cands []rankCand) []uint32 {
+	sorted := slices.Clone(cands)
+	slices.SortStableFunc(sorted, func(a, b rankCand) int { return b.shared - a.shared })
+	order := make([]uint32, len(sorted))
+	for i, c := range sorted {
+		order[i] = c.id
+	}
+	return order
+}
+
+// TestRankByCountBands ranks candidate sets several bands deep — low
+// shared counts against larger cardinalities, so a capped walk's bar
+// stays low for hundreds of candidates — and checks both the results and
+// the walk itself: it looks up a prefix of countSortOrder, so banding
+// never reorders what the walk visits.
+func TestRankByCountBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	deep := 0
+	for trial := 0; trial < 100; trial++ {
+		qc := 2 + rng.Intn(60)
+		seen := make(map[uint32]bool)
+		var cands []rankCand
+		for n := 300 + rng.Intn(3000); n > 0; n-- {
+			id := rng.Uint32() % 200000
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			shared := 1 + min(qc-1, int(rng.ExpFloat64()*float64(qc)/6))
+			cands = append(cands, rankCand{id, shared, shared + rng.Intn(3*qc)})
+		}
+		maxDistance := []float64{0.5, 0.9, 0.99, 1}[rng.Intn(4)]
+		limit := []int{0, 1, 10, 40, 100}[rng.Intn(5)]
+		label := fmt.Sprintf("trial %d (|F| %d, %d candidates, maxDistance %v, limit %d)", trial, qc, len(cands), maxDistance, limit)
+		rankByCountAgainstConsiderAll(t, label, qc, maxDistance, limit, cands)
+
+		counter := bitmap.NewCounter()
+		for _, c := range cands {
+			counter.AddN(c.id, c.shared)
+		}
+		var r Ranker
+		r.Init(qc, maxDistance, limit)
+		var walked []uint32
+		cards := make(map[uint32]int, len(cands))
+		for _, c := range cands {
+			cards[c.id] = c.card
+		}
+		if err := r.RankByCount(context.Background(), counter, func(id uint32) (int, bool) {
+			walked = append(walked, id)
+			return cards[id], true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := countSortOrder(cands)[:len(walked)]; !slices.Equal(walked, want) {
+			t.Fatalf("%s: the walk left count order", label)
+		}
+		if limit > 0 && len(walked) > max(minBand, 8*limit) {
+			deep++
+		}
+	}
+	if deep < 10 {
+		t.Fatalf("only %d capped walks went past their first band", deep)
+	}
+}
+
+// BenchmarkRankByCount ranks one counter shaped like a prepared search
+// of a dense corpus: |F| = 34, ~3,600 candidates in one counter chunk,
+// most sharing a term or two, a few near-duplicates, and k = 10. The
+// timer covers RankByCount and Finish only; refilling the counter the
+// walk drains does not count.
+func BenchmarkRankByCount(b *testing.B) {
+	const qc, limit = 34, 10
+	rng := rand.New(rand.NewSource(1))
+	var cands []rankCand
+	seen := make(map[uint32]bool)
+	for len(cands) < 3600 {
+		id := uint32(rng.Intn(30000))
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		shared := 1 + min(qc-1, int(rng.ExpFloat64()*2))
+		if rng.Intn(5) == 0 {
+			shared = 4 + rng.Intn(qc-18) // a stretch of the same route
+		}
+		cands = append(cands, rankCand{id, shared, max(shared, 20+rng.Intn(30))})
+	}
+	cards := make([]int, 30000)
+	for _, c := range cands {
+		cards[c.id] = c.card
+	}
+	walked := 0
+	card := func(id uint32) (int, bool) {
+		walked++
+		return cards[id], true
+	}
+	counter := bitmap.NewCounter()
+	var r Ranker
+	var dst []Result
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		counter.Reset()
+		for _, c := range cands {
+			counter.AddN(c.id, c.shared)
+		}
+		b.StartTimer()
+		r.Init(qc, 1, limit)
+		if err := r.RankByCount(context.Background(), counter, card); err != nil {
+			b.Fatal(err)
+		}
+		dst = r.Finish(dst[:0])
+	}
+	b.ReportMetric(float64(walked)/float64(b.N), "walked/op")
 }

@@ -107,11 +107,19 @@ type Ranker struct {
 	heap    []Result // max-heap by (distance, ID) when limit > 0
 	results []Result // flat accumulation when limit ≤ 0
 
-	// RankByCount's counting sort: one bucket offset per count 0..|F|, and
-	// the candidates highest count first.
+	// RankByCount's scratch: the counter's drained counts, parallel to its
+	// candidates; one histogram bucket per count 0..|F|, which turn into
+	// offsets as the levels of a band are placed; and the band's
+	// candidates, highest count first.
+	counts  []uint32
 	buckets []int32
 	order   []uint32
 }
+
+// minBand is the fewest candidates RankByCount places at a time under a
+// result cap: enough that the walk of a k-bounded search usually stops
+// inside its first band.
+const minBand = 256
 
 // Init readies the ranker for one search: a query of cardinality qc,
 // a distance cutoff, and a result cap (≤ 0 for uncapped).
@@ -239,56 +247,102 @@ func (r *Ranker) belowBar(shared, card int) bool {
 }
 
 // RankByCount considers a counter's candidates highest shared count first
-// (one counting sort: a count never exceeds |F|) and stops at the first
-// count c at which the bar fails even at |G| = c. A candidate sharing c
-// fingerprints has |G| ≥ c, and the bar only tightens with |G| and with
-// falling c, so every candidate from there on is one Consider would prune
-// right now: it counts as pruned, and card — which resolves a
-// cardinality, false for a candidate not to be ranked at all — is never
-// called for it. The results equal considering every candidate in any
-// order (docs/invariants.md, "Ranking in count order"). A count above |F|
-// (a node's reply can claim one) is ErrCountAboveQuery, before any
-// ranking. ctx is checked every 1024 candidates walked.
+// and stops at the first count c at which the bar fails even at |G| = c.
+// A candidate sharing c fingerprints has |G| ≥ c, and the bar only
+// tightens with |G| and with falling c, so every candidate from there on
+// is one Consider would prune right now: it counts as pruned, and card —
+// which resolves a cardinality, false for a candidate not to be ranked
+// at all — is never called for it. The results equal considering every
+// candidate in any order (docs/invariants.md, "Ranking in count order").
+//
+// The walk drains the counter (it takes no more Adds until Reset) and
+// builds a histogram of the counts: one bucket per level, a count, since
+// a count never exceeds |F|. A count above |F| (a node's reply can claim
+// one) is ErrCountAboveQuery, before any ranking. Candidates are then
+// placed a band at a time: one sequential scan of the drained counts
+// places the highest levels not yet walked, enough of them to hold
+// max(minBand, 8·limit) candidates and none the bar already fails at.
+// The walk takes the band level by level, the count implicit in the
+// level, and the next band is placed only if it has not stopped. Each
+// band holds at least as many candidates as all before it, so the scans
+// stay logarithmic in the candidates; uncapped, the bar never rises and
+// the first band is the whole walk. Within a level candidates keep
+// first-touch order, so the walk visits exactly what one counting sort
+// of every candidate would. ctx is checked every 1024 candidates walked.
 //
 //geodabs:noalloc
 func (r *Ranker) RankByCount(ctx context.Context, c *bitmap.Counter, card func(id uint32) (int, bool)) error {
 	cands := c.Candidates()
+	if cap(r.order) < len(cands) {
+		r.order = append(r.order[:0], cands...) // sized in one allocation
+	}
+	r.counts = c.Drain(r.counts[:0])
 	r.buckets = r.buckets[:0]
 	for range r.qc + 1 {
 		r.buckets = append(r.buckets, 0)
 	}
-	for _, v := range cands {
-		n := c.Count(v)
-		if n > r.qc {
+	buckets := r.buckets
+	for _, n := range r.counts {
+		if int(n) >= len(buckets) {
 			return ErrCountAboveQuery
 		}
-		r.buckets[n]++
+		buckets[n]++
 	}
-	var next int32
-	for n := len(r.buckets) - 1; n >= 0; n-- {
-		next, r.buckets[n] = next+r.buckets[n], next
+	need := len(cands)
+	if r.limit > 0 {
+		need = max(minBand, 8*r.limit)
 	}
-	// Sized by copying the candidates, then overwritten in count order.
-	r.order = append(r.order[:0], cands...)
-	for _, v := range cands {
-		n := c.Count(v)
-		r.order[r.buckets[n]] = v
-		r.buckets[n]++
-	}
-	for i, v := range r.order {
-		shared := c.Count(v)
-		if r.belowBar(shared, shared) {
-			r.pruned += len(r.order) - i
+	walked := 0
+	for hi := r.qc; ; {
+		for hi >= 0 && buckets[hi] == 0 {
+			hi--
+		}
+		if hi < 0 {
 			return nil
 		}
-		if i%1024 == 1023 && ctx.Err() != nil {
-			return ctx.Err()
+		if r.belowBar(hi, hi) {
+			r.pruned += len(cands) - walked
+			return nil
 		}
-		if g, ok := card(v); ok {
-			r.Consider(trajectory.ID(v), g, shared)
+		lo, size := hi, int(buckets[hi])
+		for lo > 0 && size < need && !r.belowBar(lo-1, lo-1) {
+			lo--
+			size += int(buckets[lo])
 		}
+		var next int32
+		for n := hi; n >= lo; n-- {
+			next, buckets[n] = next+buckets[n], next
+		}
+		// One scan places the band's levels, each in first-touch order;
+		// after it buckets[n] is where level n ends.
+		band := r.order[:size]
+		base, span := uint32(lo), uint32(hi-lo)
+		for i, n := range r.counts {
+			if n-base <= span {
+				band[buckets[n]] = cands[i]
+				buckets[n]++
+			}
+		}
+		start := int32(0)
+		for n := hi; n >= lo; n-- {
+			for _, v := range band[start:buckets[n]] {
+				if r.belowBar(n, n) {
+					r.pruned += len(cands) - walked
+					return nil
+				}
+				if walked%1024 == 1023 && ctx.Err() != nil {
+					return ctx.Err()
+				}
+				walked++
+				if g, ok := card(v); ok {
+					r.Consider(trajectory.ID(v), g, n)
+				}
+			}
+			start = buckets[n]
+		}
+		hi = lo - 1
+		need = max(need, walked)
 	}
-	return nil
 }
 
 // Pruned returns how many candidates the threshold bounds skipped.
@@ -426,4 +480,7 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 
 // cardOf is a shard's cardinality lookup for RankByCount: every candidate
 // of its counting merge is one of its documents.
-func (ix *Inverted) cardOf(id uint32) (int, bool) { return ix.cards[trajectory.ID(id)], true }
+func (ix *Inverted) cardOf(id uint32) (int, bool) {
+	card, _ := ix.cards.get(id)
+	return card, true
+}

@@ -69,27 +69,6 @@ func FindBTM(a, b []geo.Point, l int) (Match, error) {
 	return best, nil
 }
 
-// FindBTMBrute is FindBTM without the endpoint pruning, used to verify the
-// bound's admissibility and to measure the pruning speedup.
-func FindBTMBrute(a, b []geo.Point, l int) (Match, error) {
-	if l < 2 {
-		return Match{}, fmt.Errorf("motif: length %d too short", l)
-	}
-	if len(a) < l || len(b) < l {
-		return Match{}, ErrTooShort
-	}
-	best := Match{Distance: math.Inf(1)}
-	for i := 0; i+l <= len(a); i++ {
-		for j := 0; j+l <= len(b); j++ {
-			d := distance.DFD(a[i:i+l], b[j:j+l])
-			if d < best.Distance {
-				best = Match{AStart: i, AEnd: i + l, BStart: j, BEnd: j + l, Distance: d}
-			}
-		}
-	}
-	return best, nil
-}
-
 // FindGeodab approximates motif discovery with fingerprints (§VI-C): the
 // motif length in meters translates to f = l·aᵢ fingerprints per
 // trajectory, where aᵢ is trajectory i's fingerprint density per meter;

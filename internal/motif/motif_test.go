@@ -1,11 +1,13 @@
 package motif
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"geodabs/internal/core"
+	"geodabs/internal/distance"
 	"geodabs/internal/geo"
 	"geodabs/internal/roadnet"
 )
@@ -223,4 +225,25 @@ func BenchmarkFindGeodab(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FindBTMBrute is FindBTM without the endpoint pruning: the reference the
+// tests check the bound's admissibility against.
+func FindBTMBrute(a, b []geo.Point, l int) (Match, error) {
+	if l < 2 {
+		return Match{}, fmt.Errorf("motif: length %d too short", l)
+	}
+	if len(a) < l || len(b) < l {
+		return Match{}, ErrTooShort
+	}
+	best := Match{Distance: math.Inf(1)}
+	for i := 0; i+l <= len(a); i++ {
+		for j := 0; j+l <= len(b); j++ {
+			d := distance.DFD(a[i:i+l], b[j:j+l])
+			if d < best.Distance {
+				best = Match{AStart: i, AEnd: i + l, BStart: j, BEnd: j + l, Distance: d}
+			}
+		}
+	}
+	return best, nil
 }
