@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1207,5 +1210,53 @@ func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 	t.Logf("%d upserts moved a trajectory to a disjoint node set", moves)
 	if moves == 0 {
 		t.Error("no upsert moved a trajectory to a disjoint node set")
+	}
+}
+
+// TestNodeQueryZeroAlloc pins the node's half of the shared search
+// scratch (index.Scratch): with a warm pool and a reply buffer of
+// sufficient capacity, a node query allocates nothing, with an open
+// cardinality window (no distance bound) and with a bounded one. GC is
+// off so a collection cannot empty the pool mid-run.
+func TestNodeQueryZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	n := memNode()
+	rng := rand.New(rand.NewSource(1))
+	for id := uint32(1); id <= 2000; id++ {
+		var terms []uint32
+		for range 20 + rng.Intn(20) {
+			terms = append(terms, uint32(rng.Intn(500)))
+		}
+		slices.Sort(terms)
+		terms = slices.Compact(terms)
+		// The replicated |G| counts the terms other nodes own too.
+		card := uint32(len(terms) + rng.Intn(200))
+		n.apply(&wal.Record{Op: wal.OpAdd, ID: id, Epoch: uint64(id), Card: card, Terms: terms})
+	}
+	query := make([]uint32, 30)
+	for i := range query {
+		query[i] = uint32(i * 7)
+	}
+	dst := make([]byte, 0, 1<<20)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name   string
+		req    queryRequest
+		pruned bool
+	}{
+		{"open window", queryRequest{Terms: query}, false},
+		{"bounded window", queryRequest{Terms: query, QueryCard: len(query), MaxDistance: 0.5}, true},
+	} {
+		for range 3 {
+			dst = n.query(dst[:0], &tc.req)
+		}
+		if pruned := binary.LittleEndian.Uint32(dst[1:]); (pruned > 0) != tc.pruned || len(dst) == 5 {
+			t.Fatalf("%s: %d partials, %d pruned: the window is not the one meant", tc.name, (len(dst)-5)/partialSize, pruned)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { dst = n.query(dst[:0], &tc.req) }); allocs != 0 {
+			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"geodabs/internal/bitmap"
+	"geodabs/internal/fanout"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
@@ -681,55 +682,17 @@ func (c *Coordinator) DeleteAll(parent context.Context, ids []trajectory.ID, wor
 	if err := c.checkClosed(); err != nil {
 		return 0, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
 	var deleted atomic.Int64
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	err := fanout.Workers(parent, len(ids), workers, func(ctx context.Context, i int) error {
+		switch err := c.Delete(ctx, ids[i]); {
+		case err == nil:
+			deleted.Add(1)
+		case !errors.Is(err, ErrNotFound): // an unknown ID is an idempotent skip
+			return err
 		}
-		mu.Unlock()
-		cancel()
-	}
-	jobs := make(chan trajectory.ID)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				switch err := c.Delete(ctx, id); {
-				case err == nil:
-					deleted.Add(1)
-				case errors.Is(err, ErrNotFound):
-					// Idempotent skip.
-				default:
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, id := range ids {
-		select {
-		case jobs <- id:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return int(deleted.Load()), firstErr
-	}
-	return int(deleted.Load()), parent.Err()
+		return nil
+	})
+	return int(deleted.Load()), err
 }
 
 // allNodes returns the node indices 0..n-1.
@@ -981,11 +944,8 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	}
 	snap := c.watermark()
 	info := SearchInfo{Shards: plan.shards, Nodes: len(plan.routes)}
-	s := scratchPool.Get().(*scratch)
-	defer func() {
-		s.counter.Reset()
-		scratchPool.Put(s)
-	}()
+	s := index.GetScratch()
+	defer s.Release()
 	var sharedMu sync.Mutex
 	err := fanOut(parent, plan.routes, func(ctx context.Context, r route) error {
 		return c.readCall(ctx, r.node, &request{
@@ -999,7 +959,7 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 			// yields the exact |F ∩ G| — the distributed half of the
 			// counting merge — straight from the reply's bytes.
 			sharedMu.Lock()
-			r.Query.addTo(s.counter)
+			r.Query.addTo(s.Counter)
 			info.NodePruned += r.Query.pruned
 			info.WirePartials += r.Query.len()
 			sharedMu.Unlock()
@@ -1008,14 +968,14 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	if err != nil {
 		return nil, info, err
 	}
-	info.Candidates = len(s.counter.Candidates())
+	info.Candidates = len(s.Counter.Candidates())
 
 	// Rank through the local index's core. The walk probes the directory
 	// under the read lock, only above its stop; a candidate ranks only if
 	// its mutation committed at or below the snapshot.
-	s.ranker.Init(plan.card, maxDistance, limit)
+	s.Ranker.Init(plan.card, maxDistance, limit)
 	c.mu.RLock()
-	err = s.ranker.RankByCount(parent, s.counter, func(id uint32) (int, bool) {
+	err = s.Ranker.RankByCount(parent, s.Counter, func(id uint32) (int, bool) {
 		entry, ok := c.directory[trajectory.ID(id)]
 		return int(entry.card), ok && entry.state == stateLive && entry.epoch <= snap
 	})
@@ -1028,8 +988,8 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	}
 	// No hits is a nil slice, as on the local engine: callers compare the
 	// two engines' rankings with reflect.DeepEqual.
-	results := s.ranker.Finish(nil)
-	info.Pruned = s.ranker.Pruned()
+	results := s.Ranker.Finish(nil)
+	info.Pruned = s.Ranker.Pruned()
 	return results, info, nil
 }
 

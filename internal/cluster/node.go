@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
@@ -185,9 +184,11 @@ type Node struct {
 // shardState is what a node's shard holds — docs, postings, and two
 // counters derived from them — and what a full sync or a snapshot
 // carries. A replica or a recovering node builds one doc by doc, as the
-// frames are read, and installs it whole.
+// frames are read, and installs it whole. The postings are the posting
+// store a local shard uses too (index.Postings), fed each doc's routed
+// terms; docs, tombstones and epochs are the node's own bookkeeping.
 type shardState struct {
-	postings map[uint32]*bitmap.Bitmap
+	postings index.Postings
 	docs     map[uint32]nodeDoc
 	// tombstones holds the IDs of the docs entries with nil terms, so a
 	// compaction sweep visits the fences and never the live docs.
@@ -197,7 +198,7 @@ type shardState struct {
 }
 
 func newShardState() shardState {
-	return shardState{postings: make(map[uint32]*bitmap.Bitmap), docs: make(map[uint32]nodeDoc), tombstones: make(map[uint32]struct{})}
+	return shardState{postings: make(index.Postings), docs: make(map[uint32]nodeDoc), tombstones: make(map[uint32]struct{})}
 }
 
 // install adds one doc of a full sync or a snapshot: the record that
@@ -214,21 +215,21 @@ func (s *shardState) install(rec *wal.Record) error {
 	if rec.Epoch > s.maxEpoch {
 		s.maxEpoch = rec.Epoch
 	}
+	s.put(rec)
+	return nil
+}
+
+// put places a record's doc: a delete's tombstone, or an add's doc and
+// its postings. The ID must hold no doc, or one whose postings and
+// tombstone entry are already withdrawn.
+func (s *shardState) put(rec *wal.Record) {
 	if rec.Op == wal.OpDelete {
 		s.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
 		s.tombstones[rec.ID] = struct{}{}
-		return nil
+		return
 	}
 	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points}
-	for _, term := range rec.Terms {
-		p, ok := s.postings[term]
-		if !ok {
-			p = bitmap.New()
-			s.postings[term] = p
-		}
-		p.Add(rec.ID)
-	}
-	return nil
+	s.postings.Add(rec.ID, slices.Values(rec.Terms))
 }
 
 // syncDocs lists the state's docs, as a full sync sends them and a
@@ -555,45 +556,17 @@ func (n *Node) apply(rec *wal.Record) {
 		n.maxEpoch = rec.Epoch
 	}
 	defer n.publishLocked(replEvent{Record: *rec, Watermark: n.compactedBelow.Load()})
-	del := rec.Op == wal.OpDelete
 	if doc, ok := n.docs[rec.ID]; ok {
-		if doc.epoch > rec.Epoch || (!del && doc.epoch == rec.Epoch) {
+		if doc.epoch > rec.Epoch || (rec.Op != wal.OpDelete && doc.epoch == rec.Epoch) {
 			return // stale or duplicate mutation
 		}
-		n.stripLocked(rec.ID, doc)
-	}
-	if del {
-		n.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
-		n.tombstones[rec.ID] = struct{}{}
-		return
-	}
-	for _, term := range rec.Terms {
-		p, ok := n.postings[term]
-		if !ok {
-			p = bitmap.New()
-			n.postings[term] = p
-		}
-		p.Add(rec.ID)
-	}
-	n.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points}
-}
-
-// stripLocked removes the doc's postings from the term bitmaps,
-// compacting away posting lists left empty, and retires its tombstone
-// accounting. Callers must hold the write lock and must re-assign or
-// delete n.docs[id] afterwards.
-func (n *Node) stripLocked(id uint32, doc nodeDoc) {
-	for _, term := range doc.terms {
-		if p, ok := n.postings[term]; ok {
-			p.Remove(id)
-			if p.IsEmpty() {
-				delete(n.postings, term)
-			}
+		// Withdraw the doc the record supersedes; put replaces its entry.
+		n.postings.Remove(rec.ID, slices.Values(doc.terms))
+		if doc.terms == nil {
+			delete(n.tombstones, rec.ID)
 		}
 	}
-	if doc.terms == nil {
-		delete(n.tombstones, id)
-	}
+	n.put(rec)
 }
 
 // publishLocked fans an event out to every replication subscriber. The
@@ -711,48 +684,24 @@ func (n *Node) compact(below uint64) {
 	}
 }
 
-// scratch is the per-search state reused across searches: the
-// counting-merge counter, and — on the node — the buffer its counts
-// drain into, or — on the coordinator — the ranker with its top-k heap
-// and count-order buffers.
-type scratch struct {
-	counter *bitmap.Counter
-	counts  []uint32
-	ranker  index.Ranker
-}
-
-// scratchPool feeds both the node's query handler and the
-// coordinator's merge, keeping either hot path free of per-query
-// count-array allocations; a coordinator embedded in a node process
-// shares it.
-var scratchPool = sync.Pool{New: func() any { return &scratch{counter: bitmap.NewCounter()} }}
-
 // query runs the same term-at-a-time counting merge as the local index's
-// search core: each owned posting list streams once into a pooled
-// counter, leaving the node's partial |F ∩ G| per candidate — no
-// candidate union, no per-candidate intersection. The partials are
-// appended to dst as a query reply from one drain of the counter. Before
-// appending one, the node applies the threshold-pruning cardinality
-// window against the replicated document cardinalities (see cardWindow),
-// so non-qualifying candidates never reach the wire; an open window —
-// every search without a distance bound — prunes nothing, and skips the
-// per-candidate cardinality lookup.
+// search core (index.Postings.Count): each owned posting list streams
+// once into a pooled counter, leaving the node's partial |F ∩ G| per
+// candidate — no candidate union, no per-candidate intersection. The
+// partials are appended to dst as a query reply from one drain of the
+// counter. Before appending one, the node applies the threshold-pruning
+// cardinality window against the replicated document cardinalities (see
+// cardWindow), so non-qualifying candidates never reach the wire; an
+// open window — every search without a distance bound — prunes nothing,
+// and skips the per-candidate cardinality lookup.
 func (n *Node) query(dst []byte, req *queryRequest) []byte {
-	s := scratchPool.Get().(*scratch)
-	c := s.counter
-	defer func() {
-		c.Reset()
-		scratchPool.Put(s)
-	}()
+	s := index.GetScratch()
+	defer s.Release()
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, term := range req.Terms {
-		if p, ok := n.postings[term]; ok {
-			c.Add(p)
-		}
-	}
-	cands := c.Candidates()
-	s.counts = c.Drain(s.counts[:0])
+	n.postings.Count(s.Counter, req.Terms)
+	cands := s.Counter.Candidates()
+	s.Counts = s.Counter.Drain(s.Counts[:0])
 	minCard, maxCard := cardWindow(req)
 	open := index.WindowOpen(minCard, maxCard)
 	start, pruned := len(dst), 0
@@ -762,7 +711,7 @@ func (n *Node) query(dst []byte, req *queryRequest) []byte {
 			pruned++
 			continue
 		}
-		dst = appendPartial(dst, v, s.counts[i])
+		dst = appendPartial(dst, v, s.Counts[i])
 	}
 	return endPartials(dst, start, pruned)
 }
@@ -839,9 +788,7 @@ func (n *Node) stats() *NodeStats {
 		RerankScored:  n.rerankScored.Load(),
 		RerankSkipped: n.rerankSkipped.Load(),
 	}
-	for _, p := range n.postings {
-		s.Postings += p.Cardinality()
-	}
+	s.Postings, _ = n.postings.Size()
 	for _, d := range n.docs {
 		if d.points != nil {
 			s.RetainedDocs++

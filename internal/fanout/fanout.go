@@ -18,11 +18,16 @@
 // calling f. The state a helper reads is therefore allocated per call,
 // never taken from a pool that could recycle it while such a helper still
 // holds it.
+//
+// Workers is the other shape: a batch of independent calls — the queries
+// of a batch search, the deletions of a batch delete — on a fixed number
+// of goroutines the caller chose, stopped by the first error.
 package fanout
 
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -107,4 +112,45 @@ func (c *call) claim() int64 {
 		}
 		took++
 	}
+}
+
+// Workers runs f(ctx, i) for every i in [0, n) on workers goroutines (one
+// when workers < 1), each claiming the next item until none is left, and
+// returns once they all have stopped. It fails fast: the first error f
+// returns cancels the ctx every running item sees and stops the claiming,
+// and Workers returns that error ahead of the parent's. A cancelled
+// parent also stops the claiming; Workers then returns parent.Err().
+func Workers(parent context.Context, n, workers int, f func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		firstErr error
+	)
+	for range min(max(workers, 1), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := f(ctx, i); err != nil {
+					failOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return parent.Err()
 }

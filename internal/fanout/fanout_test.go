@@ -3,10 +3,12 @@ package fanout
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withProcs runs the test at GOMAXPROCS procs, so the budget is
@@ -154,4 +156,84 @@ func spin(i int) {
 		x = x*6364136223846793005 + 1
 	}
 	spinSink.Add(x & 1)
+}
+
+// TestWorkers pins the fail-fast pool: the first error cancels the ctx the
+// running items see, stops the claiming and is returned ahead of the
+// parent's error; a cancelled parent runs nothing and returns its error;
+// fewer than one worker still runs every item; no items is no error.
+func TestWorkers(t *testing.T) {
+	errBoom := errors.New("boom")
+	t.Run("first error cancels", func(t *testing.T) {
+		const n = 100
+		var ran atomic.Int64
+		err := Workers(context.Background(), n, 4, func(ctx context.Context, i int) error {
+			ran.Add(1)
+			if i == 1 {
+				return errBoom
+			}
+			// Items 0, 2 and 3 are claimed before or beside item 1, and
+			// return only once its error has cancelled their ctx.
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(10 * time.Second):
+				t.Errorf("item %d: ctx not cancelled by a sibling's error", i)
+				return nil
+			}
+		})
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("Workers = %v, want %v", err, errBoom)
+		}
+		if got := ran.Load(); got >= n {
+			t.Fatalf("%d of %d items ran after the first error", got, n)
+		}
+	})
+	t.Run("error ahead of parent's", func(t *testing.T) {
+		parent, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err := Workers(parent, 10, 2, func(ctx context.Context, i int) error {
+			cancel()
+			return errBoom
+		})
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("Workers = %v, want %v", err, errBoom)
+		}
+	})
+	t.Run("cancelled parent", func(t *testing.T) {
+		parent, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int64
+		err := Workers(parent, 10, 2, func(context.Context, int) error {
+			ran.Add(1)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+			t.Fatalf("Workers = %v after %d items, want %v after none", err, ran.Load(), context.Canceled)
+		}
+	})
+	for _, workers := range []int{0, -3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ran := make([]int, 10) // one worker: no lock needed
+			if err := Workers(context.Background(), len(ran), workers, func(_ context.Context, i int) error {
+				ran[i]++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range ran {
+				if c != 1 {
+					t.Fatalf("item %d ran %d times, want 1", i, c)
+				}
+			}
+		})
+	}
+	t.Run("no items", func(t *testing.T) {
+		if err := Workers(context.Background(), 0, 4, func(context.Context, int) error {
+			t.Error("f called with no items")
+			return errBoom
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

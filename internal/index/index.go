@@ -20,6 +20,13 @@
 // Ranker drives the cluster coordinator, so local and distributed
 // rankings cannot drift.
 //
+// The posting lists live in one store, Postings (postings.go): the only
+// code that puts a document on a list, withdraws it, or streams lists
+// into the counter. A cluster node holds one too, beside its own
+// per-document bookkeeping, and one pooled Scratch — counter, term batch,
+// drained counts, ranker — serves the searches of a shard, a node and the
+// cluster's coordinator.
+//
 // # Sharding
 //
 // There is one engine, Sharded (sharded.go): it partitions the documents
@@ -146,7 +153,7 @@ type Inverted struct {
 	retain bool
 
 	mu       sync.RWMutex
-	postings map[uint32]*bitmap.Bitmap
+	postings Postings
 	docs     map[trajectory.ID]*bitmap.Bitmap
 	// cards caches each document's fingerprint cardinality |G| beside docs,
 	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) instead
@@ -176,7 +183,7 @@ func RetainPoints() InvertedOption {
 // newInverted returns an empty shard.
 func newInverted(opts ...InvertedOption) *Inverted {
 	ix := &Inverted{
-		postings: make(map[uint32]*bitmap.Bitmap),
+		postings: make(Postings),
 		docs:     make(map[trajectory.ID]*bitmap.Bitmap),
 		points:   make(map[trajectory.ID][]geo.Point),
 	}
@@ -205,15 +212,7 @@ func (ix *Inverted) insertLocked(id trajectory.ID, set *bitmap.Bitmap, pts []geo
 	if ix.retain && pts != nil {
 		ix.points[id] = pts
 	}
-	set.Iterate(func(term uint32) bool {
-		p, ok := ix.postings[term]
-		if !ok {
-			p = bitmap.New()
-			ix.postings[term] = p
-		}
-		p.Add(uint32(id))
-		return true
-	})
+	ix.postings.Add(uint32(id), set.Iterate)
 	ix.epoch++
 }
 
@@ -238,15 +237,7 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 	delete(ix.docs, id)
 	ix.cards.delete(uint32(id))
 	delete(ix.points, id)
-	set.Iterate(func(term uint32) bool {
-		if p, ok := ix.postings[term]; ok {
-			p.Remove(uint32(id))
-			if p.IsEmpty() {
-				delete(ix.postings, term)
-			}
-		}
-		return true
-	})
+	ix.postings.Remove(uint32(id), set.Iterate)
 	ix.epoch++
 	return true
 }
@@ -345,10 +336,7 @@ func (ix *Inverted) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	s := Stats{Trajectories: len(ix.docs), Terms: len(ix.postings), Shards: 1}
-	for _, p := range ix.postings {
-		s.Postings += p.Cardinality()
-		s.BitmapBytes += p.SizeInBytes()
-	}
+	s.Postings, s.BitmapBytes = ix.postings.Size()
 	for _, d := range ix.docs {
 		s.BitmapBytes += d.SizeInBytes()
 	}

@@ -1,0 +1,104 @@
+package index
+
+import (
+	"iter"
+	"sync"
+
+	"geodabs/internal/bitmap"
+)
+
+// Postings is a posting store: for each term, the bitmap of the documents
+// that hold it. It is the one code that puts a document on its terms'
+// lists, withdraws it, and streams lists into a counter — a shard
+// (Inverted) and a cluster node each hold one, and keep their own
+// per-document bookkeeping beside it. A list exists only while it holds a
+// document. Postings does no locking: its owner's lock guards it.
+//
+// Terms arrive as an iterator, so each owner keeps a document's terms in
+// its own form: a shard as the fingerprint bitmap (pass set.Iterate), a
+// node as the routed slice (pass slices.Values(terms)).
+type Postings map[uint32]*bitmap.Bitmap
+
+// Add puts document id on the list of every term, creating a list on its
+// first document.
+//
+// Add and Remove call terms with their loop body instead of ranging over
+// it: a range over an iterator the compiler cannot inline, as a shard's
+// set.Iterate, moves the loop's state to the heap on every call, and those
+// short-lived 8-byte objects, interleaved with the lists' first small
+// arrays, keep more of the heap live than the same index needs.
+func (p Postings) Add(id uint32, terms iter.Seq[uint32]) {
+	terms(func(term uint32) bool {
+		l, ok := p[term]
+		if !ok {
+			l = bitmap.New()
+			p[term] = l
+		}
+		l.Add(id)
+		return true
+	})
+}
+
+// Remove withdraws document id from the list of every term, deleting a
+// list it leaves empty. Absent terms and absent documents are skipped.
+func (p Postings) Remove(id uint32, terms iter.Seq[uint32]) {
+	terms(func(term uint32) bool {
+		if l, ok := p[term]; ok {
+			l.Remove(id)
+			if l.IsEmpty() {
+				delete(p, term)
+			}
+		}
+		return true
+	})
+}
+
+// Count is the counting merge: it streams the list of each of terms into
+// c, so that c holds, per document, how many of the terms it is on.
+//
+//geodabs:noalloc
+func (p Postings) Count(c *bitmap.Counter, terms []uint32) {
+	for _, term := range terms {
+		if l, ok := p[term]; ok {
+			c.Add(l)
+		}
+	}
+}
+
+// Size returns the number of (term, document) pairs held and the bytes
+// their lists take; it is linear in the number of terms.
+func (p Postings) Size() (postings, bytes int) {
+	for _, l := range p {
+		postings += l.Cardinality()
+		bytes += l.SizeInBytes()
+	}
+	return postings, bytes
+}
+
+// Scratch is the pooled per-search state of a shard, a cluster node and
+// the cluster's coordinator; pooling it makes each of their steady-state
+// searches allocation-free. A shard reads its query terms into Terms a
+// batch at a time, counts into Counter and ranks with Ranker; a node
+// counts into Counter and drains the counts into Counts; the coordinator
+// sums the nodes' counts into Counter and ranks with Ranker. Terms is a
+// fixed array, apart from Counts, so the batch a shard reads does not
+// depend on who used the scratch last, and a pool refill costs no extra
+// allocation for it.
+type Scratch struct {
+	Counter *bitmap.Counter
+	Terms   [512]uint32
+	Counts  []uint32
+	Ranker  Ranker
+}
+
+var scratchPool = sync.Pool{New: func() any { return &Scratch{Counter: bitmap.NewCounter()} }}
+
+// GetScratch takes a scratch from the pool; its Counter is empty.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release resets the counter and returns the scratch to the pool. Nothing
+// read from the scratch may be used after it.
+func (s *Scratch) Release() {
+	s.Counter.Reset()
+	scratchPool.Put(s)
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sync"
 
 	"geodabs/internal/bitmap"
 	"geodabs/internal/trajectory"
@@ -394,45 +393,20 @@ func (r *Ranker) siftDown(i int) {
 	}
 }
 
-// searchScratch is the pooled per-query state: the counting-merge counter,
-// the buffered term batch, and the ranker. Pooling it makes a
-// steady-state search allocation-free.
-type searchScratch struct {
-	counter *bitmap.Counter
-	terms   []uint32
-	ranker  Ranker
-}
-
-var searchScratchPool = sync.Pool{New: func() any {
-	return &searchScratch{counter: bitmap.NewCounter(), terms: make([]uint32, 512)}
-}}
-
-func getSearchScratch() *searchScratch { return searchScratchPool.Get().(*searchScratch) }
-
-// release resets the counter and returns the scratch to the pool.
-func (sc *searchScratch) release() {
-	sc.counter.Reset()
-	searchScratchPool.Put(sc)
-}
-
 // countShared is stage 1 of every search — the counting merge: it streams
 // the posting list of each query term into the scratch counter, so that
 // |F ∩ G| accumulates per candidate as the lists go by, checking ctx once
 // per term batch. The caller holds the read lock.
 //
 //geodabs:noalloc
-func (ix *Inverted) countShared(ctx context.Context, sc *searchScratch, set *bitmap.Bitmap) error {
+func (ix *Inverted) countShared(ctx context.Context, sc *Scratch, set *bitmap.Bitmap) error {
 	it := set.Iterator()
 	for {
-		n := it.NextMany(sc.terms)
+		n := it.NextMany(sc.Terms[:])
 		if n == 0 {
 			return nil
 		}
-		for _, term := range sc.terms[:n] {
-			if p, ok := ix.postings[term]; ok {
-				sc.counter.Add(p)
-			}
-		}
+		ix.postings.Count(sc.Counter, sc.Terms[:n])
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -459,22 +433,22 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 	if qc == 0 {
 		return dst, SearchStats{}, nil
 	}
-	sc := getSearchScratch()
-	defer sc.release()
+	sc := GetScratch()
+	defer sc.Release()
 
 	if err := ix.countShared(ctx, sc, set); err != nil {
 		return nil, SearchStats{}, err
 	}
-	stats := SearchStats{Candidates: len(sc.counter.Candidates())}
+	stats := SearchStats{Candidates: len(sc.Counter.Candidates())}
 
 	// Stage 2 — threshold-pruned scoring, highest shared count first, up to
 	// the first count that cannot place.
-	sc.ranker.Init(qc, maxDistance, limit)
-	if err := sc.ranker.RankByCount(ctx, sc.counter, ix.cardOf); err != nil {
+	sc.Ranker.Init(qc, maxDistance, limit)
+	if err := sc.Ranker.RankByCount(ctx, sc.Counter, ix.cardOf); err != nil {
 		return nil, stats, err
 	}
-	dst = sc.ranker.Finish(dst)
-	stats.Pruned = sc.ranker.Pruned()
+	dst = sc.Ranker.Finish(dst)
+	stats.Pruned = sc.Ranker.Pruned()
 	return dst, stats, nil
 }
 

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"geodabs/internal/fanout"
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -494,52 +494,13 @@ func builtinMetric(m RerankMetric) (rerank.Metric, bool) {
 // exactly once per batch — so a bad option fails before any query runs
 // and no worker re-resolves the option slice per search.
 func searchBatch(ctx context.Context, s preparedSearcher, qs []*Query, workers int, o searchOptions) ([]*SearchResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	out := make([]*SearchResult, len(qs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r, err := s.searchPrepared(ctx, qs[i], o)
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-dispatch:
-	for i := range qs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	err := fanout.Workers(ctx, len(qs), workers, func(ctx context.Context, i int) error {
+		r, err := s.searchPrepared(ctx, qs[i], o)
+		out[i] = r
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
