@@ -335,33 +335,73 @@ func clusterStats(nodeSpec, replicaSpec string) error {
 	return nil
 }
 
-// searchOptions translates the query subcommand's flags to the Search
-// API's functional options. limitSet distinguishes an explicit -limit
-// from its default, so -knn with an explicit -limit surfaces the
-// library's mutual-exclusion error instead of silently dropping one.
-func searchOptions(maxDist float64, limit, knn int, rerank string, limitSet bool) ([]geodabs.SearchOption, error) {
-	if limit < 0 {
-		limit = 0 // the legacy "-limit -1 = unlimited" form maps to WithLimit(0)
+// rerankMetrics maps each -rerank name to its exact metric, for a
+// local index and over the wire.
+var rerankMetrics = map[string]struct {
+	local  geodabs.RerankMetric
+	remote client.Metric
+}{
+	"dtw": {geodabs.DTW, client.DTW},
+	"dfd": {geodabs.DFD, client.DFD},
+}
+
+// searchFlags are the ranking flags query and remote-query share.
+type searchFlags struct {
+	limit, knn int
+	maxDist    float64
+	rerank     string
+}
+
+func addSearchFlags(fs *flag.FlagSet, rerankUsage string) *searchFlags {
+	f := &searchFlags{}
+	fs.IntVar(&f.limit, "limit", 10, "maximum results (0 = unlimited)")
+	fs.IntVar(&f.knn, "knn", 0, "return the k nearest trajectories instead of -limit")
+	fs.Float64Var(&f.maxDist, "max-distance", 0.99, "Jaccard distance cutoff Δmax")
+	fs.StringVar(&f.rerank, "rerank", "", rerankUsage)
+	return f
+}
+
+// check validates the parsed flags for both subcommands, before any
+// work: -knn beside an explicit -limit other than 0 ("no cap", like the
+// legacy -limit -1) is the WithKNN/WithLimit conflict.
+func (f *searchFlags) check(fs *flag.FlagSet) error {
+	f.limit = max(f.limit, 0)
+	if _, ok := rerankMetrics[f.rerank]; f.rerank != "" && !ok {
+		return fmt.Errorf("unknown rerank metric %q (want dtw or dfd)", f.rerank)
 	}
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(maxDist)}
-	if knn != 0 { // 0 = not requested; negatives reach WithKNN's validation
-		opts = append(opts, geodabs.WithKNN(knn))
-		if limitSet && limit != 0 { // an explicit real cap conflicts; -limit 0 means "no cap"
-			opts = append(opts, geodabs.WithLimit(limit))
-		}
-	} else {
-		opts = append(opts, geodabs.WithLimit(limit))
+	if f.knn < 0 {
+		return fmt.Errorf("-knn %d must be at least 1", f.knn)
 	}
-	switch rerank {
-	case "":
-	case "dtw":
-		opts = append(opts, geodabs.WithExactRerank(geodabs.DTW))
-	case "dfd":
-		opts = append(opts, geodabs.WithExactRerank(geodabs.DFD))
-	default:
-		return nil, fmt.Errorf("unknown rerank metric %q (want dtw or dfd)", rerank)
+	limitSet := false
+	fs.Visit(func(fl *flag.Flag) { limitSet = limitSet || fl.Name == "limit" })
+	if f.knn > 0 && limitSet && f.limit != 0 {
+		return errors.New("-knn and -limit are mutually exclusive")
 	}
-	return opts, nil
+	return nil
+}
+
+// options translates the flags to Search options; rerank adds -rerank's.
+func (f *searchFlags) options(rerank bool) []geodabs.SearchOption {
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(f.maxDist), geodabs.WithLimit(f.limit)}
+	if f.knn > 0 {
+		opts[1] = geodabs.WithKNN(f.knn)
+	}
+	if rerank && f.rerank != "" {
+		opts = append(opts, geodabs.WithExactRerank(rerankMetrics[f.rerank].local))
+	}
+	return opts
+}
+
+// clientOptions translates the flags to a geodabsd search's options.
+func (f *searchFlags) clientOptions() []client.SearchOption {
+	opts := []client.SearchOption{client.WithMaxDistance(f.maxDist), client.WithLimit(f.limit)}
+	if f.knn > 0 {
+		opts[1] = client.WithKNN(f.knn)
+	}
+	if f.rerank != "" {
+		opts = append(opts, client.WithExactRerank(rerankMetrics[f.rerank].remote))
+	}
+	return opts
 }
 
 // cmdQuery runs a held-out query (or, with -all, the whole query batch)
@@ -374,35 +414,24 @@ func cmdQuery(args []string) error {
 	dataPath := fs.String("data", "data/dataset.bin", "dataset file")
 	queryPath := fs.String("queries", "data/queries.bin", "queries file")
 	qn := fs.Int("q", 0, "query number within the queries file")
-	limit := fs.Int("limit", 10, "maximum results (0 = unlimited)")
-	knn := fs.Int("knn", 0, "return the k nearest trajectories instead of -limit")
-	maxDist := fs.Float64("max-distance", 0.99, "Jaccard distance cutoff Δmax")
-	rerank := fs.String("rerank", "", "exactly re-rank candidates: dtw or dfd (meters)")
+	search := addSearchFlags(fs, "exactly re-rank candidates: dtw or dfd (meters)")
 	all := fs.Bool("all", false, "run every query as a parallel batch and report throughput")
 	workers := fs.Int("workers", 8, "parallel workers (indexing, -all batches)")
 	snapshot := fs.String("snapshot", "", "load the index from this snapshot instead of re-indexing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := search.check(fs); err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var d *geodabs.Dataset
-	if *snapshot != "" {
-		// With a snapshot the dataset only annotates hits; tolerate its
-		// absence (hits then print as "(not in -data file)") but surface
-		// any other failure, e.g. a corrupt file or a typo'd path.
-		dd, err := readDataset(*dataPath)
-		switch {
-		case err == nil:
-			d = dd
-		case !os.IsNotExist(err):
-			return err
-		}
-	} else {
-		var err error
-		if d, err = readDataset(*dataPath); err != nil {
-			return err
-		}
+	// With a snapshot the dataset only annotates hits; tolerate its
+	// absence (d stays nil, and hits print as "(not in -data file)") but
+	// surface any other failure, e.g. a corrupt file or a typo'd path.
+	d, err := readDataset(*dataPath)
+	if err != nil && (*snapshot == "" || !os.IsNotExist(err)) {
+		return err
 	}
 	queries, err := readDataset(*queryPath)
 	if err != nil {
@@ -411,21 +440,12 @@ func cmdQuery(args []string) error {
 	if !*all && (*qn < 0 || *qn >= queries.Len()) {
 		return fmt.Errorf("query %d out of range [0, %d)", *qn, queries.Len())
 	}
-	limitSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "limit" {
-			limitSet = true
-		}
-	})
-	opts, err := searchOptions(*maxDist, *limit, *knn, *rerank, limitSet)
-	if err != nil {
-		return err
-	}
+	opts := search.options(true)
 	// Exact re-ranking needs the raw points, which retention keeps;
 	// plain fingerprint queries skip that memory cost. A snapshot holds
 	// no points, so a loaded index cannot re-rank either way.
 	var iopts []geodabs.Option
-	if *rerank != "" && *snapshot == "" {
+	if search.rerank != "" && *snapshot == "" {
 		iopts = append(iopts, geodabs.WithPointRetention())
 	}
 	idx, err := geodabs.NewIndex(geodabs.DefaultConfig(), iopts...)
@@ -465,20 +485,16 @@ func cmdQuery(args []string) error {
 	}
 	q := queries.Trajectories[*qn]
 	pq := geodabs.NewQuery(q.Points)
-	if *rerank != "" {
+	if search.rerank != "" {
 		// The rerank run below reuses the prepared query's cached
 		// extraction: the fingerprint shortlist here costs one search, not
 		// a second pipeline pass.
-		fpOpts, err := searchOptions(*maxDist, *limit, *knn, "", limitSet)
-		if err != nil {
-			return err
-		}
-		fpRes, err := idx.SearchQuery(ctx, pq, fpOpts...)
+		fpRes, err := idx.SearchQuery(ctx, pq, search.options(false)...)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("fingerprint ranking: %d results from %d candidates in %v (before %s rerank)\n",
-			len(fpRes.Hits), fpRes.Stats.Candidates, fpRes.Stats.Elapsed.Round(time.Microsecond), *rerank)
+			len(fpRes.Hits), fpRes.Stats.Candidates, fpRes.Stats.Elapsed.Round(time.Microsecond), search.rerank)
 	}
 	res, err := idx.SearchQuery(ctx, pq, opts...)
 	if err != nil {
@@ -488,8 +504,8 @@ func cmdQuery(args []string) error {
 		q.ID, q.Route, q.Dir, q.Len(), len(res.Hits), res.Stats.Candidates,
 		res.Stats.Elapsed.Round(time.Microsecond))
 	unit := "dJ"
-	if *rerank != "" {
-		unit = *rerank + " m"
+	if search.rerank != "" {
+		unit = search.rerank + " m"
 	}
 	for i, r := range res.Hits {
 		// A mismatched or data-less -snapshot can rank IDs that are not
@@ -567,13 +583,13 @@ func cmdRemoteQuery(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7071", "geodabsd address")
 	queryPath := fs.String("queries", "data/queries.bin", "queries file")
 	qn := fs.Int("q", 0, "query number within the queries file")
-	limit := fs.Int("limit", 10, "maximum results (0 = unlimited)")
-	knn := fs.Int("knn", 0, "return the k nearest trajectories instead of -limit")
-	maxDist := fs.Float64("max-distance", 0.99, "Jaccard distance cutoff Δmax")
+	search := addSearchFlags(fs, "exactly re-rank candidates server-side: dtw or dfd (meters; implies raw points)")
 	raw := fs.Bool("raw", false, "ship raw points instead of a locally winnowed fingerprint")
-	rerank := fs.String("rerank", "", "exactly re-rank candidates server-side: dtw or dfd (meters; implies raw points)")
 	timeout := fs.Duration("timeout", 5*time.Second, "request deadline")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := search.check(fs); err != nil {
 		return err
 	}
 	queries, err := readDataset(*queryPath)
@@ -584,22 +600,7 @@ func cmdRemoteQuery(args []string) error {
 		return fmt.Errorf("query %d out of range [0, %d)", *qn, queries.Len())
 	}
 	q := queries.Trajectories[*qn]
-	var opts []client.SearchOption
-	opts = append(opts, client.WithMaxDistance(*maxDist))
-	if *knn != 0 {
-		opts = append(opts, client.WithKNN(*knn))
-	} else if *limit > 0 {
-		opts = append(opts, client.WithLimit(*limit))
-	}
-	switch *rerank {
-	case "":
-	case "dtw":
-		opts = append(opts, client.WithExactRerank(client.DTW))
-	case "dfd":
-		opts = append(opts, client.WithExactRerank(client.DFD))
-	default:
-		return fmt.Errorf("unknown rerank metric %q (want dtw or dfd)", *rerank)
-	}
+	opts := search.clientOptions()
 	cl, err := client.Dial(*addr)
 	if err != nil {
 		return err
@@ -608,7 +609,7 @@ func cmdRemoteQuery(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	var res *client.Result
-	if *raw || *rerank != "" {
+	if *raw || search.rerank != "" {
 		// Rerank needs the query's raw points server-side: the exact
 		// metrics compare trajectories, not term sets.
 		res, err = cl.Search(ctx, q.Points, opts...)
@@ -628,8 +629,8 @@ func cmdRemoteQuery(args []string) error {
 		q.ID, q.Len(), len(res.Hits), res.Stats.Candidates, res.Stats.Elapsed.Round(time.Microsecond),
 		res.Stats.Shards, res.Stats.Nodes)
 	unit := "dJ"
-	if *rerank != "" {
-		unit = *rerank + " m"
+	if search.rerank != "" {
+		unit = search.rerank + " m"
 	}
 	for i, r := range res.Hits {
 		fmt.Printf("%2d. trajectory %5d  %s=%.3f  shared=%3d\n", i+1, r.ID, unit, r.Distance, r.Shared)

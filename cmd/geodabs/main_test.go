@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"geodabs"
@@ -86,5 +87,32 @@ func TestWriteSnapshotCleansUpOnFailure(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) > 0 {
 		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
+// TestSearchFlagsCheckedBeforeWork drives query and remote-query through
+// run with the ranking flags their one translation refuses: both fail
+// alike, before reading a file or dialing a server. -limit 0 beside -knn
+// means "no cap" and gets as far as the missing files.
+func TestSearchFlagsCheckedBeforeWork(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	for cmd, files := range map[string][]string{
+		"query":        {"-data", missing, "-queries", missing},
+		"remote-query": {"-addr", "127.0.0.1:1", "-queries", missing},
+	} {
+		for _, tc := range []struct {
+			flags []string
+			want  string
+		}{
+			{[]string{"-knn", "3", "-limit", "5"}, "-knn and -limit are mutually exclusive"},
+			{[]string{"-rerank", "lcss"}, `unknown rerank metric "lcss"`},
+			{[]string{"-knn", "-2"}, "-knn -2 must be at least 1"},
+			{[]string{"-knn", "3", "-limit", "0"}, "no such file"},
+		} {
+			args := append(append([]string{cmd}, files...), tc.flags...)
+			if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: error %v, want it to contain %q", args, err, tc.want)
+			}
+		}
 	}
 }

@@ -67,8 +67,8 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty = off)")
 	snapshot := fs.String("snapshot", "", "serve this local index snapshot")
 	nodes := fs.String("nodes", "", "comma-separated shard node addresses to front as a cluster")
-	shards := fs.Int("shards", 1024, "cluster shard count (with -nodes)")
-	connsPerNode := fs.Int("conns-per-node", 4, "pooled connections per shard node (with -nodes)")
+	shards := fs.Int("shards", 1024, "cluster shard count (with -nodes or -wal-dir)")
+	connsPerNode := fs.Int("conns-per-node", 4, "pooled connections per shard node (with -nodes or -wal-dir)")
 	replicas := fs.String("replicas", "", "per-node read replica addresses (with -nodes): groups comma-separated, members |-separated")
 	readFrom := fs.String("read-from", "primary", "read routing across replicas: primary or replicas")
 	recoverDirectory := fs.Bool("recover-directory", false, "rebuild the coordinator directory from the nodes' durable state at startup (with -nodes)")
@@ -95,6 +95,15 @@ func run(args []string) error {
 	}
 	if backends != 1 {
 		return fmt.Errorf("exactly one backend is required: -snapshot, -nodes, or -wal-dir")
+	}
+	// The replica and directory flags configure a -nodes cluster only;
+	// beside another backend they would do nothing.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"replicas", "read-from", "recover-directory"} {
+		if set[name] && *nodes == "" {
+			return fmt.Errorf("-%s needs the -nodes backend", name)
+		}
 	}
 	if *retainPoints && *snapshot != "" {
 		return fmt.Errorf("-retain-points needs a cluster backend (-nodes or -wal-dir): a snapshot-loaded index carries no raw points to retain")
@@ -234,12 +243,40 @@ func run(args []string) error {
 	return nil
 }
 
+// nodeFamilies are the per-node metric families clusterCollector
+// exports, one sample per node each, the value printed with %v.
+var nodeFamilies = []struct {
+	name, help, typ string
+	value           func(s geodabs.NodeStats) any
+}{
+	{"geodabsd_node_epoch", "Highest mutation epoch the shard node has applied.", "gauge",
+		func(s geodabs.NodeStats) any { return s.Epoch }},
+	{"geodabsd_node_wal_bytes", "Live write-ahead log size in bytes.", "gauge",
+		func(s geodabs.NodeStats) any { return s.WALBytes }},
+	{"geodabsd_node_wal_segments", "Live write-ahead log segment files.", "gauge",
+		func(s geodabs.NodeStats) any { return s.WALSegments }},
+	{"geodabsd_node_wal_fsyncs_total", "WAL fsync batches since the node started.", "counter",
+		func(s geodabs.NodeStats) any { return s.WALSyncs }},
+	{"geodabsd_node_wal_last_fsync_seconds", "Duration of the node's most recent WAL fsync.", "gauge",
+		func(s geodabs.NodeStats) any { return s.WALLastSync.Seconds() }},
+	{"geodabsd_node_full_syncs_total", "Replica full syncs the node has served.", "counter",
+		func(s geodabs.NodeStats) any { return s.FullSyncs }},
+	{"geodabsd_node_replica_subscribers", "Replicas currently tailing the node's mutation stream.", "gauge",
+		func(s geodabs.NodeStats) any { return s.Subscribers }},
+	{"geodabsd_node_retained_points", "Raw trajectory points the node retains as point owner for exact rerank.", "gauge",
+		func(s geodabs.NodeStats) any { return s.RetainedPoints }},
+	{"geodabsd_node_retained_bytes", "Approximate memory held by the node's retained raw points.", "gauge",
+		func(s geodabs.NodeStats) any { return s.RetainedBytes }},
+	{"geodabsd_node_rerank_scored_total", "Rerank candidates the node computed an exact score for.", "counter",
+		func(s geodabs.NodeStats) any { return s.RerankScored }},
+	{"geodabsd_node_rerank_lb_skipped_total", "Rerank candidates the node proved outside the requested top-k without an exact score: by the chord-cost bound on every alignment, before any exact cell, or part-way through the dynamic program at the bar.", "counter",
+		func(s geodabs.NodeStats) any { return s.RerankSkipped }},
+}
+
 // clusterCollector returns a metrics hook that exports the cluster's
 // durability and replication state as Prometheus gauges on every scrape:
-// per-node WAL size, segment and fsync counters, last fsync latency,
-// mutation epochs, full syncs served, live stream subscribers,
-// per-replica epoch lag, and the exact-rerank pushdown state — retained
-// point footprint and scored/skipped counters.
+// the nodeFamilies — WAL, epochs, replication and exact-rerank state per
+// node — then per-replica epoch lag.
 func clusterCollector(cl *geodabs.Cluster) func(w *strings.Builder) {
 	var scrapeErrs atomic.Uint64
 	return func(w *strings.Builder) {
@@ -253,49 +290,11 @@ func clusterCollector(cl *geodabs.Cluster) func(w *strings.Builder) {
 		if err != nil {
 			return
 		}
-		w.WriteString("# HELP geodabsd_node_epoch Highest mutation epoch the shard node has applied.\n# TYPE geodabsd_node_epoch gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_epoch{node=\"%d\"} %d\n", s.Node, s.Epoch)
-		}
-		w.WriteString("# HELP geodabsd_node_wal_bytes Live write-ahead log size in bytes.\n# TYPE geodabsd_node_wal_bytes gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_wal_bytes{node=\"%d\"} %d\n", s.Node, s.WALBytes)
-		}
-		w.WriteString("# HELP geodabsd_node_wal_segments Live write-ahead log segment files.\n# TYPE geodabsd_node_wal_segments gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_wal_segments{node=\"%d\"} %d\n", s.Node, s.WALSegments)
-		}
-		w.WriteString("# HELP geodabsd_node_wal_fsyncs_total WAL fsync batches since the node started.\n# TYPE geodabsd_node_wal_fsyncs_total counter\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_wal_fsyncs_total{node=\"%d\"} %d\n", s.Node, s.WALSyncs)
-		}
-		w.WriteString("# HELP geodabsd_node_wal_last_fsync_seconds Duration of the node's most recent WAL fsync.\n# TYPE geodabsd_node_wal_last_fsync_seconds gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_wal_last_fsync_seconds{node=\"%d\"} %g\n", s.Node, s.WALLastSync.Seconds())
-		}
-		w.WriteString("# HELP geodabsd_node_full_syncs_total Replica full syncs the node has served.\n# TYPE geodabsd_node_full_syncs_total counter\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_full_syncs_total{node=\"%d\"} %d\n", s.Node, s.FullSyncs)
-		}
-		w.WriteString("# HELP geodabsd_node_replica_subscribers Replicas currently tailing the node's mutation stream.\n# TYPE geodabsd_node_replica_subscribers gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_replica_subscribers{node=\"%d\"} %d\n", s.Node, s.Subscribers)
-		}
-		w.WriteString("# HELP geodabsd_node_retained_points Raw trajectory points the node retains as point owner for exact rerank.\n# TYPE geodabsd_node_retained_points gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_retained_points{node=\"%d\"} %d\n", s.Node, s.RetainedPoints)
-		}
-		w.WriteString("# HELP geodabsd_node_retained_bytes Approximate memory held by the node's retained raw points.\n# TYPE geodabsd_node_retained_bytes gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_retained_bytes{node=\"%d\"} %d\n", s.Node, s.RetainedBytes)
-		}
-		w.WriteString("# HELP geodabsd_node_rerank_scored_total Rerank candidates the node computed an exact score for.\n# TYPE geodabsd_node_rerank_scored_total counter\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_rerank_scored_total{node=\"%d\"} %d\n", s.Node, s.RerankScored)
-		}
-		w.WriteString("# HELP geodabsd_node_rerank_lb_skipped_total Rerank candidates the node proved outside the requested top-k without an exact score: by the chord-cost bound on every alignment, before any exact cell, or part-way through the dynamic program at the bar.\n# TYPE geodabsd_node_rerank_lb_skipped_total counter\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "geodabsd_node_rerank_lb_skipped_total{node=\"%d\"} %d\n", s.Node, s.RerankSkipped)
+		for _, f := range nodeFamilies {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+			for _, s := range stats {
+				fmt.Fprintf(w, "%s{node=\"%d\"} %v\n", f.name, s.Node, f.value(s))
+			}
 		}
 		headerDone := false
 		for _, s := range stats {

@@ -630,7 +630,8 @@ func TestMetricsExposition(t *testing.T) {
 // checked back in: kept, a deadline landing late would time out whichever
 // request next held it. The bad interleaving is a cancel racing the end
 // of the round trip — rare in-process, and also exercised against a
-// separate-process server by scripts/server_smoke.sh's upsert churn.
+// separate-process server by the upsert churn of cmd/geodabsd's
+// TestSnapshotService.
 // Here heavy cancel-after-return churn over a tiny pool must stay
 // error-free.
 func TestClientCancelAfterReturnDoesNotPoisonPool(t *testing.T) {
