@@ -95,7 +95,9 @@ type ReplicaStats = cluster.ReplicaStats
 // replicated to its owning nodes, so a search's distance bound is
 // enforced node-side too: candidates that provably cannot qualify are
 // skipped before they are serialized (SearchStats.NodePruned counts
-// them). Results are identical to a local Index over
+// them), and a capped search whose terms all live on one node is ranked
+// on that node, which ships only its top hits. Results are identical to
+// a local Index over
 // the same data; both implement Searcher and Mutator. Reads are
 // snapshot-isolated against concurrent writes: every mutation carries an
 // epoch, every search takes the committed-epoch watermark before

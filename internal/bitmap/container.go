@@ -24,8 +24,11 @@ type container interface {
 	// updated slice is returned — this is the term-at-a-time counting merge
 	// primitive: accumulating a posting list into a per-query counter takes
 	// one pass over the container with no per-value callback and no
-	// intermediate bitmap.
-	countInto(base uint32, counts []uint16, cands []uint32) []uint32
+	// intermediate bitmap. The first touch is recorded without a branch:
+	// cands grows once by the container's cardinality, every value is
+	// written to the next free slot, and the slot is kept — the length
+	// advances — only when the count it read was 0.
+	countInto(base uint32, counts *[1 << 16]uint16, cands []uint32) []uint32
 
 	// fillMany appends the container's values ≥ state (offset by base) to
 	// buf until buf is full or the container is exhausted, returning the
@@ -40,3 +43,19 @@ type container interface {
 // converted back). 4096 uint16s occupy 8 KiB, the size of a bitmap
 // container, so this is the break-even point.
 const arrayMaxSize = 4096
+
+// firstTouch is 1 when a count read before its bump is 0 and 0 for any
+// other 16-bit count, computed without a branch: only 0 − 1 wraps to
+// set the high bit.
+func firstTouch(count uint16) int { return int((uint32(count) - 1) >> 31) }
+
+// growCands returns cands with room for n more values past its length.
+// It grows the way appending one value at a time would, amortised, and
+// the counter's candidate list is reused across Reset, so a steady-state
+// search never grows it.
+func growCands(cands []uint32, n int) []uint32 {
+	for cap(cands)-len(cands) < n {
+		cands = append(cands[:cap(cands)], 0)[:len(cands)]
+	}
+	return cands
+}

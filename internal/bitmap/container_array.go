@@ -59,14 +59,18 @@ func (a *arrayContainer) iterate(f func(uint16) bool) bool {
 }
 
 //geodabs:noalloc
-func (a *arrayContainer) countInto(base uint32, counts []uint16, cands []uint32) []uint32 {
+func (a *arrayContainer) countInto(base uint32, counts *[1 << 16]uint16, cands []uint32) []uint32 {
+	n := len(cands)
+	cands = growCands(cands, len(a.values))
+	next := cands[n : n+len(a.values)]
+	k := 0
 	for _, v := range a.values {
-		if counts[v] == 0 {
-			cands = append(cands, base|uint32(v))
-		}
-		counts[v]++
+		c := counts[v]
+		next[k] = base | uint32(v)
+		k += firstTouch(c)
+		counts[v] = c + 1
 	}
-	return cands
+	return cands[:n+k]
 }
 
 // fillMany: state is the index of the next unconsumed value.

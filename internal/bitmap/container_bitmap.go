@@ -72,18 +72,22 @@ func (b *bitmapContainer) iterate(f func(uint16) bool) bool {
 }
 
 //geodabs:noalloc
-func (b *bitmapContainer) countInto(base uint32, counts []uint16, cands []uint32) []uint32 {
+func (b *bitmapContainer) countInto(base uint32, counts *[1 << 16]uint16, cands []uint32) []uint32 {
+	n := len(cands)
+	cands = growCands(cands, b.card)
+	next := cands[n : n+b.card]
+	k := 0
 	for w, word := range b.words {
 		for word != 0 {
 			v := uint16(w<<6 + bits.TrailingZeros64(word))
-			if counts[v] == 0 {
-				cands = append(cands, base|uint32(v))
-			}
-			counts[v]++
+			c := counts[v]
+			next[k] = base | uint32(v)
+			k += firstTouch(c)
+			counts[v] = c + 1
 			word &= word - 1
 		}
 	}
-	return cands
+	return cands[:n+k]
 }
 
 // fillMany: state is the next value to examine (0 … 65535); the done flag

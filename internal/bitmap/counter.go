@@ -26,7 +26,8 @@ import "math"
 //
 // Drain reads the result out: one pass over the candidates, in
 // first-touch order, appending each count and zeroing its entry, which
-// leaves Reset nothing to zero. It ends the accumulation — Candidates
+// leaves Reset nothing to zero, and histogramming the counts by level for
+// the ranking walk in the same pass. It ends the accumulation — Candidates
 // stays valid, parallel to the drained counts, but the counter must be
 // Reset before the next Add or AddN. A Counter is not safe for
 // concurrent use. The zero value is not usable; construct with
@@ -35,9 +36,9 @@ import "math"
 type Counter struct {
 	slot   []int32 // 65536 entries: chunk key → index into chunks, -1 absent
 	keys   []uint16
-	chunks [][]uint16 // parallel to keys; each 65536 counts
-	free   [][]uint16 // zeroed chunk arrays recycled by Reset
-	cands  []uint32   // values with count ≥ 1, in first-touch order
+	chunks []*chunk // parallel to keys
+	free   []*chunk // zeroed chunk arrays recycled by Reset
+	cands  []uint32 // values with count ≥ 1, in first-touch order
 	// room is how many more Adds no array entry can wrap under: every
 	// entry is at most MaxUint16 − room.
 	room int
@@ -47,7 +48,15 @@ type Counter struct {
 	// drained records that Drain has zeroed every entry since the last
 	// Reset.
 	drained bool
+	// lanes is Drain's histogram scratch: histLanes interleaved
+	// sub-histograms, lane j of level n at lanes[n*histLanes+j].
+	lanes []int32
 }
+
+// chunk holds the counts of one high-16-bit chunk, indexed by the low 16
+// bits: an array pointer, so indexing it by a uint16 needs no bounds
+// check.
+type chunk = [1 << 16]uint16
 
 const (
 	// spillAbove is the largest array entry a spill (or AddN) leaves
@@ -71,17 +80,17 @@ func NewCounter() *Counter {
 // creating it on first touch.
 //
 //geodabs:noalloc
-func (c *Counter) chunkFor(key uint16) []uint16 {
+func (c *Counter) chunkFor(key uint16) *chunk {
 	if i := c.slot[key]; i >= 0 {
 		return c.chunks[i]
 	}
-	var counts []uint16
+	var counts *chunk
 	if n := len(c.free); n > 0 {
 		counts = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		counts = make([]uint16, 1<<16) //geodabs:vet-ignore first-touch chunk allocation, recycled across Reset via the free list
+		counts = new(chunk) //geodabs:vet-ignore first-touch chunk allocation, recycled across Reset via the free list
 	}
 	c.slot[key] = int32(len(c.chunks))
 	c.keys = append(c.keys, key)
@@ -150,6 +159,12 @@ func (c *Counter) AddN(v uint32, n int) {
 // order. The slice is owned by the counter and valid until Reset.
 func (c *Counter) Candidates() []uint32 { return c.cands }
 
+// histLanes is how many sub-histograms Drain spreads its levels over:
+// consecutive candidates bump different lanes, so a run of equal counts
+// — most candidates of a search share one or two fingerprints — is not
+// one chain of increments each waiting on the last.
+const histLanes = 4
+
 // Drain appends the count of every candidate to dst, in the order
 // Candidates lists them, and zeroes the counter's entries as it goes —
 // the one pass that reads an accumulation out. Counts are exact, the
@@ -157,21 +172,36 @@ func (c *Counter) Candidates() []uint32 { return c.cands }
 // Afterwards Candidates is unchanged and every count reads 0; the counter
 // takes no more Adds until Reset, which then has no entries left to zero.
 //
+// The same pass histograms the counts: levels[n] grows by the number of
+// candidates counted n times, for every n below len(levels), and above
+// reports whether some candidate was counted len(levels) times or more
+// (those are in no level). With an empty levels nothing is histogrammed
+// and above is false.
+//
 //geodabs:noalloc
-func (c *Counter) Drain(dst []uint32) []uint32 {
+func (c *Counter) Drain(dst []uint32, levels []int32) (out []uint32, above bool) {
 	start := len(dst)
 	if cap(dst)-start < len(c.cands) {
 		dst = append(dst, c.cands...) // grows dst in one allocation
 	}
 	dst = dst[:start+len(c.cands)]
-	out := dst[start:]
+	out = dst[start:]
+	// Level len(levels) collects every count at or above it, clamped in
+	// without a branch.
+	top := uint32(len(levels))
+	for len(c.lanes) < histLanes*(len(levels)+1) {
+		c.lanes = append(c.lanes, 0)
+	}
+	lanes := c.lanes[:histLanes*(len(levels)+1)]
 	if len(c.chunks) == 1 && len(c.wide) == 0 {
 		// One chunk and nothing spilled, the common shape of a search: the
 		// low 16 bits of a candidate index its count directly.
 		counts := c.chunks[0]
 		for i, v := range c.cands {
-			out[i] = uint32(counts[uint16(v)])
+			n := uint32(counts[uint16(v)])
+			out[i] = n
 			counts[uint16(v)] = 0
+			lanes[min(n, top)*histLanes+uint32(i%histLanes)]++
 		}
 	} else {
 		for i, v := range c.cands {
@@ -182,11 +212,19 @@ func (c *Counter) Drain(dst []uint32) []uint32 {
 				n += uint64(c.wide[v])
 			}
 			out[i] = uint32(min(n, math.MaxUint32))
+			lanes[min(out[i], top)*histLanes+uint32(i%histLanes)]++
 		}
 		clear(c.wide)
 	}
+	for n := range levels {
+		lane := lanes[n*histLanes : (n+1)*histLanes]
+		levels[n] += lane[0] + lane[1] + lane[2] + lane[3]
+	}
+	over := lanes[len(levels)*histLanes:]
+	above = len(levels) > 0 && over[0]|over[1]|over[2]|over[3] != 0
+	clear(lanes)
 	c.drained = true
-	return dst
+	return dst, above
 }
 
 // Reset clears the counter for reuse, keeping the touched chunk arrays
@@ -204,7 +242,7 @@ func (c *Counter) Reset() {
 		}
 	default:
 		for i := range c.chunks {
-			clear(c.chunks[i])
+			clear(c.chunks[i][:])
 		}
 	}
 	for i, key := range c.keys {

@@ -115,6 +115,37 @@ func TestCounterAddN(t *testing.T) {
 	}
 }
 
+// TestCounterCandidatesStayNearDistinct counts overlapping lists many
+// times over and checks that the candidate list, which countInto grows
+// ahead of each container, holds room for at most twice the distinct
+// values plus one chunk: counting the same values again must not grow
+// it, whatever the lists' summed cardinalities.
+func TestCounterCandidatesStayNearDistinct(t *testing.T) {
+	// Bitset and array containers over three chunks, half of b's values
+	// also in a.
+	var a, b []uint32
+	seen := map[uint32]bool{}
+	for v := uint32(0); v < 3<<16; v += 2 {
+		a = append(a, v)
+		b = append(b, v+v%4/2)
+		seen[v], seen[v+v%4/2] = true, true
+	}
+	lists := []*Bitmap{FromSlice(a), FromSlice(b), FromSlice(a[:3000]), FromSlice(b[len(b)-3000:])}
+	c := NewCounter()
+	for range 64 {
+		for _, l := range lists {
+			c.Add(l)
+		}
+	}
+	distinct := len(seen)
+	if n := len(c.Candidates()); n != distinct {
+		t.Fatalf("%d candidates, want the %d distinct values", n, distinct)
+	}
+	if got, bound := cap(c.Candidates()), 2*(distinct+1<<16); got > bound {
+		t.Fatalf("candidate list has room for %d values, over %d: twice the %d distinct values plus a chunk", got, bound, distinct)
+	}
+}
+
 func TestIteratorNextMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
@@ -153,7 +184,11 @@ func TestIteratorNextMany(t *testing.T) {
 // reach past the 16-bit width of its array entries: one posting list
 // streamed tens of thousands of times, AddN amounts up to 2³¹, Drain,
 // Reset and reuse. Each op is a tag byte and its operands; see the
-// switch.
+// switch. Both container kinds record first touches without a branch, so
+// every check holds the candidates to the model's first-touch order, and
+// every Drain histograms the counts: into levels covering every count,
+// or into as many levels as an operand says, when counts at or above
+// the last must be reported.
 func FuzzCounter(f *testing.F) {
 	streams := []*Bitmap{FromSlice([]uint32{1, 9, 70000}), New(), New()}
 	for v := uint32(0); v < arrayMaxSize+4; v++ {
@@ -179,6 +214,11 @@ func FuzzCounter(f *testing.F) {
 	f.Add(append(append(stream(0, 70000), 3), stream(0, 2)...))
 	f.Add([]byte{1, 2, 0x70, 0x11, 0x01, 0, 1, 3, 0xff, 0xff, 0xff, 0x7f, 1, 3, 0xff, 0xff, 0xff, 0x7f, 1, 3, 0, 0, 0, 0x40, 3, 1, 2, 5, 0, 0, 0})
 	f.Add(append(append(stream(1, 1), 3), stream(2, 3)...))
+	// A bitset's 4,100 values in one chunk, first touched before and after
+	// an array's, drained into 2 levels (counts of 2 and 3 above them) and
+	// into 4 (none above).
+	f.Add(append(append(append(stream(0, 1), stream(1, 2)...), stream(2, 1)...), 4, 2, 0))
+	f.Add(append(append(append(stream(1, 1), stream(0, 2)...), stream(2, 1)...), 4, 4, 0))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := NewCounter()
@@ -212,7 +252,7 @@ func FuzzCounter(f *testing.F) {
 		// executions stay short whatever repeat counts it invents.
 		budget := 2 << 20
 		for len(ops) > 0 {
-			tag := ops[0] % 4
+			tag := ops[0] % 5
 			ops = ops[1:]
 			switch {
 			case tag == 0 && len(ops) >= 4: // Add(streams[i]) k times
@@ -241,9 +281,31 @@ func FuzzCounter(f *testing.F) {
 				c.Reset()
 				clear(want)
 				order = order[:0]
-			case tag == 3: // Drain, then Reset
+			case tag == 3 || tag == 4 && len(ops) >= 2: // Drain, then Reset
+				// Tag 3 histograms into a level per count up to the largest,
+				// at most 2¹⁶ levels; tag 4 into as many as its operand says.
+				levels := 0
+				if tag == 3 {
+					for _, n := range want {
+						levels = max(levels, min(n, math.MaxUint32)+1)
+					}
+					levels = min(levels, 1<<16)
+				} else {
+					levels = int(ops[0]) | int(ops[1])<<8
+					ops = ops[2:]
+				}
+				hist := make([]int32, levels)
+				wantHist := make([]int32, levels)
+				wantAbove := false
+				for _, v := range order {
+					if n := min(want[v], math.MaxUint32); n < levels {
+						wantHist[n]++
+					} else {
+						wantAbove = levels > 0
+					}
+				}
 				cands := slices.Clone(c.Candidates())
-				counts := c.Drain(nil)
+				counts, above := c.Drain(nil, hist)
 				if len(counts) != len(order) || !slices.Equal(cands, order) {
 					t.Fatalf("drained %d counts of %v, want the %d of %v", len(counts), cands, len(order), order)
 				}
@@ -254,6 +316,9 @@ func FuzzCounter(f *testing.F) {
 					if got := c.Count(v); got != 0 {
 						t.Fatalf("Count(%d) = %d after Drain", v, got)
 					}
+				}
+				if !slices.Equal(hist, wantHist) || above != wantAbove {
+					t.Fatalf("drained histogram %v, above %v; want %v, %v", hist, above, wantHist, wantAbove)
 				}
 				if !slices.Equal(c.Candidates(), order) {
 					t.Fatalf("Drain changed the candidates")
@@ -271,6 +336,7 @@ func FuzzCounter(f *testing.F) {
 		// that has grown to size, allocates nothing.
 		c.Reset()
 		var buf []uint32
+		hist := make([]int32, 8)
 		if allocs := testing.AllocsPerRun(3, func() {
 			for _, b := range streams {
 				c.Add(b)
@@ -279,7 +345,7 @@ func FuzzCounter(f *testing.F) {
 			for _, b := range streams {
 				c.Add(b)
 			}
-			buf = c.Drain(buf[:0])
+			buf, _ = c.Drain(buf[:0], hist)
 			c.Reset()
 		}); allocs != 0 {
 			t.Fatalf("steady-state Add/Reset and Add/Drain/Reset allocate %v times", allocs)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -268,6 +269,32 @@ func TestNodeRejectsMalformedRequests(t *testing.T) {
 		Op: wal.OpAddPoints, ID: 1, Epoch: 1, Card: 1, Terms: []uint32{1},
 	}}); err == nil {
 		t.Error("point-owner add without points should error")
+	}
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opMutate, Mutate: &wal.Record{
+		Op: wal.OpAdd, ID: 1, Epoch: 1, Card: math.MaxUint32, Terms: []uint32{1},
+	}}); err == nil {
+		t.Error("add whose card the card table cannot hold should error")
+	}
+	// A ranked query whose card is not its term count: no coordinator
+	// sends one, and the node refuses it rather than rank on it — a card
+	// below a count it meets, or one that would size the ranking's
+	// buckets past the frame (or overflow them).
+	if _, err := roundTrip(context.Background(), cl, &request{Op: opMutate, Mutate: &wal.Record{
+		Op: wal.OpAdd, ID: 2, Epoch: 2, Card: 2, Terms: []uint32{1, 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, card := range []int{0, 1, 3, 1e9, math.MaxInt} {
+		if _, err := roundTrip(context.Background(), cl, &request{Op: opQuery, Query: &queryRequest{
+			Terms: []uint32{1, 2}, QueryCard: card, MaxDistance: 1, Limit: 1,
+		}}); err == nil {
+			t.Errorf("ranked query of 2 terms with card %d should error", card)
+		}
+	}
+	if resp, err := roundTrip(context.Background(), cl, &request{Op: opQuery, Query: &queryRequest{
+		Terms: []uint32{1, 2}, QueryCard: 2, MaxDistance: 1, Limit: 1,
+	}}); err != nil || resp.Query.len() != 1 {
+		t.Errorf("ranked query of 2 terms with card 2: %v, want one hit", err)
 	}
 	// A plain add cannot carry points: its record ends at the terms, so
 	// points after them are trailing bytes the node refuses.
@@ -1216,7 +1243,8 @@ func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 // TestNodeQueryZeroAlloc pins the node's half of the shared search
 // scratch (index.Scratch): with a warm pool and a reply buffer of
 // sufficient capacity, a node query allocates nothing, with an open
-// cardinality window (no distance bound) and with a bounded one. GC is
+// cardinality window (no distance bound), with a bounded one, and ranked
+// on the node under a result cap, as a one-node plan's query is. GC is
 // off so a collection cannot empty the pool mid-run.
 func TestNodeQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -1248,12 +1276,16 @@ func TestNodeQueryZeroAlloc(t *testing.T) {
 	}{
 		{"open window", queryRequest{Terms: query}, false},
 		{"bounded window", queryRequest{Terms: query, QueryCard: len(query), MaxDistance: 0.5}, true},
+		{"ranked", queryRequest{Terms: query, QueryCard: len(query), MaxDistance: 1, Limit: 10}, false},
 	} {
 		for range 3 {
 			dst = n.query(dst[:0], &tc.req)
 		}
-		if pruned := binary.LittleEndian.Uint32(dst[1:]); (pruned > 0) != tc.pruned || len(dst) == 5 {
+		if pruned := binary.LittleEndian.Uint32(dst[1:]); op(dst[0]) != opQuery || (pruned > 0) != tc.pruned || len(dst) == 5 {
 			t.Fatalf("%s: %d partials, %d pruned: the window is not the one meant", tc.name, (len(dst)-5)/partialSize, pruned)
+		}
+		if hits := (len(dst) - 5) / partialSize; tc.req.Limit > 0 && hits != tc.req.Limit {
+			t.Fatalf("%s: %d hits shipped, want %d", tc.name, hits, tc.req.Limit)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { dst = n.query(dst[:0], &tc.req) }); allocs != 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)

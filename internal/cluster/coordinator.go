@@ -888,7 +888,9 @@ func (c *Coordinator) Plan(set *bitmap.Bitmap) *QueryPlan {
 type SearchInfo struct {
 	// Candidates is the number of distinct trajectories seen across the
 	// partial intersection counts that crossed the wire, before distance
-	// filtering. Candidates the shard nodes pruned are not included.
+	// filtering. Candidates the shard nodes pruned are not included; on a
+	// node-ranked search (see SearchPlan) it is the hits the node shipped
+	// in the round that was ranked.
 	Candidates int
 	// Pruned is how many candidates the coordinator's threshold bounds
 	// skipped before scoring, after the merge, counting every candidate
@@ -898,10 +900,12 @@ type SearchInfo struct {
 	// cardinality window skipped before serialization — entries that,
 	// without node-side pruning, would have crossed the wire and been
 	// pruned by the coordinator instead. A candidate spanning several
-	// nodes counts once per node, matching its wire cost.
+	// nodes counts once per node, matching its wire cost. A node that
+	// ranks a one-node plan reports 0: the window is part of its ranking.
 	NodePruned int
 	// WirePartials is the number of (ID, count) partial entries that did
-	// cross the wire, summed over the answering nodes; with NodePruned it
+	// cross the wire, summed over the answering nodes and over both rounds
+	// of a node-ranked search that asked again; with NodePruned it
 	// quantifies the transfer the node-side window saved.
 	WirePartials int
 	// Shards and Nodes are the fan-out the query's terms incurred.
@@ -935,6 +939,14 @@ func (c *Coordinator) Search(parent context.Context, q *trajectory.Trajectory, m
 // immediately — repeated and batched searches of one prepared query pay
 // extraction and sharding once, not per call. The plan must have been
 // built by a coordinator with an equal Strategy.
+//
+// A capped search of a one-node plan is ranked on that node, which ships
+// its top limit hits instead of every partial; the coordinator ranks
+// them again through its directory. When the node shipped a full limit
+// and a shipped hit fails the directory check — what a failed write
+// leaves behind — a hit the node did not ship might place, so the search
+// asks again for every partial (docs/invariants.md, "Ranking in count
+// order").
 func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDistance float64, limit int) ([]index.Result, SearchInfo, error) {
 	if err := parent.Err(); err != nil {
 		return nil, SearchInfo{}, err
@@ -946,51 +958,74 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 	info := SearchInfo{Shards: plan.shards, Nodes: len(plan.routes)}
 	s := index.GetScratch()
 	defer s.Release()
-	var sharedMu sync.Mutex
-	err := fanOut(parent, plan.routes, func(ctx context.Context, r route) error {
+	nodeLimit := 0
+	if len(plan.routes) == 1 && limit > 0 {
+		nodeLimit = limit
+	}
+	for {
+		if err := c.gather(parent, s.Counter, plan, snap, maxDistance, nodeLimit, &info); err != nil {
+			return nil, info, err
+		}
+		results, err := c.rank(parent, s, plan, snap, maxDistance, limit, &info)
+		// Only a node-ranked first round gets here with nodeLimit > 0, so
+		// WirePartials is what that node shipped.
+		if err != nil || nodeLimit == 0 || info.WirePartials < nodeLimit || len(results) == limit {
+			return results, info, err
+		}
+		s.Counter.Reset()
+		nodeLimit = 0
+	}
+}
+
+// gather scatters the plan's routes and sums the nodes' replies into
+// counter, adding to info's wire counts. nodeLimit is the queryRequest's
+// Limit, for a one-route plan.
+func (c *Coordinator) gather(ctx context.Context, counter *bitmap.Counter, plan *QueryPlan, snap uint64, maxDistance float64, nodeLimit int, info *SearchInfo) error {
+	var mu sync.Mutex
+	return fanOut(ctx, plan.routes, func(ctx context.Context, r route) error {
 		return c.readCall(ctx, r.node, &request{
 			Op:           opQuery,
 			CompactBelow: snap,
 			// QueryCard and MaxDistance let the node apply the
-			// cardinality window before encoding its partials.
-			Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance},
+			// cardinality window before encoding its partials, and rank
+			// under a Limit.
+			Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance, Limit: nodeLimit},
 		}, func(r *response) {
 			// Node term spaces are disjoint, so summing partial counts
 			// yields the exact |F ∩ G| — the distributed half of the
 			// counting merge — straight from the reply's bytes.
-			sharedMu.Lock()
-			r.Query.addTo(s.Counter)
+			mu.Lock()
+			r.Query.addTo(counter)
 			info.NodePruned += r.Query.pruned
 			info.WirePartials += r.Query.len()
-			sharedMu.Unlock()
+			mu.Unlock()
 		})
 	})
-	if err != nil {
-		return nil, info, err
-	}
-	info.Candidates = len(s.Counter.Candidates())
+}
 
-	// Rank through the local index's core. The walk probes the directory
-	// under the read lock, only above its stop; a candidate ranks only if
-	// its mutation committed at or below the snapshot.
+// rank ranks the counts gathered into s through the local index's core.
+// The walk probes the directory under the read lock, only above its
+// stop; a candidate ranks only if its mutation committed at or below the
+// snapshot.
+func (c *Coordinator) rank(ctx context.Context, s *index.Scratch, plan *QueryPlan, snap uint64, maxDistance float64, limit int, info *SearchInfo) ([]index.Result, error) {
+	info.Candidates = len(s.Counter.Candidates())
 	s.Ranker.Init(plan.card, maxDistance, limit)
 	c.mu.RLock()
-	err = s.Ranker.RankByCount(parent, s.Counter, func(id uint32) (int, bool) {
+	err := s.Ranker.RankByCount(ctx, s.Counter, func(id uint32) (int, bool) {
 		entry, ok := c.directory[trajectory.ID(id)]
 		return int(entry.card), ok && entry.state == stateLive && entry.epoch <= snap
 	})
 	c.mu.RUnlock()
 	if errors.Is(err, index.ErrCountAboveQuery) {
-		return nil, info, fmt.Errorf("cluster: node partial counts exceed the query's %d terms: %w", plan.card, err)
+		return nil, fmt.Errorf("cluster: node partial counts exceed the query's %d terms: %w", plan.card, err)
 	}
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
+	info.Pruned = s.Ranker.Pruned()
 	// No hits is a nil slice, as on the local engine: callers compare the
 	// two engines' rankings with reflect.DeepEqual.
-	results := s.Ranker.Finish(nil)
-	info.Pruned = s.Ranker.Pruned()
-	return results, info, nil
+	return s.Ranker.Finish(nil), nil
 }
 
 // readCall routes one read request across a shard's primary and replica

@@ -135,17 +135,26 @@ func TestNodeRestartFromWALServesIdenticalResults(t *testing.T) {
 
 // nodeState is a node's full shard state flattened for comparison.
 type nodeState struct {
-	docs     map[uint32]nodeDoc
+	docs     map[uint32]dumpedDoc
 	postings map[uint32][]uint32
 }
 
-// dumpState copies a node's docs and postings under its lock.
+// dumpedDoc is one doc of a nodeState: its terms, its card table entry
+// (0 for a tombstone) and its epoch.
+type dumpedDoc struct {
+	terms []uint32
+	card  int
+	epoch uint64
+}
+
+// dumpState copies a node's docs, cards and postings under its lock.
 func dumpState(n *Node) nodeState {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	s := nodeState{docs: make(map[uint32]nodeDoc, len(n.docs)), postings: make(map[uint32][]uint32, len(n.postings))}
+	s := nodeState{docs: make(map[uint32]dumpedDoc, len(n.docs)), postings: make(map[uint32][]uint32, len(n.postings))}
 	for id, d := range n.docs {
-		s.docs[id] = nodeDoc{terms: append([]uint32(nil), d.terms...), card: d.card, epoch: d.epoch}
+		card, _ := n.cards.Get(id)
+		s.docs[id] = dumpedDoc{terms: append([]uint32(nil), d.terms...), card: card, epoch: d.epoch}
 	}
 	for term, p := range n.postings {
 		var ids []uint32

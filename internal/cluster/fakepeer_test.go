@@ -17,6 +17,8 @@ import (
 	"geodabs/internal/index"
 	"geodabs/internal/rerank"
 	"geodabs/internal/shard"
+	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 	"geodabs/internal/wire"
 )
 
@@ -252,10 +254,12 @@ func TestDirectoryRecoveryGivesUpOnSilentNode(t *testing.T) {
 	}
 }
 
-// loseMutationAcks fronts the real node at upstream and relays every
-// request, but while fail is set it answers each mutation with an error
-// once the node has applied it: a node whose acknowledgements are lost.
-func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.Listener {
+// relay fronts the real node at upstream and relays every request and
+// reply, asking pass of each request it decodes what to do with it: a
+// request not forwarded is answered with an error and never reaches the
+// node, and a forwarded one whose reply is lost is answered with an
+// error once the node has applied it.
+func relay(t *testing.T, upstream string, pass func(req *request) (forward, lose bool)) net.Listener {
 	return startFakeNode(t, func(conn net.Conn) {
 		up, err := net.Dial("tcp", upstream)
 		if err != nil {
@@ -269,24 +273,38 @@ func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.List
 			if err != nil {
 				return
 			}
-			lose := req.decode(p) == nil && req.Op == opMutate && fail.Load()
-			if upf.SendFrame(append(upf.BeginFrame(), p...)) != nil {
-				return
+			forward, lose := true, false
+			if req.decode(p) == nil {
+				forward, lose = pass(&req)
 			}
-			r, err := upf.ReadFrame()
-			if err != nil {
-				return
+			if forward {
+				if upf.SendFrame(append(upf.BeginFrame(), p...)) != nil {
+					return
+				}
+				r, err := upf.ReadFrame()
+				if err != nil {
+					return
+				}
+				if !lose {
+					if down.SendFrame(append(down.BeginFrame(), r...)) != nil {
+						return
+					}
+					continue
+				}
 			}
-			reply := down.BeginFrame()
-			if lose {
-				reply = appendError(reply, "acknowledgement lost")
-			} else {
-				reply = append(reply, r...)
-			}
-			if down.SendFrame(reply) != nil {
+			if down.SendFrame(appendError(down.BeginFrame(), "request or acknowledgement lost")) != nil {
 				return
 			}
 		}
+	})
+}
+
+// loseMutationAcks fronts the real node at upstream and relays every
+// request, but while fail is set it answers each mutation with an error
+// once the node has applied it: a node whose acknowledgements are lost.
+func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.Listener {
+	return relay(t, upstream, func(req *request) (bool, bool) {
+		return true, req.Op == opMutate && fail.Load()
 	})
 }
 
@@ -395,4 +413,133 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 		local.Upsert(both)
 		converged(t, coord, local)
 	})
+}
+
+// TestNodeRankedSearchFallsBack forces the second round of a node-ranked
+// search. A failed write leaves node 0 holding a trajectory the
+// directory refuses: a failed Upsert's new version, the ID deleting, or
+// a failed Add's postings, stranded because its cleanup never reached
+// node 0. The trajectory shares every term of a query that lives on node
+// 0 alone, so node 0 ranks it first and ships it, and the coordinator's
+// directory check refuses it. When node 0 shipped a full limit, a hit it
+// did not ship might place, so the search must ask again for every
+// partial — exactly once — and rank like a local index without the
+// trajectory; when it shipped fewer than limit, or the search is
+// uncapped, there is no second round. Once a retried write lands the
+// trajectory, the directory admits what node 0 ships and no search asks
+// twice.
+func TestNodeRankedSearchFallsBack(t *testing.T) {
+	// Under latExtractor's strategy, terms 0, 1, 4, 5, 8, 9, 12 and 13
+	// live on node 0, terms 2, 3, 6 and 7 on node 1.
+	query := termTrajectory(0, 0, 1, 4, 5, 8, 9)
+	stray := termTrajectory(5, 0, 1, 4, 5, 8, 9)
+	for _, tc := range []struct {
+		name string
+		// upsert fails an Upsert of stray over trajectory 5 rather than
+		// an Add of it; an Add's cleanup deletes are dropped before they
+		// reach node 0.
+		upsert bool
+	}{{"failed upsert", true}, {"failed add", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, _ := startNodes(t, 2)
+			var fail atomic.Bool
+			var capped, all atomic.Int64
+			// Node 0's front counts the queries that pass and, while fail
+			// is set, loses every mutation's acknowledgement, and drops a
+			// failed Add's deletes unapplied.
+			front := relay(t, nodes[0].Addr(), func(req *request) (bool, bool) {
+				if req.Op == opQuery {
+					if req.Query.Limit > 0 {
+						capped.Add(1)
+					} else {
+						all.Add(1)
+					}
+				}
+				lose := req.Op == opMutate && fail.Load()
+				return !(lose && !tc.upsert && req.Mutate.Op == wal.OpDelete), lose
+			})
+			coord, err := NewCoordinator(latExtractor{}, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2},
+				[]string{front.Addr().String(), nodes[1].Addr()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { coord.Close() })
+			local := index.NewSharded(latExtractor{}, 1)
+			ctx := context.Background()
+			docs := []*trajectory.Trajectory{
+				termTrajectory(1, 0, 1, 4),
+				termTrajectory(2, 0, 1, 2),
+				termTrajectory(3, 5, 6, 7),
+				termTrajectory(4, 8, 9, 12, 13),
+			}
+			if tc.upsert {
+				docs = append(docs, termTrajectory(5, 13))
+			}
+			for _, tr := range docs {
+				if err := coord.Add(ctx, tr); err != nil {
+					t.Fatal(err)
+				}
+				local.Upsert(tr)
+			}
+			fail.Store(true)
+			if tc.upsert {
+				if err := coord.Upsert(ctx, stray); err == nil {
+					t.Fatal("Upsert succeeded though node 0 lost its acknowledgement")
+				}
+				fail.Store(false)
+				local.Delete(5)
+			} else if err := coord.Add(ctx, stray); err == nil {
+				t.Fatal("Add succeeded though node 0 lost its acknowledgement")
+			}
+			if nodes := coord.Analyze(query).Nodes; nodes != 1 {
+				t.Fatalf("query spans %d nodes, want 1", nodes)
+			}
+			// check searches at each limit against the local index and
+			// counts the ranked and all-partials queries node 0 saw.
+			check := func(phase string, rounds []struct{ limit, capped, all int64 }) {
+				for _, r := range rounds {
+					capped.Store(0)
+					all.Store(0)
+					want, _, err := local.Search(ctx, query, 1, int(r.limit))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, info, err := coord.Search(ctx, query, 1, int(r.limit))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s, limit %d: cluster ranks %+v, local index %+v", phase, r.limit, got, want)
+					}
+					if capped.Load() != r.capped || all.Load() != r.all {
+						t.Errorf("%s, limit %d: %d ranked and %d all-partials queries, want %d and %d",
+							phase, r.limit, capped.Load(), all.Load(), r.capped, r.all)
+					}
+					if r.capped == 1 && r.all == 0 && info.WirePartials != int(min(r.limit, 5)) {
+						t.Errorf("%s, limit %d: %d partials crossed the wire, want node 0's %d hits",
+							phase, r.limit, info.WirePartials, min(r.limit, 5))
+					}
+				}
+			}
+			// Node 0 holds 5 candidates: the stray trajectory and 1–4.
+			check("stray", []struct{ limit, capped, all int64 }{
+				{1, 1, 1}, {2, 1, 1}, {5, 1, 1}, {6, 1, 0}, {0, 0, 1},
+			})
+			fail.Store(false)
+			retry := coord.Add
+			if tc.upsert {
+				retry = coord.Upsert
+			}
+			if err := retry(ctx, stray); err != nil {
+				t.Fatal(err)
+			}
+			local.Upsert(stray)
+			check("retried", []struct{ limit, capped, all int64 }{
+				{1, 1, 0}, {2, 1, 0}, {5, 1, 0}, {6, 1, 0}, {0, 0, 1},
+			})
+			if got, want := totalPostings(t, coord), local.Stats().Postings; got != want {
+				t.Errorf("the cluster holds %d postings, the local index %d", got, want)
+			}
+		})
+	}
 }

@@ -5,7 +5,9 @@
 // partial intersection counts into Jaccard-ranked results. Document
 // cardinalities are replicated to the owning nodes, so each node applies
 // the threshold-pruning cardinality window before encoding its partial
-// counts — non-qualifying candidates never cross the wire.
+// counts — non-qualifying candidates never cross the wire — and a node
+// that holds every term of a capped query ranks it itself, shipping only
+// its top hits.
 //
 // Shard nodes are durable when started with a write-ahead log: every
 // applied mutation is appended (group-committed fsync) before it touches
@@ -24,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -38,11 +41,11 @@ import (
 )
 
 // nodeDoc is a node's per-trajectory bookkeeping: the terms it owns for
-// the trajectory, the trajectory's total fingerprint cardinality |G|
-// (replicated from the coordinator so queries can threshold-prune
-// locally), and the epoch of the last mutation applied to it. A nil
-// Terms slice is a tombstone — the trajectory was deleted at Epoch, its
-// card reset to 0, and the entry lingers only to fence stale adds until
+// the trajectory and the epoch of the last mutation applied to it; the
+// trajectory's total fingerprint cardinality |G|, replicated from the
+// coordinator, is in the shard state's card table beside it. A nil
+// Terms slice is a tombstone — the trajectory was deleted at Epoch, it
+// has no card, and the entry lingers only to fence stale adds until
 // the coordinator's compaction watermark passes the epoch; a tombstone
 // has no postings, so it can never surface as a query candidate.
 // checkRecord keeps termless adds out, so nil terms mean nothing else.
@@ -53,7 +56,6 @@ import (
 // header under the read lock and score outside it.
 type nodeDoc struct {
 	terms  []uint32
-	card   int
 	epoch  uint64
 	points []geo.Point
 }
@@ -181,14 +183,18 @@ type Node struct {
 	killed    atomic.Bool
 }
 
-// shardState is what a node's shard holds — docs, postings, and two
-// counters derived from them — and what a full sync or a snapshot
+// shardState is what a node's shard holds — docs, postings, cards, and
+// two counters derived from them — and what a full sync or a snapshot
 // carries. A replica or a recovering node builds one doc by doc, as the
 // frames are read, and installs it whole. The postings are the posting
 // store a local shard uses too (index.Postings), fed each doc's routed
-// terms; docs, tombstones and epochs are the node's own bookkeeping.
+// terms, and cards is a shard's card table (index.CardTable), holding
+// each live doc's replicated |G|: the lookup of a node's cardinality
+// window and of its ranking walk. Docs, tombstones and epochs are the
+// node's own bookkeeping.
 type shardState struct {
 	postings index.Postings
+	cards    index.CardTable
 	docs     map[uint32]nodeDoc
 	// tombstones holds the IDs of the docs entries with nil terms, so a
 	// compaction sweep visits the fences and never the live docs.
@@ -219,16 +225,18 @@ func (s *shardState) install(rec *wal.Record) error {
 	return nil
 }
 
-// put places a record's doc: a delete's tombstone, or an add's doc and
-// its postings. The ID must hold no doc, or one whose postings and
-// tombstone entry are already withdrawn.
+// put places a record's doc: a delete's tombstone, or an add's doc, its
+// card and its postings. The ID must hold no doc, or one whose postings
+// and tombstone entry are already withdrawn.
 func (s *shardState) put(rec *wal.Record) {
 	if rec.Op == wal.OpDelete {
 		s.docs[rec.ID] = nodeDoc{epoch: rec.Epoch}
+		s.cards.Delete(rec.ID)
 		s.tombstones[rec.ID] = struct{}{}
 		return
 	}
-	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, card: int(rec.Card), epoch: rec.Epoch, points: rec.Points}
+	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, epoch: rec.Epoch, points: rec.Points}
+	s.cards.Set(rec.ID, int(rec.Card))
 	s.postings.Add(rec.ID, slices.Values(rec.Terms))
 }
 
@@ -241,7 +249,8 @@ func (s *shardState) put(rec *wal.Record) {
 func (s *shardState) syncDocs() []wal.Record {
 	docs := make([]wal.Record, 0, len(s.docs))
 	for id, d := range s.docs {
-		rec := wal.Record{Op: wal.OpAdd, Epoch: d.epoch, ID: id, Card: uint32(d.card), Terms: d.terms, Points: d.points}
+		card, _ := s.cards.Get(id)
+		rec := wal.Record{Op: wal.OpAdd, Epoch: d.epoch, ID: id, Card: uint32(card), Terms: d.terms, Points: d.points}
 		switch {
 		case d.terms == nil:
 			rec = wal.Record{Op: wal.OpDelete, Epoch: d.epoch, ID: id}
@@ -503,13 +512,17 @@ func (n *Node) handle(dst []byte, req *request) []byte {
 // marks a tombstone, so a termless add would be swept by compact as a
 // tombstone the node never counted. And an OpAddPoints record must carry
 // points: the node would otherwise log a point-owner add it cannot serve
-// a rerank from.
+// a rerank from. A card of 2³²−1 is refused too: no fingerprint set is
+// that large, and the card table cannot hold it.
 func checkRecord(rec *wal.Record) error {
 	if rec.Op == wal.OpDelete {
 		return nil
 	}
 	if len(rec.Terms) == 0 {
 		return errors.New("add record carries no terms")
+	}
+	if rec.Card == math.MaxUint32 {
+		return errors.New("add record's card is out of range")
 	}
 	if rec.Op == wal.OpAddPoints && len(rec.Points) == 0 {
 		return errors.New("add record's points do not match its op")
@@ -687,7 +700,11 @@ func (n *Node) compact(below uint64) {
 // query runs the same term-at-a-time counting merge as the local index's
 // search core (index.Postings.Count): each owned posting list streams
 // once into a pooled counter, leaving the node's partial |F ∩ G| per
-// candidate — no candidate union, no per-candidate intersection. The
+// candidate — no candidate union, no per-candidate intersection. A
+// request with a result cap comes from a one-node plan, so the counts
+// are final and the node ranks them itself (rank); its QueryCard must be
+// its term count, as a one-node plan's always is, which also bounds what
+// the ranking allocates by the frame's size. Otherwise the
 // partials are appended to dst as a query reply from one drain of the
 // counter. Before appending one, the node applies the threshold-pruning
 // cardinality window against the replicated document cardinalities (see
@@ -699,22 +716,65 @@ func (n *Node) query(dst []byte, req *queryRequest) []byte {
 	defer s.Release()
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	if req.Limit > 0 {
+		if req.QueryCard != len(req.Terms) {
+			return appendError(dst, "ranked query's card is not its term count")
+		}
+		n.postings.Count(s.Counter, req.Terms)
+		return n.rank(dst, s, req)
+	}
 	n.postings.Count(s.Counter, req.Terms)
 	cands := s.Counter.Candidates()
-	s.Counts = s.Counter.Drain(s.Counts[:0])
+	s.Counts, _ = s.Counter.Drain(s.Counts[:0], nil)
 	minCard, maxCard := cardWindow(req)
 	open := index.WindowOpen(minCard, maxCard)
 	start, pruned := len(dst), 0
 	dst = slices.Grow(beginPartials(dst), partialSize*len(cands))
 	for i, v := range cands {
-		if !open && !index.InWindow(n.docs[v].card, minCard, maxCard) {
-			pruned++
-			continue
+		if !open {
+			if card, _ := n.cards.Get(v); !index.InWindow(card, minCard, maxCard) {
+				pruned++
+				continue
+			}
 		}
 		dst = appendPartial(dst, v, s.Counts[i])
 	}
 	return endPartials(dst, start, pruned)
 }
+
+// rank answers a capped query from the counts in s: it ranks them with
+// the shard's walk (index.Ranker.RankByCount) against the card table and
+// appends its top req.Limit hits to dst as partials, each with its shared
+// count. It admits every doc in the postings: the coordinator's directory
+// check, which ranks the shipped hits again, admits no doc the node does
+// not hold, and asks again for every partial when a shipped hit fails it
+// (docs/invariants.md, "Ranking in count order"). The reply's pruned
+// count is the cardinality window's alone, which the ranking does not
+// separate from the rest of what it skips, so it is 0. The caller holds
+// the read lock and has checked that req.QueryCard is the term count, so
+// no count exceeds it.
+//
+//geodabs:noalloc
+func (n *Node) rank(dst []byte, s *index.Scratch, req *queryRequest) []byte {
+	s.Ranker.Init(req.QueryCard, req.MaxDistance, req.Limit)
+	// Every candidate of the counting merge is a live doc, so the card
+	// table holds it.
+	if err := s.Ranker.RankByCount(noContext, s.Counter, n.cards.Get); err != nil {
+		return appendError(dst, err.Error())
+	}
+	s.Hits = s.Ranker.Finish(s.Hits[:0])
+	start := len(dst)
+	dst = beginPartials(dst)
+	for _, h := range s.Hits {
+		dst = appendPartial(dst, uint32(h.ID), uint32(h.Shared))
+	}
+	return endPartials(dst, start, 0)
+}
+
+// noContext is the context of a node's ranking walk: a node request
+// carries none, so the walk runs to completion. A package variable, so
+// passing it converts nothing to an interface on the search path.
+var noContext = context.Background()
 
 // cardWindow resolves a query's node-side cardinality window: the shared
 // index.CardinalityWindow bounds when the request carries the query's

@@ -36,10 +36,10 @@ import (
 // Searches are plan-path only: the coordinator shards a query's term set
 // into per-node groups once, in a QueryPlan (built by Plan, cached by the
 // public prepared-Query layer), and every SearchPlan call replays those
-// groups into queryRequest scatters. Nothing plan-specific crosses the
-// wire — a node sees the same Terms/QueryCard/MaxDistance triple whether
-// the plan was freshly built or reused — so plan caching is invisible to
-// this protocol.
+// groups into queryRequest scatters. A node sees the same
+// Terms/QueryCard/MaxDistance/Limit fields whether the plan was freshly
+// built or reused — Limit depends only on the plan's route count and the
+// search's cap — so plan caching is invisible to this protocol.
 //
 // A mutation is one wal.Record all the way, in one byte form: the
 // coordinator encodes it with wal.AppendRecord, the owning node logs and
@@ -70,7 +70,10 @@ import (
 // |F∩G|·(1+s) ≥ s·(|F|+|G|), is NOT node-safe: a node sees only its
 // partial intersection count, and a candidate can fail the bar on every
 // node individually while its summed count passes it. The bar therefore
-// stays coordinator-side, applied after the partials are merged.
+// stays coordinator-side, applied after the partials are merged — unless
+// the plan has one route: that node holds every query term, so its
+// counts are the sums, and it ranks with the window and the bar alike
+// (queryRequest.Limit).
 
 // Replication (opSync) breaks the request/response cadence on purpose:
 // a replica sends one opSync request and the primary answers with a
@@ -232,26 +235,36 @@ func (req *request) decode(p []byte) error {
 // disables node-side pruning (the window would be meaningless without the
 // query's true size).
 //
-// Body: QueryCard, MaxDistance f64, term count, terms u32.
+// Limit is the result cap of a one-node plan: the node holds every query
+// term, so its counts are final, and it ranks them itself and replies
+// with its top Limit hits only, in the partials form. A request with a
+// Limit must carry its term count as QueryCard, as a one-node plan's
+// does; the node refuses one that does not. Limit 0 — every multi-node
+// or uncapped plan — asks for every partial.
+//
+// Body: QueryCard, MaxDistance f64, Limit, term count, terms u32.
 type queryRequest struct {
 	Terms       []uint32
 	QueryCard   int
 	MaxDistance float64
+	Limit       int
 }
 
 func (q *queryRequest) append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(q.QueryCard))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.MaxDistance))
+	dst = binary.AppendUvarint(dst, uint64(q.Limit))
 	return wire.AppendU32s(dst, q.Terms)
 }
 
 func (q *queryRequest) decode(d *wire.Decoder) {
-	q.QueryCard, q.MaxDistance, q.Terms = d.Int("query card"), d.F64(), d.U32s(q.Terms)
+	q.QueryCard, q.MaxDistance, q.Limit, q.Terms = d.Int("query card"), d.F64(), d.Int("query limit"), d.U32s(q.Terms)
 }
 
 // partials is a node's query reply: how many candidates its cardinality
 // window pruned, and the node's partial count for every other candidate
-// it holds, as (id u32, count u32) pairs in pairs — the bytes of the
+// it holds — or, for a request with a Limit, the shared count of each of
+// its top Limit hits — as (id u32, count u32) pairs in pairs — the bytes of the
 // frame itself, so the coordinator sums them into its counter without
 // decoding them into slices first. Term spaces of different nodes are
 // disjoint, so summed partials are the exact |F ∩ G|. A candidate's

@@ -75,8 +75,8 @@ func TestFrameGoldenBytes(t *testing.T) {
 		want    string
 	}{
 		{"query request", appendRequest(nil, &request{Op: opQuery, CompactBelow: 7,
-			Query: &queryRequest{Terms: []uint32{5, 300}, QueryCard: 12, MaxDistance: 0.5}}), true,
-			"02" + "07" + "0c" + "000000000000e03f" + "02" + "05000000" + "2c010000"},
+			Query: &queryRequest{Terms: []uint32{5, 300}, QueryCard: 12, MaxDistance: 0.5, Limit: 10}}), true,
+			"02" + "07" + "0c" + "000000000000e03f" + "0a" + "02" + "05000000" + "2c010000"},
 		{"query reply", queryReply, false,
 			"02" + "01000000" + "0900000003000000" + "7011010001000000"},
 		{"rerank request", appendRequest(nil, &request{Op: opRerank, CompactBelow: 3,
@@ -169,6 +169,7 @@ func fuzzDecoder[T any](f *testing.F, decode func([]byte) (*T, error), encode fu
 func sampleRequests() []*request {
 	return []*request{
 		{Op: opQuery, CompactBelow: 7, Query: &queryRequest{Terms: []uint32{5, 300}, QueryCard: 12, MaxDistance: 0.5}},
+		{Op: opQuery, CompactBelow: 7, Query: &queryRequest{Terms: []uint32{5, 300}, QueryCard: 12, MaxDistance: 1, Limit: 10}},
 		{Op: opRerank, CompactBelow: 3, Rerank: &rerankRequest{IDs: []uint32{4, 8}, Query: goldenPoint, Metric: rerank.DFD, Limit: 5}},
 		{Op: opMutate, CompactBelow: 2, Mutate: &wal.Record{Op: wal.OpAddPoints, Epoch: 9, ID: 3, Card: 4, Terms: []uint32{10, 7}, Points: goldenPoint}},
 		{Op: opMutate, Mutate: &wal.Record{Op: wal.OpDelete, Epoch: 10, ID: 3}},
@@ -366,7 +367,8 @@ func TestDecodeRejectsIntOverflow(t *testing.T) {
 		request bool
 	}{
 		{"sync header docs", cat([]byte{byte(opSync), 6}, huge), false},
-		{"query card", cat([]byte{byte(opQuery), 0}, huge, half, []byte{0}), true},
+		{"query card", cat([]byte{byte(opQuery), 0}, huge, half, []byte{0, 0}), true},
+		{"query limit", cat([]byte{byte(opQuery), 0, 12}, half, huge, []byte{0}), true},
 		{"rerank limit", cat([]byte{byte(opRerank), 0, byte(rerank.DTW)}, huge, []byte{0, 0}), true},
 		{"rerank skipped", cat([]byte{byte(opRerank)}, huge, []byte{0, 0}), false},
 		{"stats docs", cat([]byte{byte(opStats), 1, 2}, huge, bytes.Repeat([]byte{0}, 15)), false},

@@ -5,8 +5,9 @@ import (
 	"math/bits"
 )
 
-// cardTable maps a document ID to its fingerprint cardinality |G|: the
-// lookup the ranking walk makes for every candidate it visits. It is an
+// CardTable maps a document ID to its fingerprint cardinality |G|: the
+// lookup the ranking walk makes for every candidate it visits, on a shard
+// and on a cluster node that ranks a one-node plan. It is an
 // open-addressing table over one slice — each slot packs id<<32 | card,
 // hashed by multiplication, with linear probing and backward-shift
 // deletion — so a lookup reads one or two adjacent words and hashes
@@ -14,8 +15,9 @@ import (
 // Memory follows the document count whatever the IDs: slots stay at
 // most three quarters full and double when they would not. A card must
 // be below math.MaxUint32 (a fingerprint set of 2³²−1 terms), since an
-// all-ones slot marks an empty one. The zero value is an empty table.
-type cardTable struct {
+// all-ones slot marks an empty one. The zero value is an empty table. A
+// CardTable does no locking: its owner's lock guards it.
+type CardTable struct {
 	slots []uint64 // len a power of two, or 0
 	// shift turns the multiplicative hash's 64 bits into a slot index:
 	// 64 − log2(len(slots)).
@@ -28,14 +30,14 @@ type cardTable struct {
 const cardEmpty = math.MaxUint64
 
 // home returns the slot an ID hashes to.
-func (t *cardTable) home(id uint32) int {
+func (t *CardTable) home(id uint32) int {
 	return int(uint64(id) * 0x9e3779b97f4a7c15 >> t.shift)
 }
 
-// get returns the cardinality of id and whether it is present.
+// Get returns the cardinality of id and whether it is present.
 //
 //geodabs:noalloc
-func (t *cardTable) get(id uint32) (int, bool) {
+func (t *CardTable) Get(id uint32) (int, bool) {
 	if t.n == 0 {
 		return 0, false
 	}
@@ -51,8 +53,8 @@ func (t *cardTable) get(id uint32) (int, bool) {
 	}
 }
 
-// set records card as the cardinality of id, replacing any earlier one.
-func (t *cardTable) set(id uint32, card int) {
+// Set records card as the cardinality of id, replacing any earlier one.
+func (t *CardTable) Set(id uint32, card int) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
@@ -69,11 +71,11 @@ func (t *cardTable) set(id uint32, card int) {
 	}
 }
 
-// delete removes id, reporting whether it was present. The entries after
+// Delete removes id, reporting whether it was present. The entries after
 // it in its probe cluster shift back over the gap — each to the first
 // free slot at or after its home — so no tombstone is left for later
 // lookups to step over.
-func (t *cardTable) delete(id uint32) bool {
+func (t *CardTable) Delete(id uint32) bool {
 	if t.n == 0 {
 		return false
 	}
@@ -106,7 +108,7 @@ func (t *cardTable) delete(id uint32) bool {
 }
 
 // grow doubles the slots (to 8 from empty) and reinserts every entry.
-func (t *cardTable) grow() {
+func (t *CardTable) grow() {
 	old := t.slots
 	size := max(8, 2*len(old))
 	t.slots = make([]uint64, size)

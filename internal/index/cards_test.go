@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geodabs/internal/bitmap"
@@ -13,13 +14,13 @@ import (
 
 // checkCardTable requires t to hold exactly the entries of model, and
 // that probe clusters carry no stale entry an absent ID could match.
-func checkCardTable(tb testing.TB, label string, t *cardTable, model map[uint32]int, absent []uint32) {
+func checkCardTable(tb testing.TB, label string, t *CardTable, model map[uint32]int, absent []uint32) {
 	tb.Helper()
 	if t.n != len(model) {
 		tb.Fatalf("%s: %d entries, want %d", label, t.n, len(model))
 	}
 	for id, want := range model {
-		if got, ok := t.get(id); !ok || got != want {
+		if got, ok := t.Get(id); !ok || got != want {
 			tb.Fatalf("%s: get(%d) = %d, %v; want %d, true", label, id, got, ok, want)
 		}
 	}
@@ -27,7 +28,7 @@ func checkCardTable(tb testing.TB, label string, t *cardTable, model map[uint32]
 		if _, in := model[id]; in {
 			continue
 		}
-		if got, ok := t.get(id); ok {
+		if got, ok := t.Get(id); ok {
 			tb.Fatalf("%s: get(%d) = %d for an absent ID", label, id, got)
 		}
 	}
@@ -48,7 +49,7 @@ func TestCardTableMatchesMap(t *testing.T) {
 		for n := 4 + rng.Intn(600); len(pool) < n; {
 			pool = append(pool, rng.Uint32())
 		}
-		var tab cardTable
+		var tab CardTable
 		model := make(map[uint32]int)
 		for op := 0; op < 3000; op++ {
 			id := pool[rng.Intn(len(pool))]
@@ -58,11 +59,11 @@ func TestCardTableMatchesMap(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					card = []int{0, math.MaxUint32 - 1}[rng.Intn(2)]
 				}
-				tab.set(id, card)
+				tab.Set(id, card)
 				model[id] = card
 			default:
 				_, want := model[id]
-				if got := tab.delete(id); got != want {
+				if got := tab.Delete(id); got != want {
 					t.Fatalf("trial %d op %d: delete(%d) = %v, want %v", trial, op, id, got, want)
 				}
 				delete(model, id)
@@ -73,7 +74,7 @@ func TestCardTableMatchesMap(t *testing.T) {
 		}
 		checkCardTable(t, "stream end", &tab, model, pool)
 		for id := range model {
-			tab.delete(id)
+			tab.Delete(id)
 			delete(model, id)
 			if len(model)%13 == 0 {
 				checkCardTable(t, "drain", &tab, model, pool)
@@ -89,7 +90,7 @@ func TestCardTableMatchesMap(t *testing.T) {
 // which holds only if backward shifting moves an entry into the gap
 // whenever it may and never before its home.
 func TestCardTableClusterDeletes(t *testing.T) {
-	var tab cardTable
+	var tab CardTable
 	for len(tab.slots) < 64 {
 		tab.grow()
 	}
@@ -100,7 +101,7 @@ func TestCardTableClusterDeletes(t *testing.T) {
 		for id, n := uint32(0), 0; n < c.n; id++ {
 			if tab.home(id) == c.home {
 				if _, dup := model[id]; !dup {
-					tab.set(id, len(ids))
+					tab.Set(id, len(ids))
 					model[id] = len(ids)
 					ids = append(ids, id)
 					n++
@@ -115,15 +116,109 @@ func TestCardTableClusterDeletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, i := range rng.Perm(len(ids)) {
 		id := ids[i]
-		if !tab.delete(id) {
+		if !tab.Delete(id) {
 			t.Fatalf("delete(%d) missed", id)
 		}
 		delete(model, id)
 		checkCardTable(t, "cluster delete", &tab, model, ids)
-		if tab.delete(id) {
+		if tab.Delete(id) {
 			t.Fatalf("delete(%d) hit twice", id)
 		}
 	}
+}
+
+// FuzzCardTable runs set, delete and get op streams against a map model.
+// The table serves a shard's ranking walk and a cluster node's, so its
+// edges are fuzzed: IDs 0 and math.MaxUint32 (the ID of an empty slot's
+// bits), cards 0 and math.MaxUint32−1 (the largest it holds), growth
+// from the empty table, and deletes out of probe clusters that wrap past
+// the last slot. Each op is a tag byte, an ID selector byte and, for a
+// set, two card bytes: a selector below 128 picks from a fixed pool, one
+// from 128 picks an ID hashing to one of the last eight slots at the
+// table's current size, so those IDs pile up into a wrapping cluster.
+func FuzzCardTable(f *testing.F) {
+	pool := []uint32{0, math.MaxUint32, 1, math.MaxUint32 - 1, 2, 0x9e3779b9, 1 << 31, 12345}
+	set := func(sel byte, card uint16) []byte { return []byte{0, sel, byte(card), byte(card >> 8)} }
+	var grow, wrap []byte
+	for i := range 40 {
+		grow = append(grow, set(byte(i%8), uint16(i))...)
+		grow = append(grow, set(128+byte(i), 0xffff)...)
+	}
+	for i := range 24 {
+		wrap = append(wrap, set(128+byte(i), uint16(i))...)
+	}
+	for _, i := range []byte{0, 9, 3, 17, 8, 1, 23, 16} {
+		wrap = append(wrap, 1, 128+i, 2, 128+i)
+	}
+	f.Add(grow)
+	f.Add(wrap)
+	f.Add(append(set(0, 0), append(set(1, 0xffff), 2, 1, 1, 0, 2, 0, 1, 1)...))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var tab CardTable
+		model := make(map[uint32]int)
+		seen := slices.Clone(pool)
+		// homed returns the k-th ID, counting from 1 << 20, whose home is
+		// slot len(slots)−1−back, or false when the table is empty or too
+		// big to search.
+		homed := func(back, k int) (uint32, bool) {
+			if len(tab.slots) == 0 || len(tab.slots) > 1<<10 {
+				return 0, false
+			}
+			home := len(tab.slots) - 1 - back%len(tab.slots)
+			for id := uint32(1 << 20); ; id++ {
+				if tab.home(id) == home {
+					if k == 0 {
+						return id, true
+					}
+					k--
+				}
+			}
+		}
+		for op := 0; len(ops) >= 2; op++ {
+			tag, sel := ops[0]%3, ops[1]
+			ops = ops[2:]
+			id := pool[int(sel)%len(pool)]
+			if sel >= 128 {
+				var ok bool
+				if id, ok = homed(int(sel&7), int(sel>>3&15)); !ok {
+					id = pool[int(sel)%len(pool)]
+				}
+				seen = append(seen, id)
+			}
+			switch tag {
+			case 0:
+				if len(ops) < 2 {
+					return
+				}
+				card := int(ops[0]) | int(ops[1])<<8
+				ops = ops[2:]
+				if card == 0xffff {
+					card = math.MaxUint32 - 1
+				}
+				tab.Set(id, card)
+				model[id] = card
+			case 1:
+				_, want := model[id]
+				if got := tab.Delete(id); got != want {
+					t.Fatalf("op %d: Delete(%d) = %v, want %v", op, id, got, want)
+				}
+				delete(model, id)
+			}
+			want, wantOK := model[id]
+			if got, ok := tab.Get(id); got != want || ok != wantOK {
+				t.Fatalf("op %d: Get(%d) = %d, %v; want %d, %v", op, id, got, ok, want, wantOK)
+			}
+		}
+		checkCardTable(t, "end", &tab, model, seen)
+		for id := range model {
+			if !tab.Delete(id) {
+				t.Fatalf("Delete(%d) missed while draining", id)
+			}
+			delete(model, id)
+		}
+		checkCardTable(t, "drained", &tab, model, seen)
+	})
 }
 
 // TestSnapshotSwapsCardTable checks ScanDocs cards after ReadFrom swaps
@@ -166,7 +261,7 @@ func TestSnapshotSwapsCardTable(t *testing.T) {
 			t.Errorf("%d shards: scanned %d docs, want %d", shards, seen, len(want))
 		}
 		for _, sh := range loaded.shards {
-			if _, ok := sh.cards.get(uint32(stale)); ok {
+			if _, ok := sh.cards.Get(uint32(stale)); ok {
 				t.Errorf("%d shards: the replaced corpus's card survived the swap", shards)
 			}
 		}

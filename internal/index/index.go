@@ -158,7 +158,7 @@ type Inverted struct {
 	// cards caches each document's fingerprint cardinality |G| beside docs,
 	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) instead
 	// of walking the document bitmap's containers per candidate.
-	cards cardTable
+	cards CardTable
 	// points retains the raw point sequences of inserted trajectories
 	// (slice headers only, sharing the caller's backing arrays), so searches
 	// can re-rank candidates with an exact distance. Entries are absent
@@ -208,7 +208,7 @@ func (ix *Inverted) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point
 // insertLocked applies an insertion under an already-held write lock.
 func (ix *Inverted) insertLocked(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) {
 	ix.docs[id] = set
-	ix.cards.set(uint32(id), set.Cardinality())
+	ix.cards.Set(uint32(id), set.Cardinality())
 	if ix.retain && pts != nil {
 		ix.points[id] = pts
 	}
@@ -235,7 +235,7 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 		return false
 	}
 	delete(ix.docs, id)
-	ix.cards.delete(uint32(id))
+	ix.cards.Delete(uint32(id))
 	delete(ix.points, id)
 	ix.postings.Remove(uint32(id), set.Iterate)
 	ix.epoch++
@@ -309,7 +309,7 @@ func (ix *Inverted) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card i
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for id, set := range ix.docs {
-		card, _ := ix.cards.get(uint32(id))
+		card, _ := ix.cards.Get(uint32(id))
 		if !f(id, set, card) {
 			return
 		}

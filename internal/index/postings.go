@@ -79,15 +79,17 @@ func (p Postings) Size() (postings, bytes int) {
 // the cluster's coordinator; pooling it makes each of their steady-state
 // searches allocation-free. A shard reads its query terms into Terms a
 // batch at a time, counts into Counter and ranks with Ranker; a node
-// counts into Counter and drains the counts into Counts; the coordinator
-// sums the nodes' counts into Counter and ranks with Ranker. Terms is a
-// fixed array, apart from Counts, so the batch a shard reads does not
+// counts into Counter and either drains the counts into Counts or, for a
+// one-node plan, ranks with Ranker into Hits; the coordinator sums the
+// nodes' counts into Counter and ranks with Ranker. Terms is a fixed
+// array, unlike Counts and Hits, so the batch a shard reads does not
 // depend on who used the scratch last, and a pool refill costs no extra
 // allocation for it.
 type Scratch struct {
 	Counter *bitmap.Counter
 	Terms   [512]uint32
 	Counts  []uint32
+	Hits    []Result
 	Ranker  Ranker
 }
 

@@ -125,7 +125,7 @@ func checkPostings(t *testing.T, p Postings, model map[uint32]map[uint32]bool) {
 	c := bitmap.NewCounter()
 	p.Count(c, query)
 	cands := c.Candidates()
-	counts := c.Drain(nil)
+	counts, _ := c.Drain(nil, nil)
 	got := make(map[uint32]uint32, len(cands))
 	for i, id := range cands {
 		got[id] = counts[i]

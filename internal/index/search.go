@@ -254,12 +254,13 @@ func (r *Ranker) belowBar(shared, card int) bool {
 // at all — is never called for it. The results equal considering every
 // candidate in any order (docs/invariants.md, "Ranking in count order").
 //
-// The walk drains the counter (it takes no more Adds until Reset) and
-// builds a histogram of the counts: one bucket per level, a count, since
-// a count never exceeds |F|. A count above |F| (a node's reply can claim
-// one) is ErrCountAboveQuery, before any ranking. Candidates are then
-// placed a band at a time: one sequential scan of the drained counts
-// places the highest levels not yet walked, enough of them to hold
+// The walk drains the counter (it takes no more Adds until Reset), and
+// the drain builds a histogram of the counts in the same pass: one
+// bucket per level, a count, since a count never exceeds |F|. A count
+// above |F| (a node's reply can claim one) is ErrCountAboveQuery, before
+// any ranking. Candidates are then placed a band at a time: one
+// sequential scan of the drained counts places the highest levels not
+// yet walked, enough of them to hold
 // max(minBand, 8·limit) candidates and none the bar already fails at.
 // The walk takes the band level by level, the count implicit in the
 // level, and the next band is placed only if it has not stopped. Each
@@ -275,17 +276,14 @@ func (r *Ranker) RankByCount(ctx context.Context, c *bitmap.Counter, card func(i
 	if cap(r.order) < len(cands) {
 		r.order = append(r.order[:0], cands...) // sized in one allocation
 	}
-	r.counts = c.Drain(r.counts[:0])
 	r.buckets = r.buckets[:0]
 	for range r.qc + 1 {
 		r.buckets = append(r.buckets, 0)
 	}
 	buckets := r.buckets
-	for _, n := range r.counts {
-		if int(n) >= len(buckets) {
-			return ErrCountAboveQuery
-		}
-		buckets[n]++
+	var above bool
+	if r.counts, above = c.Drain(r.counts[:0], buckets); above {
+		return ErrCountAboveQuery
 	}
 	need := len(cands)
 	if r.limit > 0 {
@@ -444,17 +442,12 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitm
 	// Stage 2 — threshold-pruned scoring, highest shared count first, up to
 	// the first count that cannot place.
 	sc.Ranker.Init(qc, maxDistance, limit)
-	if err := sc.Ranker.RankByCount(ctx, sc.Counter, ix.cardOf); err != nil {
+	// Every candidate of the counting merge is one of the shard's
+	// documents, so the card table holds it.
+	if err := sc.Ranker.RankByCount(ctx, sc.Counter, ix.cards.Get); err != nil {
 		return nil, stats, err
 	}
 	dst = sc.Ranker.Finish(dst)
 	stats.Pruned = sc.Ranker.Pruned()
 	return dst, stats, nil
-}
-
-// cardOf is a shard's cardinality lookup for RankByCount: every candidate
-// of its counting merge is one of its documents.
-func (ix *Inverted) cardOf(id uint32) (int, bool) {
-	card, _ := ix.cards.get(id)
-	return card, true
 }

@@ -196,7 +196,11 @@ type SearchStats struct {
 	// fingerprint with the query, before distance filtering. On a
 	// distributed search it counts the distinct candidates whose partial
 	// counts reached the coordinator — candidates the shard nodes pruned
-	// (see NodePruned) share fingerprints too but are not included.
+	// (see NodePruned) share fingerprints too but are not included. A
+	// capped search whose terms all live on one node is ranked on that
+	// node, which ships only its top hits: Candidates counts those hits
+	// (and WirePartials the same), unless the ranking had to ask the node
+	// again for every partial, when it counts what that round shipped.
 	Candidates int
 	// Pruned is how many of those candidates threshold pruning skipped
 	// before scoring: trajectories whose fingerprint cardinality or
@@ -210,11 +214,13 @@ type SearchStats struct {
 	// is evaluated node-side against replicated document cardinalities,
 	// so a non-qualifying candidate never crosses the wire (it is not
 	// counted in Candidates or Pruned). A candidate spanning several
-	// nodes counts once per node, matching its wire cost. Always zero for
-	// a local *Index search.
+	// nodes counts once per node, matching its wire cost. It counts the
+	// window alone: a node that ranks a one-node query reports none of
+	// what its ranking skipped. Always zero for a local *Index search.
 	NodePruned int
 	// WirePartials is the number of per-node (ID, count) partial entries
-	// that did cross the wire, summed over the answering shard nodes.
+	// that did cross the wire, summed over the answering shard nodes and,
+	// when a node-ranked search asked again, over both rounds.
 	// WirePartials + NodePruned is what the same search would have
 	// shipped without node-side pruning. Always zero for a local *Index
 	// search.
