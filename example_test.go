@@ -81,19 +81,6 @@ func offsetNE(p geodabs.Point, north, east float64) geodabs.Point {
 	}
 }
 
-// ExampleSimplify reduces a dense polyline with Douglas-Peucker.
-func ExampleSimplify() {
-	var line []geodabs.Point
-	start := geodabs.Point{Lat: 51.5, Lon: -0.12}
-	for i := 0; i < 100; i++ {
-		line = append(line, offsetNE(start, 0, float64(i)*10))
-	}
-	simplified := geodabs.Simplify(line, 5)
-	fmt.Println("points:", len(line), "->", len(simplified))
-	// Output:
-	// points: 100 -> 2
-}
-
 // ExampleIndex_SearchQuery matches a carsharing member with commuters
 // whose drives overlap theirs, a scenario of the paper's introduction: a
 // fingerprint kNN, refined by exact DTW. No drive along the member's

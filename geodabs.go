@@ -294,9 +294,6 @@ var (
 	DFD = distance.DFD
 	// Haversine is the great-circle ground distance in meters.
 	Haversine = geo.Haversine
-	// Simplify reduces a polyline with Douglas-Peucker at a tolerance in
-	// meters.
-	Simplify = geo.Simplify
 )
 
 // JaccardDistance returns dJ = 1 − |F∩G| / |F∪G| between two fingerprint

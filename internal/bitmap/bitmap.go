@@ -216,34 +216,6 @@ func (b *Bitmap) ToSlice() []uint32 {
 	return out
 }
 
-// Equals reports whether the two bitmaps contain the same values.
-func (b *Bitmap) Equals(o *Bitmap) bool {
-	if len(b.keys) != len(o.keys) {
-		return false
-	}
-	for i, key := range b.keys {
-		if key != o.keys[i] {
-			return false
-		}
-		bc, oc := b.containers[i], o.containers[i]
-		if bc.cardinality() != oc.cardinality() {
-			return false
-		}
-		equal := true
-		bc.iterate(func(v uint16) bool {
-			if !oc.contains(v) {
-				equal = false
-				return false
-			}
-			return true
-		})
-		if !equal {
-			return false
-		}
-	}
-	return true
-}
-
 // AndCardinality returns |a ∩ b| without materializing the intersection.
 // This is the hot operation when ranking retrieval candidates.
 func AndCardinality(a, b *Bitmap) int {

@@ -200,17 +200,17 @@ func TestPropertyAddRemoveMatchReference(t *testing.T) {
 func TestEquals(t *testing.T) {
 	a := FromSlice([]uint32{1, 2, 70000})
 	b := FromSlice([]uint32{1, 2, 70000})
-	if !a.Equals(b) {
+	if !slices.Equal(a.ToSlice(), b.ToSlice()) {
 		t.Error("equal bitmaps reported unequal")
 	}
 	b.Add(5)
-	if a.Equals(b) {
+	if slices.Equal(a.ToSlice(), b.ToSlice()) {
 		t.Error("different bitmaps reported equal")
 	}
 	b.Remove(5)
 	b.Remove(70000)
 	b.Add(70001)
-	if a.Equals(b) {
+	if slices.Equal(a.ToSlice(), b.ToSlice()) {
 		t.Error("bitmaps with same cardinality but different values reported equal")
 	}
 }
@@ -304,7 +304,7 @@ func TestFromSortedMatchesAdd(t *testing.T) {
 		shuffled := slices.Clone(values)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		want := FromSlice(shuffled)
-		if !got.Equals(want) {
+		if !slices.Equal(got.ToSlice(), want.ToSlice()) {
 			t.Fatalf("%s: FromSorted has %d values, Add %d", name, got.Cardinality(), want.Cardinality())
 		}
 		var gotBytes, wantBytes bytes.Buffer

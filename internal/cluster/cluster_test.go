@@ -591,6 +591,22 @@ func TestClusterDeleteAll(t *testing.T) {
 	}
 }
 
+// TestFanDeletesExpiredContext: a cleanup's fencing deletes under a ctx
+// already past its deadline reach no node, and every node comes back as
+// failed, so the reconciler gets each one to retry. The fan-out stops
+// claiming nodes once its ctx is done; a node it never called must not be
+// mistaken for one whose delete landed.
+func TestFanDeletesExpiredContext(t *testing.T) {
+	coord, _ := startCluster(t, 3)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, nodes := range [][]int{{1}, {0, 1, 2}} {
+		if failed := coord.fanDeletes(ctx, 7, 1, 0, nodes); !slices.Equal(failed, nodes) {
+			t.Errorf("fanDeletes to nodes %v under an expired ctx failed %v, want all of them", nodes, failed)
+		}
+	}
+}
+
 // TestFailedAddLeavesNoOrphans is the acceptance criterion for the
 // failed-add cleanup: an Add that dies on one node must reclaim the
 // postings it already applied to the others instead of stranding them.

@@ -350,57 +350,6 @@ func (c *Coordinator) watermark() uint64 {
 	return c.watermarkLocked()
 }
 
-// fanOut runs one task per work item concurrently under a cancellable
-// child of parent — the coordinator's scatter protocol: the first error
-// cancels the sibling in-flight calls (whose deadline-poked I/O then
-// unwinds promptly), and the parent context's own error takes precedence
-// in the return so cancelled callers see context.Canceled, not a
-// secondary node error.
-//
-// A single item has no siblings to cancel: it runs on the caller's
-// goroutine under parent, with no goroutine, channel or child context —
-// the common one-node scatter pays none of them.
-func fanOut[T any](parent context.Context, items []T, task func(ctx context.Context, item T) error) error {
-	if len(items) == 1 {
-		if err := task(parent, items[0]); err != nil {
-			if perr := parent.Err(); perr != nil {
-				return perr
-			}
-			return err
-		}
-		return nil
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	errs := make(chan error, len(items))
-	var wg sync.WaitGroup
-	for _, item := range items {
-		wg.Add(1)
-		go func(item T) {
-			defer wg.Done()
-			errs <- task(ctx, item)
-		}(item)
-	}
-	go func() {
-		wg.Wait()
-		close(errs)
-	}()
-	var firstErr error
-	for err := range errs {
-		if err != nil && firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	if firstErr != nil {
-		if err := parent.Err(); err != nil {
-			return err
-		}
-		return firstErr
-	}
-	return nil
-}
-
 // Add fingerprints the trajectory and routes its postings to the cluster,
 // honoring ctx cancellation while waiting on the shard nodes. The first
 // node failure cancels the sibling calls, so one wedged node cannot hold
@@ -487,7 +436,8 @@ func (c *Coordinator) mutateID(parent context.Context, id trajectory.ID, t *traj
 	for _, node := range nodesOf(entry.nodes &^ nodes) {
 		routes = append(routes, route{node: node})
 	}
-	err = fanOut(parent, routes, func(ctx context.Context, r route) error {
+	err = fanout.Workers(parent, len(routes), len(routes), func(ctx context.Context, i int) error {
+		r := routes[i]
 		rec := &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)}
 		if r.terms != nil {
 			rec.Op, rec.Card, rec.Terms = wal.OpAdd, uint32(plan.card), r.terms
@@ -556,18 +506,21 @@ type pendingCleanup struct {
 
 // fanDeletes sends a fencing delete to each node and returns the nodes
 // whose delete did not land. Its tasks never fail the fan-out, so one
-// unreachable node does not cancel the fences bound for the others.
+// unreachable node does not cancel the fences bound for the others. A
+// done ctx stops the fan-out before it calls every node, so a node counts
+// as failed unless its delete was acknowledged.
 func (c *Coordinator) fanDeletes(ctx context.Context, id trajectory.ID, epoch, below uint64, nodes []int) (failed []int) {
-	var mu sync.Mutex
-	_ = fanOut(ctx, nodes, func(ctx context.Context, node int) error {
+	landed := make([]bool, len(nodes))
+	_ = fanout.Workers(ctx, len(nodes), len(nodes), func(ctx context.Context, i int) error {
 		rec := &wal.Record{Op: wal.OpDelete, Epoch: epoch, ID: uint32(id)}
-		if c.clients[node].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil) != nil {
-			mu.Lock()
-			failed = append(failed, node)
-			mu.Unlock()
-		}
+		landed[i] = c.clients[nodes[i]].call(ctx, &request{Op: opMutate, CompactBelow: below, Mutate: rec}, nil) == nil
 		return nil
 	})
+	for i, node := range nodes {
+		if !landed[i] {
+			failed = append(failed, node)
+		}
+	}
 	return failed
 }
 
@@ -695,15 +648,6 @@ func (c *Coordinator) DeleteAll(parent context.Context, ids []trajectory.ID, wor
 	return int(deleted.Load()), err
 }
 
-// allNodes returns the node indices 0..n-1.
-func allNodes(n int) []int {
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i
-	}
-	return nodes
-}
-
 // nodesOf lists the nodes of a node mask (bit i for node i), ascending.
 func nodesOf(mask uint64) []int {
 	var nodes []int
@@ -759,7 +703,9 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 	if len(missing) == 0 {
 		merged := make([]index.Result, 0, len(hits))
 		var mu sync.Mutex
-		err := fanOut(parent, slices.Collect(maps.Keys(groups)), func(ctx context.Context, node int) error {
+		nodes := slices.Collect(maps.Keys(groups))
+		err := fanout.Workers(parent, len(nodes), len(nodes), func(ctx context.Context, i int) error {
+			node := nodes[i]
 			return c.readCall(ctx, node, &request{
 				Op:           opRerank,
 				CompactBelow: below,
@@ -982,7 +928,8 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 // Limit, for a one-route plan.
 func (c *Coordinator) gather(ctx context.Context, counter *bitmap.Counter, plan *QueryPlan, snap uint64, maxDistance float64, nodeLimit int, info *SearchInfo) error {
 	var mu sync.Mutex
-	return fanOut(ctx, plan.routes, func(ctx context.Context, r route) error {
+	return fanout.Workers(ctx, len(plan.routes), len(plan.routes), func(ctx context.Context, i int) error {
+		r := plan.routes[i]
 		return c.readCall(ctx, r.node, &request{
 			Op:           opQuery,
 			CompactBelow: snap,
@@ -1083,7 +1030,7 @@ func (c *Coordinator) Stats(parent context.Context) ([]NodeStats, error) {
 	}
 	below := c.watermark()
 	out := make([]NodeStats, len(c.clients))
-	err := fanOut(parent, allNodes(len(c.clients)), func(ctx context.Context, i int) error {
+	err := fanout.Workers(parent, len(c.clients), len(c.clients), func(ctx context.Context, i int) error {
 		if err := c.clients[i].call(ctx, &request{Op: opStats, CompactBelow: below}, func(r *response) { out[i] = r.Stats }); err != nil {
 			return err
 		}

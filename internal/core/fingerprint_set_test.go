@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geodabs/internal/geo"
@@ -48,7 +49,7 @@ func TestFingerprintSetMatchesFingerprint(t *testing.T) {
 			// Twice, so the second run exercises recycled scratch.
 			for round := 0; round < 2; round++ {
 				got := f.FingerprintSet(pts)
-				if !got.Equals(want) {
+				if !slices.Equal(got.ToSlice(), want.ToSlice()) {
 					t.Fatalf("config %d trial %d round %d: FingerprintSet differs from Fingerprint().Set (%d vs %d terms)",
 						ci, trial, round, got.Cardinality(), want.Cardinality())
 				}
@@ -57,7 +58,7 @@ func TestFingerprintSetMatchesFingerprint(t *testing.T) {
 		// Degenerate inputs.
 		for _, pts := range [][]geo.Point{nil, randomWalk(rng, 1), randomWalk(rng, 3)} {
 			want := f.Fingerprint(pts).Set
-			if got := f.FingerprintSet(pts); !got.Equals(want) {
+			if got := f.FingerprintSet(pts); !slices.Equal(got.ToSlice(), want.ToSlice()) {
 				t.Fatalf("config %d: degenerate input (%d points) differs", ci, len(pts))
 			}
 		}

@@ -467,13 +467,3 @@ func mean(points []geo.Point) geo.Point {
 	n := float64(len(points))
 	return geo.Point{Lat: lat / n, Lon: lon / n}
 }
-
-// PrefixOf extracts the geohash prefix of a geodab as a geohash.Hash of
-// depth prefixBits. The sharding layer uses it to place postings on the
-// space-filling curve.
-func PrefixOf(geodab uint32, prefixBits uint8) geohash.Hash {
-	return geohash.Hash{
-		Bits:  uint64(geodab >> (GeodabBits - prefixBits)),
-		Depth: prefixBits,
-	}
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geodabs/internal/geo"
@@ -158,7 +159,8 @@ func TestGeodabPrefixIsLocal(t *testing.T) {
 	cells := f.Normalize(walk(60, 0, nil))
 	k := f.Config().K
 	g := f.GeodabSequence(cells[:k])[0]
-	prefix := PrefixOf(g, f.Config().PrefixBits)
+	p := f.Config().PrefixBits
+	prefix := geohash.Hash{Bits: uint64(g >> (GeodabBits - p)), Depth: p}
 	// The prefix cell must contain the k-gram's first cell center.
 	if !prefix.Contains(cells[0].Center) {
 		t.Errorf("prefix %s does not contain the k-gram", prefix)
@@ -196,7 +198,7 @@ func TestCentroidStrategy(t *testing.T) {
 	f := MustFingerprinter(cfg)
 	cells := f.Normalize(walk(60, 0, nil))
 	g := f.GeodabSequence(cells[:cfg.K])[0]
-	prefix := PrefixOf(g, cfg.PrefixBits)
+	prefix := geohash.Hash{Bits: uint64(g >> (GeodabBits - cfg.PrefixBits)), Depth: cfg.PrefixBits}
 	if !prefix.Contains(london) {
 		t.Errorf("centroid prefix %s is not local", prefix)
 	}
@@ -312,7 +314,7 @@ func TestFingerprinterConcurrentUse(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		got := <-done
-		if !got.Set.Equals(want.Set) {
+		if !slices.Equal(got.Set.ToSlice(), want.Set.ToSlice()) {
 			t.Fatal("concurrent fingerprinting is not deterministic")
 		}
 	}

@@ -41,12 +41,12 @@ func referenceGeodabs(cfg Config, hashes []geohash.Hash) []uint32 {
 				depth := min(prefix.Depth, h.Depth)
 				diff := prefix.Bits<<(64-prefix.Depth) ^ h.Bits<<(64-h.Depth)
 				depth = min(depth, uint8(bits.LeadingZeros64(diff)))
-				prefix = prefix.Prefix(depth)
+				prefix = geohash.Hash{Bits: prefix.Bits >> (prefix.Depth - depth), Depth: depth}
 			}
 			if prefix.Depth < p {
 				prefix = kgram[0]
 			}
-			prefix = prefix.Prefix(p)
+			prefix = geohash.Hash{Bits: prefix.Bits >> (prefix.Depth - p), Depth: p}
 		}
 		suffix := fnv.New32a()
 		for _, h := range kgram {

@@ -163,78 +163,3 @@ func AUC(curve []ROCPoint) float64 {
 	}
 	return area
 }
-
-// PrecisionAtK returns the precision of the first k results averaged over
-// the runs. Runs with no relevant items are skipped.
-func PrecisionAtK(runs []Run, k int) float64 {
-	sum, n := 0.0, 0
-	for _, run := range runs {
-		if len(run.Relevant) == 0 {
-			continue
-		}
-		n++
-		tp := 0
-		limit := min(k, len(run.Ranked))
-		for _, id := range run.Ranked[:limit] {
-			if run.Relevant[id] {
-				tp++
-			}
-		}
-		sum += float64(tp) / float64(k)
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MeanAveragePrecision returns MAP over the runs: for each query, the
-// mean of the precision values at every rank where a relevant item
-// appears (relevant items never retrieved contribute precision 0), then
-// averaged across queries. Runs with no relevant items are skipped.
-func MeanAveragePrecision(runs []Run) float64 {
-	sum, n := 0.0, 0
-	for _, run := range runs {
-		if len(run.Relevant) == 0 {
-			continue
-		}
-		n++
-		tp := 0
-		ap := 0.0
-		for rank, id := range run.Ranked {
-			if run.Relevant[id] {
-				tp++
-				ap += float64(tp) / float64(rank+1)
-			}
-		}
-		sum += ap / float64(len(run.Relevant))
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// RecallAtK returns the recall achieved within the first k results,
-// averaged over the runs.
-func RecallAtK(runs []Run, k int) float64 {
-	sum, n := 0.0, 0
-	for _, run := range runs {
-		if len(run.Relevant) == 0 {
-			continue
-		}
-		n++
-		tp := 0
-		limit := min(k, len(run.Ranked))
-		for _, id := range run.Ranked[:limit] {
-			if run.Relevant[id] {
-				tp++
-			}
-		}
-		sum += float64(tp) / float64(len(run.Relevant))
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

@@ -141,48 +141,3 @@ func TestROCMonotone(t *testing.T) {
 		t.Errorf("AUC = %.4f for a better-than-random ranking", auc)
 	}
 }
-
-func TestMeanAveragePrecision(t *testing.T) {
-	// Perfect ranking: MAP 1.
-	perfect := run(10, []trajectory.ID{1, 2}, 1, 2)
-	if got := MeanAveragePrecision([]Run{perfect}); got != 1 {
-		t.Errorf("perfect MAP = %v", got)
-	}
-	// rel, irrel, rel: AP = (1/1 + 2/3)/2 = 5/6.
-	mixed := run(10, []trajectory.ID{1, 9, 2}, 1, 2)
-	if got := MeanAveragePrecision([]Run{mixed}); math.Abs(got-5.0/6) > 1e-12 {
-		t.Errorf("MAP = %v, want 5/6", got)
-	}
-	// Missing relevant item contributes zero.
-	half := run(10, []trajectory.ID{1}, 1, 2)
-	if got := MeanAveragePrecision([]Run{half}); got != 0.5 {
-		t.Errorf("half MAP = %v, want 0.5", got)
-	}
-	// Averaging and skipping no-truth queries.
-	empty := Run{Ranked: []trajectory.ID{1}, Relevant: map[trajectory.ID]bool{}, Total: 10}
-	if got := MeanAveragePrecision([]Run{perfect, half, empty}); got != 0.75 {
-		t.Errorf("averaged MAP = %v, want 0.75", got)
-	}
-	if got := MeanAveragePrecision(nil); got != 0 {
-		t.Errorf("MAP of nothing = %v", got)
-	}
-}
-
-func TestPrecisionRecallAtK(t *testing.T) {
-	r := run(100, []trajectory.ID{1, 10, 2, 11, 3}, 1, 2, 3, 4)
-	if got := PrecisionAtK([]Run{r}, 1); got != 1 {
-		t.Errorf("P@1 = %v, want 1", got)
-	}
-	if got := PrecisionAtK([]Run{r}, 4); got != 0.5 {
-		t.Errorf("P@4 = %v, want 0.5", got)
-	}
-	if got := RecallAtK([]Run{r}, 5); got != 0.75 {
-		t.Errorf("R@5 = %v, want 0.75", got)
-	}
-	if got := RecallAtK([]Run{r}, 100); got != 0.75 {
-		t.Errorf("R@100 = %v, want 0.75 (one relevant never retrieved)", got)
-	}
-	if got := PrecisionAtK(nil, 5); got != 0 {
-		t.Errorf("P@5 of no runs = %v", got)
-	}
-}

@@ -20,11 +20,15 @@
 // holds it.
 //
 // Workers is the other shape: a batch of independent calls — the queries
-// of a batch search, the deletions of a batch delete — on a fixed number
-// of goroutines the caller chose, stopped by the first error.
+// of a batch search, the deletions of a batch delete, and the cluster
+// coordinator's scatter of one call to its shard nodes — on a fixed number
+// of goroutines the caller chose, stopped by the first error. A batch one
+// claimer would run runs on the caller, with no goroutine; when the
+// caller's context is done, Workers returns its error, not one of f's.
 package fanout
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"sync"
@@ -114,13 +118,25 @@ func (c *call) claim() int64 {
 	}
 }
 
-// Workers runs f(ctx, i) for every i in [0, n) on workers goroutines (one
-// when workers < 1), each claiming the next item until none is left, and
-// returns once they all have stopped. It fails fast: the first error f
-// returns cancels the ctx every running item sees and stops the claiming,
-// and Workers returns that error ahead of the parent's. A cancelled
-// parent also stops the claiming; Workers then returns parent.Err().
+// Workers runs f(ctx, i) for every i in [0, n) on workers goroutines,
+// each claiming the next item until none is left, and returns once they
+// all have stopped. When one claimer would do (n ≤ 1 or workers ≤ 1), the
+// calling goroutine runs the items in order under parent itself, with no
+// goroutine and no child context. It fails fast: the first error f
+// returns cancels the ctx every running item sees and stops the claiming.
+// A done parent also stops the claiming, so an item may never run. When
+// parent is done Workers returns parent.Err(), so a cancelled caller sees
+// its own error rather than a secondary one from f; otherwise it returns
+// the first error f returned.
 func Workers(parent context.Context, n, workers int, f func(ctx context.Context, i int) error) error {
+	if n <= 1 || workers <= 1 {
+		for i := 0; i < n && parent.Err() == nil; i++ {
+			if err := f(parent, i); err != nil {
+				return cmp.Or(parent.Err(), err)
+			}
+		}
+		return parent.Err()
+	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	var (
@@ -129,7 +145,7 @@ func Workers(parent context.Context, n, workers int, f func(ctx context.Context,
 		failOnce sync.Once
 		firstErr error
 	)
-	for range min(max(workers, 1), n) {
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -149,8 +165,5 @@ func Workers(parent context.Context, n, workers int, f func(ctx context.Context,
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return parent.Err()
+	return cmp.Or(parent.Err(), firstErr)
 }

@@ -159,9 +159,10 @@ func spin(i int) {
 }
 
 // TestWorkers pins the fail-fast pool: the first error cancels the ctx the
-// running items see, stops the claiming and is returned ahead of the
-// parent's error; a cancelled parent runs nothing and returns its error;
-// fewer than one worker still runs every item; no items is no error.
+// running items see and stops the claiming; a parent cancelled meanwhile
+// wins the return over that error; a cancelled parent runs nothing and
+// returns its error; fewer than one worker still runs every item; no
+// items is no error; one claimer runs on the caller without allocating.
 func TestWorkers(t *testing.T) {
 	errBoom := errors.New("boom")
 	t.Run("first error cancels", func(t *testing.T) {
@@ -189,15 +190,16 @@ func TestWorkers(t *testing.T) {
 			t.Fatalf("%d of %d items ran after the first error", got, n)
 		}
 	})
-	t.Run("error ahead of parent's", func(t *testing.T) {
-		parent, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		err := Workers(parent, 10, 2, func(ctx context.Context, i int) error {
-			cancel()
-			return errBoom
-		})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("Workers = %v, want %v", err, errBoom)
+	t.Run("parent's error ahead of f's", func(t *testing.T) {
+		for _, workers := range []int{2, 1} {
+			parent, cancel := context.WithCancel(context.Background())
+			err := Workers(parent, 10, workers, func(ctx context.Context, i int) error {
+				cancel()
+				return errBoom
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d workers: Workers = %v, want %v", workers, err, context.Canceled)
+			}
 		}
 	})
 	t.Run("cancelled parent", func(t *testing.T) {
@@ -225,6 +227,39 @@ func TestWorkers(t *testing.T) {
 				if c != 1 {
 					t.Fatalf("item %d ran %d times, want 1", i, c)
 				}
+			}
+		})
+	}
+	for _, tc := range []struct{ n, workers int }{{1, 4}, {10, 1}} {
+		t.Run(fmt.Sprintf("inline n=%d workers=%d", tc.n, tc.workers), func(t *testing.T) {
+			parent := context.Background()
+			var ran int
+			f := func(ctx context.Context, i int) error {
+				if ctx != parent || i != ran {
+					t.Errorf("item %d of run %d under %v, want in order under the parent", i, ran, ctx)
+				}
+				ran++
+				return nil
+			}
+			if err := Workers(parent, tc.n, tc.workers, f); err != nil || ran != tc.n {
+				t.Fatalf("Workers = %v after %d items, want nil after %d", err, ran, tc.n)
+			}
+			ran = 0
+			err := Workers(parent, tc.n, tc.workers, func(context.Context, int) error {
+				ran++
+				return errBoom
+			})
+			if !errors.Is(err, errBoom) || ran != 1 {
+				t.Fatalf("Workers = %v after %d items, want %v after the first", err, ran, errBoom)
+			}
+			if raceEnabled {
+				t.Skip("race detector instrumentation allocates")
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				ran = 0
+				_ = Workers(parent, tc.n, tc.workers, f)
+			}); allocs != 0 {
+				t.Errorf("%.1f allocs/op, want 0: one claimer runs on the caller", allocs)
 			}
 		})
 	}

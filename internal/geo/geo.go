@@ -1,10 +1,9 @@
 // Package geo provides geographic primitives shared by every other package:
-// latitude/longitude points, great-circle (haversine) distances, bearings,
-// destination points and bounding boxes.
+// latitude/longitude points, great-circle (haversine) distances, local
+// offsets and bounding boxes.
 //
 // Conventions: latitudes are in degrees in [-90, 90], longitudes in degrees
-// in [-180, 180). Distances are in meters, bearings in degrees clockwise
-// from north.
+// in [-180, 180). Distances are in meters.
 package geo
 
 import (
@@ -27,12 +26,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.6f, %.6f)", p.Lat, p.Lon)
 }
 
-// Valid reports whether the point lies in the valid latitude/longitude
-// domain.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon < 180
-}
-
 // Radians returns the latitude and longitude converted to radians.
 func (p Point) Radians() (lat, lon float64) {
 	return p.Lat * math.Pi / 180, p.Lon * math.Pi / 180
@@ -50,36 +43,6 @@ func Haversine(a, b Point) float64 {
 		h = 1
 	}
 	return 2 * EarthRadius * math.Asin(math.Sqrt(h))
-}
-
-// Bearing returns the initial bearing in degrees, clockwise from north,
-// of the great circle from a to b. The result is normalized to [0, 360).
-func Bearing(a, b Point) float64 {
-	latA, lonA := a.Radians()
-	latB, lonB := b.Radians()
-	dLon := lonB - lonA
-	y := math.Sin(dLon) * math.Cos(latB)
-	x := math.Cos(latA)*math.Sin(latB) - math.Sin(latA)*math.Cos(latB)*math.Cos(dLon)
-	deg := math.Atan2(y, x) * 180 / math.Pi
-	return math.Mod(deg+360, 360)
-}
-
-// Destination returns the point reached by traveling distance meters from p
-// along the given initial bearing (degrees clockwise from north) on a great
-// circle.
-func Destination(p Point, bearingDeg, distance float64) Point {
-	lat, lon := p.Radians()
-	brg := bearingDeg * math.Pi / 180
-	d := distance / EarthRadius
-	sinLat := math.Sin(lat)*math.Cos(d) + math.Cos(lat)*math.Sin(d)*math.Cos(brg)
-	lat2 := math.Asin(sinLat)
-	y := math.Sin(brg) * math.Sin(d) * math.Cos(lat)
-	x := math.Cos(d) - math.Sin(lat)*sinLat
-	lon2 := lon + math.Atan2(y, x)
-	return Point{
-		Lat: lat2 * 180 / math.Pi,
-		Lon: NormalizeLon(lon2 * 180 / math.Pi),
-	}
 }
 
 // Offset returns the point displaced from p by dNorth meters northward and
@@ -150,9 +113,6 @@ func NewBox(points ...Point) Box {
 	return b
 }
 
-// Empty reports whether the box contains no points.
-func (b Box) Empty() bool { return !b.nonEmpty }
-
 // Extend grows the box to include p.
 func (b *Box) Extend(p Point) {
 	if !b.nonEmpty {
@@ -178,21 +138,4 @@ func (b Box) Contains(p Point) bool {
 // point.
 func (b Box) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
-// Intersects reports whether the two boxes overlap (inclusive).
-func (b Box) Intersects(o Box) bool {
-	return b.nonEmpty && o.nonEmpty &&
-		b.MinLat <= o.MaxLat && o.MinLat <= b.MaxLat &&
-		b.MinLon <= o.MaxLon && o.MinLon <= b.MaxLon
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -56,42 +56,6 @@ func TestHaversineTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestDestinationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		p := randPoint(rng)
-		// Stay away from the poles where bearings degenerate.
-		p.Lat = clamp(p.Lat, -80, 80)
-		brg := rng.Float64() * 360
-		dist := rng.Float64() * 50_000
-		q := Destination(p, brg, dist)
-		got := Haversine(p, q)
-		if math.Abs(got-dist) > 1 { // 1 m tolerance over ≤50 km
-			t.Fatalf("Destination(%v, %.1f°, %.1fm): round-trip distance %.3fm", p, brg, dist, got)
-		}
-	}
-}
-
-func TestBearingCardinal(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Point
-		want float64
-	}{
-		{"north", Point{0, 0}, Point{1, 0}, 0},
-		{"east", Point{0, 0}, Point{0, 1}, 90},
-		{"south", Point{1, 0}, Point{0, 0}, 180},
-		{"west", Point{0, 1}, Point{0, 0}, 270},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Bearing(tt.a, tt.b); math.Abs(got-tt.want) > 0.01 {
-				t.Errorf("Bearing = %.3f, want %.3f", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestOffsetMatchesHaversine(t *testing.T) {
 	p := london
 	q := Offset(p, 300, 400) // 3-4-5 triangle: 500 m displacement
@@ -147,28 +111,9 @@ func TestNormalizeLon(t *testing.T) {
 	}
 }
 
-func TestPointValid(t *testing.T) {
-	tests := []struct {
-		p    Point
-		want bool
-	}{
-		{Point{0, 0}, true},
-		{Point{90, 0}, true},
-		{Point{-90, -180}, true},
-		{Point{0, 180}, false}, // 180 is wrapped to -180 by convention
-		{Point{91, 0}, false},
-		{Point{0, 200}, false},
-	}
-	for _, tt := range tests {
-		if got := tt.p.Valid(); got != tt.want {
-			t.Errorf("%v.Valid() = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
 func TestBoxExtendContains(t *testing.T) {
 	var b Box
-	if !b.Empty() {
+	if b.nonEmpty {
 		t.Fatal("zero box should be empty")
 	}
 	if b.Contains(Point{0, 0}) {
@@ -176,7 +121,7 @@ func TestBoxExtendContains(t *testing.T) {
 	}
 	b.Extend(Point{1, 1})
 	b.Extend(Point{-1, 3})
-	if b.Empty() {
+	if !b.nonEmpty {
 		t.Fatal("extended box should not be empty")
 	}
 	for _, p := range []Point{{0, 2}, {1, 1}, {-1, 3}, {0.5, 1.5}} {
@@ -191,32 +136,6 @@ func TestBoxExtendContains(t *testing.T) {
 	}
 	if c := b.Center(); c != (Point{0, 2}) {
 		t.Errorf("Center = %v, want (0, 2)", c)
-	}
-}
-
-func TestBoxIntersects(t *testing.T) {
-	a := NewBox(Point{0, 0}, Point{2, 2})
-	tests := []struct {
-		name string
-		b    Box
-		want bool
-	}{
-		{"overlap", NewBox(Point{1, 1}, Point{3, 3}), true},
-		{"touch-corner", NewBox(Point{2, 2}, Point{3, 3}), true},
-		{"disjoint-lat", NewBox(Point{3, 0}, Point{4, 2}), false},
-		{"disjoint-lon", NewBox(Point{0, 3}, Point{2, 4}), false},
-		{"contained", NewBox(Point{0.5, 0.5}, Point{1, 1}), true},
-		{"empty", Box{}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("reverse Intersects = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 

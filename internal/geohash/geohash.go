@@ -10,7 +10,6 @@
 package geohash
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -176,21 +175,6 @@ func (h Hash) Contains(p geo.Point) bool {
 	return Encode(p, h.Depth) == h
 }
 
-// Prefix returns the hash truncated to the given depth. It panics if depth
-// exceeds the hash's own depth.
-func (h Hash) Prefix(depth uint8) Hash {
-	if depth > h.Depth {
-		panic(fmt.Sprintf("geohash: prefix depth %d exceeds hash depth %d", depth, h.Depth))
-	}
-	return Hash{Bits: h.Bits >> (h.Depth - depth), Depth: depth}
-}
-
-// IsPrefixOf reports whether h is a (non-strict) prefix of o on the
-// bisection tree, i.e. whether h's cell contains o's cell.
-func (h Hash) IsPrefixOf(o Hash) bool {
-	return h.Depth <= o.Depth && o.Prefix(h.Depth) == h
-}
-
 // String returns the hash as a binary string, e.g. "110101", matching the
 // paper's Figure 2 notation. The whole-earth cell renders as "ε".
 func (h Hash) String() string {
@@ -208,106 +192,6 @@ func (h Hash) String() string {
 	}
 	return sb.String()
 }
-
-// CellSize returns the approximate width (east-west) and height
-// (north-south) in meters of cells at the given depth and latitude. At
-// 36 bits near London this is roughly 95 m × 76 m, the numbers the paper
-// uses to translate the winnowing bounds k and t into ground distances.
-func CellSize(depth uint8, lat float64) (width, height float64) {
-	nLon := uint((depth + 1) / 2)
-	nLat := uint(depth / 2)
-	lonDeg := 360 / float64(uint64(1)<<nLon)
-	latDeg := 180 / float64(uint64(1)<<nLat)
-	const metersPerDegree = 2 * math.Pi * geo.EarthRadius / 360
-	width = lonDeg * metersPerDegree * math.Cos(lat*math.Pi/180)
-	height = latDeg * metersPerDegree
-	return width, height
-}
-
-// base32Alphabet is the standard geohash alphabet.
-const base32Alphabet = "0123456789bcdefghjkmnpqrstuvwxyz"
-
-var errBase32Depth = errors.New("geohash: base32 requires a depth that is a multiple of 5")
-
-// Base32 renders the hash in the standard geohash text form. It returns an
-// error if the depth is not a multiple of 5 bits.
-func (h Hash) Base32() (string, error) {
-	if h.Depth%5 != 0 {
-		return "", errBase32Depth
-	}
-	n := int(h.Depth / 5)
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		shift := uint(h.Depth) - uint(i+1)*5
-		buf[i] = base32Alphabet[h.Bits>>shift&0x1f]
-	}
-	return string(buf), nil
-}
-
-// FromBase32 parses a standard geohash string into a Hash of depth
-// 5×len(s).
-func FromBase32(s string) (Hash, error) {
-	if len(s)*5 > MaxDepth {
-		return Hash{}, fmt.Errorf("geohash: %q is too long (max %d characters)", s, MaxDepth/5)
-	}
-	var h Hash
-	for _, c := range []byte(s) {
-		v := strings.IndexByte(base32Alphabet, lower(c))
-		if v < 0 {
-			return Hash{}, fmt.Errorf("geohash: invalid base32 character %q", c)
-		}
-		h.Bits = h.Bits<<5 | uint64(v)
-		h.Depth += 5
-	}
-	return h, nil
-}
-
-func lower(c byte) byte {
-	if c >= 'A' && c <= 'Z' {
-		return c + 'a' - 'A'
-	}
-	return c
-}
-
-// Neighbor returns the adjacent cell of the same depth in the given
-// direction (north, south, east or west), wrapping across the antimeridian.
-// Asking for the northern neighbor of a polar cell returns the cell itself.
-func (h Hash) Neighbor(dir Direction) Hash {
-	c := h.Center()
-	b := h.Bounds()
-	switch dir {
-	case North:
-		lat := b.MaxLat + (b.MaxLat-b.MinLat)/2
-		if lat > 90 {
-			return h
-		}
-		c.Lat = lat
-	case South:
-		lat := b.MinLat - (b.MaxLat-b.MinLat)/2
-		if lat < -90 {
-			return h
-		}
-		c.Lat = lat
-	case East:
-		c.Lon = geo.NormalizeLon(b.MaxLon + (b.MaxLon-b.MinLon)/2)
-	case West:
-		c.Lon = geo.NormalizeLon(b.MinLon - (b.MaxLon-b.MinLon)/2)
-	default:
-		panic(fmt.Sprintf("geohash: invalid direction %d", dir))
-	}
-	return Encode(c, h.Depth)
-}
-
-// Direction identifies one of the four cell neighbors.
-type Direction uint8
-
-// The four cardinal neighbor directions.
-const (
-	North Direction = iota + 1
-	South
-	East
-	West
-)
 
 // CurvePosition returns the position of the cell on the Z-order
 // space-filling curve at its depth, in [0, 2^depth). Cells that are close

@@ -3,6 +3,7 @@ package geohash
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,12 +28,14 @@ func TestEncodeKnownValues(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := Encode(tt.p, tt.depth).Base32()
-			if err != nil {
-				t.Fatal(err)
+			// Each base32 character is five bits of the hash, most
+			// significant first.
+			want := Hash{Depth: tt.depth}
+			for _, c := range tt.want {
+				want.Bits = want.Bits<<5 | uint64(strings.IndexRune("0123456789bcdefghjkmnpqrstuvwxyz", c))
 			}
-			if got != tt.want {
-				t.Errorf("Encode(%v, %d) = %q, want %q", tt.p, tt.depth, got, tt.want)
+			if got := Encode(tt.p, tt.depth); got != want {
+				t.Errorf("Encode(%v, %d) = %v, want %v (%q)", tt.p, tt.depth, got, want, tt.want)
 			}
 		})
 	}
@@ -87,46 +90,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrefix: encoding at a shallower depth truncates the deeper hash, so
+// each depth-d cell contains the depth-40 cell of the same point.
 func TestPrefix(t *testing.T) {
 	h := Encode(london, 40)
 	for d := uint8(0); d <= 40; d++ {
-		pre := h.Prefix(d)
+		pre := Encode(london, d)
 		if pre.Depth != d {
-			t.Fatalf("Prefix(%d).Depth = %d", d, pre.Depth)
+			t.Fatalf("Encode(london, %d).Depth = %d", d, pre.Depth)
 		}
-		if !pre.IsPrefixOf(h) {
-			t.Fatalf("Prefix(%d) not a prefix of the full hash", d)
+		if pre.Bits != h.Bits>>(40-d) {
+			t.Fatalf("Encode(london, %d) = %v, not a prefix of the depth-40 hash %v", d, pre, h)
 		}
 		if !pre.Contains(london) {
-			t.Fatalf("Prefix(%d) cell does not contain the encoded point", d)
+			t.Fatalf("depth-%d cell does not contain the encoded point", d)
 		}
-	}
-}
-
-func TestBase32RoundTrip(t *testing.T) {
-	h := Encode(london, 40)
-	s, err := h.Base32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromBase32(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != h {
-		t.Errorf("FromBase32(%q) = %v, want %v", s, back, h)
-	}
-	if _, err := Encode(london, 36).Base32(); err == nil {
-		t.Error("Base32 of depth 36 should fail (not a multiple of 5)")
-	}
-	if _, err := FromBase32("a"); err == nil {
-		t.Error(`FromBase32("a") should fail: 'a' is not in the alphabet`)
-	}
-	if _, err := FromBase32("0123456789012"); err == nil {
-		t.Error("FromBase32 of 13 chars (65 bits) should fail")
-	}
-	if up, err := FromBase32("GCPVJ"); err != nil || up != Encode(london, 25) {
-		t.Errorf("FromBase32 should accept upper case, got %v, %v", up, err)
 	}
 }
 
@@ -140,62 +118,11 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestCellSize(t *testing.T) {
-	// Paper §VI-A2: "In London, a geohash of 36 bits has a width of 95
-	// meters and a height of 76 meters."
-	w, h := CellSize(36, london.Lat)
-	if math.Abs(w-95) > 3 {
-		t.Errorf("36-bit cell width in London = %.1fm, want ≈95m", w)
-	}
-	if math.Abs(h-76) > 3 {
-		t.Errorf("36-bit cell height in London = %.1fm, want ≈76m", h)
-	}
-	// Paper §VI-E: depth-16 cells are ≈156 km wide at the equator.
-	w, _ = CellSize(16, 0)
-	if math.Abs(w-156_000) > 5000 {
-		t.Errorf("16-bit cell width at equator = %.0fm, want ≈156km", w)
-	}
-}
-
-func TestNeighbor(t *testing.T) {
-	h := Encode(london, 30)
-	for _, dir := range []Direction{North, South, East, West} {
-		n := h.Neighbor(dir)
-		if n == h {
-			t.Errorf("neighbor %d equals the cell itself", dir)
-		}
-		if n.Depth != h.Depth {
-			t.Errorf("neighbor depth = %d, want %d", n.Depth, h.Depth)
-		}
-		// Neighbors must be adjacent: bounds intersect after a hair of
-		// growth, and centers are within ~2 cell diagonals.
-		hw, hh := CellSize(30, london.Lat)
-		if d := geo.Haversine(h.Center(), n.Center()); d > 2*math.Hypot(hw, hh) {
-			t.Errorf("neighbor %d center %.0fm away", dir, d)
-		}
-	}
-	// Polar edge: the northern neighbor at the pole is the cell itself.
-	pole := Encode(geo.Point{Lat: 89.99, Lon: 0}, 10)
-	if n := pole.Neighbor(North); n != pole {
-		t.Errorf("north of polar cell = %v, want the cell itself", n)
-	}
-}
-
-func TestNeighborRoundTrip(t *testing.T) {
-	h := Encode(london, 26)
-	if got := h.Neighbor(East).Neighbor(West); got != h {
-		t.Errorf("E then W = %v, want %v", got, h)
-	}
-	if got := h.Neighbor(North).Neighbor(South); got != h {
-		t.Errorf("N then S = %v, want %v", got, h)
-	}
-}
-
 func TestCurvePositionLocality(t *testing.T) {
 	// Points in the same depth-16 cell share the curve position prefix.
 	a := Encode(london, 36)
 	b := Encode(geo.Point{Lat: 51.52, Lon: -0.13}, 36)
-	if a.Prefix(16).CurvePosition() != b.Prefix(16).CurvePosition() {
+	if (Hash{Bits: a.Bits >> 20, Depth: 16}).CurvePosition() != (Hash{Bits: b.Bits >> 20, Depth: 16}).CurvePosition() {
 		t.Error("nearby points should share the depth-16 curve position")
 	}
 }

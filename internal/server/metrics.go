@@ -121,9 +121,6 @@ func (m *Metrics) observe(op wire.Op, status wire.Status, d time.Duration) {
 // StatusOverloaded.
 func (m *Metrics) Shed() uint64 { return m.shed.Load() }
 
-// InFlight returns the number of requests currently executing.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
-
 // Quantile estimates the q-quantile of an op's request latency in
 // seconds, 0 when the op has not been observed.
 func (m *Metrics) Quantile(op wire.Op, q float64) float64 {

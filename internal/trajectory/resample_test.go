@@ -44,13 +44,19 @@ func TestResampleUpAndDown(t *testing.T) {
 	if len(dense) <= len(sparse) {
 		t.Errorf("up-sampling: %d → %d points", len(sparse), len(dense))
 	}
-	// The resampled path stays on the original polyline.
+	// The resampled path stays on the original polyline: each point's
+	// distance to its nearest segment, on a flat projection about the
+	// segment's start, is under a meter.
+	const mPerDeg = 2 * math.Pi * geo.EarthRadius / 360
 	for _, p := range dense {
 		best := math.Inf(1)
 		for i := 1; i < len(sparse); i++ {
-			if d := geo.PointToSegment(p, sparse[i-1], sparse[i]); d < best {
-				best = d
-			}
+			a, b := sparse[i-1], sparse[i]
+			cos := math.Cos(a.Lat * math.Pi / 180)
+			dx, dy := (b.Lon-a.Lon)*mPerDeg*cos, (b.Lat-a.Lat)*mPerDeg
+			px, py := (p.Lon-a.Lon)*mPerDeg*cos, (p.Lat-a.Lat)*mPerDeg
+			f := min(max((px*dx+py*dy)/(dx*dx+dy*dy), 0), 1)
+			best = min(best, math.Hypot(px-f*dx, py-f*dy))
 		}
 		if best > 1 {
 			t.Fatalf("resampled point %.1f m off the path", best)

@@ -51,24 +51,9 @@ type Trajectory struct {
 // Len returns the number of points, the length(S) of the paper.
 func (t *Trajectory) Len() int { return len(t.Points) }
 
-// GroundLength returns the cumulative haversine length in meters.
-func (t *Trajectory) GroundLength() float64 {
-	var sum float64
-	for i := 1; i < len(t.Points); i++ {
-		sum += geo.Haversine(t.Points[i-1], t.Points[i])
-	}
-	return sum
-}
-
 // Bounds returns the bounding box of all points.
 func (t *Trajectory) Bounds() geo.Box {
 	return geo.NewBox(t.Points...)
-}
-
-// Sub returns the motif S̄ = ⟨s_i, …, s_{j-1}⟩ as a trajectory sharing the
-// receiver's identifiers. The points slice is shared, not copied.
-func (t *Trajectory) Sub(i, j int) *Trajectory {
-	return &Trajectory{ID: t.ID, Route: t.Route, Dir: t.Dir, Points: t.Points[i:j]}
 }
 
 // Clone returns a deep copy.
@@ -76,22 +61,6 @@ func (t *Trajectory) Clone() *Trajectory {
 	out := *t
 	out.Points = append([]geo.Point(nil), t.Points...)
 	return &out
-}
-
-// Reversed returns a copy with the points in opposite order and the
-// direction flag flipped.
-func (t *Trajectory) Reversed() *Trajectory {
-	out := t.Clone()
-	for i, j := 0, len(out.Points)-1; i < j; i, j = i+1, j-1 {
-		out.Points[i], out.Points[j] = out.Points[j], out.Points[i]
-	}
-	switch t.Dir {
-	case Forward:
-		out.Dir = Reverse
-	case Reverse:
-		out.Dir = Forward
-	}
-	return out
 }
 
 // String implements fmt.Stringer.

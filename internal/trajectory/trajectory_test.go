@@ -18,58 +18,6 @@ func makeTrajectory(id ID, n int) *Trajectory {
 	return t
 }
 
-func TestGroundLength(t *testing.T) {
-	tr := &Trajectory{Points: []geo.Point{{Lat: 0, Lon: 0}, {Lat: 0, Lon: 1}, {Lat: 0, Lon: 2}}}
-	want := 2 * geo.Haversine(geo.Point{Lat: 0, Lon: 0}, geo.Point{Lat: 0, Lon: 1})
-	if got := tr.GroundLength(); math.Abs(got-want) > 1 {
-		t.Errorf("GroundLength = %.1f, want %.1f", got, want)
-	}
-	if got := (&Trajectory{}).GroundLength(); got != 0 {
-		t.Errorf("empty GroundLength = %v", got)
-	}
-	if got := (&Trajectory{Points: []geo.Point{{Lat: 1, Lon: 1}}}).GroundLength(); got != 0 {
-		t.Errorf("single-point GroundLength = %v", got)
-	}
-}
-
-func TestSubSharesPoints(t *testing.T) {
-	tr := makeTrajectory(1, 10)
-	sub := tr.Sub(2, 5)
-	if sub.Len() != 3 {
-		t.Fatalf("Sub length = %d", sub.Len())
-	}
-	if sub.Points[0] != tr.Points[2] {
-		t.Error("Sub should start at index 2")
-	}
-	if sub.ID != tr.ID || sub.Route != tr.Route || sub.Dir != tr.Dir {
-		t.Error("Sub should inherit identifiers")
-	}
-}
-
-func TestReversed(t *testing.T) {
-	tr := makeTrajectory(1, 5)
-	rev := tr.Reversed()
-	if rev.Dir != Reverse {
-		t.Errorf("reversed Dir = %v", rev.Dir)
-	}
-	for i := range tr.Points {
-		if rev.Points[i] != tr.Points[len(tr.Points)-1-i] {
-			t.Fatalf("point %d not reversed", i)
-		}
-	}
-	if back := rev.Reversed(); back.Dir != Forward || back.Points[0] != tr.Points[0] {
-		t.Error("double reversal should restore the original")
-	}
-	// Reversal must not mutate the original.
-	if tr.Dir != Forward {
-		t.Error("Reversed mutated the receiver")
-	}
-	unk := &Trajectory{Points: tr.Points}
-	if got := unk.Reversed().Dir; got != DirectionUnknown {
-		t.Errorf("unknown direction should stay unknown, got %v", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	tr := makeTrajectory(1, 3)
 	c := tr.Clone()
