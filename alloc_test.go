@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"geodabs"
+	"geodabs/client"
 	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/index"
+	"geodabs/internal/server"
 )
 
 // TestSearchCoreZeroAlloc is the runtime half of the noalloc gate: the
@@ -138,6 +140,106 @@ func TestExactDistanceZeroAlloc(t *testing.T) {
 		tc.run() // the first call sizes the scratch
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestSearchAllocBudget pins what a served fingerprint search allocates,
+// across every process-local layer it crosses: the client, geodabsd's
+// server, the coordinator and a shard node, all in this process over
+// loopback TCP. A second case pins a direct Cluster.SearchQuery on a
+// prepared query, the coordinator's share alone. docs/invariants.md
+// ("Allocation budget of a served search") lists every allocation the
+// budgets hold and why it stays; a count above its budget is a new
+// allocation on the path, and a count below it should lower the budget.
+// GC is off so a collection cannot empty a pool mid-run.
+func TestSearchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const nodes = 3
+	cfg := geodabs.DefaultConfig()
+	var addrs []string
+	for range nodes {
+		n, err := geodabs.StartShardNode("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		addrs = append(addrs, n.Addr())
+	}
+	cl, err := geodabs.NewCluster(cfg, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 10000, Nodes: nodes}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ctx := context.Background()
+	w := benchWorkload()
+	for _, tr := range w.Dataset.Trajectories {
+		if err := cl.AddContext(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := server.Listen("127.0.0.1:0", cl, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := client.Dial(srv.Addr(), client.WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	f, err := geodabs.NewFingerprinter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := w.Queries[0].Points
+	fp, q := f.Fingerprint(pts), f.Prepare(pts)
+	if st := cl.AnalyzeQuery(q); st.Nodes != 1 {
+		t.Fatalf("the query's terms span %d nodes; the budgets are a one-node plan's", st.Nodes)
+	}
+	served := []client.SearchOption{client.WithKNN(10)}
+	direct := []geodabs.SearchOption{geodabs.WithKNN(10)}
+	cases := []struct {
+		name   string
+		budget float64
+		run    func() (int, error)
+	}{
+		{"served SearchFingerprint", 21, func() (int, error) {
+			res, err := c.SearchFingerprint(ctx, fp, served...)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Hits), nil
+		}},
+		{"Cluster.SearchQuery", 3, func() (int, error) {
+			res, err := cl.SearchQuery(ctx, q, direct...)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Hits), nil
+		}},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range cases {
+		// Warm every pool, connection buffer and scratch first.
+		for range 5 {
+			if hits, err := tc.run(); err != nil || hits != 10 {
+				t.Fatalf("%s: %d hits, %v; want 10 hits", tc.name, hits, err)
+			}
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := tc.run(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		switch {
+		case got > tc.budget:
+			t.Errorf("%s: %.0f allocs/op, over its budget of %.0f", tc.name, got, tc.budget)
+		case got < tc.budget:
+			t.Logf("%s: %.0f allocs/op, under its budget of %.0f: lower the budget", tc.name, got, tc.budget)
 		}
 	}
 }

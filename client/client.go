@@ -26,6 +26,7 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -98,8 +99,8 @@ type Client struct {
 	dialTimeout time.Duration
 	maxRetries  int
 
-	pool   *wire.Pool[struct{}]
-	nextID atomic.Uint64 // request IDs, informational (one request per conn)
+	pool   *wire.Pool[wire.Response] // each connection decodes its replies into its own Response
+	nextID atomic.Uint64             // request IDs, informational (one request per conn)
 }
 
 // Dial connects to a geodabsd at addr. The returned client pools
@@ -117,7 +118,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.pool = wire.NewPool[struct{}](c.poolSize, wire.MaxFrame, ErrClosed, func(ctx context.Context) (net.Conn, error) {
+	c.pool = wire.NewPool[wire.Response](c.poolSize, wire.MaxFrame, ErrClosed, func(ctx context.Context) (net.Conn, error) {
 		if _, ok := ctx.Deadline(); !ok {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, c.dialTimeout)
@@ -137,18 +138,26 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 // connections; Close is idempotent.
 func (c *Client) Close() error { return c.pool.Close() }
 
+// retainHits bounds the hit storage a connection keeps for its next
+// reply: the storage of a wider reply is dropped once used, as the
+// connection drops a frame buffer grown for one wide frame.
+const retainHits = 4096
+
 // roundTrip performs one request/response exchange on a pooled
-// connection. Transport failures are transportErrors, and like any
-// failure they discard the connection; a cancelled ctx aborts the
-// exchange promptly (wire.Pool.Call).
-func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// connection, handing an OK reply to use (which may be nil) before it
+// returns: the reply is the connection's own, reused by its next
+// exchange. A non-OK reply is its status error. Transport failures are
+// transportErrors, and like any failure of the exchange they discard the
+// connection; a cancelled ctx aborts the exchange promptly
+// (wire.Pool.Call).
+func (c *Client) roundTrip(ctx context.Context, req *wire.Request, use func(*wire.Response)) error {
 	// The remaining deadline budget rides the request so the server's
 	// engine call is cancelled in step with the caller.
 	dl, ok := ctx.Deadline()
 	if ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms <= 0 {
-			return nil, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
 		req.DeadlineMS = uint64(ms)
 		// Slack past the ctx deadline: expiry is delivered by the pool's
@@ -158,8 +167,8 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 		// fire first.
 		dl = dl.Add(250 * time.Millisecond)
 	}
-	var resp *wire.Response
-	err := c.pool.Call(ctx, func(nc *wire.PoolConn[struct{}]) error {
+	var status error
+	err := c.pool.Call(ctx, func(nc *wire.PoolConn[wire.Response]) error {
 		frame, err := wire.EndFrame(wire.AppendRequest(nc.BeginFrame(), req), 0, wire.MaxFrame)
 		if err != nil {
 			return err
@@ -173,18 +182,23 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 		if err != nil {
 			return &transportError{err: fmt.Errorf("client: %s: %w", c.addr, err)}
 		}
-		if resp, err = wire.DecodeResponse(payload); err != nil {
+		resp := &nc.State
+		if err = wire.DecodeResponseInto(resp, payload); err != nil {
 			return fmt.Errorf("client: %s: %w", c.addr, err)
 		}
 		if resp.ID != req.ID {
 			return fmt.Errorf("client: %s: response id %d for request %d", c.addr, resp.ID, req.ID)
 		}
+		// A refusal is a well-formed reply: the connection stays in step.
+		if status = statusErr(resp); status == nil && use != nil {
+			use(resp)
+		}
+		if cap(resp.Hits) > retainHits {
+			resp.Hits = nil
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return cmp.Or(err, status)
 }
 
 // transportError marks failures of the connection itself — the request
@@ -206,26 +220,18 @@ func retryable(err error) bool {
 const retryBaseDelay = 25 * time.Millisecond
 
 // do runs one exchange, retrying idempotent reads on retryable errors
-// while ctx allows.
-func (c *Client) do(ctx context.Context, req *wire.Request, idempotent bool) (*wire.Response, error) {
+// while ctx allows. use sees the OK reply, as in roundTrip.
+func (c *Client) do(ctx context.Context, req *wire.Request, idempotent bool, use func(*wire.Response)) error {
 	req.ID = c.nextID.Add(1)
-
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := c.roundTrip(ctx, req)
-		if err == nil {
-			if err = statusErr(resp); err == nil {
-				return resp, nil
-			}
-		}
-		lastErr = err
-		if !idempotent || attempt >= c.maxRetries || !retryable(err) {
-			return nil, lastErr
+		err := c.roundTrip(ctx, req, use)
+		if err == nil || !idempotent || attempt >= c.maxRetries || !retryable(err) {
+			return err
 		}
 		select {
 		case <-time.After(time.Duration(attempt+1) * retryBaseDelay):
 		case <-ctx.Done():
-			return nil, lastErr
+			return err
 		}
 	}
 }
@@ -342,15 +348,17 @@ func searchResult(resp *wire.Response) *Result {
 // Ping round-trips a no-op request, verifying the server is reachable
 // and admitting traffic.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpPing}, true)
-	return err
+	return c.do(ctx, &wire.Request{Op: wire.OpPing}, true, nil)
 }
 
 // SearchFingerprint searches with a locally winnowed fingerprint — the
-// thin-client path: only the term set crosses the wire, and the server
-// search starts straight from the prepared-query plan cache. The
-// fingerprint must come from a Fingerprinter configured identically to
-// the server's engine.
+// thin-client path: only the term set crosses the wire. The server runs
+// no fingerprint extraction: it builds the query's term set straight from
+// the shipped terms, wraps it in a fresh fingerprint-only query
+// (geodabs.QueryFromFingerprint) and, on a cluster engine, plans that
+// query's routing to the shard nodes for this request alone — nothing is
+// cached between requests. The fingerprint must come from a Fingerprinter
+// configured identically to the server's engine.
 func (c *Client) SearchFingerprint(ctx context.Context, fp *geodabs.Fingerprint, opts ...SearchOption) (*Result, error) {
 	if fp == nil || fp.Set == nil {
 		return nil, errors.New("client: nil fingerprint")
@@ -360,11 +368,7 @@ func (c *Client) SearchFingerprint(ctx context.Context, fp *geodabs.Fingerprint,
 		return nil, errors.New("client: WithExactRerank needs the query's raw points, which a fingerprint-only search does not carry — use Search instead")
 	}
 	req.Terms = fp.Set.ToSlice()
-	resp, err := c.do(ctx, req, true)
-	if err != nil {
-		return nil, err
-	}
-	return searchResult(resp), nil
+	return c.search(ctx, req)
 }
 
 // Search ships raw trajectory points for server-side winnowing. Prefer
@@ -376,11 +380,16 @@ func (c *Client) Search(ctx context.Context, points []geodabs.Point, opts ...Sea
 		req.Op = wire.OpSearchRerank
 	}
 	req.Points = points
-	resp, err := c.do(ctx, req, true)
-	if err != nil {
+	return c.search(ctx, req)
+}
+
+// search runs a search request, building its Result from the reply.
+func (c *Client) search(ctx context.Context, req *wire.Request) (*Result, error) {
+	var res *Result
+	if err := c.do(ctx, req, true, func(resp *wire.Response) { res = searchResult(resp) }); err != nil {
 		return nil, err
 	}
-	return searchResult(resp), nil
+	return res, nil
 }
 
 // Upsert indexes the trajectory remotely, replacing any previously
@@ -391,14 +400,11 @@ func (c *Client) Upsert(ctx context.Context, t *geodabs.Trajectory) error {
 	if t == nil {
 		return errors.New("client: nil trajectory")
 	}
-	req := &wire.Request{Op: wire.OpUpsert, TrajID: uint32(t.ID), Points: t.Points}
-	_, err := c.do(ctx, req, false)
-	return err
+	return c.do(ctx, &wire.Request{Op: wire.OpUpsert, TrajID: uint32(t.ID), Points: t.Points}, false, nil)
 }
 
 // Delete removes a trajectory remotely, returning ErrNotFound
 // (= geodabs.ErrNotFound) when the ID is not indexed.
 func (c *Client) Delete(ctx context.Context, id geodabs.ID) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpDelete, TrajID: uint32(id)}, false)
-	return err
+	return c.do(ctx, &wire.Request{Op: wire.OpDelete, TrajID: uint32(id)}, false, nil)
 }

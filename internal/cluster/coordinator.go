@@ -805,19 +805,30 @@ func (p *QueryPlan) nodes() (mask uint64) {
 // strategy, returning the reusable routing, in ascending node order. The
 // terms come out ascending and ShardOf is monotone, so the distinct shards
 // are its runs; a counting pass sizes each node's stretch of one array.
+// The terms of a one-node plan, the common case, are that stretch as they
+// come out of the set.
 func (c *Coordinator) Plan(set *bitmap.Bitmap) *QueryPlan {
 	terms := set.ToSlice()
 	p := &QueryPlan{set: set, card: len(terms)}
-	perNode := make([]int, c.strategy.Nodes)
-	last := -1
+	var perNode [64]int // NewCoordinator caps Nodes at 64
+	last, nodes := -1, 0
 	for _, term := range terms {
 		if sh := c.strategy.ShardOf(term); sh != last {
 			p.shards, last = p.shards+1, sh
 		}
-		perNode[c.strategy.NodeOf(last)]++
+		node := c.strategy.NodeOf(last)
+		if perNode[node] == 0 {
+			nodes++
+		}
+		perNode[node]++
+	}
+	p.routes = make([]route, 0, nodes)
+	if nodes == 1 {
+		p.routes = append(p.routes, route{node: c.strategy.NodeOf(last), terms: terms})
+		return p
 	}
 	grouped, off := make([]uint32, len(terms)), 0
-	for node, n := range perNode {
+	for node, n := range perNode[:c.strategy.Nodes] {
 		if n > 0 {
 			p.routes = append(p.routes, route{node: node, terms: grouped[off : off : off+n]})
 			perNode[node], off = len(p.routes)-1, off+n
@@ -925,29 +936,47 @@ func (c *Coordinator) SearchPlan(parent context.Context, plan *QueryPlan, maxDis
 
 // gather scatters the plan's routes and sums the nodes' replies into
 // counter, adding to info's wire counts. nodeLimit is the queryRequest's
-// Limit, for a one-route plan.
+// Limit, for a one-route plan. A one-route plan, the common case, is
+// asked on the caller's goroutine with nothing handed to a fan-out, so
+// nothing it touches escapes to the heap; only a scatter to several
+// nodes pays for its goroutines' shared state.
 func (c *Coordinator) gather(ctx context.Context, counter *bitmap.Counter, plan *QueryPlan, snap uint64, maxDistance float64, nodeLimit int, info *SearchInfo) error {
-	var mu sync.Mutex
-	return fanout.Workers(ctx, len(plan.routes), len(plan.routes), func(ctx context.Context, i int) error {
-		r := plan.routes[i]
-		return c.readCall(ctx, r.node, &request{
-			Op:           opQuery,
-			CompactBelow: snap,
-			// QueryCard and MaxDistance let the node apply the
-			// cardinality window before encoding its partials, and rank
-			// under a Limit.
-			Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance, Limit: nodeLimit},
-		}, func(r *response) {
-			// Node term spaces are disjoint, so summing partial counts
-			// yields the exact |F ∩ G| — the distributed half of the
-			// counting merge — straight from the reply's bytes.
-			mu.Lock()
+	if len(plan.routes) == 1 {
+		return c.queryRoute(ctx, plan, 0, snap, maxDistance, nodeLimit, func(r *response) {
 			r.Query.addTo(counter)
 			info.NodePruned += r.Query.pruned
 			info.WirePartials += r.Query.len()
+		})
+	}
+	var mu sync.Mutex
+	var pruned, partials int
+	err := fanout.Workers(ctx, len(plan.routes), len(plan.routes), func(ctx context.Context, i int) error {
+		return c.queryRoute(ctx, plan, i, snap, maxDistance, nodeLimit, func(r *response) {
+			mu.Lock()
+			r.Query.addTo(counter)
+			pruned += r.Query.pruned
+			partials += r.Query.len()
 			mu.Unlock()
 		})
 	})
+	info.NodePruned += pruned
+	info.WirePartials += partials
+	return err
+}
+
+// queryRoute asks the node of the plan's route i for its partial counts,
+// handing the reply to use. Node term spaces are disjoint, so summing
+// the replies' partial counts yields the exact |F ∩ G| — the distributed
+// half of the counting merge — straight from the replies' bytes.
+func (c *Coordinator) queryRoute(ctx context.Context, plan *QueryPlan, i int, snap uint64, maxDistance float64, nodeLimit int, use func(*response)) error {
+	r := plan.routes[i]
+	return c.readCall(ctx, r.node, &request{
+		Op:           opQuery,
+		CompactBelow: snap,
+		// QueryCard and MaxDistance let the node apply the cardinality
+		// window before encoding its partials, and rank under a Limit.
+		Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance, Limit: nodeLimit},
+	}, use)
 }
 
 // rank ranks the counts gathered into s through the local index's core.

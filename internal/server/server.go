@@ -46,6 +46,7 @@ import (
 	"log"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,11 +383,14 @@ func (c *conn) admit(req *wire.Request) {
 // need.
 func (c *conn) run(req *wire.Request) {
 	s := c.s
-	resp := s.execute(req)
+	// The reply is encoded before run returns, so a search's hits are
+	// built in run's frame: up to len(hits) of them cost no allocation.
+	var hits [32]wire.Hit
+	resp := s.execute(req, hits[:0])
 	s.metrics.inFlight.Add(-1)
 	<-s.inFlight
 	s.reqWG.Done()
-	c.reply(resp)
+	c.reply(&resp)
 }
 
 // reply queues resp's frame, encoded in place behind the frames already
@@ -479,8 +483,9 @@ func (s *Server) deadlineOf(req *wire.Request) time.Duration {
 	return d
 }
 
-// execute runs one admitted request against the engine.
-func (s *Server) execute(req *wire.Request) *wire.Response {
+// execute runs one admitted request against the engine. A search appends
+// its hits to hits.
+func (s *Server) execute(req *wire.Request, hits []wire.Hit) wire.Response {
 	start := time.Now()
 	ctx := context.Background()
 	if d := s.deadlineOf(req); d > 0 {
@@ -488,7 +493,7 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	resp := s.handle(ctx, req)
+	resp := s.handle(ctx, req, hits)
 	resp.ID = req.ID
 	s.metrics.observe(req.Op, resp.Status, time.Since(start))
 	return resp
@@ -496,65 +501,66 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 
 // handle dispatches one request to the engine, mapping errors onto wire
 // statuses.
-func (s *Server) handle(ctx context.Context, req *wire.Request) *wire.Response {
+func (s *Server) handle(ctx context.Context, req *wire.Request, hits []wire.Hit) wire.Response {
 	// Points travel on OpSearch, OpSearchRerank and OpUpsert. A NaN or
 	// infinite coordinate would reach the engine unchecked and make every
 	// exact distance against it NaN, which breaks the distance-then-ID
 	// order of a reranked result, now or after an upsert stores it.
 	for i, p := range req.Points {
 		if math.IsNaN(p.Lat) || math.IsNaN(p.Lon) || math.IsInf(p.Lat, 0) || math.IsInf(p.Lon, 0) {
-			return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("point %d (%v, %v) is not finite", i, p.Lat, p.Lon)}
+			return wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("point %d (%v, %v) is not finite", i, p.Lat, p.Lon)}
 		}
 	}
 	switch req.Op {
 	case wire.OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpSearchFP:
-		set := bitmap.FromSlice(req.Terms)
-		return s.search(ctx, req, geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set}))
+		// DecodeRequest admits only strictly ascending term lists.
+		set := bitmap.FromSorted(req.Terms)
+		return s.search(ctx, req, geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set}), hits)
 	case wire.OpSearch:
-		return s.search(ctx, req, geodabs.NewQuery(req.Points))
+		return s.search(ctx, req, geodabs.NewQuery(req.Points), hits)
 	case wire.OpSearchRerank:
 		metric := rerankMetricOf(req.Metric)
 		if metric == nil {
-			return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("unknown rerank metric %d", req.Metric)}
+			return wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("unknown rerank metric %d", req.Metric)}
 		}
-		return s.search(ctx, req, geodabs.NewQuery(req.Points), geodabs.WithExactRerank(metric))
+		return s.search(ctx, req, geodabs.NewQuery(req.Points), hits, geodabs.WithExactRerank(metric))
 	case wire.OpUpsert:
 		t := &geodabs.Trajectory{ID: geodabs.ID(req.TrajID), Points: req.Points}
 		if err := s.engine.Upsert(ctx, t); err != nil {
 			return errResponse(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpDelete:
 		if err := s.engine.Delete(ctx, geodabs.ID(req.TrajID)); err != nil {
 			return errResponse(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	default:
-		return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("unknown op %d", req.Op)}
+		return wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf("unknown op %d", req.Op)}
 	}
 }
 
 // search validates the request's parameters, runs the engine search, and
-// encodes the ranked hits. extra carries op-specific options (the exact
-// rerank of OpSearchRerank) on top of the common wire parameters.
-func (s *Server) search(ctx context.Context, req *wire.Request, q *geodabs.Query, extra ...geodabs.SearchOption) *wire.Response {
-	opts, resp := searchOptions(req)
-	if resp != nil {
-		return resp
+// appends the ranked hits to hits for the reply. extra carries
+// op-specific options (the exact rerank of OpSearchRerank) on top of the
+// common wire parameters.
+func (s *Server) search(ctx context.Context, req *wire.Request, q *geodabs.Query, hits []wire.Hit, extra ...geodabs.SearchOption) wire.Response {
+	opts, err := searchOptions(req, extra...)
+	if err != nil {
+		return wire.Response{Status: wire.StatusBadRequest, Message: err.Error()}
 	}
-	opts = append(opts, extra...)
 	res, err := s.engine.SearchQuery(ctx, q, opts...)
 	if err != nil {
 		return errResponse(err)
 	}
-	hits := make([]wire.Hit, len(res.Hits))
-	for i, h := range res.Hits {
-		hits[i] = wire.Hit{ID: uint32(h.ID), Distance: h.Distance, Shared: uint32(h.Shared)}
+	hits = slices.Grow(hits, len(res.Hits))
+	for _, h := range res.Hits {
+		hits = append(hits, wire.Hit{ID: uint32(h.ID), Distance: h.Distance, Shared: uint32(h.Shared)})
 	}
 	st := res.Stats
-	return &wire.Response{
+	return wire.Response{
 		Status: wire.StatusOK,
 		Hits:   hits,
 		Stats: wire.Stats{
@@ -569,27 +575,26 @@ func (s *Server) search(ctx context.Context, req *wire.Request, q *geodabs.Query
 	}
 }
 
-// searchOptions maps the wire search parameters onto the public
-// functional options, rejecting invalid combinations before the engine
-// runs (their errors are the client's fault, not the server's).
-func searchOptions(req *wire.Request) ([]geodabs.SearchOption, *wire.Response) {
-	bad := func(format string, args ...any) *wire.Response {
-		return &wire.Response{Status: wire.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
-	}
+// searchOptions maps the wire search parameters, then extra, onto the
+// public functional options, rejecting invalid combinations before the
+// engine runs (their errors are the client's fault, not the server's).
+func searchOptions(req *wire.Request, extra ...geodabs.SearchOption) ([]geodabs.SearchOption, error) {
 	if math.IsNaN(req.MaxDistance) || req.MaxDistance < 0 || req.MaxDistance > 1 {
-		return nil, bad("max distance %v out of range [0, 1]", req.MaxDistance)
+		return nil, fmt.Errorf("max distance %v out of range [0, 1]", req.MaxDistance)
 	}
 	if req.KNN > 0 && req.Limit > 0 {
-		return nil, bad("knn and limit are mutually exclusive")
+		return nil, errors.New("knn and limit are mutually exclusive")
 	}
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(req.MaxDistance)}
+	// Sized once: the distance, a cap and the extra options.
+	opts := make([]geodabs.SearchOption, 1, 2+len(extra))
+	opts[0] = geodabs.WithMaxDistance(req.MaxDistance)
 	switch {
 	case req.KNN > 0:
 		opts = append(opts, geodabs.WithKNN(req.KNN))
 	case req.Limit > 0:
 		opts = append(opts, geodabs.WithLimit(req.Limit))
 	}
-	return opts, nil
+	return append(opts, extra...), nil
 }
 
 // rerankMetricOf maps a wire metric tag onto the public built-in exact
@@ -608,16 +613,16 @@ func rerankMetricOf(m uint8) geodabs.RerankMetric {
 }
 
 // errResponse maps an engine error onto a wire status.
-func errResponse(err error) *wire.Response {
+func errResponse(err error) wire.Response {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return &wire.Response{Status: wire.StatusDeadlineExceeded}
+		return wire.Response{Status: wire.StatusDeadlineExceeded}
 	case errors.Is(err, geodabs.ErrNotFound):
-		return &wire.Response{Status: wire.StatusNotFound, Message: err.Error()}
+		return wire.Response{Status: wire.StatusNotFound, Message: err.Error()}
 	case errors.Is(err, geodabs.ErrClosed):
-		return &wire.Response{Status: wire.StatusShuttingDown}
+		return wire.Response{Status: wire.StatusShuttingDown}
 	default:
-		return &wire.Response{Status: wire.StatusError, Message: err.Error()}
+		return wire.Response{Status: wire.StatusError, Message: err.Error()}
 	}
 }
 

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"geodabs/internal/bitmap"
 )
 
 // fuzzDecoder holds a decoder of bytes straight off a socket to three
@@ -10,8 +13,9 @@ import (
 // count rather than by the bytes present (largest reports the biggest
 // capacity in a decoded value); and a payload that decodes re-encodes to
 // a payload that decodes to the same value (compared as encodings, so a
-// NaN distance is equal to itself).
-func fuzzDecoder[T any](f *testing.F, decode func([]byte) (*T, error), encode func([]byte, *T) []byte, largest func(*T) int) {
+// NaN distance is equal to itself). check holds a decoded value to the
+// properties of its own kind.
+func fuzzDecoder[T any](f *testing.F, decode func([]byte) (*T, error), encode func([]byte, *T) []byte, largest func(*T) int, check func(*testing.T, []byte, *T)) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		v, err := decode(payload)
 		if err != nil {
@@ -20,6 +24,7 @@ func fuzzDecoder[T any](f *testing.F, decode func([]byte) (*T, error), encode fu
 		if n := largest(v); n > len(payload) {
 			t.Fatalf("%d-byte payload decoded to a slice of capacity %d", len(payload), n)
 		}
+		check(t, payload, v)
 		enc := encode(nil, v)
 		again, err := decode(enc)
 		if err != nil {
@@ -31,16 +36,44 @@ func fuzzDecoder[T any](f *testing.F, decode func([]byte) (*T, error), encode fu
 	})
 }
 
+// FuzzDecodeRequest also holds every decoded OpSearchFP term list to
+// what geodabsd's search builds its query set on: strictly ascending, so
+// that bitmap.FromSorted builds the set bitmap.FromSlice would.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(AppendRequest(nil, req))
 	}
-	fuzzDecoder(f, DecodeRequest, AppendRequest, func(r *Request) int { return max(cap(r.Terms), cap(r.Points)) })
+	fuzzDecoder(f, DecodeRequest, AppendRequest, func(r *Request) int { return max(cap(r.Terms), cap(r.Points)) },
+		func(t *testing.T, _ []byte, r *Request) {
+			if r.Op != OpSearchFP {
+				return
+			}
+			for i := 1; i < len(r.Terms); i++ {
+				if r.Terms[i] <= r.Terms[i-1] {
+					t.Fatalf("decoded terms %d and %d not strictly ascending: %d, %d", i-1, i, r.Terms[i-1], r.Terms[i])
+				}
+			}
+			if got, want := bitmap.FromSorted(r.Terms).ToSlice(), bitmap.FromSlice(r.Terms).ToSlice(); !slices.Equal(got, want) {
+				t.Fatalf("FromSorted built %v, FromSlice %v", got, want)
+			}
+		})
 }
 
+// FuzzDecodeResponse also decodes each payload into a Response already
+// holding hits, as a client connection's reused reply does: the result
+// must encode as the fresh decode does.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range sampleResponses() {
 		f.Add(AppendResponse(nil, resp))
 	}
-	fuzzDecoder(f, DecodeResponse, AppendResponse, func(r *Response) int { return max(cap(r.Hits), len(r.Message)) })
+	fuzzDecoder(f, DecodeResponse, AppendResponse, func(r *Response) int { return max(cap(r.Hits), len(r.Message)) },
+		func(t *testing.T, payload []byte, r *Response) {
+			reused := &Response{Message: "stale", Hits: make([]Hit, 2, 4)}
+			if err := DecodeResponseInto(reused, payload); err != nil {
+				t.Fatalf("decode into a reused response: %v", err)
+			}
+			if got, want := AppendResponse(nil, reused), AppendResponse(nil, r); !bytes.Equal(got, want) {
+				t.Fatalf("decode into a reused response gave %+v, a fresh decode %+v", reused, r)
+			}
+		})
 }

@@ -15,9 +15,8 @@ import (
 // size, and is closed otherwise. Connections serving calls are tracked,
 // so Close tears their sockets down without waiting for the calls.
 //
-// S is per-connection storage the caller reuses call after call — the
-// node client decodes its replies into it; the geodabsd client needs
-// none.
+// S is per-connection storage the caller reuses call after call: the
+// node client and the geodabsd client each decode their replies into it.
 type Pool[S any] struct {
 	size   int
 	limit  int
@@ -45,10 +44,12 @@ func NewPool[S any](size, limit int, closed error, dial func(context.Context) (n
 
 // Call runs exchange — write one request, read its reply — on a pooled
 // connection. Cancelling ctx pokes the connection's deadline into the
-// past, so blocked I/O aborts promptly. A connection whose exchange
-// failed may be out of step, and one the poke may have reached carries a
-// stale deadline: both are closed, never pooled again, and the next call
-// dials afresh. A failure once ctx has ended is ctx's error.
+// past, so blocked I/O aborts promptly; a ctx that can never be cancelled
+// (ctx.Done() is nil) takes no poke, and the call allocates nothing of
+// its own. A connection whose exchange failed may be out of step, and
+// one the poke may have reached carries a stale deadline: both are
+// closed, never pooled again, and the next call dials afresh. A failure
+// once ctx has ended is ctx's error.
 func (p *Pool[S]) Call(ctx context.Context, exchange func(*PoolConn[S]) error) error {
 	err := ctx.Err()
 	var pc *PoolConn[S]
@@ -56,13 +57,16 @@ func (p *Pool[S]) Call(ctx context.Context, exchange func(*PoolConn[S]) error) e
 		pc, err = p.checkout(ctx)
 	}
 	if err == nil {
-		stop := context.AfterFunc(ctx, func() { pc.nc.SetDeadline(time.Now()) })
+		var stop func() bool
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() { pc.nc.SetDeadline(time.Now()) })
+		}
 		err = exchange(pc)
 		// A stop that finds the poke started cannot tell whether it has
 		// landed yet: such a connection never goes back to the pool, so a
 		// stale deadline can never fail a later call — callers routinely
 		// cancel ctx the moment their call returns.
-		p.checkin(pc, stop() && err == nil)
+		p.checkin(pc, (stop == nil || stop()) && err == nil)
 	}
 	if err != nil && ctx.Err() != nil {
 		return ctx.Err()

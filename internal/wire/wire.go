@@ -451,12 +451,29 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 
 // DecodeResponse parses a response payload produced by AppendResponse.
 func DecodeResponse(payload []byte) (*Response, error) {
+	resp := &Response{}
+	if err := DecodeResponseInto(resp, payload); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// DecodeResponseInto is DecodeResponse into resp, whose Hits storage it
+// reuses when the reply's hits fit: a caller decoding reply after reply
+// into one value allocates hits only when a reply outgrows every earlier
+// one. The decoded Hits alias that storage. On error, resp's contents are
+// unspecified.
+func DecodeResponseInto(resp *Response, payload []byte) error {
 	d := NewDecoder(payload)
 	decodeVersion(&d)
-	resp := &Response{Status: Status(d.Byte()), ID: d.Uvarint()}
+	*resp = Response{Status: Status(d.Byte()), ID: d.Uvarint(), Hits: resp.Hits[:0]}
 	switch resp.Status {
 	case StatusOK:
-		resp.Hits = make([]Hit, d.Count(10))
+		n := d.Count(10)
+		if cap(resp.Hits) < n {
+			resp.Hits = make([]Hit, n)
+		}
+		resp.Hits = resp.Hits[:n]
 		for i := range resp.Hits {
 			resp.Hits[i] = Hit{ID: d.Uint32("hit id"), Distance: d.F64BE(), Shared: d.Uint32("hit shared count")}
 		}
@@ -467,8 +484,5 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	default:
 		resp.Message = string(d.Bytes())
 	}
-	if err := d.Done("response"); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return d.Done("response")
 }

@@ -13,9 +13,9 @@ import (
 // a Cluster, partitioning the term set by owning shard node — dominates
 // per-query cost, so Query converts it from a per-call expense into a
 // per-query-lifetime one: the extracted term set, its cardinality, and
-// the per-strategy shard partition are computed once and cached inside
-// the value, and every SearchQuery, SearchQueryBatch and AnalyzeQuery
-// call against any engine reuses them.
+// the shard partition are computed once and cached inside the value, and
+// every SearchQuery, SearchQueryBatch and AnalyzeQuery call against any
+// engine reuses them.
 //
 // Construct one with:
 //
@@ -32,8 +32,11 @@ import (
 // against engines with different fingerprinting configurations (say a
 // geodab Index and a geohash-cell baseline Index) stays correct — the
 // cache is keyed by configuration and re-derives on a mismatch — but
-// then alternating engines re-extracts per call; prefer one Query per
-// configuration for such workloads.
+// then alternating engines re-extracts per call. The shard partition is
+// cached the same way, for the most recent shard strategy only: a Query
+// alternating between clusters of different strategies plans again on
+// every switch. Prefer one Query per configuration and strategy for such
+// workloads.
 type Query struct {
 	points []Point
 	// fpOnly marks a Query built from a bare fingerprint: the term set is
@@ -42,12 +45,13 @@ type Query struct {
 	fpOnly bool
 
 	mu sync.RWMutex
-	// ext is the cached extraction; plans caches the per-strategy shard
-	// partitions derived from ext.set (invalidated implicitly: each plan
-	// records the set it was built from, so a re-derived set makes the
-	// lookup miss).
-	ext   extraction
-	plans map[ShardStrategy]*cluster.QueryPlan
+	// ext is the cached extraction; plan caches the shard partition of
+	// ext.set under the strategy it was last asked for, planStrat
+	// (invalidated implicitly: the plan records the set it was built
+	// from, so a re-derived set makes the lookup miss).
+	ext       extraction
+	plan      *cluster.QueryPlan
+	planStrat ShardStrategy
 }
 
 // extraction is one cached term-set derivation: the set, its cardinality,
@@ -158,24 +162,26 @@ func (q *Query) termSet(ex index.Extractor) (*bitmap.Bitmap, int) {
 }
 
 // clusterPlan returns the query's shard partition for the coordinator's
-// strategy, building and caching it on first use. The plan is validated
-// against the set it was built from, so a re-derived term set (a lazy
-// query crossing configurations) never reuses a stale partition; equal
-// strategies share one plan even across distinct Cluster values.
+// strategy, building and caching it on first use. The cache is one slot,
+// like the extraction's: it holds the plan of the most recent strategy,
+// so a query alternating between clusters of different strategies plans
+// again on every switch, as one alternating between extractors
+// re-extracts. The plan is validated against the set it was built from,
+// so a re-derived term set (a lazy query crossing configurations) never
+// reuses a stale partition; equal strategies share one plan even across
+// distinct Cluster values.
 func (q *Query) clusterPlan(coord *cluster.Coordinator, set *bitmap.Bitmap) *cluster.QueryPlan {
 	strat := coord.Strategy()
 	q.mu.RLock()
-	p := q.plans[strat]
+	p := q.plan
+	hit := p != nil && q.planStrat == strat && p.Set() == set
 	q.mu.RUnlock()
-	if p != nil && p.Set() == set {
+	if hit {
 		return p
 	}
 	p = coord.Plan(set)
 	q.mu.Lock()
-	if q.plans == nil {
-		q.plans = make(map[ShardStrategy]*cluster.QueryPlan, 1)
-	}
-	q.plans[strat] = p
+	q.plan, q.planStrat = p, strat
 	q.mu.Unlock()
 	return p
 }

@@ -320,6 +320,53 @@ func TestClusterAnalyzeQuery(t *testing.T) {
 	}
 }
 
+// TestClusterQueryAlternatingStrategies uses one *Query against two
+// clusters of different shard strategies in turn: the query caches the
+// plan of the most recent strategy only, so every switch must plan again
+// rather than route by the other cluster's plan. With one shard per
+// prefix, the strategies route the query to different nodes.
+func TestClusterQueryAlternatingStrategies(t *testing.T) {
+	_, w := testWorld()
+	ctx := context.Background()
+	cfg := geodabs.DefaultConfig()
+	strategies := [2]geodabs.ShardStrategy{
+		{PrefixBits: cfg.PrefixBits, Shards: 1 << cfg.PrefixBits, Nodes: 2},
+		{PrefixBits: cfg.PrefixBits, Shards: 1 << cfg.PrefixBits, Nodes: 3},
+	}
+	tr := w.Queries[0]
+	f, err := geodabs.NewFingerprinter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := func(s geodabs.ShardStrategy) (mask uint64) {
+		for _, term := range f.Fingerprint(tr.Points).Set.ToSlice() {
+			mask |= 1 << s.NodeOfGeodab(term)
+		}
+		return mask
+	}
+	if nodes(strategies[0]) == nodes(strategies[1]) {
+		t.Fatal("both strategies route the query to the same nodes: a plan of either would serve both")
+	}
+	two, three := builtStrategyCluster(t, strategies[0]), builtStrategyCluster(t, strategies[1])
+	q := geodabs.NewQuery(tr.Points)
+	for i, cl := range []*geodabs.Cluster{two, three, two, three, three, two} {
+		if got, want := cl.AnalyzeQuery(q), cl.Analyze(tr); got != want {
+			t.Fatalf("use %d: AnalyzeQuery = %+v, Analyze = %+v", i, got, want)
+		}
+		want, err := cl.Search(ctx, tr, geodabs.WithLimit(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.SearchQuery(ctx, q, geodabs.WithLimit(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Hits, want.Hits) || got.Stats.NodesTouched != want.Stats.NodesTouched {
+			t.Fatalf("use %d: the shared query's search diverges from the cluster's own", i)
+		}
+	}
+}
+
 // TestPreparedQueryConcurrentReuse shares one *Query across SearchBatch
 // workers while Upserts churn the engines underneath — the -race
 // acceptance test for the query caches' synchronization. Results are not

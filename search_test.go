@@ -32,9 +32,16 @@ func builtTestIndex(t *testing.T) *geodabs.Index {
 // tests can run against it.
 func builtTestCluster(t *testing.T, nodes int) *geodabs.Cluster {
 	t.Helper()
+	cfg := geodabs.DefaultConfig()
+	return builtStrategyCluster(t, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: nodes})
+}
+
+// builtStrategyCluster is builtTestCluster under the given strategy.
+func builtStrategyCluster(t *testing.T, strategy geodabs.ShardStrategy) *geodabs.Cluster {
+	t.Helper()
 	_, w := testWorld()
 	var addrs []string
-	for i := 0; i < nodes; i++ {
+	for i := 0; i < strategy.Nodes; i++ {
 		n, err := geodabs.StartShardNode("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -42,9 +49,7 @@ func builtTestCluster(t *testing.T, nodes int) *geodabs.Cluster {
 		t.Cleanup(func() { n.Close() })
 		addrs = append(addrs, n.Addr())
 	}
-	cfg := geodabs.DefaultConfig()
-	cl, err := geodabs.NewCluster(cfg, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: nodes}, addrs,
-		geodabs.WithPointRetention())
+	cl, err := geodabs.NewCluster(geodabs.DefaultConfig(), strategy, addrs, geodabs.WithPointRetention())
 	if err != nil {
 		t.Fatal(err)
 	}
