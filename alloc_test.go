@@ -148,11 +148,13 @@ func TestExactDistanceZeroAlloc(t *testing.T) {
 // across every process-local layer it crosses: the client, geodabsd's
 // server, the coordinator and a shard node, all in this process over
 // loopback TCP. A second case pins a direct Cluster.SearchQuery on a
-// prepared query, the coordinator's share alone. docs/invariants.md
-// ("Allocation budget of a served search") lists every allocation the
-// budgets hold and why it stays; a count above its budget is a new
-// allocation on the path, and a count below it should lower the budget.
-// GC is off so a collection cannot empty a pool mid-run.
+// prepared query, the coordinator's share alone, and a third a
+// Cluster.Search reranked by exact DTW on the owner node, whose points
+// the cluster retains. docs/invariants.md ("Allocation budget of a
+// served search") lists every allocation the budgets hold and why it
+// stays; a count above its budget is a new allocation on the path, and a
+// count below it should lower the budget. GC is off so a collection
+// cannot empty a pool mid-run.
 func TestSearchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -168,7 +170,7 @@ func TestSearchAllocBudget(t *testing.T) {
 		t.Cleanup(func() { n.Close() })
 		addrs = append(addrs, n.Addr())
 	}
-	cl, err := geodabs.NewCluster(cfg, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 10000, Nodes: nodes}, addrs)
+	cl, err := geodabs.NewCluster(cfg, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 10000, Nodes: nodes}, addrs, geodabs.WithPointRetention())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +204,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	}
 	served := []client.SearchOption{client.WithKNN(10)}
 	direct := []geodabs.SearchOption{geodabs.WithKNN(10)}
+	reranked := []geodabs.SearchOption{geodabs.WithKNN(10), geodabs.WithExactRerank(geodabs.DTW)}
 	cases := []struct {
 		name   string
 		budget float64
@@ -216,6 +219,13 @@ func TestSearchAllocBudget(t *testing.T) {
 		}},
 		{"Cluster.SearchQuery", 3, func() (int, error) {
 			res, err := cl.SearchQuery(ctx, q, direct...)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Hits), nil
+		}},
+		{"reranked Cluster.Search", 18, func() (int, error) {
+			res, err := cl.Search(ctx, w.Queries[0], reranked...)
 			if err != nil {
 				return 0, err
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -18,9 +19,11 @@ import (
 
 	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
+	"geodabs/internal/distance"
 	"geodabs/internal/gen"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
+	"geodabs/internal/rerank"
 	"geodabs/internal/roadnet"
 	"geodabs/internal/shard"
 	"geodabs/internal/trajectory"
@@ -1107,6 +1110,74 @@ func nodeMask(st shard.Strategy, set *bitmap.Bitmap) (mask uint64) {
 // local index and hold exactly its postings, and a node outside the step's
 // old ∪ new node sets must have heard nothing of it: no epoch advance, no
 // tombstone.
+// TestRerankAcrossOwners pins a pushed-down rerank whose shortlist is
+// owned by several nodes, each scoring its part at once, to scoring the
+// whole shortlist in one place: the same hits, scores and Shared counts,
+// for both metrics, capped and not. 26-bit prefix cells, about 600 m
+// across, spread the test city's trajectories over the nodes. A hit the
+// directory does not hold fails the rerank, naming it.
+func TestRerankAcrossOwners(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.PrefixBits = 26
+	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(cfg)}
+	_, addrs := startNodes(t, 3)
+	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 26, Shards: 1 << 26, Nodes: 3}, addrs, WithRetainPoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ctx := context.Background()
+	byID := make(map[trajectory.ID][]geo.Point)
+	for _, tr := range testWorkload.Dataset.Trajectories {
+		if err := coord.Add(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+		byID[tr.ID] = tr.Points
+	}
+	for _, tc := range []struct {
+		metric    rerank.Metric
+		unbounded func(a, b []geo.Point) float64
+	}{{rerank.DTW, distance.DTW}, {rerank.DFD, distance.DFD}} {
+		for _, q := range testWorkload.Queries[:3] {
+			hits, _, err := coord.Search(ctx, q, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var owners uint64
+			coord.mu.RLock()
+			for _, h := range hits {
+				owners |= 1 << coord.directory[h.ID].owner
+			}
+			coord.mu.RUnlock()
+			if bits.OnesCount64(owners) < 2 {
+				t.Fatalf("query %d: the shortlist's %d hits have one owner", q.ID, len(hits))
+			}
+			reference := slices.Clone(hits)
+			for i := range reference {
+				reference[i].Distance = tc.unbounded(q.Points, byID[reference[i].ID])
+			}
+			index.SortResults(reference)
+			for _, limit := range []int{0, 1, 5} {
+				want := reference
+				if limit > 0 {
+					want = want[:limit]
+				}
+				got, err := coord.Rerank(ctx, slices.Clone(hits), q.Points, tc.metric, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("metric %d query %d limit %d: got %v, want %v", tc.metric, q.ID, limit, got, want)
+				}
+			}
+		}
+	}
+	stray := []index.Result{{ID: testWorkload.Dataset.Trajectories[0].ID}, {ID: 1 << 30}}
+	if _, err := coord.Rerank(ctx, stray, testWorkload.Queries[0].Points, rerank.DTW, 1); err == nil || !strings.Contains(err.Error(), "1073741824") {
+		t.Fatalf("a shortlist with an unindexed ID: err = %v, want one naming it", err)
+	}
+}
+
 func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.PrefixBits = 26

@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -671,6 +671,10 @@ func nodesOf(mask uint64) []int {
 // strictly outside its own (hence the global) top-limit, and the final
 // merge reuses index.SortResults. limit <= 0 scores and returns the
 // whole shortlist.
+//
+// The shortlist is grouped by owner node in one slice, each group in
+// shortlist order, and a one-owner round is asked on the caller's
+// goroutine, as a one-route search's is.
 func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query []geo.Point, metric rerank.Metric, limit int) ([]index.Result, error) {
 	if err := parent.Err(); err != nil {
 		return nil, err
@@ -681,13 +685,13 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 	if len(hits) == 0 {
 		return hits, nil
 	}
-	groups := make(map[int][]uint32)
-	// shared carries each hit's fingerprint-intersection count through
-	// the remote scoring: the local path keeps the original Result and
-	// only replaces Distance, so the pushed-down path must reattach
-	// Shared for the two to stay byte-identical.
-	shared := make(map[uint32]int, len(hits))
-	var missing []uint32
+	// owners[i] is hits[i]'s owner node (NewCoordinator caps Nodes at
+	// 64); it stays on the stack for a shortlist of up to 256 hits.
+	owners := make([]uint8, 0, 256)
+	var (
+		counts  [64]int
+		missing []uint32
+	)
 	c.mu.RLock()
 	for _, h := range hits {
 		entry, ok := c.directory[h.ID]
@@ -695,47 +699,138 @@ func (c *Coordinator) Rerank(parent context.Context, hits []index.Result, query 
 			missing = append(missing, uint32(h.ID))
 			continue
 		}
-		groups[int(entry.owner)] = append(groups[int(entry.owner)], uint32(h.ID))
-		shared[uint32(h.ID)] = h.Shared
+		owners = append(owners, uint8(entry.owner))
+		counts[entry.owner]++
 	}
 	below := c.watermarkLocked()
 	c.mu.RUnlock()
-	if len(missing) == 0 {
-		merged := make([]index.Result, 0, len(hits))
-		var mu sync.Mutex
-		nodes := slices.Collect(maps.Keys(groups))
-		err := fanout.Workers(parent, len(nodes), len(nodes), func(ctx context.Context, i int) error {
-			node := nodes[i]
-			return c.readCall(ctx, node, &request{
-				Op:           opRerank,
-				CompactBelow: below,
-				Rerank:       &rerankRequest{IDs: groups[node], Query: query, Metric: metric, Limit: limit},
-			}, func(r *response) {
-				mu.Lock()
-				// A shortlist member that raced a delete/upsert between the
-				// directory check and the node call is Missing. Collect
-				// rather than fail fast, so the error names every
-				// unavailable ID.
-				missing = append(missing, r.Rerank.Missing...)
-				for _, s := range r.Rerank.Scored {
-					merged = append(merged, index.Result{ID: trajectory.ID(s.ID), Distance: s.Score, Shared: shared[s.ID]})
-				}
-				mu.Unlock()
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(missing) == 0 {
-			index.SortResults(merged)
-			if limit > 0 && len(merged) > limit {
-				merged = merged[:limit]
-			}
-			return merged, nil
-		}
+	if len(missing) > 0 {
+		return nil, rerankMissing(missing, len(hits))
 	}
+	// A counting sort by owner, each group in shortlist order. The hits
+	// keep their Shared count, which a node's reply does not carry: the
+	// local path keeps the original Result and only replaces Distance, so
+	// the pushed-down path must too for the two to stay byte-identical.
+	var at [64]int
+	for node, lo := 0, 0; node < len(counts); node++ {
+		at[node] = lo
+		lo += counts[node]
+	}
+	merged := make([]index.Result, len(hits))
+	ids := make([]uint32, len(hits))
+	for i, h := range hits {
+		o := owners[i]
+		merged[at[o]], ids[at[o]] = h, uint32(h.ID)
+		at[o]++
+	}
+	req := rerankRequest{Query: query, Metric: metric, Limit: limit}
+	var (
+		kept int
+		err  error
+	)
+	if node := int(owners[0]); counts[node] == len(hits) {
+		var keepErr error
+		err = c.askRerank(parent, node, below, req, ids, func(r *response) {
+			missing = append(missing, r.Rerank.Missing...)
+			kept, keepErr = keepScored(merged, r.Rerank.Scored, node)
+		})
+		err = cmp.Or(err, keepErr)
+	} else {
+		kept, missing, err = c.rerankScatter(parent, counts, below, req, ids, merged)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A shortlist member that raced a delete/upsert between the directory
+	// check and the node call is Missing. It is collected across nodes
+	// rather than failed fast, so the error names every unavailable ID.
+	if len(missing) > 0 {
+		return nil, rerankMissing(missing, len(hits))
+	}
+	merged = merged[:kept]
+	index.SortResults(merged)
+	if limit > 0 && len(merged) > limit {
+		merged = merged[:limit]
+	}
+	return merged, nil
+}
+
+// askRerank asks node for the exact scores of ids, the request's other
+// fields from req, handing the reply to use.
+func (c *Coordinator) askRerank(ctx context.Context, node int, below uint64, req rerankRequest, ids []uint32, use func(*response)) error {
+	req.IDs = ids
+	return c.readCall(ctx, node, &request{Op: opRerank, CompactBelow: below, Rerank: &req}, use)
+}
+
+// rerankScatter asks every owner node of a shortlist grouped by owner —
+// counts[node] hits each, in node order — at once. It moves the hits the
+// nodes scored to the front of merged and returns how many there are and
+// the IDs the nodes hold no points for.
+func (c *Coordinator) rerankScatter(ctx context.Context, counts [64]int, below uint64, req rerankRequest, ids []uint32, merged []index.Result) (int, []uint32, error) {
+	type group struct {
+		node, lo, hi, kept int
+		err                error
+	}
+	var groups []group
+	for node, lo := 0, 0; node < len(counts); node++ {
+		if counts[node] > 0 {
+			groups = append(groups, group{node: node, lo: lo, hi: lo + counts[node]})
+		}
+		lo += counts[node]
+	}
+	var (
+		mu      sync.Mutex
+		missing []uint32
+	)
+	err := fanout.Workers(ctx, len(groups), len(groups), func(ctx context.Context, i int) error {
+		g := &groups[i]
+		return c.askRerank(ctx, g.node, below, req, ids[g.lo:g.hi], func(r *response) {
+			// Each group writes its own part of merged; only the missing
+			// list is shared.
+			g.kept, g.err = keepScored(merged[g.lo:g.hi], r.Rerank.Scored, g.node)
+			mu.Lock()
+			missing = append(missing, r.Rerank.Missing...)
+			mu.Unlock()
+		})
+	})
+	n := 0
+	for _, g := range groups {
+		if g.err != nil {
+			return 0, missing, cmp.Or(err, g.err)
+		}
+		n += copy(merged[n:], merged[g.lo:g.lo+g.kept])
+	}
+	return n, missing, err
+}
+
+// keepScored moves the hits a node scored to the front of its part of
+// the shortlist, each with its exact score as its Distance, and returns
+// how many there are. A node lists its scores in the order of the IDs it
+// was asked for (rerankResponse), so one forward walk matches them; a
+// score for an ID it was not asked for, or out of that order, is an
+// error.
+func keepScored(part []index.Result, scores []scored, node int) (int, error) {
+	k := 0
+	for w, s := range scores {
+		for k < len(part) && uint32(part[k].ID) != s.ID {
+			k++
+		}
+		if k == len(part) {
+			return 0, fmt.Errorf("cluster: node %d scored trajectory %d, which it was not asked for in that order", node, s.ID)
+		}
+		// w ≤ k: every score consumed at least one hit of the part.
+		part[w] = part[k]
+		part[w].Distance = s.Score
+		k++
+	}
+	return len(scores), nil
+}
+
+// rerankMissing is Rerank's error for the shortlist IDs no node holds
+// points for.
+func rerankMissing(missing []uint32, shortlist int) error {
 	slices.Sort(missing)
-	return nil, fmt.Errorf("cluster: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): cluster built without point retention, a recovered directory predating the points, or a concurrent delete", len(missing), len(hits), missing)
+	return fmt.Errorf("cluster: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): cluster built without point retention, a recovered directory predating the points, or a concurrent delete", len(missing), shortlist, missing)
 }
 
 // QueryStats reports the fan-out of the last analysis of a query set.

@@ -493,11 +493,7 @@ func (n *Node) handle(dst []byte, req *request) []byte {
 		if stale {
 			return append(dst, byte(opStale))
 		}
-		rr, err := n.rerank(req.Rerank)
-		if err != nil {
-			return appendError(dst, err.Error())
-		}
-		return rr.append(dst)
+		return n.rerank(dst, req.Rerank)
 	case opStats:
 		return n.stats().append(dst)
 	default:
@@ -790,36 +786,39 @@ func cardWindow(req *queryRequest) (minCard, maxCard int) {
 }
 
 // rerank exact-scores the node's slice of a fingerprint shortlist
-// against its retained points, returning (id, score) pairs — never
-// points. The candidates are snapshotted under the read lock — the slice
+// against its retained points and appends the reply to dst: (id, score)
+// pairs — never points — in the order of the request's IDs. The
+// candidates are snapshotted under the read lock — the slice
 // headers are safe to score outside it because applied mutations replace
 // a doc's point slice wholesale, never mutate it — and scored by
 // rerank.Score against the bar of the node's own top-Limit: what its
 // bounded dynamic program proves above the bar is skipped, everything
 // else is returned with its exact score, so the coordinator's merge
-// stays byte-identical to scoring the whole shortlist.
-func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
-	cands := make([]rerank.Candidate, 0, len(req.IDs))
-	var missing []uint32
+// stays byte-identical to scoring the whole shortlist. The candidate
+// slice and the reply come from pooled scratch.
+func (n *Node) rerank(dst []byte, req *rerankRequest) []byte {
+	s := rerankPool.Get().(*rerankScratch)
+	defer s.release()
+	resp := &s.resp
+	resp.Scored, resp.Skipped, resp.Missing = resp.Scored[:0], 0, resp.Missing[:0]
 	n.mu.RLock()
 	for _, id := range req.IDs {
 		doc, ok := n.docs[id]
 		if !ok || doc.points == nil {
-			missing = append(missing, id)
+			resp.Missing = append(resp.Missing, id)
 			continue
 		}
-		cands = append(cands, rerank.Candidate{ID: id, Points: doc.points})
+		s.cands = append(s.cands, rerank.Candidate{ID: id, Points: doc.points})
 	}
 	n.mu.RUnlock()
-	if len(missing) > 0 {
-		return &rerankResponse{Missing: missing}, nil
+	if len(resp.Missing) > 0 {
+		return resp.append(dst)
 	}
 	// A node request carries no context: the pass runs to completion.
-	if err := rerank.Score(context.TODO(), req.Query, cands, req.Metric, req.Limit); err != nil {
-		return nil, err
+	if err := rerank.Score(context.TODO(), req.Query, s.cands, req.Metric, req.Limit); err != nil {
+		return appendError(dst, err.Error())
 	}
-	resp := &rerankResponse{Scored: make([]scored, 0, len(cands))}
-	for _, c := range cands {
+	for _, c := range s.cands {
 		if c.Skipped {
 			resp.Skipped++
 			continue
@@ -828,7 +827,25 @@ func (n *Node) rerank(req *rerankRequest) (*rerankResponse, error) {
 	}
 	n.rerankScored.Add(uint64(len(resp.Scored)))
 	n.rerankSkipped.Add(uint64(resp.Skipped))
-	return resp, nil
+	return resp.append(dst)
+}
+
+// rerankScratch is a node rerank's working memory: the candidates it
+// scores and the reply it encodes.
+type rerankScratch struct {
+	cands []rerank.Candidate
+	resp  rerankResponse
+}
+
+var rerankPool = sync.Pool{New: func() any { return new(rerankScratch) }}
+
+// release drops the candidates' references to retained points, which a
+// pooled scratch would otherwise keep alive past a delete, and returns
+// the scratch to the pool.
+func (s *rerankScratch) release() {
+	clear(s.cands)
+	s.cands = s.cands[:0]
+	rerankPool.Put(s)
 }
 
 // stats summarizes the node's shard contents, durability and replication

@@ -358,8 +358,10 @@ type scored struct {
 }
 
 // rerankResponse returns the node's exact scores — scores only, never
-// points. Candidates proved above the bar, by a bound or by an abandoned
-// dynamic program, are absent from Scored and counted in Skipped.
+// points, listed in the order of the request's IDs, which lets the
+// coordinator match them to its shortlist in one walk. Candidates proved
+// above the bar, by a bound or by an abandoned dynamic program, are
+// absent from Scored and counted in Skipped.
 // Missing lists shortlist IDs the node holds no points for (retention
 // disabled, torn add, or a stale shortlist racing a delete); the
 // coordinator aggregates Missing across nodes into one error naming them
@@ -384,13 +386,19 @@ func (r *rerankResponse) append(dst []byte) []byte {
 	return wire.AppendU32s(dst, r.Missing)
 }
 
+// decode reads the reply into r's own storage where it fits: a client
+// decodes every reply into its connection's response.
 func (r *rerankResponse) decode(d *wire.Decoder) {
 	r.Skipped = d.Int("rerank skipped count")
-	r.Scored = make([]scored, d.Count(12))
+	n := d.Count(12)
+	if cap(r.Scored) < n {
+		r.Scored = make([]scored, n)
+	}
+	r.Scored = r.Scored[:n]
 	for i := range r.Scored {
 		r.Scored[i] = scored{ID: d.U32(), Score: d.F64()}
 	}
-	r.Missing = d.U32s(nil)
+	r.Missing = d.U32s(r.Missing)
 }
 
 // append encodes the node's answer to opStats: every field but Node and

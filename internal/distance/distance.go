@@ -13,12 +13,17 @@
 // chord through the Earth standing in for the haversine arc, so the
 // exact pass computes little more than the cells of alignments that can
 // still finish under the bar — and, like the unguided one, returns the
-// unbounded metric's float for every pair it keeps.
+// unbounded metric's float for every pair it keeps. The upper bounds
+// read the chord too, inflated into a cost never below the arc.
+//
+// A caller scoring many trajectories against one prepares it once as a
+// Prepared and calls its methods; the point-slice functions prepare both
+// sides per call. Either way each call prepares the other trajectory in
+// pooled scratch.
 package distance
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"geodabs/internal/geo"
@@ -33,7 +38,7 @@ import (
 // It is DTWWithin under an infinite bar: every one of the n·m cells is
 // computed.
 func DTW(p, q []geo.Point) float64 {
-	score, _ := within(p, q, math.Inf(1), false)
+	score, _ := pairWithin(p, q, math.Inf(1), false)
 	return score
 }
 
@@ -43,7 +48,7 @@ func DTW(p, q []geo.Point) float64 {
 // monotonically. DFD involving an empty trajectory is +Inf; two empty
 // trajectories are at distance 0. Like DTW, it computes every cell.
 func DFD(p, q []geo.Point) float64 {
-	score, _ := within(p, q, math.Inf(1), true)
+	score, _ := pairWithin(p, q, math.Inf(1), true)
 	return score
 }
 
@@ -53,24 +58,58 @@ func DFD(p, q []geo.Point) float64 {
 // DTW returns: the bar only decides which cells are skipped, never how a
 // cell that matters is computed.
 func DTWWithin(p, q []geo.Point, bar float64) (score float64, ok bool) {
-	return within(p, q, bar, false)
+	return pairWithin(p, q, bar, false)
 }
 
 // DFDWithin is DTWWithin for the discrete Fréchet distance.
 func DFDWithin(p, q []geo.Point, bar float64) (score float64, ok bool) {
-	return within(p, q, bar, true)
+	return pairWithin(p, q, bar, true)
 }
 
 // DTWUpper bounds DTW(p, q) from above in O(n+m): the cost of the one
-// warping path that advances through both trajectories in proportion.
-// The sum is accumulated from the path's start with the kernel's own cell
-// function, so in floating point, too, it is never below what DTW returns
-// (docs/invariants.md, "Exact rerank under a bar").
-func DTWUpper(p, q []geo.Point) float64 { return upper(p, q, false) }
+// warping path that advances through both trajectories in proportion,
+// each of its pairs costed by their chord inflated into a cost never
+// below their ground distance. The sum is accumulated from the path's
+// start with the kernel's own step, so in floating point, too, it is
+// never below what DTW returns (docs/invariants.md, "Exact rerank under
+// a bar").
+func DTWUpper(p, q []geo.Point) float64 { return pairUpper(p, q, false) }
 
 // DFDUpper is DTWUpper for the discrete Fréchet distance: the longest
 // leash the proportional path needs.
-func DFDUpper(p, q []geo.Point) float64 { return upper(p, q, true) }
+func DFDUpper(p, q []geo.Point) float64 { return pairUpper(p, q, true) }
+
+// Prepared is a trajectory converted once for many kernel calls: in
+// radians with the latitude's cosine, as the ground distance reads it,
+// and on the unit sphere, as the chord costs read it. Once Prepare has
+// returned, the methods only read it, so the workers of one rerank pass
+// share it. The zero value is an empty trajectory.
+type Prepared struct {
+	rad  []radPoint
+	unit []unit
+}
+
+// Prepare converts pts into q, reusing q's storage.
+func (q *Prepared) Prepare(pts []geo.Point) {
+	q.rad = radsOf(q.rad, pts)
+	q.unit = unitsOf(q.unit, q.rad)
+}
+
+// DTWWithin is DTWWithin(the prepared trajectory, c, bar).
+func (q *Prepared) DTWWithin(c []geo.Point, bar float64) (score float64, ok bool) {
+	return q.within(c, bar, false)
+}
+
+// DFDWithin is DFDWithin(the prepared trajectory, c, bar).
+func (q *Prepared) DFDWithin(c []geo.Point, bar float64) (score float64, ok bool) {
+	return q.within(c, bar, true)
+}
+
+// DTWUpper is DTWUpper(the prepared trajectory, c).
+func (q *Prepared) DTWUpper(c []geo.Point) float64 { return q.upper(c, false) }
+
+// DFDUpper is DFDUpper(the prepared trajectory, c).
+func (q *Prepared) DFDUpper(c []geo.Point) float64 { return q.upper(c, true) }
 
 // radPoint is a point as the cell function reads it: radians, and the
 // latitude's cosine, which geo.Haversine would otherwise recompute for
@@ -94,7 +133,7 @@ func ground(a, b radPoint) float64 {
 	return 2 * geo.EarthRadius * math.Asin(math.Sqrt(h))
 }
 
-// unit is a point on the unit sphere, as the chord cost reads it.
+// unit is a point on the unit sphere, as the chord costs read it.
 type unit struct{ x, y, z float64 }
 
 func toUnit(p radPoint) unit {
@@ -102,25 +141,47 @@ func toUnit(p radPoint) unit {
 	return unit{p.cos * cosLon, p.cos * sinLon, math.Sin(p.lat)}
 }
 
-// chordScale and chordSlack are the margins that keep chord below ground
-// in floating point: the straight line through the Earth is never longer
-// than the arc over it, and shaving a billionth of the length and a
-// micrometre more absorbs both functions' rounding (docs/invariants.md,
-// "Exact rerank under a bar", point 6).
+// unitChord is the distance between two points on the unit sphere: the chord
+// in Earth radii.
+func unitChord(a, b unit) float64 {
+	dx, dy, dz := a.x-b.x, a.y-b.y, a.z-b.z
+	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+}
+
+// chordScale, chordUpScale and chordSlack are the margins that keep
+// chord below ground and arcAbove above it in floating point. Shaving or
+// adding a billionth of the length and a micrometre more absorbs the
+// rounding of both sides (docs/invariants.md, "Exact rerank under a
+// bar", points 4 and 6).
 const (
-	chordScale = geo.EarthRadius * (1 - 1e-9)
-	chordSlack = 1e-6
+	chordScale   = geo.EarthRadius * (1 - 1e-9)
+	chordUpScale = geo.EarthRadius * (1 + 1e-9)
+	chordSlack   = 1e-6
 )
 
 // chord is the guided program's trig-free ground cost: the chord between
 // two points in meters, shaved by the margins, never below 0 and never
-// above ground for the same pair.
+// above ground for the same pair — the straight line through the Earth
+// is never longer than the arc over it.
 func chord(a, b unit) float64 {
-	dx, dy, dz := a.x-b.x, a.y-b.y, a.z-b.z
-	if c := chordScale*math.Sqrt(dx*dx+dy*dy+dz*dz) - chordSlack; c > 0 {
+	if c := chordScale*unitChord(a, b) - chordSlack; c > 0 {
 		return c
 	}
 	return 0
+}
+
+// arcAbove is the upper bounds' trig-free ground cost, never below ground
+// for the same pair: a chord c spans the central angle 2·asin(c/2R), and
+// since tan φ ≥ φ the arc is at most c/√(1−(c/2R)²), here on the chord
+// inflated by the margins. It is +Inf past a chord of one radius, a sixty
+// degree arc, where the tangent has left the arc far behind anyway.
+func arcAbove(a, b unit) float64 {
+	c := chordUpScale*unitChord(a, b) + chordSlack
+	if c > geo.EarthRadius {
+		return math.Inf(1)
+	}
+	h := c / (2 * geo.EarthRadius)
+	return c / math.Sqrt(1-h*h)
 }
 
 // step extends an alignment whose cheapest predecessor costs best by a
@@ -133,7 +194,8 @@ func step(best, d float64, leash bool) float64 {
 }
 
 // maxGuidedCells caps the completion table a guided call fills: 8 MiB of
-// float64s, a 1,023-point trajectory against another. A larger pair runs
+// float64s (12 MiB with a pooled scratch's headroom), a 1,023-point
+// trajectory against another. A larger pair runs
 // unguided, in two rows of memory, as the unbounded metrics do.
 const maxGuidedCells = 1 << 20
 
@@ -143,58 +205,97 @@ const maxGuidedCells = 1 << 20
 // cell's chord gives up (docs/invariants.md, point 6).
 const maxGuidedBar = 1e9
 
-// scratch is one call's working memory: both trajectories prepared, the
-// two rolling rows of the dynamic program, and, for a guided call, both
-// trajectories on the unit sphere, the completion table and a row of
-// +Inf to fill its dead entries from. Prepared points live here and not
-// beside the retained ones — those are most of a node's heap.
+// scratch is one call's working memory: the point-slice entry points'
+// own prepared trajectory, the other trajectory prepared, the two
+// rolling rows of the dynamic program, and, for a guided call, the
+// completion table and a row of +Inf to fill its dead entries from.
+// Prepared points live here and not beside the retained ones — those are
+// most of a node's heap.
 type scratch struct {
-	p, q       []radPoint
-	pu, qu     []unit
+	own, other Prepared
 	prev, curr []float64
 	g, infs    []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// appendRad and appendUnit grow dst once, to what the call needs: a
-// scratch the pool dropped is rebuilt in one allocation per slice.
-func appendRad(dst []radPoint, pts []geo.Point) []radPoint {
-	dst = slices.Grow(dst, len(pts))
-	for _, p := range pts {
-		dst = append(dst, toRad(p))
+// grow returns s resized to n. When it must reallocate, it leaves half
+// again as much room, so a pooled scratch settles after a few pairs
+// rather than growing with every longer one.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n, n+n/2)
+	}
+	return s[:n]
+}
+
+// radsOf and unitsOf convert pts into dst's storage.
+func radsOf(dst []radPoint, pts []geo.Point) []radPoint {
+	dst = grow(dst, len(pts))
+	for i, p := range pts {
+		dst[i] = toRad(p)
 	}
 	return dst
 }
 
-func appendUnit(dst []unit, pts []radPoint) []unit {
-	dst = slices.Grow(dst, len(pts))
-	for _, p := range pts {
-		dst = append(dst, toUnit(p))
+func unitsOf(dst []unit, pts []radPoint) []unit {
+	dst = grow(dst, len(pts))
+	for i, p := range pts {
+		dst[i] = toUnit(p)
 	}
 	return dst
+}
+
+// units fills q's unit vectors if it holds only radians: a point-slice
+// call prepares them only when its bar guides it.
+func (q *Prepared) units() {
+	if len(q.unit) != len(q.rad) {
+		q.unit = unitsOf(q.unit, q.rad)
+	}
 }
 
 // trivial settles the inputs no alignment runs on: two empty trajectories
 // are at 0, an empty one is infinitely far from anything else.
-func trivial(p, q []geo.Point) (score float64, settled bool) {
+func trivial(n, m int) (score float64, settled bool) {
 	switch {
-	case len(p) == 0 && len(q) == 0:
+	case n == 0 && m == 0:
 		return 0, true
-	case len(p) == 0 || len(q) == 0:
+	case n == 0 || m == 0:
 		return math.Inf(1), true
 	}
 	return 0, false
 }
 
-// within is the one dynamic program behind DTW and DFD (leash). A cell is
-// dead when no alignment through it can finish at or under bar, and live
-// otherwise; dead cells are stored as +Inf without computing their ground
-// distance, live ones get step(min(predecessors), ground) exactly as the
-// unbounded program computes it. Each row therefore visits only the band
-// of columns reachable from the previous row's live span [lo, hi], and
-// the call ends the moment a row has no live cell. Under bar = +Inf
-// nothing is dead.
+// pairWithin prepares p in the scratch's own slot, radians only, and runs
+// the kernel against q.
+func pairWithin(p, q []geo.Point, bar float64, leash bool) (float64, bool) {
+	if score, settled := trivial(len(p), len(q)); settled {
+		return score, !(score > bar)
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.own.rad, s.own.unit = radsOf(s.own.rad, p), s.own.unit[:0]
+	return s.within(&s.own, q, bar, leash)
+}
+
+// within prepares c, radians only, and runs the kernel against q.
+func (q *Prepared) within(c []geo.Point, bar float64, leash bool) (float64, bool) {
+	if score, settled := trivial(len(q.rad), len(c)); settled {
+		return score, !(score > bar)
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.within(q, c, bar, leash)
+}
+
+// within is the one dynamic program behind DTW and DFD (leash), between
+// the prepared query and c, both non-empty. A cell is dead when no
+// alignment through it can finish at or under bar, and live otherwise;
+// dead cells are stored as +Inf without computing their ground distance,
+// live ones get step(min(predecessors), ground) exactly as the unbounded
+// program computes it. Each row therefore visits only the band of columns
+// reachable from the previous row's live span [lo, hi], and the call ends
+// the moment a row has no live cell. Under bar = +Inf nothing is dead.
 //
 // Unguided, a cell is dead when its own value strictly exceeds bar:
 // ground distances are non-negative and float addition and max are
@@ -209,33 +310,29 @@ func trivial(p, q []geo.Point) (score float64, settled bool) {
 // or under bar passes both tests, so its predecessor on that alignment is
 // live and holds its true value, and a kept score is the unbounded
 // program's float (docs/invariants.md, "Exact rerank under a bar").
-func within(p, q []geo.Point, bar float64, leash bool) (float64, bool) {
-	if score, settled := trivial(p, q); settled {
-		return score, !(score > bar)
-	}
+func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool) (float64, bool) {
 	inf := math.Inf(1)
+	s.other.rad, s.other.unit = radsOf(s.other.rad, c), s.other.unit[:0]
 	// The shorter trajectory spans the columns, which keeps the rows
 	// short; the cell function is symmetric, so the score is the same
 	// either way.
-	if len(q) > len(p) {
+	p, q := query, &s.other
+	if len(q.rad) > len(p.rad) {
 		p, q = q, p
 	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.p, s.q = appendRad(s.p[:0], p), appendRad(s.q[:0], q)
-	m := len(q)
+	m := len(q.rad)
 	w := m + 1 // the completion table's row width
-	if cap(s.prev) <= m {
-		s.prev, s.curr = make([]float64, m+1), make([]float64, m+1)
-	}
-	prev, curr := s.prev[:m+1], s.curr[:m+1]
+	s.prev, s.curr = grow(s.prev, w), grow(s.curr, w)
+	prev, curr := s.prev, s.curr
 
-	guided := bar <= maxGuidedBar && (len(p)+1)*w <= maxGuidedCells
+	guided := bar <= maxGuidedBar && (len(p.rad)+1)*w <= maxGuidedCells
 	if guided {
-		if !s.completions(bar, leash) {
+		p.units()
+		q.units()
+		if !s.completions(p, q, bar, leash) {
 			return inf, false
 		}
-		bar = math.Min(bar, s.along(leash))
+		bar = math.Min(bar, s.along(p.rad, q.rad, leash))
 	}
 
 	// Row 0 and column 0 stand for the empty prefixes: only (0, 0) can be
@@ -249,7 +346,8 @@ func within(p, q []geo.Point, bar float64, leash bool) (float64, bool) {
 		hi = m
 	}
 	var gRow, gNext []float64
-	for i, a := range s.p {
+	cols := q.rad
+	for i, a := range p.rad {
 		if guided {
 			// Cell (i+1, j) of the program is cell (i, j−1) of the table.
 			gRow, gNext = s.g[i*w:][:w], s.g[(i+1)*w:][:w]
@@ -272,7 +370,7 @@ func within(p, q []geo.Point, bar float64, leash bool) (float64, bool) {
 				curr[j] = inf
 				continue
 			}
-			v := step(best, ground(a, s.q[j-1]), leash)
+			v := step(best, ground(a, cols[j-1]), leash)
 			if guided && step(v, min(gNext[j-1], gRow[j], gNext[j]), leash) > bar {
 				v = inf
 			}
@@ -304,19 +402,18 @@ func within(p, q []geo.Point, bar float64, leash bool) (float64, bool) {
 // three successors to read. It is within's band-pruned program run from
 // the far corner with chord for ground, and it writes every entry, a
 // dead one as +Inf. It reports whether G(0, 0) is at or under bar, giving
-// up — the table part-written — as soon as a row has no live cell.
-func (s *scratch) completions(bar float64, leash bool) bool {
-	s.pu, s.qu = appendUnit(s.pu[:0], s.p), appendUnit(s.qu[:0], s.q)
-	n, m := len(s.p), len(s.q)
+// up — the table part-written — as soon as a row has no live cell. Both
+// trajectories must hold their unit vectors.
+func (s *scratch) completions(p, q *Prepared, bar float64, leash bool) bool {
+	n, m := len(p.unit), len(q.unit)
 	w := m + 1
-	if cap(s.g) < (n+1)*w {
-		s.g = make([]float64, (n+1)*w)
-	}
+	s.g = grow(s.g, (n+1)*w)
 	inf := math.Inf(1)
 	if len(s.infs) < w {
-		s.infs = slices.Grow(s.infs, w-len(s.infs))
-		for len(s.infs) < w {
-			s.infs = append(s.infs, inf)
+		s.infs = grow(s.infs, w)
+		s.infs = s.infs[:cap(s.infs)]
+		for i := range s.infs {
+			s.infs[i] = inf
 		}
 	}
 	next := s.g[n*w:][:w]
@@ -325,7 +422,7 @@ func (s *scratch) completions(bar float64, leash bool) bool {
 	lo, hi := m, m // the live span of next
 	for i := n - 1; i >= 0; i-- {
 		row := s.g[i*w:][:w]
-		a := s.pu[i]
+		a := p.unit[i]
 		// Right of the next row's live span only the right cell can be a
 		// live successor, and column m is dead padding: all dead.
 		j := min(hi, m-1)
@@ -342,7 +439,7 @@ func (s *scratch) completions(bar float64, leash bool) bool {
 				row[j] = inf
 				continue
 			}
-			v := step(best, chord(a, s.qu[j]), leash)
+			v := step(best, chord(a, q.unit[j]), leash)
 			row[j] = v
 			if !(v > bar) {
 				if newHi < 0 {
@@ -364,12 +461,13 @@ func (s *scratch) completions(bar float64, leash bool) bool {
 // and always steps to the successor with the smallest G — the chord
 // program's cheapest alignment, which completions proved ends at
 // (n−1, m−1). The cost is accumulated from the start with the kernel's
-// own cell function, so, like DTWUpper, it is never below the score.
-func (s *scratch) along(leash bool) float64 {
-	n, m := len(s.p), len(s.q)
+// own cell function, so, like the upper bounds, it is never below the
+// score.
+func (s *scratch) along(p, q []radPoint, leash bool) float64 {
+	n, m := len(p), len(q)
 	w := m + 1
 	i, j := 0, 0
-	acc := step(0, ground(s.p[0], s.q[0]), leash)
+	acc := step(0, ground(p[0], q[0]), leash)
 	for i < n-1 || j < m-1 {
 		down, right, diag := s.g[(i+1)*w+j], s.g[i*w+j+1], s.g[(i+1)*w+j+1]
 		switch {
@@ -386,32 +484,49 @@ func (s *scratch) along(leash bool) float64 {
 		default:
 			j++
 		}
-		acc = step(acc, ground(s.p[i], s.q[j]), leash)
+		acc = step(acc, ground(p[i], q[j]), leash)
 	}
 	return acc
 }
 
-// upper walks the proportional path: with p the longer trajectory, its
-// i-th point is matched to q's ⌊i·(m−1)/(n−1)⌋-th, which starts at
-// (first, first), ends at (last, last) and never steps back or skips.
-func upper(p, q []geo.Point, leash bool) float64 {
-	if score, settled := trivial(p, q); settled {
+// pairUpper is the point-slice upper bound: p prepared in the scratch's
+// own slot.
+func pairUpper(p, q []geo.Point, leash bool) float64 {
+	if score, settled := trivial(len(p), len(q)); settled {
 		return score
 	}
-	if len(q) > len(p) {
-		p, q = q, p
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.own.Prepare(p)
+	return s.own.upper(q, leash)
+}
+
+// upper walks the proportional path between the prepared query and c:
+// with n the longer length, the longer trajectory's i-th point is matched
+// to the shorter's ⌊i·(m−1)/(n−1)⌋-th, which starts at (first, first),
+// ends at (last, last) and never steps back or skips. Each pair costs
+// arcAbove; c's points are put on the unit sphere as the walk reaches
+// them, once each.
+func (q *Prepared) upper(c []geo.Point, leash bool) float64 {
+	n, m := len(q.unit), len(c)
+	if score, settled := trivial(n, m); settled {
+		return score
 	}
-	var (
-		acc  float64
-		at   = 0
-		b    = toRad(q[0])
-		span = max(len(p)-1, 1)
-	)
-	for i, a := range p {
-		if j := i * (len(q) - 1) / span; j != at {
-			at, b = j, toRad(q[j])
+	var acc float64
+	if m > n {
+		span := m - 1
+		for i, a := range c {
+			acc = step(acc, arcAbove(toUnit(toRad(a)), q.unit[i*(n-1)/span]), leash)
 		}
-		acc = step(acc, ground(toRad(a), b), leash)
+		return acc
+	}
+	at, b := 0, toUnit(toRad(c[0]))
+	span := max(n-1, 1)
+	for i, a := range q.unit {
+		if j := i * (m - 1) / span; j != at {
+			at, b = j, toUnit(toRad(c[j]))
+		}
+		acc = step(acc, arcAbove(a, b), leash)
 	}
 	return acc
 }

@@ -258,8 +258,11 @@ func TestCompletionsMatchBruteForce(t *testing.T) {
 			want := completionsBrute(p, q, leash)
 			n, m := len(p), len(q)
 			for _, bar := range []float64{math.Inf(1), want[0][0], want[0][0] * 2, want[0][0] / 2, want[n/2][m/2]} {
-				s := &scratch{p: appendRad(nil, p), q: appendRad(nil, q)}
-				if ok := s.completions(bar, leash); ok != !(want[0][0] > bar) {
+				var pp, qp Prepared
+				pp.Prepare(p)
+				qp.Prepare(q)
+				s := new(scratch)
+				if ok := s.completions(&pp, &qp, bar, leash); ok != !(want[0][0] > bar) {
 					t.Fatalf("leash %v bar %v: completions = %v, G(0, 0) = %v", leash, bar, ok, want[0][0])
 				}
 				if want[0][0] > bar {
@@ -326,7 +329,8 @@ func TestWithinOverTheCellCap(t *testing.T) {
 }
 
 // FuzzChordBound checks that the guide's cost never exceeds the ground
-// distance it stands in for, in float64, for any pair of points.
+// distance it stands in for, and the upper bounds' cost never falls below
+// it, in float64, for any pair of points.
 func FuzzChordBound(f *testing.F) {
 	london := geo.Point{Lat: 51.5, Lon: -0.12}
 	for _, pair := range [][2]geo.Point{
@@ -341,6 +345,12 @@ func FuzzChordBound(f *testing.F) {
 		{{Lat: 0, Lon: 0}, {Lat: 0, Lon: 180}}, // antipodes
 		{{Lat: 45, Lon: 10}, {Lat: -45, Lon: -170}},
 		{{Lat: 90, Lon: 0}, {Lat: -90, Lon: 0}},
+		// Either side of arcAbove's cutoff, a chord of one radius: 59° and
+		// 61° of arc along the equator and along a meridian.
+		{{Lat: 0, Lon: 10}, {Lat: 0, Lon: 69}},
+		{{Lat: 0, Lon: 10}, {Lat: 0, Lon: 71}},
+		{{Lat: -29.5, Lon: 3}, {Lat: 29.5, Lon: 3}},
+		{{Lat: -30.5, Lon: 3}, {Lat: 30.5, Lon: 3}},
 	} {
 		f.Add(pair[0].Lat, pair[0].Lon, pair[1].Lat, pair[1].Lon)
 	}
@@ -351,8 +361,12 @@ func FuzzChordBound(f *testing.F) {
 			}
 		}
 		a, b := toRad(geo.Point{Lat: lat1, Lon: lon1}), toRad(geo.Point{Lat: lat2, Lon: lon2})
-		if c, g := chord(toUnit(a), toUnit(b)), ground(a, b); !(c <= g) {
+		g := ground(a, b)
+		if c := chord(toUnit(a), toUnit(b)); !(c <= g) {
 			t.Fatalf("chord %v above ground %v for (%v, %v)–(%v, %v)", c, g, lat1, lon1, lat2, lon2)
+		}
+		if u := arcAbove(toUnit(a), toUnit(b)); !(g <= u) {
+			t.Fatalf("arcAbove %v below ground %v for (%v, %v)–(%v, %v)", u, g, lat1, lon1, lat2, lon2)
 		}
 	})
 }

@@ -5,18 +5,21 @@
 // node over its slice of a pushed-down shortlist — so a cheaper bound
 // added here speeds up both.
 //
-// Under a result cap, a built-in metric runs against a bar no result can
-// lie above, and the bounded kernel does the rest: a cheap chord-cost
-// pass bounds what every cell of the O(n·m) dynamic program can still
-// cost to finish, so a far candidate is dropped after that pass and a
-// near one computes the exact cost of little more than the cells its
-// best alignment runs through. Every test is a strict inequality, and a
-// score that is kept is the unbounded metric's float, so sorting what was
-// scored and truncating to the cap is byte-identical to scoring
+// A built-in metric runs in one pooled pass: the query is prepared once,
+// every candidate gets an O(n+m) upper bound, and the candidates are
+// scored in ascending bound order, each against a bar no result can lie
+// above and its own bound. The bounded kernel does the rest: a cheap
+// chord-cost pass bounds what every cell of the O(n·m) dynamic program
+// can still cost to finish, so a far candidate is dropped after that pass
+// and a near one computes the exact cost of little more than the cells
+// its best alignment runs through. Every test is a strict inequality, and
+// a score that is kept is the unbounded metric's float, so sorting what
+// was scored and truncating to the cap is byte-identical to scoring
 // everything.
 package rerank
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -42,13 +45,14 @@ const (
 )
 
 // kernel returns the metric's bounded implementation and its O(n+m)
-// upper bound, or nils for anything but a built-in.
-func (m Metric) kernel() (within func(p, q []geo.Point, bar float64) (float64, bool), upper func(p, q []geo.Point) float64) {
+// upper bound over a prepared query, or nils for anything but a
+// built-in.
+func (m Metric) kernel() (within func(*distance.Prepared, []geo.Point, float64) (float64, bool), upper func(*distance.Prepared, []geo.Point) float64) {
 	switch m {
 	case DTW:
-		return distance.DTWWithin, distance.DTWUpper
+		return (*distance.Prepared).DTWWithin, (*distance.Prepared).DTWUpper
 	case DFD:
-		return distance.DFDWithin, distance.DFDUpper
+		return (*distance.Prepared).DFDWithin, (*distance.Prepared).DFDUpper
 	}
 	return nil, nil
 }
@@ -80,28 +84,36 @@ func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric
 	})
 }
 
-// Score scores every candidate with the built-in metric m. With limit <=
-// 0 that is the full dynamic program on each. Under a positive limit only
-// the limit best (score, ID) pairs matter to the caller, and each
-// candidate is scored against
+// Score scores every candidate with the built-in metric m. It prepares
+// the query once, bounds every candidate from above in O(n+m) — the cost
+// of one particular alignment, computed before any dynamic program runs —
+// and scores the candidates in ascending bound order, each against
 //
-//	bar = min(seed, worst of the limit best scores so far)
+//	bar = min(seed, worst of the limit best scores so far, its own bound)
 //
-// where seed is the limit-th smallest upper bound over the shortlist —
-// the cost of one particular alignment, O(n+m) per candidate, computed
-// before any dynamic program runs. At least limit candidates score at or
-// below either term, so a score strictly above bar cannot place, not even
-// on the ID tiebreak. A candidate is marked Skipped instead of scored
-// when the bounded kernel proves its score strictly above bar — by its
-// chord-cost bound before any exact cell, or part-way through the
-// program; every other candidate gets bit-for-bit the score m's
-// unbounded function returns.
+// where seed is the limit-th smallest bound. Under a positive limit only
+// the limit best (score, ID) pairs matter to the caller, and at least
+// limit candidates score at or below either of the first two terms, so a
+// score strictly above bar cannot place, not even on the ID tiebreak.
+// With limit <= 0, or limit at least the shortlist's length, only the
+// third term is left. A candidate's own bound is never below its score,
+// so that term skips nothing; it guides the kernel, which then computes
+// little more than the cells of alignments that can finish under it. A
+// candidate is marked Skipped instead of scored when the bounded kernel
+// proves its score strictly above bar — by its chord-cost bound before
+// any exact cell, or part-way through the program; every other candidate
+// gets bit-for-bit the score m's unbounded function returns.
 //
 // Workers read the heap's threshold under a mutex; a stale value is safe
 // because the limit-th best only tightens as scores land — a looser one
 // can admit an extra scoring, never skip a candidate that belongs in the
 // top limit. Which candidates are skipped can therefore vary between
 // runs; the top limit of those scored cannot.
+//
+// The pass's state — the prepared query, the bounds, the order and the
+// heap — is pooled: a pass allocates per pass, not per candidate, and
+// holds O(shortlist) numbers beside the prepared query, plus each
+// worker's kernel scratch.
 //
 // A cancelled ctx stops the workers between candidates; Score returns
 // ctx.Err().
@@ -110,43 +122,97 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, 
 	if within == nil {
 		return fmt.Errorf("rerank: unknown metric %d", m)
 	}
-	seed := math.Inf(1)
-	if 0 < limit && limit < len(cands) {
-		bounds := make([]float64, len(cands))
-		if err := each(ctx, len(cands), func(i int) {
-			bounds[i] = upper(query, cands[i].Points)
-		}); err != nil {
-			return err
-		}
-		slices.Sort(bounds)
-		seed = bounds[limit-1]
+	p := passPool.Get().(*pass)
+	defer p.release()
+	p.query.Prepare(query)
+	p.cands, p.within, p.upper, p.limit = cands, within, upper, limit
+	n := len(cands)
+	p.bounds = append(p.bounds[:0], make([]float64, n)...)
+	if err := each(ctx, n, p.boundFn); err != nil {
+		return err
 	}
-	var (
-		heapMu sync.Mutex
-		h      = keptHeap{limit: limit}
-	)
-	return each(ctx, len(cands), func(i int) {
-		c := &cands[i]
-		bar := seed
-		if limit > 0 {
-			heapMu.Lock()
-			if thr, full := h.threshold(); full && thr < bar {
-				bar = thr
-			}
-			heapMu.Unlock()
-		}
-		score, ok := within(query, c.Points, bar)
-		if !ok {
-			c.Skipped = true
-			return
-		}
-		c.Score = score
-		if limit > 0 {
-			heapMu.Lock()
-			h.offer(c.Score, c.ID)
-			heapMu.Unlock()
-		}
+	p.order = p.order[:0]
+	for i := range n {
+		p.order = append(p.order, i)
+	}
+	// Ties and NaNs sort as slices.Sort sorts the bounds themselves, so
+	// the seed is the same limit-th smallest bound.
+	slices.SortFunc(p.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.bounds[a], p.bounds[b]), cmp.Compare(a, b))
 	})
+	p.seed = math.Inf(1)
+	if 0 < limit && limit < n {
+		p.seed = p.bounds[p.order[limit-1]]
+	}
+	p.heap = keptHeap{limit: limit, items: p.heap.items[:0]}
+	return each(ctx, n, p.scoreFn)
+}
+
+// pass is one Score call's state, pooled. boundFn and scoreFn are the
+// methods bound once, when the pass is made, so a fan-out over them
+// allocates no closure. A fanout helper calls them only for an item it
+// claimed, and Score returns only after every claimed item has run, so a
+// released pass is never read.
+type pass struct {
+	query  distance.Prepared
+	cands  []Candidate
+	within func(*distance.Prepared, []geo.Point, float64) (float64, bool)
+	upper  func(*distance.Prepared, []geo.Point) float64
+	limit  int
+	seed   float64
+	bounds []float64
+	order  []int
+
+	mu   sync.Mutex // guards heap
+	heap keptHeap
+
+	boundFn, scoreFn func(i int)
+}
+
+var passPool = sync.Pool{New: func() any {
+	p := new(pass)
+	p.boundFn, p.scoreFn = p.bound, p.score
+	return p
+}}
+
+// release drops the pass's references to the caller's candidates and
+// returns it to the pool.
+func (p *pass) release() {
+	p.cands, p.within, p.upper = nil, nil, nil
+	passPool.Put(p)
+}
+
+// bound computes candidate i's upper bound.
+func (p *pass) bound(i int) {
+	p.bounds[i] = p.upper(&p.query, p.cands[i].Points)
+}
+
+// score scores the k-th candidate in bound order against its bar.
+func (p *pass) score(k int) {
+	i := p.order[k]
+	c := &p.cands[i]
+	bar := p.seed
+	if b := p.bounds[i]; b < bar {
+		bar = b
+	}
+	if p.limit > 0 {
+		p.mu.Lock()
+		if thr, full := p.heap.threshold(); full && thr < bar {
+			bar = thr
+		}
+		p.mu.Unlock()
+	}
+	score, ok := p.within(&p.query, c.Points, bar)
+	if !ok {
+		c.Skipped = true
+		return
+	}
+	c.Score = score
+	if p.limit > 0 {
+		p.mu.Lock()
+		p.heap.offer(c.Score, c.ID)
+		p.mu.Unlock()
+	}
 }
 
 // each runs f(i) for every i in [0, n) through fanout.Each — the metrics

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -222,5 +223,121 @@ func TestScoreHonoursCancellation(t *testing.T) {
 	}
 	if err := Score(ctx, cands[0].Points, cands, DTW, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Score on a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// fuzzShortlist builds a query of n points and count candidates from
+// seed: independent walks around the query's start (spread), or noisy
+// copies of the query resampled to other lengths (same-route). With dups
+// set, every other candidate repeats the one before it under another ID —
+// exact score ties — and candidates stutter, repeating some of their
+// points, so the kernel meets zero-length steps.
+func fuzzShortlist(seed int64, n, count int, same, dups bool) ([]geo.Point, []Candidate) {
+	rng := rand.New(rand.NewSource(seed))
+	start := geo.Point{Lat: 45 + rng.Float64(), Lon: 7 + rng.Float64()}
+	walk := func(from geo.Point, k int) []geo.Point {
+		pts := make([]geo.Point, k)
+		for i := range pts {
+			from = geo.Offset(from, rng.Float64()*100-50, rng.Float64()*100-50)
+			pts[i] = from
+		}
+		return pts
+	}
+	query := walk(start, n)
+	cands := make([]Candidate, count)
+	for i := range cands {
+		var pts []geo.Point
+		switch {
+		case dups && i%2 == 1:
+			pts = cands[i-1].Points
+		case same:
+			k, noise := 1+rng.Intn(300), rng.Float64()*50
+			pts = make([]geo.Point, k)
+			for j := range pts {
+				pts[j] = geo.Offset(query[j*n/k], (rng.Float64()*2-1)*noise, (rng.Float64()*2-1)*noise)
+			}
+		default:
+			pts = walk(geo.Offset(start, rng.Float64()*4000-2000, rng.Float64()*4000-2000), 1+rng.Intn(300))
+		}
+		if dups && i%2 == 0 {
+			for j := 1; j < len(pts); j += 1 + rng.Intn(4) {
+				pts[j] = pts[j-1]
+			}
+		}
+		cands[i] = Candidate{ID: uint32(rng.Intn(1 << 20)), Points: pts}
+	}
+	return query, cands
+}
+
+// FuzzScore holds a pass to the reference — the unbounded metric on every
+// candidate, sorted by (score, ID) and truncated — over fuzzed shortlists,
+// limits from none to two past the shortlist and both metrics, on one
+// worker and on a pool; and checks that nothing is skipped when no limit
+// cuts the shortlist.
+func FuzzScore(f *testing.F) {
+	f.Add(int64(1), uint16(80), uint8(40), true, false, uint8(10), false)
+	f.Add(int64(2), uint16(120), uint8(30), false, false, uint8(5), true)
+	f.Add(int64(3), uint16(60), uint8(20), true, true, uint8(3), false)
+	f.Add(int64(4), uint16(0), uint8(1), false, true, uint8(0), true)
+	f.Add(int64(5), uint16(299), uint8(17), true, true, uint8(19), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, count uint8, same, dups bool, limit uint8, leash bool) {
+		query, reference := fuzzShortlist(seed, 1+int(n)%300, 1+int(count)%40, same, dups)
+		size := len(reference)
+		lim := int(limit) % (size + 3)
+		m, unbounded := DTW, distance.DTW
+		if leash {
+			m, unbounded = DFD, distance.DFD
+		}
+		for i := range reference {
+			reference[i].Score = unbounded(query, reference[i].Points)
+		}
+		want := topOf(reference, lim)
+		for _, procs := range []int{1, 4} {
+			cands := slices.Clone(reference)
+			for i := range cands {
+				cands[i].Score = 0
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			err := Score(context.Background(), query, cands, m, lim)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := topOf(cands, lim); !slices.Equal(got, want) {
+				t.Fatalf("metric %d size=%d limit=%d procs=%d: top = %v, want %v", m, size, lim, procs, got, want)
+			}
+			if lim <= 0 || lim >= size {
+				for _, c := range cands {
+					if c.Skipped {
+						t.Fatalf("metric %d size=%d limit=%d procs=%d: candidate %d skipped with no bar to skip it by", m, size, lim, procs, c.ID)
+					}
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkScorePass is one pass over an 80-candidate same-route
+// shortlist — the shape a reranked kNN search sends a node — capped at
+// 10, as a WithKNN(10) search is, and uncapped.
+func BenchmarkScorePass(b *testing.B) {
+	query := road()
+	cands := sameRoute(query, 80)
+	for _, limit := range []int{10, 0} {
+		name := "capped"
+		if limit == 0 {
+			name = "uncapped"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for i := range cands {
+					cands[i].Skipped = false
+				}
+				if err := Score(context.Background(), query, cands, DTW, limit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -160,7 +160,11 @@ func WithLimit(n int) SearchOption {
 // result cap (WithKNN or WithLimit) the shortlist is the top cap×8
 // fingerprint hits; without one, the whole WithMaxDistance range is
 // scored — bound one or the other, or the rerank degenerates to the
-// brute-force scan it exists to avoid. Each hit's Distance is replaced
+// brute-force scan it exists to avoid. A built-in metric scores each
+// candidate against its own O(n+m) upper bound too, capped or not, so
+// even an uncapped rerank is guided per candidate: the exact program
+// skips the cells no alignment under that bound runs through, and the
+// scores are still the metric's own. Each hit's Distance is replaced
 // by the metric's value (meters for DTW/DFD). Re-ranking needs the raw
 // points of every hit, so it requires an engine constructed with
 // WithPointRetention and fails on indexes loaded from a snapshot.
