@@ -8,7 +8,6 @@ import (
 
 	"geodabs"
 	"geodabs/client"
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/index"
@@ -32,7 +31,6 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := geodabEx().Extract(benchWorkload().Queries[0].Points)
-	qc := set.Cardinality()
 	ctx := context.Background()
 	buf := make([]index.Result, 0, 4096)
 
@@ -41,17 +39,17 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 		run  func() error
 	}{
 		{"AppendSearchSet/wide", func() error {
-			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 1, 10)
+			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, 1, 10)
 			buf = results[:0]
 			return err
 		}},
 		{"AppendSearchSet/knn", func() error {
-			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.5, 5)
+			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, 0.5, 5)
 			buf = results[:0]
 			return err
 		}},
 		{"AppendSearchSet/uncapped", func() error {
-			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, qc, 0.9, 0)
+			results, _, err := ix.AppendSearchSet(ctx, buf[:0], set, 0.9, 0)
 			buf = results[:0]
 			return err
 		}},
@@ -78,10 +76,11 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 }
 
 // TestFingerprintSetAllocs pins query extraction to its documented cost:
-// smoothing, normalization, geodabs, winnowing and sorting the values run
-// in pooled scratch, so once the pool is warm FingerprintSet allocates
-// exactly what building its result bitmap from the same sorted values
-// does. GC is off so a collection cannot empty the pool mid-run.
+// smoothing, normalization, geodabs, winnowing, sorting and compacting
+// the values run in pooled scratch, so once the pool is warm
+// FingerprintSet allocates exactly one slice, the set it returns, at the
+// size of the set. GC is off so a collection cannot empty the pool
+// mid-run.
 func TestFingerprintSetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -92,23 +91,16 @@ func TestFingerprintSetAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for name, cfg := range map[string]core.Config{"cover": core.DefaultConfig(), "centroid": centroid} {
 		f := core.MustFingerprinter(cfg)
-		values := f.Fingerprint(pts).Geodabs
-		if len(values) == 0 {
+		want := f.Fingerprint(pts).Set
+		if want.Cardinality() == 0 {
 			t.Fatalf("%s: query has no fingerprint", name)
 		}
-		var set *bitmap.Bitmap // both results escape, as a returned set does
-		got := testing.AllocsPerRun(100, func() { set = f.FingerprintSet(pts) })
-		sorted := make([]uint32, 0, len(values))
-		want := testing.AllocsPerRun(100, func() {
-			sorted = append(sorted[:0], values...)
-			slices.Sort(sorted)
-			set = bitmap.FromSorted(slices.Compact(sorted))
-		})
-		if got != want {
-			t.Errorf("%s: FingerprintSet %.2f allocs/op, building its bitmap alone %.2f", name, got, want)
+		var set []uint32 // escapes, as a returned set does
+		if got := testing.AllocsPerRun(100, func() { set = f.FingerprintSet(pts) }); got != 1 {
+			t.Errorf("%s: FingerprintSet %.2f allocs/op, want 1", name, got)
 		}
-		if !slices.Equal(set.ToSlice(), f.FingerprintSet(pts).ToSlice()) {
-			t.Errorf("%s: the reference bitmap differs from FingerprintSet's", name)
+		if !slices.Equal(set, core.TermsOf(want)) || cap(set) != len(set) {
+			t.Errorf("%s: FingerprintSet returned %d terms in room for %d, want Fingerprint's %d at exact size", name, len(set), cap(set), want.Cardinality())
 		}
 	}
 }
@@ -210,7 +202,7 @@ func TestSearchAllocBudget(t *testing.T) {
 		budget float64
 		run    func() (int, error)
 	}{
-		{"served SearchFingerprint", 21, func() (int, error) {
+		{"served SearchFingerprint", 14, func() (int, error) {
 			res, err := c.SearchFingerprint(ctx, fp, served...)
 			if err != nil {
 				return 0, err
@@ -224,7 +216,7 @@ func TestSearchAllocBudget(t *testing.T) {
 			}
 			return len(res.Hits), nil
 		}},
-		{"reranked Cluster.Search", 18, func() (int, error) {
+		{"reranked Cluster.Search", 9, func() (int, error) {
 			res, err := cl.Search(ctx, w.Queries[0], reranked...)
 			if err != nil {
 				return 0, err

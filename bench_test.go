@@ -12,7 +12,6 @@ import (
 
 	"geodabs"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/eval"
@@ -145,7 +144,7 @@ func BenchmarkFig09GeodabsTenCandidates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qf := f.Fingerprint(query)
 		for _, c := range candidates {
-			bitmap.JaccardDistance(qf.Set, f.Fingerprint(c).Set)
+			distance.JaccardSorted(core.TermsOf(qf.Set), core.TermsOf(f.Fingerprint(c).Set))
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"geodabs"
+	"geodabs/internal/core"
 	"geodabs/internal/wire"
 )
 
@@ -353,21 +354,21 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // SearchFingerprint searches with a locally winnowed fingerprint — the
 // thin-client path: only the term set crosses the wire. The server runs
-// no fingerprint extraction: it builds the query's term set straight from
-// the shipped terms, wraps it in a fresh fingerprint-only query
+// no fingerprint extraction: it takes the shipped terms, as decoded, as
+// the term set of a fresh fingerprint-only query
 // (geodabs.QueryFromFingerprint) and, on a cluster engine, plans that
 // query's routing to the shard nodes for this request alone — nothing is
 // cached between requests. The fingerprint must come from a Fingerprinter
 // configured identically to the server's engine.
 func (c *Client) SearchFingerprint(ctx context.Context, fp *geodabs.Fingerprint, opts ...SearchOption) (*Result, error) {
-	if fp == nil || fp.Set == nil {
+	if fp == nil || core.TermsOf(fp.Set) == nil {
 		return nil, errors.New("client: nil fingerprint")
 	}
 	req := searchRequest(wire.OpSearchFP, opts)
 	if req.Metric != 0 {
 		return nil, errors.New("client: WithExactRerank needs the query's raw points, which a fingerprint-only search does not carry — use Search instead")
 	}
-	req.Terms = fp.Set.ToSlice()
+	req.Terms = core.TermsOf(fp.Set)
 	return c.search(ctx, req)
 }
 

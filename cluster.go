@@ -177,8 +177,7 @@ func (c *Cluster) AnalyzeQuery(q *Query) QueryStats {
 	if q == nil {
 		return QueryStats{}
 	}
-	set, _ := q.termSet(c.coord.Extractor())
-	return q.clusterPlan(c.coord, set).Stats()
+	return q.clusterPlan(c.coord).Stats()
 }
 
 // Stats gathers per-node term and posting counts, slice index i matching

@@ -14,8 +14,8 @@ import (
 	"sync"
 	"time"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
+	"geodabs/internal/distance"
 	"geodabs/internal/gen"
 	"geodabs/internal/index"
 	"geodabs/internal/roadnet"
@@ -209,7 +209,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	// Pre-extract the query fingerprint sets once: the search loops below
 	// measure the engines' ranked retrieval, the prepared-query steady
 	// state of a production workload.
-	querySets := make([]*bitmap.Bitmap, len(queries))
+	querySets := make([][]uint32, len(queries))
 	for i, q := range queries {
 		querySets[i] = cf.FingerprintSet(q.Points)
 	}
@@ -225,11 +225,11 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 			d float64
 			k int
 		}{{1, 10}, {0.5, 10}} {
-			a, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), op.d, op.k)
+			a, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], op.d, op.k)
 			if err != nil {
 				log.Fatal(err)
 			}
-			b, _, err := single.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), op.d, op.k)
+			b, _, err := single.AppendSearchSet(ctx, nil, querySets[i], op.d, op.k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	}
 
 	// Brute force: full-corpus linear scan per query, Jaccard on every
-	// document bitmap, ranked through the shared sort contract. This is
+	// document's term set, ranked through the shared sort contract. This is
 	// the PostGIS-table-scan analogue anchoring the speedup headline.
 	bruteQueries := len(querySets)
 	if bruteQueries > 8 {
@@ -296,7 +296,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	t0 := time.Now()
 	for i := 0; i < bruteQueries; i++ {
 		got := bruteForceScan(single, querySets[i], 1, 10)
-		want, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], querySets[i].Cardinality(), 1, 10)
+		want, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], 1, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 // runMacroSearch drives one engine closed-loop from w workers for
 // roughly dur, cycling the query pool, and reports throughput and
 // latency quantiles.
-func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets []*bitmap.Bitmap, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
+func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets [][]uint32, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
 	var mu sync.Mutex
 	var lats []time.Duration
 	deadline := time.Now().Add(dur)
@@ -374,9 +374,8 @@ func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets []*bitmap
 			var local []time.Duration
 			dst := make([]index.Result, 0, knn)
 			for qi := seed; time.Now().Before(deadline); qi++ {
-				set := querySets[qi%len(querySets)]
 				t0 := time.Now()
-				out, _, err := eng.AppendSearchSet(ctx, dst[:0], set, set.Cardinality(), maxDistance, knn)
+				out, _, err := eng.AppendSearchSet(ctx, dst[:0], querySets[qi%len(querySets)], maxDistance, knn)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -410,13 +409,14 @@ func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets []*bitmap
 
 // bruteForceScan is the baseline: walk every indexed document, compute
 // the exact Jaccard distance from the cached cardinality and a full
-// bitmap intersection, rank through the shared contract. No postings, no
-// counting merge, no pruning — what retrieval costs without the index.
-func bruteForceScan(eng *index.Sharded, set *bitmap.Bitmap, maxDistance float64, limit int) []index.Result {
-	qc := set.Cardinality()
+// merge of the two term sets, rank through the shared contract. No
+// postings, no counting merge, no pruning — what retrieval costs without
+// the index.
+func bruteForceScan(eng *index.Sharded, terms []uint32, maxDistance float64, limit int) []index.Result {
+	qc := len(terms)
 	var results []index.Result
-	eng.ScanDocs(func(id trajectory.ID, doc *bitmap.Bitmap, card int) bool {
-		shared := bitmap.AndCardinality(set, doc)
+	eng.ScanDocs(func(id trajectory.ID, doc []uint32, card int) bool {
+		shared := distance.Shared(terms, doc)
 		if shared == 0 {
 			return true
 		}

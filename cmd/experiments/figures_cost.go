@@ -3,7 +3,6 @@ package main
 import (
 	"time"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/geo"
@@ -72,7 +71,7 @@ func scoreCosts(query []geo.Point, candidates [][]geo.Point) (dfd, dtw, geodab t
 	qf := f.Fingerprint(query)
 	for _, c := range candidates {
 		cf := f.Fingerprint(c)
-		bitmap.JaccardDistance(qf.Set, cf.Set)
+		distance.JaccardSorted(core.TermsOf(qf.Set), core.TermsOf(cf.Set))
 	}
 	geodab = time.Since(start)
 	return dfd, dtw, geodab

@@ -74,7 +74,6 @@ import (
 	"context"
 	"io"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/gen"
@@ -297,9 +296,10 @@ var (
 )
 
 // JaccardDistance returns dJ = 1 − |F∩G| / |F∪G| between two fingerprint
-// sets.
+// sets, in one merge over their ascending terms. Two empty sets are at
+// distance 0.
 func JaccardDistance(a, b *Fingerprint) float64 {
-	return bitmap.JaccardDistance(a.Set, b.Set)
+	return distance.JaccardSorted(core.TermsOf(a.Set), core.TermsOf(b.Set))
 }
 
 // FindMotifExact discovers the minimum discrete-Fréchet pair of length-l

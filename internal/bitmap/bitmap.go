@@ -3,18 +3,18 @@
 // 64 Ki-value chunks by their high 16 bits, with each chunk stored as a
 // sorted array or a bitset depending on density.
 //
-// The paper stores every trajectory's fingerprint set as a roaring bitmap
-// so that the Jaccard coefficient between a query and a candidate reduces
-// to cheap bitwise intersections (§IV-A). JaccardDistance below is exactly
-// the δ used to rank retrieval results.
+// The index keeps each posting list — the IDs of the trajectories that
+// hold one term — as a roaring bitmap (§IV-A). A fingerprint set, a few
+// dozen terms that are only ever walked in order, is a sorted []uint32
+// instead; the one place a set still becomes a bitmap is the index
+// snapshot, whose per-document format is this package's serialization
+// (FromSorted builds it).
 //
-// Beyond building, membership and AndCardinality, the package provides
-// the primitives of the index's term-at-a-time counting merge: Counter
-// accumulates per-value occurrence counts across a stream of bitmaps in
-// one container pass each (counter.go), and Iterator.NextMany decodes
-// values in caller-buffered batches with no per-value callback. Together
-// they let a ranked search touch each posting list exactly once and run
-// allocation-free in steady state.
+// Beyond building and membership, the package provides the primitive of
+// the index's term-at-a-time counting merge: Counter accumulates
+// per-value occurrence counts across a stream of posting lists in one
+// container pass each (counter.go), so a ranked search touches each
+// posting list exactly once and runs allocation-free in steady state.
 package bitmap
 
 import "sort"
@@ -165,91 +165,15 @@ func (b *Bitmap) Iterate(f func(uint32) bool) {
 	}
 }
 
-// Iterator is a buffered many-at-a-time cursor over a bitmap. Unlike
-// Iterate it has no per-value callback: NextMany decodes values in batches
-// into a caller-owned buffer, which keeps hot loops (term streaming in the
-// counting search core) free of both closure dispatch and allocation. The
-// zero value is exhausted; obtain one with Bitmap.Iterator. The bitmap
-// must not be mutated while an Iterator is live.
-type Iterator struct {
-	b     *Bitmap
-	chunk int    // index of the current chunk
-	state uint32 // container-specific resume state
-}
-
-// Iterator returns a cursor positioned before the bitmap's first value.
-func (b *Bitmap) Iterator() Iterator { return Iterator{b: b} }
-
-// NextMany fills buf with the next values in ascending order and returns
-// how many it wrote. It returns 0 when the iterator is exhausted (and only
-// then, for non-empty buf).
-func (it *Iterator) NextMany(buf []uint32) int {
-	if it.b == nil || len(buf) == 0 {
-		return 0
-	}
-	total := 0
-	for it.chunk < len(it.b.keys) && total < len(buf) {
-		base := uint32(it.b.keys[it.chunk]) << 16
-		n, next, done := it.b.containers[it.chunk].fillMany(base, it.state, buf[total:])
-		total += n
-		if done {
-			it.chunk++
-			it.state = 0
-		} else {
-			it.state = next
-		}
-	}
-	return total
-}
-
-// ToSlice returns all values in ascending order.
+// ToSlice returns all values in ascending order, in a slice of their
+// exact size.
 func (b *Bitmap) ToSlice() []uint32 {
-	out := make([]uint32, b.Cardinality())
-	it := b.Iterator()
-	for n := 0; n < len(out); {
-		m := it.NextMany(out[n:])
-		if m == 0 {
-			return out[:n]
-		}
-		n += m
-	}
+	out := make([]uint32, 0, b.Cardinality())
+	b.Iterate(func(v uint32) bool {
+		out = append(out, v)
+		return true
+	})
 	return out
-}
-
-// AndCardinality returns |a ∩ b| without materializing the intersection.
-// This is the hot operation when ranking retrieval candidates.
-func AndCardinality(a, b *Bitmap) int {
-	n, i, j := 0, 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			n += a.containers[i].andCardinality(b.containers[j])
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// Jaccard returns the Jaccard coefficient J(a, b) = |a∩b| / |a∪b|.
-// The coefficient of two empty sets is defined as 1 (identical sets).
-func Jaccard(a, b *Bitmap) float64 {
-	inter := AndCardinality(a, b)
-	union := a.Cardinality() + b.Cardinality() - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// JaccardDistance returns dJ(a, b) = 1 − J(a, b), the distance the paper
-// uses as δ to rank trajectories (Eq. 1). It obeys the triangle inequality.
-func JaccardDistance(a, b *Bitmap) float64 {
-	return 1 - Jaccard(a, b)
 }
 
 // SizeInBytes returns an estimate of the in-memory footprint of the bitmap

@@ -2,7 +2,6 @@ package bitmap
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -151,18 +150,21 @@ func TestPropertyOpsMatchReference(t *testing.T) {
 		a, refA := randomSets(rng, 3000)
 		b, refB := randomSets(rng, 3000)
 
-		wantInter := 0
-		for v := range refA {
-			if refB[v] {
-				wantInter++
+		for _, c := range []struct {
+			b   *Bitmap
+			ref refSet
+		}{{a, refA}, {b, refB}} {
+			if got, want := c.b.ToSlice(), c.ref.slice(); !slices.Equal(got, want) {
+				t.Fatalf("round %d: ToSlice has %d values, want %d", round, len(got), len(want))
+			}
+			if got := c.b.Cardinality(); got != len(c.ref) {
+				t.Fatalf("round %d: Cardinality = %d, want %d", round, got, len(c.ref))
 			}
 		}
-		if got := AndCardinality(a, b); got != wantInter {
-			t.Fatalf("AndCardinality = %d, want %d", got, wantInter)
-		}
-		wantUnion := len(refA) + len(refB) - wantInter
-		if got, want := Jaccard(a, b), float64(wantInter)/float64(wantUnion); got != want {
-			t.Fatalf("Jaccard = %v, want %v", got, want)
+		for v := range refA {
+			if b.Contains(v) != refB[v] {
+				t.Fatalf("round %d: Contains(%d) = %v, want %v", round, v, b.Contains(v), refB[v])
+			}
 		}
 	}
 }
@@ -212,42 +214,6 @@ func TestEquals(t *testing.T) {
 	b.Add(70001)
 	if slices.Equal(a.ToSlice(), b.ToSlice()) {
 		t.Error("bitmaps with same cardinality but different values reported equal")
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	a := FromSlice([]uint32{1, 2, 3, 4})
-	b := FromSlice([]uint32{3, 4, 5, 6})
-	if got := Jaccard(a, b); math.Abs(got-2.0/6.0) > 1e-15 {
-		t.Errorf("Jaccard = %v, want 1/3", got)
-	}
-	if got := JaccardDistance(a, b); math.Abs(got-(1-2.0/6.0)) > 1e-15 {
-		t.Errorf("JaccardDistance = %v", got)
-	}
-	if got := Jaccard(a, a); got != 1 {
-		t.Errorf("self Jaccard = %v, want 1", got)
-	}
-	empty := New()
-	if got := Jaccard(empty, empty); got != 1 {
-		t.Errorf("empty Jaccard = %v, want 1 by convention", got)
-	}
-	if got := JaccardDistance(a, empty); got != 1 {
-		t.Errorf("distance to empty = %v, want 1", got)
-	}
-}
-
-// TestJaccardTriangleInequality checks the metric property (Kosub, 2016)
-// that lets the paper prune candidates with precomputed distances.
-func TestJaccardTriangleInequality(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 50; i++ {
-		a, _ := randomSets(rng, 500)
-		b, _ := randomSets(rng, 500)
-		c, _ := randomSets(rng, 500)
-		dab, dbc, dac := JaccardDistance(a, b), JaccardDistance(b, c), JaccardDistance(a, c)
-		if dac > dab+dbc+1e-12 {
-			t.Fatalf("triangle inequality violated: %v > %v + %v", dac, dab, dbc)
-		}
 	}
 }
 

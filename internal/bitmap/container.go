@@ -13,7 +13,6 @@ type container interface {
 	remove(v uint16) container
 	contains(v uint16) bool
 	cardinality() int
-	andCardinality(o container) int
 
 	// iterate calls f for each value in ascending order until f returns
 	// false; it reports whether iteration ran to completion.
@@ -29,13 +28,6 @@ type container interface {
 	// written to the next free slot, and the slot is kept — the length
 	// advances — only when the count it read was 0.
 	countInto(base uint32, counts *[1 << 16]uint16, cands []uint32) []uint32
-
-	// fillMany appends the container's values ≥ state (offset by base) to
-	// buf until buf is full or the container is exhausted, returning the
-	// new buf length, the resume state for the next call, and whether the
-	// container is exhausted. It backs the bitmap's buffered many-at-a-time
-	// iterator.
-	fillMany(base uint32, state uint32, buf []uint32) (n int, next uint32, done bool)
 }
 
 // arrayMaxSize is the cardinality above which an array container is

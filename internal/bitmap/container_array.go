@@ -72,46 +72,3 @@ func (a *arrayContainer) countInto(base uint32, counts *[1 << 16]uint16, cands [
 	}
 	return cands[:n+k]
 }
-
-// fillMany: state is the index of the next unconsumed value.
-func (a *arrayContainer) fillMany(base uint32, state uint32, buf []uint32) (int, uint32, bool) {
-	i := int(state)
-	n := 0
-	for ; i < len(a.values) && n < len(buf); i++ {
-		buf[n] = base | uint32(a.values[i])
-		n++
-	}
-	return n, uint32(i), i >= len(a.values)
-}
-
-func (a *arrayContainer) andCardinality(o container) int {
-	if o, ok := o.(*arrayContainer); ok {
-		return countIntersectSorted(a.values, o.values)
-	}
-	n := 0
-	for _, v := range a.values {
-		if o.contains(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// countIntersectSorted returns the size of the intersection without
-// materializing it.
-func countIntersectSorted(a, b []uint16) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}

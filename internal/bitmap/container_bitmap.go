@@ -89,40 +89,3 @@ func (b *bitmapContainer) countInto(base uint32, counts *[1 << 16]uint16, cands 
 	}
 	return cands[:n+k]
 }
-
-// fillMany: state is the next value to examine (0 … 65535); the done flag
-// disambiguates the wrap after consuming 65535.
-func (b *bitmapContainer) fillMany(base uint32, state uint32, buf []uint32) (int, uint32, bool) {
-	n := 0
-	w := int(state >> 6)
-	// Mask off the bits below the resume position in the first word.
-	word := b.words[w] &^ (uint64(1)<<(state&63) - 1)
-	for {
-		for word != 0 {
-			if n == len(buf) {
-				return n, uint32(w<<6 + bits.TrailingZeros64(word)), false
-			}
-			t := bits.TrailingZeros64(word)
-			buf[n] = base | uint32(w<<6+t)
-			n++
-			word &= word - 1
-		}
-		w++
-		if w == bitmapWords {
-			return n, 0, true
-		}
-		word = b.words[w]
-	}
-}
-
-func (b *bitmapContainer) andCardinality(o container) int {
-	other, ok := o.(*bitmapContainer)
-	if !ok {
-		return o.andCardinality(b) // an array probes the bitset
-	}
-	n := 0
-	for i := range b.words {
-		n += bits.OnesCount64(b.words[i] & other.words[i])
-	}
-	return n
-}

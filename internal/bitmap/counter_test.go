@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -143,40 +142,6 @@ func TestCounterCandidatesStayNearDistinct(t *testing.T) {
 	}
 	if got, bound := cap(c.Candidates()), 2*(distinct+1<<16); got > bound {
 		t.Fatalf("candidate list has room for %d values, over %d: twice the %d distinct values plus a chunk", got, bound, distinct)
-	}
-}
-
-func TestIteratorNextMany(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 100; trial++ {
-		b := randomBitmap(rng)
-		want := b.ToSlice()
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for _, bufSize := range []int{1, 3, 64, 100000} {
-			it := b.Iterator()
-			buf := make([]uint32, bufSize)
-			var got []uint32
-			for {
-				n := it.NextMany(buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d buf %d: %d values, want %d", trial, bufSize, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d buf %d: value %d = %d, want %d", trial, bufSize, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	// Exhausted and zero-value iterators return 0.
-	var zero Iterator
-	if zero.NextMany(make([]uint32, 4)) != 0 {
-		t.Fatal("zero iterator should be exhausted")
 	}
 }
 

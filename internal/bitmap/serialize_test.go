@@ -128,42 +128,6 @@ func TestReadFromReplacesContents(t *testing.T) {
 	}
 }
 
-func BenchmarkAndCardinalitySparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, _ := randomSets(rng, 200)
-	y, _ := randomSets(rng, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = AndCardinality(x, y)
-	}
-}
-
-func BenchmarkAndCardinalityDense(b *testing.B) {
-	x, y := New(), New()
-	for i := 0; i < 100000; i++ {
-		if i%2 == 0 {
-			x.Add(uint32(i))
-		}
-		if i%3 == 0 {
-			y.Add(uint32(i))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = AndCardinality(x, y)
-	}
-}
-
-func BenchmarkJaccardDistance(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x, _ := randomSets(rng, 1000)
-	y, _ := randomSets(rng, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = JaccardDistance(x, y)
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	values := make([]uint32, 10000)

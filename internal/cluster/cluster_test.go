@@ -17,7 +17,6 @@ import (
 	"time"
 	"unsafe"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
 	"geodabs/internal/gen"
@@ -497,7 +496,7 @@ func TestClusterDeleteReclaimsPostings(t *testing.T) {
 	}
 	victim := testWorkload.Dataset.Trajectories[0]
 	before := totalPostings(t, coord)
-	card := coord.ex.Extract(victim.Points).Cardinality()
+	card := len(coord.ex.Extract(victim.Points))
 	if err := coord.Delete(ctx, victim.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
@@ -548,7 +547,7 @@ func TestClusterUpsertReplaces(t *testing.T) {
 	if err := coord.Upsert(ctx, replacement); err != nil {
 		t.Fatalf("Upsert: %v", err)
 	}
-	if got, want := totalPostings(t, coord), coord.ex.Extract(replacement.Points).Cardinality(); got != want {
+	if got, want := totalPostings(t, coord), len(coord.ex.Extract(replacement.Points)); got != want {
 		t.Errorf("postings after upsert = %d, want the replacement's %d", got, want)
 	}
 	// The replacement ranks as an exact match of its own geometry.
@@ -1095,11 +1094,10 @@ func TestNodeRejectsTermlessAdd(t *testing.T) {
 
 // nodeMask is the set of nodes a strategy routes a term set to, bit i for
 // node i, worked out from the strategy alone rather than through Plan.
-func nodeMask(st shard.Strategy, set *bitmap.Bitmap) (mask uint64) {
-	set.Iterate(func(g uint32) bool {
+func nodeMask(st shard.Strategy, terms []uint32) (mask uint64) {
+	for _, g := range terms {
 		mask |= 1 << st.NodeOfGeodab(g)
-		return true
-	})
+	}
 	return mask
 }
 

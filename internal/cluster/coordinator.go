@@ -432,7 +432,7 @@ func (c *Coordinator) mutateID(parent context.Context, id trajectory.ID, t *traj
 	}
 	// A route without terms is a delete. The plan is this call's own, so
 	// the deletes may share its routes' storage.
-	nodes, routes := plan.nodes(), plan.routes
+	nodes, routes, card := plan.nodes(), plan.routes, plan.card()
 	for _, node := range nodesOf(entry.nodes &^ nodes) {
 		routes = append(routes, route{node: node})
 	}
@@ -440,7 +440,7 @@ func (c *Coordinator) mutateID(parent context.Context, id trajectory.ID, t *traj
 		r := routes[i]
 		rec := &wal.Record{Op: wal.OpDelete, Epoch: e, ID: uint32(id)}
 		if r.terms != nil {
-			rec.Op, rec.Card, rec.Terms = wal.OpAdd, uint32(plan.card), r.terms
+			rec.Op, rec.Card, rec.Terms = wal.OpAdd, uint32(card), r.terms
 			if r.node == owner && len(t.Points) > 0 {
 				rec.Op, rec.Points = wal.OpAddPoints, t.Points
 			}
@@ -453,7 +453,7 @@ func (c *Coordinator) mutateID(parent context.Context, id trajectory.ID, t *traj
 	c.mu.Lock()
 	switch {
 	case err == nil && t != nil:
-		c.directory[id] = docEntry{card: uint32(plan.card), owner: int32(owner), state: stateLive, epoch: e, nodes: nodes}
+		c.directory[id] = docEntry{card: uint32(card), owner: int32(owner), state: stateLive, epoch: e, nodes: nodes}
 	case err == nil || !indexed:
 		delete(c.directory, id) // deleted, or a failed add's reservation withdrawn: retryable
 	default:
@@ -859,16 +859,12 @@ func (c *Coordinator) Strategy() shard.Strategy { return c.strategy }
 // QueryPlan is one term set's routing across a shard strategy: the
 // per-node term slices exactly as they go on the wire (queryRequest.Terms)
 // and the distinct-shard count. Building the plan is the per-query
-// sharding cost — two passes over the set through ShardOf and NodeOf — so
+// sharding cost — two passes over the terms through ShardOf and NodeOf — so
 // preparing it once and reusing it across repeated or batched searches
 // removes that cost from the scatter hot path. A plan is immutable after
 // construction and safe for concurrent use; it is valid for any
 // coordinator whose Strategy equals the one that built it.
 type QueryPlan struct {
-	set *bitmap.Bitmap
-	// card is the set's cardinality — the query's global |F|, carried on
-	// the wire so nodes can threshold-prune — counted once at planning.
-	card   int
 	routes []route
 	shards int
 }
@@ -879,9 +875,16 @@ type route struct {
 	terms []uint32
 }
 
-// Set returns the term set the plan was built from. Callers use it to
-// detect a stale plan when a cached set is re-derived.
-func (p *QueryPlan) Set() *bitmap.Bitmap { return p.set }
+// card returns the number of planned terms — the query's global |F|,
+// carried on the wire so nodes can threshold-prune. The routes partition
+// the terms.
+func (p *QueryPlan) card() int {
+	n := 0
+	for _, r := range p.routes {
+		n += len(r.terms)
+	}
+	return n
+}
 
 // Stats returns the fan-out the planned query incurs.
 func (p *QueryPlan) Stats() QueryStats {
@@ -896,15 +899,14 @@ func (p *QueryPlan) nodes() (mask uint64) {
 	return mask
 }
 
-// Plan partitions a query term set by owning node under the coordinator's
-// strategy, returning the reusable routing, in ascending node order. The
-// terms come out ascending and ShardOf is monotone, so the distinct shards
-// are its runs; a counting pass sizes each node's stretch of one array.
-// The terms of a one-node plan, the common case, are that stretch as they
-// come out of the set.
-func (c *Coordinator) Plan(set *bitmap.Bitmap) *QueryPlan {
-	terms := set.ToSlice()
-	p := &QueryPlan{set: set, card: len(terms)}
+// Plan partitions a query's terms (distinct, ascending) by owning node
+// under the coordinator's strategy, returning the reusable routing, in
+// ascending node order. ShardOf is monotone, so the distinct shards are
+// its runs; a counting pass sizes each node's stretch of one array. The
+// route of a one-node plan, the common case, is terms itself, shared:
+// the plan is valid as long as terms is not modified.
+func (c *Coordinator) Plan(terms []uint32) *QueryPlan {
+	p := &QueryPlan{}
 	var perNode [64]int // NewCoordinator caps Nodes at 64
 	last, nodes := -1, 0
 	for _, term := range terms {
@@ -982,8 +984,7 @@ func (c *Coordinator) Search(parent context.Context, q *trajectory.Trajectory, m
 	if err := parent.Err(); err != nil {
 		return nil, SearchInfo{}, err
 	}
-	set := c.ex.Extract(q.Points)
-	return c.SearchPlan(parent, c.Plan(set), maxDistance, limit)
+	return c.SearchPlan(parent, c.Plan(c.ex.Extract(q.Points)), maxDistance, limit)
 }
 
 // SearchPlan is Search over a pre-planned query: the term set is already
@@ -1070,7 +1071,7 @@ func (c *Coordinator) queryRoute(ctx context.Context, plan *QueryPlan, i int, sn
 		CompactBelow: snap,
 		// QueryCard and MaxDistance let the node apply the cardinality
 		// window before encoding its partials, and rank under a Limit.
-		Query: &queryRequest{Terms: r.terms, QueryCard: plan.card, MaxDistance: maxDistance, Limit: nodeLimit},
+		Query: &queryRequest{Terms: r.terms, QueryCard: plan.card(), MaxDistance: maxDistance, Limit: nodeLimit},
 	}, use)
 }
 
@@ -1080,7 +1081,8 @@ func (c *Coordinator) queryRoute(ctx context.Context, plan *QueryPlan, i int, sn
 // snapshot.
 func (c *Coordinator) rank(ctx context.Context, s *index.Scratch, plan *QueryPlan, snap uint64, maxDistance float64, limit int, info *SearchInfo) ([]index.Result, error) {
 	info.Candidates = len(s.Counter.Candidates())
-	s.Ranker.Init(plan.card, maxDistance, limit)
+	qc := plan.card()
+	s.Ranker.Init(qc, maxDistance, limit)
 	c.mu.RLock()
 	err := s.Ranker.RankByCount(ctx, s.Counter, func(id uint32) (int, bool) {
 		entry, ok := c.directory[trajectory.ID(id)]
@@ -1088,7 +1090,7 @@ func (c *Coordinator) rank(ctx context.Context, s *index.Scratch, plan *QueryPla
 	})
 	c.mu.RUnlock()
 	if errors.Is(err, index.ErrCountAboveQuery) {
-		return nil, fmt.Errorf("cluster: node partial counts exceed the query's %d terms: %w", plan.card, err)
+		return nil, fmt.Errorf("cluster: node partial counts exceed the query's %d terms: %w", qc, err)
 	}
 	if err != nil {
 		return nil, err

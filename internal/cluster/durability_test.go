@@ -8,11 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/geo"
 	"geodabs/internal/index"
@@ -528,12 +528,13 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 // node (g >> 1) & 1.
 type latExtractor struct{}
 
-func (latExtractor) Extract(pts []geo.Point) *bitmap.Bitmap {
-	set := bitmap.New()
-	for _, p := range pts {
-		set.Add(uint32(p.Lat))
+func (latExtractor) Extract(pts []geo.Point) []uint32 {
+	terms := make([]uint32, len(pts))
+	for i, p := range pts {
+		terms[i] = uint32(p.Lat)
 	}
-	return set
+	slices.Sort(terms)
+	return slices.Compact(terms)
 }
 
 // termTrajectory builds a trajectory whose latExtractor terms are terms.
@@ -652,7 +653,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 	ref.Upsert(second)
 	query := latExtractor{}.Extract(termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 8, 9).Points)
 	for _, limit := range []int{0, 1} {
-		want, _, err := ref.AppendSearchSet(context.Background(), nil, query, query.Cardinality(), 1, limit)
+		want, _, err := ref.AppendSearchSet(context.Background(), nil, query, 1, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 	// A well-formed query reply claiming more shared terms than the query
 	// has: the ranking walk sizes its count buckets by |F|, never by a
 	// count off the wire.
-	card := uint32(ex.Extract(q.Points).Cardinality())
+	card := uint32(len(ex.Extract(q.Points)))
 	for _, count := range []uint32{card + 1, 1<<32 - 1} {
 		fake := startFakeNode(t, serveFrames(func(op) []byte {
 			return endPartials(appendPartial(beginPartials(nil), uint32(tr.ID), count), 0, 0)

@@ -237,7 +237,7 @@ func (s *shardState) put(rec *wal.Record) {
 	}
 	s.docs[rec.ID] = nodeDoc{terms: rec.Terms, epoch: rec.Epoch, points: rec.Points}
 	s.cards.Set(rec.ID, int(rec.Card))
-	s.postings.Add(rec.ID, slices.Values(rec.Terms))
+	s.postings.Add(rec.ID, rec.Terms)
 }
 
 // syncDocs lists the state's docs, as a full sync sends them and a
@@ -570,7 +570,7 @@ func (n *Node) apply(rec *wal.Record) {
 			return // stale or duplicate mutation
 		}
 		// Withdraw the doc the record supersedes; put replaces its entry.
-		n.postings.Remove(rec.ID, slices.Values(doc.terms))
+		n.postings.Remove(rec.ID, doc.terms)
 		if doc.terms == nil {
 			delete(n.tombstones, rec.ID)
 		}

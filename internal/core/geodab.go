@@ -7,7 +7,7 @@
 // The pipeline, mirroring the paper's Figure 4, is
 //
 //	raw points → grid normalization → k-grams of cells → geodabs
-//	           → winnowing → fingerprint set (roaring bitmap)
+//	           → winnowing → fingerprint set (distinct terms, ascending)
 package core
 
 import (
@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sync"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/geo"
 	"geodabs/internal/geohash"
 	"geodabs/internal/winnow"
@@ -136,7 +135,7 @@ type Fingerprint struct {
 	// Cells is the normalized cell sequence the geodabs were derived from.
 	Cells []Cell
 	// Set is the deduplicated fingerprint set used for Jaccard ranking.
-	Set *bitmap.Bitmap
+	Set Set
 }
 
 // Fingerprinter turns trajectories into geodab fingerprints. Its
@@ -225,7 +224,7 @@ func (f *Fingerprinter) Fingerprint(points []geo.Point) *Fingerprint {
 		Geodabs:   make([]uint32, len(sc.positions)),
 		Positions: slices.Clone(sc.positions),
 		Cells:     sc.cells(len(points)),
-		Set:       sc.set(),
+		Set:       Set{terms: sc.set()},
 	}
 	for i, p := range sc.positions {
 		fp.Geodabs[i] = sc.candidates[p]
@@ -237,27 +236,32 @@ func (f *Fingerprinter) Fingerprint(points []geo.Point) *Fingerprint {
 // trajectory — the ranked-retrieval hot path, where the positional
 // metadata of the full Fingerprint (Geodabs, Positions, Cells) is dead
 // weight. It runs the same extraction as Fingerprint, so the set equals
-// Fingerprint(points).Set, and allocates only the returned bitmap.
+// Fingerprint(points).Set's terms, and allocates only the returned slice:
+// the distinct terms, ascending, at exact size (empty, but not nil, for a
+// trajectory too short to fingerprint).
 //
 //geodabs:noalloc
-func (f *Fingerprinter) FingerprintSet(points []geo.Point) *bitmap.Bitmap {
+func (f *Fingerprinter) FingerprintSet(points []geo.Point) []uint32 {
 	sc := f.scratch.Get().(*fpScratch)
 	defer f.scratch.Put(sc)
 	f.extract(sc, points)
 	return sc.set()
 }
 
-// set returns the deduplicated set of the winnowed geodabs in sc, built in
-// one pass from their sorted values.
+// set returns the deduplicated set of the winnowed geodabs in sc, sorted
+// and compacted in the scratch, then copied out at exact size.
 //
 //geodabs:noalloc
-func (sc *fpScratch) set() *bitmap.Bitmap {
+func (sc *fpScratch) set() []uint32 {
 	sc.values = sc.values[:0]
 	for _, p := range sc.positions {
 		sc.values = append(sc.values, sc.candidates[p])
 	}
 	slices.Sort(sc.values)
-	return bitmap.FromSorted(slices.Compact(sc.values))
+	terms := slices.Compact(sc.values)
+	set := make([]uint32, len(terms)) //geodabs:vet-ignore the returned set: the one allocation FingerprintSet documents
+	copy(set, terms)
+	return set
 }
 
 // extract runs the whole pipeline into sc: normalization into sc.hashes

@@ -249,6 +249,10 @@ func TestFingerprintShortTrajectory(t *testing.T) {
 	if fp.Set.Cardinality() != 0 {
 		t.Errorf("strict fingerprinter should drop short trajectories, got %d", fp.Set.Cardinality())
 	}
+	// Dropped, the set is still a set: empty, not the zero Set.
+	if TermsOf(fp.Set) == nil || f.FingerprintSet(short) == nil {
+		t.Error("a short trajectory's set should be empty, not nil")
+	}
 	cfg := DefaultConfig()
 	cfg.KeepShort = true
 	if kept := MustFingerprinter(cfg).Fingerprint(short); kept.Set.Cardinality() == 0 {
@@ -280,16 +284,17 @@ func TestFingerprintSimilarTrajectoriesOverlap(t *testing.T) {
 func jaccard(a, b *Fingerprint) float64 {
 	inter := 0
 	seen := map[uint32]bool{}
-	a.Set.Iterate(func(v uint32) bool { seen[v] = true; return true })
+	for _, v := range TermsOf(a.Set) {
+		seen[v] = true
+	}
 	union := a.Set.Cardinality()
-	b.Set.Iterate(func(v uint32) bool {
+	for _, v := range TermsOf(b.Set) {
 		if seen[v] {
 			inter++
 		} else {
 			union++
 		}
-		return true
-	})
+	}
 	if union == 0 {
 		return 1
 	}

@@ -135,5 +135,5 @@ func writeExtraction(d hash.Hash, f *Fingerprinter, pts []geo.Point) {
 		put(uint64(p))
 	}
 	putAll(fp.Set.ToSlice())
-	putAll(f.FingerprintSet(pts).ToSlice())
+	putAll(f.FingerprintSet(pts))
 }

@@ -532,10 +532,21 @@ func (q *Prepared) upper(c []geo.Point, leash bool) float64 {
 }
 
 // JaccardSorted returns the Jaccard distance dJ = 1 − |A∩B| / |A∪B|
-// between two sorted, duplicate-free uint32 slices (ordered fingerprint
-// sets). The distance between two empty sets is 0 by the same convention
-// as the bitmap package (identical sets).
+// between two sorted, duplicate-free uint32 slices (fingerprint sets), the
+// δ that ranks retrieval results (paper Eq. 1). The distance between two
+// empty sets is 0: they are identical.
 func JaccardSorted(a, b []uint32) float64 {
+	inter := Shared(a, b)
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return 1 - float64(inter)/float64(union)
+}
+
+// Shared returns |A∩B| for two sorted, duplicate-free uint32 slices, in
+// one merge over both.
+func Shared(a, b []uint32) int {
 	inter, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -549,9 +560,5 @@ func JaccardSorted(a, b []uint32) float64 {
 			j++
 		}
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return 1 - float64(inter)/float64(union)
+	return inter
 }

@@ -513,6 +513,29 @@ func TestJaccardSorted(t *testing.T) {
 	}
 }
 
+// TestJaccardTriangleInequality checks the metric property (Kosub, 2016)
+// that lets the paper prune candidates with precomputed distances, on
+// sets drawn from a small universe so they overlap.
+func TestJaccardTriangleInequality(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	randomSet := func() []uint32 {
+		var set []uint32
+		for v := uint32(0); v < 1000; v++ {
+			if rng.Intn(3) == 0 {
+				set = append(set, v)
+			}
+		}
+		return set
+	}
+	for i := 0; i < 50; i++ {
+		a, b, c := randomSet(), randomSet(), randomSet()
+		dab, dbc, dac := JaccardSorted(a, b), JaccardSorted(b, c), JaccardSorted(a, c)
+		if dac > dab+dbc+1e-12 {
+			t.Fatalf("triangle inequality violated: %v > %v + %v", dac, dab, dbc)
+		}
+	}
+}
+
 func BenchmarkDTW1000(b *testing.B) {
 	p := line(1000, 10)
 	q := shifted(p, 50)

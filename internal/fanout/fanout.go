@@ -76,11 +76,22 @@ type call struct {
 // at most maxHelpers helper goroutines, one per token the budget spares.
 // It returns once every item has been claimed and every claimed item has
 // run. f must be safe to call from several goroutines at once. A cancelled
-// ctx stops the claimers between items; Each then returns ctx.Err().
+// ctx stops the claimers between items; Each then returns ctx.Err(). A
+// call that gets no token runs the items in order on the caller, with
+// nothing allocated for helpers it does not have.
 func Each(ctx context.Context, n, maxHelpers int, f func(i int)) error {
+	helpers := acquire(min(maxHelpers, n-1))
+	if helpers == 0 {
+		for i := range n {
+			if ctx.Err() == nil {
+				f(i)
+			}
+		}
+		return ctx.Err()
+	}
 	c := &call{ctx: ctx, f: f, n: int64(n), done: make(chan struct{}, 1)}
 	c.pending.Store(int64(n))
-	for range acquire(min(maxHelpers, n-1)) {
+	for range helpers {
 		go c.help()
 	}
 	if c.pending.Add(-c.claim()) > 0 {

@@ -146,6 +146,35 @@ func TestEachHonoursCancellation(t *testing.T) {
 	}
 }
 
+// TestEachWithoutHelperAllocatesNothing: at GOMAXPROCS 1 the budget has
+// no token, so a call runs every item on the caller and allocates nothing
+// — no call state, no done channel. A cancellation there stops the items
+// at once: the caller is the only claimer.
+func TestEachWithoutHelperAllocatesNothing(t *testing.T) {
+	withProcs(t, 1, nil)
+	ctx := context.Background()
+	var sum int
+	f := func(i int) { sum += i }
+	if err := Each(ctx, 100, 99, f); err != nil || sum != 4950 {
+		t.Fatalf("Each = %v with sum %d, want nil and 4950", err, sum)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { Each(ctx, 100, 99, f) }); allocs != 0 {
+			t.Errorf("Each without a helper: %.2f allocs/op, want 0", allocs)
+		}
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	calls := 0
+	err := Each(cctx, 1000, 999, func(int) {
+		if calls++; calls == 100 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || calls != 100 {
+		t.Fatalf("Each = %v after %d calls, want context.Canceled after 100", err, calls)
+	}
+}
+
 // spinSink keeps spin's loop from being optimised away.
 var spinSink atomic.Int64
 

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/trajectory"
 )
 
@@ -238,22 +237,22 @@ func TestSnapshotSwapsCardTable(t *testing.T) {
 		}
 		loaded := NewSharded(orig.Extractor(), shards)
 		stale := trajectory.ID(1 << 30)
-		if err := loaded.insert(stale, bitmap.FromSlice([]uint32{1, 2, 3}), nil); err != nil {
+		if err := loaded.insert(stale, []uint32{1, 2, 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := loaded.ReadFrom(&buf); err != nil {
 			t.Fatal(err)
 		}
 		want := make(map[trajectory.ID]int)
-		orig.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
-			want[id] = set.Cardinality()
+		orig.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
+			want[id] = len(set)
 			return true
 		})
 		seen := 0
-		loaded.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
+		loaded.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
 			seen++
-			if card != set.Cardinality() || card != want[id] {
-				t.Errorf("%d shards: doc %d card %d, set %d, written %d", shards, id, card, set.Cardinality(), want[id])
+			if card != len(set) || card != want[id] {
+				t.Errorf("%d shards: doc %d card %d, set %d, written %d", shards, id, card, len(set), want[id])
 			}
 			return true
 		})

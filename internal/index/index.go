@@ -1,7 +1,9 @@
 // Package index implements the paper's inverted trajectory index (§IV-A):
 // terms are fingerprints (geodabs, or bare geohash cells for the baseline),
 // posting lists are roaring bitmaps of trajectory identifiers, and queries
-// are ranked by Jaccard distance between fingerprint sets (§III-A2).
+// are ranked by Jaccard distance between fingerprint sets (§III-A2). A
+// fingerprint set, a document's or a query's, is one form throughout: its
+// distinct terms as an ascending []uint32.
 //
 // Ranked retrieval runs as a term-at-a-time counting merge (search.go):
 // each query term's posting list streams once into a pooled chunked
@@ -23,8 +25,8 @@
 // The posting lists live in one store, Postings (postings.go): the only
 // code that puts a document on a list, withdraws it, or streams lists
 // into the counter. A cluster node holds one too, beside its own
-// per-document bookkeeping, and one pooled Scratch — counter, term batch,
-// drained counts, ranker — serves the searches of a shard, a node and the
+// per-document bookkeeping, and one pooled Scratch — counter, drained
+// counts, ranker — serves the searches of a shard, a node and the
 // cluster's coordinator.
 //
 // # Sharding
@@ -59,7 +61,8 @@ import (
 	"fmt"
 	"sync"
 
-	"geodabs/internal/bitmap"
+	"slices"
+
 	"geodabs/internal/core"
 	"geodabs/internal/geo"
 	"geodabs/internal/geohash"
@@ -69,8 +72,9 @@ import (
 // Extractor turns a raw point sequence into a fingerprint set. Extractors
 // must be safe for concurrent use.
 type Extractor interface {
-	// Extract returns the term set of a trajectory.
-	Extract(points []geo.Point) *bitmap.Bitmap
+	// Extract returns the term set of a trajectory: its distinct terms,
+	// ascending, in a slice the caller owns.
+	Extract(points []geo.Point) []uint32
 }
 
 // GeodabExtractor adapts a core.Fingerprinter to the Extractor interface.
@@ -82,14 +86,14 @@ type GeodabExtractor struct {
 // Extract implements Extractor via the set-only fingerprint fast path:
 // ranked retrieval needs no positional metadata, so the pooled
 // FingerprintSet pipeline is used instead of the full Fingerprint.
-func (e GeodabExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
+func (e GeodabExtractor) Extract(points []geo.Point) []uint32 {
 	return e.FingerprintSet(points)
 }
 
 // CellExtractor is the baseline the paper compares against (Figs 12–14):
 // the term set of a trajectory is the set of geohash cells it traverses,
 // with no ordering information. Cells are hashed to 32 bits so both
-// methods share the bitmap machinery; collisions are negligible at the
+// methods share the index machinery; collisions are negligible at the
 // dataset sizes involved.
 type CellExtractor struct {
 	*core.Fingerprinter
@@ -106,13 +110,14 @@ func NewCellExtractor(cfg core.Config) (CellExtractor, error) {
 }
 
 // Extract implements Extractor.
-func (e CellExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
+func (e CellExtractor) Extract(points []geo.Point) []uint32 {
 	cells := e.Normalize(points)
-	set := bitmap.New()
-	for _, c := range cells {
-		set.Add(hashCell(c.Hash))
+	terms := make([]uint32, len(cells))
+	for i, c := range cells {
+		terms[i] = hashCell(c.Hash)
 	}
-	return set
+	slices.Sort(terms)
+	return slices.Compact(terms)
 }
 
 // hashCell maps a geohash cell to a 32-bit term with FNV-1a over its bits
@@ -154,10 +159,12 @@ type Inverted struct {
 
 	mu       sync.RWMutex
 	postings Postings
-	docs     map[trajectory.ID]*bitmap.Bitmap
+	// docs holds each document's terms behind a pointer: an 8-byte map
+	// value keeps the map's slots half the size a slice header would.
+	docs map[trajectory.ID]*[]uint32
 	// cards caches each document's fingerprint cardinality |G| beside docs,
-	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) instead
-	// of walking the document bitmap's containers per candidate.
+	// so ranking computes the Jaccard union |F|+|G|−|F∩G| in O(1) from the
+	// card table's one slice rather than from a map lookup per candidate.
 	cards CardTable
 	// points retains the raw point sequences of inserted trajectories
 	// (slice headers only, sharing the caller's backing arrays), so searches
@@ -184,7 +191,7 @@ func RetainPoints() InvertedOption {
 func newInverted(opts ...InvertedOption) *Inverted {
 	ix := &Inverted{
 		postings: make(Postings),
-		docs:     make(map[trajectory.ID]*bitmap.Bitmap),
+		docs:     make(map[trajectory.ID]*[]uint32),
 		points:   make(map[trajectory.ID][]geo.Point),
 	}
 	for _, opt := range opts {
@@ -193,26 +200,27 @@ func newInverted(opts ...InvertedOption) *Inverted {
 	return ix
 }
 
-// insert adds an extracted trajectory. Re-adding an ID fails; upsertSet
-// replaces an indexed trajectory in place.
-func (ix *Inverted) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) error {
+// insert adds an extracted trajectory, keeping its terms (ascending, owned
+// by the index from now on). Re-adding an ID fails; upsertSet replaces an
+// indexed trajectory in place.
+func (ix *Inverted) insert(id trajectory.ID, terms []uint32, pts []geo.Point) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, dup := ix.docs[id]; dup {
 		return fmt.Errorf("index: trajectory %d already indexed", id)
 	}
-	ix.insertLocked(id, set, pts)
+	ix.insertLocked(id, terms, pts)
 	return nil
 }
 
 // insertLocked applies an insertion under an already-held write lock.
-func (ix *Inverted) insertLocked(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) {
-	ix.docs[id] = set
-	ix.cards.Set(uint32(id), set.Cardinality())
+func (ix *Inverted) insertLocked(id trajectory.ID, terms []uint32, pts []geo.Point) {
+	ix.docs[id] = &terms
+	ix.cards.Set(uint32(id), len(terms))
 	if ix.retain && pts != nil {
 		ix.points[id] = pts
 	}
-	ix.postings.Add(uint32(id), set.Iterate)
+	ix.postings.Add(uint32(id), terms)
 	ix.epoch++
 }
 
@@ -230,14 +238,14 @@ func (ix *Inverted) Delete(id trajectory.ID) bool {
 
 // deleteLocked applies a deletion under an already-held write lock.
 func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
-	set, ok := ix.docs[id]
+	terms, ok := ix.docs[id]
 	if !ok {
 		return false
 	}
 	delete(ix.docs, id)
 	ix.cards.Delete(uint32(id))
 	delete(ix.points, id)
-	ix.postings.Remove(uint32(id), set.Iterate)
+	ix.postings.Remove(uint32(id), *terms)
 	ix.epoch++
 	return true
 }
@@ -246,11 +254,11 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 // indexed trajectory with the same ID. The swap is atomic under the write
 // lock: a concurrent search observes either the old or the new version in
 // full, never a mixture.
-func (ix *Inverted) upsertSet(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) {
+func (ix *Inverted) upsertSet(id trajectory.ID, terms []uint32, pts []geo.Point) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.deleteLocked(id)
-	ix.insertLocked(id, set, pts)
+	ix.insertLocked(id, terms, pts)
 }
 
 // DeleteAll deletes a batch of IDs under a single write-lock acquisition
@@ -300,17 +308,17 @@ func (ix *Inverted) PointsOf(id trajectory.ID) []geo.Point {
 	return ix.points[id]
 }
 
-// ScanDocs visits every indexed trajectory with its fingerprint set and
+// ScanDocs visits every indexed trajectory with its ascending terms and
 // cached cardinality, under the read lock, until f returns false. The
-// visit order is unspecified. The set must not be mutated; brute-force
+// visit order is unspecified. The terms must not be modified; brute-force
 // baselines and diagnostics use this to walk the corpus without copying
 // it.
-func (ix *Inverted) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card int) bool) {
+func (ix *Inverted) ScanDocs(f func(id trajectory.ID, terms []uint32, card int) bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for id, set := range ix.docs {
+	for id, terms := range ix.docs {
 		card, _ := ix.cards.Get(uint32(id))
-		if !f(id, set, card) {
+		if !f(id, *terms, card) {
 			return
 		}
 	}
@@ -322,8 +330,8 @@ type Stats struct {
 	Terms        int
 	// Postings is the total number of (term, trajectory) pairs.
 	Postings int
-	// BitmapBytes estimates the memory held by posting and document
-	// bitmaps.
+	// BitmapBytes estimates the payload bytes of the posting bitmaps plus
+	// the documents' terms, 4 bytes a term.
 	BitmapBytes int
 	// Shards is the number of in-process shards. Terms counts per-shard
 	// term entries, so a term whose documents span shards is counted once
@@ -337,8 +345,8 @@ func (ix *Inverted) Stats() Stats {
 	defer ix.mu.RUnlock()
 	s := Stats{Trajectories: len(ix.docs), Terms: len(ix.postings), Shards: 1}
 	s.Postings, s.BitmapBytes = ix.postings.Size()
-	for _, d := range ix.docs {
-		s.BitmapBytes += d.SizeInBytes()
+	for _, terms := range ix.docs {
+		s.BitmapBytes += 4 * len(*terms)
 	}
 	return s
 }

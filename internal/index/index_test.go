@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/core"
 	"geodabs/internal/gen"
 	"geodabs/internal/geo"
@@ -53,14 +52,14 @@ func search(t testing.TB, ix *Sharded, q *trajectory.Trajectory, maxDistance flo
 }
 
 // searchSet ranks against a pre-built fingerprint set.
-func searchSet(ix *Sharded, set *bitmap.Bitmap, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	return ix.AppendSearchSet(context.Background(), nil, set, set.Cardinality(), maxDistance, limit)
+func searchSet(ix *Sharded, set []uint32, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+	return ix.AppendSearchSet(context.Background(), nil, set, maxDistance, limit)
 }
 
 // hasDoc reports whether the index holds a document for id.
 func hasDoc(ix *Sharded, id trajectory.ID) bool {
 	found := false
-	ix.ScanDocs(func(got trajectory.ID, _ *bitmap.Bitmap, _ int) bool {
+	ix.ScanDocs(func(got trajectory.ID, _ []uint32, _ int) bool {
 		found = got == id
 		return !found
 	})
@@ -208,12 +207,12 @@ func TestCellExtractorDirectionBlind(t *testing.T) {
 	slices.Reverse(reversed)
 	fwd := ex.Extract(tr.Points)
 	rev := ex.Extract(reversed)
-	if j := bitmap.Jaccard(fwd, rev); j < 0.5 {
+	if j := 1 - jaccardDistance(fwd, rev); j < 0.5 {
 		t.Errorf("cell sets of a trajectory and its reverse should overlap heavily, J = %.3f", j)
 	}
 	// Geodabs do distinguish: same comparison should be near zero.
 	gx := GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}
-	if j := bitmap.Jaccard(gx.Extract(tr.Points), gx.Extract(reversed)); j > 0.2 {
+	if j := 1 - jaccardDistance(gx.Extract(tr.Points), gx.Extract(reversed)); j > 0.2 {
 		t.Errorf("geodab sets of opposite directions should differ, J = %.3f", j)
 	}
 }
@@ -298,7 +297,7 @@ type gatedExtractor struct {
 	n    atomic.Int64
 }
 
-func (g *gatedExtractor) Extract(points []geo.Point) *bitmap.Bitmap {
+func (g *gatedExtractor) Extract(points []geo.Point) []uint32 {
 	g.n.Add(1)
 	if len(points) == 0 || &points[0] != &g.free[0] {
 		<-g.gate

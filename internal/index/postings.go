@@ -1,7 +1,6 @@
 package index
 
 import (
-	"iter"
 	"sync"
 
 	"geodabs/internal/bitmap"
@@ -12,45 +11,35 @@ import (
 // lists, withdraws it, and streams lists into a counter — a shard
 // (Inverted) and a cluster node each hold one, and keep their own
 // per-document bookkeeping beside it. A list exists only while it holds a
-// document. Postings does no locking: its owner's lock guards it.
-//
-// Terms arrive as an iterator, so each owner keeps a document's terms in
-// its own form: a shard as the fingerprint bitmap (pass set.Iterate), a
-// node as the routed slice (pass slices.Values(terms)).
+// document. Postings does no locking: its owner's lock guards it. Both
+// owners hand it a document's terms as the slice they keep: a shard the
+// whole fingerprint set, a node the terms routed to it.
 type Postings map[uint32]*bitmap.Bitmap
 
 // Add puts document id on the list of every term, creating a list on its
 // first document.
-//
-// Add and Remove call terms with their loop body instead of ranging over
-// it: a range over an iterator the compiler cannot inline, as a shard's
-// set.Iterate, moves the loop's state to the heap on every call, and those
-// short-lived 8-byte objects, interleaved with the lists' first small
-// arrays, keep more of the heap live than the same index needs.
-func (p Postings) Add(id uint32, terms iter.Seq[uint32]) {
-	terms(func(term uint32) bool {
+func (p Postings) Add(id uint32, terms []uint32) {
+	for _, term := range terms {
 		l, ok := p[term]
 		if !ok {
 			l = bitmap.New()
 			p[term] = l
 		}
 		l.Add(id)
-		return true
-	})
+	}
 }
 
 // Remove withdraws document id from the list of every term, deleting a
 // list it leaves empty. Absent terms and absent documents are skipped.
-func (p Postings) Remove(id uint32, terms iter.Seq[uint32]) {
-	terms(func(term uint32) bool {
+func (p Postings) Remove(id uint32, terms []uint32) {
+	for _, term := range terms {
 		if l, ok := p[term]; ok {
 			l.Remove(id)
 			if l.IsEmpty() {
 				delete(p, term)
 			}
 		}
-		return true
-	})
+	}
 }
 
 // Count is the counting merge: it streams the list of each of terms into
@@ -77,17 +66,12 @@ func (p Postings) Size() (postings, bytes int) {
 
 // Scratch is the pooled per-search state of a shard, a cluster node and
 // the cluster's coordinator; pooling it makes each of their steady-state
-// searches allocation-free. A shard reads its query terms into Terms a
-// batch at a time, counts into Counter and ranks with Ranker; a node
-// counts into Counter and either drains the counts into Counts or, for a
-// one-node plan, ranks with Ranker into Hits; the coordinator sums the
-// nodes' counts into Counter and ranks with Ranker. Terms is a fixed
-// array, unlike Counts and Hits, so the batch a shard reads does not
-// depend on who used the scratch last, and a pool refill costs no extra
-// allocation for it.
+// searches allocation-free. A shard counts into Counter and ranks with
+// Ranker; a node counts into Counter and either drains the counts into
+// Counts or, for a one-node plan, ranks with Ranker into Hits; the
+// coordinator sums the nodes' counts into Counter and ranks with Ranker.
 type Scratch struct {
 	Counter *bitmap.Counter
-	Terms   [512]uint32
 	Counts  []uint32
 	Hits    []Result
 	Ranker  Ranker

@@ -2,7 +2,6 @@ package index
 
 import (
 	"maps"
-	"slices"
 	"testing"
 
 	"geodabs/internal/bitmap"
@@ -49,9 +48,9 @@ func FuzzPostings(f *testing.F) {
 					}
 				}
 				if kind == 0 {
-					p.Add(id, slices.Values(terms))
+					p.Add(id, terms)
 				} else {
-					p.Remove(id, slices.Values(terms))
+					p.Remove(id, terms)
 				}
 				for _, term := range terms {
 					if model[term] == nil {
@@ -68,12 +67,12 @@ func FuzzPostings(f *testing.F) {
 					model[hot] = make(map[uint32]bool)
 				}
 				for id := uint32(bulkBase); id < bulkBase+arrayMax+1+uint32(a%4); id++ {
-					p.Add(id, slices.Values([]uint32{hot}))
+					p.Add(id, []uint32{hot})
 					model[hot][id] = true
 				}
 			case 3: // withdraw the first 17·a of them from the hot term and a small one
 				for id := uint32(bulkBase); id < bulkBase+17*uint32(a); id++ {
-					p.Remove(id, slices.Values([]uint32{uint32(b % smallTerms), hot}))
+					p.Remove(id, []uint32{uint32(b % smallTerms), hot})
 					delete(model[hot], id)
 					delete(model[uint32(b%smallTerms)], id)
 				}

@@ -391,57 +391,58 @@ func (r *Ranker) siftDown(i int) {
 	}
 }
 
+// countStride is how many query terms countShared counts between two
+// checks of ctx.
+const countStride = 512
+
 // countShared is stage 1 of every search — the counting merge: it streams
 // the posting list of each query term into the scratch counter, so that
 // |F ∩ G| accumulates per candidate as the lists go by, checking ctx once
-// per term batch. The caller holds the read lock.
+// per countStride terms. The caller holds the read lock.
 //
 //geodabs:noalloc
-func (ix *Inverted) countShared(ctx context.Context, sc *Scratch, set *bitmap.Bitmap) error {
-	it := set.Iterator()
-	for {
-		n := it.NextMany(sc.Terms[:])
-		if n == 0 {
-			return nil
-		}
-		ix.postings.Count(sc.Counter, sc.Terms[:n])
+func (ix *Inverted) countShared(ctx context.Context, sc *Scratch, terms []uint32) error {
+	for len(terms) > 0 {
+		n := min(len(terms), countStride)
+		ix.postings.Count(sc.Counter, terms[:n])
+		terms = terms[n:]
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// AppendSearchSet ranks this shard's documents against a fingerprint set,
-// appending the results to dst and reporting the size of the candidate set
-// (trajectories sharing at least one term with the query) and how many
-// candidates threshold pruning skipped. Cancellation is honored between
-// the counting and ranking stages and periodically inside both loops.
-// Callers on the hot path recycle dst across queries: with a warm scratch
-// pool and a dst of sufficient capacity a search performs zero heap
-// allocations. qc must equal set.Cardinality() — a prepared query caches
-// it alongside the set, skipping the per-call recount.
+// AppendSearchSet ranks this shard's documents against a query's terms
+// (distinct, ascending), appending the results to dst and reporting the
+// size of the candidate set (trajectories sharing at least one term with
+// the query) and how many candidates threshold pruning skipped.
+// Cancellation is honored between the counting and ranking stages and
+// periodically inside both loops. Callers on the hot path recycle dst
+// across queries: with a warm scratch pool and a dst of sufficient
+// capacity a search performs zero heap allocations.
 //
 //geodabs:noalloc
-func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, terms []uint32, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if qc == 0 {
+	if len(terms) == 0 {
 		return dst, SearchStats{}, nil
 	}
 	sc := GetScratch()
 	defer sc.Release()
 
-	if err := ix.countShared(ctx, sc, set); err != nil {
+	if err := ix.countShared(ctx, sc, terms); err != nil {
 		return nil, SearchStats{}, err
 	}
 	stats := SearchStats{Candidates: len(sc.Counter.Candidates())}
 
 	// Stage 2 — threshold-pruned scoring, highest shared count first, up to
 	// the first count that cannot place.
-	sc.Ranker.Init(qc, maxDistance, limit)
+	sc.Ranker.Init(len(terms), maxDistance, limit)
 	// Every candidate of the counting merge is one of the shard's
 	// documents, so the card table holds it.
 	if err := sc.Ranker.RankByCount(ctx, sc.Counter, ix.cards.Get); err != nil {

@@ -4,26 +4,59 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
-	"geodabs/internal/bitmap"
+	"geodabs/internal/distance"
 	"geodabs/internal/geo"
 	"geodabs/internal/trajectory"
 )
 
+// termSet returns the distinct values, ascending: the form an Extractor
+// returns and an index keeps.
+func termSet(values ...uint32) []uint32 {
+	set := slices.Clone(values)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// sharedTerms counts |F ∩ G| with a binary search of f for each term of
+// g, independently of the merge distance.Shared runs.
+func sharedTerms(f, g []uint32) int {
+	n := 0
+	for _, term := range g {
+		if _, ok := slices.BinarySearch(f, term); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// jaccardDistance is dJ(F, G) = 1 − |F∩G| / |F∪G| from sharedTerms, the
+// same floating-point expression the ranking contract evaluates; two empty
+// sets are at distance 0.
+func jaccardDistance(f, g []uint32) float64 {
+	shared := sharedTerms(f, g)
+	union := len(f) + len(g) - shared
+	if union == 0 {
+		return 0
+	}
+	return 1 - float64(shared)/float64(union)
+}
+
 // bruteForceSearch is the reference scorer: score every indexed document
-// with an independent full-bitmap Jaccard computation, keep candidates
-// sharing at least one term, sort by the ranking contract, truncate.
-// The counting-merge core must be byte-identical to it.
-func bruteForceSearch(docs map[trajectory.ID]*bitmap.Bitmap, set *bitmap.Bitmap, maxDistance float64, limit int) []Result {
+// with an independent Jaccard computation, keep candidates sharing at
+// least one term, sort by the ranking contract, truncate. The
+// counting-merge core must be byte-identical to it.
+func bruteForceSearch(docs map[trajectory.ID][]uint32, set []uint32, maxDistance float64, limit int) []Result {
 	var results []Result
 	for id, doc := range docs {
-		shared := bitmap.AndCardinality(set, doc)
+		shared := sharedTerms(set, doc)
 		if shared == 0 {
 			continue
 		}
-		if d := bitmap.JaccardDistance(set, doc); d <= maxDistance {
+		if d := jaccardDistance(set, doc); d <= maxDistance {
 			results = append(results, Result{ID: id, Distance: d, Shared: shared})
 		}
 	}
@@ -36,20 +69,20 @@ func bruteForceSearch(docs map[trajectory.ID]*bitmap.Bitmap, set *bitmap.Bitmap,
 
 // randomSet draws a fingerprint set whose terms overlap heavily across
 // documents (term universe much smaller than the number of draws).
-func randomSet(rng *rand.Rand, maxTerms int, universe uint32) *bitmap.Bitmap {
-	set := bitmap.New()
+func randomSet(rng *rand.Rand, maxTerms int, universe uint32) []uint32 {
+	var terms []uint32
 	for n := rng.Intn(maxTerms); n > 0; n-- {
-		set.Add(rng.Uint32() % universe)
+		terms = append(terms, rng.Uint32()%universe)
 	}
-	return set
+	return termSet(terms...)
 }
 
 // buildRandomIndex fills a one-shard index with fingerprint-only documents
 // whose IDs span multiple counter chunks.
-func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Sharded, map[trajectory.ID]*bitmap.Bitmap) {
+func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Sharded, map[trajectory.ID][]uint32) {
 	t.Helper()
 	ix := NewSharded(stubExtractor{}, 1)
-	reference := make(map[trajectory.ID]*bitmap.Bitmap, docs)
+	reference := make(map[trajectory.ID][]uint32, docs)
 	for i := 0; i < docs; i++ {
 		id := trajectory.ID(rng.Uint32() % 200000)
 		if _, dup := reference[id]; dup {
@@ -68,7 +101,7 @@ func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Sharded, map[tra
 // differential tests insert pre-built sets and never extract from points.
 type stubExtractor struct{}
 
-func (stubExtractor) Extract([]geo.Point) *bitmap.Bitmap { return bitmap.New() }
+func (stubExtractor) Extract([]geo.Point) []uint32 { return nil }
 
 func equalResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
@@ -107,7 +140,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				equalResults(t, label, got, want)
 				wantCandidates := 0
 				for _, doc := range reference {
-					if bitmap.AndCardinality(set, doc) > 0 {
+					if sharedTerms(set, doc) > 0 {
 						wantCandidates++
 					}
 				}
@@ -154,33 +187,34 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 func TestSearchWideQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ix := NewSharded(stubExtractor{}, 1)
-	reference := make(map[trajectory.ID]*bitmap.Bitmap)
+	reference := make(map[trajectory.ID][]uint32)
 	for i := 0; i < 60; i++ {
 		id := trajectory.ID(i * 977)
-		set := bitmap.New()
+		var terms []uint32
 		// Mixed sizes so the cardinality window has real work at tight
 		// cutoffs: some documents near the query's overlap, some tiny.
 		for n := 0; n < 10+(i%5)*200; n++ {
-			set.Add(rng.Uint32() % 100000)
+			terms = append(terms, rng.Uint32()%100000)
 		}
+		set := termSet(terms...)
 		if err := ix.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
 		reference[id] = set
 	}
-	huge := bitmap.New()
+	var huge []uint32
 	for v := uint32(0); v < 67000; v++ {
-		huge.Add(v)
+		huge = append(huge, v)
 	}
 	if err := ix.insert(1, huge, nil); err != nil {
 		t.Fatal(err)
 	}
 	reference[1] = huge
-	wide := bitmap.New()
+	var wide []uint32
 	for v := uint32(0); v < 70000; v++ {
-		wide.Add(v)
+		wide = append(wide, v)
 	}
-	if shared := bitmap.AndCardinality(wide, huge); shared <= math.MaxUint16 {
+	if shared := sharedTerms(wide, huge); shared <= math.MaxUint16 {
 		t.Fatalf("largest shared count %d fits 16 bits", shared)
 	}
 	sawPruning := false
@@ -230,19 +264,19 @@ func TestCardinalityWindowSound(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		f := randomSet(rng, 120, 400)
 		g := randomSet(rng, 120, 400)
-		if f.Cardinality() == 0 || g.Cardinality() == 0 {
+		if len(f) == 0 || len(g) == 0 {
 			continue
 		}
-		d := bitmap.JaccardDistance(f, g)
+		d := jaccardDistance(f, g)
 		for _, bound := range []float64{d, d + 0.05, 1} {
 			if bound > 1 {
 				bound = 1
 			}
-			minCard, maxCard := CardinalityWindow(f.Cardinality(), bound)
-			card := g.Cardinality()
+			minCard, maxCard := CardinalityWindow(len(f), bound)
+			card := len(g)
 			if card < minCard || (maxCard > 0 && card > maxCard) {
 				t.Fatalf("window [%d, %d] for qc=%d bound=%v excludes qualifying card=%d (dJ=%v)",
-					minCard, maxCard, f.Cardinality(), bound, card, d)
+					minCard, maxCard, len(f), bound, card, d)
 			}
 		}
 	}
@@ -255,7 +289,7 @@ func TestAppendSearchReusesBuffer(t *testing.T) {
 	ix, reference := buildRandomIndex(t, rng, 100)
 	set := randomSet(rng, 60, 500)
 	buf := make([]Result, 0, 4096)
-	got, _, err := ix.AppendSearchSet(context.Background(), buf, set, set.Cardinality(), 1, 0)
+	got, _, err := ix.AppendSearchSet(context.Background(), buf, set, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +354,7 @@ func TestSearchConcurrentMutations(t *testing.T) {
 					t.Errorf("more results (%d) than candidates (%d)", len(results), stats.Candidates)
 					return
 				}
-				qc := set.Cardinality()
+				qc := len(set)
 				for j, r := range results {
 					if j > 0 && !resultLess(results[j-1], r) {
 						t.Errorf("results out of contract order at %d", j)
@@ -345,37 +379,39 @@ func TestSearchConcurrentMutations(t *testing.T) {
 
 // FuzzSearchFingerprints fuzzes the counting core against the brute-force
 // scorer with document sets, query, cutoff and cap all derived from the
-// fuzz input.
+// fuzz input, and the merge JaccardDistance counts with (distance.Shared)
+// against the brute-force intersection count.
 func FuzzSearchFingerprints(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(120), uint8(3))
 	f.Add([]byte{0xff, 0x00, 0x42, 0x42, 0x17}, uint8(255), uint8(0))
 	f.Add([]byte{9}, uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, distByte, limitByte uint8) {
 		ix := NewSharded(stubExtractor{}, 1)
-		reference := make(map[trajectory.ID]*bitmap.Bitmap)
+		reference := make(map[trajectory.ID][]uint32)
 		// Each byte contributes terms to one of 8 documents and the query:
 		// a crude but deterministic overlap generator.
-		query := bitmap.New()
+		var query []uint32
 		for i, b := range data {
 			id := trajectory.ID(b % 8)
-			set, ok := reference[id]
-			if !ok {
-				set = bitmap.New()
-			}
 			term := uint32(b)*31 + uint32(i%7)
-			set.Add(term)
+			reference[id] = append(reference[id], term)
 			if b%3 == 0 {
-				query.Add(term)
+				query = append(query, term)
 			}
 			if b%5 == 0 {
-				query.Add(uint32(b) * 131)
+				query = append(query, uint32(b)*131)
 			}
-			reference[id] = set
 		}
-		for id, set := range reference {
+		query = termSet(query...)
+		for id, terms := range reference {
+			set := termSet(terms...)
+			reference[id] = set
 			ix.Delete(id)
 			if err := ix.insert(id, set, nil); err != nil {
 				t.Fatal(err)
+			}
+			if got, want := distance.Shared(query, set), sharedTerms(query, set); got != want {
+				t.Fatalf("doc %d: distance.Shared = %d, brute force %d", id, got, want)
 			}
 		}
 		maxDistance := float64(distByte) / 255

@@ -48,10 +48,11 @@ const (
 )
 
 // readSnapshotDocs parses a v2 or v3 snapshot, invoking emit once per
-// document. It returns the snapshot's total mutation epoch (summed across
+// document with its terms, ascending, in a slice of their exact size. It
+// returns the snapshot's total mutation epoch (summed across
 // v3 shard sections) and the bytes consumed. An error returned by emit
 // aborts the parse and is returned verbatim.
-func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, set *bitmap.Bitmap) error) (epoch uint64, n int64, err error) {
+func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, terms []uint32) error) (epoch uint64, n int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	readErr := func(err error) (uint64, int64, error) {
 		return 0, n, fmt.Errorf("index: read: %w", err)
@@ -67,19 +68,19 @@ func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, set *bitmap.Bitma
 	version := hdr[4]
 	readDocs := func(count uint32) error {
 		var idBuf [4]byte
+		set := bitmap.New()
 		for i := uint32(0); i < count; i++ {
 			if _, err := io.ReadFull(br, idBuf[:]); err != nil {
 				return fmt.Errorf("index: read: %w", err)
 			}
 			n += 4
 			id := trajectory.ID(binary.LittleEndian.Uint32(idBuf[:]))
-			set := bitmap.New()
 			m, err := set.ReadFrom(br)
 			n += m
 			if err != nil {
 				return fmt.Errorf("index: read: %w", err)
 			}
-			if err := emit(id, set); err != nil {
+			if err := emit(id, set.ToSlice()); err != nil {
 				return err
 			}
 		}
@@ -157,13 +158,15 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 			return writeErr(err)
 		}
 		n += int64(len(shHdr))
-		for id, set := range sh.docs {
+		for id, terms := range sh.docs {
 			binary.LittleEndian.PutUint32(idBuf[:], uint32(id))
 			if _, err := bw.Write(idBuf[:]); err != nil {
 				return writeErr(err)
 			}
 			n += 4
-			m, err := set.WriteTo(bw)
+			// FromSorted builds the containers Add would, so the bytes are
+			// the format's whatever form holds the terms in memory.
+			m, err := bitmap.FromSorted(*terms).WriteTo(bw)
 			n += m
 			if err != nil {
 				return writeErr(err)
@@ -193,12 +196,12 @@ func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
 	for i := range fresh {
 		fresh[i] = newInverted()
 	}
-	epoch, n, err := readSnapshotDocs(r, func(id trajectory.ID, set *bitmap.Bitmap) error {
+	epoch, n, err := readSnapshotDocs(r, func(id trajectory.ID, terms []uint32) error {
 		sh := fresh[shardIndex(uint32(id), s.mask)]
 		if _, dup := sh.docs[id]; dup {
 			return fmt.Errorf("index: duplicate trajectory %d in snapshot", id)
 		}
-		sh.insertLocked(id, set, nil)
+		sh.insertLocked(id, terms, nil)
 		return nil
 	})
 	if err != nil {

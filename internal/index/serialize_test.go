@@ -3,11 +3,13 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"geodabs/internal/bitmap"
 	"geodabs/internal/trajectory"
 )
 
@@ -197,6 +199,62 @@ func TestSnapshotCompatibility(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSnapshotRewriteKeepsDocumentBytes loads testdata/v3.snap into 4
+// shards and writes it back: a document is kept as its terms in memory
+// and serialized as a bitmap only on the way out, and every document's
+// record — its ID and its set's bytes — must come out exactly as the file
+// holds it.
+func TestSnapshotRewriteKeepsDocumentBytes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewSharded(newGeodabIndex(t).Extractor(), 4)
+	if _, err := loaded.ReadFrom(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := loaded.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	want, got := docRecords(t, data), docRecords(t, out.Bytes())
+	if len(want) != 22 || len(got) != len(want) {
+		t.Fatalf("rewrite holds %d documents, the file %d; want 22 each", len(got), len(want))
+	}
+	for id, rec := range want {
+		if !bytes.Equal(got[id], rec) {
+			t.Errorf("doc %d: rewritten record % x, file's % x", id, got[id], rec)
+		}
+	}
+}
+
+// docRecords splits a v3 snapshot into its documents' records, ID bytes
+// and set bytes, keyed by ID.
+func docRecords(t *testing.T, data []byte) map[trajectory.ID][]byte {
+	t.Helper()
+	if len(data) < indexHeaderSize || data[4] != indexVersionV3 {
+		t.Fatalf("not a v3 snapshot")
+	}
+	recs := make(map[trajectory.ID][]byte)
+	off := indexHeaderSize
+	for range binary.LittleEndian.Uint32(data[5:9]) {
+		docs := binary.LittleEndian.Uint32(data[off:])
+		off += 12
+		for range docs {
+			n, err := bitmap.New().ReadFrom(bytes.NewReader(data[off+4:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[trajectory.ID(binary.LittleEndian.Uint32(data[off:]))] = data[off : off+4+int(n)]
+			off += 4 + int(n)
+		}
+	}
+	if off != len(data) {
+		t.Fatalf("%d bytes past the last document", len(data)-off)
+	}
+	return recs
 }
 
 // TestSnapshotRejectsV1 pins the retirement of format v1 (no writer since

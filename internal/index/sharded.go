@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/fanout"
 	"geodabs/internal/geo"
 	"geodabs/internal/trajectory"
@@ -93,8 +92,8 @@ func (s *Sharded) Add(t *trajectory.Trajectory) error {
 	return s.insert(t.ID, s.ex.Extract(t.Points), t.Points)
 }
 
-func (s *Sharded) insert(id trajectory.ID, set *bitmap.Bitmap, pts []geo.Point) error {
-	return s.shardOf(id).insert(id, set, pts)
+func (s *Sharded) insert(id trajectory.ID, terms []uint32, pts []geo.Point) error {
+	return s.shardOf(id).insert(id, terms, pts)
 }
 
 // AddAll indexes a dataset, fingerprinting with the given number of
@@ -117,9 +116,9 @@ func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type extracted struct {
-		id  trajectory.ID
-		set *bitmap.Bitmap
-		pts []geo.Point
+		id    trajectory.ID
+		terms []uint32
+		pts   []geo.Point
 	}
 	jobs := make(chan *trajectory.Trajectory)
 	results := make(chan extracted)
@@ -140,7 +139,7 @@ func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int
 			defer wg.Done()
 			for t := range jobs {
 				select {
-				case results <- extracted{id: t.ID, set: s.ex.Extract(t.Points), pts: t.Points}:
+				case results <- extracted{id: t.ID, terms: s.ex.Extract(t.Points), pts: t.Points}:
 				case <-ctx.Done():
 					return
 				}
@@ -157,7 +156,7 @@ func (s *Sharded) AddAll(ctx context.Context, d *trajectory.Dataset, workers int
 		if firstErr = ctx.Err(); firstErr != nil {
 			break // cancellation outranks in-flight results
 		}
-		if firstErr = s.insert(r.id, r.set, r.pts); firstErr != nil {
+		if firstErr = s.insert(r.id, r.terms, r.pts); firstErr != nil {
 			break
 		}
 		inserted = append(inserted, r.id)
@@ -266,14 +265,14 @@ func (s *Sharded) PointsOf(id trajectory.ID) []geo.Point {
 // ScanDocs visits every indexed trajectory shard by shard until f returns
 // false. Each shard is visited under its own read lock; the order is
 // unspecified.
-func (s *Sharded) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card int) bool) {
+func (s *Sharded) ScanDocs(f func(id trajectory.ID, terms []uint32, card int) bool) {
 	stopped := false
 	for _, sh := range s.shards {
 		if stopped {
 			return
 		}
-		sh.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
-			if !f(id, set, card) {
+		sh.ScanDocs(func(id trajectory.ID, terms []uint32, card int) bool {
+			if !f(id, terms, card) {
 				stopped = true
 				return false
 			}
@@ -287,13 +286,12 @@ func (s *Sharded) ScanDocs(f func(id trajectory.ID, set *bitmap.Bitmap, card int
 // (ties by ID for determinism), truncated to limit results (limit ≤ 0
 // means no limit) — the paper's "finding similar trajectories" problem
 // (§II-B1). It is the extract-then-rank convenience for tools; callers
-// that hold a prepared term set use AppendSearchSet.
+// that hold a query's extracted terms use AppendSearchSet.
 func (s *Sharded) Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
 	}
-	set := s.ex.Extract(q.Points)
-	return s.AppendSearchSet(ctx, nil, set, set.Cardinality(), maxDistance, limit)
+	return s.AppendSearchSet(ctx, nil, s.ex.Extract(q.Points), maxDistance, limit)
 }
 
 // fanoutScratch is the pooled per-query state of a sharded search: each
@@ -315,8 +313,8 @@ type shardSearch struct {
 
 var fanoutScratchPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 
-// AppendSearchSet ranks against a pre-computed fingerprint set, appending
-// the results to dst. A one-shard index runs the shard's search directly;
+// AppendSearchSet ranks against a query's extracted terms (distinct,
+// ascending), appending the results to dst. A one-shard index runs the shard's search directly;
 // otherwise every shard runs that same search with the caller's limit into
 // its pooled hit buffer, each on whichever goroutine claims it first: the
 // caller or one of the helpers fanout.Each can spare (none when every core
@@ -324,16 +322,15 @@ var fanoutScratchPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
 // and its own top-limit under the (distance, ID) order holds every hit of
 // the global top-limit that it owns: sorting the at most shards × limit
 // hits and truncating them is the one-shard ranking, whichever goroutine
-// ranked each shard. Stats add up across shards. qc must equal
-// set.Cardinality().
-func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap.Bitmap, qc int, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+// ranked each shard. Stats add up across shards.
+func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, terms []uint32, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
 	}
 	if len(s.shards) == 1 {
-		return s.shards[0].AppendSearchSet(ctx, dst, set, qc, maxDistance, limit)
+		return s.shards[0].AppendSearchSet(ctx, dst, terms, maxDistance, limit)
 	}
-	if qc == 0 {
+	if len(terms) == 0 {
 		return dst, SearchStats{}, nil
 	}
 	fs := fanoutScratchPool.Get().(*fanoutScratch)
@@ -344,7 +341,7 @@ func (s *Sharded) AppendSearchSet(ctx context.Context, dst []Result, set *bitmap
 		reloads := s.reloads.Load()
 		if err := fanout.Each(ctx, len(s.shards), len(s.shards)-1, func(i int) {
 			out := &fs.shards[i]
-			out.hits, out.stats, out.err = s.shards[i].AppendSearchSet(ctx, out.hits[:0], set, qc, maxDistance, limit)
+			out.hits, out.stats, out.err = s.shards[i].AppendSearchSet(ctx, out.hits[:0], terms, maxDistance, limit)
 		}); err != nil {
 			return nil, SearchStats{}, err
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/trajectory"
 )
 
@@ -27,7 +26,7 @@ func shardCountsUnderTest() []int {
 
 // buildShardedFrom mirrors a one-shard index's reference contents into a
 // Sharded index with the given shard count.
-func buildShardedFrom(t testing.TB, reference map[trajectory.ID]*bitmap.Bitmap, shards int) *Sharded {
+func buildShardedFrom(t testing.TB, reference map[trajectory.ID][]uint32, shards int) *Sharded {
 	t.Helper()
 	s := NewSharded(stubExtractor{}, shards)
 	for id, set := range reference {
@@ -89,15 +88,15 @@ func TestShardedTiesAcrossTheCut(t *testing.T) {
 	}
 	// Against the query 0..9: ID 12 at distance 0.2; IDs 4, 5, 6 and 7
 	// all at 2/3 from shared counts 5, 4, 6 and 5; ID 3 at 0.8.
-	reference := map[trajectory.ID]*bitmap.Bitmap{
-		12: bitmap.FromSlice(span(0, 7)),
-		4:  bitmap.FromSlice(append(span(0, 4), span(100, 104)...)),
-		5:  bitmap.FromSlice(append(span(0, 3), 110, 111)),
-		6:  bitmap.FromSlice(append(span(0, 5), span(120, 127)...)),
-		7:  bitmap.FromSlice(append(span(5, 9), span(130, 134)...)),
-		3:  bitmap.FromSlice([]uint32{8, 9}),
+	reference := map[trajectory.ID][]uint32{
+		12: termSet(span(0, 7)...),
+		4:  termSet(append(span(0, 4), span(100, 104)...)...),
+		5:  termSet(append(span(0, 3), 110, 111)...),
+		6:  termSet(append(span(0, 5), span(120, 127)...)...),
+		7:  termSet(append(span(5, 9), span(130, 134)...)...),
+		3:  termSet(8, 9),
 	}
-	query := bitmap.FromSlice(span(0, 9))
+	query := termSet(span(0, 9)...)
 	flat := buildShardedFrom(t, reference, 1)
 	for _, n := range []int{2, 4} {
 		sharded := buildShardedFrom(t, reference, n)
@@ -179,17 +178,18 @@ func TestShardedWideQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	flat := NewSharded(stubExtractor{}, 1)
 	sharded := NewSharded(stubExtractor{}, 4)
-	reference := make(map[trajectory.ID]*bitmap.Bitmap)
+	reference := make(map[trajectory.ID][]uint32)
 	// Documents drawn from a wide universe so the wide query overlaps them.
 	for i := 0; i < 300; i++ {
 		id := trajectory.ID(i)
-		set := bitmap.New()
+		var terms []uint32
 		for n := 0; n < 30+rng.Intn(60); n++ {
-			set.Add(rng.Uint32() % 90000)
+			terms = append(terms, rng.Uint32()%90000)
 		}
-		if set.Cardinality() == 0 {
-			set.Add(uint32(i))
+		if len(terms) == 0 {
+			terms = append(terms, uint32(i))
 		}
+		set := termSet(terms...)
 		if err := flat.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +198,11 @@ func TestShardedWideQuery(t *testing.T) {
 		}
 		reference[id] = set
 	}
-	query, huge := bitmap.New(), bitmap.New()
+	var query, huge []uint32
 	for term := uint32(0); term < 70000; term++ {
-		query.Add(term)
+		query = append(query, term)
 		if term < 66000 {
-			huge.Add(term)
+			huge = append(huge, term)
 		}
 	}
 	for _, ix := range []*Sharded{flat, sharded} {
@@ -235,7 +235,7 @@ func TestShardedConcurrentMutateAndSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for i := 0; i < 500; i++ {
 		set := randomSet(rng, 40, 300)
-		set.Add(uint32(i))
+		set = termSet(append(set, uint32(i))...)
 		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestShardedConcurrentMutateAndSearch(t *testing.T) {
 					s.Delete(id)
 				} else {
 					set := randomSet(rng, 40, 300)
-					set.Add(uint32(id))
+					set = termSet(append(set, uint32(id))...)
 					s.Delete(id)
 					_ = s.insert(id, set, nil)
 				}
@@ -303,15 +303,15 @@ func FuzzShardedParity(f *testing.F) {
 		maxDistance := float64(distPct%101) / 100
 		flat := NewSharded(stubExtractor{}, 1)
 		sharded := NewSharded(stubExtractor{}, nShards)
-		reference := make(map[trajectory.ID]*bitmap.Bitmap)
+		reference := make(map[trajectory.ID][]uint32)
 		for i := 0; i < nDocs; i++ {
 			id := trajectory.ID(rng.Uint32() % 10000)
 			if _, dup := reference[id]; dup {
 				continue
 			}
 			set := randomSet(rng, 30, 200)
-			if set.Cardinality() == 0 {
-				set.Add(uint32(id))
+			if len(set) == 0 {
+				set = []uint32{uint32(id)}
 			}
 			if err := flat.insert(id, set, nil); err != nil {
 				t.Fatal(err)
@@ -342,9 +342,7 @@ func FuzzShardedParity(f *testing.F) {
 // scannable docs). The committed v2 and v3 snapshots seed the corpus.
 func FuzzShardedSnapshot(f *testing.F) {
 	s := NewSharded(stubExtractor{}, 2)
-	set := bitmap.New()
-	set.Add(1)
-	set.Add(99)
+	set := []uint32{1, 99}
 	if err := s.insert(5, set, nil); err != nil {
 		f.Fatal(err)
 	}
@@ -384,7 +382,7 @@ func FuzzShardedSnapshot(f *testing.F) {
 				continue
 			}
 			docs := 0
-			eng.ScanDocs(func(trajectory.ID, *bitmap.Bitmap, int) bool {
+			eng.ScanDocs(func(trajectory.ID, []uint32, int) bool {
 				docs++
 				return true
 			})

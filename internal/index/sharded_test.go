@@ -70,11 +70,11 @@ func TestShardIndexPlacement(t *testing.T) {
 func TestShardedMutationsRouteToOneShard(t *testing.T) {
 	s := NewSharded(stubExtractor{}, 4)
 	rng := rand.New(rand.NewSource(11))
-	sets := make(map[trajectory.ID]*bitmap.Bitmap)
+	sets := make(map[trajectory.ID][]uint32)
 	for i := 0; i < 500; i++ {
 		id := trajectory.ID(i)
 		set := randomSet(rng, 40, 300)
-		set.Add(uint32(i)) // never empty, always unique term
+		set = termSet(append(set, uint32(i))...) // never empty, always unique term
 		if err := s.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestShardedMutationsRouteToOneShard(t *testing.T) {
 		t.Fatalf("shard lengths sum to %d, want %d", sum, len(sets))
 	}
 	// Re-adding an ID fails — duplicates collide in their owning shard.
-	if err := s.insert(3, bitmap.New(), nil); err == nil {
+	if err := s.insert(3, nil, nil); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
 	// Delete removes from the owning shard only.
@@ -129,9 +129,7 @@ func TestShardedEpochAggregates(t *testing.T) {
 	}
 	last := uint64(0)
 	for i := 0; i < 64; i++ {
-		set := bitmap.New()
-		set.Add(uint32(i))
-		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
+		if err := s.insert(trajectory.ID(i), []uint32{uint32(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if e := s.Epoch(); e <= last {
@@ -155,11 +153,11 @@ func TestShardedStatsAggregates(t *testing.T) {
 	postings := 0
 	for i := 0; i < 200; i++ {
 		set := randomSet(rng, 30, 10000) // sparse universe: terms rarely shared
-		set.Add(uint32(1000000 + i))
+		set = termSet(append(set, uint32(1000000+i))...)
 		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
 			t.Fatal(err)
 		}
-		postings += set.Cardinality()
+		postings += len(set)
 	}
 	st := s.Stats()
 	if st.Shards != 4 {
@@ -183,12 +181,12 @@ func TestShardedStatsAggregates(t *testing.T) {
 // drive Add/Upsert with real points.
 type onePointExtractor struct{}
 
-func (onePointExtractor) Extract(pts []geo.Point) *bitmap.Bitmap {
-	set := bitmap.New()
+func (onePointExtractor) Extract(pts []geo.Point) []uint32 {
+	var terms []uint32
 	for _, p := range pts {
-		set.Add(uint32(p.Lat*1000) ^ uint32(p.Lon*1000)<<8)
+		terms = append(terms, uint32(p.Lat*1000)^uint32(p.Lon*1000)<<8)
 	}
-	return set
+	return termSet(terms...)
 }
 
 func TestShardedPointRetention(t *testing.T) {
@@ -214,10 +212,8 @@ func TestShardedDeleteAll(t *testing.T) {
 	s := NewSharded(stubExtractor{}, 4)
 	var ids []trajectory.ID
 	for i := 0; i < 300; i++ {
-		set := bitmap.New()
-		set.Add(uint32(i % 50))
 		id := trajectory.ID(i)
-		if err := s.insert(id, set, nil); err != nil {
+		if err := s.insert(id, []uint32{uint32(i % 50)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -246,9 +242,7 @@ func TestShardedDeleteAll(t *testing.T) {
 func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
 	s := NewSharded(stubExtractor{}, 4)
 	// Pre-seed an ID that the dataset will collide with.
-	set := bitmap.New()
-	set.Add(1)
-	if err := s.insert(42, set, nil); err != nil {
+	if err := s.insert(42, []uint32{1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := &trajectory.Dataset{}
@@ -275,19 +269,16 @@ func TestShardedScanDocs(t *testing.T) {
 	s := NewSharded(stubExtractor{}, 4)
 	want := make(map[trajectory.ID]int)
 	for i := 0; i < 100; i++ {
-		set := bitmap.New()
-		set.Add(uint32(i))
-		set.Add(uint32(i + 1000))
-		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
+		if err := s.insert(trajectory.ID(i), []uint32{uint32(i), uint32(i + 1000)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		want[trajectory.ID(i)] = 2
 	}
 	seen := make(map[trajectory.ID]int)
-	s.ScanDocs(func(id trajectory.ID, set *bitmap.Bitmap, card int) bool {
+	s.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
 		seen[id] = card
-		if set.Cardinality() != card {
-			t.Fatalf("ScanDocs card %d != set cardinality %d", card, set.Cardinality())
+		if len(set) != card {
+			t.Fatalf("ScanDocs card %d != set cardinality %d", card, len(set))
 		}
 		return true
 	})
@@ -301,7 +292,7 @@ func TestShardedScanDocs(t *testing.T) {
 	}
 	// Early stop is honored across shard boundaries.
 	visits := 0
-	s.ScanDocs(func(trajectory.ID, *bitmap.Bitmap, int) bool {
+	s.ScanDocs(func(trajectory.ID, []uint32, int) bool {
 		visits++
 		return visits < 10
 	})
@@ -313,14 +304,14 @@ func TestShardedScanDocs(t *testing.T) {
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := NewSharded(stubExtractor{}, 4)
-	reference := make(map[trajectory.ID]*bitmap.Bitmap)
+	reference := make(map[trajectory.ID][]uint32)
 	for i := 0; i < 400; i++ {
 		id := trajectory.ID(rng.Uint32() % 100000)
 		if _, dup := reference[id]; dup {
 			continue
 		}
 		set := randomSet(rng, 50, 400)
-		set.Add(uint32(id))
+		set = termSet(append(set, uint32(id))...)
 		if err := src.insert(id, set, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +325,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 	snapshot := buf.Bytes()
 
-	queries := make([]*bitmap.Bitmap, 20)
+	queries := make([][]uint32, 20)
 	for i := range queries {
 		queries[i] = randomSet(rng, 50, 400)
 	}
@@ -369,7 +360,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		check(t, dst)
 		// Rebalance is by placement hash: every doc must be in its owning
 		// shard, not wherever the snapshot section put it.
-		dst.ScanDocs(func(id trajectory.ID, _ *bitmap.Bitmap, _ int) bool {
+		dst.ScanDocs(func(id trajectory.ID, _ []uint32, _ int) bool {
 			if dst.shardOf(id).docs[id] == nil {
 				t.Fatalf("doc %d not in its placement shard after load", id)
 			}
@@ -387,9 +378,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 
 func TestShardedSnapshotReplacesContents(t *testing.T) {
 	src := NewSharded(stubExtractor{}, 2)
-	set := bitmap.New()
-	set.Add(7)
-	if err := src.insert(1, set, nil); err != nil {
+	if err := src.insert(1, []uint32{7}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -397,9 +386,7 @@ func TestShardedSnapshotReplacesContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewSharded(stubExtractor{}, 2)
-	other := bitmap.New()
-	other.Add(9)
-	if err := dst.insert(2, other, nil); err != nil {
+	if err := dst.insert(2, []uint32{9}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.ReadFrom(&buf); err != nil {
@@ -459,12 +446,12 @@ func TestShardedReloadIsAtomic(t *testing.T) {
 	var want [2][]Result
 	for c := range snaps {
 		src := NewSharded(stubExtractor{}, 4)
-		reference := make(map[trajectory.ID]*bitmap.Bitmap)
+		reference := make(map[trajectory.ID][]uint32)
 		// Both corpora use the same IDs with different sets, so a mixture
 		// of their shards is a plausible-looking third ranking.
 		for id := trajectory.ID(0); id < 200; id++ {
 			set := randomSet(rng, 60, 200)
-			set.Add(uint32(id))
+			set = termSet(append(set, uint32(id))...)
 			if err := src.insert(id, set, nil); err != nil {
 				t.Fatal(err)
 			}

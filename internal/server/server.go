@@ -52,7 +52,7 @@ import (
 	"time"
 
 	"geodabs"
-	"geodabs/internal/bitmap"
+	"geodabs/internal/core"
 	"geodabs/internal/wire"
 )
 
@@ -516,8 +516,8 @@ func (s *Server) handle(ctx context.Context, req *wire.Request, hits []wire.Hit)
 		return wire.Response{Status: wire.StatusOK}
 	case wire.OpSearchFP:
 		// DecodeRequest admits only strictly ascending term lists.
-		set := bitmap.FromSorted(req.Terms)
-		return s.search(ctx, req, geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set}), hits)
+		fp := geodabs.Fingerprint{Set: core.SetOf(req.Terms)}
+		return s.search(ctx, req, geodabs.QueryFromFingerprint(&fp), hits)
 	case wire.OpSearch:
 		return s.search(ctx, req, geodabs.NewQuery(req.Points), hits)
 	case wire.OpSearchRerank:

@@ -188,6 +188,56 @@ func TestServeRealIndex(t *testing.T) {
 	}
 }
 
+// TestFingerprintEdgeCases pins what the public surface does with the
+// fingerprints at the edges: a trajectory too short to fingerprint has an
+// empty set, which searches to no hits (through the client and the
+// server, and locally) and lies at Jaccard distance 0 from another empty
+// one; a Fingerprint literal carries no set at all, which the client
+// refuses and QueryFromFingerprint searches as empty.
+func TestFingerprintEdgeCases(t *testing.T) {
+	w := testWorld()
+	idx, err := geodabs.NewIndex(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.AddAll(w.dataset, 2); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, idx, server.Config{})
+	cl, err := client.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	f, err := geodabs.NewFingerprinter(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	short := f.Fingerprint(w.queries[0].Points[:3])
+	if n := short.Set.Cardinality(); n != 0 {
+		t.Fatalf("a 3-point trajectory has %d terms, want none", n)
+	}
+	res, err := cl.SearchFingerprint(ctx, short, client.WithKNN(10))
+	if err != nil || len(res.Hits) != 0 {
+		t.Fatalf("short fingerprint over the wire: %v, %v; want no hits and no error", res, err)
+	}
+	if d := geodabs.JaccardDistance(short, f.Fingerprint(nil)); d != 0 {
+		t.Errorf("JaccardDistance of two empty fingerprints = %v, want 0", d)
+	}
+
+	for _, fp := range []*geodabs.Fingerprint{nil, {}} {
+		if _, err := cl.SearchFingerprint(ctx, fp); err == nil || err.Error() != "client: nil fingerprint" {
+			t.Errorf("SearchFingerprint(%v): %v, want client: nil fingerprint", fp, err)
+		}
+	}
+	local, err := idx.SearchQuery(ctx, geodabs.QueryFromFingerprint(&geodabs.Fingerprint{}), geodabs.WithKNN(10))
+	if err != nil || len(local.Hits) != 0 {
+		t.Fatalf("QueryFromFingerprint of a Fingerprint literal: %v, %v; want no hits and no error", local, err)
+	}
+}
+
 // floodConn pipelines count search requests on one raw connection and
 // tallies the reply statuses.
 func floodConn(t *testing.T, addr string, count int, firstID uint64) (map[wire.Status]int, error) {

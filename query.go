@@ -3,8 +3,8 @@ package geodabs
 import (
 	"sync"
 
-	"geodabs/internal/bitmap"
 	"geodabs/internal/cluster"
+	"geodabs/internal/core"
 	"geodabs/internal/index"
 )
 
@@ -12,10 +12,9 @@ import (
 // fingerprint extraction (FNV suffix hashing + geohash encoding) and, on
 // a Cluster, partitioning the term set by owning shard node — dominates
 // per-query cost, so Query converts it from a per-call expense into a
-// per-query-lifetime one: the extracted term set, its cardinality, and
-// the shard partition are computed once and cached inside the value, and
-// every SearchQuery, SearchQueryBatch and AnalyzeQuery call against any
-// engine reuses them.
+// per-query-lifetime one: the extracted term set and its shard partition
+// are computed once and cached inside the value, and every SearchQuery,
+// SearchQueryBatch and AnalyzeQuery call against any engine reuses them.
 //
 // Construct one with:
 //
@@ -45,23 +44,22 @@ type Query struct {
 	fpOnly bool
 
 	mu sync.RWMutex
-	// ext is the cached extraction; plan caches the shard partition of
-	// ext.set under the strategy it was last asked for, planStrat
-	// (invalidated implicitly: the plan records the set it was built
-	// from, so a re-derived set makes the lookup miss).
-	ext       extraction
-	plan      *cluster.QueryPlan
-	planStrat ShardStrategy
+	// ext is the cached extraction, with the shard partition of its terms.
+	ext extraction
 }
 
-// extraction is one cached term-set derivation: the set, its cardinality,
-// and the configuration key it was derived under.
+// extraction is one cached term-set derivation: the terms (distinct,
+// ascending), the configuration key they were derived under, and the
+// shard partition of those terms under the strategy it was last asked
+// for, planStrat. A re-derivation replaces the whole value, plan
+// included, so a plan never outlives the terms it was built from.
 type extraction struct {
-	valid bool
-	key   extractorKey
-	keyed bool
-	set   *bitmap.Bitmap
-	card  int
+	valid     bool
+	key       extractorKey
+	keyed     bool
+	terms     []uint32
+	plan      *cluster.QueryPlan
+	planStrat ShardStrategy
 }
 
 // extractorKey identifies an extraction's provenance: the index flavor
@@ -98,21 +96,13 @@ func NewQuery(points []Point) *Query {
 // clients that never hold the raw GPS trace — an edge device can winnow
 // locally and ship the compact fingerprint instead of its points. The
 // fingerprint must have been produced under the target engine's
-// configuration; its set is shared with the query (not copied) and must
-// not be mutated afterwards.
+// configuration; its set is shared with the query, not copied.
 //
 // A fingerprint-only query carries no raw points, so WithExactRerank
 // fails against it with a pointed error; every fingerprint-ranked search
 // works unchanged.
 func QueryFromFingerprint(fp *Fingerprint) *Query {
-	set := fp.Set
-	if set == nil {
-		set = bitmap.New()
-	}
-	return &Query{
-		fpOnly: true,
-		ext:    extraction{valid: true, set: set, card: set.Cardinality()},
-	}
+	return &Query{fpOnly: true, ext: extraction{valid: true, terms: core.TermsOf(fp.Set)}}
 }
 
 // Points returns the query's raw point sequence, or nil for a
@@ -126,62 +116,71 @@ func (q *Query) FingerprintOnly() bool { return q.fpOnly }
 
 // bind installs an eager extraction at construction time
 // (Fingerprinter.Prepare); no locking — the value has not escaped yet.
-func (q *Query) bind(key extractorKey, set *bitmap.Bitmap) {
-	q.ext = extraction{valid: true, key: key, keyed: true, set: set, card: set.Cardinality()}
+func (q *Query) bind(key extractorKey, terms []uint32) {
+	q.ext = extraction{valid: true, key: key, keyed: true, terms: terms}
 }
 
-// termSet returns the query's term set and cardinality under the given
-// extractor, deriving and caching it on first use. A fingerprint-only
-// query always returns its construction-time set; a lazy or prepared
-// query returns the cached extraction when its configuration key matches
-// and re-derives (replacing the cache and implicitly staling the shard
-// plans) otherwise. Racing first uses may extract redundantly; all arrive
-// at the same set values, so correctness is unaffected.
-func (q *Query) termSet(ex index.Extractor) (*bitmap.Bitmap, int) {
+// termSet returns the query's terms under the given extractor, deriving
+// and caching them on first use. A fingerprint-only query always returns
+// its construction-time terms; a lazy or prepared query returns the cached
+// extraction when its configuration key matches and re-derives (replacing
+// the cache, shard plan included) otherwise. Racing first uses may
+// extract redundantly; all arrive at the same terms, so correctness is
+// unaffected.
+func (q *Query) termSet(ex index.Extractor) []uint32 {
 	key, keyable := keyOf(ex)
 	q.mu.RLock()
 	if q.ext.valid && (q.fpOnly || (keyable && q.ext.keyed && q.ext.key == key)) {
-		set, card := q.ext.set, q.ext.card
+		terms := q.ext.terms
 		q.mu.RUnlock()
-		return set, card
+		return terms
 	}
 	q.mu.RUnlock()
 
-	set := ex.Extract(q.points)
-	card := set.Cardinality()
+	terms := ex.Extract(q.points)
 	if !keyable {
 		// Unknown extractor flavor: usable, but never cached — a later use
-		// under a keyable engine must not inherit a set of unknown
+		// under a keyable engine must not inherit terms of unknown
 		// provenance.
-		return set, card
+		return terms
 	}
 	q.mu.Lock()
-	q.ext = extraction{valid: true, key: key, keyed: true, set: set, card: card}
+	q.ext = extraction{valid: true, key: key, keyed: true, terms: terms}
 	q.mu.Unlock()
-	return set, card
+	return terms
 }
 
-// clusterPlan returns the query's shard partition for the coordinator's
-// strategy, building and caching it on first use. The cache is one slot,
-// like the extraction's: it holds the plan of the most recent strategy,
-// so a query alternating between clusters of different strategies plans
-// again on every switch, as one alternating between extractors
-// re-extracts. The plan is validated against the set it was built from,
-// so a re-derived term set (a lazy query crossing configurations) never
-// reuses a stale partition; equal strategies share one plan even across
-// distinct Cluster values.
-func (q *Query) clusterPlan(coord *cluster.Coordinator, set *bitmap.Bitmap) *cluster.QueryPlan {
+// clusterPlan returns the shard partition of the query's terms under the
+// coordinator's extractor and strategy, building and caching it on first
+// use. The cache is one slot, like the extraction's: it holds the plan of
+// the most recent strategy, so a query alternating between clusters of
+// different strategies plans again on every switch, as one alternating
+// between extractors re-extracts. The plan is kept with the extraction it
+// was built from, and used or kept only while that extraction is still
+// the cached one, so a re-derived term set (a lazy query crossing
+// configurations) never reuses a stale partition; equal strategies share
+// one plan even across distinct Cluster values.
+func (q *Query) clusterPlan(coord *cluster.Coordinator) *cluster.QueryPlan {
+	terms := q.termSet(coord.Extractor())
 	strat := coord.Strategy()
 	q.mu.RLock()
-	p := q.plan
-	hit := p != nil && q.planStrat == strat && p.Set() == set
+	p, hit := q.ext.plan, q.ext.planStrat == strat && sameTerms(q.ext.terms, terms)
 	q.mu.RUnlock()
-	if hit {
+	if p != nil && hit {
 		return p
 	}
-	p = coord.Plan(set)
+	p = coord.Plan(terms)
 	q.mu.Lock()
-	q.plan, q.planStrat = p, strat
+	if sameTerms(q.ext.terms, terms) {
+		q.ext.plan, q.ext.planStrat = p, strat
+	}
 	q.mu.Unlock()
 	return p
+}
+
+// sameTerms reports whether a and b are the same slice: the same length
+// over the same first element. Two extractions never share storage, so
+// this tells a cached extraction from one that replaced it.
+func sameTerms(a, b []uint32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -3,11 +3,13 @@ package geodabs_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"geodabs"
+	"geodabs/internal/core"
 )
 
 // preparedVariants builds every way of preparing one trajectory as a
@@ -230,16 +232,12 @@ func TestWideQueryPreparedParity(t *testing.T) {
 	}
 	// Real terms (so the wide query has other candidates) plus the
 	// raster's, every one of which it shares with the query.
-	set := fp.Fingerprint(w.Dataset.Trajectories[0].Points).Set
-	add := func(v uint32) bool {
-		set.Add(v)
-		return true
-	}
-	huge.Iterate(add)
+	terms := append(fp.Fingerprint(w.Dataset.Trajectories[0].Points).Set.ToSlice(), huge.ToSlice()...)
 	for _, tr := range w.Dataset.Trajectories[1:8] {
-		fp.Fingerprint(tr.Points).Set.Iterate(add)
+		terms = append(terms, fp.Fingerprint(tr.Points).Set.ToSlice()...)
 	}
-	q := geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: set})
+	slices.Sort(terms)
+	q := geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: core.SetOf(slices.Compact(terms))})
 	for _, opts := range [][]geodabs.SearchOption{
 		nil,
 		{geodabs.WithLimit(10)},

@@ -265,8 +265,7 @@ func (ix *Index) searchPrepared(ctx context.Context, q *Query, o searchOptions) 
 		return nil, err
 	}
 	start := time.Now()
-	set, card := q.termSet(ix.eng.Extractor())
-	hits, istats, err := ix.eng.AppendSearchSet(ctx, nil, set, card, o.maxDistance, o.fetchLimit())
+	hits, istats, err := ix.eng.AppendSearchSet(ctx, nil, q.termSet(ix.eng.Extractor()), o.maxDistance, o.fetchLimit())
 	if err != nil {
 		return nil, err
 	}
@@ -336,9 +335,7 @@ func (c *Cluster) searchPrepared(ctx context.Context, q *Query, o searchOptions)
 		return nil, err
 	}
 	start := time.Now()
-	set, _ := q.termSet(c.coord.Extractor())
-	plan := q.clusterPlan(c.coord, set)
-	hits, info, err := c.coord.SearchPlan(ctx, plan, o.maxDistance, o.fetchLimit())
+	hits, info, err := c.coord.SearchPlan(ctx, q.clusterPlan(c.coord), o.maxDistance, o.fetchLimit())
 	if err != nil {
 		return nil, translateClusterErr(err)
 	}
