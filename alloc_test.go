@@ -19,14 +19,14 @@ import (
 // escaping allocation sites at compile time, and this test pins the
 // steady-state behavior with testing.AllocsPerRun — a warm scratch pool
 // plus a recycled result buffer must search without touching the heap,
-// through the one-shard engine — the path a one-shard geodabs.Index takes.
+// through the engine a geodabs.Index searches with.
 // GC is disabled for the measurement so a collection cannot empty the
 // scratch pool mid-run and charge the refill to a search.
 func TestSearchCoreZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ix := index.NewSharded(geodabEx(), 1)
+	ix := index.New(geodabEx())
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,9 @@ var benchLongTrajectories = sync.OnceValue(func() [][]geodabs.Point {
 	return pts
 })
 
-func builtIndex(b *testing.B, ex index.Extractor) *index.Sharded {
+func builtIndex(b *testing.B, ex index.Extractor) *index.Inverted {
 	b.Helper()
-	ix := index.NewSharded(ex, 1)
+	ix := index.New(ex)
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func builtIndex(b *testing.B, ex index.Extractor) *index.Sharded {
 }
 
 // rank runs one uncapped, unbounded ranked query.
-func rank(b *testing.B, ix *index.Sharded, q *trajectory.Trajectory) []index.Result {
+func rank(b *testing.B, ix *index.Inverted, q *trajectory.Trajectory) []index.Result {
 	results, _, err := ix.Search(context.Background(), q, 1, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -100,7 +100,7 @@ func cellEx(b *testing.B) index.CellExtractor {
 func BenchmarkFig08Normalization(b *testing.B) {
 	out := benchWorkload()
 	for i := 0; i < b.N; i++ {
-		ix := index.NewSharded(geodabEx(), 1)
+		ix := index.New(geodabEx())
 		if err := ix.AddAll(context.Background(), out.Dataset, 8); err != nil {
 			b.Fatal(err)
 		}

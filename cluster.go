@@ -122,9 +122,6 @@ func NewCluster(cfg Config, strategy ShardStrategy, addrs []string, opts ...Opti
 	if err != nil {
 		return nil, err
 	}
-	if o.shardsSet {
-		return nil, errors.New("geodabs: WithShards applies to local indexes, not clusters — cluster sharding is configured by the node address list")
-	}
 	var coordOpts []cluster.Option
 	if o.retainPoints {
 		coordOpts = append(coordOpts, cluster.WithRetainPoints())

@@ -25,16 +25,14 @@ import (
 // The macro benchmark is the scale proof the micro-benches cannot give:
 // it ingests on the order of a million synthetic trajectories (chunked
 // generation on one city graph, so memory holds the indexes rather than
-// the raw dataset) into the in-process index at the chosen shard count and
-// at one shard (one lock), checks their rankings stay byte-identical on the
-// live corpus, measures ingest throughput, closed-loop search qps and
-// p50/p99 latency at several operating points, RSS, and a v3 snapshot
-// write — and anchors everything with a brute-force linear-scan baseline
-// (full-corpus bitmap Jaccard per query), the geo-index-rtree
-// comparison-table idiom, for the speedup_vs_brute headline.
+// the raw dataset) into the in-process index, measures ingest throughput,
+// closed-loop search qps and p50/p99 latency at several operating points,
+// RSS, and a v3 snapshot write — and anchors everything with a
+// brute-force linear-scan baseline (full-corpus Jaccard per query, whose
+// rankings must equal the index's), the geo-index-rtree comparison-table
+// idiom, for the speedup_vs_brute headline.
 
 type macroSearchResult struct {
-	Engine      string  `json:"engine"`
 	MaxDistance float64 `json:"max_distance"`
 	KNN         int     `json:"knn"`
 	Workers     int     `json:"workers"`
@@ -45,8 +43,6 @@ type macroSearchResult struct {
 }
 
 type macroIngestResult struct {
-	Engine     string  `json:"engine"`
-	Shards     int     `json:"shards"`
 	Trajs      int     `json:"trajectories"`
 	Seconds    float64 `json:"seconds"`
 	TrajPerSec float64 `json:"traj_per_sec"`
@@ -70,27 +66,16 @@ type macroReport struct {
 	Trajectories int   `json:"trajectories"`
 	TotalPoints  int64 `json:"total_points"`
 	QueryPool    int   `json:"query_pool"`
-	Shards       int   `json:"shards"`
 
-	Ingest []macroIngestResult `json:"ingest"`
+	Ingest macroIngestResult   `json:"ingest"`
 	Search []macroSearchResult `json:"search"`
 	Brute  macroBruteResult    `json:"brute_force"`
 
-	// SpeedupVsBrute is the headline: sharded single-worker qps at the
-	// widest operating point over the brute-force linear scan's qps.
+	// SpeedupVsBrute is the headline: single-worker qps at the widest
+	// operating point over the brute-force linear scan's qps.
 	SpeedupVsBrute float64 `json:"speedup_vs_brute"`
-	// ShardedVsSingleQPS compares sharded to the one-shard index at the same
-	// operating point (multi-worker where it exists): > 1 means the
-	// fan-out won, ≈ 1 is the expected single-core result.
-	ShardedVsSingleQPS float64 `json:"sharded_vs_single_qps"`
 
-	// Parity records the byte-identical check between the two engines on
-	// the live corpus ("ok: N queries" or a failure is fatal before the
-	// report is written).
-	Parity string `json:"parity"`
-
-	// Memory is sampled after both engines are built (both resident, so
-	// roughly twice a production footprint of one engine).
+	// Memory is sampled after the index is built.
 	Memory            macroMemory `json:"memory_after_ingest"`
 	SnapshotV3Bytes   int64       `json:"snapshot_v3_bytes"`
 	SnapshotV3Seconds float64     `json:"snapshot_v3_seconds"`
@@ -112,23 +97,12 @@ func macroChunk(city *roadnet.Graph, chunkIdx int, routes, perDirection, queries
 	return out.Dataset, out.Queries, nil
 }
 
-func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
+func runMacro(n, queryPool int, pointDur time.Duration) macroReport {
 	gomax := runtime.GOMAXPROCS(0)
-	if shards <= 0 {
-		// Default the shard count to at least 2 so the fan-out machinery is
-		// genuinely exercised even on a single-core box (where a GOMAXPROCS
-		// default would collapse to one shard).
-		shards = 2
-		for shards < gomax {
-			shards <<= 1
-		}
-	}
 	ctx := context.Background()
 	cf := core.MustFingerprinter(core.DefaultConfig())
-	ex := index.GeodabExtractor{Fingerprinter: cf}
-	sharded := index.NewSharded(ex, shards)
-	single := index.NewSharded(ex, 1)
-	log.Printf("macro: target %d trajectories, %d shards, GOMAXPROCS=%d", n, sharded.NumShards(), gomax)
+	ix := index.New(index.GeodabExtractor{Fingerprinter: cf})
+	log.Printf("macro: target %d trajectories, GOMAXPROCS=%d", n, gomax)
 
 	city, err := roadnet.GenerateCity(roadnet.CityConfig{Seed: 7})
 	if err != nil {
@@ -136,8 +110,8 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	}
 
 	// Chunked generate-and-ingest: each chunk is generated once, pushed
-	// through both engines' AddAll (so each ingest number includes the
-	// fingerprint extraction it would pay in production), then dropped.
+	// through AddAll (so the ingest number includes the fingerprint
+	// extraction it would pay in production), then dropped.
 	const chunkRoutes, perDirection = 128, 10
 	chunkSize := chunkRoutes * 2 * perDirection
 	var (
@@ -145,8 +119,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 		total        int
 		totalPoints  int64
 		genSeconds   float64
-		shardedSecs  float64
-		singleSecs   float64
+		ingestSecs   float64
 		workers      = gomax
 		chunkIdx     int
 		logEvery     = 1
@@ -171,8 +144,7 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 				queries = queries[:queryPool]
 			}
 		}
-		// Rebase IDs onto the global sequence; sequential IDs are the
-		// adversarial case for naive placement, which the hash handles.
+		// Rebase IDs onto the global sequence.
 		if len(chunk.Trajectories) > n-total {
 			chunk.Trajectories = chunk.Trajectories[:n-total]
 		}
@@ -183,20 +155,15 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 		genSeconds += time.Since(t0).Seconds()
 
 		t0 = time.Now()
-		if err := sharded.AddAll(ctx, chunk, workers); err != nil {
+		if err := ix.AddAll(ctx, chunk, workers); err != nil {
 			log.Fatal(err)
 		}
-		shardedSecs += time.Since(t0).Seconds()
-		t0 = time.Now()
-		if err := single.AddAll(ctx, chunk, workers); err != nil {
-			log.Fatal(err)
-		}
-		singleSecs += time.Since(t0).Seconds()
+		ingestSecs += time.Since(t0).Seconds()
 		total += len(chunk.Trajectories)
 		chunkIdx++
 		if total >= nextLogCount {
-			log.Printf("macro: ingested %d/%d (gen %.0fs, sharded %.0fs, single %.0fs)",
-				total, n, genSeconds, shardedSecs, singleSecs)
+			log.Printf("macro: ingested %d/%d (gen %.0fs, ingest %.0fs)",
+				total, n, genSeconds, ingestSecs)
 			logEvery *= 2
 			nextLogCount = total + chunkSize*logEvery
 		}
@@ -207,58 +174,19 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	log.Printf("macro: corpus built — %d trajectories, %d points, %d queries", total, totalPoints, len(queries))
 
 	// Pre-extract the query fingerprint sets once: the search loops below
-	// measure the engines' ranked retrieval, the prepared-query steady
+	// measure the index's ranked retrieval, the prepared-query steady
 	// state of a production workload.
 	querySets := make([][]uint32, len(queries))
 	for i, q := range queries {
 		querySets[i] = cf.FingerprintSet(q.Points)
 	}
 
-	// Parity: the tentpole contract on the live corpus. Byte-identical or
-	// the run dies before writing a report.
-	parityQueries := len(querySets)
-	if parityQueries > 32 {
-		parityQueries = 32
-	}
-	for i := 0; i < parityQueries; i++ {
-		for _, op := range []struct {
-			d float64
-			k int
-		}{{1, 10}, {0.5, 10}} {
-			a, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], op.d, op.k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			b, _, err := single.AppendSearchSet(ctx, nil, querySets[i], op.d, op.k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if len(a) != len(b) {
-				log.Fatalf("macro: parity failure on query %d (d=%.1f): %d vs %d hits", i, op.d, len(a), len(b))
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					log.Fatalf("macro: parity failure on query %d (d=%.1f) hit %d: %+v vs %+v", i, op.d, j, a[j], b[j])
-				}
-			}
-		}
-	}
-	parity := fmt.Sprintf("ok: %d queries x 2 operating points byte-identical", parityQueries)
-	log.Printf("macro: parity %s", parity)
-
 	mem := sampleMemory()
 	log.Printf("macro: memory heap_inuse=%dMB sys=%dMB vmrss=%dMB",
 		mem.HeapInuseBytes>>20, mem.SysBytes>>20, mem.VmRSSBytes>>20)
 
-	ingest := []macroIngestResult{
-		{Engine: "sharded", Shards: sharded.NumShards(), Trajs: total,
-			Seconds: shardedSecs, TrajPerSec: float64(total) / shardedSecs},
-		{Engine: "single", Shards: 1, Trajs: total,
-			Seconds: singleSecs, TrajPerSec: float64(total) / singleSecs},
-	}
-	for _, r := range ingest {
-		log.Printf("macro: ingest %-8s %8.0f traj/s (%.1fs)", r.Engine, r.TrajPerSec, r.Seconds)
-	}
+	ingest := macroIngestResult{Trajs: total, Seconds: ingestSecs, TrajPerSec: float64(total) / ingestSecs}
+	log.Printf("macro: ingest %8.0f traj/s (%.1fs)", ingest.TrajPerSec, ingest.Seconds)
 
 	// Closed-loop search at the operating-point grid. Worker counts cover
 	// the single-caller latency view and a saturating concurrent load.
@@ -267,36 +195,30 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 		workerPoints = []int{1, 4} // still measure concurrent callers queuing on one core
 	}
 	var search []macroSearchResult
-	engines := []struct {
-		name string
-		eng  *index.Sharded
-	}{{"sharded", sharded}, {"single", single}}
-	for _, e := range engines {
-		for _, op := range []struct {
-			d float64
-			k int
-		}{{1, 10}, {0.5, 10}} {
-			for _, w := range workerPoints {
-				r := runMacroSearch(ctx, e.eng, querySets, op.d, op.k, w, pointDur)
-				r.Engine = e.name
-				search = append(search, r)
-				log.Printf("macro: search %-8s d=%.1f k=%d w=%-2d %8.0f qps  p50=%.3fms p99=%.3fms",
-					e.name, op.d, op.k, w, r.QPS, r.P50MS, r.P99MS)
-			}
+	for _, op := range []struct {
+		d float64
+		k int
+	}{{1, 10}, {0.5, 10}} {
+		for _, w := range workerPoints {
+			r := runMacroSearch(ctx, ix, querySets, op.d, op.k, w, pointDur)
+			search = append(search, r)
+			log.Printf("macro: search d=%.1f k=%d w=%-2d %8.0f qps  p50=%.3fms p99=%.3fms",
+				op.d, op.k, w, r.QPS, r.P50MS, r.P99MS)
 		}
 	}
 
 	// Brute force: full-corpus linear scan per query, Jaccard on every
 	// document's term set, ranked through the shared sort contract. This is
-	// the PostGIS-table-scan analogue anchoring the speedup headline.
+	// the PostGIS-table-scan analogue anchoring the speedup headline, and
+	// the run dies unless its rankings equal the index's.
 	bruteQueries := len(querySets)
 	if bruteQueries > 8 {
 		bruteQueries = 8
 	}
 	t0 := time.Now()
 	for i := 0; i < bruteQueries; i++ {
-		got := bruteForceScan(single, querySets[i], 1, 10)
-		want, _, err := sharded.AppendSearchSet(ctx, nil, querySets[i], 1, 10)
+		got := bruteForceScan(ix, querySets[i], 1, 10)
+		want, _, err := ix.AppendSearchSet(ctx, nil, querySets[i], 1, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -317,51 +239,38 @@ func runMacro(n, shards, queryPool int, pointDur time.Duration) macroReport {
 	}
 	log.Printf("macro: brute force %d queries, avg %.1fms (%.2f qps)", brute.Queries, brute.AvgMS, brute.QPS)
 
-	// Snapshot the sharded corpus (v3) to a byte-counting sink: the
-	// durability cost of the scale corpus without touching disk.
+	// Snapshot the corpus (v3) to a byte-counting sink: the durability
+	// cost of the scale corpus without touching disk.
 	t0 = time.Now()
-	snapBytes, err := sharded.WriteTo(countingDiscard{})
+	snapBytes, err := ix.WriteTo(countingDiscard{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	snapSecs := time.Since(t0).Seconds()
 	log.Printf("macro: v3 snapshot %d bytes in %.1fs", snapBytes, snapSecs)
 
-	findQPS := func(engine string, d float64, w int) float64 {
-		for _, r := range search {
-			if r.Engine == engine && r.MaxDistance == d && r.Workers == w {
-				return r.QPS
-			}
-		}
-		return 0
-	}
-	concurrent := workerPoints[len(workerPoints)-1]
 	rep := macroReport{
 		Workload: fmt.Sprintf("synthetic city seed 7, chunked %d-route x %d/direction generation, 1km+ routes, default fingerprint config",
 			chunkRoutes, perDirection),
-		Trajectories:       total,
-		TotalPoints:        totalPoints,
-		QueryPool:          len(querySets),
-		Shards:             sharded.NumShards(),
-		Ingest:             ingest,
-		Search:             search,
-		Brute:              brute,
-		SpeedupVsBrute:     findQPS("sharded", 1, 1) / brute.QPS,
-		ShardedVsSingleQPS: findQPS("sharded", 1, concurrent) / findQPS("single", 1, concurrent),
-		Parity:             parity,
-		Memory:             mem,
-		SnapshotV3Bytes:    snapBytes,
-		SnapshotV3Seconds:  snapSecs,
+		Trajectories:      total,
+		TotalPoints:       totalPoints,
+		QueryPool:         len(querySets),
+		Ingest:            ingest,
+		Search:            search,
+		Brute:             brute,
+		SpeedupVsBrute:    search[0].QPS / brute.QPS, // d=1 from one worker
+		Memory:            mem,
+		SnapshotV3Bytes:   snapBytes,
+		SnapshotV3Seconds: snapSecs,
 	}
-	log.Printf("macro: speedup_vs_brute %.0fx, sharded_vs_single %.2fx (w=%d)",
-		rep.SpeedupVsBrute, rep.ShardedVsSingleQPS, concurrent)
+	log.Printf("macro: speedup_vs_brute %.0fx", rep.SpeedupVsBrute)
 	return rep
 }
 
-// runMacroSearch drives one engine closed-loop from w workers for
+// runMacroSearch drives the index closed-loop from w workers for
 // roughly dur, cycling the query pool, and reports throughput and
 // latency quantiles.
-func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets [][]uint32, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
+func runMacroSearch(ctx context.Context, ix *index.Inverted, querySets [][]uint32, maxDistance float64, knn, w int, dur time.Duration) macroSearchResult {
 	var mu sync.Mutex
 	var lats []time.Duration
 	deadline := time.Now().Add(dur)
@@ -375,7 +284,7 @@ func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets [][]uint3
 			dst := make([]index.Result, 0, knn)
 			for qi := seed; time.Now().Before(deadline); qi++ {
 				t0 := time.Now()
-				out, _, err := eng.AppendSearchSet(ctx, dst[:0], querySets[qi%len(querySets)], maxDistance, knn)
+				out, _, err := ix.AppendSearchSet(ctx, dst[:0], querySets[qi%len(querySets)], maxDistance, knn)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -412,10 +321,10 @@ func runMacroSearch(ctx context.Context, eng *index.Sharded, querySets [][]uint3
 // merge of the two term sets, rank through the shared contract. No
 // postings, no counting merge, no pruning — what retrieval costs without
 // the index.
-func bruteForceScan(eng *index.Sharded, terms []uint32, maxDistance float64, limit int) []index.Result {
+func bruteForceScan(ix *index.Inverted, terms []uint32, maxDistance float64, limit int) []index.Result {
 	qc := len(terms)
 	var results []index.Result
-	eng.ScanDocs(func(id trajectory.ID, doc []uint32, card int) bool {
+	ix.ScanDocs(func(id trajectory.ID, doc []uint32, card int) bool {
 		shared := distance.Shared(terms, doc)
 		if shared == 0 {
 			return true

@@ -1,9 +1,9 @@
 // Command bench is the scale proof, and nothing else: it ingests on the
-// order of a million synthetic trajectories into the in-process sharded
-// engine and its one-shard (single-lock) form, dies unless their rankings
-// are byte-identical and agree with a brute-force linear scan, and
+// order of a million synthetic trajectories into the in-process index,
+// dies unless its rankings agree with a brute-force linear scan, and
 // reports ingest throughput, closed-loop search qps with p50/p99
-// latency, RSS and the brute-force speedup as JSON (see macro.go).
+// latency, RSS, the snapshot size and the brute-force speedup as JSON
+// (see macro.go).
 //
 // Every other number the repository tracks comes from benchmark/
 // (bash benchmark/run.sh), which repeats; this run is too long to. A
@@ -30,7 +30,6 @@ type report struct {
 
 func main() {
 	n := flag.Int("n", 1_000_000, "number of trajectories to ingest")
-	shards := flag.Int("macro-shards", 0, "shard count (0 = power of two from GOMAXPROCS, min 2)")
 	dur := flag.Duration("macro-duration", 3*time.Second, "duration of each search operating point")
 	queries := flag.Int("macro-queries", 64, "held-out query pool size")
 	out := flag.String("out", "", "output JSON path (default: standard output)")
@@ -39,7 +38,7 @@ func main() {
 	rep := report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Macro:      runMacro(*n, *shards, *queries, *dur),
+		Macro:      runMacro(*n, *queries, *dur),
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

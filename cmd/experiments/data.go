@@ -42,8 +42,8 @@ func retrievalWorkload(o options) (*gen.Output, error) {
 
 // buildIndex constructs an inverted index over the dataset with the given
 // extractor.
-func buildIndex(ex index.Extractor, d *trajectory.Dataset) (*index.Sharded, error) {
-	ix := index.NewSharded(ex, 1)
+func buildIndex(ex index.Extractor, d *trajectory.Dataset) (*index.Inverted, error) {
+	ix := index.New(ex)
 	if err := ix.AddAll(context.Background(), d, 8); err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func buildIndex(ex index.Extractor, d *trajectory.Dataset) (*index.Sharded, erro
 
 // runsOf executes every query against the index and pairs the rankings
 // with the ground truth.
-func runsOf(ix *index.Sharded, out *gen.Output) []eval.Run {
+func runsOf(ix *index.Inverted, out *gen.Output) []eval.Run {
 	ctx := context.Background()
 	runs := make([]eval.Run, 0, len(out.Queries))
 	for _, q := range out.Queries {

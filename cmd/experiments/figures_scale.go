@@ -26,9 +26,9 @@ func runFig14(o options) error {
 		return err
 	}
 	methods := retrievalMethods()
-	indexes := make([]*index.Sharded, len(methods))
+	indexes := make([]*index.Inverted, len(methods))
 	for i, m := range methods {
-		indexes[i] = index.NewSharded(m.ex, 1)
+		indexes[i] = index.New(m.ex)
 	}
 	queries := out.Queries
 

@@ -177,7 +177,6 @@ func cmdStats(args []string) error {
 	snapshot := fs.String("snapshot", "", "write the built index to this file (load with query -snapshot)")
 	in := fs.String("in", "", "start from this index snapshot instead of an empty index")
 	upsert := fs.Bool("upsert", false, "replace already-indexed IDs instead of failing on duplicates")
-	shards := fs.Int("shards", 0, "in-process shard count, rounded up to a power of two (0 or 1 = one shard behind one lock)")
 	nodes := fs.String("nodes", "", "comma-separated shard node addresses: print cluster stats instead of indexing")
 	replicas := fs.String("replicas", "", "per-node read replica addresses, groups comma-separated matching -nodes, members |-separated")
 	if err := fs.Parse(args); err != nil {
@@ -195,7 +194,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	idx, err := geodabs.NewIndex(geodabs.DefaultConfig(), geodabs.WithShards(*shards))
+	idx, err := geodabs.NewIndex(geodabs.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -221,7 +220,6 @@ func cmdStats(args []string) error {
 	fmt.Printf("terms:        %d\n", s.Terms)
 	fmt.Printf("postings:     %d\n", s.Postings)
 	fmt.Printf("bitmap bytes: %d\n", s.BitmapBytes)
-	fmt.Printf("shards:       %d\n", s.Shards)
 	fmt.Printf("build time:   %v (%d workers)\n", elapsed.Round(time.Millisecond), *workers)
 	if *snapshot != "" {
 		n, err := writeSnapshot(idx, *snapshot)

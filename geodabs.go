@@ -137,13 +137,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // with WithExactRerank. Retention is off by default — rerank-free
 // workloads no longer pay the pinned point memory.
 //
-// With WithShards(n), the index is split into n in-process shards (own
-// locks, own posting lists) whose searches fan out onto idle cores and
-// whose mutations stop contending — rankings are byte-identical at every
-// shard count. Without it (or with WithShards(0)) the index is one shard,
-// at any GOMAXPROCS.
+// An Index is one posting map behind one lock, not partitioned in
+// process: a search counts each query term's posting list once. To spread
+// a corpus over several machines along the geohash curve, use a Cluster.
 type Index struct {
-	eng *index.Sharded
+	eng *index.Inverted
 }
 
 // NewIndex returns an empty geodab index.
@@ -178,7 +176,7 @@ func newIndex(ex index.Extractor, opts []Option) (*Index, error) {
 	if o.retainPoints {
 		invOpts = append(invOpts, index.RetainPoints())
 	}
-	return &Index{eng: index.NewSharded(ex, o.shards, invOpts...)}, nil
+	return &Index{eng: index.New(ex, invOpts...)}, nil
 }
 
 // Add fingerprints and indexes a trajectory. IDs must be unique; use

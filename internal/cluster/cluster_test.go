@@ -82,7 +82,7 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 func TestClusterMatchesLocalIndex(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.NewSharded(ex, 1)
+	local := index.New(ex)
 	for _, tr := range testWorkload.Dataset.Trajectories {
 		if err := coord.Add(context.Background(), tr); err != nil {
 			t.Fatal(err)
@@ -792,7 +792,7 @@ func TestPoolParallelSearches(t *testing.T) {
 func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.NewSharded(ex, 1)
+	local := index.New(ex)
 	ctx := context.Background()
 	add := func(tr *trajectory.Trajectory) {
 		t.Helper()
@@ -1187,7 +1187,7 @@ func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	local := index.NewSharded(ex, 1)
+	local := index.New(ex)
 	ctx := context.Background()
 	stats := func() []NodeStats {
 		t.Helper()

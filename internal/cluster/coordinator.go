@@ -969,7 +969,7 @@ type SearchInfo struct {
 
 // Search scatter-gathers the ranked retrieval problem across the cluster
 // and merges partial intersection counts into Jaccard-ranked results,
-// equivalent to index.Sharded.Search on the same data. Cancelling ctx
+// equivalent to index.Inverted.Search on the same data. Cancelling ctx
 // aborts the scatter-gather promptly and returns the context's error;
 // the first node failure cancels the sibling calls, so one wedged node
 // cannot hold the query past another node's error.

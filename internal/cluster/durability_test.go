@@ -649,7 +649,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 			"re-add never succeeded with the stranded node back")
 	}
 
-	ref := index.NewSharded(latExtractor{}, 1)
+	ref := index.New(latExtractor{})
 	ref.Upsert(second)
 	query := latExtractor{}.Extract(termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 8, 9).Points)
 	for _, limit := range []int{0, 1} {

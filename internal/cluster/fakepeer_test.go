@@ -320,7 +320,7 @@ func loseMutationAcks(t *testing.T, upstream string, fail *atomic.Bool) net.List
 func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 	// Under latExtractor's strategy, terms 0, 1, 4 and 5 live on node 0,
 	// terms 2, 3, 6 and 7 on node 1.
-	start := func(t *testing.T) (*Coordinator, *atomic.Bool, *index.Sharded) {
+	start := func(t *testing.T) (*Coordinator, *atomic.Bool, *index.Inverted) {
 		nodes, _ := startNodes(t, 2)
 		fail := new(atomic.Bool)
 		addrs := []string{nodes[0].Addr(), loseMutationAcks(t, nodes[1].Addr(), fail).Addr().String()}
@@ -329,13 +329,13 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { coord.Close() })
-		return coord, fail, index.NewSharded(latExtractor{}, 1)
+		return coord, fail, index.New(latExtractor{})
 	}
 	ctx := context.Background()
 	query := termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 7)
 	// converged checks the cluster against the local index: the same
 	// ranking, and not one posting more.
-	converged := func(t *testing.T, coord *Coordinator, local *index.Sharded) {
+	converged := func(t *testing.T, coord *Coordinator, local *index.Inverted) {
 		t.Helper()
 		for _, limit := range []int{0, 1} {
 			want, _, err := local.Search(ctx, query, 1, limit)
@@ -355,7 +355,7 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 		}
 	}
 	old, moved := termTrajectory(7, 0, 1, 4), termTrajectory(7, 2, 3, 6)
-	failUpsert := func(t *testing.T) (*Coordinator, *index.Sharded) {
+	failUpsert := func(t *testing.T) (*Coordinator, *index.Inverted) {
 		coord, fail, local := start(t)
 		if err := coord.Add(ctx, old); err != nil {
 			t.Fatal(err)
@@ -464,7 +464,7 @@ func TestNodeRankedSearchFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { coord.Close() })
-			local := index.NewSharded(latExtractor{}, 1)
+			local := index.New(latExtractor{})
 			ctx := context.Background()
 			docs := []*trajectory.Trajectory{
 				termTrajectory(1, 0, 1, 4),

@@ -1,6 +1,6 @@
-// Package fanout runs the items of one call — the shards of a search, the
-// candidates of an exact rerank — on the calling goroutine and on as many
-// helper goroutines as the process has idle cores for.
+// Package fanout runs the items of one call — the candidates of an exact
+// rerank — on the calling goroutine and on as many helper goroutines as
+// the process has idle cores for.
 //
 // The process holds one budget of GOMAXPROCS − 1 helper tokens, shared by
 // every call. A call takes what it can by try-acquire, which never waits,

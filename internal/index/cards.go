@@ -6,8 +6,8 @@ import (
 )
 
 // CardTable maps a document ID to its fingerprint cardinality |G|: the
-// lookup the ranking walk makes for every candidate it visits, on a shard
-// and on a cluster node that ranks a one-node plan. It is an
+// lookup the ranking walk makes for every candidate it visits, in the
+// local engine and on a cluster node that ranks a one-node plan. It is an
 // open-addressing table over one slice — each slot packs id<<32 | card,
 // hashed by multiplication, with linear probing and backward-shift
 // deletion — so a lookup reads one or two adjacent words and hashes

@@ -220,49 +220,45 @@ func FuzzCardTable(f *testing.F) {
 	})
 }
 
-// TestSnapshotSwapsCardTable checks ScanDocs cards after ReadFrom swaps
-// freshly built tables into a populated index: every loaded document
+// TestSnapshotSwapsCardTable checks ScanDocs cards after ReadFrom swaps a
+// freshly built table into a populated index: every loaded document
 // reads its own set's cardinality, and no document of the replaced
-// corpus survives in a table.
+// corpus survives in the table.
 func TestSnapshotSwapsCardTable(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		orig := newGeodabIndex(t)
-		if err := orig.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
-			t.Fatal(err)
+	orig := newGeodabIndex(t)
+	if err := orig.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
+		t.Fatal(err)
+	}
+	orig.Delete(testWorkload.Dataset.Trajectories[2].ID)
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(orig.Extractor())
+	stale := trajectory.ID(1 << 30)
+	if err := loaded.insert(stale, []uint32{1, 2, 3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[trajectory.ID]int)
+	orig.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
+		want[id] = len(set)
+		return true
+	})
+	seen := 0
+	loaded.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
+		seen++
+		if card != len(set) || card != want[id] {
+			t.Errorf("doc %d card %d, set %d, written %d", id, card, len(set), want[id])
 		}
-		orig.Delete(testWorkload.Dataset.Trajectories[2].ID)
-		var buf bytes.Buffer
-		if _, err := orig.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded := NewSharded(orig.Extractor(), shards)
-		stale := trajectory.ID(1 << 30)
-		if err := loaded.insert(stale, []uint32{1, 2, 3}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loaded.ReadFrom(&buf); err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[trajectory.ID]int)
-		orig.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
-			want[id] = len(set)
-			return true
-		})
-		seen := 0
-		loaded.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
-			seen++
-			if card != len(set) || card != want[id] {
-				t.Errorf("%d shards: doc %d card %d, set %d, written %d", shards, id, card, len(set), want[id])
-			}
-			return true
-		})
-		if seen != len(want) {
-			t.Errorf("%d shards: scanned %d docs, want %d", shards, seen, len(want))
-		}
-		for _, sh := range loaded.shards {
-			if _, ok := sh.cards.Get(uint32(stale)); ok {
-				t.Errorf("%d shards: the replaced corpus's card survived the swap", shards)
-			}
-		}
+		return true
+	})
+	if seen != len(want) {
+		t.Errorf("scanned %d docs, want %d", seen, len(want))
+	}
+	if _, ok := loaded.cards.Get(uint32(stale)); ok {
+		t.Error("the replaced corpus's card survived the swap")
 	}
 }

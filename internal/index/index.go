@@ -26,34 +26,18 @@
 // code that puts a document on a list, withdraws it, or streams lists
 // into the counter. A cluster node holds one too, beside its own
 // per-document bookkeeping, and one pooled Scratch — counter, drained
-// counts, ranker — serves the searches of a shard, a node and the
-// cluster's coordinator.
+// counts, ranker — serves the searches of the local engine, a node and
+// the cluster's coordinator.
 //
-// # Sharding
+// # One engine
 //
-// There is one engine, Sharded (sharded.go): it partitions the documents
-// across a power-of-two number of independent Inverted shards by a hash
-// of the trajectory ID — one shard unless the caller asks for more, since
-// one shard counts each query term in one posting map and pays for no
-// fan-out. Every trajectory lives wholly in one shard — its postings,
-// cached cardinality and retained points included — so a mutation takes
-// exactly one shard's write lock (mutations on different shards stop
-// contending) and stays atomic with respect to searches.
-//
-// A search over several shards fans out through internal/fanout: the
-// calling goroutine ranks every shard no helper claims, and with the
-// process's helper tokens all taken it ranks them all. Each shard runs
-// exactly the search it would run standalone — the counting merge (there
-// is one, for a query of any size: how wide a count can get is
-// bitmap.Counter's business, not this package's) and the count-order
-// ranking — with the caller's limit. A shard holds whole documents, so
-// its shared counts are final and its own top-k holds every hit of the
-// global top-k that it owns; the merge sorts the at most shards × k hits
-// and truncates them. Rankings are byte-identical at every shard count:
-// the strict (distance, ID) total order makes the top-k independent of
-// how the candidates were split. Differential and fuzz tests
-// (sharded_diff_test.go) pin this across shard counts and both query
-// paths.
+// The local engine is one Inverted: one posting map behind one lock, so
+// a search counts each query term once and a mutation swaps a whole
+// document under the write lock, atomic with respect to searches. The
+// index is not partitioned in process. The paper shards along the geohash
+// space-filling curve, and internal/shard and internal/cluster do that
+// across nodes; a second, in-process partition by ID hash would only add
+// a fan-out and a merge to keep byte-identical with this one.
 package index
 
 import (
@@ -147,12 +131,14 @@ type Result struct {
 	Shared int
 }
 
-// Inverted is one shard of the index: an in-memory inverted structure
-// over the fingerprint sets Sharded routes to it. It is safe for
-// concurrent use: mutations take a write lock, queries a read lock, so
-// every search observes the shard at a single mutation epoch — a
-// trajectory is either fully visible or not at all.
+// Inverted is the local index engine: an in-memory inverted structure
+// over the fingerprint sets its Extractor derives from raw points. It is
+// safe for concurrent use: mutations take the write lock, queries the read
+// lock, so every search observes the index at a single mutation epoch — a
+// trajectory is either fully visible or not at all, and a snapshot load
+// swaps the whole corpus at once.
 type Inverted struct {
+	ex Extractor
 	// retain records whether insertions keep the raw point sequences for
 	// exact re-ranking (opt-in at construction via RetainPoints).
 	retain bool
@@ -187,9 +173,10 @@ func RetainPoints() InvertedOption {
 	return func(ix *Inverted) { ix.retain = true }
 }
 
-// newInverted returns an empty shard.
-func newInverted(opts ...InvertedOption) *Inverted {
+// New returns an empty index that fingerprints with ex.
+func New(ex Extractor, opts ...InvertedOption) *Inverted {
 	ix := &Inverted{
+		ex:       ex,
 		postings: make(Postings),
 		docs:     make(map[trajectory.ID]*[]uint32),
 		points:   make(map[trajectory.ID][]geo.Point),
@@ -200,8 +187,19 @@ func newInverted(opts ...InvertedOption) *Inverted {
 	return ix
 }
 
+// Extractor returns the index's term extractor (immutable after
+// construction), so callers can prepare query term sets once and reuse
+// them across searches.
+func (ix *Inverted) Extractor() Extractor { return ix.ex }
+
+// Add fingerprints the trajectory and inserts it. Re-adding an ID fails;
+// use Upsert to replace in place.
+func (ix *Inverted) Add(t *trajectory.Trajectory) error {
+	return ix.insert(t.ID, ix.ex.Extract(t.Points), t.Points)
+}
+
 // insert adds an extracted trajectory, keeping its terms (ascending, owned
-// by the index from now on). Re-adding an ID fails; upsertSet replaces an
+// by the index from now on). Re-adding an ID fails; Upsert replaces an
 // indexed trajectory in place.
 func (ix *Inverted) insert(id trajectory.ID, terms []uint32, pts []geo.Point) error {
 	ix.mu.Lock()
@@ -222,6 +220,83 @@ func (ix *Inverted) insertLocked(id trajectory.ID, terms []uint32, pts []geo.Poi
 	}
 	ix.postings.Add(uint32(id), terms)
 	ix.epoch++
+}
+
+// AddAll indexes a dataset, fingerprinting with the given number of
+// parallel workers (minimum 1) and inserting on the caller. It fails
+// fast: the first insertion error (or context cancellation) stops job
+// dispatch, and AddAll returns once it sees the failure, without draining
+// the extractions still in flight; their results are dropped. AddAll is
+// all-or-nothing — on failure the trajectories it inserted are removed
+// again under one lock acquisition, so the caller can retry the same
+// dataset after fixing the cause.
+func (ix *Inverted) AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type extracted struct {
+		id    trajectory.ID
+		terms []uint32
+		pts   []geo.Point
+	}
+	jobs := make(chan *trajectory.Trajectory)
+	results := make(chan extracted)
+	go func() {
+		defer close(jobs)
+		for _, t := range d.Trajectories {
+			select {
+			case jobs <- t:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := range jobs {
+				select {
+				case results <- extracted{id: t.ID, terms: ix.ex.Extract(t.Points), pts: t.Points}:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	var firstErr error
+	var inserted []trajectory.ID
+	for r := range results {
+		if firstErr = ctx.Err(); firstErr != nil {
+			break // cancellation outranks in-flight results
+		}
+		if firstErr = ix.insert(r.id, r.terms, r.pts); firstErr != nil {
+			break
+		}
+		inserted = append(inserted, r.id)
+	}
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	if firstErr != nil {
+		// Stop dispatch; workers drop what they still extract. Then roll
+		// back this call's insertions so a retry starts clean. The
+		// cancellation that may have failed the ingest must not stop it, and
+		// without one DeleteAll cannot fail.
+		cancel()
+		_, _ = ix.DeleteAll(context.WithoutCancel(ctx), inserted)
+	}
+	return firstErr
 }
 
 // Delete removes a trajectory and reclaims its postings: the document
@@ -250,15 +325,16 @@ func (ix *Inverted) deleteLocked(id trajectory.ID) bool {
 	return true
 }
 
-// upsertSet inserts an extracted trajectory, replacing any previously
-// indexed trajectory with the same ID. The swap is atomic under the write
-// lock: a concurrent search observes either the old or the new version in
-// full, never a mixture.
-func (ix *Inverted) upsertSet(id trajectory.ID, terms []uint32, pts []geo.Point) {
+// Upsert fingerprints the trajectory and replaces any previously indexed
+// trajectory with the same ID. The swap is atomic under the write lock: a
+// concurrent search observes either the old or the new version in full,
+// never a mixture.
+func (ix *Inverted) Upsert(t *trajectory.Trajectory) {
+	terms := ix.ex.Extract(t.Points)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.deleteLocked(id)
-	ix.insertLocked(id, terms, pts)
+	ix.deleteLocked(t.ID)
+	ix.insertLocked(t.ID, terms, t.Points)
 }
 
 // DeleteAll deletes a batch of IDs under a single write-lock acquisition
@@ -333,17 +409,13 @@ type Stats struct {
 	// BitmapBytes estimates the payload bytes of the posting bitmaps plus
 	// the documents' terms, 4 bytes a term.
 	BitmapBytes int
-	// Shards is the number of in-process shards. Terms counts per-shard
-	// term entries, so a term whose documents span shards is counted once
-	// per shard.
-	Shards int
 }
 
 // Stats computes summary statistics; it is linear in the index size.
 func (ix *Inverted) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	s := Stats{Trajectories: len(ix.docs), Terms: len(ix.postings), Shards: 1}
+	s := Stats{Trajectories: len(ix.docs), Terms: len(ix.postings)}
 	s.Postings, s.BitmapBytes = ix.postings.Size()
 	for _, terms := range ix.docs {
 		s.BitmapBytes += 4 * len(*terms)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,15 +35,14 @@ var testWorkload = func() *gen.Output {
 	return out
 }()
 
-// newGeodabIndex returns a one-shard geodab index; the sharded tests cover
-// the other shard counts.
-func newGeodabIndex(t testing.TB, opts ...InvertedOption) *Sharded {
+// newGeodabIndex returns an empty geodab index.
+func newGeodabIndex(t testing.TB, opts ...InvertedOption) *Inverted {
 	t.Helper()
-	return NewSharded(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, 1, opts...)
+	return New(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, opts...)
 }
 
 // search is Search for tests that only look at the ranking.
-func search(t testing.TB, ix *Sharded, q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
+func search(t testing.TB, ix *Inverted, q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
 	t.Helper()
 	results, _, err := ix.Search(context.Background(), q, maxDistance, limit)
 	if err != nil {
@@ -52,12 +52,12 @@ func search(t testing.TB, ix *Sharded, q *trajectory.Trajectory, maxDistance flo
 }
 
 // searchSet ranks against a pre-built fingerprint set.
-func searchSet(ix *Sharded, set []uint32, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+func searchSet(ix *Inverted, set []uint32, maxDistance float64, limit int) ([]Result, SearchStats, error) {
 	return ix.AppendSearchSet(context.Background(), nil, set, maxDistance, limit)
 }
 
 // hasDoc reports whether the index holds a document for id.
-func hasDoc(ix *Sharded, id trajectory.ID) bool {
+func hasDoc(ix *Inverted, id trajectory.ID) bool {
 	found := false
 	ix.ScanDocs(func(got trajectory.ID, _ []uint32, _ int) bool {
 		found = got == id
@@ -222,7 +222,7 @@ func TestCellIndexReturnsBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewSharded(ex, 1)
+	ix := New(ex)
 	if err := ix.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestAddAllFailsFast(t *testing.T) {
 		free:      src[0].Points,
 		gate:      make(chan struct{}),
 	}
-	ix := NewSharded(ex, 1)
+	ix := New(ex)
 	poisoned := &trajectory.Dataset{Trajectories: make([]*trajectory.Trajectory, 0, len(src)+1)}
 	poisoned.Trajectories = append(poisoned.Trajectories, src[0], src[0]) // duplicate ID
 	poisoned.Trajectories = append(poisoned.Trajectories, src[1:]...)
@@ -607,4 +607,195 @@ func TestConcurrentMutateAndSearch(t *testing.T) {
 	if err := searchErr.Load(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// onePointExtractor maps each point to one term so retention tests can
+// drive Add/Upsert with real points.
+type onePointExtractor struct{}
+
+func (onePointExtractor) Extract(pts []geo.Point) []uint32 {
+	var terms []uint32
+	for _, p := range pts {
+		terms = append(terms, uint32(p.Lat*1000)^uint32(p.Lon*1000)<<8)
+	}
+	return termSet(terms...)
+}
+
+func TestShardedPointRetention(t *testing.T) {
+	s := New(onePointExtractor{}, RetainPoints())
+	pts := []geo.Point{{Lat: 1, Lon: 2}, {Lat: 3, Lon: 4}}
+	if err := s.Add(&trajectory.Trajectory{ID: 7, Points: pts}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.PointsOf(7); len(got) != 2 {
+		t.Fatalf("PointsOf(7) = %v, want the 2 retained points", got)
+	}
+	pts2 := []geo.Point{{Lat: 5, Lon: 6}}
+	s.Upsert(&trajectory.Trajectory{ID: 7, Points: pts2})
+	if got := s.PointsOf(7); len(got) != 1 || got[0] != pts2[0] {
+		t.Fatalf("PointsOf(7) after upsert = %v, want %v", got, pts2)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len after upsert = %d, want 1", s.Len())
+	}
+}
+
+func TestShardedDeleteAll(t *testing.T) {
+	s := New(stubExtractor{})
+	var ids []trajectory.ID
+	for i := 0; i < 300; i++ {
+		id := trajectory.ID(i)
+		if err := s.insert(id, []uint32{uint32(i % 50)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	// Delete half of them plus some unknown IDs; the count reflects only
+	// the indexed ones.
+	batch := append([]trajectory.ID{9999, 8888}, ids[:150]...)
+	n, err := s.DeleteAll(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 150 {
+		t.Fatalf("DeleteAll deleted %d, want 150", n)
+	}
+	if s.Len() != 150 {
+		t.Fatalf("Len after DeleteAll = %d, want 150", s.Len())
+	}
+	// A cancelled context aborts without deleting everything it was given.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.DeleteAll(ctx, ids[150:]); err == nil {
+		t.Fatal("DeleteAll with cancelled ctx returned nil error")
+	}
+}
+
+// TestShardedAddAllRollsBackOnFailure pins that a failed AddAll's
+// rollback removes only what that call inserted: a trajectory indexed
+// before it survives.
+func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
+	s := New(stubExtractor{})
+	// Pre-seed an ID that the dataset will collide with.
+	if err := s.insert(42, []uint32{1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	d := &trajectory.Dataset{}
+	for i := 0; i < 100; i++ {
+		d.Trajectories = append(d.Trajectories, &trajectory.Trajectory{
+			ID: trajectory.ID(i), Points: []geo.Point{{Lat: 1, Lon: 1}},
+		})
+	}
+	d.Trajectories = append(d.Trajectories, &trajectory.Trajectory{
+		ID: 42, Points: []geo.Point{{Lat: 1, Lon: 1}},
+	})
+	if err := s.AddAll(context.Background(), d, 4); err == nil {
+		t.Fatal("AddAll with duplicate ID succeeded")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len after failed AddAll = %d, want 1 (rolled back)", s.Len())
+	}
+	if !hasDoc(s, 42) {
+		t.Fatal("pre-existing trajectory lost in rollback")
+	}
+}
+
+func TestShardedScanDocs(t *testing.T) {
+	s := New(stubExtractor{})
+	want := make(map[trajectory.ID]int)
+	for i := 0; i < 100; i++ {
+		if err := s.insert(trajectory.ID(i), []uint32{uint32(i), uint32(i + 1000)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		want[trajectory.ID(i)] = 2
+	}
+	seen := make(map[trajectory.ID]int)
+	s.ScanDocs(func(id trajectory.ID, set []uint32, card int) bool {
+		seen[id] = card
+		if len(set) != card {
+			t.Fatalf("ScanDocs card %d != set cardinality %d", card, len(set))
+		}
+		return true
+	})
+	if len(seen) != len(want) {
+		t.Fatalf("ScanDocs visited %d docs, want %d", len(seen), len(want))
+	}
+	for id, card := range want {
+		if seen[id] != card {
+			t.Fatalf("doc %d card %d, want %d", id, seen[id], card)
+		}
+	}
+	// Early stop is honored.
+	visits := 0
+	s.ScanDocs(func(trajectory.ID, []uint32, int) bool {
+		visits++
+		return visits < 10
+	})
+	if visits != 10 {
+		t.Fatalf("ScanDocs visited %d docs after early stop, want 10", visits)
+	}
+}
+
+// TestShardedConcurrentMutateAndSearch churns Delete and re-insert on
+// four goroutines while the test goroutine searches, under -race.
+// Results cannot be compared to a reference mid-churn; instead every
+// emitted result must satisfy the ranking invariants (sorted by the
+// contract, distance within the cutoff, limit respected).
+func TestShardedConcurrentMutateAndSearch(t *testing.T) {
+	s := New(stubExtractor{})
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 500; i++ {
+		set := randomSet(rng, 40, 300)
+		set = termSet(append(set, uint32(i))...)
+		if err := s.insert(trajectory.ID(i), set, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := trajectory.ID(rng.Intn(500))
+				if rng.Intn(3) == 0 {
+					s.Delete(id)
+				} else {
+					set := randomSet(rng, 40, 300)
+					set = termSet(append(set, uint32(id))...)
+					s.Delete(id)
+					_ = s.insert(id, set, nil)
+				}
+			}
+		}(int64(100 + w))
+	}
+	searchRng := rand.New(rand.NewSource(35))
+	for q := 0; q < 300; q++ {
+		set := randomSet(searchRng, 40, 300)
+		const maxDistance, limit = 0.95, 10
+		results, _, err := searchSet(s, set, maxDistance, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) > limit {
+			t.Fatalf("got %d results over limit %d", len(results), limit)
+		}
+		for i, r := range results {
+			if r.Distance > maxDistance {
+				t.Fatalf("result %d distance %v over cutoff", i, r.Distance)
+			}
+			if i > 0 && resultLess(r, results[i-1]) {
+				t.Fatalf("results out of order at %d: %+v before %+v", i, results[i-1], r)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

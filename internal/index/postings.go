@@ -8,11 +8,11 @@ import (
 
 // Postings is a posting store: for each term, the bitmap of the documents
 // that hold it. It is the one code that puts a document on its terms'
-// lists, withdraws it, and streams lists into a counter — a shard
-// (Inverted) and a cluster node each hold one, and keep their own
+// lists, withdraws it, and streams lists into a counter — the local
+// engine (Inverted) and a cluster node each hold one, and keep their own
 // per-document bookkeeping beside it. A list exists only while it holds a
 // document. Postings does no locking: its owner's lock guards it. Both
-// owners hand it a document's terms as the slice they keep: a shard the
+// owners hand it a document's terms as the slice they keep: the engine the
 // whole fingerprint set, a node the terms routed to it.
 type Postings map[uint32]*bitmap.Bitmap
 
@@ -64,12 +64,13 @@ func (p Postings) Size() (postings, bytes int) {
 	return postings, bytes
 }
 
-// Scratch is the pooled per-search state of a shard, a cluster node and
-// the cluster's coordinator; pooling it makes each of their steady-state
-// searches allocation-free. A shard counts into Counter and ranks with
-// Ranker; a node counts into Counter and either drains the counts into
-// Counts or, for a one-node plan, ranks with Ranker into Hits; the
-// coordinator sums the nodes' counts into Counter and ranks with Ranker.
+// Scratch is the pooled per-search state of the local engine, a cluster
+// node and the cluster's coordinator; pooling it makes each of their
+// steady-state searches allocation-free. The engine counts into Counter
+// and ranks with Ranker; a node counts into Counter and either drains the
+// counts into Counts or, for a one-node plan, ranks with Ranker into
+// Hits; the coordinator sums the nodes' counts into Counter and ranks
+// with Ranker.
 type Scratch struct {
 	Counter *bitmap.Counter
 	Counts  []uint32

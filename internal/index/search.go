@@ -413,7 +413,20 @@ func (ix *Inverted) countShared(ctx context.Context, sc *Scratch, terms []uint32
 	return nil
 }
 
-// AppendSearchSet ranks this shard's documents against a query's terms
+// Search fingerprints q and returns the trajectories whose Jaccard
+// distance to it is at most maxDistance, ordered by increasing distance
+// (ties by ID for determinism), truncated to limit results (limit ≤ 0
+// means no limit) — the paper's "finding similar trajectories" problem
+// (§II-B1). It is the extract-then-rank convenience for tools; callers
+// that hold a query's extracted terms use AppendSearchSet.
+func (ix *Inverted) Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, SearchStats{}, err
+	}
+	return ix.AppendSearchSet(ctx, nil, ix.ex.Extract(q.Points), maxDistance, limit)
+}
+
+// AppendSearchSet ranks the index's documents against a query's terms
 // (distinct, ascending), appending the results to dst and reporting the
 // size of the candidate set (trajectories sharing at least one term with
 // the query) and how many candidates threshold pruning skipped.
@@ -443,7 +456,7 @@ func (ix *Inverted) AppendSearchSet(ctx context.Context, dst []Result, terms []u
 	// Stage 2 — threshold-pruned scoring, highest shared count first, up to
 	// the first count that cannot place.
 	sc.Ranker.Init(len(terms), maxDistance, limit)
-	// Every candidate of the counting merge is one of the shard's
+	// Every candidate of the counting merge is one of the index's
 	// documents, so the card table holds it.
 	if err := sc.Ranker.RankByCount(ctx, sc.Counter, ix.cards.Get); err != nil {
 		return nil, stats, err

@@ -15,14 +15,14 @@ import (
 //	magic   uint32  "GDIX" (0x58494447)
 //	version uint8   3 (written), 2 (still read)
 //	version 3 body:
-//	  shards  uint32
-//	  per shard:
+//	  sections uint32  (1 written; older writers wrote one per shard)
+//	  per section:
 //	    docs  uint32
 //	    epoch uint64
 //	    per document:
 //	      id    uint32
 //	      fingerprint set (bitmap serialization)
-//	version 2 body (the former unsharded engine's format):
+//	version 2 body (the format before sections):
 //	  docs    uint32
 //	  epoch   uint64
 //	  per document: id uint32 + fingerprint set
@@ -35,11 +35,9 @@ import (
 // stay ordered. Version 1 (pre-mutation-API, no writer since PR 2) is
 // rejected as unsupported.
 //
-// Loading re-places every document by its ID hash, so a v2 snapshot — or
-// a v3 snapshot written with a different shard count — rebalances into
-// the receiver's own layout, with the total epoch carried on shard 0.
-// Placement is a pure function of (ID, shard count), so a duplicated ID
-// always collides in its target shard and is rejected.
+// Loading merges every section into the one engine, with the sections'
+// epochs summed, so a v2 snapshot and a v3 snapshot of any section count
+// load alike. An ID held by two sections is rejected as a duplicate.
 const (
 	indexMagic      = 0x58494447
 	indexVersionV2  = 2
@@ -50,7 +48,7 @@ const (
 // readSnapshotDocs parses a v2 or v3 snapshot, invoking emit once per
 // document with its terms, ascending, in a slice of their exact size. It
 // returns the snapshot's total mutation epoch (summed across
-// v3 shard sections) and the bytes consumed. An error returned by emit
+// v3 sections) and the bytes consumed. An error returned by emit
 // aborts the parse and is returned verbatim.
 func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, terms []uint32) error) (epoch uint64, n int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -99,18 +97,18 @@ func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, terms []uint32) e
 			return 0, n, err
 		}
 	case indexVersionV3:
-		shards := binary.LittleEndian.Uint32(hdr[5:9])
-		if shards == 0 {
-			return 0, n, fmt.Errorf("index: snapshot declares zero shards")
+		sections := binary.LittleEndian.Uint32(hdr[5:9])
+		if sections == 0 {
+			return 0, n, fmt.Errorf("index: snapshot declares zero sections")
 		}
-		var shHdr [12]byte
-		for s := uint32(0); s < shards; s++ {
-			if _, err := io.ReadFull(br, shHdr[:]); err != nil {
+		var secHdr [12]byte
+		for range sections {
+			if _, err := io.ReadFull(br, secHdr[:]); err != nil {
 				return readErr(err)
 			}
-			n += int64(len(shHdr))
-			count := binary.LittleEndian.Uint32(shHdr[0:4])
-			epoch += binary.LittleEndian.Uint64(shHdr[4:12])
+			n += int64(len(secHdr))
+			count := binary.LittleEndian.Uint32(secHdr[0:4])
+			epoch += binary.LittleEndian.Uint64(secHdr[4:12])
 			if err := readDocs(count); err != nil {
 				return 0, n, err
 			}
@@ -121,56 +119,42 @@ func readSnapshotDocs(r io.Reader, emit func(id trajectory.ID, terms []uint32) e
 	return epoch, n, nil
 }
 
-// WriteTo snapshots the index in format v3: one section per shard, each
-// carrying its document count, epoch and documents. All shard read locks
-// are taken up front so the snapshot is a consistent cut — safe against
-// deadlock because mutations never hold more than one shard lock. The
-// extractor is not part of the snapshot: the loader must construct the
-// index with the same configuration. It implements io.WriterTo.
-func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.RUnlock()
-		}
-	}()
+// WriteTo snapshots the index in format v3 with one section carrying the
+// document count, epoch and documents, under the read lock so the
+// snapshot is a consistent cut. The extractor is not part of the
+// snapshot: the loader must construct the index with the same
+// configuration. It implements io.WriterTo.
+func (ix *Inverted) WriteTo(w io.Writer) (int64, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var n int64
 	writeErr := func(err error) (int64, error) {
 		return n, fmt.Errorf("index: write: %w", err)
 	}
-	hdr := make([]byte, indexHeaderSize)
+	var hdr [indexHeaderSize + 12]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], indexMagic)
 	hdr[4] = indexVersionV3
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(s.shards)))
-	if _, err := bw.Write(hdr); err != nil {
+	binary.LittleEndian.PutUint32(hdr[5:9], 1)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(ix.docs)))
+	binary.LittleEndian.PutUint64(hdr[13:21], ix.epoch)
+	if _, err := bw.Write(hdr[:]); err != nil {
 		return writeErr(err)
 	}
 	n += int64(len(hdr))
-	var shHdr [12]byte
 	var idBuf [4]byte
-	for _, sh := range s.shards {
-		binary.LittleEndian.PutUint32(shHdr[0:4], uint32(len(sh.docs)))
-		binary.LittleEndian.PutUint64(shHdr[4:12], sh.epoch)
-		if _, err := bw.Write(shHdr[:]); err != nil {
+	for id, terms := range ix.docs {
+		binary.LittleEndian.PutUint32(idBuf[:], uint32(id))
+		if _, err := bw.Write(idBuf[:]); err != nil {
 			return writeErr(err)
 		}
-		n += int64(len(shHdr))
-		for id, terms := range sh.docs {
-			binary.LittleEndian.PutUint32(idBuf[:], uint32(id))
-			if _, err := bw.Write(idBuf[:]); err != nil {
-				return writeErr(err)
-			}
-			n += 4
-			// FromSorted builds the containers Add would, so the bytes are
-			// the format's whatever form holds the terms in memory.
-			m, err := bitmap.FromSorted(*terms).WriteTo(bw)
-			n += m
-			if err != nil {
-				return writeErr(err)
-			}
+		n += 4
+		// FromSorted builds the containers Add would, so the bytes are
+		// the format's whatever form holds the terms in memory.
+		m, err := bitmap.FromSorted(*terms).WriteTo(bw)
+		n += m
+		if err != nil {
+			return writeErr(err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -180,44 +164,28 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom loads a v2 or v3 snapshot into the index, replacing its
-// contents and rebuilding the posting lists. Every document is re-placed
-// by its ID hash, so v2 snapshots and v3 snapshots written with a
-// different shard count rebalance into the receiver's layout. The
-// snapshot's total epoch is carried on shard 0 (the sum across shards —
-// the engine's Epoch — is what is preserved, and it stays monotone). The
-// swap holds every shard's write lock at once, taken in index order like
-// WriteTo's read locks (safe: mutations hold at most one), and bumps
-// reloads, so a concurrent search ranks the old corpus or the new one,
-// never a mixture. It implements io.ReaderFrom.
-func (s *Sharded) ReadFrom(r io.Reader) (int64, error) {
-	// Built in private shards first. Raw points are not in the snapshot: a
-	// loaded index serves fingerprint-ranked searches but cannot re-rank.
-	fresh := make([]*Inverted, len(s.shards))
-	for i := range fresh {
-		fresh[i] = newInverted()
-	}
+// contents and rebuilding the posting lists; the documents of every v3
+// section merge into the one engine, and its epoch becomes the sections'
+// sum. The new corpus is built aside and swapped in under one write lock,
+// so a concurrent search ranks the old corpus or the new one, never a
+// mixture. It implements io.ReaderFrom.
+func (ix *Inverted) ReadFrom(r io.Reader) (int64, error) {
+	// Raw points are not in the snapshot: a loaded index serves
+	// fingerprint-ranked searches but cannot re-rank.
+	fresh := New(ix.ex)
 	epoch, n, err := readSnapshotDocs(r, func(id trajectory.ID, terms []uint32) error {
-		sh := fresh[shardIndex(uint32(id), s.mask)]
-		if _, dup := sh.docs[id]; dup {
+		if _, dup := fresh.docs[id]; dup {
 			return fmt.Errorf("index: duplicate trajectory %d in snapshot", id)
 		}
-		sh.insertLocked(id, terms, nil)
+		fresh.insertLocked(id, terms, nil)
 		return nil
 	})
 	if err != nil {
 		return n, err
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	for i, sh := range s.shards {
-		sh.docs, sh.cards, sh.postings, sh.points = fresh[i].docs, fresh[i].cards, fresh[i].postings, fresh[i].points
-		sh.epoch = 0
-	}
-	s.shards[0].epoch = epoch
-	s.reloads.Add(1)
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+	ix.mu.Lock()
+	ix.docs, ix.cards, ix.postings, ix.points = fresh.docs, fresh.cards, fresh.postings, fresh.points
+	ix.epoch = epoch
+	ix.mu.Unlock()
 	return n, nil
 }

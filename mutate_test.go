@@ -1,8 +1,11 @@
 package geodabs_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +108,81 @@ func TestDeleteSnapshotRoundTrip(t *testing.T) {
 		if h.ID == victim.ID {
 			t.Error("deleted trajectory resurrected by the snapshot round-trip")
 		}
+	}
+}
+
+// TestIndexMutations drives the Mutator surface through a built index:
+// upsert replaces in place, delete reclaims, epochs advance.
+func TestIndexMutations(t *testing.T) {
+	_, w := testWorld()
+	ix, err := geodabs.NewIndex(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.AddAll(w.Dataset, 4); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before := ix.Epoch()
+	victim := w.Dataset.Trajectories[0]
+	if err := ix.Delete(ctx, victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != w.Dataset.Len()-1 {
+		t.Fatalf("Len after delete = %d", ix.Len())
+	}
+	if err := ix.Upsert(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != w.Dataset.Len() {
+		t.Fatalf("Len after upsert = %d", ix.Len())
+	}
+	if ix.Epoch() <= before {
+		t.Fatalf("epoch did not advance: %d -> %d", before, ix.Epoch())
+	}
+}
+
+// TestIndexSnapshotInterop loads a snapshot of four sections, as indexes
+// split into four shards wrote them, through both public loaders (ReadIndex
+// is the geodabsd -snapshot path), and writes it back as one section that
+// loads to the same documents, epoch and rankings.
+func TestIndexSnapshotInterop(t *testing.T) {
+	_, w := testWorld()
+	data, err := os.ReadFile(filepath.Join("internal", "index", "testdata", "v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := geodabs.ReadIndex(geodabs.DefaultConfig(), bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != 22 || loaded.Epoch() != 28 {
+		t.Fatalf("ReadIndex: %d docs at epoch %d, want 22 at 28", loaded.Len(), loaded.Epoch())
+	}
+	var rewritten bytes.Buffer
+	if _, err := loaded.WriteTo(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := geodabs.NewIndex(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.ReadFrom(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Len() != loaded.Len() || dst.Epoch() != loaded.Epoch() {
+		t.Fatalf("rewritten: %d docs at epoch %d, want %d at %d", dst.Len(), dst.Epoch(), loaded.Len(), loaded.Epoch())
+	}
+	ranked := 0
+	for _, q := range w.Queries {
+		got, want := hits(t, dst, q, 1, 10), hits(t, loaded, q, 1, 10)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: rewritten snapshot ranks %+v, loaded %+v", q.ID, got, want)
+		}
+		ranked += len(got)
+	}
+	if ranked == 0 {
+		t.Fatal("no query ranked a hit; the comparison is vacuous")
 	}
 }
 

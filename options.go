@@ -21,8 +21,6 @@ type engineOptions struct {
 	readPref     ReadPreference
 	readPrefSet  bool
 	recoverDir   bool
-	shards       int
-	shardsSet    bool
 }
 
 func newEngineOptions(opts []Option) (engineOptions, error) {
@@ -93,32 +91,6 @@ func WithReadPreference(p ReadPreference) Option {
 		}
 		o.readPref = p
 		o.readPrefSet = true
-		return nil
-	}
-}
-
-// WithShards splits a local Index into n in-process shards (rounded up
-// to the next power of two), each with its own lock and posting lists:
-// mutations on different shards stop contending, and a single search
-// spreads the shards over the calling goroutine and whatever idle cores
-// the process has, merging to rankings byte-identical at every shard
-// count. n = 0 (the default) and n = 1 both build one shard behind one
-// lock, the cheaper search unless a query is large and a core is idle;
-// ask for more shards for concurrent writers or fan-out over a large
-// corpus.
-//
-// Snapshots interoperate across shard counts: every index writes format
-// v3 (per-shard sections) and loads v3 or the older unsharded v2,
-// rebalancing documents into the receiver's layout. It applies only to
-// NewIndex and NewGeohashIndex; NewCluster rejects it (cluster sharding
-// is configured by the node address list).
-func WithShards(n int) Option {
-	return func(o *engineOptions) error {
-		if n < 0 {
-			return fmt.Errorf("geodabs: WithShards(%d) must not be negative (0 means one shard)", n)
-		}
-		o.shards = n
-		o.shardsSet = true
 		return nil
 	}
 }
