@@ -8,7 +8,9 @@
 // Backends (exactly one):
 //
 //	-snapshot FILE        serve a local index snapshot (geodabs stats -snapshot)
-//	-nodes A,B,C          front a cluster of shard nodes (geodabs serve)
+//	-nodes A,B,C          front a cluster of shard nodes (geodabs serve),
+//	                      rebuilding the coordinator's ranking directory from
+//	                      the nodes' durable state at startup
 //	-wal-dir DIR          serve an embedded durable shard node: mutations are
 //	                      write-ahead logged and snapshot-compacted in DIR, and a
 //	                      restart (even after SIGKILL) recovers the exact
@@ -22,8 +24,7 @@
 //
 // With -nodes, -replicas registers per-node read replicas (groups
 // comma-separated matching -nodes order, members |-separated) routed per
-// -read-from, and -recover-directory rebuilds the coordinator's ranking
-// directory from the nodes' durable state at startup.
+// -read-from.
 //
 // With -nodes or -wal-dir, -retain-points spills each trajectory's raw
 // points to its owner shard node at ingest, enabling the SEARCH_RERANK
@@ -71,7 +72,6 @@ func run(args []string) error {
 	connsPerNode := fs.Int("conns-per-node", 4, "pooled connections per shard node (with -nodes or -wal-dir)")
 	replicas := fs.String("replicas", "", "per-node read replica addresses (with -nodes): groups comma-separated, members |-separated")
 	readFrom := fs.String("read-from", "primary", "read routing across replicas: primary or replicas")
-	recoverDirectory := fs.Bool("recover-directory", false, "rebuild the coordinator directory from the nodes' durable state at startup (with -nodes)")
 	retainPoints := fs.Bool("retain-points", false, "spill raw trajectory points to their owner shard nodes at ingest, enabling exact rerank (with -nodes or -wal-dir)")
 	walDir := fs.String("wal-dir", "", "serve an embedded durable shard node, WAL and snapshots in this directory")
 	walSyncEvery := fs.Int("wal-sync-every", 0, "fsync after this many WAL records (0 = library default; with -wal-dir)")
@@ -96,11 +96,11 @@ func run(args []string) error {
 	if backends != 1 {
 		return fmt.Errorf("exactly one backend is required: -snapshot, -nodes, or -wal-dir")
 	}
-	// The replica and directory flags configure a -nodes cluster only;
-	// beside another backend they would do nothing.
+	// The replica flags configure a -nodes cluster only; beside another
+	// backend they would do nothing.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range []string{"replicas", "read-from", "recover-directory"} {
+	for _, name := range []string{"replicas", "read-from"} {
 		if set[name] && *nodes == "" {
 			return fmt.Errorf("-%s needs the -nodes backend", name)
 		}
@@ -161,7 +161,10 @@ func run(args []string) error {
 	default:
 		addrs := strings.Split(*nodes, ",")
 		strategy := geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: *shards, Nodes: len(addrs)}
-		opts := []geodabs.Option{geodabs.WithConnsPerNode(*connsPerNode)}
+		// Nodes that already hold data would otherwise sit behind an
+		// empty directory: their trajectories unranked, and a mutation of
+		// one of them misrouted as new.
+		opts := []geodabs.Option{geodabs.WithConnsPerNode(*connsPerNode), geodabs.WithDirectoryRecovery()}
 		if *replicas != "" {
 			groups := strings.Split(*replicas, ",")
 			if len(groups) != len(addrs) {
@@ -181,9 +184,6 @@ func run(args []string) error {
 			opts = append(opts, geodabs.WithReadPreference(geodabs.ReadReplicas))
 		default:
 			return fmt.Errorf("-read-from must be primary or replicas, got %q", *readFrom)
-		}
-		if *recoverDirectory {
-			opts = append(opts, geodabs.WithDirectoryRecovery())
 		}
 		if *retainPoints {
 			opts = append(opts, geodabs.WithPointRetention())

@@ -435,7 +435,7 @@ func TestReplicaFrontRanksLikePrimary(t *testing.T) {
 	if err := w.upsert(viaReplica); err != nil {
 		t.Fatal(err)
 	}
-	_, viaPrimary, _ := w.geodabsd(t, "-nodes", primary, "-recover-directory")
+	_, viaPrimary, _ := w.geodabsd(t, "-nodes", primary)
 
 	caughtUp := regexp.MustCompile(`(?m)^geodabsd_replica_epoch_lag\{.*\} 0$`)
 	for deadline := time.Now().Add(startTimeout); ; time.Sleep(50 * time.Millisecond) {
@@ -522,7 +522,6 @@ func TestFlagsOutsideTheirBackendRefused(t *testing.T) {
 	}{
 		{"-replicas", []string{"-wal-dir", dir, "-replicas", "127.0.0.1:1"}},
 		{"-read-from", []string{"-snapshot", w.snapshot, "-read-from", "replicas"}},
-		{"-recover-directory", []string{"-wal-dir", dir, "-recover-directory"}},
 		{"-retain-points", []string{"-snapshot", w.snapshot, "-retain-points"}},
 	} {
 		// A geodabsd that accepts the flag serves until killed.

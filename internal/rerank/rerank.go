@@ -7,8 +7,10 @@
 //
 // A built-in metric runs in one pooled pass: the query is prepared once,
 // every candidate gets an O(n+m) upper bound, and the candidates are
-// scored in ascending bound order, each against a bar no result can lie
-// above and its own bound. The bounded kernel does the rest: a cheap
+// scored in two fixed rounds in ascending bound order — first the limit
+// with the smallest bounds, each under its own bound, then the rest, each
+// under its own bound and the worst first-round score, a bar no result
+// can lie above. The bounded kernel does the rest: a cheap
 // chord-cost pass bounds what every cell of the O(n·m) dynamic program
 // can still cost to finish, so a far candidate is dropped after that pass
 // and a near one computes the exact cost of little more than the cells
@@ -79,7 +81,7 @@ const parallelMin = 16
 // A cancelled ctx stops the workers between candidates; ScoreFunc returns
 // ctx.Err().
 func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric func(a, b []geo.Point) float64) error {
-	return each(ctx, len(cands), func(i int) {
+	return each(ctx, len(cands), len(cands), func(i int) {
 		cands[i].Score = metric(query, cands[i].Points)
 	})
 }
@@ -87,33 +89,32 @@ func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric
 // Score scores every candidate with the built-in metric m. It prepares
 // the query once, bounds every candidate from above in O(n+m) — the cost
 // of one particular alignment, computed before any dynamic program runs —
-// and scores the candidates in ascending bound order, each against
+// sorts the candidates by bound, and scores them in two rounds:
 //
-//	bar = min(seed, worst of the limit best scores so far, its own bound)
+//   - round 1 scores the limit candidates with the smallest bounds, each
+//     against its own bound;
+//   - round 2 scores the rest against min(own bound, T), where T is the
+//     largest round-1 score.
 //
-// where seed is the limit-th smallest bound. Under a positive limit only
-// the limit best (score, ID) pairs matter to the caller, and at least
-// limit candidates score at or below either of the first two terms, so a
-// score strictly above bar cannot place, not even on the ID tiebreak.
-// With limit <= 0, or limit at least the shortlist's length, only the
-// third term is left. A candidate's own bound is never below its score,
-// so that term skips nothing; it guides the kernel, which then computes
-// little more than the cells of alignments that can finish under it. A
-// candidate is marked Skipped instead of scored when the bounded kernel
-// proves its score strictly above bar — by its chord-cost bound before
-// any exact cell, or part-way through the program; every other candidate
-// gets bit-for-bit the score m's unbounded function returns.
+// Under a positive limit only the limit best (score, ID) pairs matter to
+// the caller, and the limit round-1 candidates all score at or below T,
+// so a score strictly above T cannot place, not even on the ID tiebreak.
+// With limit <= 0, or limit at least the shortlist's length, there is one
+// round under own bounds. A candidate's own bound is never below its
+// score, so that term skips nothing; it guides the kernel, which then
+// computes little more than the cells of alignments that can finish under
+// it. A candidate is marked Skipped instead of scored when the bounded
+// kernel proves its score strictly above its bar — by its chord-cost
+// bound before any exact cell, or part-way through the program; every
+// other candidate gets bit-for-bit the score m's unbounded function
+// returns. Each candidate's bar depends only on the bounds and the
+// round-1 scores, never on which worker got there first, so every run
+// skips the same candidates.
 //
-// Workers read the heap's threshold under a mutex; a stale value is safe
-// because the limit-th best only tightens as scores land — a looser one
-// can admit an extra scoring, never skip a candidate that belongs in the
-// top limit. Which candidates are skipped can therefore vary between
-// runs; the top limit of those scored cannot.
-//
-// The pass's state — the prepared query, the bounds, the order and the
-// heap — is pooled: a pass allocates per pass, not per candidate, and
-// holds O(shortlist) numbers beside the prepared query, plus each
-// worker's kernel scratch.
+// The pass's state — the prepared query, the bounds and the order — is
+// pooled: a pass allocates per pass, not per candidate, and holds
+// O(shortlist) numbers beside the prepared query, plus each worker's
+// kernel scratch.
 //
 // A cancelled ctx stops the workers between candidates; Score returns
 // ctx.Err().
@@ -125,27 +126,35 @@ func Score(ctx context.Context, query []geo.Point, cands []Candidate, m Metric, 
 	p := passPool.Get().(*pass)
 	defer p.release()
 	p.query.Prepare(query)
-	p.cands, p.within, p.upper, p.limit = cands, within, upper, limit
+	p.cands, p.within, p.upper = cands, within, upper
 	n := len(cands)
 	p.bounds = append(p.bounds[:0], make([]float64, n)...)
-	if err := each(ctx, n, p.boundFn); err != nil {
+	if err := each(ctx, n, n, p.boundFn); err != nil {
 		return err
 	}
 	p.order = p.order[:0]
 	for i := range n {
 		p.order = append(p.order, i)
 	}
-	// Ties and NaNs sort as slices.Sort sorts the bounds themselves, so
-	// the seed is the same limit-th smallest bound.
 	slices.SortFunc(p.order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(p.bounds[a], p.bounds[b]), cmp.Compare(a, b))
 	})
-	p.seed = math.Inf(1)
+	first := n
 	if 0 < limit && limit < n {
-		p.seed = p.bounds[p.order[limit-1]]
+		first = limit
 	}
-	p.heap = keptHeap{limit: limit, items: p.heap.items[:0]}
-	return each(ctx, n, p.scoreFn)
+	// Round 1 fans out whenever the whole shortlist would: on the caller
+	// alone, its limit kernel calls would add up to the search's latency.
+	p.round, p.bar = p.order[:first], math.Inf(1)
+	if err := each(ctx, first, n, p.scoreFn); err != nil || first == n {
+		return err
+	}
+	p.bar = math.Inf(-1)
+	for _, i := range p.round {
+		p.bar = max(p.bar, cands[i].Score)
+	}
+	p.round = p.order[first:]
+	return each(ctx, n-first, n, p.scoreFn)
 }
 
 // pass is one Score call's state, pooled. boundFn and scoreFn are the
@@ -158,13 +167,13 @@ type pass struct {
 	cands  []Candidate
 	within func(*distance.Prepared, []geo.Point, float64) (float64, bool)
 	upper  func(*distance.Prepared, []geo.Point) float64
-	limit  int
-	seed   float64
 	bounds []float64
 	order  []int
 
-	mu   sync.Mutex // guards heap
-	heap keptHeap
+	// round is the slice of order being scored, bar the round's cap on
+	// every candidate's own bound.
+	round []int
+	bar   float64
 
 	boundFn, scoreFn func(i int)
 }
@@ -187,20 +196,13 @@ func (p *pass) bound(i int) {
 	p.bounds[i] = p.upper(&p.query, p.cands[i].Points)
 }
 
-// score scores the k-th candidate in bound order against its bar.
+// score scores the round's k-th candidate against min(its bound, bar).
 func (p *pass) score(k int) {
-	i := p.order[k]
+	i := p.round[k]
 	c := &p.cands[i]
-	bar := p.seed
+	bar := p.bar
 	if b := p.bounds[i]; b < bar {
 		bar = b
-	}
-	if p.limit > 0 {
-		p.mu.Lock()
-		if thr, full := p.heap.threshold(); full && thr < bar {
-			bar = thr
-		}
-		p.mu.Unlock()
 	}
 	score, ok := p.within(&p.query, c.Points, bar)
 	if !ok {
@@ -208,91 +210,17 @@ func (p *pass) score(k int) {
 		return
 	}
 	c.Score = score
-	if p.limit > 0 {
-		p.mu.Lock()
-		p.heap.offer(c.Score, c.ID)
-		p.mu.Unlock()
-	}
 }
 
 // each runs f(i) for every i in [0, n) through fanout.Each — the metrics
 // are CPU-bound, so on the calling goroutine plus the helpers the
-// process's idle cores allow, and on it alone below parallelMin. A
-// cancelled ctx stops the claimers between calls; each then returns
-// ctx.Err().
-func each(ctx context.Context, n int, f func(i int)) error {
+// process's idle cores allow, and on it alone when the whole shortlist is
+// shorter than parallelMin. A cancelled ctx stops the claimers between
+// calls; each then returns ctx.Err().
+func each(ctx context.Context, n, shortlist int, f func(i int)) error {
 	helpers := 0
-	if n >= parallelMin {
+	if shortlist >= parallelMin {
 		helpers = n - 1
 	}
 	return fanout.Each(ctx, n, helpers, f)
-}
-
-// kept is one retained (score, ID) pair in the pruning heap.
-type kept struct {
-	score float64
-	id    uint32
-}
-
-// worse is the (score asc, ID asc) comparison the pruning heap shares
-// with index.SortResults: a is worse than b when it would sort after b in
-// the final merge.
-func worse(a, b kept) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.id > b.id
-}
-
-// keptHeap is a max-heap (by worse) of the limit best scores seen so far;
-// its root is the limit-th best — the pruning threshold. Score consults
-// it only under a positive limit.
-type keptHeap struct {
-	limit int
-	items []kept
-}
-
-// threshold returns the limit-th best score so far and whether the heap
-// is full — only a full heap prunes.
-func (h *keptHeap) threshold() (float64, bool) {
-	if len(h.items) < h.limit {
-		return 0, false
-	}
-	return h.items[0].score, true
-}
-
-// offer records a scored candidate, evicting the current worst if the
-// newcomer beats it under the (score, ID) tiebreak.
-func (h *keptHeap) offer(score float64, id uint32) {
-	k := kept{score, id}
-	if len(h.items) < h.limit {
-		h.items = append(h.items, k)
-		for i := len(h.items) - 1; i > 0; { // sift up
-			parent := (i - 1) / 2
-			if !worse(h.items[i], h.items[parent]) {
-				break
-			}
-			h.items[i], h.items[parent] = h.items[parent], h.items[i]
-			i = parent
-		}
-		return
-	}
-	if !worse(h.items[0], k) {
-		return
-	}
-	h.items[0] = k
-	for i := 0; ; { // sift down
-		worst := i
-		if l := 2*i + 1; l < len(h.items) && worse(h.items[l], h.items[worst]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < len(h.items) && worse(h.items[r], h.items[worst]) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		h.items[i], h.items[worst] = h.items[worst], h.items[i]
-		i = worst
-	}
 }

@@ -61,6 +61,32 @@ func road() []geo.Point {
 	return pts
 }
 
+// kept is one scored (score, ID) pair.
+type kept struct {
+	score float64
+	id    uint32
+}
+
+// worse is the (score asc, ID asc) comparison of index.SortResults: a is
+// worse than b when it would sort after b in the final merge.
+func worse(a, b kept) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.id > b.id
+}
+
+// sameOutcome returns the index of the first candidate that a and b —
+// one shortlist scored twice — did not score or skip alike, or -1.
+func sameOutcome(a, b []Candidate) int {
+	for i := range a {
+		if a[i].Skipped != b[i].Skipped || !a[i].Skipped && a[i].Score != b[i].Score {
+			return i
+		}
+	}
+	return -1
+}
+
 // topOf reduces scored candidates to their limit best (score, ID) pairs
 // in final-merge order — the only part of a pass a caller's sort and
 // truncate depends on.
@@ -91,7 +117,8 @@ func topOf(cands []Candidate, limit int) []kept {
 // for both built-ins, on a spread-out shortlist and a same-route one,
 // across limits (none,
 // odd ones that cut a score tie in two, one past the shortlist), on one
-// worker and on a pool, short shortlists (below parallelMin) and long.
+// worker and on a pool, short shortlists (below parallelMin) and long;
+// and checks that the pool scores and skips exactly what one worker does.
 func TestScoreMatchesScoringEverything(t *testing.T) {
 	spread := []geo.Point{{Lat: 0.02, Lon: 0.02}, {Lat: 0.025, Lon: 0.024}, {Lat: 0.03, Lon: 0.029}}
 	for _, tc := range []struct {
@@ -117,6 +144,7 @@ func TestScoreMatchesScoringEverything(t *testing.T) {
 				}
 				for _, limit := range []int{0, 1, 5, 10, count + 5} {
 					want := topOf(reference, limit)
+					var serial []Candidate
 					for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
 						cands := sl.build(count)
 						prev := runtime.GOMAXPROCS(procs)
@@ -140,6 +168,11 @@ func TestScoreMatchesScoringEverything(t *testing.T) {
 							t.Fatalf("%s: %d candidates skipped with no bar to skip them by", where, skipped)
 						case !unbounded && skipped == 0:
 							t.Fatalf("%s: the bar skipped no candidate", where)
+						}
+						if serial == nil {
+							serial = cands
+						} else if i := sameOutcome(serial, cands); i >= 0 {
+							t.Fatalf("%s: candidate %d differs from one worker: %+v, want %+v", where, cands[i].ID, cands[i], serial[i])
 						}
 					}
 				}
@@ -273,7 +306,8 @@ func fuzzShortlist(seed int64, n, count int, same, dups bool) ([]geo.Point, []Ca
 // candidate, sorted by (score, ID) and truncated — over fuzzed shortlists,
 // limits from none to two past the shortlist and both metrics, on one
 // worker and on a pool; and checks that nothing is skipped when no limit
-// cuts the shortlist.
+// cuts the shortlist, and that the pool scores and skips exactly what one
+// worker does.
 func FuzzScore(f *testing.F) {
 	f.Add(int64(1), uint16(80), uint8(40), true, false, uint8(10), false)
 	f.Add(int64(2), uint16(120), uint8(30), false, false, uint8(5), true)
@@ -292,6 +326,7 @@ func FuzzScore(f *testing.F) {
 			reference[i].Score = unbounded(query, reference[i].Points)
 		}
 		want := topOf(reference, lim)
+		var serial []Candidate
 		for _, procs := range []int{1, 4} {
 			cands := slices.Clone(reference)
 			for i := range cands {
@@ -312,6 +347,11 @@ func FuzzScore(f *testing.F) {
 						t.Fatalf("metric %d size=%d limit=%d procs=%d: candidate %d skipped with no bar to skip it by", m, size, lim, procs, c.ID)
 					}
 				}
+			}
+			if serial == nil {
+				serial = cands
+			} else if i := sameOutcome(serial, cands); i >= 0 {
+				t.Fatalf("metric %d size=%d limit=%d: candidate %d differs across procs", m, size, lim, i)
 			}
 		}
 	})

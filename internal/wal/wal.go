@@ -352,7 +352,7 @@ func (l *Log) scanSegment(seq uint64, last bool) (size int64, records uint64, er
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	good, n, scanErr := scanRecords(f)
+	good, n, scanErr := scanRecords(f, nil)
 	if scanErr != nil {
 		if !last {
 			return 0, 0, fmt.Errorf("wal: segment %s: %w", segmentName(seq), scanErr)
@@ -365,13 +365,14 @@ func (l *Log) scanSegment(seq uint64, last bool) (size int64, records uint64, er
 	return good, n, nil
 }
 
-// scanRecords walks a segment stream, returning the offset after the
-// last valid record, the record count, and a non-nil error if the
-// segment ends in anything but a clean record boundary.
-func scanRecords(r io.Reader) (good int64, records uint64, err error) {
-	br := newByteCounter(r)
+// scanRecords walks a segment stream, checking each record's framing,
+// CRC and encoding, and hands each decoded record to fn, when fn is not
+// nil. It returns the offset after the last valid record, the record
+// count, and a non-nil error if the segment ends in anything but a clean
+// record boundary, or if fn returned one.
+func scanRecords(r io.Reader, fn func(*Record) error) (good int64, records uint64, err error) {
 	var hdr [segmentHdrSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, fmt.Errorf("short segment header: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != segmentMagic {
@@ -384,7 +385,7 @@ func scanRecords(r io.Reader) (good int64, records uint64, err error) {
 	var rh [recordHdrSize]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, rh[:]); err != nil {
+		if _, err := io.ReadFull(r, rh[:]); err != nil {
 			if err == io.EOF {
 				return good, records, nil // clean end
 			}
@@ -399,34 +400,24 @@ func scanRecords(r io.Reader) (good int64, records uint64, err error) {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return good, records, fmt.Errorf("torn record payload")
 		}
 		if crc32.Checksum(payload, crcTable) != crc {
 			return good, records, fmt.Errorf("record CRC mismatch")
 		}
-		if _, err := DecodeRecord(payload); err != nil {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
 			return good, records, fmt.Errorf("undecodable record: %w", err)
 		}
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return good, records, err
+			}
+		}
 		records++
-		good = br.n
+		good += recordHdrSize + int64(length)
 	}
-}
-
-// byteCounter tracks how many bytes have been consumed from the
-// underlying reader, so the scanner knows the offset of the last clean
-// record boundary.
-type byteCounter struct {
-	r io.Reader
-	n int64
-}
-
-func newByteCounter(r io.Reader) *byteCounter { return &byteCounter{r: r} }
-
-func (b *byteCounter) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	b.n += int64(n)
-	return n, err
 }
 
 // AppendRecord renders a record payload (no framing) onto buf: op,
@@ -492,10 +483,11 @@ func DecodeRecord(p []byte) (*Record, error) {
 	return r, nil
 }
 
-// Replay streams every record in the log, in append order, to fn. It
-// reads the segment files directly, so it must run before the first
-// Append (the node's recovery path). A non-nil error from fn aborts the
-// replay and is returned.
+// Replay streams every record in the log, in append order, to fn,
+// checking each as Open's scan did. It reads the segment files directly,
+// so it must run before the first Append (the node's recovery path). A
+// non-nil error from fn aborts the replay and is returned, wrapped with
+// the segment's name.
 func (l *Log) Replay(fn func(*Record) error) error {
 	l.mu.Lock()
 	segs := make([]segmentInfo, len(l.segments))
@@ -503,7 +495,7 @@ func (l *Log) Replay(fn func(*Record) error) error {
 	l.mu.Unlock()
 	for _, seg := range segs {
 		if err := l.replaySegment(seg, fn); err != nil {
-			return err
+			return fmt.Errorf("wal: replay segment %s: %w", segmentName(seg.seq), err)
 		}
 	}
 	return nil
@@ -512,38 +504,14 @@ func (l *Log) Replay(fn func(*Record) error) error {
 func (l *Log) replaySegment(seg segmentInfo, fn func(*Record) error) error {
 	f, err := os.Open(l.segmentPath(seg.seq))
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	defer f.Close()
 	// Only the validated prefix is replayed; anything past it is a tail
 	// that scanSegment already truncated (or bytes appended after Replay
 	// started, which the caller contract excludes).
-	br := io.LimitReader(f, seg.bytes)
-	var hdr [segmentHdrSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	var rh [recordHdrSize]byte
-	for {
-		if _, err := io.ReadFull(br, rh[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(rh[0:4])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
+	_, _, err = scanRecords(io.LimitReader(f, seg.bytes), fn)
+	return err
 }
 
 // Append logs one or more records and returns when the sync policy is

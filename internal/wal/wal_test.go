@@ -175,6 +175,43 @@ func TestMidSegmentCorruptionFatal(t *testing.T) {
 	}
 }
 
+// TestReplayChecksCRC: a record that rots between Open's scan and Replay
+// — here one whose flipped bit still decodes, to other terms — fails the
+// replay instead of reaching the caller.
+func TestReplayChecksCRC(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Op: OpAdd, Epoch: 1, ID: 1, Card: 3, Terms: []uint32{100, 200, 300}}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if l, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	path := filepath.Join(dir, segmentName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x02 // the last term delta's final varint byte
+	if _, err := DecodeRecord(data[segmentHdrSize+recordHdrSize:]); err != nil {
+		t.Fatalf("the flipped record no longer decodes, so it tests nothing: %v", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Replay(func(r *Record) error {
+		t.Errorf("replayed a record whose CRC no longer matches: %+v", *r)
+		return nil
+	}); err == nil {
+		t.Fatal("Replay accepted a record whose CRC no longer matches")
+	}
+}
+
 // TestSegmentRollAndDrop: segments roll past the threshold; Seal +
 // DropBefore reclaims everything the snapshot covers; the survivors
 // replay exactly the post-seal suffix.
