@@ -7,14 +7,26 @@
 // DTW and DFD share one kernel, which can also run against a bar: the
 // exact rerank only needs scores that can still place, and the kernel
 // skips every cell, and finally the whole pair, that provably cannot
-// (DTWWithin, DFDWithin, and the upper bounds that seed the bar). Under a
-// finite bar it is guided: a first, trig-free pass over the same cells
-// bounds what finishing an alignment from each can still cost, with the
-// chord through the Earth standing in for the haversine arc, so the
-// exact pass computes little more than the cells of alignments that can
-// still finish under the bar — and, like the unguided one, returns the
-// unbounded metric's float for every pair it keeps. The upper bounds
-// read the chord too, inflated into a cost never below the arc.
+// (DTWWithin, DFDWithin). Under a finite bar it is guided: a first,
+// trig-free pass over the same cells bounds what finishing an alignment
+// from each can still cost, with the chord through the Earth standing in
+// for the haversine arc, so the exact pass computes little more than the
+// cells of alignments that can still finish under the bar — and, like the
+// unguided one, returns the unbounded metric's float for every pair it
+// keeps. The exact pass reads the haversines of the guide's cheapest
+// alignment, which it has already costed, rather than computing them again.
+//
+// Before any kernel runs, one O(n+m) walk bounds a pair from both sides
+// (DTWBounds, DFDBounds): from above by the cost of one alignment, each
+// pair's chord inflated into a cost never below the arc, and from below by
+// each point's shaved chord to the box around the other trajectory's unit
+// vectors. Over tries the lower bounds against a bar, so a caller drops a
+// pair that cannot place before its completion table is filled.
+//
+// The chord costs read unit vectors, which a trajectory takes off its first
+// point by the angle-addition formulas — a short series where the angle has
+// moved by at most 0.01 rad, math.Sincos beyond — while the haversine keeps
+// its own math.Cos of each latitude, so it is geo.Haversine's float.
 //
 // A caller scoring many trajectories against one prepares it once as a
 // Prepared and calls its methods; the point-slice functions prepare both
@@ -66,33 +78,26 @@ func DFDWithin(p, q []geo.Point, bar float64) (score float64, ok bool) {
 	return pairWithin(p, q, bar, true)
 }
 
-// DTWUpper bounds DTW(p, q) from above in O(n+m): the cost of the one
-// warping path that advances through both trajectories in proportion,
-// each of its pairs costed by their chord inflated into a cost never
-// below their ground distance. The sum is accumulated from the path's
-// start with the kernel's own step, so in floating point, too, it is
-// never below what DTW returns (docs/invariants.md, "Exact rerank under
-// a bar").
-func DTWUpper(p, q []geo.Point) float64 { return pairUpper(p, q, false) }
-
-// DFDUpper is DTWUpper for the discrete Fréchet distance: the longest
-// leash the proportional path needs.
-func DFDUpper(p, q []geo.Point) float64 { return pairUpper(p, q, true) }
-
 // Prepared is a trajectory converted once for many kernel calls: in
-// radians with the latitude's cosine, as the ground distance reads it,
-// and on the unit sphere, as the chord costs read it. Once Prepare has
-// returned, the methods only read it, so the workers of one rerank pass
-// share it. The zero value is an empty trajectory.
+// radians with the latitude's cosine, as the ground distance reads it, and
+// on the unit sphere with the box around its unit vectors, as the chord
+// costs read it. Once Prepare has returned, the methods only read it, so
+// the workers of one rerank pass share it. The zero value is an empty
+// trajectory.
 type Prepared struct {
 	rad  []radPoint
 	unit []unit
+	box  box
 }
 
 // Prepare converts pts into q, reusing q's storage.
 func (q *Prepared) Prepare(pts []geo.Point) {
 	q.rad = radsOf(q.rad, pts)
 	q.unit = unitsOf(q.unit, q.rad)
+	q.box = emptyBox
+	for _, u := range q.unit {
+		q.box.add(u)
+	}
 }
 
 // DTWWithin is DTWWithin(the prepared trajectory, c, bar).
@@ -105,11 +110,53 @@ func (q *Prepared) DFDWithin(c []geo.Point, bar float64) (score float64, ok bool
 	return q.within(c, bar, true)
 }
 
-// DTWUpper is DTWUpper(the prepared trajectory, c).
-func (q *Prepared) DTWUpper(c []geo.Point) float64 { return q.upper(c, false) }
+// Bounds is what one O(n+m) walk of a trajectory against a prepared one
+// learns: Upper is never below their score, Lower never above it, and the
+// box around the walked trajectory's unit vectors lets Over bound the
+// score from the prepared side too. A NaN point makes both bounds NaN, so
+// no test on them passes.
+type Bounds struct {
+	Upper, Lower float64
+	box          box
+	leash        bool
+}
 
-// DFDUpper is DFDUpper(the prepared trajectory, c).
-func (q *Prepared) DFDUpper(c []geo.Point) float64 { return q.upper(c, true) }
+// DTWBounds bounds DTW(the prepared trajectory, c) from both sides.
+//
+// Upper is the cost of the one warping path that advances through both
+// trajectories in proportion, each of its pairs costed by their chord
+// inflated into a cost never below their ground distance. Lower sums, over
+// c's points, each one's chord to the box around the prepared trajectory's
+// unit vectors, shaved as the guide's chord is: every alignment matches
+// each of c's points to some point inside that box. Both are accumulated
+// in path order with the kernel's own step, so in floating point, too,
+// they bracket what DTW returns (docs/invariants.md, "Exact rerank under a
+// bar").
+func (q *Prepared) DTWBounds(c []geo.Point) Bounds { return q.bounds(c, false) }
+
+// DFDBounds is DTWBounds for the discrete Fréchet distance: the longest
+// leash the proportional path needs, and the longest of the chords to the
+// box.
+func (q *Prepared) DFDBounds(c []geo.Point) Bounds { return q.bounds(c, true) }
+
+// Over reports whether b, the bounds of some trajectory against q, prove
+// their score strictly above bar: when b.Lower is, or when q's points,
+// each costed by its shaved chord to the walked trajectory's box and
+// accumulated with the kernel's step, pass bar — the walk stops there, as
+// partial sums never decrease. Every test is a strict inequality, so a
+// pair Over drops is one the kernel under the same bar rejects too.
+func (q *Prepared) Over(b *Bounds, bar float64) bool {
+	if b.Lower > bar {
+		return true
+	}
+	var acc float64
+	for _, u := range q.unit {
+		if acc = step(acc, boxChord(u, &b.box), b.leash); acc > bar {
+			return true
+		}
+	}
+	return false
+}
 
 // radPoint is a point as the cell function reads it: radians, and the
 // latitude's cosine, which geo.Haversine would otherwise recompute for
@@ -136,9 +183,75 @@ func ground(a, b radPoint) float64 {
 // unit is a point on the unit sphere, as the chord costs read it.
 type unit struct{ x, y, z float64 }
 
-func toUnit(p radPoint) unit {
-	sinLon, cosLon := math.Sincos(p.lon)
-	return unit{p.cos * cosLon, p.cos * sinLon, math.Sin(p.lat)}
+// seriesMax is the largest angle, in radians, a point's latitude or
+// longitude may have moved from its trajectory's first point's for
+// frame.unit to take its sine and cosine from a short series; beyond it
+// math.Sincos takes them from the angle itself.
+const seriesMax = 0.01
+
+// frame is what a trajectory's unit vectors are taken off: its first
+// point's latitude and longitude, in radians, and their sines and cosines.
+type frame struct{ lat, lon, sinLat, cosLat, sinLon, cosLon float64 }
+
+func frameAt(lat, lon float64) frame {
+	f := frame{lat: lat, lon: lon}
+	f.sinLat, f.cosLat = math.Sincos(lat)
+	f.sinLon, f.cosLon = math.Sincos(lon)
+	return f
+}
+
+// unit returns the unit vector of the point at lat, lon radians. It is
+// the one conversion Prepare, the kernel and the bounds share; each
+// component is within about 1e-15 of math.Sincos's (docs/invariants.md,
+// "Exact rerank under a bar", point 4).
+func (f *frame) unit(lat, lon float64) unit {
+	sinLat, cosLat := sincosOff(lat, lat-f.lat, f.sinLat, f.cosLat)
+	sinLon, cosLon := sincosOff(lon, lon-f.lon, f.sinLon, f.cosLon)
+	return unit{cosLat * cosLon, cosLat * sinLon, sinLat}
+}
+
+// sincosOff returns the sine and cosine of a, which lies d from an angle
+// whose sine and cosine are sin0 and cos0: by the angle-addition formulas,
+// with sin d and cos d from their Taylor series through d⁷ and d⁶, whose
+// truncation is below 1e-17 for |d| ≤ seriesMax. A larger or NaN d falls
+// back to math.Sincos(a).
+func sincosOff(a, d, sin0, cos0 float64) (sin, cos float64) {
+	if !(math.Abs(d) <= seriesMax) {
+		return math.Sincos(a)
+	}
+	d2 := d * d
+	sd := d + d*d2*(-1.0/6+d2*(1.0/120-d2*(1.0/5040)))
+	cd := 1 + d2*(-0.5+d2*(1.0/24-d2*(1.0/720)))
+	return sin0*cd + cos0*sd, cos0*cd - sin0*sd
+}
+
+// box is the axis-aligned box around a trajectory's unit vectors.
+type box struct{ lo, hi unit }
+
+// add widens b to hold u. The built-in min and max carry a NaN component
+// into the box.
+func (b *box) add(u unit) {
+	b.lo = unit{min(b.lo.x, u.x), min(b.lo.y, u.y), min(b.lo.z, u.z)}
+	b.hi = unit{max(b.hi.x, u.x), max(b.hi.y, u.y), max(b.hi.z, u.z)}
+}
+
+// emptyBox holds nothing: the first add makes it its point's.
+var emptyBox = box{
+	unit{math.Inf(1), math.Inf(1), math.Inf(1)},
+	unit{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
+}
+
+// boxChord bounds chord(u, v) from below for every v in b: the distance
+// from u to b's nearest point, scaled and shaved as chord is. Each
+// component's gap is never above |u − v|'s, since v lies inside b and
+// subtraction rounds monotonically, so in floats, too, it is never above
+// chord(u, v). Unlike chord it keeps a NaN, so a NaN point fails every
+// test on the bounds.
+func boxChord(u unit, b *box) float64 {
+	dx := max(b.lo.x-u.x, u.x-b.hi.x, 0)
+	dy := max(b.lo.y-u.y, u.y-b.hi.y, 0)
+	dz := max(b.lo.z-u.z, u.z-b.hi.z, 0)
+	return max(chordScale*math.Sqrt(dx*dx+dy*dy+dz*dz)-chordSlack, 0)
 }
 
 // unitChord is the distance between two points on the unit sphere: the chord
@@ -208,13 +321,21 @@ const maxGuidedBar = 1e9
 // scratch is one call's working memory: the point-slice entry points'
 // own prepared trajectory, the other trajectory prepared, the two
 // rolling rows of the dynamic program, and, for a guided call, the
-// completion table and a row of +Inf to fill its dead entries from.
-// Prepared points live here and not beside the retained ones — those are
-// most of a node's heap.
+// completion table, a row of +Inf to fill its dead entries from and the
+// cells of along's path. Prepared points live here and not beside the
+// retained ones — those are most of a node's heap.
 type scratch struct {
 	own, other Prepared
 	prev, curr []float64
 	g, infs    []float64
+	path       []pathCell
+}
+
+// pathCell is one cell of along's path: table row i, column j, and the
+// ground distance of that pair.
+type pathCell struct {
+	i, j int
+	d    float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -229,7 +350,8 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// radsOf and unitsOf convert pts into dst's storage.
+// radsOf and unitsOf convert pts into dst's storage; unitsOf takes the
+// unit vectors off pts' first point.
 func radsOf(dst []radPoint, pts []geo.Point) []radPoint {
 	dst = grow(dst, len(pts))
 	for i, p := range pts {
@@ -240,8 +362,12 @@ func radsOf(dst []radPoint, pts []geo.Point) []radPoint {
 
 func unitsOf(dst []unit, pts []radPoint) []unit {
 	dst = grow(dst, len(pts))
+	if len(pts) == 0 {
+		return dst
+	}
+	f := frameAt(pts[0].lat, pts[0].lon)
 	for i, p := range pts {
-		dst[i] = toUnit(p)
+		dst[i] = f.unit(p.lat, p.lon)
 	}
 	return dst
 }
@@ -303,13 +429,15 @@ func (q *Prepared) within(c []geo.Point, bar float64, leash bool) (float64, bool
 // Guided — a bar up to maxGuidedBar and a pair that fits maxGuidedCells
 // — the call first fills the completion table G (completions), gives up
 // at once when even G(0, 0) is over bar, and lowers bar to the cost of
-// the alignment G points along (along).
-// The forward pass then also kills a cell before its ground distance
-// when step(best, G) is over bar, and after it when step(value, cheapest
-// successor's G) is. Every cell on an optimal alignment that finishes at
-// or under bar passes both tests, so its predecessor on that alignment is
-// live and holds its true value, and a kept score is the unbounded
-// program's float (docs/invariants.md, "Exact rerank under a bar").
+// the alignment G points along (along), keeping that path's ground
+// distances for the forward pass to read — the same function on the same
+// arguments, so the same floats. The forward pass then also kills a cell
+// before its ground distance when step(best, G) is over bar, and after it
+// when step(value, cheapest successor's G) is. Every cell on an optimal
+// alignment that finishes at or under bar passes both tests, so its
+// predecessor on that alignment is live and holds its true value, and a
+// kept score is the unbounded program's float (docs/invariants.md, "Exact
+// rerank under a bar").
 func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool) (float64, bool) {
 	inf := math.Inf(1)
 	s.other.rad, s.other.unit = radsOf(s.other.rad, c), s.other.unit[:0]
@@ -326,6 +454,7 @@ func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool
 	prev, curr := s.prev, s.curr
 
 	guided := bar <= maxGuidedBar && (len(p.rad)+1)*w <= maxGuidedCells
+	var path []pathCell // along's cells from the current row on
 	if guided {
 		p.units()
 		q.units()
@@ -333,6 +462,7 @@ func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool
 			return inf, false
 		}
 		bar = math.Min(bar, s.along(p.rad, q.rad, leash))
+		path = s.path
 	}
 
 	// Row 0 and column 0 stand for the empty prefixes: only (0, 0) can be
@@ -352,6 +482,17 @@ func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool
 			// Cell (i+1, j) of the program is cell (i, j−1) of the table.
 			gRow, gNext = s.g[i*w:][:w], s.g[(i+1)*w:][:w]
 		}
+		// The path crosses a row in consecutive columns: the program's
+		// columns [known, known+len(seg)) hold seg's ground distances.
+		k := 0
+		for k < len(path) && path[k].i == i {
+			k++
+		}
+		seg, known := path[:k], 0
+		if k > 0 {
+			known = seg[0].j + 1
+		}
+		path = path[k:]
 		// Rows are reused, so what lies outside the span a row writes is
 		// stale. The next row reads one cell to the left of the span, set
 		// dead here, and none to the right: the loop only stops on a dead
@@ -370,7 +511,13 @@ func (s *scratch) within(query *Prepared, c []geo.Point, bar float64, leash bool
 				curr[j] = inf
 				continue
 			}
-			v := step(best, ground(a, cols[j-1]), leash)
+			var d float64
+			if c := j - known; uint(c) < uint(len(seg)) {
+				d = seg[c].d
+			} else {
+				d = ground(a, cols[j-1])
+			}
+			v := step(best, d, leash)
 			if guided && step(v, min(gNext[j-1], gRow[j], gNext[j]), leash) > bar {
 				v = inf
 			}
@@ -462,12 +609,16 @@ func (s *scratch) completions(p, q *Prepared, bar float64, leash bool) bool {
 // program's cheapest alignment, which completions proved ends at
 // (n−1, m−1). The cost is accumulated from the start with the kernel's
 // own cell function, so, like the upper bounds, it is never below the
-// score.
+// score. The path's cells, with their ground distances, are left in
+// s.path.
 func (s *scratch) along(p, q []radPoint, leash bool) float64 {
 	n, m := len(p), len(q)
 	w := m + 1
 	i, j := 0, 0
-	acc := step(0, ground(p[0], q[0]), leash)
+	d := ground(p[0], q[0])
+	// A monotone path from (0, 0) to (n−1, m−1) has at most n+m−1 cells.
+	s.path = append(grow(s.path, n+m-1)[:0], pathCell{0, 0, d})
+	acc := step(0, d, leash)
 	for i < n-1 || j < m-1 {
 		down, right, diag := s.g[(i+1)*w+j], s.g[i*w+j+1], s.g[(i+1)*w+j+1]
 		switch {
@@ -484,51 +635,55 @@ func (s *scratch) along(p, q []radPoint, leash bool) float64 {
 		default:
 			j++
 		}
-		acc = step(acc, ground(p[i], q[j]), leash)
+		d = ground(p[i], q[j])
+		s.path = append(s.path, pathCell{i, j, d})
+		acc = step(acc, d, leash)
 	}
 	return acc
 }
 
-// pairUpper is the point-slice upper bound: p prepared in the scratch's
-// own slot.
-func pairUpper(p, q []geo.Point, leash bool) float64 {
-	if score, settled := trivial(len(p), len(q)); settled {
-		return score
-	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.own.Prepare(p)
-	return s.own.upper(q, leash)
-}
-
-// upper walks the proportional path between the prepared query and c:
+// bounds walks the proportional path between the prepared query and c:
 // with n the longer length, the longer trajectory's i-th point is matched
 // to the shorter's ⌊i·(m−1)/(n−1)⌋-th, which starts at (first, first),
 // ends at (last, last) and never steps back or skips. Each pair costs
-// arcAbove; c's points are put on the unit sphere as the walk reaches
-// them, once each.
-func (q *Prepared) upper(c []geo.Point, leash bool) float64 {
+// arcAbove toward Upper. c's points are put on the unit sphere as the walk
+// reaches them, once each and in order, and each is folded into c's box
+// and costed by boxChord against the query's box toward Lower.
+func (q *Prepared) bounds(c []geo.Point, leash bool) Bounds {
+	b := Bounds{box: emptyBox, leash: leash}
 	n, m := len(q.unit), len(c)
 	if score, settled := trivial(n, m); settled {
-		return score
+		b.Upper, b.Lower = score, score
+		return b
 	}
-	var acc float64
+	f := frameAt(c[0].Radians())
 	if m > n {
 		span := m - 1
 		for i, a := range c {
-			acc = step(acc, arcAbove(toUnit(toRad(a)), q.unit[i*(n-1)/span]), leash)
+			u := f.unit(a.Radians())
+			b.reach(u, &q.box)
+			b.Upper = step(b.Upper, arcAbove(u, q.unit[i*(n-1)/span]), leash)
 		}
-		return acc
+		return b
 	}
-	at, b := 0, toUnit(toRad(c[0]))
+	at, u := 0, f.unit(c[0].Radians())
+	b.reach(u, &q.box)
 	span := max(n-1, 1)
 	for i, a := range q.unit {
 		if j := i * (m - 1) / span; j != at {
-			at, b = j, toUnit(toRad(c[j]))
+			at, u = j, f.unit(c[j].Radians())
+			b.reach(u, &q.box)
 		}
-		acc = step(acc, arcAbove(a, b), leash)
+		b.Upper = step(b.Upper, arcAbove(a, u), leash)
 	}
-	return acc
+	return b
+}
+
+// reach folds the walked trajectory's next unit vector into b: into its
+// box, and its shaved chord to the other trajectory's box qb into Lower.
+func (b *Bounds) reach(u unit, qb *box) {
+	b.box.add(u)
+	b.Lower = step(b.Lower, boxChord(u, qb), b.leash)
 }
 
 // JaccardSorted returns the Jaccard distance dJ = 1 − |A∩B| / |A∪B|

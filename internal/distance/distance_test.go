@@ -1,6 +1,7 @@
 package distance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,16 +131,30 @@ func TestDTWMatchesBruteForce(t *testing.T) {
 	})
 }
 
-// metrics pairs each bounded kernel with its upper bound and its textbook
-// reference.
+// metrics pairs each bounded kernel with its unbounded metric, its
+// textbook reference and its leash flag, which picks its bounds.
 var metrics = []struct {
-	name   string
-	within func(p, q []geo.Point, bar float64) (float64, bool)
-	upper  func(p, q []geo.Point) float64
-	brute  func(p, q []geo.Point) float64
+	name      string
+	within    func(p, q []geo.Point, bar float64) (float64, bool)
+	unbounded func(p, q []geo.Point) float64
+	brute     func(p, q []geo.Point) float64
+	leash     bool
 }{
-	{"DTW", DTWWithin, DTWUpper, dtwBrute},
-	{"DFD", DFDWithin, DFDUpper, dfdBrute},
+	{"DTW", DTWWithin, DTW, dtwBrute, false},
+	{"DFD", DFDWithin, DFD, dfdBrute, true},
+}
+
+// boundsOf prepares p and bounds q against it, as a rerank pass does.
+func boundsOf(p, q []geo.Point, leash bool) (*Prepared, Bounds) {
+	pp := new(Prepared)
+	pp.Prepare(p)
+	return pp, pp.bounds(q, leash)
+}
+
+// upperOf is boundsOf's upper bound.
+func upperOf(p, q []geo.Point, leash bool) float64 {
+	_, b := boundsOf(p, q, leash)
+	return b.Upper
 }
 
 // checkWithin is the kernel's whole contract on one input: a kept score
@@ -162,7 +177,7 @@ func checkWithin(t *testing.T, p, q []geo.Point, bars ...float64) {
 				t.Fatalf("%sWithin(bar %v) abandoned a pair at %v (|p|=%d |q|=%d)", m.name, bar, want, len(p), len(q))
 			}
 		}
-		if ub := m.upper(p, q); ub < want {
+		if ub := upperOf(p, q, m.leash); ub < want {
 			t.Fatalf("%sUpper = %v, below the exact score %v (|p|=%d |q|=%d)", m.name, ub, want, len(p), len(q))
 		}
 	}
@@ -178,8 +193,8 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	check := func(p, q []geo.Point) {
 		dtw, dfd := DTW(p, q), DFD(p, q)
 		checkWithin(t, p, q, -1, 0, math.Inf(1),
-			dfd/2, math.Nextafter(dfd, 0), dfd*(1+rng.Float64()), DFDUpper(p, q),
-			dtw/2, math.Nextafter(dtw, 0), dtw*(1+rng.Float64()/10), DTWUpper(p, q))
+			dfd/2, math.Nextafter(dfd, 0), dfd*(1+rng.Float64()), upperOf(p, q, true),
+			dtw/2, math.Nextafter(dtw, 0), dtw*(1+rng.Float64()/10), upperOf(p, q, false))
 	}
 	pairs(rng, 24, check)
 	walk := randomWalk(rng, 150)
@@ -225,7 +240,76 @@ func FuzzWithin(f *testing.F) {
 			q = noisyCopy(rng, p, 1+int(m), noise)
 		}
 		part := float64(frac) / 255
-		checkWithin(t, p, q, bar, part*DTWUpper(p, q), part*DFDUpper(p, q))
+		checkWithin(t, p, q, bar, part*upperOf(p, q, false), part*upperOf(p, q, true))
+	})
+}
+
+// FuzzLowerBound holds the bounds a rerank pass computes to the unbounded
+// metrics — lower ≤ DTW (DFD) ≤ upper, in float64 — and checks that at
+// every bar Over drops a pair at, from just under the lower bound to the
+// score itself, DTWWithin (DFDWithin) rejects it too. The trajectories
+// are 1–300 points: two walks from a fuzzed start, by the poles or across
+// the antimeridian, or a walk and its noisy copy; the second stutters on
+// duplicate points, and one point of either may be NaN, which must leave
+// the lower bound NaN, so it drops nothing.
+func FuzzLowerBound(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint16(60), false, uint8(0), uint16(0), 51.5, -0.12, 5.0)
+	f.Add(int64(2), uint16(150), uint16(149), true, uint8(0), uint16(0), 51.5, -0.12, 20.0)
+	f.Add(int64(3), uint16(299), uint16(0), false, uint8(3), uint16(0), 51.5, -0.12, 5.0)
+	f.Add(int64(4), uint16(80), uint16(90), true, uint8(2), uint16(0), 51.5, -0.12, 300.0)
+	f.Add(int64(5), uint16(30), uint16(30), false, uint8(0), uint16(7), 51.5, -0.12, 5.0)
+	f.Add(int64(6), uint16(30), uint16(30), true, uint8(1), uint16(12), 51.5, -0.12, 5.0)
+	f.Add(int64(7), uint16(120), uint16(90), false, uint8(0), uint16(0), 89.9995, 20.0, 5.0)
+	f.Add(int64(8), uint16(120), uint16(90), true, uint8(0), uint16(0), -89.9995, -60.0, 5.0)
+	f.Add(int64(9), uint16(120), uint16(90), false, uint8(1), uint16(0), -16.8, 179.9999, 5.0)
+	f.Add(int64(10), uint16(200), uint16(60), true, uint8(0), uint16(0), -16.8, -179.9999, 50.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint16, copied bool, stutter uint8, nanAt uint16, lat, lon, noise float64) {
+		if !(math.Abs(lat) <= 90 && math.Abs(lon) <= 180 && math.Abs(noise) <= 1000) {
+			t.Skip("not a start point on the globe, or noise beyond a kilometre")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		start := geo.Point{Lat: lat, Lon: lon}
+		p := walkFrom(rng, start, 1+int(n)%300)
+		q := walkFrom(rng, start, 1+int(m)%300)
+		if copied {
+			q = noisyCopy(rng, p, 1+int(m)%300, noise)
+		}
+		if stutter > 0 {
+			for j := 1; j < len(q); j += 1 + int(stutter)%5 {
+				q[j] = q[j-1]
+			}
+		}
+		if nanAt > 0 {
+			at := q
+			if nanAt%2 == 1 {
+				at = p
+			}
+			at[int(nanAt/2)%len(at)].Lat = math.NaN()
+		}
+		for _, mt := range metrics {
+			pp, b := boundsOf(p, q, mt.leash)
+			want := mt.unbounded(p, q)
+			where := fmt.Sprintf("%s |p|=%d |q|=%d", mt.name, len(p), len(q))
+			if math.IsNaN(want) {
+				if !math.IsNaN(b.Lower) {
+					t.Fatalf("%s: lower bound %v on a NaN score", where, b.Lower)
+				}
+			} else if !(b.Lower <= want && want <= b.Upper) {
+				t.Fatalf("%s: bounds [%v, %v] miss the score %v", where, b.Lower, b.Upper, want)
+			}
+			bars := []float64{0, want, math.Nextafter(want, 0), b.Lower, math.Nextafter(b.Lower, 0)}
+			for k := 1; k < 4; k++ {
+				bars = append(bars, b.Lower+(want-b.Lower)*float64(k)/4)
+			}
+			for _, bar := range bars {
+				if !pp.Over(&b, bar) {
+					continue
+				}
+				if _, ok := mt.within(p, q, bar); ok {
+					t.Fatalf("%s: Over dropped the pair at bar %v, which %sWithin keeps (score %v)", where, bar, mt.name, want)
+				}
+			}
+		}
 	})
 }
 
@@ -283,9 +367,11 @@ func TestCompletionsMatchBruteForce(t *testing.T) {
 
 // completionsBrute is the textbook recursion for the guide table: the
 // cheapest chord cost from (i, j) through (n−1, m−1), the cell's own pair
-// included.
+// included. The unit vectors are taken off each trajectory's first point,
+// as Prepare takes them.
 func completionsBrute(p, q []geo.Point, leash bool) [][]float64 {
 	n, m := len(p), len(q)
+	pu, qu := unitsOf(nil, radsOf(nil, p)), unitsOf(nil, radsOf(nil, q))
 	g := make([][]float64, n+1)
 	for i := range g {
 		g[i] = make([]float64, m+1)
@@ -296,7 +382,7 @@ func completionsBrute(p, q []geo.Point, leash bool) [][]float64 {
 	g[n][m] = 0
 	for i := n - 1; i >= 0; i-- {
 		for j := m - 1; j >= 0; j-- {
-			d := chord(toUnit(toRad(p[i])), toUnit(toRad(q[j])))
+			d := chord(pu[i], qu[j])
 			g[i][j] = step(math.Min(g[i+1][j], math.Min(g[i][j+1], g[i+1][j+1])), d, leash)
 		}
 	}
@@ -328,9 +414,18 @@ func TestWithinOverTheCellCap(t *testing.T) {
 	}
 }
 
+// unitOff converts p as a trajectory whose first point is ref does.
+func unitOff(ref, p geo.Point) unit {
+	f := frameAt(ref.Radians())
+	return f.unit(p.Radians())
+}
+
 // FuzzChordBound checks that the guide's cost never exceeds the ground
 // distance it stands in for, and the upper bounds' cost never falls below
-// it, in float64, for any pair of points.
+// it, in float64, for any pair of points, on unit vectors taken off a
+// fuzzed reference point: the first point of a's trajectory, b's taken off
+// the same one or off b itself. The lower bounds' box cost, against a box
+// holding b alone, never exceeds the chord either.
 func FuzzChordBound(f *testing.F) {
 	london := geo.Point{Lat: 51.5, Lon: -0.12}
 	for _, pair := range [][2]geo.Point{
@@ -352,23 +447,64 @@ func FuzzChordBound(f *testing.F) {
 		{{Lat: -29.5, Lon: 3}, {Lat: 29.5, Lon: 3}},
 		{{Lat: -30.5, Lon: 3}, {Lat: 30.5, Lon: 3}},
 	} {
-		f.Add(pair[0].Lat, pair[0].Lon, pair[1].Lat, pair[1].Lon)
+		f.Add(pair[0].Lat, pair[0].Lon, pair[1].Lat, pair[1].Lon, pair[0].Lat, pair[0].Lon)
 	}
-	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
-		for _, v := range [][2]float64{{lat1, 90}, {lon1, 180}, {lat2, 90}, {lon2, 180}} {
+	// Either side of the series cutoff, 0.01 rad (0.5729578°) from the
+	// reference in latitude, in longitude and in both, a metre apart.
+	below, above := 0.57, 0.58
+	for _, d := range [][2]float64{{below, 0}, {above, 0}, {0, below}, {0, above}, {below, above}, {-above, -below}} {
+		a := geo.Point{Lat: london.Lat + d[0], Lon: london.Lon + d[1]}
+		f.Add(a.Lat, a.Lon, a.Lat, a.Lon+1e-5, london.Lat, london.Lon)
+	}
+	// Across the antimeridian from the reference, a longitude step of
+	// nearly 2π that the series must leave to math.Sincos.
+	f.Add(-16.8, -179.999, -16.8, -179.998, -16.8, 179.999)
+	f.Add(-16.8, 179.9995, -16.8, -179.9995, -16.8, 179.999)
+	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2, refLat, refLon float64) {
+		for _, v := range [][2]float64{{lat1, 90}, {lon1, 180}, {lat2, 90}, {lon2, 180}, {refLat, 90}, {refLon, 180}} {
 			if !(math.Abs(v[0]) <= v[1]) {
 				t.Skip("not a point on the globe")
 			}
 		}
-		a, b := toRad(geo.Point{Lat: lat1, Lon: lon1}), toRad(geo.Point{Lat: lat2, Lon: lon2})
-		g := ground(a, b)
-		if c := chord(toUnit(a), toUnit(b)); !(c <= g) {
-			t.Fatalf("chord %v above ground %v for (%v, %v)–(%v, %v)", c, g, lat1, lon1, lat2, lon2)
-		}
-		if u := arcAbove(toUnit(a), toUnit(b)); !(g <= u) {
-			t.Fatalf("arcAbove %v below ground %v for (%v, %v)–(%v, %v)", u, g, lat1, lon1, lat2, lon2)
+		a, b, ref := geo.Point{Lat: lat1, Lon: lon1}, geo.Point{Lat: lat2, Lon: lon2}, geo.Point{Lat: refLat, Lon: refLon}
+		g := ground(toRad(a), toRad(b))
+		ua := unitOff(ref, a)
+		for _, ub := range []unit{unitOff(ref, b), unitOff(b, b)} {
+			c := chord(ua, ub)
+			if !(c <= g) {
+				t.Fatalf("chord %v above ground %v for (%v, %v)–(%v, %v) off (%v, %v)", c, g, lat1, lon1, lat2, lon2, refLat, refLon)
+			}
+			if u := arcAbove(ua, ub); !(g <= u) {
+				t.Fatalf("arcAbove %v below ground %v for (%v, %v)–(%v, %v) off (%v, %v)", u, g, lat1, lon1, lat2, lon2, refLat, refLon)
+			}
+			if l := boxChord(ua, &box{ub, ub}); !(l <= c) {
+				t.Fatalf("boxChord %v above chord %v for (%v, %v)–(%v, %v) off (%v, %v)", l, c, lat1, lon1, lat2, lon2, refLat, refLon)
+			}
 		}
 	})
+}
+
+// TestUnitConversion holds the series conversion to its error budget:
+// within 1e-15 of math.Sincos's unit vector per component, either side of
+// the series cutoff in latitude and longitude, near the poles and across
+// the antimeridian.
+func TestUnitConversion(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, ref := range []geo.Point{{Lat: 51.5, Lon: -0.12}, {Lat: -16.8, Lon: 179.999}, {Lat: 89.9, Lon: 40}, {Lat: 0, Lon: 0}} {
+		for range 2000 {
+			d := seriesMax * 180 / math.Pi * (2*rng.Float64() - 1) * 1.2
+			e := seriesMax * 180 / math.Pi * (2*rng.Float64() - 1) * 1.2
+			p := geo.Point{Lat: max(-90, min(90, ref.Lat+d)), Lon: geo.NormalizeLon(ref.Lon + e)}
+			got := unitOff(ref, p)
+			lat, lon := p.Radians()
+			sinLat, cosLat := math.Sincos(lat)
+			sinLon, cosLon := math.Sincos(lon)
+			want := unit{cosLat * cosLon, cosLat * sinLon, sinLat}
+			if dx, dy, dz := got.x-want.x, got.y-want.y, got.z-want.z; math.Abs(dx) > 1e-15 || math.Abs(dy) > 1e-15 || math.Abs(dz) > 1e-15 {
+				t.Fatalf("unit of %v off %v = %+v, math.Sincos gives %+v", p, ref, got, want)
+			}
+		}
+	}
 }
 
 func TestIdenticalTrajectoriesAreAtZero(t *testing.T) {
@@ -581,5 +717,18 @@ func BenchmarkDFD1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = DFD(p, q)
+	}
+}
+
+// BenchmarkBounds is one bound walk of a 100-point candidate against a
+// 100-point prepared query, a noisy copy of it.
+func BenchmarkBounds(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p := randomWalk(rng, 100)
+	q := noisyCopy(rng, p, 100, 20)
+	var pp Prepared
+	pp.Prepare(p)
+	for b.Loop() {
+		pp.bounds(q, false)
 	}
 }
