@@ -26,7 +26,7 @@ func TestSearchCoreZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ix := index.New(geodabEx())
+	ix := index.New(geodabEx(), false)
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ var benchLongTrajectories = sync.OnceValue(func() [][]geodabs.Point {
 
 func builtIndex(b *testing.B, ex index.Extractor) *index.Inverted {
 	b.Helper()
-	ix := index.New(ex)
+	ix := index.New(ex, false)
 	if err := ix.AddAll(context.Background(), benchWorkload().Dataset, 8); err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func cellEx(b *testing.B) index.CellExtractor {
 func BenchmarkFig08Normalization(b *testing.B) {
 	out := benchWorkload()
 	for i := 0; i < b.N; i++ {
-		ix := index.New(geodabEx())
+		ix := index.New(geodabEx(), false)
 		if err := ix.AddAll(context.Background(), out.Dataset, 8); err != nil {
 			b.Fatal(err)
 		}

@@ -122,23 +122,7 @@ func NewCluster(cfg Config, strategy ShardStrategy, addrs []string, opts ...Opti
 	if err != nil {
 		return nil, err
 	}
-	var coordOpts []cluster.Option
-	if o.retainPoints {
-		coordOpts = append(coordOpts, cluster.WithRetainPoints())
-	}
-	if o.connsPerNode > 0 {
-		coordOpts = append(coordOpts, cluster.WithPoolSize(o.connsPerNode))
-	}
-	if o.readReplicas != nil {
-		coordOpts = append(coordOpts, cluster.WithReadReplicas(o.readReplicas))
-	}
-	if o.readPrefSet {
-		coordOpts = append(coordOpts, cluster.WithReadPreference(o.readPref))
-	}
-	if o.recoverDir {
-		coordOpts = append(coordOpts, cluster.WithDirectoryRecovery())
-	}
-	coord, err := cluster.NewCoordinator(index.GeodabExtractor{Fingerprinter: f}, strategy, addrs, coordOpts...)
+	coord, err := cluster.NewCoordinator(index.GeodabExtractor{Fingerprinter: f}, strategy, addrs, o.Options)
 	if err != nil {
 		return nil, err
 	}

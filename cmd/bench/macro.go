@@ -101,7 +101,7 @@ func runMacro(n, queryPool int, pointDur time.Duration) macroReport {
 	gomax := runtime.GOMAXPROCS(0)
 	ctx := context.Background()
 	cf := core.MustFingerprinter(core.DefaultConfig())
-	ix := index.New(index.GeodabExtractor{Fingerprinter: cf})
+	ix := index.New(index.GeodabExtractor{Fingerprinter: cf}, false)
 	log.Printf("macro: target %d trajectories, GOMAXPROCS=%d", n, gomax)
 
 	city, err := roadnet.GenerateCity(roadnet.CityConfig{Seed: 7})

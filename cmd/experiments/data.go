@@ -43,7 +43,7 @@ func retrievalWorkload(o options) (*gen.Output, error) {
 // buildIndex constructs an inverted index over the dataset with the given
 // extractor.
 func buildIndex(ex index.Extractor, d *trajectory.Dataset) (*index.Inverted, error) {
-	ix := index.New(ex)
+	ix := index.New(ex, false)
 	if err := ix.AddAll(context.Background(), d, 8); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func runFig14(o options) error {
 	methods := retrievalMethods()
 	indexes := make([]*index.Inverted, len(methods))
 	for i, m := range methods {
-		indexes[i] = index.New(m.ex)
+		indexes[i] = index.New(m.ex, false)
 	}
 	queries := out.Queries
 

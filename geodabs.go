@@ -172,29 +172,25 @@ func newIndex(ex index.Extractor, opts []Option) (*Index, error) {
 	if err := o.localOnly(); err != nil {
 		return nil, err
 	}
-	var invOpts []index.InvertedOption
-	if o.retainPoints {
-		invOpts = append(invOpts, index.RetainPoints())
-	}
-	return &Index{eng: index.New(ex, invOpts...)}, nil
+	return &Index{eng: index.New(ex, o.RetainPoints)}, nil
 }
 
 // Add fingerprints and indexes a trajectory. IDs must be unique; use
 // Upsert to replace an indexed trajectory in place.
 func (ix *Index) Add(t *Trajectory) error { return ix.eng.Add(t) }
 
-// AddAll indexes a whole dataset, fingerprinting on the given number of
-// parallel workers. It fails fast — the first error stops job dispatch —
-// and is all-or-nothing: on failure the trajectories this call inserted
-// are removed again, so the same dataset can be retried after fixing the
-// cause.
+// AddAll indexes a whole dataset on the given number of parallel
+// workers. An ID already indexed or repeated in the dataset fails it
+// before any fingerprinting. It is all-or-nothing: on failure the
+// trajectories this call inserted are removed again, so the same dataset
+// can be retried after fixing the cause.
 func (ix *Index) AddAll(d *Dataset, workers int) error {
 	return ix.eng.AddAll(context.Background(), d, workers)
 }
 
 // AddAllContext is AddAll honoring cancellation and deadlines: a
-// cancelled ctx stops dispatching fingerprint jobs, rolls back this
-// call's insertions, and returns the context's error.
+// cancelled ctx stops the claiming, and once the claimed trajectories
+// finish, the call rolls back its insertions and returns ctx's error.
 func (ix *Index) AddAllContext(ctx context.Context, d *Dataset, workers int) error {
 	return ix.eng.AddAll(ctx, d, workers)
 }

@@ -17,7 +17,7 @@ var errStale = errors.New("cluster: replica state does not cover the search snap
 // client is the coordinator's connection pool to one node: a wire.Pool
 // whose connections each keep the reply they decode into, reused call
 // after call. In-flight calls are bounded by a semaphore sized to the
-// pool (default 1, raised with WithPoolSize), acquired under the
+// pool (Options.PoolSize, default 1), acquired under the
 // caller's context so a call queued behind stalled ones gives up when
 // its own deadline expires; it also bounds the idle connections.
 type client struct {

@@ -71,7 +71,7 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 	nodes, addrs := startNodes(t, n)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: n}
-	coord, err := NewCoordinator(ex, strategy, addrs)
+	coord, err := NewCoordinator(ex, strategy, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 func TestClusterMatchesLocalIndex(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.New(ex)
+	local := index.New(ex, false)
 	for _, tr := range testWorkload.Dataset.Trajectories {
 		if err := coord.Add(context.Background(), tr); err != nil {
 			t.Fatal(err)
@@ -211,15 +211,15 @@ func TestClusterConcurrentAddsAndQueries(t *testing.T) {
 func TestCoordinatorValidation(t *testing.T) {
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	bad := shard.Strategy{PrefixBits: 16, Shards: 100, Nodes: 2}
-	if _, err := NewCoordinator(ex, bad, []string{"127.0.0.1:1"}); err == nil {
+	if _, err := NewCoordinator(ex, bad, []string{"127.0.0.1:1"}, Options{}); err == nil {
 		t.Error("node count mismatch should fail")
 	}
-	if _, err := NewCoordinator(ex, shard.Strategy{}, nil); err == nil {
+	if _, err := NewCoordinator(ex, shard.Strategy{}, nil, Options{}); err == nil {
 		t.Error("invalid strategy should fail")
 	}
 	// Dialing a dead address fails cleanly.
 	dead := shard.Strategy{PrefixBits: 16, Shards: 100, Nodes: 1}
-	if _, err := NewCoordinator(ex, dead, []string{"127.0.0.1:1"}); err == nil {
+	if _, err := NewCoordinator(ex, dead, []string{"127.0.0.1:1"}, Options{}); err == nil {
 		t.Error("dead node should fail to dial")
 	}
 	// A directory entry records its trajectory's nodes in a 64-bit mask.
@@ -228,7 +228,7 @@ func TestCoordinatorValidation(t *testing.T) {
 		addrs[i] = "127.0.0.1:1"
 	}
 	wide := shard.Strategy{PrefixBits: 16, Shards: 100, Nodes: len(addrs)}
-	if _, err := NewCoordinator(ex, wide, addrs); err == nil || !strings.Contains(err.Error(), "at most 64") {
+	if _, err := NewCoordinator(ex, wide, addrs, Options{}); err == nil || !strings.Contains(err.Error(), "at most 64") {
 		t.Errorf("65 nodes: %v, want the 64-node bound", err)
 	}
 	if size := unsafe.Sizeof(docEntry{}); size != 32 {
@@ -326,7 +326,7 @@ func startStalledCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
 	addrs := []string{startFakeNode(t, swallow).Addr().String(), startFakeNode(t, swallow).Addr().String()}
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}, addrs)
+	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +731,7 @@ func TestPoolParallelSearches(t *testing.T) {
 	_, addrs := startNodes(t, 2)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}
-	coord, err := NewCoordinator(ex, strategy, addrs, WithPoolSize(4))
+	coord, err := NewCoordinator(ex, strategy, addrs, Options{PoolSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -792,7 +792,7 @@ func TestPoolParallelSearches(t *testing.T) {
 func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
-	local := index.New(ex)
+	local := index.New(ex, false)
 	ctx := context.Background()
 	add := func(tr *trajectory.Trajectory) {
 		t.Helper()
@@ -1119,7 +1119,7 @@ func TestRerankAcrossOwners(t *testing.T) {
 	cfg.PrefixBits = 26
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(cfg)}
 	_, addrs := startNodes(t, 3)
-	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 26, Shards: 1 << 26, Nodes: 3}, addrs, WithRetainPoints())
+	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 26, Shards: 1 << 26, Nodes: 3}, addrs, Options{RetainPoints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1182,12 +1182,12 @@ func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(cfg)}
 	strategy := shard.Strategy{PrefixBits: 26, Shards: 1 << 26, Nodes: 3}
 	nodes, addrs := startNodes(t, 3)
-	coord, err := NewCoordinator(ex, strategy, addrs)
+	coord, err := NewCoordinator(ex, strategy, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	local := index.New(ex)
+	local := index.New(ex, false)
 	ctx := context.Background()
 	stats := func() []NodeStats {
 		t.Helper()

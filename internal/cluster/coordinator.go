@@ -70,20 +70,15 @@ type Coordinator struct {
 	strategy shard.Strategy
 	clients  []*client
 	retain   bool
-	poolSize int
-	// recoverDir makes construction rebuild the directory from the nodes'
-	// durable state (see WithDirectoryRecovery in recover.go).
-	recoverDir bool
 
 	// replicas[i] are pooled clients to node i's read replicas; readPref
 	// picks between primary-preferred reads (replicas are failover only)
 	// and round-robin replica reads (primary is the fallback when a
 	// replica errors or refuses as stale). rr holds the per-node
 	// round-robin cursors.
-	replicaAddrs [][]string
-	replicas     [][]*client
-	readPref     ReadPreference
-	rr           []atomic.Uint32
+	replicas [][]*client
+	readPref ReadPreference
+	rr       []atomic.Uint32
 
 	// cleanups queues the per-node delete retries a failed Add's cleanup
 	// could not land (node unreachable); the background reconciler drains
@@ -164,28 +159,31 @@ type docEntry struct {
 	state entryState
 }
 
-// Option configures a Coordinator at construction.
-type Option func(*Coordinator)
-
-// WithRetainPoints makes Add spill each trajectory's raw point slice to
-// the shard node that owns it (one deterministic owner among the nodes
-// holding its terms), so searches can re-rank candidates with an exact
-// distance computed node-side. Off by default: ingest-heavy workloads
-// that never re-rank pay neither the spill bandwidth nor the node
-// memory.
-func WithRetainPoints() Option {
-	return func(c *Coordinator) { c.retain = true }
-}
-
-// WithPoolSize sets how many connections the coordinator pools per shard
-// node (default 1). A larger pool lets that many RPCs be in flight to
-// the same node, raising SearchBatch throughput.
-func WithPoolSize(n int) Option {
-	return func(c *Coordinator) {
-		if n > 0 {
-			c.poolSize = n
-		}
-	}
+// Options configures a Coordinator at construction. The zero value is a
+// coordinator that keeps no points, pools one connection per node, reads
+// from primaries and starts with an empty directory.
+type Options struct {
+	// RetainPoints makes Add spill each trajectory's raw points to one
+	// deterministic owner among the nodes holding its terms, so searches
+	// can re-rank candidates with an exact distance computed node-side.
+	// Left off, ingest pays neither the spill bandwidth nor node memory.
+	RetainPoints bool
+	// PoolSize is how many connections the coordinator pools per shard
+	// node; below 1 means 1. A larger pool lets that many RPCs be in
+	// flight to the same node, raising SearchBatch throughput.
+	PoolSize int
+	// Replicas registers read replicas: Replicas[i] lists the addresses
+	// of node i's replicas (started with WithReplicaOf pointing at node
+	// i). A non-nil slice must have one entry per shard node; inner
+	// slices may be empty. Mutations always go to primaries — replicas
+	// only serve reads, per ReadPreference.
+	Replicas [][]string
+	// ReadPreference is the read routing policy (ReadPrimary when zero).
+	ReadPreference ReadPreference
+	// RecoverDirectory makes NewCoordinator rebuild the ranking directory
+	// from the nodes' state before serving (see recover.go): the restart
+	// path over durable nodes. On empty nodes it costs a round trip each.
+	RecoverDirectory bool
 }
 
 // ReadPreference selects how the coordinator routes query reads across a
@@ -204,23 +202,9 @@ const (
 	ReadReplicas
 )
 
-// WithReadReplicas registers read replicas: replicas[i] lists the
-// addresses of node i's replicas (started with WithReplicaOf pointing at
-// node i). The outer slice must have one entry per shard node; inner
-// slices may be empty. Mutations always go to primaries — replicas only
-// serve reads, per WithReadPreference.
-func WithReadReplicas(replicas [][]string) Option {
-	return func(c *Coordinator) { c.replicaAddrs = replicas }
-}
-
-// WithReadPreference sets the read routing policy (default ReadPrimary).
-func WithReadPreference(p ReadPreference) Option {
-	return func(c *Coordinator) { c.readPref = p }
-}
-
 // NewCoordinator connects to the given node addresses. The strategy's
 // Nodes must equal len(addrs) and be at most 64.
-func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string, opts ...Option) (*Coordinator, error) {
+func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string, opts Options) (*Coordinator, error) {
 	if err := strategy.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,32 +217,31 @@ func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string,
 	c := &Coordinator{
 		ex:        ex,
 		strategy:  strategy,
-		poolSize:  1,
+		retain:    opts.RetainPoints,
+		readPref:  opts.ReadPreference,
 		directory: make(map[trajectory.ID]docEntry),
 		inFlight:  make(map[uint64]struct{}),
 		cleanups:  make(map[trajectory.ID][]pendingCleanup),
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
+	poolSize := max(opts.PoolSize, 1)
 	for _, addr := range addrs {
-		cl, err := dialPool(addr, c.poolSize)
+		cl, err := dialPool(addr, poolSize)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.clients = append(c.clients, cl)
 	}
-	if c.replicaAddrs != nil {
-		if len(c.replicaAddrs) != len(addrs) {
+	if opts.Replicas != nil {
+		if len(opts.Replicas) != len(addrs) {
 			c.Close()
-			return nil, fmt.Errorf("cluster: replica set has %d entries, cluster has %d nodes", len(c.replicaAddrs), len(addrs))
+			return nil, fmt.Errorf("cluster: replica set has %d entries, cluster has %d nodes", len(opts.Replicas), len(addrs))
 		}
 		c.replicas = make([][]*client, len(addrs))
 		c.rr = make([]atomic.Uint32, len(addrs))
-		for i, reps := range c.replicaAddrs {
+		for i, reps := range opts.Replicas {
 			for _, addr := range reps {
-				cl, err := dialPool(addr, c.poolSize)
+				cl, err := dialPool(addr, poolSize)
 				if err != nil {
 					c.Close()
 					return nil, err
@@ -267,7 +250,7 @@ func NewCoordinator(ex index.Extractor, strategy shard.Strategy, addrs []string,
 			}
 		}
 	}
-	if c.recoverDir {
+	if opts.RecoverDirectory {
 		if err := c.recoverDirectory(addrs); err != nil {
 			c.Close()
 			return nil, err

@@ -45,7 +45,7 @@ func startDurableCluster(t *testing.T, n int, extra ...NodeOption) (*Coordinator
 	})
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: n}
-	coord, err := NewCoordinator(ex, strategy, addrs)
+	coord, err := NewCoordinator(ex, strategy, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestReplicaServesIdenticalResults(t *testing.T) {
 	// repl-coord to keep ranking state in one place.
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: len(nodes)}
-	rcoord, err := NewCoordinator(ex, strategy, addrs, WithReadReplicas(replicaAddrs))
+	rcoord, err := NewCoordinator(ex, strategy, addrs, Options{Replicas: replicaAddrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 	// parity) guarantees any multi-term trajectory spans both nodes — the
 	// coarse default can place a whole trajectory on one node, which
 	// would let the Add bypass the wedged node entirely.
-	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}, []string{durableAddr, wedged})
+	coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}, []string{durableAddr, wedged}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 	wedged := stallLn.Addr().String()
 	addrs := []string{durableAddr, wedged}
 	strategy := shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}
-	coord, err := NewCoordinator(latExtractor{}, strategy, addrs)
+	coord, err := NewCoordinator(latExtractor{}, strategy, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +636,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 		t.Fatalf("restarted node recovered %d docs, want the 1 stranded add", docs)
 	}
 	if restart {
-		if coord, err = NewCoordinator(latExtractor{}, strategy, addrs, WithDirectoryRecovery()); err != nil {
+		if coord, err = NewCoordinator(latExtractor{}, strategy, addrs, Options{RecoverDirectory: true}); err != nil {
 			t.Fatal(err)
 		}
 		if n := coord.PendingCleanups(); n != 1 {
@@ -649,7 +649,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 			"re-add never succeeded with the stranded node back")
 	}
 
-	ref := index.New(latExtractor{})
+	ref := index.New(latExtractor{}, false)
 	ref.Upsert(second)
 	query := latExtractor{}.Extract(termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 8, 9).Points)
 	for _, limit := range []int{0, 1} {
@@ -693,7 +693,7 @@ func TestCoordinatorDirectoryRecovery(t *testing.T) {
 
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	strategy := shard.Strategy{PrefixBits: 16, Shards: 10000, Nodes: 2}
-	recovered, err := NewCoordinator(ex, strategy, addrs, WithDirectoryRecovery())
+	recovered, err := NewCoordinator(ex, strategy, addrs, Options{RecoverDirectory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,7 +852,7 @@ func TestRecoveredDirectoryTargetsHoldingNodes(t *testing.T) {
 			node.Close() // the restarted ones; Close is idempotent
 		}
 	})
-	coord, err := NewCoordinator(latExtractor{}, strategy, addrs)
+	coord, err := NewCoordinator(latExtractor{}, strategy, addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -879,7 +879,7 @@ func TestRecoveredDirectoryTargetsHoldingNodes(t *testing.T) {
 		}
 	}
 
-	recovered, err := NewCoordinator(latExtractor{}, strategy, addrs, WithDirectoryRecovery())
+	recovered, err := NewCoordinator(latExtractor{}, strategy, addrs, Options{RecoverDirectory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 		{"its own kind, cut short", func(o op) []byte { return []byte{byte(o)} }},
 	} {
 		fake := startFakeNode(t, serveFrames(tc.reply))
-		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()}, WithRetainPoints())
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()}, Options{RetainPoints: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 		fake := startFakeNode(t, serveFrames(func(op) []byte {
 			return endPartials(appendPartial(beginPartials(nil), uint32(tr.ID), count), 0, 0)
 		}))
-		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()})
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{fake.Addr().String()}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestDirectoryRecoveryGivesUpOnSilentNode(t *testing.T) {
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
 	done := make(chan error, 1)
 	go func() {
-		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{silent.Addr().String()}, WithDirectoryRecovery())
+		coord, err := NewCoordinator(ex, shard.Strategy{PrefixBits: 16, Shards: 16, Nodes: 1}, []string{silent.Addr().String()}, Options{RecoverDirectory: true})
 		if err == nil {
 			coord.Close()
 		}
@@ -324,12 +324,12 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 		nodes, _ := startNodes(t, 2)
 		fail := new(atomic.Bool)
 		addrs := []string{nodes[0].Addr(), loseMutationAcks(t, nodes[1].Addr(), fail).Addr().String()}
-		coord, err := NewCoordinator(latExtractor{}, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}, addrs)
+		coord, err := NewCoordinator(latExtractor{}, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2}, addrs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { coord.Close() })
-		return coord, fail, index.New(latExtractor{})
+		return coord, fail, index.New(latExtractor{}, false)
 	}
 	ctx := context.Background()
 	query := termTrajectory(0, 0, 1, 2, 3, 4, 5, 6, 7)
@@ -459,12 +459,12 @@ func TestNodeRankedSearchFallsBack(t *testing.T) {
 				return !(lose && !tc.upsert && req.Mutate.Op == wal.OpDelete), lose
 			})
 			coord, err := NewCoordinator(latExtractor{}, shard.Strategy{PrefixBits: 31, Shards: 1 << 31, Nodes: 2},
-				[]string{front.Addr().String(), nodes[1].Addr()})
+				[]string{front.Addr().String(), nodes[1].Addr()}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { coord.Close() })
-			local := index.New(latExtractor{})
+			local := index.New(latExtractor{}, false)
 			ctx := context.Background()
 			docs := []*trajectory.Trajectory{
 				termTrajectory(1, 0, 1, 4),

@@ -801,6 +801,10 @@ func (n *Node) rerank(dst []byte, req *rerankRequest) []byte {
 	defer s.release()
 	resp := &s.resp
 	resp.Scored, resp.Skipped, resp.Missing = resp.Scored[:0], 0, resp.Missing[:0]
+	// Grown once to the request's size: a collection empties the pool, and
+	// appends from empty would pay a growth step at every doubling.
+	s.cands = slices.Grow(s.cands, len(req.IDs))
+	resp.Scored = slices.Grow(resp.Scored, len(req.IDs))
 	n.mu.RLock()
 	for _, id := range req.IDs {
 		doc, ok := n.docs[id]

@@ -149,16 +149,8 @@ func writeSnapshot(path string, raw []byte) error {
 	// snapshot that vanishes with its truncated WAL segments loses
 	// acked mutations, so a failed directory fsync must fail the
 	// snapshot rather than pass silently.
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("cluster: open snapshot dir: %w", err)
-	}
-	serr := dir.Sync()
-	if cerr := dir.Close(); serr == nil {
-		serr = cerr
-	}
-	if serr != nil {
-		return fmt.Errorf("cluster: sync snapshot dir: %w", serr)
+	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("cluster: sync snapshot dir: %w", err)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ package cluster
 // mutation epoch — normally lives only in memory: it is rebuilt from
 // scratch as mutations flow through. When the shard nodes are durable
 // (WithWALDir) the cluster's ground truth survives a coordinator
-// restart, and WithDirectoryRecovery rebuilds the directory from it: the
+// restart, and Options.RecoverDirectory rebuilds the directory from it: the
 // coordinator pulls the same full-sync snapshot a read replica would,
 // from every node, and merges the per-ID records by epoch — the highest
 // epoch wins, an add beats a tombstone at the same epoch, and a winning
@@ -33,14 +33,6 @@ import (
 	"geodabs/internal/wal"
 	"geodabs/internal/wire"
 )
-
-// WithDirectoryRecovery makes NewCoordinator rebuild the ranking
-// directory from the nodes' current state before serving. Intended for
-// restarting a coordinator over durable (WAL-backed) nodes; on empty
-// nodes it is a no-op beyond one round trip per node.
-func WithDirectoryRecovery() Option {
-	return func(c *Coordinator) { c.recoverDir = true }
-}
 
 // recoverDirectory pulls a full-sync snapshot from every node and merges
 // them into the directory. Called from NewCoordinator before the

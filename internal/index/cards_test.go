@@ -234,7 +234,7 @@ func TestSnapshotSwapsCardTable(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded := New(orig.Extractor())
+	loaded := New(orig.Extractor(), false)
 	stale := trajectory.ID(1 << 30)
 	if err := loaded.insert(stale, []uint32{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)

@@ -48,6 +48,7 @@ import (
 	"slices"
 
 	"geodabs/internal/core"
+	"geodabs/internal/fanout"
 	"geodabs/internal/geo"
 	"geodabs/internal/geohash"
 	"geodabs/internal/trajectory"
@@ -140,7 +141,7 @@ type Result struct {
 type Inverted struct {
 	ex Extractor
 	// retain records whether insertions keep the raw point sequences for
-	// exact re-ranking (opt-in at construction via RetainPoints).
+	// exact re-ranking (opt-in at construction, see New).
 	retain bool
 
 	mu       sync.RWMutex
@@ -162,29 +163,19 @@ type Inverted struct {
 	epoch uint64
 }
 
-// InvertedOption configures an index at construction.
-type InvertedOption func(*Inverted)
-
-// RetainPoints makes insertions keep each trajectory's raw point slice
-// (a header sharing the caller's backing array, not a copy) so searches
-// can re-rank candidates with an exact distance. Off by default:
-// workloads that never re-rank no longer pay the pinned point memory.
-func RetainPoints() InvertedOption {
-	return func(ix *Inverted) { ix.retain = true }
-}
-
-// New returns an empty index that fingerprints with ex.
-func New(ex Extractor, opts ...InvertedOption) *Inverted {
-	ix := &Inverted{
+// New returns an empty index that fingerprints with ex. With
+// retainPoints, insertions keep each trajectory's raw point slice (a
+// header sharing the caller's backing array, not a copy) so searches can
+// re-rank candidates with an exact distance; without it, workloads that
+// never re-rank do not pay the pinned point memory.
+func New(ex Extractor, retainPoints bool) *Inverted {
+	return &Inverted{
 		ex:       ex,
+		retain:   retainPoints,
 		postings: make(Postings),
 		docs:     make(map[trajectory.ID]*[]uint32),
 		points:   make(map[trajectory.ID][]geo.Point),
 	}
-	for _, opt := range opts {
-		opt(ix)
-	}
-	return ix
 }
 
 // Extractor returns the index's term extractor (immutable after
@@ -205,10 +196,15 @@ func (ix *Inverted) insert(id trajectory.ID, terms []uint32, pts []geo.Point) er
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, dup := ix.docs[id]; dup {
-		return fmt.Errorf("index: trajectory %d already indexed", id)
+		return duplicate(id)
 	}
 	ix.insertLocked(id, terms, pts)
 	return nil
+}
+
+// duplicate is the error of inserting an already indexed id.
+func duplicate(id trajectory.ID) error {
+	return fmt.Errorf("index: trajectory %d already indexed", id)
 }
 
 // insertLocked applies an insertion under an already-held write lock.
@@ -222,81 +218,56 @@ func (ix *Inverted) insertLocked(id trajectory.ID, terms []uint32, pts []geo.Poi
 	ix.epoch++
 }
 
-// AddAll indexes a dataset, fingerprinting with the given number of
-// parallel workers (minimum 1) and inserting on the caller. It fails
-// fast: the first insertion error (or context cancellation) stops job
-// dispatch, and AddAll returns once it sees the failure, without draining
-// the extractions still in flight; their results are dropped. AddAll is
-// all-or-nothing — on failure the trajectories it inserted are removed
-// again under one lock acquisition, so the caller can retry the same
-// dataset after fixing the cause.
+// AddAll indexes a dataset on the given number of fanout.Workers
+// goroutines (minimum 1), each fingerprinting and inserting the
+// trajectory it claims. A done ctx is reported first. Every ID is then
+// checked against the index and the rest of the dataset, so a duplicate
+// fails the call with nothing extracted; after that an insert can fail
+// only on a racing Add of the same ID. That error, like a cancelled ctx,
+// stops the claiming, and AddAll returns once the claimed trajectories
+// have finished. It is all-or-nothing: on failure the trajectories it
+// inserted are removed again under one lock, so the caller can retry.
 func (ix *Inverted) AddAll(ctx context.Context, d *trajectory.Dataset, workers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
+	if err := ix.checkNew(d); err != nil {
+		return err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type extracted struct {
-		id    trajectory.ID
-		terms []uint32
-		pts   []geo.Point
-	}
-	jobs := make(chan *trajectory.Trajectory)
-	results := make(chan extracted)
-	go func() {
-		defer close(jobs)
-		for _, t := range d.Trajectories {
-			select {
-			case jobs <- t:
-			case <-ctx.Done():
-				return
+	inserted := make([]bool, len(d.Trajectories))
+	err := fanout.Workers(ctx, len(d.Trajectories), workers, func(_ context.Context, i int) error {
+		t := d.Trajectories[i]
+		err := ix.insert(t.ID, ix.ex.Extract(t.Points), t.Points)
+		inserted[i] = err == nil
+		return err
+	})
+	if err != nil {
+		// Roll back this call's insertions so a retry starts clean.
+		ix.mu.Lock()
+		for i, t := range d.Trajectories {
+			if inserted[i] {
+				ix.deleteLocked(t.ID)
 			}
 		}
-	}()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				select {
-				case results <- extracted{id: t.ID, terms: ix.ex.Extract(t.Points), pts: t.Points}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
+		ix.mu.Unlock()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var firstErr error
-	var inserted []trajectory.ID
-	for r := range results {
-		if firstErr = ctx.Err(); firstErr != nil {
-			break // cancellation outranks in-flight results
+	return err
+}
+
+// checkNew fails, with insert's error, on the first ID of d that is
+// already indexed or that d repeats.
+func (ix *Inverted) checkNew(d *trajectory.Dataset) error {
+	seen := make(map[trajectory.ID]struct{}, len(d.Trajectories))
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for _, t := range d.Trajectories {
+		_, indexed := ix.docs[t.ID]
+		if _, repeated := seen[t.ID]; indexed || repeated {
+			return duplicate(t.ID)
 		}
-		if firstErr = ix.insert(r.id, r.terms, r.pts); firstErr != nil {
-			break
-		}
-		inserted = append(inserted, r.id)
+		seen[t.ID] = struct{}{}
 	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		// Stop dispatch; workers drop what they still extract. Then roll
-		// back this call's insertions so a retry starts clean. The
-		// cancellation that may have failed the ingest must not stop it, and
-		// without one DeleteAll cannot fail.
-		cancel()
-		_, _ = ix.DeleteAll(context.WithoutCancel(ctx), inserted)
-	}
-	return firstErr
+	return nil
 }
 
 // Delete removes a trajectory and reclaims its postings: the document

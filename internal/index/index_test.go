@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"geodabs/internal/core"
 	"geodabs/internal/gen"
@@ -35,10 +36,16 @@ var testWorkload = func() *gen.Output {
 	return out
 }()
 
-// newGeodabIndex returns an empty geodab index.
-func newGeodabIndex(t testing.TB, opts ...InvertedOption) *Inverted {
+// newGeodabIndex returns an empty geodab index that keeps no points.
+func newGeodabIndex(t testing.TB) *Inverted {
 	t.Helper()
-	return New(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, opts...)
+	return New(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, false)
+}
+
+// newRetainingIndex returns an empty geodab index that keeps points.
+func newRetainingIndex(t testing.TB) *Inverted {
+	t.Helper()
+	return New(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, true)
 }
 
 // search is Search for tests that only look at the ranking.
@@ -222,7 +229,7 @@ func TestCellIndexReturnsBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := New(ex)
+	ix := New(ex, false)
 	if err := ix.AddAll(context.Background(), testWorkload.Dataset, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +313,10 @@ func (g *gatedExtractor) Extract(points []geo.Point) []uint32 {
 }
 
 // TestAddAllFailsFast plants a duplicate ID at the front of a dataset:
-// AddAll must stop dispatching fingerprint jobs once the insert fails
-// instead of draining the whole dataset through the workers. Only the two
-// copies of the duplicate extract freely; every other extraction waits
-// until AddAll has returned, so each worker can have started at most one.
+// AddAll's ID check must refuse it before any fingerprinting. Every
+// extraction but those of the duplicate's points waits until AddAll has
+// returned, so a call that reached the workers would be seen starting at
+// least one.
 func TestAddAllFailsFast(t *testing.T) {
 	src := testWorkload.Dataset.Trajectories
 	ex := &gatedExtractor{
@@ -317,7 +324,7 @@ func TestAddAllFailsFast(t *testing.T) {
 		free:      src[0].Points,
 		gate:      make(chan struct{}),
 	}
-	ix := New(ex)
+	ix := New(ex, false)
 	poisoned := &trajectory.Dataset{Trajectories: make([]*trajectory.Trajectory, 0, len(src)+1)}
 	poisoned.Trajectories = append(poisoned.Trajectories, src[0], src[0]) // duplicate ID
 	poisoned.Trajectories = append(poisoned.Trajectories, src[1:]...)
@@ -328,11 +335,79 @@ func TestAddAllFailsFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicate ID should fail AddAll")
 	}
-	if extracted < 2 || extracted > 2+workers {
-		t.Errorf("AddAll started %d extractions of %d trajectories, want 2 to %d", extracted, len(poisoned.Trajectories), 2+workers)
+	if extracted != 0 {
+		t.Errorf("AddAll started %d extractions of %d trajectories, want 0", extracted, len(poisoned.Trajectories))
 	}
 	if ix.Len() != 0 {
 		t.Errorf("failed AddAll left %d trajectories indexed", ix.Len())
+	}
+}
+
+// racingExtractor inserts a racer trajectory into ix on its first
+// Extract call, which AddAll makes only after its ID check, and holds
+// every extraction until the racer is indexed. Each extraction then takes
+// a few milliseconds, so one still running when AddAll returns is seen.
+type racingExtractor struct {
+	Extractor
+	ix                *Inverted
+	racer             *trajectory.Trajectory
+	err               error // the racing insert's
+	raced             atomic.Bool
+	indexed           chan struct{}
+	started, finished atomic.Int64
+}
+
+func (r *racingExtractor) Extract(points []geo.Point) []uint32 {
+	r.started.Add(1)
+	defer r.finished.Add(1)
+	if r.raced.CompareAndSwap(false, true) {
+		r.err = r.ix.insert(r.racer.ID, r.Extractor.Extract(r.racer.Points), r.racer.Points)
+		close(r.indexed)
+	}
+	<-r.indexed
+	time.Sleep(2 * time.Millisecond)
+	return r.Extractor.Extract(points)
+}
+
+// TestAddAllRollsBackRacingAdd races an insert of a later batch ID
+// against AddAll, after its ID check has passed: the batch must fail at
+// that ID, roll back everything it inserted, leave only the racing
+// trajectory, and return only once every extraction it started has
+// finished.
+func TestAddAllRollsBackRacingAdd(t *testing.T) {
+	src := testWorkload.Dataset.Trajectories[:16]
+	const later = 8 // unclaimed while the racer is inserted, for up to 8 workers
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ex := &racingExtractor{
+				Extractor: GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())},
+				racer:     &trajectory.Trajectory{ID: src[later].ID, Points: src[0].Points},
+				indexed:   make(chan struct{}),
+			}
+			ix := New(ex, false)
+			ex.ix = ix
+			err := ix.AddAll(context.Background(), &trajectory.Dataset{Trajectories: src}, workers)
+			started, finished := ex.started.Load(), ex.finished.Load()
+			if ex.err != nil {
+				t.Fatalf("racing insert: %v", ex.err)
+			}
+			if err == nil {
+				t.Fatal("AddAll succeeded over a racing insert of one of its IDs")
+			}
+			if started != finished {
+				t.Errorf("AddAll returned with %d of its %d extractions still running", started-finished, started)
+			}
+			if n := ix.Len(); n != 1 {
+				t.Fatalf("failed AddAll left %d trajectories indexed, want only the racing one", n)
+			}
+			want := ex.Extractor.Extract(ex.racer.Points)
+			ix.ScanDocs(func(id trajectory.ID, terms []uint32, _ int) bool {
+				if id != ex.racer.ID || !slices.Equal(terms, want) {
+					t.Errorf("index holds trajectory %d (%d terms), want the racing %d (%d terms)", id, len(terms), ex.racer.ID, len(want))
+				}
+				return true
+			})
+		})
 	}
 }
 
@@ -361,7 +436,7 @@ func TestSearchCancelledContext(t *testing.T) {
 }
 
 func TestPointsOf(t *testing.T) {
-	ix := newGeodabIndex(t, RetainPoints())
+	ix := newRetainingIndex(t)
 	tr := testWorkload.Dataset.Trajectories[0]
 	if err := ix.Add(tr); err != nil {
 		t.Fatal(err)
@@ -413,7 +488,7 @@ func TestAddAllRollsBackOnFailure(t *testing.T) {
 // promoted Delete: the trajectory's document, points and postings all
 // go, and posting lists left empty are compacted out of the term map.
 func TestDeleteReclaimsPostings(t *testing.T) {
-	ix := newGeodabIndex(t, RetainPoints())
+	ix := newRetainingIndex(t)
 	a, b := testWorkload.Dataset.Trajectories[0], testWorkload.Dataset.Trajectories[1]
 	if err := ix.Add(a); err != nil {
 		t.Fatal(err)
@@ -459,7 +534,7 @@ func TestDeleteReclaimsPostings(t *testing.T) {
 // TestUpsertReplaces verifies in-place replacement: same ID, new
 // geometry, old postings reclaimed.
 func TestUpsertReplaces(t *testing.T) {
-	ix := newGeodabIndex(t, RetainPoints())
+	ix := newRetainingIndex(t)
 	old := testWorkload.Dataset.Trajectories[0]
 	if err := ix.Add(old); err != nil {
 		t.Fatal(err)
@@ -471,7 +546,7 @@ func TestUpsertReplaces(t *testing.T) {
 		t.Fatalf("Len after upsert = %d, want 1", ix.Len())
 	}
 	// A fresh index over only the replacement must look identical.
-	want := newGeodabIndex(t, RetainPoints())
+	want := newRetainingIndex(t)
 	if err := want.Add(replacement); err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +697,7 @@ func (onePointExtractor) Extract(pts []geo.Point) []uint32 {
 }
 
 func TestShardedPointRetention(t *testing.T) {
-	s := New(onePointExtractor{}, RetainPoints())
+	s := New(onePointExtractor{}, true)
 	pts := []geo.Point{{Lat: 1, Lon: 2}, {Lat: 3, Lon: 4}}
 	if err := s.Add(&trajectory.Trajectory{ID: 7, Points: pts}); err != nil {
 		t.Fatal(err)
@@ -641,7 +716,7 @@ func TestShardedPointRetention(t *testing.T) {
 }
 
 func TestShardedDeleteAll(t *testing.T) {
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	var ids []trajectory.ID
 	for i := 0; i < 300; i++ {
 		id := trajectory.ID(i)
@@ -675,7 +750,7 @@ func TestShardedDeleteAll(t *testing.T) {
 // rollback removes only what that call inserted: a trajectory indexed
 // before it survives.
 func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	// Pre-seed an ID that the dataset will collide with.
 	if err := s.insert(42, []uint32{1}, nil); err != nil {
 		t.Fatal(err)
@@ -701,7 +776,7 @@ func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
 }
 
 func TestShardedScanDocs(t *testing.T) {
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	want := make(map[trajectory.ID]int)
 	for i := 0; i < 100; i++ {
 		if err := s.insert(trajectory.ID(i), []uint32{uint32(i), uint32(i + 1000)}, nil); err != nil {
@@ -742,7 +817,7 @@ func TestShardedScanDocs(t *testing.T) {
 // emitted result must satisfy the ranking invariants (sorted by the
 // contract, distance within the cutoff, limit respected).
 func TestShardedConcurrentMutateAndSearch(t *testing.T) {
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	rng := rand.New(rand.NewSource(34))
 	for i := 0; i < 500; i++ {
 		set := randomSet(rng, 40, 300)

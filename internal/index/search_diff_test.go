@@ -81,7 +81,7 @@ func randomSet(rng *rand.Rand, maxTerms int, universe uint32) []uint32 {
 // IDs span multiple counter chunks.
 func buildRandomIndex(t testing.TB, rng *rand.Rand, docs int) (*Inverted, map[trajectory.ID][]uint32) {
 	t.Helper()
-	ix := New(stubExtractor{})
+	ix := New(stubExtractor{}, false)
 	reference := make(map[trajectory.ID][]uint32, docs)
 	for i := 0; i < docs; i++ {
 		id := trajectory.ID(rng.Uint32() % 200000)
@@ -186,7 +186,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 // if the counter really is exact past that width.
 func TestSearchWideQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ix := New(stubExtractor{})
+	ix := New(stubExtractor{}, false)
 	reference := make(map[trajectory.ID][]uint32)
 	for i := 0; i < 60; i++ {
 		id := trajectory.ID(i * 977)
@@ -386,7 +386,7 @@ func FuzzSearchFingerprints(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x42, 0x42, 0x17}, uint8(255), uint8(0))
 	f.Add([]byte{9}, uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, distByte, limitByte uint8) {
-		ix := New(stubExtractor{})
+		ix := New(stubExtractor{}, false)
 		reference := make(map[trajectory.ID][]uint32)
 		// Each byte contributes terms to one of 8 documents and the query:
 		// a crude but deterministic overlap generator.

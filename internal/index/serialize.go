@@ -172,7 +172,7 @@ func (ix *Inverted) WriteTo(w io.Writer) (int64, error) {
 func (ix *Inverted) ReadFrom(r io.Reader) (int64, error) {
 	// Raw points are not in the snapshot: a loaded index serves
 	// fingerprint-ranked searches but cannot re-rank.
-	fresh := New(ix.ex)
+	fresh := New(ix.ex, false)
 	epoch, n, err := readSnapshotDocs(r, func(id trajectory.ID, terms []uint32) error {
 		if _, dup := fresh.docs[id]; dup {
 			return fmt.Errorf("index: duplicate trajectory %d in snapshot", id)

@@ -270,7 +270,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	src := New(stubExtractor{})
+	src := New(stubExtractor{}, false)
 	reference := make(map[trajectory.ID][]uint32)
 	for i := 0; i < 400; i++ {
 		id := trajectory.ID(rng.Uint32() % 100000)
@@ -293,7 +293,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if sections := binary.LittleEndian.Uint32(buf.Bytes()[5:9]); sections != 1 {
 		t.Fatalf("snapshot written with %d sections, want 1", sections)
 	}
-	dst := New(stubExtractor{})
+	dst := New(stubExtractor{}, false)
 	if _, err := dst.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestShardedSnapshotReplacesContents(t *testing.T) {
-	src := New(stubExtractor{})
+	src := New(stubExtractor{}, false)
 	if err := src.insert(1, []uint32{7}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestShardedSnapshotReplacesContents(t *testing.T) {
 	if _, err := src.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := New(stubExtractor{})
+	dst := New(stubExtractor{}, false)
 	if err := dst.insert(2, []uint32{9}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestShardedSnapshotRejectsDuplicate(t *testing.T) {
 		snap.Write(idBuf[:])
 		snap.Write(setBytes.Bytes())
 	}
-	dst := New(stubExtractor{})
+	dst := New(stubExtractor{}, false)
 	if _, err := dst.ReadFrom(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("duplicate ID across sections loaded without error")
 	}
@@ -375,7 +375,7 @@ func TestShardedReloadIsAtomic(t *testing.T) {
 	var snaps [2][]byte
 	var want [2][]Result
 	for c := range snaps {
-		src := New(stubExtractor{})
+		src := New(stubExtractor{}, false)
 		reference := make(map[trajectory.ID][]uint32)
 		// Both corpora use the same IDs with different sets, so a mixture
 		// of the two is a plausible-looking third ranking.
@@ -397,7 +397,7 @@ func TestShardedReloadIsAtomic(t *testing.T) {
 	if slices.Equal(want[0], want[1]) {
 		t.Fatal("the two corpora rank alike; the check is vacuous")
 	}
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	if _, err := s.ReadFrom(bytes.NewReader(snaps[0])); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestShardedReloadIsAtomic(t *testing.T) {
 // consistent engine (Len equals the number of scannable docs). The
 // committed v2 and v3 snapshots seed the corpus.
 func FuzzIndexSnapshot(f *testing.F) {
-	s := New(stubExtractor{})
+	s := New(stubExtractor{}, false)
 	if err := s.insert(5, []uint32{1, 99}, nil); err != nil {
 		f.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func FuzzIndexSnapshot(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng := New(stubExtractor{})
+		eng := New(stubExtractor{}, false)
 		if _, err := eng.ReadFrom(bytes.NewReader(data)); err != nil {
 			return
 		}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"geodabs/internal/core"
 	"geodabs/internal/distance"
@@ -149,20 +150,9 @@ func windows(fp *core.Fingerprint, raw []geo.Point, lengthMeters float64, k int)
 
 // sortedSet returns the distinct values of s in ascending order.
 func sortedSet(s []uint32) []uint32 {
-	out := append([]uint32(nil), s...)
-	// Insertion sort: winnowed windows are short.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func groundLength(points []geo.Point) float64 {

@@ -12,6 +12,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"geodabs/internal/core"
 )
@@ -66,17 +67,8 @@ func (s Strategy) ShardsOf(geodabs []uint32) []int {
 	for sh := range seen {
 		out = append(out, sh)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-// sortInts is insertion sort: shard fan-outs are tiny.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Balance summarizes how a load distributes over nodes (paper Fig 16).

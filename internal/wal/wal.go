@@ -32,6 +32,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -334,11 +335,35 @@ func (l *Log) openFreshSegment(seq uint64) error {
 		_ = f.Close() // the header fsync error is the one worth reporting
 		return fmt.Errorf("wal: %w", err)
 	}
+	// Until its directory is synced a crash can drop the new file, and the
+	// records acked in it: a failed directory fsync latches the log.
+	if err := SyncDir(l.dir); err != nil {
+		_ = f.Close() // the directory fsync error is the one worth reporting
+		l.failed = fmt.Errorf("wal: fsync dir: %w", err)
+		return l.failed
+	}
 	l.active = f
 	l.activeSz = segmentHdrSize
 	l.segments = append(l.segments, segmentInfo{seq: seq, bytes: segmentHdrSize})
 	return nil
 }
+
+// SyncDir fsyncs the directory dir, so that a file created or renamed in
+// it keeps its entry across a crash: a file's own fsync makes its
+// contents durable, not the name that reaches them.
+func SyncDir(dir string) error {
+	if testHookSyncDir != nil {
+		return testHookSyncDir(dir)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return cmp.Or(d.Sync(), d.Close())
+}
+
+// testHookSyncDir, when set by a test, stands in for SyncDir.
+var testHookSyncDir func(dir string) error
 
 // scanSegment validates segment seq record by record, returning the
 // byte offset after the last good record and how many records it holds.

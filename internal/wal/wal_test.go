@@ -580,6 +580,30 @@ func TestSyncErrorLatchesFailure(t *testing.T) {
 	l.Close()
 }
 
+// TestDirSyncErrorLatchesFailure: a segment made by a size roll keeps
+// its directory entry across a crash only once the directory is synced,
+// so a failed directory fsync must fail the roll and latch the log, as a
+// failed segment fsync does.
+func TestDirSyncErrorLatchesFailure(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 1}) // every append rolls
+	if err != nil {
+		t.Fatal(err)
+	}
+	testHookSyncDir = func(string) error { return errInjected }
+	defer func() { testHookSyncDir = nil }()
+	if err := l.Append(Record{Op: OpDelete, Epoch: 1, ID: 1}); !errors.Is(err, errInjected) {
+		t.Fatalf("Append rolling past SegmentBytes with a failing directory fsync = %v, want the injected fault", err)
+	}
+	if err := l.Append(Record{Op: OpDelete, Epoch: 2, ID: 2}); !errors.Is(err, errInjected) {
+		t.Fatalf("Append on a latched-failed log = %v, want the injected fault", err)
+	}
+	if _, err := l.Seal(); err == nil {
+		t.Fatal("Seal on a latched-failed log succeeded")
+	}
+	l.Close()
+}
+
 // TestCorruptTermCountRejectedCheaply: a corrupt add record claiming an
 // enormous term count must be rejected by bounds-checking against the
 // payload size, not by attempting a giant allocation during scan.

@@ -3,6 +3,8 @@ package geodabs
 import (
 	"errors"
 	"fmt"
+
+	"geodabs/internal/cluster"
 )
 
 // Option configures an Index or Cluster at construction.
@@ -12,15 +14,12 @@ import (
 //		geodabs.WithPointRetention(), geodabs.WithConnsPerNode(4))
 type Option func(*engineOptions) error
 
-// engineOptions is the resolved construction option set shared by the
-// local and distributed engines.
+// engineOptions is the resolved option set of both engines: the
+// coordinator's Options, which the public options fill in, and whether a
+// read preference was set at all, which a local index refuses.
 type engineOptions struct {
-	retainPoints bool
-	connsPerNode int
-	readReplicas [][]string
-	readPref     ReadPreference
-	readPrefSet  bool
-	recoverDir   bool
+	cluster.Options
+	readPrefSet bool
 }
 
 func newEngineOptions(opts []Option) (engineOptions, error) {
@@ -48,7 +47,7 @@ func newEngineOptions(opts []Option) (engineOptions, error) {
 // error unless the engine was constructed with this option.
 func WithPointRetention() Option {
 	return func(o *engineOptions) error {
-		o.retainPoints = true
+		o.RetainPoints = true
 		return nil
 	}
 }
@@ -62,7 +61,7 @@ func WithConnsPerNode(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("geodabs: WithConnsPerNode(%d) must be at least 1", n)
 		}
-		o.connsPerNode = n
+		o.PoolSize = n
 		return nil
 	}
 }
@@ -77,7 +76,7 @@ func WithReadReplicas(replicas [][]string) Option {
 		if replicas == nil {
 			return errors.New("geodabs: WithReadReplicas(nil) — pass one (possibly empty) entry per node")
 		}
-		o.readReplicas = replicas
+		o.Replicas = replicas
 		return nil
 	}
 }
@@ -89,7 +88,7 @@ func WithReadPreference(p ReadPreference) Option {
 		if p != ReadPrimary && p != ReadReplicas {
 			return fmt.Errorf("geodabs: unknown ReadPreference %d", p)
 		}
-		o.readPref = p
+		o.ReadPreference = p
 		o.readPrefSet = true
 		return nil
 	}
@@ -104,23 +103,23 @@ func WithReadPreference(p ReadPreference) Option {
 // the coordinator restart.
 func WithDirectoryRecovery() Option {
 	return func(o *engineOptions) error {
-		o.recoverDir = true
+		o.RecoverDirectory = true
 		return nil
 	}
 }
 
 // localOnly rejects cluster-only options on local index constructors.
 func (o engineOptions) localOnly() error {
-	if o.connsPerNode != 0 {
+	if o.PoolSize != 0 {
 		return errors.New("geodabs: WithConnsPerNode applies to clusters, not local indexes")
 	}
-	if o.readReplicas != nil {
+	if o.Replicas != nil {
 		return errors.New("geodabs: WithReadReplicas applies to clusters, not local indexes")
 	}
 	if o.readPrefSet {
 		return errors.New("geodabs: WithReadPreference applies to clusters, not local indexes")
 	}
-	if o.recoverDir {
+	if o.RecoverDirectory {
 		return errors.New("geodabs: WithDirectoryRecovery applies to clusters, not local indexes")
 	}
 	return nil
