@@ -120,14 +120,10 @@ func runMacro(n, queryPool int, pointDur time.Duration) macroReport {
 		totalPoints  int64
 		genSeconds   float64
 		ingestSecs   float64
-		workers      = gomax
 		chunkIdx     int
 		logEvery     = 1
 		nextLogCount = 0
 	)
-	if workers < 2 {
-		workers = 2 // overlap extraction with insertion even on one core
-	}
 	for total < n {
 		t0 := time.Now()
 		queriesPerRoute := 0
@@ -155,7 +151,7 @@ func runMacro(n, queryPool int, pointDur time.Duration) macroReport {
 		genSeconds += time.Since(t0).Seconds()
 
 		t0 = time.Now()
-		if err := ix.AddAll(ctx, chunk, workers); err != nil {
+		if err := ix.AddAll(ctx, chunk, gomax); err != nil {
 			log.Fatal(err)
 		}
 		ingestSecs += time.Since(t0).Seconds()

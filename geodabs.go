@@ -179,18 +179,19 @@ func newIndex(ex index.Extractor, opts []Option) (*Index, error) {
 // Upsert to replace an indexed trajectory in place.
 func (ix *Index) Add(t *Trajectory) error { return ix.eng.Add(t) }
 
-// AddAll indexes a whole dataset on the given number of parallel
-// workers. An ID already indexed or repeated in the dataset fails it
-// before any fingerprinting. It is all-or-nothing: on failure the
-// trajectories this call inserted are removed again, so the same dataset
-// can be retried after fixing the cause.
+// AddAll indexes a whole dataset: it fingerprints on the given number of
+// parallel workers, then inserts every trajectory under one write lock,
+// held a few µs a trajectory. An ID already indexed or repeated in
+// the dataset fails it before any fingerprinting. It is all-or-nothing
+// with nothing to roll back: searches see all of the dataset or none, and
+// the same dataset can be retried after fixing the cause.
 func (ix *Index) AddAll(d *Dataset, workers int) error {
 	return ix.eng.AddAll(context.Background(), d, workers)
 }
 
-// AddAllContext is AddAll honoring cancellation and deadlines: a
-// cancelled ctx stops the claiming, and once the claimed trajectories
-// finish, the call rolls back its insertions and returns ctx's error.
+// AddAllContext is AddAll honoring cancellation and deadlines while it
+// fingerprints: a ctx done by then fails it with ctx's error and nothing
+// inserted. The insert under the lock is not cut short.
 func (ix *Index) AddAllContext(ctx context.Context, d *Dataset, workers int) error {
 	return ix.eng.AddAll(ctx, d, workers)
 }

@@ -111,3 +111,79 @@ func FuzzFingerprint(f *testing.F) {
 		}
 	})
 }
+
+// guaranteeConfig picks one of the four configurations FuzzGuarantee
+// runs under: the default, PrefixCentroid, smoothing and debouncing off,
+// and 24-bit prefixes.
+func guaranteeConfig(sel uint8) Config {
+	c := DefaultConfig()
+	switch sel % 4 {
+	case 1:
+		c.Strategy = PrefixCentroid
+	case 2:
+		c.SmoothWindow, c.MinCellPoints = 0, 0
+	case 3:
+		c.PrefixBits = 24
+	}
+	return c
+}
+
+// longestCommonRun returns the length of the longest run of grid cells
+// two normalized sequences share.
+func longestCommonRun(a, b []Cell) int {
+	best := 0
+	prev, cur := make([]int, len(b)+1), make([]int, len(b)+1)
+	for i := range a {
+		for j := range b {
+			cur[j+1] = 0
+			if a[i].Hash == b[j].Hash {
+				cur[j+1] = prev[j] + 1
+				best = max(best, cur[j+1])
+			}
+		}
+		prev, cur = cur, prev
+	}
+	return best
+}
+
+// FuzzGuarantee checks the paper's t-guarantee end to end (§IV): two
+// trajectories whose normalized cell sequences share a run of at least T
+// cells share a geodab, through smoothing, debouncing, the hash chains
+// and the prefix. The walks put one shared middle between two fuzzed
+// ends, in opposite orders. Each part is capped at 200 points, so the
+// quadratic run search and the minimizer's many runs stay cheap.
+func FuzzGuarantee(f *testing.F) {
+	straight := make([]byte, 0, 240)
+	for i := 0; i < 80; i++ {
+		straight = append(straight, byte(2+i%14), byte(40+i%5), byte(25-i%3))
+	}
+	turn := make([]byte, 0, 90)
+	for i := 0; i < 30; i++ {
+		turn = append(turn, byte(2+i%14), byte(i%3-60), byte(30+i%7))
+	}
+	for sel := range uint8(4) {
+		f.Add(sel, straight, []byte{}, []byte{})
+		f.Add(sel, straight, turn, straight[:90])
+		f.Add(sel, straight[:120], append([]byte{1, 5, 5}, turn...), []byte{0, 0, 1})
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, mid, a, b []byte) {
+		const maxBytes = 3 * 200
+		part := func(data []byte) []geo.Point { return fuzzPoints(data[:min(len(data), maxBytes)]) }
+		cfg := guaranteeConfig(sel)
+		fpr := MustFingerprinter(cfg)
+		m, pa, pb := part(mid), part(a), part(b)
+		x, y := slices.Concat(pa, m, pb), slices.Concat(pb, m, pa)
+		run := longestCommonRun(fpr.Normalize(x), fpr.Normalize(y))
+		if run < cfg.T {
+			return
+		}
+		fx, fy := fpr.FingerprintSet(x), fpr.FingerprintSet(y)
+		for _, g := range fx {
+			if _, ok := slices.BinarySearch(fy, g); ok {
+				return
+			}
+		}
+		t.Fatalf("config %d: normalized sequences share a run of %d ≥ T = %d cells, fingerprint sets (%d and %d terms) share no geodab",
+			sel%4, run, cfg.T, len(fx), len(fy))
+	})
+}

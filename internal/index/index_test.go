@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -294,6 +295,23 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkAddAll builds an index over testWorkload on 1, 2 and
+// GOMAXPROCS workers: every extraction, then every insert under one lock.
+func BenchmarkAddAll(b *testing.B) {
+	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	slices.Sort(counts)
+	for _, workers := range slices.Compact(counts) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := newGeodabIndex(b).AddAll(context.Background(), testWorkload.Dataset, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // gatedExtractor counts Extract calls and holds every one on a gate
 // except those of the free trajectory's points, so a test can bound how
 // far workers run past a failure however they are scheduled.
@@ -371,9 +389,9 @@ func (r *racingExtractor) Extract(points []geo.Point) []uint32 {
 
 // TestAddAllRollsBackRacingAdd races an insert of a later batch ID
 // against AddAll, after its ID check has passed: the batch must fail at
-// that ID, roll back everything it inserted, leave only the racing
-// trajectory, and return only once every extraction it started has
-// finished.
+// that ID when it takes the write lock, having inserted nothing, leave
+// only the racing trajectory, and return only once every extraction it
+// started has finished.
 func TestAddAllRollsBackRacingAdd(t *testing.T) {
 	src := testWorkload.Dataset.Trajectories[:16]
 	const later = 8 // unclaimed while the racer is inserted, for up to 8 workers
@@ -407,6 +425,60 @@ func TestAddAllRollsBackRacingAdd(t *testing.T) {
 				}
 				return true
 			})
+		})
+	}
+}
+
+// TestAddAllPublishesAtOnce holds every extraction but the free
+// trajectory's on a gate: until the gate opens the index must look
+// untouched, with no length, no epoch step and no hit for the free
+// trajectory, and then hold the whole dataset at once. A ctx cancelled
+// while the extractions are held must leave it untouched for good.
+func TestAddAllPublishesAtOnce(t *testing.T) {
+	src := testWorkload.Dataset.Trajectories
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for _, cancelled := range []bool{false, true} {
+				ex := &gatedExtractor{
+					Extractor: GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())},
+					free:      src[0].Points,
+					gate:      make(chan struct{}),
+				}
+				ix := New(ex, false)
+				ctx, cancel := context.WithCancel(context.Background())
+				done := make(chan error, 1)
+				go func() { done <- ix.AddAll(ctx, testWorkload.Dataset, workers) }()
+				// The free trajectory's extraction has returned once every
+				// worker is held on the gate.
+				for deadline := time.Now().Add(10 * time.Second); ex.n.Load() < int64(workers+1); {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d of %d extractions started", ex.n.Load(), workers+1)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if n, epoch := ix.Len(), ix.Epoch(); n != 0 || epoch != 0 {
+					t.Errorf("while extracting: Len %d, epoch %d, want 0 and 0", n, epoch)
+				}
+				if got := search(t, ix, src[0], 1, 0); len(got) != 0 {
+					t.Errorf("while extracting: a search found %d hits, want none", len(got))
+				}
+				if cancelled {
+					cancel()
+				}
+				close(ex.gate)
+				err := <-done
+				cancel()
+				want, wantErr := testWorkload.Dataset.Len(), error(nil)
+				if cancelled {
+					want, wantErr = 0, context.Canceled
+				}
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("cancelled=%v: AddAll = %v, want %v", cancelled, err, wantErr)
+				}
+				if n, epoch := ix.Len(), ix.Epoch(); n != want || epoch != uint64(want) {
+					t.Errorf("cancelled=%v: Len %d, epoch %d, want %d and %d", cancelled, n, epoch, want, want)
+				}
+			}
 		})
 	}
 }
@@ -458,8 +530,8 @@ func TestPointsOf(t *testing.T) {
 }
 
 // TestAddAllRollsBackOnFailure pins the all-or-nothing contract: a
-// failed AddAll removes the trajectories it inserted, so retrying the
-// same (fixed) dataset starts clean instead of tripping on duplicates.
+// failed AddAll leaves nothing indexed, so retrying the same (fixed)
+// dataset starts clean instead of tripping on duplicates.
 func TestAddAllRollsBackOnFailure(t *testing.T) {
 	ix := newGeodabIndex(t)
 	src := testWorkload.Dataset.Trajectories
@@ -746,9 +818,8 @@ func TestShardedDeleteAll(t *testing.T) {
 	}
 }
 
-// TestShardedAddAllRollsBackOnFailure pins that a failed AddAll's
-// rollback removes only what that call inserted: a trajectory indexed
-// before it survives.
+// TestShardedAddAllRollsBackOnFailure pins that a failed AddAll leaves
+// the index as it found it: a trajectory indexed before it survives.
 func TestShardedAddAllRollsBackOnFailure(t *testing.T) {
 	s := New(stubExtractor{}, false)
 	// Pre-seed an ID that the dataset will collide with.
