@@ -266,13 +266,8 @@ func WithMaxDistance(d float64) SearchOption {
 	return func(r *wire.Request) { r.MaxDistance = d }
 }
 
-// WithLimit truncates the ranking to its top n, like geodabs.WithLimit.
-func WithLimit(n int) SearchOption {
-	return func(r *wire.Request) { r.Limit = n }
-}
-
-// WithKNN asks for the k nearest neighbors, like geodabs.WithKNN.
-// Mutually exclusive with WithLimit.
+// WithKNN asks for the k nearest neighbors, like geodabs.WithKNN; 0
+// means no cap.
 func WithKNN(k int) SearchOption {
 	return func(r *wire.Request) { r.KNN = k }
 }

@@ -76,7 +76,7 @@ const (
 // nodes only.
 type ShardStrategy = shard.Strategy
 
-// QueryStats reports the fan-out a query would incur (see Cluster.Analyze).
+// QueryStats reports the fan-out a query would incur (see Cluster.AnalyzeQuery).
 type QueryStats = cluster.QueryStats
 
 // NodeStats is one shard node's term and posting counts, plus its
@@ -142,12 +142,6 @@ func (c *Cluster) Add(t *Trajectory) error {
 func (c *Cluster) AddContext(ctx context.Context, t *Trajectory) error {
 	return translateClusterErr(c.coord.Add(ctx, t))
 }
-
-// Analyze returns the fan-out a query would incur, without executing it.
-// It re-runs fingerprint extraction and sharding on every call; for a
-// query that will also be searched (or analyzed repeatedly), prepare it
-// once and use AnalyzeQuery, which caches both.
-func (c *Cluster) Analyze(q *Trajectory) QueryStats { return c.coord.Analyze(q) }
 
 // AnalyzeQuery returns the fan-out a prepared query would incur, without
 // executing it. The query's cached extraction and shard partition are

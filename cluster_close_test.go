@@ -49,7 +49,7 @@ func TestClusterCloseHardening(t *testing.T) {
 			defer wg.Done()
 			q := geodabs.NewQuery(w.Queries[g%len(w.Queries)].Points)
 			for i := 0; i < 50; i++ {
-				if _, err := cl.SearchQuery(ctx, q, geodabs.WithLimit(5)); err != nil {
+				if _, err := cl.SearchQuery(ctx, q, geodabs.WithKNN(5)); err != nil {
 					return // closed underneath us, expected
 				}
 			}

@@ -34,6 +34,7 @@ import (
 
 	"geodabs"
 	"geodabs/client"
+	"geodabs/internal/cluster"
 	"geodabs/internal/trajectory"
 )
 
@@ -279,18 +280,12 @@ func writeSnapshot(idx *geodabs.Index, path string) (int64, error) {
 func clusterStats(nodeSpec, replicaSpec string) error {
 	addrs := strings.Split(nodeSpec, ",")
 	cfg := geodabs.DefaultConfig()
-	opts := []geodabs.Option{}
-	if replicaSpec != "" {
-		groups := strings.Split(replicaSpec, ",")
-		if len(groups) != len(addrs) {
-			return fmt.Errorf("stats: -replicas has %d groups, -nodes has %d addresses", len(groups), len(addrs))
-		}
-		reps := make([][]string, len(groups))
-		for i, g := range groups {
-			if g != "" {
-				reps[i] = strings.Split(g, "|")
-			}
-		}
+	reps, err := cluster.ParseReplicas(replicaSpec, len(addrs))
+	if err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
+	var opts []geodabs.Option
+	if reps != nil {
 		opts = append(opts, geodabs.WithReadReplicas(reps))
 	}
 	strategy := geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 10000, Nodes: len(addrs)}
@@ -345,44 +340,34 @@ var rerankMetrics = map[string]struct {
 
 // searchFlags are the ranking flags query and remote-query share.
 type searchFlags struct {
-	limit, knn int
-	maxDist    float64
-	rerank     string
+	limit   int
+	maxDist float64
+	rerank  string
 }
 
 func addSearchFlags(fs *flag.FlagSet, rerankUsage string) *searchFlags {
 	f := &searchFlags{}
-	fs.IntVar(&f.limit, "limit", 10, "maximum results (0 = unlimited)")
-	fs.IntVar(&f.knn, "knn", 0, "return the k nearest trajectories instead of -limit")
+	fs.IntVar(&f.limit, "limit", 10, "return the N nearest trajectories (0 = unlimited)")
 	fs.Float64Var(&f.maxDist, "max-distance", 0.99, "Jaccard distance cutoff Δmax")
 	fs.StringVar(&f.rerank, "rerank", "", rerankUsage)
 	return f
 }
 
 // check validates the parsed flags for both subcommands, before any
-// work: -knn beside an explicit -limit other than 0 ("no cap", like the
-// legacy -limit -1) is the WithKNN/WithLimit conflict.
-func (f *searchFlags) check(fs *flag.FlagSet) error {
+// work. A negative -limit means no cap, like 0.
+func (f *searchFlags) check() error {
 	f.limit = max(f.limit, 0)
 	if _, ok := rerankMetrics[f.rerank]; f.rerank != "" && !ok {
 		return fmt.Errorf("unknown rerank metric %q (want dtw or dfd)", f.rerank)
-	}
-	if f.knn < 0 {
-		return fmt.Errorf("-knn %d must be at least 1", f.knn)
-	}
-	limitSet := false
-	fs.Visit(func(fl *flag.Flag) { limitSet = limitSet || fl.Name == "limit" })
-	if f.knn > 0 && limitSet && f.limit != 0 {
-		return errors.New("-knn and -limit are mutually exclusive")
 	}
 	return nil
 }
 
 // options translates the flags to Search options; rerank adds -rerank's.
 func (f *searchFlags) options(rerank bool) []geodabs.SearchOption {
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(f.maxDist), geodabs.WithLimit(f.limit)}
-	if f.knn > 0 {
-		opts[1] = geodabs.WithKNN(f.knn)
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(f.maxDist)}
+	if f.limit > 0 {
+		opts = append(opts, geodabs.WithKNN(f.limit))
 	}
 	if rerank && f.rerank != "" {
 		opts = append(opts, geodabs.WithExactRerank(rerankMetrics[f.rerank].local))
@@ -392,10 +377,7 @@ func (f *searchFlags) options(rerank bool) []geodabs.SearchOption {
 
 // clientOptions translates the flags to a geodabsd search's options.
 func (f *searchFlags) clientOptions() []client.SearchOption {
-	opts := []client.SearchOption{client.WithMaxDistance(f.maxDist), client.WithLimit(f.limit)}
-	if f.knn > 0 {
-		opts[1] = client.WithKNN(f.knn)
-	}
+	opts := []client.SearchOption{client.WithMaxDistance(f.maxDist), client.WithKNN(f.limit)}
 	if f.rerank != "" {
 		opts = append(opts, client.WithExactRerank(rerankMetrics[f.rerank].remote))
 	}
@@ -419,7 +401,7 @@ func cmdQuery(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := search.check(fs); err != nil {
+	if err := search.check(); err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -587,7 +569,7 @@ func cmdRemoteQuery(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := search.check(fs); err != nil {
+	if err := search.check(); err != nil {
 		return err
 	}
 	queries, err := readDataset(*queryPath)

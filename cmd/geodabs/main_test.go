@@ -92,8 +92,8 @@ func TestWriteSnapshotCleansUpOnFailure(t *testing.T) {
 
 // TestSearchFlagsCheckedBeforeWork drives query and remote-query through
 // run with the ranking flags their one translation refuses: both fail
-// alike, before reading a file or dialing a server. -limit 0 beside -knn
-// means "no cap" and gets as far as the missing files.
+// alike, before reading a file or dialing a server. -limit 0 and a
+// negative -limit mean "no cap" and get as far as the missing files.
 func TestSearchFlagsCheckedBeforeWork(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.bin")
 	for cmd, files := range map[string][]string{
@@ -104,10 +104,9 @@ func TestSearchFlagsCheckedBeforeWork(t *testing.T) {
 			flags []string
 			want  string
 		}{
-			{[]string{"-knn", "3", "-limit", "5"}, "-knn and -limit are mutually exclusive"},
 			{[]string{"-rerank", "lcss"}, `unknown rerank metric "lcss"`},
-			{[]string{"-knn", "-2"}, "-knn -2 must be at least 1"},
-			{[]string{"-knn", "3", "-limit", "0"}, "no such file"},
+			{[]string{"-limit", "0"}, "no such file"},
+			{[]string{"-limit", "-1"}, "no such file"},
 		} {
 			args := append(append([]string{cmd}, files...), tc.flags...)
 			if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {

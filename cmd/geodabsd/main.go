@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"geodabs"
+	"geodabs/internal/cluster"
 	"geodabs/internal/server"
 )
 
@@ -165,17 +166,11 @@ func run(args []string) error {
 		// empty directory: their trajectories unranked, and a mutation of
 		// one of them misrouted as new.
 		opts := []geodabs.Option{geodabs.WithConnsPerNode(*connsPerNode), geodabs.WithDirectoryRecovery()}
-		if *replicas != "" {
-			groups := strings.Split(*replicas, ",")
-			if len(groups) != len(addrs) {
-				return fmt.Errorf("-replicas has %d groups, -nodes has %d addresses", len(groups), len(addrs))
-			}
-			reps := make([][]string, len(groups))
-			for i, g := range groups {
-				if g != "" {
-					reps[i] = strings.Split(g, "|")
-				}
-			}
+		reps, err := cluster.ParseReplicas(*replicas, len(addrs))
+		if err != nil {
+			return err
+		}
+		if reps != nil {
 			opts = append(opts, geodabs.WithReadReplicas(reps))
 		}
 		switch *readFrom {
@@ -188,7 +183,6 @@ func run(args []string) error {
 		if *retainPoints {
 			opts = append(opts, geodabs.WithPointRetention())
 		}
-		var err error
 		cl, err = geodabs.NewCluster(cfg, strategy, addrs, opts...)
 		if err != nil {
 			return err

@@ -472,7 +472,7 @@ func TestRetainedPointsSurviveNodeSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	rerank := func() (string, error) {
-		out, err := w.run("remote-query", "-addr", addr, "-queries", w.queries, "-q", "0", "-knn", "5", "-rerank", "dtw")
+		out, err := w.run("remote-query", "-addr", addr, "-queries", w.queries, "-q", "0", "-limit", "5", "-rerank", "dtw")
 		return hits(out), err
 	}
 	before, err := rerank()

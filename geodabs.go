@@ -21,7 +21,7 @@
 //	idx.Add(&geodabs.Trajectory{ID: 1, Points: points})
 //	res, err := idx.Search(ctx, &geodabs.Trajectory{Points: query},
 //		geodabs.WithMaxDistance(0.9), // range semantics: Jaccard distance ≤ 0.9
-//		geodabs.WithLimit(10))        // or geodabs.WithKNN(10) for the 10 nearest
+//		geodabs.WithKNN(10))          // the 10 nearest; no cap without it
 //	if err != nil { ... }
 //	for _, hit := range res.Hits { ... }
 //
@@ -30,7 +30,6 @@
 // refine the fingerprint ranking with an exact distance
 // (geodabs.WithExactRerank(geodabs.DTW), the paper's §VI-C step — the
 // engine must be constructed with geodabs.WithPointRetention).
-// SearchBatch fans a query batch out over a worker pool.
 //
 // # Prepared queries
 //

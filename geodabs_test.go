@@ -36,7 +36,11 @@ type genOutput struct {
 // none) and returns the ranked hits.
 func hits(t testing.TB, s geodabs.Searcher, q *geodabs.Trajectory, maxDistance float64, limit int) []geodabs.Result {
 	t.Helper()
-	res, err := s.Search(context.Background(), q, geodabs.WithMaxDistance(maxDistance), geodabs.WithLimit(limit))
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(maxDistance)}
+	if limit > 0 {
+		opts = append(opts, geodabs.WithKNN(limit))
+	}
+	res, err := s.Search(context.Background(), q, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

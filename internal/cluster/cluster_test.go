@@ -79,6 +79,12 @@ func startCluster(t *testing.T, n int) (*Coordinator, []*Node) {
 	return coord, nodes
 }
 
+// analyze is the fan-out a trajectory's query would incur on coord,
+// without executing it.
+func analyze(coord *Coordinator, q *trajectory.Trajectory) QueryStats {
+	return coord.Plan(coord.Extractor().Extract(q.Points)).Stats()
+}
+
 func TestClusterMatchesLocalIndex(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
@@ -140,7 +146,7 @@ func TestClusterDuplicateAdd(t *testing.T) {
 
 func TestClusterAnalyzeLocality(t *testing.T) {
 	coord, _ := startCluster(t, 3)
-	stats := coord.Analyze(testWorkload.Queries[0])
+	stats := analyze(coord, testWorkload.Queries[0])
 	if stats.Shards == 0 {
 		t.Fatal("query touches no shards")
 	}
@@ -619,7 +625,7 @@ func TestFailedAddLeavesNoOrphans(t *testing.T) {
 	// node really does apply postings the cleanup must reclaim.
 	var victim *trajectory.Trajectory
 	for _, tr := range testWorkload.Dataset.Trajectories {
-		if coord.Analyze(tr).Nodes == 2 {
+		if analyze(coord, tr).Nodes == 2 {
 			victim = tr
 			break
 		}
@@ -1374,6 +1380,34 @@ func TestNodeQueryZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { dst = n.query(dst[:0], &tc.req) }); allocs != 0 {
 			t.Errorf("%s: %.2f allocs/op in steady state, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestParseReplicas reads the command-line replica spec both binaries
+// share: one comma-separated group per node, '|' between a group's
+// members, an empty group for a node with no replicas.
+func TestParseReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spec  string
+		nodes int
+		want  [][]string
+		err   string
+	}{
+		{"group count differs from node count", "a:1,b:1", 3, nil, "-replicas has 2 groups, -nodes has 3 addresses"},
+		{"empty group leaves its node without replicas", "a:1,,c:1", 3, [][]string{{"a:1"}, nil, {"c:1"}}, ""},
+		{"pipe-separated members", "a:1|a:2|a:3,b:1", 2, [][]string{{"a:1", "a:2", "a:3"}, {"b:1"}}, ""},
+	} {
+		got, err := ParseReplicas(tc.spec, tc.nodes)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %q, %v; want %q", tc.name, got, err, tc.want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,7 +171,7 @@ type Options struct {
 	RetainPoints bool
 	// PoolSize is how many connections the coordinator pools per shard
 	// node; below 1 means 1. A larger pool lets that many RPCs be in
-	// flight to the same node, raising SearchBatch throughput.
+	// flight to the same node, raising batched-search throughput.
 	PoolSize int
 	// Replicas registers read replicas: Replicas[i] lists the addresses
 	// of node i's replicas (started with WithReplicaOf pointing at node
@@ -184,6 +185,27 @@ type Options struct {
 	// from the nodes' state before serving (see recover.go): the restart
 	// path over durable nodes. On empty nodes it costs a round trip each.
 	RecoverDirectory bool
+}
+
+// ParseReplicas reads a command line's replica spec into Options.Replicas:
+// one comma-separated group per node, each group's addresses separated by
+// '|', an empty group leaving its node without replicas. An empty spec is
+// no replicas at all.
+func ParseReplicas(spec string, nodes int) ([][]string, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	groups := strings.Split(spec, ",")
+	if len(groups) != nodes {
+		return nil, fmt.Errorf("-replicas has %d groups, -nodes has %d addresses", len(groups), nodes)
+	}
+	reps := make([][]string, len(groups))
+	for i, g := range groups {
+		if g != "" {
+			reps[i] = strings.Split(g, "|")
+		}
+	}
+	return reps, nil
 }
 
 // ReadPreference selects how the coordinator routes query reads across a
@@ -823,11 +845,6 @@ type QueryStats struct {
 	// them over Nodes.
 	Shards int
 	Nodes  int
-}
-
-// Analyze returns the fan-out a query would incur, without executing it.
-func (c *Coordinator) Analyze(q *trajectory.Trajectory) QueryStats {
-	return c.Plan(c.ex.Extract(q.Points)).Stats()
 }
 
 // Extractor returns the coordinator's term extractor, so callers can

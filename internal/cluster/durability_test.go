@@ -434,7 +434,7 @@ func TestStrandedPostingsReconciled(t *testing.T) {
 
 	var victim *trajectory.Trajectory
 	for _, tr := range testWorkload.Dataset.Trajectories {
-		if coord.Analyze(tr).Nodes == 2 {
+		if analyze(coord, tr).Nodes == 2 {
 			victim = tr
 			break
 		}
@@ -590,7 +590,7 @@ func strandThenReAdd(t *testing.T, restart bool) {
 	// the wedged one.
 	first := termTrajectory(7, 0, 1, 2, 3, 4, 5, 8, 9)
 	second := termTrajectory(7, 2, 3, 6)
-	if a, b := coord.Analyze(first).Nodes, coord.Analyze(second).Nodes; a != 2 || b != 1 {
+	if a, b := analyze(coord, first).Nodes, analyze(coord, second).Nodes; a != 2 || b != 1 {
 		t.Fatalf("fixture spans %d and %d nodes, want 2 and 1", a, b)
 	}
 

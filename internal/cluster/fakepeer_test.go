@@ -491,7 +491,7 @@ func TestNodeRankedSearchFallsBack(t *testing.T) {
 			} else if err := coord.Add(ctx, stray); err == nil {
 				t.Fatal("Add succeeded though node 0 lost its acknowledgement")
 			}
-			if nodes := coord.Analyze(query).Nodes; nodes != 1 {
+			if nodes := analyze(coord, query).Nodes; nodes != 1 {
 				t.Fatalf("query spans %d nodes, want 1", nodes)
 			}
 			// check searches at each limit against the local index and

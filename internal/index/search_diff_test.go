@@ -119,8 +119,8 @@ func equalResults(t *testing.T, label string, got, want []Result) {
 }
 
 // TestSearchMatchesBruteForce drives the counting core over randomized
-// workloads — random maxDistance (range semantics), result caps (the kNN
-// and WithLimit shapes), and post-mutation states — and requires rankings
+// workloads — random maxDistance (range semantics), result caps (the
+// WithKNN shape), and post-mutation states — and requires rankings
 // byte-identical to the brute-force scorer.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -578,6 +578,8 @@ func (s *Server) search(ctx context.Context, req *wire.Request, q *geodabs.Query
 // searchOptions maps the wire search parameters, then extra, onto the
 // public functional options, rejecting invalid combinations before the
 // engine runs (their errors are the client's fault, not the server's).
+// Version 1 carries the one result cap in two slots, limit and knn: the
+// set one becomes WithKNN, and a request setting both is refused.
 func searchOptions(req *wire.Request, extra ...geodabs.SearchOption) ([]geodabs.SearchOption, error) {
 	if math.IsNaN(req.MaxDistance) || req.MaxDistance < 0 || req.MaxDistance > 1 {
 		return nil, fmt.Errorf("max distance %v out of range [0, 1]", req.MaxDistance)
@@ -588,11 +590,8 @@ func searchOptions(req *wire.Request, extra ...geodabs.SearchOption) ([]geodabs.
 	// Sized once: the distance, a cap and the extra options.
 	opts := make([]geodabs.SearchOption, 1, 2+len(extra))
 	opts[0] = geodabs.WithMaxDistance(req.MaxDistance)
-	switch {
-	case req.KNN > 0:
-		opts = append(opts, geodabs.WithKNN(req.KNN))
-	case req.Limit > 0:
-		opts = append(opts, geodabs.WithLimit(req.Limit))
+	if k := max(req.KNN, req.Limit); k > 0 {
+		opts = append(opts, geodabs.WithKNN(k))
 	}
 	return append(opts, extra...), nil
 }

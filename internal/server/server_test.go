@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -155,7 +156,7 @@ func TestServeRealIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.SearchFingerprint(ctx, f.Fingerprint(q.Points), client.WithMaxDistance(0.99), client.WithLimit(10))
+	res, err := cl.SearchFingerprint(ctx, f.Fingerprint(q.Points), client.WithMaxDistance(0.99), client.WithKNN(10))
 	if err != nil {
 		t.Fatalf("fingerprint search: %v", err)
 	}
@@ -168,7 +169,7 @@ func TestServeRealIndex(t *testing.T) {
 	}
 
 	// Raw path must agree with the thin-client path on the same query.
-	raw, err := cl.Search(ctx, q.Points, client.WithMaxDistance(0.99), client.WithLimit(10))
+	raw, err := cl.Search(ctx, q.Points, client.WithMaxDistance(0.99), client.WithKNN(10))
 	if err != nil {
 		t.Fatalf("raw search: %v", err)
 	}
@@ -569,35 +570,7 @@ func TestBadFrameDropsConnection(t *testing.T) {
 func TestNonFinitePointsRejected(t *testing.T) {
 	engine := &stubEngine{}
 	srv := startServer(t, engine, server.Config{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	var id uint64
-	roundTrip := func(req *wire.Request) *wire.Response {
-		t.Helper()
-		id++
-		req.ID = id
-		frame, err := wire.AppendFrame(nil, wire.AppendRequest(nil, req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
+	roundTrip := rawRoundTrip(t, srv.Addr())
 	good := testWorld().queries[0].Points
 	ops := []wire.Request{
 		{Op: wire.OpSearch, MaxDistance: 1},
@@ -628,6 +601,91 @@ func TestNonFinitePointsRejected(t *testing.T) {
 		req.Points = good
 		if resp := roundTrip(&req); resp.Status != wire.StatusOK {
 			t.Errorf("op %v with finite points: got %v (%s), want OK", op.Op, resp.Status, resp.Message)
+		}
+	}
+}
+
+// rawRoundTrip dials addr and returns a function that sends one request
+// on that connection, numbered in turn, and decodes its reply. The
+// connection closes with the test.
+func rawRoundTrip(t *testing.T, addr string) func(*wire.Request) *wire.Response {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var id uint64
+	return func(req *wire.Request) *wire.Response {
+		t.Helper()
+		id++
+		req.ID = id
+		frame, err := wire.AppendFrame(nil, wire.AppendRequest(nil, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+}
+
+// TestResultCapSlots pins how the server reads version 1's two slots for
+// the one result cap: limit alone and knn alone rank the same hits, the
+// top of the uncapped ranking, and a request setting both is refused
+// with BAD_REQUEST on a connection that stays open. No client in the
+// module sends limit, so only raw requests reach that slot.
+func TestResultCapSlots(t *testing.T) {
+	w := testWorld()
+	idx, err := geodabs.NewIndex(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.AddAll(w.dataset, 2); err != nil {
+		t.Fatal(err)
+	}
+	f, err := geodabs.NewFingerprinter(geodabs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := rawRoundTrip(t, startServer(t, idx, server.Config{}).Addr())
+	q := w.queries[5].Points // eight hits uncapped
+	for _, op := range []wire.Request{
+		{Op: wire.OpSearch, MaxDistance: 1, Points: q},
+		{Op: wire.OpSearchFP, MaxDistance: 1, Terms: f.Fingerprint(q).Set.ToSlice()},
+	} {
+		search := func(limit, knn int) *wire.Response {
+			t.Helper()
+			req := op
+			req.Limit, req.KNN = limit, knn
+			return roundTrip(&req)
+		}
+		all, byLimit, byKNN := search(0, 0), search(5, 0), search(0, 5)
+		for _, r := range []*wire.Response{all, byLimit, byKNN} {
+			if r.Status != wire.StatusOK {
+				t.Fatalf("op %v: got %v (%s), want OK", op.Op, r.Status, r.Message)
+			}
+		}
+		if len(all.Hits) <= 5 {
+			t.Fatalf("op %v: only %d hits uncapped; the cap shows nothing", op.Op, len(all.Hits))
+		}
+		if !reflect.DeepEqual(byLimit.Hits, byKNN.Hits) || !reflect.DeepEqual(byKNN.Hits, all.Hits[:5]) {
+			t.Errorf("op %v: limit 5 hits %v, knn 5 hits %v, want both the top 5 of %v", op.Op, byLimit.Hits, byKNN.Hits, all.Hits[:5])
+		}
+		if r := search(5, 5); r.Status != wire.StatusBadRequest {
+			t.Errorf("op %v with limit and knn both set: got %v (%s), want BAD_REQUEST", op.Op, r.Status, r.Message)
+		}
+		if r := search(0, 5); r.Status != wire.StatusOK || !reflect.DeepEqual(r.Hits, byKNN.Hits) {
+			t.Errorf("op %v after a refused request: got %v (%s), want the same hits on the same connection", op.Op, r.Status, r.Message)
 		}
 	}
 }

@@ -246,8 +246,8 @@ func TestClusterPooledBatch(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5)}
-	batch, err := pooled.SearchBatch(ctx, w.Queries, 8, opts...)
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithKNN(5)}
+	batch, err := pooled.SearchQueryBatch(ctx, prepareAll(w.Queries), 8, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

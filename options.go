@@ -54,7 +54,7 @@ func WithPointRetention() Option {
 
 // WithConnsPerNode sets how many connections a Cluster pools per shard
 // node (default 1). A larger pool lets that many RPCs be in flight to
-// the same node, raising SearchBatch throughput. It applies only to
+// the same node, raising SearchQueryBatch throughput. It applies only to
 // NewCluster; NewIndex and NewGeohashIndex reject it.
 func WithConnsPerNode(n int) Option {
 	return func(o *engineOptions) error {

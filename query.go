@@ -27,7 +27,7 @@ import (
 //     for clients that ship compact fingerprints instead of GPS traces.
 //
 // A Query is safe for concurrent use: one value can be shared across
-// SearchBatch workers and engines. A lazily-constructed Query used
+// SearchQueryBatch workers and engines. A lazily-constructed Query used
 // against engines with different fingerprinting configurations (say a
 // geodab Index and a geohash-cell baseline Index) stays correct — the
 // cache is keyed by configuration and re-derives on a mismatch — but

@@ -2,6 +2,7 @@ package geodabs_test
 
 import (
 	"context"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -40,7 +41,7 @@ func TestSearchQueryMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	optionSets := map[string][]geodabs.SearchOption{
 		"default":      nil,
-		"range+limit":  {geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5)},
+		"range+knn":    {geodabs.WithMaxDistance(0.99), geodabs.WithKNN(5)},
 		"knn":          {geodabs.WithKNN(3)},
 		"ranged knn":   {geodabs.WithMaxDistance(0.5), geodabs.WithKNN(5)},
 		"exact rerank": {geodabs.WithMaxDistance(0.99), geodabs.WithKNN(5), geodabs.WithExactRerank(geodabs.DTW)},
@@ -86,64 +87,6 @@ func TestSearchQueryMatchesSearch(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSearchQueryBatchMatchesSearchBatch pins the prepared batch path:
-// SearchQueryBatch over prepared queries equals SearchBatch over the
-// corresponding trajectories, positionally, on both engines — including
-// a batch that repeats one *Query value.
-func TestSearchQueryBatchMatchesSearchBatch(t *testing.T) {
-	_, w := testWorld()
-	idx := builtTestIndex(t)
-	cl := builtTestCluster(t, 2)
-	ctx := context.Background()
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5)}
-	prepared := make([]*geodabs.Query, len(w.Queries))
-	for i, tr := range w.Queries {
-		prepared[i] = geodabs.NewQuery(tr.Points)
-	}
-	want, err := idx.SearchBatch(ctx, w.Queries, 4, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := idx.SearchQueryBatch(ctx, prepared, 4, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i].Hits, want[i].Hits) {
-			t.Errorf("query %d: prepared batch diverges from trajectory batch", w.Queries[i].ID)
-		}
-	}
-	clGot, err := cl.SearchQueryBatch(ctx, prepared, 4, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(clGot[i].Hits, want[i].Hits) {
-			t.Errorf("query %d: cluster prepared batch diverges", w.Queries[i].ID)
-		}
-	}
-	// One *Query repeated across the whole batch: every position returns
-	// the same ranking as a standalone search of it.
-	one := prepared[0]
-	repeated := make([]*geodabs.Query, 6)
-	for i := range repeated {
-		repeated[i] = one
-	}
-	rep, err := idx.SearchQueryBatch(ctx, repeated, 3, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rep {
-		if !reflect.DeepEqual(r.Hits, want[0].Hits) {
-			t.Errorf("repeated position %d diverges from standalone search", i)
-		}
-	}
-	// A bad option still fails the whole batch up front.
-	if _, err := idx.SearchQueryBatch(ctx, prepared, 2, geodabs.WithKNN(3), geodabs.WithLimit(3)); err == nil {
-		t.Error("SearchQueryBatch accepted mutually exclusive options")
 	}
 }
 
@@ -240,7 +183,7 @@ func TestWideQueryPreparedParity(t *testing.T) {
 	q := geodabs.QueryFromFingerprint(&geodabs.Fingerprint{Set: core.SetOf(slices.Compact(terms))})
 	for _, opts := range [][]geodabs.SearchOption{
 		nil,
-		{geodabs.WithLimit(10)},
+		{geodabs.WithKNN(10)},
 		{geodabs.WithMaxDistance(0.9999), geodabs.WithKNN(5)},
 	} {
 		var prev []geodabs.Result
@@ -286,11 +229,11 @@ func TestQueryAcrossConfigurations(t *testing.T) {
 	q := geodabs.NewQuery(tr.Points)
 	for _, engines := range [][2]*geodabs.Index{{geodab, cell}, {cell, geodab}} {
 		for _, ix := range engines {
-			want, err := ix.Search(ctx, tr, geodabs.WithLimit(5))
+			want, err := ix.Search(ctx, tr, geodabs.WithKNN(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ix.SearchQuery(ctx, q, geodabs.WithLimit(5))
+			got, err := ix.SearchQuery(ctx, q, geodabs.WithKNN(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,19 +244,31 @@ func TestQueryAcrossConfigurations(t *testing.T) {
 	}
 }
 
-// TestClusterAnalyzeQuery pins AnalyzeQuery against Analyze and checks
-// the cached plan serves repeated analyses.
+// TestClusterAnalyzeQuery pins AnalyzeQuery against the shard strategy's
+// own routing of the query's fingerprint, and checks the cached plan
+// serves repeated analyses.
 func TestClusterAnalyzeQuery(t *testing.T) {
 	_, w := testWorld()
-	cl := builtTestCluster(t, 2)
+	cfg := geodabs.DefaultConfig()
+	strategy := geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: 2}
+	cl := builtStrategyCluster(t, strategy)
+	f, err := geodabs.NewFingerprinter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tr := range w.Queries[:3] {
-		want := cl.Analyze(tr)
+		terms := f.Fingerprint(tr.Points).Set.ToSlice()
+		var mask uint64
+		for _, term := range terms {
+			mask |= 1 << strategy.NodeOfGeodab(term)
+		}
+		want := geodabs.QueryStats{Shards: len(strategy.ShardsOf(terms)), Nodes: bits.OnesCount64(mask)}
 		q := geodabs.NewQuery(tr.Points)
 		if got := cl.AnalyzeQuery(q); got != want {
-			t.Errorf("query %d: AnalyzeQuery = %+v, Analyze = %+v", tr.ID, got, want)
+			t.Errorf("query %d: AnalyzeQuery = %+v, the strategy routes %+v", tr.ID, got, want)
 		}
 		if got := cl.AnalyzeQuery(q); got != want { // cached plan path
-			t.Errorf("query %d: repeated AnalyzeQuery = %+v, Analyze = %+v", tr.ID, got, want)
+			t.Errorf("query %d: repeated AnalyzeQuery = %+v, the strategy routes %+v", tr.ID, got, want)
 		}
 	}
 }
@@ -348,14 +303,14 @@ func TestClusterQueryAlternatingStrategies(t *testing.T) {
 	two, three := builtStrategyCluster(t, strategies[0]), builtStrategyCluster(t, strategies[1])
 	q := geodabs.NewQuery(tr.Points)
 	for i, cl := range []*geodabs.Cluster{two, three, two, three, three, two} {
-		if got, want := cl.AnalyzeQuery(q), cl.Analyze(tr); got != want {
-			t.Fatalf("use %d: AnalyzeQuery = %+v, Analyze = %+v", i, got, want)
+		if got, want := cl.AnalyzeQuery(q), cl.AnalyzeQuery(geodabs.NewQuery(tr.Points)); got != want {
+			t.Fatalf("use %d: AnalyzeQuery = %+v, of a fresh query %+v", i, got, want)
 		}
-		want, err := cl.Search(ctx, tr, geodabs.WithLimit(5))
+		want, err := cl.Search(ctx, tr, geodabs.WithKNN(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.SearchQuery(ctx, q, geodabs.WithLimit(5))
+		got, err := cl.SearchQuery(ctx, q, geodabs.WithKNN(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +320,7 @@ func TestClusterQueryAlternatingStrategies(t *testing.T) {
 	}
 }
 
-// TestPreparedQueryConcurrentReuse shares one *Query across SearchBatch
+// TestPreparedQueryConcurrentReuse shares one *Query across SearchQueryBatch
 // workers while Upserts churn the engines underneath — the -race
 // acceptance test for the query caches' synchronization. Results are not
 // pinned (the data is mutating); every search must simply succeed.
@@ -404,7 +359,7 @@ func TestPreparedQueryConcurrentReuse(t *testing.T) {
 		type batcher interface {
 			SearchQueryBatch(ctx context.Context, qs []*geodabs.Query, workers int, opts ...geodabs.SearchOption) ([]*geodabs.SearchResult, error)
 		}
-		results, err := engine.(batcher).SearchQueryBatch(ctx, batch, 8, geodabs.WithLimit(5))
+		results, err := engine.(batcher).SearchQueryBatch(ctx, batch, 8, geodabs.WithKNN(5))
 		close(stop)
 		wg.Wait()
 		if err != nil {

@@ -50,7 +50,10 @@ func TestRerankDifferential(t *testing.T) {
 				if limit > 0 && len(want) > limit {
 					want = want[:limit]
 				}
-				opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithLimit(limit), geodabs.WithExactRerank(tc.metric)}
+				opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithExactRerank(tc.metric)}
+				if limit > 0 {
+					opts = append(opts, geodabs.WithKNN(limit))
+				}
 				for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
 					customCalls.Store(0)
 					prev := runtime.GOMAXPROCS(procs)

@@ -20,7 +20,7 @@ import (
 //
 //	res, err := s.Search(ctx, q,
 //		geodabs.WithMaxDistance(0.9),
-//		geodabs.WithLimit(10))
+//		geodabs.WithKNN(10))
 //
 // With no options a search returns every trajectory sharing at least one
 // fingerprint with the query, most similar first.
@@ -64,10 +64,7 @@ type SearchOption func(*searchOptions) error
 // defaulting rules stay in one place.
 type searchOptions struct {
 	maxDistance float64
-	limit       int
-	knn         int
-	haveKNN     bool
-	haveLimit   bool
+	knn         int // the result cap; 0 = no cap
 	rerank      RerankMetric
 }
 
@@ -78,23 +75,11 @@ func newSearchOptions(opts []SearchOption) (searchOptions, error) {
 			return o, err
 		}
 	}
-	if o.haveKNN && o.haveLimit {
-		return o, errors.New("geodabs: WithKNN and WithLimit are mutually exclusive")
-	}
 	return o, nil
 }
 
-// resultLimit is the cap applied to the final ranking: k for kNN
-// searches, the explicit limit otherwise (0 = unlimited).
-func (o searchOptions) resultLimit() int {
-	if o.haveKNN {
-		return o.knn
-	}
-	return o.limit
-}
-
 // rerankShortlistFactor bounds the exact-rerank shortlist: the metric
-// scores the top limit×factor fingerprint-ranked hits, keeping the
+// scores the top k×factor fingerprint-ranked hits, keeping the
 // polynomial-cost pass proportional to the requested result count.
 const rerankShortlistFactor = 8
 
@@ -103,11 +88,10 @@ const rerankShortlistFactor = 8
 // enlarged shortlist when an exact rerank will re-order it, and the whole
 // range when no cap was requested.
 func (o searchOptions) fetchLimit() int {
-	limit := o.resultLimit()
-	if o.rerank == nil || limit <= 0 {
-		return limit
+	if o.rerank == nil {
+		return o.knn
 	}
-	return limit * rerankShortlistFactor
+	return o.knn * rerankShortlistFactor
 }
 
 // WithMaxDistance keeps only trajectories within Jaccard distance d of
@@ -126,30 +110,14 @@ func WithMaxDistance(d float64) SearchOption {
 // WithKNN returns up to the k most similar trajectories — fewer when
 // fewer than k indexed trajectories share a fingerprint with the query,
 // since anything sharing none has Jaccard distance 1 and is never a
-// candidate. Combine with WithMaxDistance for a ranged kNN. Mutually
-// exclusive with WithLimit, which expresses a plain truncation; today
-// both cap the same full ranking, but WithKNN is the seam where an
-// early-terminating kNN strategy plugs in without an API change.
+// candidate. Combine with WithMaxDistance for a ranged kNN. It is the
+// one result cap: without it a search returns its whole range.
 func WithKNN(k int) SearchOption {
 	return func(o *searchOptions) error {
 		if k < 1 {
 			return fmt.Errorf("geodabs: WithKNN(%d) must be at least 1", k)
 		}
 		o.knn = k
-		o.haveKNN = true
-		return nil
-	}
-}
-
-// WithLimit truncates the ranking to the first n hits (0 = no limit).
-// Mutually exclusive with WithKNN.
-func WithLimit(n int) SearchOption {
-	return func(o *searchOptions) error {
-		if n < 0 {
-			return fmt.Errorf("geodabs: WithLimit(%d) must not be negative", n)
-		}
-		o.limit = n
-		o.haveLimit = true
 		return nil
 	}
 }
@@ -157,7 +125,7 @@ func WithLimit(n int) SearchOption {
 // WithExactRerank re-ranks a fingerprint-ranked shortlist by the exact
 // metric (ascending), the paper's §VI-C refinement: geodabs prune
 // cheaply, the polynomial-cost measure decides the final order. With a
-// result cap (WithKNN or WithLimit) the shortlist is the top cap×8
+// result cap (WithKNN) the shortlist is the top k×8
 // fingerprint hits; without one, the whole WithMaxDistance range is
 // scored — bound one or the other, or the rerank degenerates to the
 // brute-force scan it exists to avoid. A built-in metric scores each
@@ -209,7 +177,7 @@ type SearchStats struct {
 	// Pruned is how many of those candidates threshold pruning skipped
 	// before scoring: trajectories whose fingerprint cardinality or
 	// shared-term count proves they cannot satisfy WithMaxDistance (or
-	// beat the current kth-best candidate under WithKNN/WithLimit).
+	// beat the current kth-best candidate under WithKNN).
 	// Candidates are ranked highest shared count first, so once a count
 	// cannot place, every candidate below it counts here.
 	Pruned int
@@ -282,22 +250,13 @@ func (ix *Index) searchPrepared(ctx context.Context, q *Query, o searchOptions) 
 	}, nil
 }
 
-// SearchBatch runs many searches with the same options on the given
-// number of parallel workers, for throughput workloads. Results align
-// with qs by position. The first error cancels the remaining work.
-func (ix *Index) SearchBatch(ctx context.Context, qs []*Trajectory, workers int, opts ...SearchOption) ([]*SearchResult, error) {
-	o, err := newSearchOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return searchBatch(ctx, ix, wrapQueries(qs), workers, o)
-}
-
-// SearchQueryBatch is SearchBatch over prepared queries: each *Query's
-// cached extraction is reused across the batch — and across batches, so
-// a recurring query set pays preparation once for its lifetime. The same
-// *Query may appear at several positions; it is searched independently
-// at each.
+// SearchQueryBatch runs many prepared searches with the same options on
+// the given number of parallel workers, for throughput workloads.
+// Results align with qs by position. The first error cancels the
+// remaining work. Each *Query's cached extraction is reused across the
+// batch — and across batches, so a recurring query set pays preparation
+// once for its lifetime. The same *Query may appear at several
+// positions; it is searched independently at each.
 func (ix *Index) SearchQueryBatch(ctx context.Context, qs []*Query, workers int, opts ...SearchOption) ([]*SearchResult, error) {
 	o, err := newSearchOptions(opts)
 	if err != nil {
@@ -356,23 +315,12 @@ func (c *Cluster) searchPrepared(ctx context.Context, q *Query, o searchOptions)
 	}, nil
 }
 
-// SearchBatch runs many scatter-gather searches with the same options on
-// the given number of parallel workers. Results align with qs by
-// position. The first error cancels the remaining work. Effective
-// parallelism is bounded by the per-node connection pool (one in-flight
-// RPC per pooled connection); size it with WithConnsPerNode at
+// SearchQueryBatch runs many prepared scatter-gathers on a worker pool;
+// see Index.SearchQueryBatch. On a cluster, each query's shard partition
+// is also cached, so a batch that repeats a *Query re-shards nothing.
+// Effective parallelism is bounded by the per-node connection pool (one
+// in-flight RPC per pooled connection); size it with WithConnsPerNode at
 // construction to match the worker count.
-func (c *Cluster) SearchBatch(ctx context.Context, qs []*Trajectory, workers int, opts ...SearchOption) ([]*SearchResult, error) {
-	o, err := newSearchOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return searchBatch(ctx, c, wrapQueries(qs), workers, o)
-}
-
-// SearchQueryBatch is SearchBatch over prepared queries; see
-// Index.SearchQueryBatch. On a cluster, each query's shard partition is
-// also cached, so a batch that repeats a *Query re-shards nothing.
 func (c *Cluster) SearchQueryBatch(ctx context.Context, qs []*Query, workers int, opts ...SearchOption) ([]*SearchResult, error) {
 	o, err := newSearchOptions(opts)
 	if err != nil {
@@ -394,15 +342,6 @@ func checkQuery(q *Query, o searchOptions) error {
 	return nil
 }
 
-// wrapQueries lifts a trajectory batch into one-shot prepared queries.
-func wrapQueries(ts []*Trajectory) []*Query {
-	qs := make([]*Query, len(ts))
-	for i, t := range ts {
-		qs[i] = NewQuery(t.Points)
-	}
-	return qs
-}
-
 // rerankHits applies the exact refinement pass on the local engine:
 // score the shortlist with the metric through the rerank package, re-sort
 // ascending (ties by ID), truncate to the result limit. A built-in metric
@@ -415,7 +354,6 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 		return hits, nil
 	}
 	metric, builtin := builtinMetric(o.rerank)
-	limit := o.resultLimit()
 	// Resolve every hit's points before scoring any, so a failure names
 	// the complete set of unavailable trajectories instead of whichever
 	// one a worker tripped over first.
@@ -434,7 +372,7 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 	}
 	var err error
 	if builtin {
-		err = rerank.Score(ctx, query, cands, metric, limit)
+		err = rerank.Score(ctx, query, cands, metric, o.knn)
 	} else {
 		err = rerank.ScoreFunc(ctx, query, cands, o.rerank)
 	}
@@ -449,8 +387,8 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 		}
 	}
 	index.SortResults(scored)
-	if limit > 0 && len(scored) > limit {
-		scored = scored[:limit]
+	if o.knn > 0 && len(scored) > o.knn {
+		scored = scored[:o.knn]
 	}
 	return scored, nil
 }
@@ -475,7 +413,7 @@ func (c *Cluster) rerankRemote(ctx context.Context, o searchOptions, hits []Resu
 	if !ok {
 		return nil, errors.New("geodabs: WithExactRerank on a cluster requires a built-in metric (geodabs.DTW or geodabs.DFD): candidates are scored remotely on the shard nodes that retain their raw points, and a custom RerankMetric function cannot cross the wire")
 	}
-	reranked, err := c.coord.Rerank(ctx, hits, query, metric, o.resultLimit())
+	reranked, err := c.coord.Rerank(ctx, hits, query, metric, o.knn)
 	if err != nil {
 		return nil, translateClusterErr(err)
 	}

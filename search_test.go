@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,15 @@ func builtTestIndex(t *testing.T) *geodabs.Index {
 		t.Fatal(err)
 	}
 	return idx
+}
+
+// prepareAll prepares every trajectory as a lazy *Query, positionally.
+func prepareAll(ts []*geodabs.Trajectory) []*geodabs.Query {
+	qs := make([]*geodabs.Query, len(ts))
+	for i, tr := range ts {
+		qs[i] = geodabs.NewQuery(tr.Points)
+	}
+	return qs
 }
 
 // builtTestCluster starts nodes, fronts them with a coordinator and
@@ -95,15 +105,13 @@ func TestSearchOptionValidation(t *testing.T) {
 		"distance above one": {geodabs.WithMaxDistance(1.5)},
 		"zero knn":           {geodabs.WithKNN(0)},
 		"negative knn":       {geodabs.WithKNN(-3)},
-		"negative limit":     {geodabs.WithLimit(-1)},
 		"nil rerank":         {geodabs.WithExactRerank(nil)},
-		"knn with limit":     {geodabs.WithKNN(5), geodabs.WithLimit(5)},
 	} {
 		if _, err := idx.Search(ctx, q, opts...); err == nil {
 			t.Errorf("%s: Search accepted invalid options", name)
 		}
-		if _, err := idx.SearchBatch(ctx, w.Queries, 2, opts...); err == nil {
-			t.Errorf("%s: SearchBatch accepted invalid options", name)
+		if _, err := idx.SearchQueryBatch(ctx, prepareAll(w.Queries), 2, opts...); err == nil {
+			t.Errorf("%s: SearchQueryBatch accepted invalid options", name)
 		}
 	}
 }
@@ -194,12 +202,16 @@ func TestSearchExactRerank(t *testing.T) {
 	}
 }
 
+// TestSearchBatchMatchesSequential pins the batch path: SearchQueryBatch
+// equals one Search per trajectory, positionally, on both engines —
+// including a batch that repeats one *Query value.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
 	ctx := context.Background()
-	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithLimit(5)}
-	batch, err := idx.SearchBatch(ctx, w.Queries, 4, opts...)
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithKNN(5)}
+	prepared := prepareAll(w.Queries)
+	batch, err := idx.SearchQueryBatch(ctx, prepared, 4, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +228,23 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		}
 	}
 	cl := builtTestCluster(t, 2)
-	clBatch, err := cl.SearchBatch(ctx, w.Queries, 4, opts...)
+	clBatch, err := cl.SearchQueryBatch(ctx, prepared, 4, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range w.Queries {
 		if !reflect.DeepEqual(clBatch[i].Hits, batch[i].Hits) {
 			t.Errorf("query %d: cluster batch diverges from index batch", w.Queries[i].ID)
+		}
+	}
+	repeated := slices.Repeat(prepared[:1], 6)
+	rep, err := idx.SearchQueryBatch(ctx, repeated, 3, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rep {
+		if !reflect.DeepEqual(r.Hits, batch[0].Hits) {
+			t.Errorf("repeated position %d diverges from standalone search", i)
 		}
 	}
 }
@@ -235,8 +257,8 @@ func TestSearchCancelledContext(t *testing.T) {
 	if _, err := idx.Search(ctx, w.Queries[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("index Search on cancelled context: %v", err)
 	}
-	if _, err := idx.SearchBatch(ctx, w.Queries, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("index SearchBatch on cancelled context: %v", err)
+	if _, err := idx.SearchQueryBatch(ctx, prepareAll(w.Queries), 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("index SearchQueryBatch on cancelled context: %v", err)
 	}
 	if err := idx.AddAllContext(ctx, w.Dataset, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("AddAllContext on cancelled context: %v", err)
@@ -277,11 +299,11 @@ func TestIndexSnapshotPublicRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, q := range w.Queries {
-		want, err := idx.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithLimit(10))
+		want, err := idx.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithKNN(10))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithLimit(10))
+		got, err := loaded.Search(ctx, q, geodabs.WithMaxDistance(0.99), geodabs.WithKNN(10))
 		if err != nil {
 			t.Fatal(err)
 		}
