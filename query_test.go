@@ -90,6 +90,58 @@ func TestSearchQueryMatchesSearch(t *testing.T) {
 	}
 }
 
+// TestSearchQueryBatchMatchesSearchBatch pins the prepared batch path:
+// SearchQueryBatch over prepared queries equals each engine's Search over
+// the corresponding trajectories, positionally, on both engines —
+// including a batch that repeats one *Query value — and one bad option
+// fails the whole batch up front.
+func TestSearchQueryBatchMatchesSearchBatch(t *testing.T) {
+	_, w := testWorld()
+	ctx := context.Background()
+	opts := []geodabs.SearchOption{geodabs.WithMaxDistance(0.99), geodabs.WithKNN(5)}
+	prepared := prepareAll(w.Queries)
+	type engine interface {
+		Search(ctx context.Context, tr *geodabs.Trajectory, opts ...geodabs.SearchOption) (*geodabs.SearchResult, error)
+		SearchQueryBatch(ctx context.Context, qs []*geodabs.Query, workers int, opts ...geodabs.SearchOption) ([]*geodabs.SearchResult, error)
+	}
+	for name, e := range map[string]engine{"index": builtTestIndex(t), "cluster": builtTestCluster(t, 2)} {
+		want := make([]*geodabs.SearchResult, len(w.Queries))
+		for i, tr := range w.Queries {
+			r, err := e.Search(ctx, tr, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r
+		}
+		got, err := e.SearchQueryBatch(ctx, prepared, 4, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: batch returned %d results for %d queries", name, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i].Hits, want[i].Hits) {
+				t.Errorf("%s query %d: prepared batch diverges from trajectory search", name, w.Queries[i].ID)
+			}
+		}
+		// One *Query repeated across the whole batch: every position
+		// returns the same ranking as a standalone search of it.
+		rep, err := e.SearchQueryBatch(ctx, slices.Repeat(prepared[:1], 6), 3, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rep {
+			if !reflect.DeepEqual(r.Hits, want[0].Hits) {
+				t.Errorf("%s: repeated position %d diverges from standalone search", name, i)
+			}
+		}
+		if _, err := e.SearchQueryBatch(ctx, prepared, 2, geodabs.WithKNN(3), geodabs.WithMaxDistance(1.5)); err == nil {
+			t.Errorf("%s: SearchQueryBatch accepted an out-of-range distance", name)
+		}
+	}
+}
+
 // TestQueryFromFingerprintRejectsRerank pins the fingerprint-only rule:
 // a Query without raw points rejects WithExactRerank with a pointed
 // error, on both engines, while fingerprint-ranked searches work.

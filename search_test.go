@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -203,8 +202,8 @@ func TestSearchExactRerank(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSequential pins the batch path: SearchQueryBatch
-// equals one Search per trajectory, positionally, on both engines —
-// including a batch that repeats one *Query value.
+// equals one Search per trajectory, positionally, and the cluster's batch
+// equals the index's.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
@@ -235,16 +234,6 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	for i := range w.Queries {
 		if !reflect.DeepEqual(clBatch[i].Hits, batch[i].Hits) {
 			t.Errorf("query %d: cluster batch diverges from index batch", w.Queries[i].ID)
-		}
-	}
-	repeated := slices.Repeat(prepared[:1], 6)
-	rep, err := idx.SearchQueryBatch(ctx, repeated, 3, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rep {
-		if !reflect.DeepEqual(r.Hits, batch[0].Hits) {
-			t.Errorf("repeated position %d diverges from standalone search", i)
 		}
 	}
 }
