@@ -74,7 +74,7 @@ func builtIndex(b *testing.B, ex index.Extractor) *index.Inverted {
 
 // rank runs one uncapped, unbounded ranked query.
 func rank(b *testing.B, ix *index.Inverted, q *trajectory.Trajectory) []index.Result {
-	results, _, err := ix.Search(context.Background(), q, 1, 0)
+	results, _, err := ix.AppendSearchSet(context.Background(), nil, ix.Extractor().Extract(q.Points), 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

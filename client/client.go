@@ -71,15 +71,6 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithDialTimeout bounds each dial (default 5s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
 // WithMaxRetries sets how many times an idempotent read is retried after
 // a transport failure or an OVERLOADED reply (default 2, 0 disables).
 // Mutations are never retried.
@@ -91,14 +82,16 @@ func WithMaxRetries(n int) Option {
 	}
 }
 
+// dialTimeout bounds a dial whose context has no deadline of its own.
+const dialTimeout = 5 * time.Second
+
 // Client is a pooled geodabsd client, safe for concurrent use. One
 // request is in flight per connection; concurrent calls each check out
 // their own connection (dialing on demand) and return it when done.
 type Client struct {
-	addr        string
-	poolSize    int
-	dialTimeout time.Duration
-	maxRetries  int
+	addr       string
+	poolSize   int
+	maxRetries int
 
 	pool   *wire.Pool[wire.Response] // each connection decodes its replies into its own Response
 	nextID atomic.Uint64             // request IDs, informational (one request per conn)
@@ -111,10 +104,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		return nil, errors.New("client: empty address")
 	}
 	c := &Client{
-		addr:        addr,
-		poolSize:    4,
-		dialTimeout: 5 * time.Second,
-		maxRetries:  2,
+		addr:       addr,
+		poolSize:   4,
+		maxRetries: 2,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -122,7 +114,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	c.pool = wire.NewPool[wire.Response](c.poolSize, wire.MaxFrame, ErrClosed, func(ctx context.Context) (net.Conn, error) {
 		if _, ok := ctx.Deadline(); !ok {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.dialTimeout)
+			ctx, cancel = context.WithTimeout(ctx, dialTimeout)
 			defer cancel()
 		}
 		var d net.Dialer
@@ -272,9 +264,8 @@ func WithKNN(k int) SearchOption {
 	return func(r *wire.Request) { r.KNN = k }
 }
 
-// Metric names a built-in exact rerank metric the server can evaluate.
-// Only built-ins are addressable over the wire: a custom function
-// cannot cross a process boundary.
+// Metric names an exact rerank metric the server can evaluate: the two
+// geodabs.WithExactRerank takes.
 type Metric uint8
 
 const (

@@ -56,7 +56,7 @@ func runsOf(ix *index.Inverted, out *gen.Output) []eval.Run {
 	ctx := context.Background()
 	runs := make([]eval.Run, 0, len(out.Queries))
 	for _, q := range out.Queries {
-		results, _, err := ix.Search(ctx, q, 1.0, 0)
+		results, _, err := ix.AppendSearchSet(ctx, nil, ix.Extractor().Extract(q.Points), 1.0, 0)
 		if err != nil {
 			panic(err) // Background context: unreachable
 		}

@@ -49,7 +49,7 @@ func runFig14(o options) error {
 			}
 			start := time.Now()
 			for _, q := range queries {
-				if _, _, err := indexes[i].Search(ctx, q, 1.0, 0); err != nil {
+				if _, _, err := indexes[i].AppendSearchSet(ctx, nil, indexes[i].Extractor().Extract(q.Points), 1.0, 0); err != nil {
 					return err
 				}
 			}

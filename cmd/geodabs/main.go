@@ -36,6 +36,7 @@ import (
 	"geodabs/client"
 	"geodabs/internal/cluster"
 	"geodabs/internal/trajectory"
+	"geodabs/internal/wal"
 )
 
 func main() {
@@ -247,7 +248,8 @@ func loadSnapshot(idx *geodabs.Index, path string) error {
 
 // writeSnapshot writes idx to path through a sibling temp file that is
 // synced, closed and then renamed over path, so a failed or interrupted
-// write never truncates the snapshot already there.
+// write never truncates the snapshot already there. The directory is
+// synced after the rename, so the new snapshot survives a crash.
 func writeSnapshot(idx *geodabs.Index, path string) (int64, error) {
 	w, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -268,6 +270,9 @@ func writeSnapshot(idx *geodabs.Index, path string) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(w.Name())
+		return 0, err
+	}
+	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
 		return 0, err
 	}
 	return n, nil

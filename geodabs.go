@@ -265,8 +265,7 @@ func (f *Fingerprinter) Prepare(points []Point) *Query {
 	// The key is derived through keyOf on the same extractor type the
 	// engines wrap, so an eagerly prepared query always matches the
 	// engine-side cache key.
-	key, _ := keyOf(index.GeodabExtractor{Fingerprinter: f.core})
-	q.bind(key, f.core.FingerprintSet(points))
+	q.bind(keyOf(index.GeodabExtractor{Fingerprinter: f.core}), f.core.FingerprintSet(points))
 	return q
 }
 

@@ -85,6 +85,18 @@ func analyze(coord *Coordinator, q *trajectory.Trajectory) QueryStats {
 	return coord.Plan(coord.Extractor().Extract(q.Points)).Stats()
 }
 
+// search is a trajectory search on coord: its terms, planned and
+// scattered.
+func search(ctx context.Context, coord *Coordinator, q *trajectory.Trajectory, maxDistance float64, limit int) ([]index.Result, SearchInfo, error) {
+	return coord.SearchPlan(ctx, coord.Plan(coord.Extractor().Extract(q.Points)), maxDistance, limit)
+}
+
+// localSearch is the same search on a local index, the reference the
+// cluster's rankings are checked against.
+func localSearch(ctx context.Context, ix *index.Inverted, q *trajectory.Trajectory, maxDistance float64, limit int) ([]index.Result, index.SearchStats, error) {
+	return ix.AppendSearchSet(ctx, nil, ix.Extractor().Extract(q.Points), maxDistance, limit)
+}
+
 func TestClusterMatchesLocalIndex(t *testing.T) {
 	coord, _ := startCluster(t, 3)
 	ex := index.GeodabExtractor{Fingerprinter: core.MustFingerprinter(core.DefaultConfig())}
@@ -98,11 +110,11 @@ func TestClusterMatchesLocalIndex(t *testing.T) {
 		}
 	}
 	for _, q := range testWorkload.Queries {
-		want, _, err := local.Search(context.Background(), q, 0.99, 0)
+		want, _, err := localSearch(context.Background(), local, q, 0.99, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := coord.Search(context.Background(), q, 0.99, 0)
+		got, _, err := search(context.Background(), coord, q, 0.99, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +136,7 @@ func TestClusterQueryLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := coord.Search(context.Background(), testWorkload.Queries[0], 1, 3)
+	got, _, err := search(context.Background(), coord, testWorkload.Queries[0], 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +218,7 @@ func TestClusterConcurrentAddsAndQueries(t *testing.T) {
 		go func(i int) {
 			defer qg.Done()
 			q := testWorkload.Queries[i%len(testWorkload.Queries)]
-			if _, _, err := coord.Search(context.Background(), q, 1, 5); err != nil {
+			if _, _, err := search(context.Background(), coord, q, 1, 5); err != nil {
 				t.Errorf("concurrent query: %v", err)
 			}
 		}(i)
@@ -251,7 +263,7 @@ func TestQueryAfterNodeShutdown(t *testing.T) {
 	}
 	nodes[0].Close()
 	nodes[1].Close()
-	if _, _, err := coord.Search(context.Background(), testWorkload.Queries[0], 1, 0); err == nil {
+	if _, _, err := search(context.Background(), coord, testWorkload.Queries[0], 1, 0); err == nil {
 		t.Error("query against a dead cluster should fail")
 	}
 }
@@ -351,7 +363,7 @@ func TestSearchCancelledMidScatterGather(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := coord.Search(ctx, testWorkload.Queries[0], 1, 0)
+	_, _, err := search(ctx, coord, testWorkload.Queries[0], 1, 0)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Search = %v, want context.Canceled", err)
@@ -370,7 +382,7 @@ func TestSearchDeadlineMidScatterGather(t *testing.T) {
 	coord := startStalledCoordinator(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, _, err := coord.Search(ctx, testWorkload.Queries[0], 1, 0)
+	_, _, err := search(ctx, coord, testWorkload.Queries[0], 1, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Search = %v, want context.DeadlineExceeded", err)
 	}
@@ -387,7 +399,7 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := coord.Search(ctx, testWorkload.Queries[0], 1, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := search(ctx, coord, testWorkload.Queries[0], 1, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Search = %v, want context.Canceled", err)
 	}
 	if err := coord.Add(ctx, testWorkload.Dataset.Trajectories[10]); !errors.Is(err, context.Canceled) {
@@ -407,14 +419,14 @@ func TestClientRecoversAfterCancelledCall(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := coord.Search(ctx, testWorkload.Queries[0], 1, 0); err == nil {
+	if _, _, err := search(ctx, coord, testWorkload.Queries[0], 1, 0); err == nil {
 		t.Fatal("cancelled search should fail")
 	}
 	// A short stall that actually reaches the node, then gets abandoned.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	_, _, _ = coord.Search(ctx2, testWorkload.Queries[0], 1, 0)
+	_, _, _ = search(ctx2, coord, testWorkload.Queries[0], 1, 0)
 	cancel2()
-	got, _, err := coord.Search(context.Background(), testWorkload.Queries[0], 1, 0)
+	got, _, err := search(context.Background(), coord, testWorkload.Queries[0], 1, 0)
 	if err != nil {
 		t.Fatalf("search after abandoned call: %v", err)
 	}
@@ -437,7 +449,7 @@ func TestAddRetryAfterFailure(t *testing.T) {
 	if err := coord.Add(context.Background(), tr); err != nil {
 		t.Fatalf("retry after failed Add: %v", err)
 	}
-	got, _, err := coord.Search(context.Background(), tr, 0.5, 0)
+	got, _, err := search(context.Background(), coord, tr, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,13 +468,13 @@ func TestQueuedCallHonorsOwnDeadline(t *testing.T) {
 	go func() {
 		defer close(background)
 		// Wedges until the coordinator is closed by test cleanup.
-		coord.Search(context.Background(), testWorkload.Queries[0], 1, 0)
+		search(context.Background(), coord, testWorkload.Queries[0], 1, 0)
 	}()
 	time.Sleep(50 * time.Millisecond) // let the background search occupy the call slots
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := coord.Search(ctx, testWorkload.Queries[0], 1, 0)
+	_, _, err := search(ctx, coord, testWorkload.Queries[0], 1, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued Search = %v, want context.DeadlineExceeded", err)
 	}
@@ -513,7 +525,7 @@ func TestClusterDeleteReclaimsPostings(t *testing.T) {
 	if err := coord.Delete(ctx, victim.ID); !errors.Is(err, ErrNotFound) {
 		t.Errorf("re-delete = %v, want ErrNotFound", err)
 	}
-	results, _, err := coord.Search(ctx, victim, 1, 0)
+	results, _, err := search(ctx, coord, victim, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +569,7 @@ func TestClusterUpsertReplaces(t *testing.T) {
 		t.Errorf("postings after upsert = %d, want the replacement's %d", got, want)
 	}
 	// The replacement ranks as an exact match of its own geometry.
-	results, _, err := coord.Search(ctx, replacement, 0.01, 0)
+	results, _, err := search(ctx, coord, replacement, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +699,7 @@ func TestClusterSnapshotIsolationUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				results, _, err := coord.Search(ctx, q, 1, 0)
+				results, _, err := search(ctx, coord, q, 1, 0)
 				if err != nil {
 					errc <- err
 					return
@@ -754,7 +766,7 @@ func TestPoolParallelSearches(t *testing.T) {
 	}
 	want := make([][]index.Result, len(testWorkload.Queries))
 	for i, q := range testWorkload.Queries {
-		res, _, err := coord.Search(ctx, q, 1, 0)
+		res, _, err := search(ctx, coord, q, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -767,7 +779,7 @@ func TestPoolParallelSearches(t *testing.T) {
 			wg.Add(1)
 			go func(i int, q *trajectory.Trajectory) {
 				defer wg.Done()
-				res, _, err := coord.Search(ctx, q, 1, 0)
+				res, _, err := search(ctx, coord, q, 1, 0)
 				if err != nil {
 					t.Errorf("pooled search: %v", err)
 					return
@@ -822,11 +834,11 @@ func TestNodeSidePruningMatchesLocal(t *testing.T) {
 	totalNodePruned := 0
 	for _, maxDistance := range []float64{0.2, 0.5, 0.8, 0.99, 1} {
 		for _, limit := range []int{0, 3} {
-			want, wantStats, err := local.Search(ctx, q, maxDistance, limit)
+			want, wantStats, err := localSearch(ctx, local, q, maxDistance, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, info, err := coord.Search(ctx, q, maxDistance, limit)
+			got, info, err := search(ctx, coord, q, maxDistance, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1003,7 +1015,7 @@ func TestClusterSameIDHammer(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := coord.Search(ctx, q, 1, 0); err != nil {
+			if _, _, err := search(ctx, coord, q, 1, 0); err != nil {
 				errc <- fmt.Errorf("search: %w", err)
 				return
 			}
@@ -1023,7 +1035,7 @@ func TestClusterSameIDHammer(t *testing.T) {
 	if err := coord.Upsert(ctx, final); err != nil {
 		t.Fatalf("final upsert: %v", err)
 	}
-	results, _, err := coord.Search(ctx, final, 0.01, 0)
+	results, _, err := search(ctx, coord, final, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1143,7 +1155,7 @@ func TestRerankAcrossOwners(t *testing.T) {
 		unbounded func(a, b []geo.Point) float64
 	}{{rerank.DTW, distance.DTW}, {rerank.DFD, distance.DFD}} {
 		for _, q := range testWorkload.Queries[:3] {
-			hits, _, err := coord.Search(ctx, q, 1, 0)
+			hits, _, err := search(ctx, coord, q, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1310,11 +1322,11 @@ func TestClusterMutationsMoveBetweenNodes(t *testing.T) {
 		}
 		for _, q := range testWorkload.Queries {
 			for _, limit := range []int{0, 3} {
-				want, _, err := local.Search(ctx, q, 1, limit)
+				want, _, err := localSearch(ctx, local, q, 1, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := coord.Search(ctx, q, 1, limit)
+				got, _, err := search(ctx, coord, q, 1, limit)
 				if err != nil {
 					t.Fatal(err)
 				}

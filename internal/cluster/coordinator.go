@@ -967,12 +967,17 @@ type SearchInfo struct {
 	Nodes  int
 }
 
-// Search scatter-gathers the ranked retrieval problem across the cluster
-// and merges partial intersection counts into Jaccard-ranked results,
-// equivalent to index.Inverted.Search on the same data. Cancelling ctx
-// aborts the scatter-gather promptly and returns the context's error;
-// the first node failure cancels the sibling calls, so one wedged node
-// cannot hold the query past another node's error.
+// SearchPlan scatter-gathers the ranked retrieval problem across the
+// cluster for a pre-planned query and merges partial intersection counts
+// into Jaccard-ranked results, equivalent to index.Inverted's
+// AppendSearchSet over the same data. The plan's term set is already
+// extracted and partitioned by owning node, so the scatter starts
+// immediately — repeated and batched searches of one prepared query pay
+// extraction and sharding once, not per call. The plan must have been
+// built by a coordinator with an equal Strategy. Cancelling ctx aborts
+// the scatter-gather promptly and returns the context's error; the first
+// node failure cancels the sibling calls, so one wedged node cannot hold
+// the query past another node's error.
 //
 // The search is snapshot-isolated against concurrent mutations: it takes
 // the mutation watermark before scattering and ranks only trajectories
@@ -980,18 +985,6 @@ type SearchInfo struct {
 // or delete overlaps the search is either fully visible (the mutation
 // committed before the snapshot, so every node answered with its terms)
 // or fully invisible — never ranked on a partial intersection count.
-func (c *Coordinator) Search(parent context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]index.Result, SearchInfo, error) {
-	if err := parent.Err(); err != nil {
-		return nil, SearchInfo{}, err
-	}
-	return c.SearchPlan(parent, c.Plan(c.ex.Extract(q.Points)), maxDistance, limit)
-}
-
-// SearchPlan is Search over a pre-planned query: the term set is already
-// extracted and partitioned by owning node, so the scatter starts
-// immediately — repeated and batched searches of one prepared query pay
-// extraction and sharding once, not per call. The plan must have been
-// built by a coordinator with an equal Strategy.
 //
 // A capped search of a one-node plan is ranked on that node, which ships
 // its top limit hits instead of every partial; the coordinator ranks

@@ -63,7 +63,7 @@ func searchAll(t *testing.T, coord *Coordinator) [][]index.Result {
 		var results []index.Result
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
-			results, _, err = coord.Search(context.Background(), q, 0.99, 0)
+			results, _, err = search(context.Background(), coord, q, 0.99, 0)
 			if err == nil {
 				break
 			}
@@ -867,7 +867,7 @@ func TestRecoveredDirectoryTargetsHoldingNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := termTrajectory(0, 0, 1, 2, 3, 4, 5)
-	want, _, err := coord.Search(ctx, query, 1, 0)
+	want, _, err := search(ctx, coord, query, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,7 +884,7 @@ func TestRecoveredDirectoryTargetsHoldingNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { recovered.Close() })
-	if got, _, err := recovered.Search(ctx, query, 1, 0); err != nil || !reflect.DeepEqual(got, want) {
+	if got, _, err := search(ctx, recovered, query, 1, 0); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered coordinator ranks %+v (%v), want %+v", got, err, want)
 	}
 	before, err := recovered.Stats(ctx)

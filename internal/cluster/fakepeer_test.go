@@ -158,7 +158,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 				t.Errorf("%s answered with %s = %v, want a cluster error", call, tc.name, err)
 			}
 		}
-		_, _, err = coord.Search(ctx, q, 1, 10)
+		_, _, err = search(ctx, coord, q, 1, 10)
 		checkErr("Search", err)
 		_, err = coord.Rerank(ctx, []index.Result{{ID: tr.ID, Shared: 1}}, q.Points, rerank.DTW, 1)
 		checkErr("Rerank", err)
@@ -183,7 +183,7 @@ func TestMismatchedNodeReplyIsAnError(t *testing.T) {
 		if err := coord.Add(ctx, tr); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := coord.Search(ctx, q, 1, 10); err == nil || !strings.HasPrefix(err.Error(), "cluster: ") {
+		if _, _, err := search(ctx, coord, q, 1, 10); err == nil || !strings.HasPrefix(err.Error(), "cluster: ") {
 			t.Errorf("Search answered with count %d against |F| = %d: %v, want a cluster error", count, card, err)
 		}
 		coord.Close()
@@ -338,11 +338,11 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 	converged := func(t *testing.T, coord *Coordinator, local *index.Inverted) {
 		t.Helper()
 		for _, limit := range []int{0, 1} {
-			want, _, err := local.Search(ctx, query, 1, limit)
+			want, _, err := localSearch(ctx, local, query, 1, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := coord.Search(ctx, query, 1, limit)
+			got, _, err := search(ctx, coord, query, 1, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +365,7 @@ func TestFailedUpsertLeavesIDDeleting(t *testing.T) {
 			t.Fatal("Upsert succeeded though node 1 lost its acknowledgement")
 		}
 		fail.Store(false)
-		if hits, _, err := coord.Search(ctx, query, 1, 0); err != nil || len(hits) != 0 {
+		if hits, _, err := search(ctx, coord, query, 1, 0); err != nil || len(hits) != 0 {
 			t.Errorf("after the failed Upsert: %+v, %v; want the ID withdrawn", hits, err)
 		}
 		if err := coord.Add(ctx, old); err == nil {
@@ -500,11 +500,11 @@ func TestNodeRankedSearchFallsBack(t *testing.T) {
 				for _, r := range rounds {
 					capped.Store(0)
 					all.Store(0)
-					want, _, err := local.Search(ctx, query, 1, int(r.limit))
+					want, _, err := localSearch(ctx, local, query, 1, int(r.limit))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, info, err := coord.Search(ctx, query, 1, int(r.limit))
+					got, info, err := search(ctx, coord, query, 1, int(r.limit))
 					if err != nil {
 						t.Fatal(err)
 					}

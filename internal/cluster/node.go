@@ -380,41 +380,14 @@ func (n *Node) Kill() {
 	})
 }
 
-// acceptBackoffMax bounds the exponential backoff between retries of a
-// persistently failing Accept.
-const acceptBackoffMax = time.Second
-
+// acceptLoop serves each accepted connection on its own goroutine until
+// the node closes.
 func (n *Node) acceptLoop() {
 	defer n.connWG.Done()
-	var backoff time.Duration
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			select {
-			case <-n.closing:
-				return
-			default:
-			}
-			// Transient accept error (EMFILE, ECONNABORTED, ...): keep
-			// serving, but back off exponentially on consecutive failures —
-			// a persistent error such as file-descriptor exhaustion would
-			// otherwise spin this loop at 100% CPU until it clears.
-			if backoff < time.Millisecond {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-time.After(backoff):
-			case <-n.closing:
-				return
-			}
-			continue
-		}
-		backoff = 0
+	wire.AcceptLoop(n.ln, n.closing, func(conn net.Conn) {
 		n.connWG.Add(1)
 		go n.serve(conn)
-	}
+	})
 }
 
 // serve handles one coordinator connection until EOF or node shutdown.

@@ -316,8 +316,7 @@ func (p *partials) addTo(c *bitmap.Counter) {
 // rerankRequest asks a node to exact-score its slice of a fingerprint
 // shortlist: IDs are shortlist members whose points the node owns (the
 // coordinator groups by point owner before scattering), Query is the raw
-// query trajectory, and Metric selects DTW (1) or discrete Fréchet (2) —
-// only the built-in metrics are addressable over the wire.
+// query trajectory, and Metric selects DTW (1) or discrete Fréchet (2).
 //
 // Limit enables scoring against a bar: when > 0 it is the result cap the
 // coordinator will truncate the merged scores to, and the node need not

@@ -49,10 +49,16 @@ func newRetainingIndex(t testing.TB) *Inverted {
 	return New(GeodabExtractor{core.MustFingerprinter(core.DefaultConfig())}, true)
 }
 
-// search is Search for tests that only look at the ranking.
+// searchTraj is a trajectory search on ix: its terms, extracted by ix's
+// own extractor, ranked by AppendSearchSet.
+func searchTraj(ctx context.Context, ix *Inverted, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
+	return ix.AppendSearchSet(ctx, nil, ix.Extractor().Extract(q.Points), maxDistance, limit)
+}
+
+// search is searchTraj for tests that only look at the ranking.
 func search(t testing.TB, ix *Inverted, q *trajectory.Trajectory, maxDistance float64, limit int) []Result {
 	t.Helper()
-	results, _, err := ix.Search(context.Background(), q, maxDistance, limit)
+	results, _, err := searchTraj(context.Background(), ix, q, maxDistance, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +281,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := testWorkload.Queries[i%len(testWorkload.Queries)]
-			if got, _, err := ix.Search(context.Background(), q, 1, 5); err != nil || len(got) == 0 {
+			if got, _, err := searchTraj(context.Background(), ix, q, 1, 5); err != nil || len(got) == 0 {
 				t.Errorf("concurrent query %d returned %d results, err %v", i, len(got), err)
 			}
 		}(i)
@@ -502,7 +508,7 @@ func TestSearchCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ix.Search(ctx, testWorkload.Queries[0], 1, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := searchTraj(ctx, ix, testWorkload.Queries[0], 1, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Search on cancelled context = %v, want context.Canceled", err)
 	}
 }
@@ -721,7 +727,7 @@ func TestConcurrentMutateAndSearch(t *testing.T) {
 					return
 				default:
 				}
-				results, _, err := ix.Search(context.Background(), q, 1, 0)
+				results, _, err := searchTraj(context.Background(), ix, q, 1, 0)
 				if err != nil {
 					searchErr.Store(err)
 					return

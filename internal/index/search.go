@@ -413,19 +413,6 @@ func (ix *Inverted) countShared(ctx context.Context, sc *Scratch, terms []uint32
 	return nil
 }
 
-// Search fingerprints q and returns the trajectories whose Jaccard
-// distance to it is at most maxDistance, ordered by increasing distance
-// (ties by ID for determinism), truncated to limit results (limit ≤ 0
-// means no limit) — the paper's "finding similar trajectories" problem
-// (§II-B1). It is the extract-then-rank convenience for tools; callers
-// that hold a query's extracted terms use AppendSearchSet.
-func (ix *Inverted) Search(ctx context.Context, q *trajectory.Trajectory, maxDistance float64, limit int) ([]Result, SearchStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, SearchStats{}, err
-	}
-	return ix.AppendSearchSet(ctx, nil, ix.ex.Extract(q.Points), maxDistance, limit)
-}
-
 // AppendSearchSet ranks the index's documents against a query's terms
 // (distinct, ascending), appending the results to dst and reporting the
 // size of the candidate set (trajectories sharing at least one term with

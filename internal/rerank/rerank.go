@@ -5,7 +5,7 @@
 // node over its slice of a pushed-down shortlist — so a cheaper bound
 // added here speeds up both.
 //
-// A built-in metric runs in one pooled pass: the query is prepared once,
+// A metric runs in one pooled pass: the query is prepared once,
 // every candidate gets O(n+m) bounds from above and from below, and the
 // candidates are scored in two fixed rounds in ascending upper-bound
 // order — first the limit with the smallest upper bounds, each under its
@@ -35,11 +35,10 @@ import (
 	"geodabs/internal/geo"
 )
 
-// Metric names a built-in exact metric. Only built-ins have known bounds
-// and a bounded kernel, so only they can be scored against a bar, and
-// only they can be named to a shard node — a custom metric is an
-// arbitrary function and cannot cross a process boundary. The values go
-// on the wire between coordinator and nodes and must not be renumbered.
+// Metric names an exact metric: DTW or DFD. Each has known bounds and a
+// bounded kernel, so it is scored against a bar, and its name can be
+// sent to a shard node. The values go on the wire between coordinator
+// and nodes and must not be renumbered.
 type Metric uint8
 
 const (
@@ -49,7 +48,7 @@ const (
 )
 
 // kernel returns the metric's bounded implementation and its O(n+m)
-// bounds over a prepared query, or nils for anything but a built-in.
+// bounds over a prepared query, or nils for an unknown tag.
 func (m Metric) kernel() (within func(*distance.Prepared, []geo.Point, float64) (float64, bool), bounds func(*distance.Prepared, []geo.Point) distance.Bounds) {
 	switch m {
 	case DTW:
@@ -76,18 +75,7 @@ type Candidate struct {
 // handful of metric calls.
 const parallelMin = 16
 
-// ScoreFunc runs metric(query, c.Points) for every candidate. Nothing is
-// known about an arbitrary function, so nothing is skipped.
-//
-// A cancelled ctx stops the workers between candidates; ScoreFunc returns
-// ctx.Err().
-func ScoreFunc(ctx context.Context, query []geo.Point, cands []Candidate, metric func(a, b []geo.Point) float64) error {
-	return each(ctx, len(cands), len(cands), func(i int) {
-		cands[i].Score = metric(query, cands[i].Points)
-	})
-}
-
-// Score scores every candidate with the built-in metric m. It prepares
+// Score scores every candidate with the metric m. It prepares
 // the query once, bounds every candidate in one O(n+m) walk — from above
 // by the cost of one particular alignment, from below by each candidate
 // point's chord to the box around the query, both computed before any

@@ -176,47 +176,23 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// acceptBackoffMax bounds the exponential backoff between retries of a
-// persistently failing Accept (same discipline as the shard node's
-// accept loop).
-const acceptBackoffMax = time.Second
-
+// acceptLoop admits each accepted connection or refuses it, until the
+// server drains.
 func (s *Server) acceptLoop() {
 	defer s.connWG.Done()
-	var backoff time.Duration
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.draining:
-				return
-			default:
-			}
-			if backoff < time.Millisecond {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-time.After(backoff):
-			case <-s.draining:
-				return
-			}
-			continue
-		}
-		backoff = 0
+	wire.AcceptLoop(s.ln, s.draining, func(conn net.Conn) {
 		if !s.register(conn) {
 			// Over the connection limit (or draining): one explicit
 			// refusal, then close — never a silent hang.
 			s.metrics.connsRejected.Add(1)
 			s.refuseConn(conn)
-			continue
+			return
 		}
 		s.metrics.connsOpened.Add(1)
 		s.metrics.connsActive.Add(1)
 		s.connWG.Add(1)
 		go s.serveConn(conn)
-	}
+	})
 }
 
 // register tracks a connection for shutdown teardown, refusing it when
@@ -596,10 +572,9 @@ func searchOptions(req *wire.Request, extra ...geodabs.SearchOption) ([]geodabs.
 	return append(opts, extra...), nil
 }
 
-// rerankMetricOf maps a wire metric tag onto the public built-in exact
-// metric, nil for an unknown tag. Only built-ins are addressable over
-// the wire; on a cluster engine the search pushes the scoring down to
-// the shard nodes owning the retained points.
+// rerankMetricOf maps a wire metric tag onto the exact metric it names,
+// nil for an unknown tag. On a cluster engine the search pushes the
+// scoring down to the shard nodes owning the retained points.
 func rerankMetricOf(m uint8) geodabs.RerankMetric {
 	switch m {
 	case wire.MetricDTW:

@@ -73,9 +73,9 @@ const (
 	OpDelete Op = 5
 	// OpSearchRerank is the raw-trajectory search with exact refinement:
 	// the server re-ranks the fingerprint shortlist with the named
-	// built-in metric (Request.Metric) before replying, like
+	// metric (Request.Metric) before replying, like
 	// geodabs.WithExactRerank. Requires an engine built with point
-	// retention; only built-in metrics are addressable on the wire.
+	// retention.
 	OpSearchRerank Op = 6
 )
 

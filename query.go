@@ -56,7 +56,6 @@ type Query struct {
 type extraction struct {
 	valid     bool
 	key       extractorKey
-	keyed     bool
 	terms     []uint32
 	plan      *cluster.QueryPlan
 	planStrat ShardStrategy
@@ -71,17 +70,15 @@ type extractorKey struct {
 	cfg  Config
 }
 
-// keyOf maps an engine's extractor to its cache key. Only the two public
-// index flavors are keyable; an unknown extractor type reports false and
-// its extractions are not cached across engines.
-func keyOf(ex index.Extractor) (extractorKey, bool) {
-	switch e := ex.(type) {
-	case index.GeodabExtractor:
-		return extractorKey{cfg: e.Config()}, true
-	case index.CellExtractor:
-		return extractorKey{cell: true, cfg: e.Config()}, true
+// keyOf maps an engine's extractor to its cache key. Every engine holds
+// one of the two public index flavors: NewIndex, NewCluster and
+// Fingerprinter.Prepare build a GeodabExtractor, NewGeohashIndex a
+// CellExtractor.
+func keyOf(ex index.Extractor) extractorKey {
+	if e, ok := ex.(index.CellExtractor); ok {
+		return extractorKey{cell: true, cfg: e.Config()}
 	}
-	return extractorKey{}, false
+	return extractorKey{cfg: ex.(index.GeodabExtractor).Config()}
 }
 
 // NewQuery prepares a lazy query over a raw point sequence. The slice
@@ -117,7 +114,7 @@ func (q *Query) FingerprintOnly() bool { return q.fpOnly }
 // bind installs an eager extraction at construction time
 // (Fingerprinter.Prepare); no locking — the value has not escaped yet.
 func (q *Query) bind(key extractorKey, terms []uint32) {
-	q.ext = extraction{valid: true, key: key, keyed: true, terms: terms}
+	q.ext = extraction{valid: true, key: key, terms: terms}
 }
 
 // termSet returns the query's terms under the given extractor, deriving
@@ -128,9 +125,9 @@ func (q *Query) bind(key extractorKey, terms []uint32) {
 // extract redundantly; all arrive at the same terms, so correctness is
 // unaffected.
 func (q *Query) termSet(ex index.Extractor) []uint32 {
-	key, keyable := keyOf(ex)
+	key := keyOf(ex)
 	q.mu.RLock()
-	if q.ext.valid && (q.fpOnly || (keyable && q.ext.keyed && q.ext.key == key)) {
+	if q.ext.valid && (q.fpOnly || q.ext.key == key) {
 		terms := q.ext.terms
 		q.mu.RUnlock()
 		return terms
@@ -138,14 +135,8 @@ func (q *Query) termSet(ex index.Extractor) []uint32 {
 	q.mu.RUnlock()
 
 	terms := ex.Extract(q.points)
-	if !keyable {
-		// Unknown extractor flavor: usable, but never cached — a later use
-		// under a keyable engine must not inherit terms of unknown
-		// provenance.
-		return terms
-	}
 	q.mu.Lock()
-	q.ext = extraction{valid: true, key: key, keyed: true, terms: terms}
+	q.ext = extraction{valid: true, key: key, terms: terms}
 	q.mu.Unlock()
 	return terms
 }

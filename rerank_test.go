@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,25 +17,18 @@ import (
 // its retained points and a 3-node cluster scoring on its shard nodes —
 // to a score-everything reference: the metric on every member of the
 // fingerprint shortlist, sorted by the ranking contract, truncated. Both
-// built-ins run gated under a result cap; the hits must still be
+// metrics run gated under a result cap; the hits must still be
 // byte-identical — scores, order, ID tiebreaks, Shared counts — on one
-// worker and on a pool. A custom metric has no known bound, so it must
-// run on every shortlist member (and cannot run on a cluster at all).
+// worker and on a pool.
 func TestRerankDifferential(t *testing.T) {
 	_, w := testWorld()
 	idx := builtTestIndex(t)
 	cl := builtTestCluster(t, 3)
 	ctx := context.Background()
-	var customCalls atomic.Int64
-	custom := func(a, b []geodabs.Point) float64 {
-		customCalls.Add(1)
-		return -geodabs.DFD(a, b) // farthest first: any lower bound would be wrong
-	}
 	for _, tc := range []struct {
-		name    string
-		metric  geodabs.RerankMetric
-		cluster bool
-	}{{"dtw", geodabs.DTW, true}, {"dfd", geodabs.DFD, true}, {"custom", custom, false}} {
+		name   string
+		metric geodabs.RerankMetric
+	}{{"dtw", geodabs.DTW}, {"dfd", geodabs.DFD}} {
 		for _, limit := range []int{0, 1, 10} {
 			for _, q := range w.Queries[:2] {
 				// The shortlist a capped rerank scores is the top limit×8
@@ -45,7 +37,6 @@ func TestRerankDifferential(t *testing.T) {
 				for i := range want {
 					want[i].Distance = tc.metric(q.Points, w.Dataset.ByID(want[i].ID).Points)
 				}
-				shortlist := len(want)
 				index.SortResults(want)
 				if limit > 0 && len(want) > limit {
 					want = want[:limit]
@@ -55,11 +46,10 @@ func TestRerankDifferential(t *testing.T) {
 					opts = append(opts, geodabs.WithKNN(limit))
 				}
 				for _, procs := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
-					customCalls.Store(0)
 					prev := runtime.GOMAXPROCS(procs)
 					got, err := idx.Search(ctx, q, opts...)
 					var remote *geodabs.SearchResult
-					if err == nil && tc.cluster {
+					if err == nil {
 						remote, err = cl.Search(ctx, q, opts...)
 					}
 					runtime.GOMAXPROCS(prev)
@@ -69,11 +59,8 @@ func TestRerankDifferential(t *testing.T) {
 					if !reflect.DeepEqual(got.Hits, want) {
 						t.Fatalf("%s limit=%d procs=%d query %d: index hits %+v, want %+v", tc.name, limit, procs, q.ID, got.Hits, want)
 					}
-					if tc.cluster && !reflect.DeepEqual(remote.Hits, want) {
+					if !reflect.DeepEqual(remote.Hits, want) {
 						t.Fatalf("%s limit=%d procs=%d query %d: cluster hits %+v, want %+v", tc.name, limit, procs, q.ID, remote.Hits, want)
-					}
-					if !tc.cluster && int(customCalls.Load()) != shortlist {
-						t.Fatalf("custom limit=%d procs=%d query %d: metric ran %d times for a shortlist of %d — a custom metric must run ungated", limit, procs, q.ID, customCalls.Load(), shortlist)
 					}
 				}
 			}

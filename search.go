@@ -51,9 +51,11 @@ var (
 	_ preparedSearcher = (*Cluster)(nil)
 )
 
-// RerankMetric is an exact trajectory distance used by WithExactRerank to
-// refine a fingerprint-ranked candidate set (the paper's §VI-C refinement
-// step). DTW and DFD satisfy it directly.
+// RerankMetric is the type of the exact trajectory distances
+// WithExactRerank refines a fingerprint-ranked candidate set with — the
+// paper's §VI-C refinement step. It takes DTW and DFD, the two metrics
+// the paper refines with, and no other function: every bound the rerank
+// pass prunes with is defined for one of them.
 type RerankMetric func(a, b []Point) float64
 
 // SearchOption configures one Search call.
@@ -64,8 +66,8 @@ type SearchOption func(*searchOptions) error
 // defaulting rules stay in one place.
 type searchOptions struct {
 	maxDistance float64
-	knn         int // the result cap; 0 = no cap
-	rerank      RerankMetric
+	knn         int           // the result cap; 0 = no cap
+	rerank      rerank.Metric // 0 = no rerank
 }
 
 func newSearchOptions(opts []SearchOption) (searchOptions, error) {
@@ -88,7 +90,7 @@ const rerankShortlistFactor = 8
 // enlarged shortlist when an exact rerank will re-order it, and the whole
 // range when no cap was requested.
 func (o searchOptions) fetchLimit() int {
-	if o.rerank == nil {
+	if o.rerank == 0 {
 		return o.knn
 	}
 	return o.knn * rerankShortlistFactor
@@ -124,30 +126,32 @@ func WithKNN(k int) SearchOption {
 
 // WithExactRerank re-ranks a fingerprint-ranked shortlist by the exact
 // metric (ascending), the paper's §VI-C refinement: geodabs prune
-// cheaply, the polynomial-cost measure decides the final order. With a
-// result cap (WithKNN) the shortlist is the top k×8
-// fingerprint hits; without one, the whole WithMaxDistance range is
-// scored — bound one or the other, or the rerank degenerates to the
-// brute-force scan it exists to avoid. A built-in metric scores each
-// candidate against its own O(n+m) upper bound too, capped or not, so
-// even an uncapped rerank is guided per candidate: the exact program
-// skips the cells no alignment under that bound runs through, and the
-// scores are still the metric's own. Each hit's Distance is replaced
-// by the metric's value (meters for DTW/DFD). Re-ranking needs the raw
-// points of every hit, so it requires an engine constructed with
-// WithPointRetention and fails on indexes loaded from a snapshot.
+// cheaply, the polynomial-cost measure decides the final order. The
+// metric is DTW or DFD; any other function, nil included, fails the
+// search when its options are parsed, before any search runs. With a
+// result cap (WithKNN) the shortlist is the top k×8 fingerprint hits;
+// without one, the whole WithMaxDistance range is scored — bound one or
+// the other, or the rerank degenerates to the brute-force scan it exists
+// to avoid. Each candidate is scored against its own O(n+m) upper bound
+// too, capped or not, so even an uncapped rerank is guided per
+// candidate: the exact program skips the cells no alignment under that
+// bound runs through, and the scores are still the metric's own. Each
+// hit's Distance is replaced by the metric's value in meters.
+// Re-ranking needs the raw points of every hit, so it requires an
+// engine constructed with WithPointRetention and fails on indexes
+// loaded from a snapshot.
 //
 // On a *Cluster the refinement runs on the shard nodes: each
 // trajectory's raw points live on its owner node, the shortlist is
-// pushed down, and only (ID, score) pairs return — so the metric must
-// be one of the built-ins (DTW or DFD), which the nodes can run by
-// name. A custom metric function cannot cross the wire and is rejected.
+// pushed down with the metric's name, and only (ID, score) pairs
+// return.
 func WithExactRerank(metric RerankMetric) SearchOption {
+	m, ok := builtinMetric(metric)
 	return func(o *searchOptions) error {
-		if metric == nil {
-			return errors.New("geodabs: WithExactRerank(nil) is not a metric")
+		if !ok {
+			return errors.New("geodabs: WithExactRerank takes geodabs.DTW or geodabs.DFD: the rerank pass prunes with bounds defined for those metrics only")
 		}
-		o.rerank = metric
+		o.rerank = m
 		return nil
 	}
 }
@@ -336,7 +340,7 @@ func checkQuery(q *Query, o searchOptions) error {
 	if q == nil {
 		return errors.New("geodabs: nil *Query")
 	}
-	if o.rerank != nil && q.FingerprintOnly() {
+	if o.rerank != 0 && q.FingerprintOnly() {
 		return errors.New("geodabs: WithExactRerank needs the query's raw points, which a fingerprint-only Query (QueryFromFingerprint) does not carry — build the query with NewQuery or Fingerprinter.Prepare instead")
 	}
 	return nil
@@ -344,16 +348,14 @@ func checkQuery(q *Query, o searchOptions) error {
 
 // rerankHits applies the exact refinement pass on the local engine:
 // score the shortlist with the metric through the rerank package, re-sort
-// ascending (ties by ID), truncate to the result limit. A built-in metric
-// under a result cap runs bounded — hits proved outside the top-limit are
-// dropped without their exact score — and a custom metric, about which
-// nothing is known, scores every hit. A no-op when no rerank was
+// ascending (ties by ID), truncate to the result limit. Under a result
+// cap the pass runs bounded — hits proved outside the top-limit are
+// dropped without their exact score. A no-op when no rerank was
 // requested.
 func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Point, pointsOf func(ID) []Point) ([]Result, error) {
-	if o.rerank == nil {
+	if o.rerank == 0 {
 		return hits, nil
 	}
-	metric, builtin := builtinMetric(o.rerank)
 	// Resolve every hit's points before scoring any, so a failure names
 	// the complete set of unavailable trajectories instead of whichever
 	// one a worker tripped over first.
@@ -370,13 +372,7 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
 		return nil, fmt.Errorf("geodabs: cannot rerank: raw points of %d of %d shortlist trajectories unavailable (IDs %v): index built without WithPointRetention, or snapshot-loaded index", len(missing), len(hits), missing)
 	}
-	var err error
-	if builtin {
-		err = rerank.Score(ctx, query, cands, metric, o.knn)
-	} else {
-		err = rerank.ScoreFunc(ctx, query, cands, o.rerank)
-	}
-	if err != nil {
+	if err := rerank.Score(ctx, query, cands, o.rerank, o.knn); err != nil {
 		return nil, err
 	}
 	scored := hits[:0]
@@ -401,27 +397,19 @@ func rerankHits(ctx context.Context, o searchOptions, hits []Result, query []Poi
 // top-limit, and ships back (ID, score) pairs — raw
 // points never cross the wire at query time. The coordinator merges the
 // scores into the final ranking.
-//
-// Only the built-in metrics (DTW, DFD) can be named over the wire; a
-// custom RerankMetric function cannot be shipped to the nodes, and the
-// coordinator no longer retains points to run it locally.
 func (c *Cluster) rerankRemote(ctx context.Context, o searchOptions, hits []Result, query []Point) ([]Result, error) {
-	if o.rerank == nil {
+	if o.rerank == 0 {
 		return hits, nil
 	}
-	metric, ok := builtinMetric(o.rerank)
-	if !ok {
-		return nil, errors.New("geodabs: WithExactRerank on a cluster requires a built-in metric (geodabs.DTW or geodabs.DFD): candidates are scored remotely on the shard nodes that retain their raw points, and a custom RerankMetric function cannot cross the wire")
-	}
-	reranked, err := c.coord.Rerank(ctx, hits, query, metric, o.knn)
+	reranked, err := c.coord.Rerank(ctx, hits, query, o.rerank, o.knn)
 	if err != nil {
 		return nil, translateClusterErr(err)
 	}
 	return reranked, nil
 }
 
-// builtinMetric maps a RerankMetric to its tag when it is one of the
-// package's built-in metrics. Comparison is by function pointer: DTW and
+// builtinMetric maps a RerankMetric to its tag, reporting false for
+// anything but DTW and DFD. Comparison is by function pointer: DTW and
 // DFD are package-level bindings of the internal implementations, so any
 // alias of them resolves to the same code pointer.
 func builtinMetric(m RerankMetric) (rerank.Metric, bool) {

@@ -96,23 +96,64 @@ func TestSearchDefaultsMatchUnboundedQuery(t *testing.T) {
 
 func TestSearchOptionValidation(t *testing.T) {
 	idx := builtTestIndex(t)
+	cl := stoppedCluster(t)
 	_, w := testWorld()
 	q := w.Queries[0]
 	ctx := context.Background()
+	custom := func(a, b []geodabs.Point) float64 { return geodabs.DTW(a, b) }
 	for name, opts := range map[string][]geodabs.SearchOption{
 		"negative distance":  {geodabs.WithMaxDistance(-0.1)},
 		"distance above one": {geodabs.WithMaxDistance(1.5)},
 		"zero knn":           {geodabs.WithKNN(0)},
 		"negative knn":       {geodabs.WithKNN(-3)},
 		"nil rerank":         {geodabs.WithExactRerank(nil)},
+		"custom rerank":      {geodabs.WithKNN(3), geodabs.WithExactRerank(custom)},
 	} {
-		if _, err := idx.Search(ctx, q, opts...); err == nil {
-			t.Errorf("%s: Search accepted invalid options", name)
-		}
-		if _, err := idx.SearchQueryBatch(ctx, prepareAll(w.Queries), 2, opts...); err == nil {
-			t.Errorf("%s: SearchQueryBatch accepted invalid options", name)
+		for _, e := range []struct {
+			name string
+			s    batchSearcher
+		}{{"Index", idx}, {"Cluster", cl}} {
+			_, err := e.s.Search(ctx, q, opts...)
+			_, batchErr := e.s.SearchQueryBatch(ctx, prepareAll(w.Queries), 2, opts...)
+			for entry, err := range map[string]error{"Search": err, "SearchQueryBatch": batchErr} {
+				switch {
+				case err == nil:
+					t.Errorf("%s: %s.%s accepted invalid options", name, e.name, entry)
+				case strings.HasSuffix(name, "rerank") && err.Error() != rerankRefusal:
+					// The stopped cluster's nodes answer nothing, so any
+					// other error means the search ran past its options.
+					t.Errorf("%s: %s.%s: %v, want the option's refusal %q", name, e.name, entry, err, rerankRefusal)
+				}
+			}
 		}
 	}
+}
+
+// rerankRefusal is WithExactRerank's error for any metric but DTW and DFD.
+const rerankRefusal = "geodabs: WithExactRerank takes geodabs.DTW or geodabs.DFD: the rerank pass prunes with bounds defined for those metrics only"
+
+// batchSearcher is the search surface both engines share, batch included.
+type batchSearcher interface {
+	geodabs.Searcher
+	SearchQueryBatch(ctx context.Context, qs []*geodabs.Query, workers int, opts ...geodabs.SearchOption) ([]*geodabs.SearchResult, error)
+}
+
+// stoppedCluster is an empty cluster whose shard nodes have all been
+// closed: a search that gets as far as its scatter fails there.
+func stoppedCluster(t *testing.T) *geodabs.Cluster {
+	t.Helper()
+	cfg := geodabs.DefaultConfig()
+	n, err := geodabs.StartShardNode("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := geodabs.NewCluster(cfg, geodabs.ShardStrategy{PrefixBits: cfg.PrefixBits, Shards: 1000, Nodes: 1}, []string{n.Addr()}, geodabs.WithPointRetention())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	n.Close()
+	return cl
 }
 
 // TestSearchParityIndexAndCluster pins §IV's one query model: the same
